@@ -1,11 +1,12 @@
 // Command sqlcm-benchjson produces the committed benchmark snapshot
 // (BENCH_10.json): the monitoring hot paths as single numbers — end-to-end
 // event-dispatch rate, LAT observe cost — plus the wire-level load figures
-// at a fixed connection count with monitoring on vs off, the same load
-// through a clean listener vs one injecting 5ms network jitter, and a
-// read-mostly readers-vs-one-hot-writer comparison of MVCC snapshot reads
-// against the 2PL baseline, so a regression in the engine, the front-end
-// or the fault-handling path shows up as a diff in a checked-in file.
+// at a fixed connection count with monitoring on vs off, and the same load
+// through a clean listener vs one injecting 5ms network jitter, so a
+// regression in the engine, the front-end or the fault-handling path shows
+// up as a diff in a checked-in file. (BENCH_10.json also holds an `mvcc`
+// section — snapshot reads against the 2PL read path — recorded before
+// that path was deleted; it cannot be re-measured.)
 //
 // Usage:
 //
@@ -70,24 +71,6 @@ type netchaosBench struct {
 	Jitter5ms  loadgen.Result `json:"jitter_5ms"`
 }
 
-// mvccScalePoint compares MVCC snapshot reads against the 2PL baseline at
-// one reader-fleet size: wire-level read-only load percentiles plus the
-// in-process hot writer's commit count for each mode.
-type mvccScalePoint struct {
-	ReaderConns        int            `json:"reader_conns"`
-	ReaderRate         float64        `json:"reader_rate_target_per_sec"`
-	MVCCReaders        loadgen.Result `json:"mvcc_readers"`
-	TwoPLReaders       loadgen.Result `json:"two_phase_locking_readers"`
-	MVCCWriterCommits  int64          `json:"mvcc_writer_commits"`
-	TwoPLWriterCommits int64          `json:"two_phase_locking_writer_commits"`
-}
-
-type mvccBench struct {
-	DurationNs   int64            `json:"duration_ns"`
-	WriterHoldNs int64            `json:"writer_hold_ns"`
-	Scaling      []mvccScalePoint `json:"reader_scaling"`
-}
-
 type benchFile struct {
 	Generated string        `json:"generated"`
 	Host      hostInfo      `json:"host"`
@@ -95,7 +78,6 @@ type benchFile struct {
 	LAT       latBench      `json:"lat_observe"`
 	Load      loadBench     `json:"load"`
 	Netchaos  netchaosBench `json:"netchaos"`
-	MVCC      mvccBench     `json:"mvcc"`
 }
 
 func main() {
@@ -141,18 +123,6 @@ func main() {
 	}
 	fmt.Printf("netchaos clean:  %s\n", bf.Netchaos.Clean)
 	fmt.Printf("netchaos jitter: %s\n", bf.Netchaos.Jitter5ms)
-	readerFleets := []int{8, 32}
-	if *quick {
-		readerFleets = []int{4, 8}
-	}
-	if bf.MVCC, err = benchMVCC(readerFleets, *duration); err != nil {
-		fatal(err)
-	}
-	for _, p := range bf.MVCC.Scaling {
-		fmt.Printf("mvcc %d readers: %s (writer commits %d)\n", p.ReaderConns, p.MVCCReaders, p.MVCCWriterCommits)
-		fmt.Printf("2pl  %d readers: %s (writer commits %d)\n", p.ReaderConns, p.TwoPLReaders, p.TwoPLWriterCommits)
-	}
-
 	buf, err := json.MarshalIndent(bf, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -353,133 +323,6 @@ func benchChaosOnce(conns int, rate float64, duration, jitter time.Duration) (lo
 		err = serr
 	}
 	return res, err
-}
-
-// mvccReadMix is the read-only statement mix for the MVCC comparison
-// (cumulative cut-points for sel_l / sel_o / upd_l, remainder upd_o).
-var mvccReadMix = [6]int{60, 100, 100, 100, 100, 100}
-
-// writerHold is how long the hot writer's transaction keeps its exclusive
-// lock each cycle — the realistic hot-writer shape: locks are held across
-// a transaction, not just for one statement.
-const writerHold = 5 * time.Millisecond
-
-// benchMVCC runs a read-only wire-level fleet against one in-process hot
-// writer that transacts in a BEGIN / UPDATE lineitem / hold / COMMIT loop,
-// once with MVCC snapshot reads and once with pure 2PL reads, monitoring
-// attached in both runs. Under 2PL every lineitem read serializes behind
-// the writer's exclusive table lock (held writerHold per cycle) and the
-// writer in turn queues behind reader shared locks; with MVCC the readers
-// never touch the lock manager. Reader throughput/percentiles at growing
-// fleet sizes plus the writer's commit count pin the benefit of versioned
-// reads on both sides.
-func benchMVCC(readerFleets []int, duration time.Duration) (mvccBench, error) {
-	res := mvccBench{DurationNs: duration.Nanoseconds(), WriterHoldNs: writerHold.Nanoseconds()}
-	for _, readers := range readerFleets {
-		// Per-connection rate is set above what a 2PL reader can sustain
-		// while the writer holds the table lock (avg read service there is
-		// ~2ms, bounding a synchronous connection near 500/s), so the lock
-		// schedule shows up in completed throughput, not just percentiles.
-		pt := mvccScalePoint{ReaderConns: readers, ReaderRate: float64(800 * readers)}
-		var err error
-		if pt.MVCCReaders, pt.MVCCWriterCommits, err = benchMVCCOnce(readers, pt.ReaderRate, duration, false); err != nil {
-			return res, err
-		}
-		if pt.TwoPLReaders, pt.TwoPLWriterCommits, err = benchMVCCOnce(readers, pt.ReaderRate, duration, true); err != nil {
-			return res, err
-		}
-		res.Scaling = append(res.Scaling, pt)
-	}
-	return res, nil
-}
-
-func benchMVCCOnce(readers int, readerRate float64, duration time.Duration, disableMVCC bool) (loadgen.Result, int64, error) {
-	db, err := sqlcm.Open(sqlcm.Config{DisableMVCC: disableMVCC})
-	if err != nil {
-		return loadgen.Result{}, 0, err
-	}
-	defer db.Close() //nolint:errcheck
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "ByTemplate",
-		GroupBy: []string{"Logical_Signature"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Count, Attr: "ID", Name: "N"},
-			{Func: sqlcm.Avg, Attr: "Duration", Name: "Avg_Duration"},
-		},
-	}); err != nil {
-		return loadgen.Result{}, 0, err
-	}
-	if _, err := db.NewRule("collect", "Query.Commit", "", &sqlcm.InsertAction{LAT: "ByTemplate"}); err != nil {
-		return loadgen.Result{}, 0, err
-	}
-	if _, err := workload.Setup(db.Engine(), workload.Config{Lineitems: 4000}); err != nil {
-		return loadgen.Result{}, 0, err
-	}
-	srv, err := server.New(server.Config{
-		Addr:       "127.0.0.1:0",
-		MaxConns:   readers + 10,
-		NewSession: db.RemoteSession,
-		Drain:      db.Flush,
-	})
-	if err != nil {
-		return loadgen.Result{}, 0, err
-	}
-	if err := srv.Start(); err != nil {
-		return loadgen.Result{}, 0, err
-	}
-
-	// The hot writer: an in-process transaction loop holding the lineitem
-	// X lock for writerHold per cycle.
-	stop := make(chan struct{})
-	done := make(chan int64, 1)
-	go func() {
-		sess := db.Session("writer", "benchjson")
-		r := rand.New(rand.NewSource(2))
-		var commits int64
-		for {
-			select {
-			case <-stop:
-				done <- commits
-				return
-			default:
-			}
-			step := func(sql string, params map[string]sqlcm.Value) bool {
-				if _, err := sess.Exec(sql, params); err != nil {
-					sess.Exec("ROLLBACK", nil) //nolint:errcheck
-					return false
-				}
-				return true
-			}
-			if step("BEGIN", nil) &&
-				step("UPDATE lineitem SET l_quantity = @q WHERE l_id = @k", map[string]sqlcm.Value{
-					"q": sqlcm.NewFloat(float64(1 + r.Intn(50))),
-					"k": sqlcm.NewInt(int64(1 + r.Intn(100))), // hot keys
-				}) {
-				time.Sleep(writerHold)
-				if step("COMMIT", nil) {
-					commits++
-				}
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	res, err := loadgen.Run(loadgen.Config{
-		Addr:     srv.Addr().String(),
-		Conns:    readers,
-		Rate:     readerRate,
-		Duration: duration,
-		Mix:      &mvccReadMix,
-		Keys:     1000,
-		Seed:     1,
-		User:     "reader",
-	})
-	close(stop)
-	commits := <-done
-	if serr := srv.Shutdown(10 * time.Second); serr != nil && err == nil {
-		err = serr
-	}
-	return res, commits, err
 }
 
 func benchLoadOnce(conns int, rate float64, duration time.Duration, monitoring bool) (loadgen.Result, error) {

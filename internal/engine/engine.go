@@ -35,16 +35,11 @@ type Config struct {
 	// LockTimeout bounds lock waits; zero waits forever (deadlock detection
 	// still applies). Default 10s.
 	LockTimeout time.Duration
-	// DisableMVCC turns off multi-version storage: tables are created
-	// without version stores and SELECTs take shared locks (the pre-MVCC
-	// strict-2PL read path). Used by A/B invariance tests and the 2PL
-	// baseline in benchmarks.
-	DisableMVCC bool
-	// VersionGCEvery is the writer-commit interval between version-garbage
-	// collection passes (default 256). Negative disables automatic pruning
-	// (tests drive PruneVersionsNow directly).
-	VersionGCEvery int
 }
+
+// versionGCEvery is the writer-commit interval between version-garbage
+// collection passes.
+const versionGCEvery = 256
 
 func (c Config) withDefaults() Config {
 	if c.PoolPages == 0 {
@@ -52,9 +47,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 10 * time.Second
-	}
-	if c.VersionGCEvery == 0 {
-		c.VersionGCEvery = 256
 	}
 	return c
 }
@@ -97,7 +89,7 @@ type Engine struct {
 	// mvccStats aggregates version-store counters across all tables (the
 	// Versions_Pruned / Versions_Retained probes).
 	mvccStats storage.VersionStats
-	// gcTick counts writer commits; every VersionGCEvery-th triggers a
+	// gcTick counts writer commits; every versionGCEvery-th triggers a
 	// version-garbage pass. gcBusy collapses concurrent triggers into one
 	// running pass.
 	gcTick atomic.Int64
@@ -152,24 +144,22 @@ func Open(cfg Config) (*Engine, error) {
 	e.planMu.SetClass("engine.plan")
 	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
-	if !cfg.DisableMVCC && cfg.VersionGCEvery > 0 {
-		e.tm.SetPostCommit(e.onWriterCommit)
-	}
+	e.tm.SetPostCommit(e.onWriterCommit)
 	return e, nil
 }
 
 // onWriterCommit is the transaction manager's post-commit observer: every
-// VersionGCEvery-th writer commit triggers a version-garbage pass. It runs
+// versionGCEvery-th writer commit triggers a version-garbage pass. It runs
 // on the committing goroutine after that transaction's locks released, so
 // the prune transactions it opens cannot deadlock with the trigger.
 func (e *Engine) onWriterCommit(int64) {
-	if e.gcTick.Add(1)%int64(e.cfg.VersionGCEvery) == 0 {
+	if e.gcTick.Add(1)%versionGCEvery == 0 {
 		e.PruneVersionsNow()
 	}
 }
 
 // PruneVersionsNow runs one version-garbage-collection pass over every
-// multi-versioned table at the current watermark (oldest active snapshot).
+// table at the current watermark (oldest active snapshot).
 // Each table is pruned under its exclusive lock inside a short internal
 // transaction, so pruning serializes against writers exactly like a
 // statement; the internal transactions carry no QueryInfo and are therefore
@@ -183,7 +173,7 @@ func (e *Engine) PruneVersionsNow() {
 	defer e.gcBusy.Store(false)
 	for _, name := range e.reg.Names() {
 		ts, err := e.reg.Store(name)
-		if err != nil || ts.Vers == nil {
+		if err != nil {
 			continue
 		}
 		t := e.tm.Begin(true)
@@ -203,20 +193,15 @@ func (e *Engine) PruneVersionsNow() {
 // probes and tests).
 func (e *Engine) MVCCStats() *storage.VersionStats { return &e.mvccStats }
 
-// MVCCEnabled reports whether tables are multi-versioned.
-func (e *Engine) MVCCEnabled() bool { return !e.cfg.DisableMVCC }
-
-// Close shuts the engine down. Multi-versioned tables are fully pruned
-// first (at shutdown the watermark is the newest commit, so every
-// superseded version and deleted row is reclaimed) so the flushed heaps
-// hold exactly the live row images.
+// Close shuts the engine down. Tables are fully pruned first (at shutdown
+// the watermark is the newest commit, so every superseded version and
+// deleted row is reclaimed) so the flushed heaps hold exactly the live row
+// images.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if !e.cfg.DisableMVCC {
-		e.PruneVersionsNow()
-	}
+	e.PruneVersionsNow()
 	if err := e.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -495,12 +480,9 @@ func (e *Engine) CreateTable(name string, cols []catalog.Column) error {
 	if err != nil {
 		return err
 	}
-	ts, err := exec.NewTableStore(meta, e.pool)
+	ts, err := exec.NewTableStore(meta, e.pool, &e.mvccStats)
 	if err != nil {
 		return err
-	}
-	if !e.cfg.DisableMVCC {
-		ts.Vers = storage.NewVersionStore(&e.mvccStats)
 	}
 	e.reg.Register(name, ts)
 	e.invalidatePlans()
@@ -558,9 +540,7 @@ func (e *Engine) TruncateTableDirect(table string) error {
 	for name, ix := range ts.Indexes {
 		ts.Indexes[name] = index.New(ix.Unique())
 	}
-	if ts.Vers != nil {
-		ts.Vers.Reset()
-	}
+	ts.Vers.Reset()
 	e.cat.AddRows(table, -1<<40) // clamps at zero
 	return e.tm.Commit(t)
 }
@@ -579,44 +559,22 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 		e.tm.Rollback(t) //nolint:errcheck
 		return 0, err
 	}
-	ncols := len(ts.Meta.Columns)
 	type victim struct {
 		rid storage.RID
 		row []sqltypes.Value
 	}
 	var victims []victim
-	if ts.Vers != nil {
-		// Versioned table: the chains are authoritative (the heap still
-		// holds deleted-but-unpruned row images).
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := exec.DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				e.tm.Rollback(t) //nolint:errcheck
-				return 0, err
-			}
-			if pred(row) {
-				victims = append(victims, victim{rid: cr.Rid, row: row})
-			}
-		}
-	} else {
-		var decodeErr error
-		err = ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-			row, err := exec.DecodeRow(rec, ncols)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			if pred(row) {
-				victims = append(victims, victim{rid: rid, row: row})
-			}
-			return true
-		})
-		if err == nil {
-			err = decodeErr
-		}
+	for cur := ts.Scan(ctx.Current()); ; {
+		rid, row, err := cur.Next(ctx)
 		if err != nil {
 			e.tm.Rollback(t) //nolint:errcheck
 			return 0, err
+		}
+		if row == nil {
+			break
+		}
+		if pred(row) {
+			victims = append(victims, victim{rid: rid, row: row})
 		}
 	}
 	for _, v := range victims {
@@ -631,39 +589,25 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 	return int64(len(victims)), nil
 }
 
-// ReadTableDirect returns all rows of a table (used to reload persisted
-// LATs at startup and by tests).
+// ReadTableDirect returns all committed rows of a table (used to reload
+// persisted LATs at startup and by tests). It reads at a fresh snapshot
+// like a SELECT: no locks, and no other transaction's uncommitted writes.
 func (e *Engine) ReadTableDirect(table string) ([][]sqltypes.Value, error) {
 	ts, err := e.reg.Store(table)
 	if err != nil {
 		return nil, err
 	}
-	ncols := len(ts.Meta.Columns)
+	t := e.tm.Begin(true)
+	defer e.tm.Commit(t) //nolint:errcheck // read-only
+	ctx := &exec.Ctx{Txn: t}
 	var out [][]sqltypes.Value
-	if ts.Vers != nil {
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := exec.DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-		return out, nil
-	}
-	var decodeErr error
-	err = ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-		row, err := exec.DecodeRow(rec, ncols)
-		if err != nil {
-			decodeErr = err
-			return false
+	for cur := ts.Scan(ctx.Snapshot()); ; {
+		_, row, err := cur.Next(ctx)
+		if err != nil || row == nil {
+			return out, err
 		}
 		out = append(out, row)
-		return true
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, decodeErr
 }
 
 // NewQueryID allocates a fresh query id (exported for the monitor's

@@ -416,6 +416,44 @@ func TestInsertRowDirectAndReadTableDirect(t *testing.T) {
 	}
 }
 
+// TestReadTableDirectSeesOnlyCommitted: ReadTableDirect reads like a SELECT
+// at a fresh snapshot — another session's open transaction (an UPDATE, a
+// DELETE and an INSERT, all uncommitted) must not show, and must not block
+// it either.
+func TestReadTableDirectSeesOnlyCommitted(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("a", "b")
+	mustExec(t, s, "CREATE TABLE log (id INT PRIMARY KEY, msg VARCHAR)")
+	mustExec(t, s, "INSERT INTO log VALUES (1, 'one')")
+	mustExec(t, s, "INSERT INTO log VALUES (2, 'two')")
+
+	image := func() string {
+		t.Helper()
+		rows, err := e.ReadTableDirect("log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	committed := image()
+
+	w := e.NewSession("w", "b")
+	mustExec(t, w, "BEGIN")
+	mustExec(t, w, "UPDATE log SET msg = 'dirty' WHERE id = 1")
+	mustExec(t, w, "DELETE FROM log WHERE id = 2")
+	mustExec(t, w, "INSERT INTO log VALUES (3, 'three')")
+	if got := image(); got != committed {
+		t.Fatalf("dirty read: %s, committed image is %s", got, committed)
+	}
+	mustExec(t, w, "COMMIT")
+	if got, want := image(), "[[1 dirty] [3 three]]"; got != want {
+		t.Fatalf("after commit: %s, want %s", got, want)
+	}
+	if e.Txns().Active() != 0 {
+		t.Fatalf("leaked transactions: %d", e.Txns().Active())
+	}
+}
+
 func TestFileBackedEngine(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{PoolPages: 16, DataPath: dir + "/data.db"})

@@ -51,9 +51,8 @@ type QueryInfo struct {
 	TxnID lock.TxnID
 	Txn   *txn.Txn
 
-	// MVCC snapshot context (zero values when the engine runs without
-	// MVCC): SnapshotTS is the commit-timestamp horizon the statement's
-	// transaction reads at, SnapshotAt when that snapshot was taken (the
+	// MVCC snapshot context: SnapshotTS is the commit-timestamp horizon
+	// the statement's transaction reads at, SnapshotAt when that snapshot was taken (the
 	// Snapshot_Age probe measures against it), and MVCC points at the
 	// engine-wide version-store counters (Versions_Pruned /
 	// Versions_Retained probes). All set before registerQuery publishes
@@ -124,7 +123,7 @@ func (q *QueryInfo) AddQueryBlocked() { q.queriesBlocked.Add(1) }
 func (q *QueryInfo) NoteMaxChain(n int) { q.maxChain.Store(int64(n)) }
 
 // MaxChain returns the longest version chain the statement walked (the
-// Version_Chain_Length probe; 0 on non-MVCC reads and writes).
+// Version_Chain_Length probe; 0 for writes).
 func (q *QueryInfo) MaxChain() int64 { return q.maxChain.Load() }
 
 // TxnInfo is the engine-side record of one transaction, the raw material

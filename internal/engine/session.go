@@ -13,7 +13,6 @@ import (
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
-	"sqlcm/internal/storage"
 	"sqlcm/internal/txn"
 )
 
@@ -382,14 +381,9 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 		OptimizeTime:  cp.optimize,
 		Instances:     instances,
 		PlanCacheHit:  instances > 1,
-	}
-	if s.e.MVCCEnabled() {
-		// Snapshot probes (Snapshot_Age, and the version-store counters)
-		// are NULL when the engine runs without MVCC, so the zero values
-		// stay zero in that mode.
-		qi.SnapshotTS = t.SnapshotTS()
-		qi.SnapshotAt = t.SnapshotAt()
-		qi.MVCC = s.e.MVCCStats()
+		SnapshotTS:    t.SnapshotTS(),
+		SnapshotAt:    t.SnapshotAt(),
+		MVCC:          s.e.MVCCStats(),
 	}
 	s.e.registerQuery(qi)
 	s.cur.Store(qi)
@@ -448,29 +442,22 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 	return res, nil
 }
 
-// executeBody acquires locks and runs the statement. SELECTs on an MVCC
-// engine read a transaction-consistent snapshot through the version chains
-// and never touch the lock manager — readers cannot block, be blocked, or
-// deadlock, so they produce no Blocker/Blocked events. Writes still take
-// exclusive table locks (strict 2PL), keeping write-write blocking and
-// deadlock behavior identical to the pre-MVCC engine.
+// executeBody acquires locks and runs the statement. SELECTs read a
+// transaction-consistent snapshot through the version chains and never
+// touch the lock manager — readers cannot block, be blocked, or deadlock,
+// so they produce no Blocker/Blocked events. Writes take exclusive table
+// locks (strict 2PL): write-write blocking and deadlock behavior are those
+// of a plain locking engine.
 func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value) (*Result, error) {
-	snapRead := cp.qtype == QuerySelect && s.e.MVCCEnabled()
-	if !snapRead {
-		mode := lock.Shared
-		if cp.qtype != QuerySelect {
-			mode = lock.Exclusive
-		}
+	ctx := &exec.Ctx{Txn: t, Params: params}
+	if cp.qtype == QuerySelect {
+		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
+	} else {
 		for _, table := range tablesOf(cp.logical) {
-			if err := s.e.locks.Acquire(t.ID, lock.TableResource(table), mode); err != nil {
+			if err := s.e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
 				return nil, err
 			}
 		}
-	}
-	ctx := &exec.Ctx{Txn: t, Params: params}
-	if snapRead {
-		ctx.Snap = &storage.Snapshot{TS: t.SnapshotTS(), Self: int64(t.ID)}
-		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
 	}
 	switch p := cp.physical.(type) {
 	case *plan.PhysInsert:
@@ -480,7 +467,7 @@ func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params 
 		}
 		return &Result{Affected: n}, nil
 	case *plan.PhysUpdate:
-		n, err := exec.ExecUpdate(ctx, s.e.reg, p, s.e.cat)
+		n, err := exec.ExecUpdate(ctx, s.e.reg, p)
 		if err != nil {
 			return nil, err
 		}

@@ -97,7 +97,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		if bt == nil {
 			continue
 		}
-		if err := insertEntry(ts, bt, ts.IndexKey(ix, row), rid); err != nil {
+		if err := insertEntry(ctx, ts, bt, ts.IndexKey(ix, row), rid); err != nil {
 			for _, u := range done {
 				ts.Indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
 			}
@@ -108,16 +108,14 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		}
 		done = append(done, ix)
 	}
-	if ts.Vers != nil {
-		// The chain makes the row readable: install it last so no reader
-		// resolves the row before its entries exist. Uncommitted inserts
-		// are invisible to every other snapshot until the commit stamp.
-		if ctx.Txn != nil {
-			v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
-			ctx.Txn.OnCommit(v.SetCommit)
-		} else {
-			ts.Vers.Install(rid, rec, 0, true)
-		}
+	// The chain makes the row readable: install it last so no reader
+	// resolves the row before its entries exist. Uncommitted inserts are
+	// invisible to every other snapshot until the commit stamp.
+	if ctx.Txn != nil {
+		v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
+		ctx.Txn.OnCommit(v.SetCommit)
+	} else {
+		ts.Vers.Install(rid, rec, 0, true)
 	}
 	if cat != nil {
 		cat.AddRows(meta.Name, 1)
@@ -125,11 +123,8 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			heapRid := rid
-			if ts.Vers != nil {
-				heapRid = ts.Vers.CurrentRID(rid)
-				ts.Vers.Discard(rid)
-			}
+			heapRid := ts.Vers.CurrentRID(rid)
+			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes {
 				if bt := ts.Indexes[ix.Name]; bt != nil {
 					bt.Delete(ts.IndexKey(ix, rowCopy), rid)
@@ -144,18 +139,21 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	return nil
 }
 
-// insertEntry adds entry (key → rid). On a unique violation against a
-// versioned table it reclaims the conflicting entry when that entry's row
-// is dead (deleted but retained for older snapshots) and retries once —
-// the dead row then ceases to be findable through this index, a documented
-// limitation of deferred index cleanup.
-func insertEntry(ts *TableStore, bt *index.BTree, key []byte, rid storage.RID) error {
+// insertEntry adds entry (key → rid). On a unique violation it reclaims the
+// conflicting entry when that entry's row is dead (deleted but retained for
+// older snapshots) and retries once — the dead row then ceases to be
+// findable through this index, a documented limitation of deferred index
+// cleanup.
+func insertEntry(ctx *Ctx, ts *TableStore, bt *index.BTree, key []byte, rid storage.RID) error {
 	err := bt.Insert(key, rid)
-	if err == nil || ts.Vers == nil {
-		return err
+	if err == nil {
+		return nil
 	}
 	ex, ok := bt.Get(key)
-	if !ok || !ts.Vers.Dead(ex) {
+	if !ok {
+		return err
+	}
+	if _, live := ts.Vers.ReadAt(ex, ctx.Current()); live {
 		return err
 	}
 	bt.Delete(key, ex)
@@ -168,173 +166,44 @@ type targetRow struct {
 	row Row
 }
 
-// collectTargetsWithRIDs materializes the (rid, row) pairs matched by an
-// access path. DML collects all targets before mutating so the scan never
-// observes its own writes (Halloween protection).
+// collectTargets materializes the (rid, row) pairs matched by an access
+// path, read in the writer's current view. DML collects all targets before
+// mutating so the scan never observes its own writes (Halloween
+// protection).
 //
 //sqlcm:cancellable
-func collectTargetsWithRIDs(ctx *Ctx, ts *TableStore, access *plan.AccessPath, schema []plan.ColMeta) ([]targetRow, error) {
-	var residual Evaluator
-	if access.Residual != nil {
-		ev, err := Compile(access.Residual, schema)
-		if err != nil {
-			return nil, err
-		}
-		residual = ev
+func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) ([]targetRow, error) {
+	a, err := compileAccess(ap, schema)
+	if err != nil {
+		return nil, err
 	}
-	ncols := len(ts.Meta.Columns)
+	cur, err := ts.open(ctx.Current(), a, ctx.Params)
+	if err != nil {
+		return nil, err
+	}
 	var out []targetRow
-	matchRow := func(rid storage.RID, row Row) error {
-		ctx.RowsExamined++
-		if residual != nil {
-			ok, err := EvalBool(residual, row, ctx.Params)
+	for {
+		rid, row, err := cur.Next(ctx)
+		if err != nil || row == nil {
+			return out, err
+		}
+		if a.residual != nil {
+			ok, err := EvalBool(a.residual, row, ctx.Params)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !ok {
-				return nil
+				continue
 			}
 		}
 		out = append(out, targetRow{rid: rid, row: row})
-		return nil
 	}
-	appendIfMatch := func(rid storage.RID, rec []byte) error {
-		row, err := DecodeRow(rec, ncols)
-		if err != nil {
-			return err
-		}
-		return matchRow(rid, row)
-	}
-
-	if access.Index == nil {
-		if ts.Vers != nil {
-			// Versioned table: the chains are the authoritative current
-			// state (the heap still holds deleted-but-unpruned rows).
-			for _, cr := range ts.Vers.CurrentScan() {
-				if err := ctx.checkCancel(); err != nil {
-					return nil, err
-				}
-				if err := appendIfMatch(cr.Rid, cr.Rec); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}
-		var innerErr error
-		err := ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-			if err := ctx.checkCancel(); err != nil {
-				innerErr = err
-				return false
-			}
-			if err := appendIfMatch(rid, rec); err != nil {
-				innerErr = err
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, innerErr
-	}
-
-	bt := ts.Indexes[access.Index.Name]
-	if bt == nil {
-		return nil, fmt.Errorf("exec: index %q has no storage", access.Index.Name)
-	}
-	var eqVals []sqltypes.Value
-	//sqlcm:allow bounded by the index's key width
-	for _, e := range access.Eq {
-		ev, err := Compile(e, nil)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ev.Eval(nil, ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		eqVals = append(eqVals, v)
-	}
-	prefix := sqltypes.EncodeKey(eqVals...)
-	lo, hi := prefix, prefix
-	loIncl, hiIncl := true, true
-	if access.Lo != nil {
-		ev, err := Compile(access.Lo, nil)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ev.Eval(nil, ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		lo = v.Encode(append([]byte(nil), prefix...))
-		loIncl = access.LoIncl
-	}
-	if access.Hi != nil {
-		ev, err := Compile(access.Hi, nil)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ev.Eval(nil, ctx.Params)
-		if err != nil {
-			return nil, err
-		}
-		hi = v.Encode(append([]byte(nil), prefix...))
-		hiIncl = access.HiIncl
-	} else if access.Lo != nil || len(eqVals) < len(access.Index.Columns) {
-		hi = prefixSuccessor(prefix)
-		hiIncl = false
-	}
-	type entryRef struct {
-		key []byte
-		rid storage.RID
-	}
-	var entries []entryRef
-	bt.ScanRange(lo, hi, loIncl, hiIncl, func(k []byte, rid storage.RID) bool {
-		entries = append(entries, entryRef{key: append([]byte(nil), k...), rid: rid})
-		return true
-	})
-	for _, e := range entries {
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		if ts.Vers != nil {
-			curRid, rec, ok := ts.Vers.CurrentAt(e.rid)
-			if !ok {
-				continue // row deleted; entry retained for older snapshots
-			}
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			// Stale-entry recheck: entries survive key changes until the
-			// garbage collector passes; the row's current key must still
-			// match this entry (the current key's own entry finds it
-			// otherwise), and the recheck also keeps RowsExamined counts
-			// identical to eager index maintenance.
-			if !bytes.Equal(ts.IndexKey(access.Index, row), e.key) {
-				continue
-			}
-			if err := matchRow(curRid, row); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		rec, err := ts.Heap.Get(e.rid)
-		if err != nil {
-			continue // deleted concurrently within our txn's view
-		}
-		if err := appendIfMatch(e.rid, rec); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ExecUpdate runs an update plan, returning the number of rows changed.
 //
 //sqlcm:cancellable
-func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate, cat *catalog.Catalog) (int64, error) {
+func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate) (int64, error) {
 	ts, err := sp.Store(p.Table.Name)
 	if err != nil {
 		return 0, err
@@ -344,7 +213,7 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate, cat *catalog.Cat
 	for i, c := range ts.Meta.Columns {
 		schema[i] = plan.ColMeta{Qual: ts.Meta.Name, Name: c.Name}
 	}
-	targets, err := collectTargetsWithRIDs(ctx, ts, p.Access, schema)
+	targets, err := collectTargets(ctx, ts, p.Access, schema)
 	if err != nil {
 		return 0, err
 	}
@@ -378,7 +247,7 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate, cat *catalog.Cat
 			}
 			newRow[s.Column] = cv
 		}
-		if _, err := updateRow(ctx, ts, tgt.rid, tgt.row, newRow, cat, true); err != nil {
+		if err := updateRow(ctx, ts, tgt.rid, tgt.row, newRow); err != nil {
 			return n, err
 		}
 		n++
@@ -417,13 +286,13 @@ func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta
 	}
 }
 
-// updateRowMVCC is the versioned-update path: push a new version (readers
-// resolve through the chain), mirror the current image into the heap, and
-// maintain indexes rid-stably — equal keys need no entry work even across
-// relocation, changed keys insert the new entry and defer removal of the
-// old one to the garbage collector so older snapshots keep finding the row
-// under its old key.
-func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, recordUndo bool) (storage.RID, error) {
+// updateRow replaces oldRow (at rid) with newRow: push a new version
+// (readers resolve through the chain), mirror the current image into the
+// heap, and maintain indexes rid-stably — equal keys need no entry work even
+// across relocation, changed keys insert the new entry and defer removal of
+// the old one to the garbage collector so older snapshots keep finding the
+// row under its old key.
+func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) error {
 	newRec := EncodeRow(newRow)
 	var txnID int64
 	if ctx.Txn != nil {
@@ -438,7 +307,7 @@ func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row
 	newRid, err := ts.Heap.Update(rid, newRec)
 	if err != nil {
 		ts.Vers.Pop(rid)
-		return rid, err
+		return err
 	}
 	if newRid != rid {
 		ts.Vers.Relocate(rid, newRid)
@@ -459,7 +328,7 @@ func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row
 		d := ixDelta{ix: ix, oldKey: oldKey, newKey: newKey}
 		if p, ok := ts.Vers.TakePending(newRid, ix.Name, newKey); ok {
 			d.canceled = &p
-		} else if err := insertEntry(ts, bt, newKey, anchor); err != nil {
+		} else if err := insertEntry(ctx, ts, bt, newKey, anchor); err != nil {
 			// Unique violation: revert the completed index work, pop the
 			// version, and restore the heap image; the caller aborts the
 			// transaction.
@@ -467,25 +336,23 @@ func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row
 			ts.Vers.Pop(newRid)
 			restored, rerr := ts.Heap.Update(newRid, EncodeRow(oldRow))
 			if rerr != nil {
-				return rid, fmt.Errorf("exec: unwind failed (%v) after: %w", rerr, err)
+				return fmt.Errorf("exec: unwind failed (%v) after: %w", rerr, err)
 			}
 			if restored != newRid {
 				ts.Vers.Relocate(newRid, restored)
 			}
-			return rid, fmt.Errorf("exec: %s on %q: %w", ix.Name, ts.Meta.Name, err)
+			return fmt.Errorf("exec: %s on %q: %w", ix.Name, ts.Meta.Name, err)
 		} else {
 			d.inserted = true
 		}
 		ts.Vers.AddPending(newRid, ix.Name, oldKey, anchor, v)
 		deltas = append(deltas, d)
 	}
-	if recordUndo && ctx.Txn != nil {
+	if ctx.Txn != nil {
 		oldCopy := oldRow.Clone()
-		finalRid := newRid
-		ds := deltas
 		ctx.Txn.OnRollback(func() error {
-			cur := ts.Vers.CurrentRID(finalRid)
-			revertIndexDeltas(ts, cur, anchor, ds)
+			cur := ts.Vers.CurrentRID(newRid)
+			revertIndexDeltas(ts, cur, anchor, deltas)
 			ts.Vers.Pop(cur)
 			restored, err := ts.Heap.Update(cur, EncodeRow(oldCopy))
 			if err != nil {
@@ -497,50 +364,7 @@ func updateRowMVCC(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row
 			return nil
 		})
 	}
-	return newRid, nil
-}
-
-// updateRow replaces oldRow (at rid) with newRow, fixing indexes and
-// optionally recording undo. Returns the row's new RID.
-func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row, cat *catalog.Catalog, recordUndo bool) (storage.RID, error) {
-	if ts.Vers != nil {
-		return updateRowMVCC(ctx, ts, rid, oldRow, newRow, recordUndo)
-	}
-	newRid, err := ts.Heap.Update(rid, EncodeRow(newRow))
-	if err != nil {
-		return rid, err
-	}
-	for _, ix := range ts.Meta.Indexes {
-		bt := ts.Indexes[ix.Name]
-		if bt == nil {
-			continue
-		}
-		oldKey := ts.IndexKey(ix, oldRow)
-		newKey := ts.IndexKey(ix, newRow)
-		if bytes.Equal(oldKey, newKey) && newRid == rid {
-			continue
-		}
-		bt.Delete(oldKey, rid)
-		if err := bt.Insert(newKey, newRid); err != nil {
-			// Unique violation: restore the index entry and the heap row,
-			// then surface the error (caller aborts the transaction).
-			bt.Insert(oldKey, newRid) //nolint:errcheck // restoring prior state
-			if _, rerr := ts.Heap.Update(newRid, EncodeRow(oldRow)); rerr != nil {
-				return rid, fmt.Errorf("exec: unwind failed (%v) after: %w", rerr, err)
-			}
-			return rid, fmt.Errorf("exec: %s on %q: %w", ix.Name, ts.Meta.Name, err)
-		}
-	}
-	if recordUndo && ctx.Txn != nil {
-		oldCopy := oldRow.Clone()
-		newCopy := newRow.Clone()
-		finalRid := newRid
-		ctx.Txn.OnRollback(func() error {
-			_, err := updateRow(ctx, ts, finalRid, newCopy, oldCopy, cat, false)
-			return err
-		})
-	}
-	return newRid, nil
+	return nil
 }
 
 // ExecDelete runs a delete plan, returning the number of rows removed.
@@ -556,7 +380,7 @@ func ExecDelete(ctx *Ctx, sp StoreProvider, p *plan.PhysDelete, cat *catalog.Cat
 	for i, c := range ts.Meta.Columns {
 		schema[i] = plan.ColMeta{Qual: ts.Meta.Name, Name: c.Name}
 	}
-	targets, err := collectTargetsWithRIDs(ctx, ts, p.Access, schema)
+	targets, err := collectTargets(ctx, ts, p.Access, schema)
 	if err != nil {
 		return 0, err
 	}
@@ -573,59 +397,28 @@ func ExecDelete(ctx *Ctx, sp StoreProvider, p *plan.PhysDelete, cat *catalog.Cat
 	return n, nil
 }
 
-// DeleteRow removes one row, maintaining indexes, statistics and undo. On
-// a versioned table the delete is logical: a tombstone version goes onto
-// the chain, the heap record and index entries stay for older snapshots,
-// and every index entry is registered for deferred removal once the
-// tombstone's commit passes the version-garbage watermark.
+// DeleteRow removes one row, maintaining statistics and undo. The delete is
+// logical: a tombstone version goes onto the chain, the heap record and
+// index entries stay for older snapshots, and every index entry is
+// registered for deferred removal once the tombstone's commit passes the
+// version-garbage watermark.
 func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
-	if ts.Vers != nil {
-		var txnID int64
-		if ctx.Txn != nil {
-			txnID = int64(ctx.Txn.ID)
-		}
-		v := ts.Vers.Tombstone(rid, txnID)
-		if ctx.Txn != nil {
-			ctx.Txn.OnCommit(v.SetCommit)
-		} else {
-			v.SetCommit(storage.BaseCommitTS)
-		}
-		anchor := ts.Vers.Anchor(rid)
-		for _, ix := range ts.Meta.Indexes {
-			if ts.Indexes[ix.Name] == nil {
-				continue
-			}
-			ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
-		}
-		if cat != nil {
-			cat.AddRows(ts.Meta.Name, -1)
-		}
-		if ctx.Txn != nil {
-			rowCopy := row.Clone()
-			ctx.Txn.OnRollback(func() error {
-				cur := ts.Vers.CurrentRID(rid)
-				for _, ix := range ts.Meta.Indexes {
-					if ts.Indexes[ix.Name] == nil {
-						continue
-					}
-					ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))
-				}
-				ts.Vers.Pop(cur)
-				if cat != nil {
-					cat.AddRows(ts.Meta.Name, 1)
-				}
-				return nil
-			})
-		}
-		return nil
+	var txnID int64
+	if ctx.Txn != nil {
+		txnID = int64(ctx.Txn.ID)
 	}
-	if err := ts.Heap.Delete(rid); err != nil {
-		return err
+	v := ts.Vers.Tombstone(rid, txnID)
+	if ctx.Txn != nil {
+		ctx.Txn.OnCommit(v.SetCommit)
+	} else {
+		v.SetCommit(storage.BaseCommitTS)
 	}
+	anchor := ts.Vers.Anchor(rid)
 	for _, ix := range ts.Meta.Indexes {
-		if bt := ts.Indexes[ix.Name]; bt != nil {
-			bt.Delete(ts.IndexKey(ix, row), rid)
+		if ts.Indexes[ix.Name] == nil {
+			continue
 		}
+		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
 	}
 	if cat != nil {
 		cat.AddRows(ts.Meta.Name, -1)
@@ -633,17 +426,14 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			newRid, err := ts.Heap.Insert(EncodeRow(rowCopy))
-			if err != nil {
-				return err
-			}
+			cur := ts.Vers.CurrentRID(rid)
 			for _, ix := range ts.Meta.Indexes {
-				if bt := ts.Indexes[ix.Name]; bt != nil {
-					if err := bt.Insert(ts.IndexKey(ix, rowCopy), newRid); err != nil {
-						return err
-					}
+				if ts.Indexes[ix.Name] == nil {
+					continue
 				}
+				ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))
 			}
+			ts.Vers.Pop(cur)
 			if cat != nil {
 				cat.AddRows(ts.Meta.Name, 1)
 			}

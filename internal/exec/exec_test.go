@@ -16,13 +16,18 @@ import (
 )
 
 // harness is a minimal engine for exec-level tests: catalog + storage +
-// transactions, no locking or monitoring.
+// transactions, no locking or monitoring. Statements read the way the
+// engine's sessions do: SELECTs at their transaction's snapshot, DML in the
+// writer's current view.
 type harness struct {
 	cat  *catalog.Catalog
 	reg  *Registry
 	pool *storage.BufferPool
 	tm   *txn.Manager
 	t    *testing.T
+
+	// examined is Ctx.RowsExamined of the last planned statement.
+	examined int64
 }
 
 func newHarness(t *testing.T) *harness {
@@ -73,7 +78,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		ts, err := NewTableStore(meta, h.pool)
+		ts, err := NewTableStore(meta, h.pool, nil)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -99,12 +104,13 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		return nil, 0, err
 	}
 	ctx := &Ctx{Txn: tx, Params: params}
+	defer func() { h.examined = ctx.RowsExamined }()
 	switch pp := p.(type) {
 	case *plan.PhysInsert:
 		n, err := ExecInsert(ctx, h.reg, pp, h.cat)
 		return nil, n, err
 	case *plan.PhysUpdate:
-		n, err := ExecUpdate(ctx, h.reg, pp, h.cat)
+		n, err := ExecUpdate(ctx, h.reg, pp)
 		return nil, n, err
 	case *plan.PhysDelete:
 		n, err := ExecDelete(ctx, h.reg, pp, h.cat)

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -16,11 +15,6 @@ import (
 type Ctx struct {
 	Txn    *txn.Txn
 	Params map[string]sqltypes.Value
-
-	// Snap, when non-nil, makes scans of versioned tables resolve rows
-	// through their version chains at this snapshot instead of reading
-	// the heap — the MVCC read path, which takes no table locks.
-	Snap *storage.Snapshot
 
 	// RowsExamined counts base-table rows touched (a probe source for the
 	// monitor).
@@ -37,13 +31,21 @@ func (c *Ctx) noteDepth(d int) {
 	}
 }
 
-// snapFor returns the snapshot to resolve ts through, or nil for the
-// legacy heap path (non-versioned table or current-mode execution).
-func (c *Ctx) snapFor(ts *TableStore) *storage.Snapshot {
-	if c.Snap != nil && ts.Vers != nil {
-		return c.Snap
+// Snapshot is the read view SELECT operators resolve rows at, without table
+// locks: everything committed when the transaction began, plus its own
+// writes.
+func (c *Ctx) Snapshot() storage.Snapshot {
+	return storage.Snapshot{TS: c.Txn.SnapshotTS(), Self: int64(c.Txn.ID)}
+}
+
+// Current is the read view of the statement as a writer (DML target
+// collection): valid while its transaction holds the table's exclusive
+// lock.
+func (c *Ctx) Current() storage.Snapshot {
+	if c.Txn == nil {
+		return storage.CurrentSnapshot(0)
 	}
-	return nil
+	return storage.CurrentSnapshot(int64(c.Txn.ID))
 }
 
 // checkCancel polls the transaction's cancellation flag.
@@ -161,276 +163,41 @@ func Run(op Operator, ctx *Ctx) ([]Row, error) {
 // ---------------------------------------------------------------------------
 
 type scanOp struct {
-	store    *TableStore
-	access   *plan.AccessPath
-	residual Evaluator // compiled against the table schema
-	eqEvals  []Evaluator
-	loEval   Evaluator
-	hiEval   Evaluator
-
-	// sequential state
-	pages   []storage.PageID
-	pageIdx int
-	buf     []Row // rows from the current page
-	bufIdx  int
-
-	// snapshot sequential state (versioned tables): rows materialized
-	// from the chains at Open
-	snapRows []storage.ChainRow
-	snapIdx  int
-
-	// index state
-	useIndex bool
-	rids     []storage.RID
-	keys     [][]byte // entry keys parallel to rids (snapshot recheck)
-	ridIdx   int
+	store  *TableStore
+	access *access
+	cur    *Cursor
 }
 
-func newScanOp(ts *TableStore, access *plan.AccessPath, schema []plan.ColMeta) (*scanOp, error) {
-	op := &scanOp{store: ts, access: access}
-	if access.Residual != nil {
-		ev, err := Compile(access.Residual, schema)
-		if err != nil {
-			return nil, err
-		}
-		op.residual = ev
+func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) (*scanOp, error) {
+	a, err := compileAccess(ap, schema)
+	if err != nil {
+		return nil, err
 	}
-	if access.Index != nil {
-		op.useIndex = true
-		for _, e := range access.Eq {
-			ev, err := Compile(e, nil)
-			if err != nil {
-				return nil, err
-			}
-			op.eqEvals = append(op.eqEvals, ev)
-		}
-		if access.Lo != nil {
-			ev, err := Compile(access.Lo, nil)
-			if err != nil {
-				return nil, err
-			}
-			op.loEval = ev
-		}
-		if access.Hi != nil {
-			ev, err := Compile(access.Hi, nil)
-			if err != nil {
-				return nil, err
-			}
-			op.hiEval = ev
-		}
-	}
-	return op, nil
+	return &scanOp{store: ts, access: a}, nil
 }
 
-func (s *scanOp) Open(ctx *Ctx) error {
-	s.bufIdx, s.pageIdx, s.ridIdx, s.snapIdx = 0, 0, 0, 0
-	s.buf, s.rids, s.keys, s.snapRows = nil, nil, nil, nil
-	if !s.useIndex {
-		if snap := ctx.snapFor(s.store); snap != nil {
-			s.snapRows = s.store.Vers.SnapScan(*snap)
-			return nil
-		}
-		s.pages = s.store.Heap.PageIDs()
-		return nil
-	}
-	bt, ok := s.store.Indexes[s.access.Index.Name]
-	if !ok {
-		return fmt.Errorf("exec: index %q has no storage", s.access.Index.Name)
-	}
-	// Evaluate the key bounds.
-	var eqVals []sqltypes.Value
-	for _, ev := range s.eqEvals {
-		v, err := ev.Eval(nil, ctx.Params)
-		if err != nil {
-			return err
-		}
-		eqVals = append(eqVals, v)
-	}
-	prefix := sqltypes.EncodeKey(eqVals...)
-	lo := prefix
-	hi := prefix
-	loIncl, hiIncl := true, true
-	switch {
-	case s.loEval != nil || s.hiEval != nil:
-		if s.loEval != nil {
-			v, err := s.loEval.Eval(nil, ctx.Params)
-			if err != nil {
-				return err
-			}
-			lo = v.Encode(append([]byte(nil), prefix...))
-			loIncl = s.access.LoIncl
-		} else if len(prefix) == 0 {
-			lo = nil
-		}
-		if s.hiEval != nil {
-			v, err := s.hiEval.Eval(nil, ctx.Params)
-			if err != nil {
-				return err
-			}
-			hi = v.Encode(append([]byte(nil), prefix...))
-			hiIncl = s.access.HiIncl
-		} else if len(prefix) == 0 {
-			hi = nil
-		} else {
-			// prefix + open-ended range: scan to the end of the prefix via
-			// the prefix-successor trick.
-			hi = prefixSuccessor(prefix)
-			hiIncl = false
-		}
-	case len(eqVals) < len(s.access.Index.Columns):
-		// Equality on a proper key prefix: widen to the whole prefix range.
-		hi = prefixSuccessor(prefix)
-		hiIncl = false
-	}
-	snapScan := ctx.snapFor(s.store) != nil
-	bt.ScanRange(lo, hi, loIncl, hiIncl, func(k []byte, rid storage.RID) bool {
-		s.rids = append(s.rids, rid)
-		if snapScan {
-			s.keys = append(s.keys, append([]byte(nil), k...))
-		}
-		return true
-	})
-	return nil
-}
-
-// prefixSuccessor returns the smallest byte string greater than every string
-// with the given prefix.
-func prefixSuccessor(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil // prefix is all 0xff: no upper bound
+func (s *scanOp) Open(ctx *Ctx) (err error) {
+	s.cur, err = s.store.open(ctx.Snapshot(), s.access, ctx.Params)
+	return err
 }
 
 //sqlcm:cancellable
 func (s *scanOp) Next(ctx *Ctx) (Row, error) {
-	ncols := len(s.store.Meta.Columns)
-	snap := ctx.snapFor(s.store)
-	if s.useIndex {
-		for s.ridIdx < len(s.rids) {
-			if err := ctx.checkCancel(); err != nil {
-				return nil, err
-			}
-			rid := s.rids[s.ridIdx]
-			i := s.ridIdx
-			s.ridIdx++
-			var rec []byte
-			if snap != nil {
-				r, depth, ok := s.store.Vers.ReadAt(rid, *snap)
-				ctx.noteDepth(depth)
-				if !ok {
-					// Invisible to the snapshot (uncommitted, newer, or
-					// deleted); skip.
-					continue
-				}
-				rec = r
-			} else {
-				r, err := s.store.Heap.Get(rid)
-				if err != nil {
-					// The row may have been deleted between index scan and
-					// fetch within our own transaction (no cursor stability
-					// needed); skip.
-					continue
-				}
-				rec = r
-			}
-			row, err := DecodeRow(rec, ncols)
+	for {
+		_, row, err := s.cur.Next(ctx)
+		if err != nil || row == nil {
+			return nil, err
+		}
+		if s.access.residual != nil {
+			ok, err := EvalBool(s.access.residual, row, ctx.Params)
 			if err != nil {
 				return nil, err
 			}
-			if snap != nil && !bytes.Equal(s.store.IndexKey(s.access.Index, row), s.keys[i]) {
-				// Stale entry: the visible version carries a different key
-				// (deferred index cleanup); the matching key's own entry
-				// locates this row if it qualifies.
+			if !ok {
 				continue
 			}
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
 		}
-		return nil, nil
-	}
-	if snap != nil {
-		for s.snapIdx < len(s.snapRows) {
-			if err := ctx.checkCancel(); err != nil {
-				return nil, err
-			}
-			cr := s.snapRows[s.snapIdx]
-			s.snapIdx++
-			ctx.noteDepth(cr.Depth)
-			row, err := DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return nil, err
-			}
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
-		}
-		return nil, nil
-	}
-	for {
-		//sqlcm:allow bounded by one page of buffered rows; the outer page loop polls
-		for s.bufIdx < len(s.buf) {
-			row := s.buf[s.bufIdx]
-			s.bufIdx++
-			ctx.RowsExamined++
-			if s.residual != nil {
-				ok, err := EvalBool(s.residual, row, ctx.Params)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return row, nil
-		}
-		if s.pageIdx >= len(s.pages) {
-			return nil, nil
-		}
-		if err := ctx.checkCancel(); err != nil {
-			return nil, err
-		}
-		pid := s.pages[s.pageIdx]
-		s.pageIdx++
-		s.buf = s.buf[:0]
-		s.bufIdx = 0
-		var decodeErr error
-		err := s.store.Heap.ScanPage(pid, func(rid storage.RID, rec []byte) bool {
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			s.buf = append(s.buf, row)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		if decodeErr != nil {
-			return nil, decodeErr
-		}
+		return row, nil
 	}
 }
 
@@ -699,10 +466,8 @@ func (j *hashJoinOp) Close() error {
 type indexNLJoinOp struct {
 	outer    Operator
 	store    *TableStore
-	ix       string
-	probes   []Evaluator
+	probe    *access // equality on the index, evaluated against the outer row
 	residual Evaluator
-	ncols    int
 
 	outerRow Row
 	matches  []Row
@@ -718,18 +483,13 @@ func newIndexNLJoinOp(n *plan.PhysIndexNLJoin, sp StoreProvider) (Operator, erro
 	if err != nil {
 		return nil, err
 	}
-	op := &indexNLJoinOp{
-		outer: outer,
-		store: ts,
-		ix:    n.Index.Name,
-		ncols: len(n.Table.Columns),
-	}
+	op := &indexNLJoinOp{outer: outer, store: ts, probe: &access{index: n.Index}}
 	for _, p := range n.ProbeExprs {
 		ev, err := Compile(p, n.Outer.Schema())
 		if err != nil {
 			return nil, err
 		}
-		op.probes = append(op.probes, ev)
+		op.probe.eq = append(op.probe.eq, ev)
 	}
 	if n.Residual != nil {
 		ev, err := Compile(n.Residual, n.Schema())
@@ -748,10 +508,6 @@ func (j *indexNLJoinOp) Open(ctx *Ctx) error {
 }
 
 func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
-	bt, ok := j.store.Indexes[j.ix]
-	if !ok {
-		return nil, fmt.Errorf("exec: index %q has no storage", j.ix)
-	}
 	for {
 		for j.matchIdx < len(j.matches) {
 			inner := j.matches[j.matchIdx]
@@ -772,70 +528,28 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		if err := ctx.checkCancel(); err != nil {
+		r, null, err := j.probe.keyRange(row, ctx.Params)
+		if err != nil {
 			return nil, err
-		}
-		vals := make([]sqltypes.Value, len(j.probes))
-		null := false
-		for i, p := range j.probes {
-			v, err := p.Eval(row, ctx.Params)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNull() {
-				null = true
-				break
-			}
-			vals[i] = v
 		}
 		if null {
 			continue
 		}
-		prefix := sqltypes.EncodeKey(vals...)
-		var lo, hi []byte
-		loIncl, hiIncl := true, true
-		lo = prefix
-		if len(vals) == len(j.store.Meta.IndexByName(j.ix).Columns) {
-			hi = prefix
-		} else {
-			hi = prefixSuccessor(prefix)
-			hiIncl = false
+		cur, err := j.store.openRange(ctx.Snapshot(), j.probe.index, r)
+		if err != nil {
+			return nil, err
 		}
 		j.matches = j.matches[:0]
 		j.matchIdx = 0
-		snap := ctx.snapFor(j.store)
-		ixMeta := j.store.Meta.IndexByName(j.ix)
-		var innerErr error
-		bt.ScanRange(lo, hi, loIncl, hiIncl, func(k []byte, rid storage.RID) bool {
-			var rec []byte
-			if snap != nil {
-				r, depth, ok := j.store.Vers.ReadAt(rid, *snap)
-				ctx.noteDepth(depth)
-				if !ok {
-					return true // invisible to the snapshot; skip
-				}
-				rec = r
-			} else {
-				r, err := j.store.Heap.Get(rid)
-				if err != nil {
-					return true // row vanished; skip
-				}
-				rec = r
-			}
-			inner, err := DecodeRow(rec, j.ncols)
+		for {
+			_, inner, err := cur.Next(ctx)
 			if err != nil {
-				innerErr = err
-				return false
+				return nil, err
 			}
-			if snap != nil && !bytes.Equal(j.store.IndexKey(ixMeta, inner), k) {
-				return true // stale entry awaiting deferred cleanup; skip
+			if inner == nil {
+				break
 			}
-			ctx.RowsExamined++
 			j.matches = append(j.matches, inner)
-			return true
-		})
-		if innerErr != nil {
-			return nil, innerErr
 		}
 		j.outerRow = row
 	}

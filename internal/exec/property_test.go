@@ -151,28 +151,113 @@ func TestDMLSequenceMatchesModel(t *testing.T) {
 			delete(model, victim)
 		}
 	}
-	// Final state matches, via both the PK index and the secondary index.
-	rows, _ := h.mustExec("SELECT COUNT(*) FROM s", nil)
-	if rows[0][0].Int() != int64(len(model)) {
-		t.Fatalf("count: %v want %d", rows[0][0], len(model))
-	}
-	for id, v := range model {
-		got, _ := h.mustExec(fmt.Sprintf("SELECT v FROM s WHERE id = %d", id), nil)
-		if len(got) != 1 || got[0][0].Int() != v {
-			t.Fatalf("id %d: %v want %d", id, got, v)
+	// verify: the table matches the model, via both the PK index and the
+	// secondary index, and an index lookup examines exactly the rows it
+	// returns (stale and dead entries are skipped before they count).
+	verify := func(phase string) {
+		t.Helper()
+		rows, _ := h.mustExec("SELECT COUNT(*) FROM s", nil)
+		if rows[0][0].Int() != int64(len(model)) {
+			t.Fatalf("%s: count: %v want %d", phase, rows[0][0], len(model))
+		}
+		for id, v := range model {
+			got, _ := h.mustExec(fmt.Sprintf("SELECT v FROM s WHERE id = %d", id), nil)
+			if len(got) != 1 || got[0][0].Int() != v {
+				t.Fatalf("%s: id %d: %v want %d", phase, id, got, v)
+			}
+		}
+		perV := map[int64]int64{}
+		for _, v := range model {
+			perV[v]++
+		}
+		for v := int64(0); v < 100; v++ {
+			got, _ := h.mustExec(fmt.Sprintf("SELECT COUNT(*) FROM s WHERE v = %d", v), nil)
+			if got[0][0].Int() != perV[v] || h.examined != perV[v] {
+				t.Fatalf("%s: v=%d: count %v examined %d, want %d", phase, v, got[0][0], h.examined, perV[v])
+			}
 		}
 	}
-	// Secondary-index scan agrees with a full count per value class.
-	perV := map[int64]int64{}
-	for _, v := range model {
-		perV[v]++
+	verify("after DML stream")
+
+	// Snapshot phase: a transaction opened now keeps reading this state —
+	// same rows, same RowsExamined, through a full scan, the secondary index
+	// and the PK — while committed UPDATEs and DELETEs pile up unpruned
+	// versions, tombstones and stale index entries behind it.
+	old := h.tm.Begin(false)
+	var probes []string
+	probes = append(probes, "SELECT id, v FROM s")
+	for v := 0; v < 100; v += 9 {
+		probes = append(probes, fmt.Sprintf("SELECT id FROM s WHERE v = %d", v))
 	}
-	for v, cnt := range perV {
-		got, _ := h.mustExec(fmt.Sprintf("SELECT COUNT(*) FROM s WHERE v = %d", v), nil)
-		if got[0][0].Int() != cnt {
-			t.Fatalf("v=%d: count %v want %d", v, got[0][0], cnt)
+	for id := range model {
+		if probes = append(probes, fmt.Sprintf("SELECT v FROM s WHERE id = %d", id)); len(probes) > 40 {
+			break
 		}
 	}
+	readOld := func() []string {
+		t.Helper()
+		out := make([]string, len(probes))
+		for i, q := range probes {
+			rows, _, err := h.execIn(old, q, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			strs := make([]string, len(rows))
+			for j, rw := range rows {
+				strs[j] = fmt.Sprint(rw)
+			}
+			sort.Strings(strs)
+			out[i] = fmt.Sprintf("%s -> %v examined=%d", q, strs, h.examined)
+		}
+		return out
+	}
+	before := readOld()
+	for step := 0; step < 400; step++ {
+		if r.Intn(3) > 0 { // update a value class, sometimes back to a key it just left
+			v, nv := int64(r.Intn(100)), int64(r.Intn(100))
+			h.mustExec(fmt.Sprintf("UPDATE s SET v = %d WHERE v = %d", nv, v), nil)
+			for id, val := range model {
+				if val == v {
+					model[id] = nv
+				}
+			}
+			continue
+		}
+		for id := range model { // delete one id; ids are never reused
+			h.mustExec(fmt.Sprintf("DELETE FROM s WHERE id = %d", id), nil)
+			delete(model, id)
+			break
+		}
+	}
+	ts, err := h.reg.Store("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retained := ts.Vers.Stats().Retained.Load(); retained <= int64(len(model)) {
+		t.Fatalf("phase left no superseded versions (retained %d, live rows %d)", retained, len(model))
+	}
+	for i, got := range readOld() {
+		if got != before[i] {
+			t.Fatalf("old snapshot drifted:\n  before: %s\n  after:  %s", before[i], got)
+		}
+	}
+	verify("with unpruned versions")
+
+	// Prune: with the old snapshot gone the watermark is the newest commit,
+	// so exactly one version and one entry per index survive per live row.
+	if err := h.tm.Commit(old); err != nil {
+		t.Fatal(err)
+	}
+	ts.PruneVersions(h.tm.Watermark())
+	if retained := ts.Vers.Stats().Retained.Load(); retained != int64(len(model)) {
+		t.Fatalf("after prune: %d versions retained, %d live rows", retained, len(model))
+	}
+	for name, bt := range ts.Indexes {
+		if bt.Len() != len(model) {
+			t.Fatalf("after prune: index %s has %d entries, %d live rows", name, bt.Len(), len(model))
+		}
+	}
+	verify("after prune")
 }
 
 // TestBufferPoolExhaustionSurfacesError injects an impossibly small pool

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,31 +9,36 @@ import (
 
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/index"
+	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/storage"
 )
 
-// TableStore binds a catalog table to its heap file and index structures.
+// TableStore binds a catalog table to its storage. Every table is
+// multi-versioned: the version chains are the authoritative row storage and
+// the only thing reads touch; the heap allocates RIDs and mirrors the
+// current row images, and physical deletes are deferred to PruneVersions.
 type TableStore struct {
 	Meta    *catalog.Table
 	Heap    *storage.HeapFile
+	Vers    *storage.VersionStore
 	Indexes map[string]*index.BTree // keyed by index name
-
-	// Vers, when non-nil, makes the table multi-versioned: chains are the
-	// authoritative read path (snapshot and current mode), the heap
-	// mirrors the current row images, and physical deletes are deferred
-	// to the version-garbage collector. Nil for legacy (2PL-read) tables.
-	Vers *storage.VersionStore
 }
 
 // NewTableStore creates storage for a table, including B+trees for every
-// index already declared in the catalog entry.
-func NewTableStore(meta *catalog.Table, pool *storage.BufferPool) (*TableStore, error) {
+// index already declared in the catalog entry. stats receives the version
+// store's counters (nil for a private set).
+func NewTableStore(meta *catalog.Table, pool *storage.BufferPool, stats *storage.VersionStats) (*TableStore, error) {
 	heap, err := storage.NewHeapFile(pool)
 	if err != nil {
 		return nil, err
 	}
-	ts := &TableStore{Meta: meta, Heap: heap, Indexes: make(map[string]*index.BTree)}
+	ts := &TableStore{
+		Meta:    meta,
+		Heap:    heap,
+		Vers:    storage.NewVersionStore(stats),
+		Indexes: make(map[string]*index.BTree),
+	}
 	for _, ix := range meta.Indexes {
 		ts.Indexes[ix.Name] = index.New(ix.Unique)
 	}
@@ -48,50 +54,217 @@ func (ts *TableStore) IndexKey(ix *catalog.Index, row Row) []byte {
 	return sqltypes.EncodeKey(vals...)
 }
 
-// AddIndex registers a new B+tree for ix and populates it from the heap.
-// The scan callback runs under the page read-latch, so it only collects
-// (key, rid) pairs; the btree inserts happen after the scan returns.
-// Inserting inside the callback would nest index.btree under storage.page,
-// and the index mutex must stay a root class of the lock hierarchy (see
-// docs/lock-order.md).
+// access is a compiled plan.AccessPath: the index to walk (nil reads the
+// whole table), evaluators for its key bounds, and the residual filter.
+type access struct {
+	index          *catalog.Index
+	eq             []Evaluator
+	lo, hi         Evaluator
+	loIncl, hiIncl bool
+	residual       Evaluator
+}
+
+// compileAccess compiles ap; the residual is compiled against schema.
+func compileAccess(ap *plan.AccessPath, schema []plan.ColMeta) (*access, error) {
+	a := &access{index: ap.Index, loIncl: ap.LoIncl, hiIncl: ap.HiIncl}
+	var err error
+	if ap.Residual != nil {
+		if a.residual, err = Compile(ap.Residual, schema); err != nil {
+			return nil, err
+		}
+	}
+	if ap.Index == nil {
+		return a, nil
+	}
+	for _, e := range ap.Eq {
+		ev, err := Compile(e, nil)
+		if err != nil {
+			return nil, err
+		}
+		a.eq = append(a.eq, ev)
+	}
+	if ap.Lo != nil {
+		if a.lo, err = Compile(ap.Lo, nil); err != nil {
+			return nil, err
+		}
+	}
+	if ap.Hi != nil {
+		if a.hi, err = Compile(ap.Hi, nil); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+// keyRange is an evaluated B+tree range (nil bound = open end).
+type keyRange struct {
+	lo, hi         []byte
+	loIncl, hiIncl bool
+}
+
+// keyRange evaluates the path's index bounds: equality on a key prefix,
+// optionally narrowed by a range on the next key column. row feeds bounds
+// that reference an outer row (index nested-loop probes) and is nil
+// otherwise. null reports a NULL equality value, which a join probe must
+// treat as matching nothing.
+func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange, null bool, err error) {
+	eq := make([]sqltypes.Value, len(a.eq))
+	for i, ev := range a.eq {
+		if eq[i], err = ev.Eval(row, params); err != nil {
+			return r, false, err
+		}
+		null = null || eq[i].IsNull()
+	}
+	prefix := sqltypes.EncodeKey(eq...)
+	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
+	if a.lo != nil {
+		v, err := a.lo.Eval(row, params)
+		if err != nil {
+			return r, false, err
+		}
+		r.lo, r.loIncl = v.Encode(append([]byte(nil), prefix...)), a.loIncl
+	}
+	switch {
+	case a.hi != nil:
+		v, err := a.hi.Eval(row, params)
+		if err != nil {
+			return r, false, err
+		}
+		r.hi, r.hiIncl = v.Encode(append([]byte(nil), prefix...)), a.hiIncl
+	case a.lo != nil || len(eq) < len(a.index.Columns):
+		// Open-ended range or equality on a proper key prefix: run to the
+		// end of the prefix.
+		r.hi, r.hiIncl = prefixSuccessor(prefix), false
+	}
+	return r, null, nil
+}
+
+// prefixSuccessor returns the smallest byte string greater than every string
+// with the given prefix.
+func prefixSuccessor(prefix []byte) []byte {
+	out := append([]byte(nil), prefix...)
+	for i := len(out) - 1; i >= 0; i-- {
+		if out[i] != 0xff {
+			out[i]++
+			return out[:i+1]
+		}
+	}
+	return nil // prefix is all 0xff: no upper bound
+}
+
+// Cursor iterates the rows of one table visible to a snapshot, along an
+// index range or over the whole table. It is the only way rows are read —
+// SELECT scans, join probes, DML target collection, index builds and the
+// engine's direct readers differ only in the snapshot they pass (a
+// transaction's read snapshot, or storage.CurrentSnapshot for a writer
+// under the table's exclusive lock).
+type Cursor struct {
+	ts    *TableStore
+	snap  storage.Snapshot
+	index *catalog.Index // nil: whole table
+	// rows (whole table) are materialized at open, in RID order; entries
+	// (index range) are collected at open and resolved one per Next. Only
+	// one of the two is set.
+	rows    []storage.ChainRow
+	entries []indexEntry
+	pos     int
+}
+
+type indexEntry struct {
+	key []byte
+	rid storage.RID
+}
+
+// Scan opens a cursor over every row visible to snap.
+func (ts *TableStore) Scan(snap storage.Snapshot) *Cursor {
+	return &Cursor{ts: ts, snap: snap, rows: ts.Vers.SnapScan(snap)}
+}
+
+// open starts a cursor along a. A NULL equality bound is looked up like any
+// other key.
+func (ts *TableStore) open(snap storage.Snapshot, a *access, params map[string]sqltypes.Value) (*Cursor, error) {
+	if a.index == nil {
+		return ts.Scan(snap), nil
+	}
+	r, _, err := a.keyRange(nil, params)
+	if err != nil {
+		return nil, err
+	}
+	return ts.openRange(snap, a.index, r)
+}
+
+func (ts *TableStore) openRange(snap storage.Snapshot, ix *catalog.Index, r keyRange) (*Cursor, error) {
+	bt, ok := ts.Indexes[ix.Name]
+	if !ok {
+		return nil, fmt.Errorf("exec: index %q has no storage", ix.Name)
+	}
+	c := &Cursor{ts: ts, snap: snap, index: ix}
+	bt.ScanRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, rid storage.RID) bool {
+		c.entries = append(c.entries, indexEntry{key: append([]byte(nil), k...), rid: rid})
+		return true
+	})
+	return c, nil
+}
+
+// Next returns the next visible row and its current heap RID, or a nil row
+// at the end. It counts the row into ctx.RowsExamined and records the
+// version-chain walk in ctx.MaxChain.
+//
+//sqlcm:cancellable
+func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
+	ncols := len(c.ts.Meta.Columns)
+	for end := len(c.rows) + len(c.entries); c.pos < end; {
+		if err := ctx.checkCancel(); err != nil {
+			return storage.RID{}, nil, err
+		}
+		var cr storage.ChainRow
+		var key []byte
+		visible := true
+		if c.index == nil {
+			cr = c.rows[c.pos]
+		} else {
+			key = c.entries[c.pos].key
+			cr, visible = c.ts.Vers.ReadAt(c.entries[c.pos].rid, c.snap)
+		}
+		c.pos++
+		ctx.noteDepth(cr.Depth)
+		if !visible {
+			// Uncommitted, newer than the snapshot, or deleted (the entry
+			// is retained for older snapshots).
+			continue
+		}
+		row, err := DecodeRow(cr.Rec, ncols)
+		if err != nil {
+			return storage.RID{}, nil, err
+		}
+		if c.index != nil && !bytes.Equal(c.ts.IndexKey(c.index, row), key) {
+			// Stale entry: index cleanup is deferred to PruneVersions, so
+			// the visible version may carry a different key; that key's own
+			// entry locates the row if it qualifies.
+			continue
+		}
+		ctx.RowsExamined++
+		return cr.Rid, row, nil
+	}
+	return storage.RID{}, nil, nil
+}
+
+// AddIndex registers a new B+tree for ix and populates it from the current
+// rows. Entries carry anchor RIDs. The caller must exclude writers (CREATE
+// INDEX takes no table lock), so no version is uncommitted and reader 0
+// sees every chain head.
 func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 	bt := index.New(ix.Unique)
-	ncols := len(ts.Meta.Columns)
-	type entry struct {
-		key []byte
-		rid storage.RID
-	}
-	var entries []entry
-	if ts.Vers != nil {
-		// Versioned table: the chains are authoritative (the heap still
-		// holds deleted-but-unpruned rows). Entries carry anchor RIDs.
-		for _, cr := range ts.Vers.CurrentScan() {
-			row, err := DecodeRow(cr.Rec, ncols)
-			if err != nil {
-				return err
-			}
-			entries = append(entries, entry{key: ts.IndexKey(ix, row), rid: cr.Anchor})
-		}
-	} else {
-		var buildErr error
-		err := ts.Heap.Scan(func(rid storage.RID, rec []byte) bool {
-			row, err := DecodeRow(rec, ncols)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			entries = append(entries, entry{key: ts.IndexKey(ix, row), rid: rid})
-			return true
-		})
+	cur, ctx := ts.Scan(storage.CurrentSnapshot(0)), &Ctx{}
+	for {
+		rid, row, err := cur.Next(ctx)
 		if err != nil {
 			return err
 		}
-		if buildErr != nil {
-			return buildErr
+		if row == nil {
+			break
 		}
-	}
-	for _, e := range entries {
-		if err := bt.Insert(e.key, e.rid); err != nil {
+		if err := bt.Insert(ts.IndexKey(ix, row), ts.Vers.Anchor(rid)); err != nil {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
@@ -105,9 +278,6 @@ func (ts *TableStore) AddIndex(ix *catalog.Index) error {
 // deleted before the watermark. The caller must hold the table's exclusive
 // lock (Prune itself only takes the version store's leaf latch).
 func (ts *TableStore) PruneVersions(watermark int64) {
-	if ts.Vers == nil {
-		return
-	}
 	work := ts.Vers.Prune(watermark)
 	for _, p := range work.Entries {
 		if bt := ts.Indexes[p.Index]; bt != nil {

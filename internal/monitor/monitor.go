@@ -375,7 +375,7 @@ func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
 		}
 		return sqltypes.Null, true
 	case "Snapshot_Age":
-		// NULL when the engine runs without MVCC (no snapshot taken).
+		// NULL for a statement that never ran (shed: no snapshot taken).
 		if info.SnapshotAt.IsZero() {
 			return sqltypes.Null, true
 		}

@@ -41,10 +41,10 @@ func QueryAttributes() []Attribute {
 		{Name: "Connect_Time", Kind: sqltypes.KindTime, Doc: "owning session's connect time"},
 		{Name: "Session_Age", Kind: sqltypes.KindFloat, Doc: "owning session's age (s)"},
 		{Name: "Cancel_Reason", Kind: sqltypes.KindString, Doc: "defensive-cancel attribution: admin/timeout/shed/drain (NULL otherwise)"},
-		{Name: "Snapshot_Age", Kind: sqltypes.KindFloat, Doc: "age of the MVCC read snapshot (s; NULL without MVCC)"},
+		{Name: "Snapshot_Age", Kind: sqltypes.KindFloat, Doc: "age of the MVCC read snapshot (s; NULL for a statement that never ran)"},
 		{Name: "Version_Chain_Length", Kind: sqltypes.KindInt, Doc: "longest version chain walked by this statement"},
-		{Name: "Versions_Pruned", Kind: sqltypes.KindInt, Doc: "engine-wide row versions garbage-collected (NULL without MVCC)"},
-		{Name: "Versions_Retained", Kind: sqltypes.KindInt, Doc: "engine-wide row versions currently retained (NULL without MVCC)"},
+		{Name: "Versions_Pruned", Kind: sqltypes.KindInt, Doc: "engine-wide row versions garbage-collected (NULL for a statement that never ran)"},
+		{Name: "Versions_Retained", Kind: sqltypes.KindInt, Doc: "engine-wide row versions currently retained (NULL for a statement that never ran)"},
 	}
 }
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,12 +64,11 @@ func TestGoldenReplayMVCC(t *testing.T) {
 // invarianceRun executes a fixed single-session workload on a monitored
 // engine and returns (statement results, rule-dispatch journal, LAT rows),
 // all rendered to strings for bit-identical comparison.
-func invarianceRun(t *testing.T, disableMVCC bool) (results, journal, latRows []string) {
+func invarianceRun(t *testing.T) (results, journal, latRows []string) {
 	t.Helper()
 	eng, err := engine.Open(engine.Config{
 		PoolPages:   512,
 		LockTimeout: 5 * time.Second,
-		DisableMVCC: disableMVCC,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,31 +155,56 @@ func invarianceRun(t *testing.T, disableMVCC bool) (results, journal, latRows []
 	return results, journal, latRows
 }
 
-// TestSingleSessionMVCCInvariance is the lock-schedule invariance pin: the
-// same single-session trace, run with MVCC disabled (pure 2PL reads) and
-// enabled (snapshot reads), must produce identical statement results, a
-// bit-identical rule-dispatch journal and bit-identical LAT contents.
-// Single-session traces never block, so the lock schedule is the only
-// thing MVCC changes — and nothing downstream may notice.
+// load2PLReference parses testdata/invariance_2pl.golden: "== section =="
+// headers, one entry per line below each, "#" comment lines ignored.
+func load2PLReference(t *testing.T) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "invariance_2pl.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string][]string{}
+	section := ""
+	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+		switch {
+		case strings.HasPrefix(line, "#"):
+		case strings.HasPrefix(line, "== "):
+			section = strings.Trim(line, "= ")
+		default:
+			ref[section] = append(ref[section], line)
+		}
+	}
+	return ref
+}
+
+// TestSingleSessionMVCCInvariance is the lock-schedule invariance pin: a
+// fixed single-session trace must produce the statement results, rule
+// journal and LAT contents the pure-2PL engine produced. The 2PL read path
+// (shared table locks, heap reads) no longer exists; its output on this
+// trace was recorded at the last commit that had it and is frozen in
+// testdata/invariance_2pl.golden — deliberately with no -update path, so a
+// drift can only be resolved by fixing the engine. Single-session traces
+// never block, so the lock schedule is the only thing snapshot reads
+// change — and nothing downstream may notice.
 func TestSingleSessionMVCCInvariance(t *testing.T) {
-	res2pl, jr2pl, lat2pl := invarianceRun(t, true)
-	resMVCC, jrMVCC, latMVCC := invarianceRun(t, false)
+	ref := load2PLReference(t)
+	res, jr, lat := invarianceRun(t)
 
 	diff := func(kind string, a, b []string) {
 		t.Helper()
 		if len(a) != len(b) {
-			t.Fatalf("%s: 2PL has %d entries, MVCC %d\n2PL: %v\nMVCC: %v", kind, len(a), len(b), a, b)
+			t.Fatalf("%s: 2PL reference has %d entries, this build %d\n2PL: %v\nnow: %v", kind, len(a), len(b), a, b)
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s diverged at %d:\n  2PL:  %s\n  MVCC: %s", kind, i, a[i], b[i])
+				t.Fatalf("%s diverged at %d:\n  2PL: %s\n  now: %s", kind, i, a[i], b[i])
 			}
 		}
 	}
-	diff("statement results", res2pl, resMVCC)
-	diff("rule journal", jr2pl, jrMVCC)
-	diff("LAT rows", lat2pl, latMVCC)
-	if len(lat2pl) == 0 {
+	diff("statement results", ref["results"], res)
+	diff("rule journal", ref["journal"], jr)
+	diff("LAT rows", ref["lat"], lat)
+	if len(lat) == 0 {
 		t.Fatal("LAT ended empty — the invariance check checked nothing")
 	}
 }

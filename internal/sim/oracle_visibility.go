@@ -18,7 +18,10 @@ import (
 // randomized schedule of transactions — begin, write, relocate, commit,
 // rollback, prune at the live watermark — and requires bit-identical
 // visibility after every step, for every live snapshot and for a fresh
-// snapshot at the newest commit.
+// snapshot at the newest commit. It also pins the equivalence the executor's
+// single read path rests on: under a row's write lock,
+// storage.CurrentSnapshot resolves to the newest write at depth 1, so
+// writers need no head-only reader beside ReadAt/SnapScan.
 
 // visEntry is one write in a row's full history.
 type visEntry struct {
@@ -116,7 +119,9 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 				var gotRec []byte
 				var gotOK bool
 				if chainLive[i] {
-					gotRec, _, gotOK = store.ReadAt(alias[i], snap)
+					var cr storage.ChainRow
+					cr, gotOK = store.ReadAt(alias[i], snap)
+					gotRec = cr.Rec
 				}
 				if gotOK != wantOK {
 					return fmt.Errorf("seed %d step %d snap{ts=%d self=%d} row %d: store visible=%v oracle=%v",
@@ -133,6 +138,19 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 			if got := len(store.SnapScan(snap)); got != visibleRows {
 				return fmt.Errorf("seed %d step %d snap{ts=%d self=%d}: SnapScan %d rows, oracle %d",
 					cfg.Seed, step, snap.TS, snap.Self, got, visibleRows)
+			}
+		}
+		for i, r := range rows {
+			if !chainLive[i] || len(r.hist) == 0 {
+				continue
+			}
+			// lockOwner is 0 for an unlocked row, which then has no
+			// uncommitted entry: any reader's current view is the head.
+			head := r.hist[len(r.hist)-1]
+			cr, ok := store.ReadAt(alias[i], storage.CurrentSnapshot(lockOwner[i]))
+			if ok == head.tomb || (ok && string(cr.Rec) != head.rec) || cr.Depth != 1 {
+				return fmt.Errorf("seed %d step %d row %d: current-mode read (%q, live=%v, depth %d) is not the newest write (%q, tomb=%v)",
+					cfg.Seed, step, i, cr.Rec, ok, cr.Depth, head.rec, head.tomb)
 			}
 		}
 		return nil
@@ -165,7 +183,7 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 			// Once t holds the row lock every uncommitted entry in the
 			// history is t's own, so a current-mode self read gives the
 			// row's liveness as the writer sees it.
-			_, liveForT := r.visible(storage.Snapshot{TS: 1 << 62, Self: t.id})
+			_, liveForT := r.visible(storage.CurrentSnapshot(t.id))
 			lockOwner[i] = t.id
 			t.locked = append(t.locked, i)
 			rec := fmt.Sprintf("row%d@txn%d.%d", i, t.id, step)
@@ -267,7 +285,7 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 				if !chainLive[i] {
 					continue
 				}
-				if _, depth, _ := store.ReadAt(alias[i], storage.Snapshot{TS: 1 << 62}); depth == 0 {
+				if cr, _ := store.ReadAt(alias[i], storage.Snapshot{TS: 1 << 62}); cr.Depth == 0 {
 					chainLive[i] = false
 				}
 			}

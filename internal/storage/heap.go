@@ -1,15 +1,13 @@
 package storage
 
-import (
-	"fmt"
-
-	"sqlcm/internal/lockcheck"
-)
+import "sqlcm/internal/lockcheck"
 
 // HeapFile stores variable-length records in a chain of slotted pages,
 // fetched through a buffer pool. It is safe for concurrent use; record
 // content consistency across transactions is the caller's (lock manager's)
-// responsibility.
+// responsibility. It is written, never read back: rows are read through
+// their version chains (see version.go), and the heap allocates their RIDs
+// and holds the current images that FlushAll persists.
 type HeapFile struct {
 	pool *BufferPool
 
@@ -44,29 +42,6 @@ func (h *HeapFile) Pages() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.pages)
-}
-
-// PageIDs returns a snapshot of the file's page ids in chain order.
-func (h *HeapFile) PageIDs() []PageID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]PageID(nil), h.pages...)
-}
-
-// ScanPage calls fn for every live record on one page. Records alias page
-// memory and are only valid within the callback.
-func (h *HeapFile) ScanPage(pid PageID, fn func(rid RID, rec []byte) bool) error {
-	p, err := h.pool.FetchPage(pid)
-	if err != nil {
-		return err
-	}
-	p.Latch.RLock()
-	SlottedScan(p, func(s Slot, rec []byte) bool {
-		return fn(RID{Page: pid, Slot: s}, rec)
-	})
-	p.Latch.RUnlock()
-	h.pool.Unpin(p, false)
-	return nil
 }
 
 // Insert stores rec and returns its RID. It tries the last page first and
@@ -132,27 +107,6 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	return RID{Page: np.ID, Slot: slot}, nil
 }
 
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	p, err := h.pool.FetchPage(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	p.Latch.RLock()
-	rec, err := SlottedGet(p, rid.Slot)
-	var out []byte
-	if err == nil {
-		out = make([]byte, len(rec))
-		copy(out, rec)
-	}
-	p.Latch.RUnlock()
-	h.pool.Unpin(p, false)
-	if err != nil {
-		return nil, fmt.Errorf("heap: get %s: %w", rid, err)
-	}
-	return out, nil
-}
-
 // Delete removes the record at rid.
 func (h *HeapFile) Delete(rid RID) error {
 	p, err := h.pool.FetchPage(rid.Page)
@@ -191,36 +145,6 @@ func (h *HeapFile) Update(rid RID, rec []byte) (RID, error) {
 	return h.Insert(rec)
 }
 
-// Scan calls fn for every record in the file in page order. The record
-// slice aliases page memory and is only valid within the callback.
-// Returning false stops the scan.
-func (h *HeapFile) Scan(fn func(rid RID, rec []byte) bool) error {
-	h.mu.Lock()
-	pages := append([]PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for _, pid := range pages {
-		p, err := h.pool.FetchPage(pid)
-		if err != nil {
-			return err
-		}
-		stop := false
-		p.Latch.RLock()
-		SlottedScan(p, func(s Slot, rec []byte) bool {
-			if !fn(RID{Page: pid, Slot: s}, rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		p.Latch.RUnlock()
-		h.pool.Unpin(p, false)
-		if stop {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Truncate removes all records (pages are kept and reinitialized).
 func (h *HeapFile) Truncate() error {
 	h.mu.Lock()
@@ -240,11 +164,4 @@ func (h *HeapFile) Truncate() error {
 		h.pool.Unpin(p, true)
 	}
 	return nil
-}
-
-// Count returns the number of live records (full scan).
-func (h *HeapFile) Count() (int, error) {
-	n := 0
-	err := h.Scan(func(RID, []byte) bool { n++; return true })
-	return n, err
 }

@@ -1,15 +1,16 @@
 package storage
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
 	"sqlcm/internal/lockcheck"
 )
 
-// Multi-version row storage. Every logical row of an MVCC-enabled table
-// carries a chain of immutable versions, newest first. Writers (serialized
-// per table by the lock manager's exclusive table locks) prepend versions
+// Multi-version row storage. Every logical row of every table carries a
+// chain of immutable versions, newest first. Writers (serialized per table
+// by the lock manager's exclusive table locks) prepend versions
 // stamped with their transaction id; commit stamps the versions with a
 // monotonically increasing commit timestamp inside the transaction
 // manager's commit critical section. Readers resolve the version visible
@@ -17,12 +18,11 @@ import (
 // store's own short map latch, so readers never appear in the lock
 // manager's wait graph.
 //
-// The chains are the authoritative row storage for reads: snapshot and
-// current-mode scans iterate the chain map and return version bytes, never
-// heap bytes. The heap mirrors the current row images (for persistence and
-// for non-MVCC tables) but is not consulted on MVCC read paths — that is
-// what makes lock-free readers safe against in-place heap updates and slot
-// relocation.
+// The chains are the authoritative row storage for reads: every scan
+// iterates the chain map and returns version bytes, never heap bytes. The
+// heap mirrors the current row images (for persistence) but is never read —
+// that is what makes lock-free readers safe against in-place heap updates
+// and slot relocation.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
 // leaves the heap record and index entries in place so older snapshots
@@ -50,6 +50,13 @@ type Snapshot struct {
 	TS   int64
 	Self int64
 }
+
+// CurrentSnapshot is the read view of a writer holding the table's
+// exclusive lock: every committed version is inside the horizon and the
+// only uncommitted versions on the table are self's own (strict 2PL), so
+// the visible version of every chain is its head — current-mode reads need
+// no visibility rule of their own.
+func CurrentSnapshot(self int64) Snapshot { return Snapshot{TS: math.MaxInt64, Self: self} }
 
 // VersionStats aggregates MVCC counters, shared by every version store of
 // one engine (the Versions_Pruned / Versions_Retained probes).
@@ -302,49 +309,25 @@ func chainLen(v *Version) int {
 }
 
 // ReadAt resolves the row at rid (an index-entry RID, any alias) for snap.
-// ok is false when the row is invisible to the snapshot or gone.
-func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (rec []byte, depth int, ok bool) {
+// ok is false when the row is invisible to the snapshot or gone; Depth is
+// set either way.
+func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 	s.mu.RLock()
 	c := s.chains[rid]
+	if c != nil {
+		row.Rid, row.Anchor = c.rid, c.anchor
+	}
 	s.mu.RUnlock()
 	if c == nil {
-		return nil, 0, false
+		return row, false
 	}
 	vis, depth := visibleTo(c.head.Load(), snap)
+	row.Depth = depth
 	if vis == nil || vis.Tombstone() {
-		return nil, depth, false
+		return row, false
 	}
-	return vis.rec, depth, true
-}
-
-// CurrentAt resolves the row at rid for a current-mode reader (a writer
-// holding the table's exclusive lock): the newest version is authoritative
-// and any uncommitted version belongs to the caller. ok is false when the
-// row is deleted or gone.
-func (s *VersionStore) CurrentAt(rid RID) (curRid RID, rec []byte, ok bool) {
-	s.mu.RLock()
-	c := s.chains[rid]
-	var cur RID
-	if c != nil {
-		cur = c.rid
-	}
-	s.mu.RUnlock()
-	if c == nil {
-		return rid, nil, false
-	}
-	h := c.head.Load()
-	if h == nil || h.Tombstone() {
-		return cur, nil, false
-	}
-	return cur, h.rec, true
-}
-
-// Dead reports whether the row at rid is deleted for a current-mode
-// reader. Unique-index inserts use it to reclaim entries retained only for
-// older snapshots.
-func (s *VersionStore) Dead(rid RID) bool {
-	_, _, ok := s.CurrentAt(rid)
-	return !ok
+	row.Rec = vis.rec
+	return row, true
 }
 
 // collect captures the distinct live chains under the read lock.
@@ -376,24 +359,6 @@ func (s *VersionStore) SnapScan(snap Snapshot) []ChainRow {
 			continue
 		}
 		out = append(out, ChainRow{Rid: c.rid, Anchor: c.anchor, Rec: vis.rec, Depth: depth})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Rid.Less(out[j].Rid) })
-	return out
-}
-
-// CurrentScan materializes every live row in current-mode, in current-RID
-// order.
-func (s *VersionStore) CurrentScan() []ChainRow {
-	chains := s.collect()
-	out := make([]ChainRow, 0, len(chains))
-	s.mu.RLock()
-	for _, c := range chains {
-		h := c.head.Load()
-		if h == nil || h.Tombstone() {
-			continue
-		}
-		out = append(out, ChainRow{Rid: c.rid, Anchor: c.anchor, Rec: h.rec, Depth: 1})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Rid.Less(out[j].Rid) })

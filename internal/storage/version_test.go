@@ -70,7 +70,7 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 					// Deleted: if the tombstoned chain was fully pruned the
 					// row is re-installed; otherwise push onto the surviving
 					// chain so old snapshots keep resolving the history.
-					if _, depth, _ := s.ReadAt(alias[rid], Snapshot{TS: 1 << 60}); depth == 0 {
+					if cr, _ := s.ReadAt(alias[rid], Snapshot{TS: 1 << 60}); cr.Depth == 0 {
 						v := s.Install(rid, rec, ts, false)
 						v.SetCommit(ts)
 						alias[rid] = rid
@@ -112,7 +112,8 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 						snap := Snapshot{TS: snapTS}
 						for rid, hist := range model {
 							wantRec, wantOK := modelVisible(hist, snapTS)
-							gotRec, _, gotOK := s.ReadAt(alias[rid], snap)
+							cr, gotOK := s.ReadAt(alias[rid], snap)
+							gotRec := cr.Rec
 							if gotOK != wantOK {
 								t.Fatalf("step %d wm %d snap %d row %v: visible=%v want %v",
 									step, wm, snapTS, rid, gotOK, wantOK)
@@ -167,18 +168,18 @@ func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
 	v0.SetCommit(5)
 
 	v1 := s.Push(rid, []byte("mine"), 9)
-	if rec, _, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 9}); !ok || string(rec) != "mine" {
-		t.Fatalf("writer does not see own uncommitted write: %q %v", rec, ok)
+	if cr, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 9}); !ok || string(cr.Rec) != "mine" {
+		t.Fatalf("writer does not see own uncommitted write: %q %v", cr.Rec, ok)
 	}
-	if rec, _, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 3}); !ok || string(rec) != "base" {
-		t.Fatalf("other txn sees wrong version: %q %v", rec, ok)
+	if cr, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 3}); !ok || string(cr.Rec) != "base" {
+		t.Fatalf("other txn sees wrong version: %q %v", cr.Rec, ok)
 	}
 	v1.SetCommit(8)
-	if rec, _, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 3}); !ok || string(rec) != "base" {
-		t.Fatalf("old snapshot must keep base after commit: %q %v", rec, ok)
+	if cr, ok := s.ReadAt(rid, Snapshot{TS: 6, Self: 3}); !ok || string(cr.Rec) != "base" {
+		t.Fatalf("old snapshot must keep base after commit: %q %v", cr.Rec, ok)
 	}
-	if rec, _, ok := s.ReadAt(rid, Snapshot{TS: 8, Self: 3}); !ok || string(rec) != "mine" {
-		t.Fatalf("new snapshot must see committed version: %q %v", rec, ok)
+	if cr, ok := s.ReadAt(rid, Snapshot{TS: 8, Self: 3}); !ok || string(cr.Rec) != "mine" {
+		t.Fatalf("new snapshot must see committed version: %q %v", cr.Rec, ok)
 	}
 }
 

@@ -59,16 +59,18 @@ go test -race -count=1 -run TestNetChaos ./internal/loadgen/
 # through the real monitoring stack and a naive sequential oracle in
 # lockstep; every journal entry and every LAT cell must match after every
 # event, across 64 seeds and all three workload profiles. Includes the
-# golden trace replays (pinned run fingerprints) and the acceptance check
-# that an injected aggregate fault is caught and shrunk to a tiny witness.
+# golden trace replays (pinned run fingerprints), the acceptance check
+# that an injected aggregate fault is caught and shrunk to a tiny witness,
+# and the MVCC checks at the same 64 seeds: the differential visibility
+# oracle, and the single-session run compared with the frozen 2PL
+# reference (testdata/invariance_2pl.golden). `make sim-mvcc` runs just
+# those.
 SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
 
-# MVCC tier: the differential visibility oracle over a 64-seed sweep, the
-# golden traces replayed on the MVCC build (fingerprints pinned
-# bit-identical), and the single-session lock-schedule invariance check
-# (identical statement results, rule journal and LAT contents with MVCC
-# on vs off).
-SQLCM_SIM_SEEDS=64 go test -count=1 -run 'TestMVCCVisibilitySweep|TestGoldenReplayMVCC|TestSingleSessionMVCCInvariance' ./internal/sim/
+# Benchmark module: bench/ is its own module (sqlcm/bench), so the root
+# `go build ./...` and `go test ./...` never see it; an internal API change
+# that breaks the repo benchmark must fail here, not in the driver.
+(cd bench && go vet ./... && go test ./...)
 
 # Coverage floors: internal/lat and internal/rules may not drop below the
 # percentages recorded when the differential oracle was introduced.

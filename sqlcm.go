@@ -173,14 +173,6 @@ type Config struct {
 	// LockTimeout bounds lock waits (default 10s; deadlocks are always
 	// detected regardless).
 	LockTimeout time.Duration
-	// DisableMVCC turns off multi-version storage: SELECTs take shared
-	// table locks (the strict-2PL read path) instead of reading version
-	// chains lock-free. A/B comparisons and the 2PL benchmark baseline
-	// use it.
-	DisableMVCC bool
-	// VersionGCEvery is the writer-commit interval between version-garbage
-	// collection passes (default 256; negative disables automatic pruning).
-	VersionGCEvery int
 	// Mailer handles SendMail actions (default: recording MemMailer).
 	Mailer Mailer
 	// Runner handles RunExternal actions (default: recording MemRunner).
@@ -204,11 +196,9 @@ type DB struct {
 // Open creates a DB with monitoring attached.
 func Open(cfg Config) (*DB, error) {
 	eng, err := engine.Open(engine.Config{
-		PoolPages:      cfg.PoolPages,
-		DataPath:       cfg.DataPath,
-		LockTimeout:    cfg.LockTimeout,
-		DisableMVCC:    cfg.DisableMVCC,
-		VersionGCEvery: cfg.VersionGCEvery,
+		PoolPages:   cfg.PoolPages,
+		DataPath:    cfg.DataPath,
+		LockTimeout: cfg.LockTimeout,
 	})
 	if err != nil {
 		return nil, err
