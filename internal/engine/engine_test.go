@@ -454,6 +454,90 @@ func TestReadTableDirectSeesOnlyCommitted(t *testing.T) {
 	}
 }
 
+// CREATE INDEX while another transaction has uncommitted writes on the
+// table: the build must wait for the table's exclusive lock, or the rows
+// that writer then commits are missing from the index for good.
+func TestCreateIndexWaitsForOpenWriter(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("a", "b")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+	mustExec(t, s, "BEGIN")
+	for i := 1; i <= 390; i++ {
+		if i != 2 {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i, 1000+i))
+		}
+	}
+	mustExec(t, s, "COMMIT")
+
+	w := e.NewSession("w", "b")
+	mustExec(t, w, "BEGIN")
+	mustExec(t, w, "INSERT INTO t VALUES (2, 5)")
+	mustExec(t, w, "UPDATE t SET g = 7 WHERE id = 1")
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Exec("CREATE INDEX t_g ON t(g)", nil)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); e.Locks().WaitingCount() == 0; {
+		select {
+		case err := <-done:
+			t.Fatalf("CREATE INDEX finished (err %v) while a writer held the table", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("CREATE INDEX neither finished nor waited")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mustExec(t, w, "COMMIT")
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	ts, err := e.Stores().Store("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ts.Indexes["t_g"].Len(); n != 390 {
+		t.Fatalf("index entries: %d, want 390", n)
+	}
+	for g, id := range map[int]int64{5: 2, 7: 1} {
+		res := mustExec(t, s, fmt.Sprintf("SELECT id FROM t WHERE g = %d", g))
+		if len(res.Rows) != 1 || res.Rows[0][0].Int() != id {
+			t.Fatalf("g=%d through the index: %v, want [[%d]]", g, res.Rows, id)
+		}
+	}
+	if e.Txns().Active() != 0 {
+		t.Fatalf("leaked transactions: %d", e.Txns().Active())
+	}
+}
+
+// Inside the session's own transaction the build takes the lock as that
+// transaction (a second one would wait for the first forever) and indexes
+// its uncommitted rows; a rollback takes them out again.
+func TestCreateIndexInsideOwnTransaction(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("a", "b")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 10)")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO t VALUES (2, 20)")
+	mustExec(t, s, "CREATE INDEX t_g ON t(g)")
+	mustExec(t, s, "ROLLBACK")
+	ts, err := e.Stores().Store("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ts.Indexes["t_g"].Len(); n != 1 {
+		t.Fatalf("index entries after rollback: %d, want 1", n)
+	}
+	mustExec(t, e.NewSession("w", "b"), "UPDATE t SET g = 11 WHERE id = 1") // lock released
+	if e.Txns().Active() != 0 {
+		t.Fatalf("leaked transactions: %d", e.Txns().Active())
+	}
+}
+
 func TestFileBackedEngine(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{PoolPages: 16, DataPath: dir + "/data.db"})

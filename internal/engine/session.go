@@ -156,7 +156,8 @@ func (s *Session) Exec(sql string, params map[string]sqltypes.Value) (*Result, e
 // CancelledError carrying the reason derived from the context's cause
 // (see CauseStatementTimeout, CauseDrain), and a Query.Cancelled event
 // fires. The context does not bound transaction-control or DDL
-// statements, which do not iterate rows.
+// statements (CREATE INDEX waits for the table's lock up to the lock
+// timeout).
 func (s *Session) ExecContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
 	if err := s.enter(); err != nil {
 		return nil, err
@@ -187,19 +188,7 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 		}
 		return &Result{}, s.e.CreateTable(stmt.Name, cols)
 	case *sqlparser.CreateIndex:
-		ix, err := s.e.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := s.e.reg.Store(stmt.Table)
-		if err != nil {
-			return nil, err
-		}
-		if err := ts.AddIndex(ix); err != nil {
-			return nil, err
-		}
-		s.e.invalidatePlans()
-		return &Result{}, nil
+		return &Result{}, s.createIndex(stmt)
 	case *sqlparser.DropTable:
 		return &Result{}, s.e.DropTable(stmt.Name)
 	case *sqlparser.CreateProcedure:
@@ -216,6 +205,38 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 	default:
 		return nil, fmt.Errorf("engine: statement %T not executable at session level", cp.stmt)
 	}
+}
+
+// createIndex builds the index under the table's exclusive lock, so no
+// other transaction has an uncommitted version on the table while the build
+// reads it and no writer misses the new tree. The lock is taken by the
+// session's open transaction (and then held to its end, like a write) or by
+// a short internal one that is invisible to the monitor.
+func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
+	t := s.tx
+	if t == nil {
+		t = s.e.tm.Begin(true)
+		defer s.e.tm.Commit(t) //nolint:errcheck
+	}
+	if err := s.e.locks.Acquire(t.ID, lock.TableResource(stmt.Table), lock.Exclusive); err != nil {
+		if t == s.tx {
+			s.abortTxn(t, s.txInfo) // deadlock victim: a statement error ends the transaction
+		}
+		return err
+	}
+	ix, err := s.e.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
+	if err != nil {
+		return err
+	}
+	ts, err := s.e.reg.Store(stmt.Table)
+	if err != nil {
+		return err
+	}
+	if err := ts.AddIndex(&exec.Ctx{Txn: t}, ix); err != nil {
+		return err
+	}
+	s.e.invalidatePlans()
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		return nil, 0, ts.AddIndex(ix)
+		return nil, 0, ts.AddIndex(&Ctx{}, ix)
 	}
 	l, err := plan.BuildLogical(stmt, h.cat)
 	if err != nil {

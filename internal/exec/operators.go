@@ -469,6 +469,7 @@ type indexNLJoinOp struct {
 	probe    *access // equality on the index, evaluated against the outer row
 	residual Evaluator
 
+	cur      *Cursor // re-seeked per outer row
 	outerRow Row
 	matches  []Row
 	matchIdx int
@@ -504,6 +505,7 @@ func newIndexNLJoinOp(n *plan.PhysIndexNLJoin, sp StoreProvider) (Operator, erro
 func (j *indexNLJoinOp) Open(ctx *Ctx) error {
 	j.outerRow, j.matches = nil, nil
 	j.matchIdx = 0
+	j.cur = &Cursor{ts: j.store, snap: ctx.Snapshot(), index: j.probe.index}
 	return j.outer.Open(ctx)
 }
 
@@ -535,14 +537,13 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		if null {
 			continue
 		}
-		cur, err := j.store.openRange(ctx.Snapshot(), j.probe.index, r)
-		if err != nil {
+		if err := j.cur.seek(r); err != nil {
 			return nil, err
 		}
 		j.matches = j.matches[:0]
 		j.matchIdx = 0
 		for {
-			_, inner, err := cur.Next(ctx)
+			_, inner, err := j.cur.Next(ctx)
 			if err != nil {
 				return nil, err
 			}

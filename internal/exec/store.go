@@ -194,16 +194,24 @@ func (ts *TableStore) open(snap storage.Snapshot, a *access, params map[string]s
 }
 
 func (ts *TableStore) openRange(snap storage.Snapshot, ix *catalog.Index, r keyRange) (*Cursor, error) {
-	bt, ok := ts.Indexes[ix.Name]
-	if !ok {
-		return nil, fmt.Errorf("exec: index %q has no storage", ix.Name)
-	}
 	c := &Cursor{ts: ts, snap: snap, index: ix}
+	return c, c.seek(r)
+}
+
+// seek restarts an index cursor on range r, reusing its entry buffer (the
+// index-NL join seeks once per outer row). Entries keep the tree's key
+// slices: key bytes are never written after Insert.
+func (c *Cursor) seek(r keyRange) error {
+	bt, ok := c.ts.Indexes[c.index.Name]
+	if !ok {
+		return fmt.Errorf("exec: index %q has no storage", c.index.Name)
+	}
+	c.entries, c.pos = c.entries[:0], 0
 	bt.ScanRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, rid storage.RID) bool {
-		c.entries = append(c.entries, indexEntry{key: append([]byte(nil), k...), rid: rid})
+		c.entries = append(c.entries, indexEntry{key: k, rid: rid})
 		return true
 	})
-	return c, nil
+	return nil
 }
 
 // Next returns the next visible row and its current heap RID, or a nil row
@@ -249,13 +257,13 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 	return storage.RID{}, nil, nil
 }
 
-// AddIndex registers a new B+tree for ix and populates it from the current
-// rows. Entries carry anchor RIDs. The caller must exclude writers (CREATE
-// INDEX takes no table lock), so no version is uncommitted and reader 0
-// sees every chain head.
-func (ts *TableStore) AddIndex(ix *catalog.Index) error {
+// AddIndex registers a new B+tree for ix and populates it from the rows
+// current to ctx's transaction. Entries carry anchor RIDs. That transaction
+// must hold the table's exclusive lock: then no other transaction has an
+// uncommitted version on the table and the build indexes every chain head.
+func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 	bt := index.New(ix.Unique)
-	cur, ctx := ts.Scan(storage.CurrentSnapshot(0)), &Ctx{}
+	cur := ts.Scan(ctx.Current())
 	for {
 		rid, row, err := cur.Next(ctx)
 		if err != nil {

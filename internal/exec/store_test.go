@@ -7,14 +7,13 @@ import (
 	"sqlcm/internal/sqltypes"
 )
 
-// TestAddIndexBuildsAfterScan is the regression test for the lock-order
-// fix in AddIndex: the B+tree is populated after Heap.Scan returns, not
-// inside the scan callback (which runs under the page read-latch, and
-// index.btree must stay a root class of the declared lock hierarchy).
-// Functionally this means an index built over an existing heap must see
-// every row, including rows spanning multiple pages, and duplicate keys
-// on a unique index must surface as a build error rather than a partial
-// index.
+// TestAddIndexBuildsAfterScan: AddIndex populates the B+tree from a
+// whole-table cursor, which materializes the visible rows before the first
+// Insert, so no storage latch is held while the tree is written
+// (index.btree must stay a root class of the declared lock hierarchy).
+// Functionally an index built over existing rows must see every row,
+// including rows spanning multiple pages, and duplicate keys on a unique
+// index must surface as a build error rather than a partial index.
 func TestAddIndexBuildsAfterScan(t *testing.T) {
 	h := newHarness(t)
 	h.mustExec("CREATE TABLE t (id INT PRIMARY KEY, grp INT, pad STRING)", nil)

@@ -294,7 +294,8 @@ func (t *BTree) Delete(key []byte, rid storage.RID) bool {
 
 // ScanRange visits entries with lo <= key <= hi (bounds optional: nil lo
 // means from the start, nil hi means to the end; inclusivity per flag).
-// fn returning false stops the scan.
+// fn returning false stops the scan. fn may keep key: the tree never writes
+// a key's bytes after Insert.
 func (t *BTree) ScanRange(lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid storage.RID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
