@@ -8,8 +8,8 @@ build:
 # Vet tier: go vet plus SQLCM's own analyzers (sqlcm-vet -analyzers lists
 # them) — hot-path hygiene, the rule-callback recover discipline, context
 # propagation, cancellation-point proofs, goroutine ownership, the
-# SQLSTATE single-source check, and the lock-hierarchy checker fed the
-# type-aware layer's cross-package acquire summaries — and static
+# SQLSTATE single-source check, the data-protection suite and the
+# lock-hierarchy suite, all over one type-checked load — and static
 # analysis of the shipped rule sets (which must be finding-free even in
 # strict mode). docs/lock-order.md must match the annotations.
 vet:

@@ -54,13 +54,13 @@ func main() {
 		os.Exit(2)
 	}
 	res, err := loadgen.Run(loadgen.Config{
-		Addr:     *addr,
-		Conns:    *conns,
-		Rate:     *rate,
-		Duration: *duration,
-		Profile:  prof,
-		Keys:     *keys,
-		Skew:     *skew,
+		Addr:          *addr,
+		Conns:         *conns,
+		Rate:          *rate,
+		Duration:      *duration,
+		Profile:       prof,
+		Keys:          *keys,
+		Skew:          *skew,
 		Seed:          *seed,
 		User:          *user,
 		Password:      *password,

@@ -17,20 +17,17 @@
 //
 // In -code mode each argument is a directory tree whose Go packages are
 // loaded, type-checked (offline, against GOROOT source) and run through
-// SQLCM's custom source analyzers — hot-path hygiene, the recover
-// discipline for rule callbacks, context propagation, cancellation-point
-// proofs for //sqlcm:cancellable loops, goroutine ownership, the
-// SQLSTATE single-source check, and the data-protection suite
-// (//sqlcm:guards/guarded-by field access under the declared lock class,
-// atomics-everywhere discipline for sync/atomic fields, and COW publish
-// checking for //sqlcm:cow snapshots); see internal/analysis — and
-// through the
-// lock-hierarchy checker (declared //sqlcm:lock order, missing unlocks,
-// sends and outbox enqueues under latches; see internal/lockcheck/check),
-// which additionally receives the analysis layer's cross-package lock
-// summaries so a call into another package that can reach a classified
-// latch is order-checked like a local acquire. -analyzers lists the
-// registered checks.
+// SQLCM's custom source analyzers (see internal/analysis) — hot-path
+// hygiene, the recover discipline for rule callbacks, context
+// propagation, cancellation-point proofs for //sqlcm:cancellable loops,
+// goroutine ownership, the SQLSTATE single-source check, the
+// data-protection suite (//sqlcm:guards/guarded-by field access under the
+// declared lock class, atomics-everywhere discipline for sync/atomic
+// fields, COW publish checking for //sqlcm:cow snapshots), and the
+// lock-hierarchy suite (declared //sqlcm:lock order, missing unlocks,
+// sends and outbox enqueues under latches, unclassed mutexes), which
+// order-checks a call into another package that can reach a classified
+// latch like a local acquire. -analyzers lists the registered checks.
 //
 // In -lockdoc mode the tree's //sqlcm:lock, //sqlcm:guards,
 // //sqlcm:guarded-by and //sqlcm:cow annotations are rendered as
@@ -52,7 +49,6 @@ import (
 	"strings"
 
 	"sqlcm/internal/analysis"
-	"sqlcm/internal/lockcheck/check"
 	"sqlcm/internal/rulecheck"
 )
 
@@ -82,7 +78,6 @@ func run(args []string, out, errw io.Writer) int {
 		for _, a := range analysis.All() {
 			fmt.Fprintf(out, "%-12s %s\n", a.Name, firstLine(a.Doc))
 		}
-		fmt.Fprintf(out, "%-12s %s\n", "lockcheck", "declared //sqlcm:lock order, unlock balance, sends and enqueues under latches (internal/lockcheck/check)")
 		return 0
 	}
 	if *mode != "strict" && *mode != "warn" {
@@ -117,30 +112,16 @@ func run(args []string, out, errw io.Writer) int {
 
 // runCode analyzes Go source trees. Every finding from the source
 // analyzers is a hard error: the annotations are opt-in, so a finding
-// means annotated code regressed. The lock-hierarchy checker runs over
-// the same roots, fed the type-aware layer's cross-package lock
-// summaries: the declared //sqlcm:lock order is part of the code, and
-// a call into another package that can reach a classified lock is an
-// ordering edge like any local acquire.
+// means annotated code regressed.
 func runCode(roots []string, out, errw io.Writer) (errs int) {
 	for _, root := range roots {
-		prog, err := analysis.LoadTree(root)
+		diags, err := analysis.RunTree(root)
 		if err != nil {
 			fmt.Fprintf(errw, "sqlcm-vet: %v\n", err)
 			errs++
 			continue
 		}
-		for _, d := range analysis.RunProgram(prog) {
-			fmt.Fprintln(out, d)
-			errs++
-		}
-		lockDiags, err := check.RunTreeWithSummaries(root, prog.LockSummaries())
-		if err != nil {
-			fmt.Fprintf(errw, "sqlcm-vet: %v\n", err)
-			errs++
-			continue
-		}
-		for _, d := range lockDiags {
+		for _, d := range diags {
 			fmt.Fprintln(out, d)
 			errs++
 		}
@@ -161,12 +142,13 @@ func firstLine(s string) string {
 // against their own docs/lock-order.md too.
 func runLockDoc(roots []string, write bool, out, errw io.Writer) (errs int) {
 	for _, root := range roots {
-		want, err := check.DocTree(root)
+		prog, err := analysis.LoadTree(root)
 		if err != nil {
 			fmt.Fprintf(errw, "sqlcm-vet: %v\n", err)
 			errs++
 			continue
 		}
+		want := prog.LockOrderDoc()
 		docPath := filepath.Join(root, "docs", "lock-order.md")
 		if write {
 			if err := os.MkdirAll(filepath.Dir(docPath), 0o755); err != nil {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"sqlcm/internal/analysis"
 )
 
 // The seeded-defect fixtures must make sqlcm-vet fail, with every
@@ -44,17 +46,22 @@ func TestVetCodeClean(t *testing.T) {
 	}
 }
 
-// -analyzers lists every registered -code analyzer plus the lock
-// checker, one per line, and exits 0.
+// -analyzers lists every registered -code analyzer, one per line, and
+// exits 0.
 func TestVetAnalyzersList(t *testing.T) {
 	var out, errw strings.Builder
 	code := run([]string{"-analyzers"}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, errw.String())
 	}
-	for _, name := range []string{"hotpath", "recovered", "ctxprop", "cancelpoint", "goownership", "errcode", "lockcheck"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("analyzer list missing %s:\n%s", name, out.String())
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	all := analysis.All()
+	if len(lines) != len(all) {
+		t.Fatalf("listed %d analyzers, want %d:\n%s", len(lines), len(all), out.String())
+	}
+	for i, a := range all {
+		if !strings.HasPrefix(lines[i], a.Name+" ") {
+			t.Errorf("line %d = %q, want analyzer %s", i, lines[i], a.Name)
 		}
 	}
 }

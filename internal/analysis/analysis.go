@@ -35,6 +35,18 @@
 //	                       this line is owned by the named mechanism.
 //	//sqlcm:ctx-strict   — package-doc directive: apply the serving-path
 //	                       context strictness to this package.
+//	//sqlcm:lock <class> [after <class>...]
+//	                     — on a mutex field: the field belongs to the
+//	                       named lock class, which may be acquired while
+//	                       holding only the classes it is declared after
+//	                       (transitively). Every named mutex field must
+//	                       carry one; the declarations form the lock-order
+//	                       DAG rendered as docs/lock-order.md.
+//	//sqlcm:lock-held <class>
+//	                     — callers hold <class> when calling this function.
+//	//sqlcm:lock-release <class>
+//	                     — this function releases the caller's <class>
+//	                       before returning (lock handoff).
 //	//sqlcm:guards <field,...>
 //	                     — on a //sqlcm:lock mutex field: the listed
 //	                       sibling fields may only be read with the
@@ -63,6 +75,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -88,6 +101,7 @@ type Pass struct {
 
 	name   string
 	report func(Diagnostic)
+	sinks  *[]heldSink
 }
 
 // Reportf records a finding at pos.
@@ -98,6 +112,34 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
+
+// reportUnlessAllowed records a finding at pos unless the line carries (or
+// sits right below) a //sqlcm:allow comment.
+func (p *Pass) reportUnlessAllowed(pos token.Pos, format string, args ...any) {
+	if !p.allowed(pos) {
+		p.Reportf(pos, format, args...)
+	}
+}
+
+// allowed reports whether pos sits on a line covered by //sqlcm:allow
+// (test files included: the syntactic checks cover them).
+func (p *Pass) allowed(pos token.Pos) bool {
+	if p.Pkg.allow == nil {
+		p.Pkg.allow = map[string]map[int]bool{}
+		for _, files := range [][]*ast.File{p.Pkg.Files, p.Pkg.TestFiles} {
+			for _, file := range files {
+				p.Pkg.allow[p.Fset.Position(file.Pos()).Filename] = allowedLines(p.Fset, file)
+			}
+		}
+	}
+	at := p.Fset.Position(pos)
+	return p.Pkg.allow[at.Filename][at.Line]
+}
+
+// watchHeld subscribes the analyzer to the package's held-set walk, which
+// RunProgram runs once per package after every analyzer's Run, fanning
+// its events out to all subscribers.
+func (p *Pass) watchHeld(s heldSink) { *p.sinks = append(*p.sinks, s) }
 
 // FactsFor resolves the facts of the package defining obj (nil outside
 // the loaded module).
@@ -112,7 +154,8 @@ type Analyzer struct {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, Recovered, CtxProp, CancelPoint, GoOwnership, ErrCode, GuardedBy, AtomicField, CowPublish}
+	return []*Analyzer{HotPath, Recovered, CtxProp, CancelPoint, GoOwnership, ErrCode, GuardedBy, AtomicField, CowPublish,
+		LockOrder, LockUnlock, LockSend, LockClass}
 }
 
 // RunTree loads, type-checks and analyzes every package under root.
@@ -141,6 +184,7 @@ func RunProgram(prog *Program) []Diagnostic {
 			}
 			report(d)
 		}
+		var sinks []heldSink
 		for _, a := range All() {
 			a.Run(&Pass{
 				Fset:   prog.Fset,
@@ -148,8 +192,10 @@ func RunProgram(prog *Program) []Diagnostic {
 				Prog:   prog,
 				name:   a.Name,
 				report: report,
+				sinks:  &sinks,
 			})
 		}
+		walkHeldPackage(prog, pkg, sinks)
 	}
 	sortDiags(diags)
 	return diags
@@ -164,6 +210,9 @@ func sortDiags(diags []Diagnostic) {
 		if a.Pos.Line != b.Pos.Line {
 			return a.Pos.Line < b.Pos.Line
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }

@@ -20,19 +20,24 @@ func analyzeTree(t *testing.T, files map[string]string) []Diagnostic {
 	t.Helper()
 	dir := t.TempDir()
 	for rel, src := range files {
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatalf("mkdir: %v", err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatalf("write fixture: %v", err)
-		}
+		writeFixture(t, dir, rel, src)
 	}
 	diags, err := RunTree(dir)
 	if err != nil {
 		t.Fatalf("RunTree: %v", err)
 	}
 	return diags
+}
+
+func writeFixture(t *testing.T, dir, rel, src string) {
+	t.Helper()
+	path := filepath.Join(dir, rel)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatalf("mkdir: %v", err)
+	}
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatalf("write fixture: %v", err)
+	}
 }
 
 func wantFindings(t *testing.T, diags []Diagnostic, substrs ...string) {
@@ -330,42 +335,4 @@ func TestErrCodeAllowDirective(t *testing.T) {
 const legacyCode = "40001"
 `)
 	wantFindings(t, diags)
-}
-
-// TestLockSummariesKeys pins the exported summary key shape: package
-// name (not import path), receiver type, method — the exact string the
-// parse-only lock checker derives at a cross-package call site.
-func TestLockSummariesKeys(t *testing.T) {
-	dir := t.TempDir()
-	src := `package x
-
-import "sync"
-
-type M struct {
-	//sqlcm:lock x.mu
-	mu sync.Mutex
-}
-
-func (m *M) Acquire() {
-	m.mu.Lock()
-	m.mu.Unlock()
-}
-
-func free() {}
-`
-	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatalf("write fixture: %v", err)
-	}
-	prog, err := LoadTree(dir)
-	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
-	}
-	sums := prog.LockSummaries()
-	got, ok := sums["x.M.Acquire"]
-	if !ok || len(got) != 1 || got[0] != "x.mu" {
-		t.Fatalf(`sums["x.M.Acquire"] = %v, %v; want ["x.mu"]`, got, ok)
-	}
-	if _, ok := sums["x.free"]; ok {
-		t.Fatalf("lock-free function exported a summary: %v", sums["x.free"])
-	}
 }

@@ -29,10 +29,9 @@ var AtomicField = &Analyzer{
 
 func runAtomicField(p *Pass) {
 	targets := p.Prog.AtomicTargets()
-	allow := buildAllowIndex(p)
 	if len(targets) > 0 {
-		walkHeldPackage(p, func(u fieldUse) {
-			if !targets[u.obj] || u.atomicArg || u.fresh || allow.covers(p.Fset, u.pos) {
+		p.watchHeld(heldSink{use: func(u fieldUse) {
+			if !targets[u.obj] || u.atomicArg || u.fresh || p.allowed(u.pos) {
 				return
 			}
 			switch u.kind {
@@ -43,15 +42,15 @@ func runAtomicField(p *Pass) {
 			case accAddr:
 				p.Reportf(u.pos, "&%s escapes to a non-atomic callee; the pointee is accessed via sync/atomic elsewhere and must not be touched plainly", fieldRef(u.obj))
 			}
-		})
+		}})
 	}
-	checkAtomicCopies(p, targets, allow)
+	checkAtomicCopies(p, targets)
 }
 
 // checkAtomicCopies flags by-value copies of structs embedding atomic
 // state, in the positions a copy happens: assignment sources,
 // dereferences, call arguments, return values, and range values.
-func checkAtomicCopies(p *Pass, targets map[types.Object]bool, allow allowIndex) {
+func checkAtomicCopies(p *Pass, targets map[types.Object]bool) {
 	info := p.Pkg.Info
 	check := func(e ast.Expr) {
 		if e == nil {
@@ -66,8 +65,8 @@ func checkAtomicCopies(p *Pass, targets map[types.Object]bool, allow allowIndex)
 			return
 		}
 		t := info.TypeOf(e)
-		if t == nil {
-			return
+		if t == nil || info.Types[e].IsType() {
+			return // new(T) and conversions name a type, not a value
 		}
 		if _, isStruct := t.Underlying().(*types.Struct); !isStruct {
 			return
@@ -75,7 +74,7 @@ func checkAtomicCopies(p *Pass, targets map[types.Object]bool, allow allowIndex)
 		if !containsAtomicState(t, targets, map[types.Type]bool{}) {
 			return
 		}
-		if allow.covers(p.Fset, e.Pos()) {
+		if p.allowed(e.Pos()) {
 			return
 		}
 		p.Reportf(e.Pos(), "copies a %s value containing atomic state; the copy reads the atomic field(s) plainly — pass a pointer instead", typeRef(t))
@@ -105,7 +104,7 @@ func checkAtomicCopies(p *Pass, targets map[types.Object]bool, allow allowIndex)
 					if t := info.TypeOf(n.Value); t != nil {
 						if _, isStruct := t.Underlying().(*types.Struct); isStruct &&
 							containsAtomicState(t, targets, map[types.Type]bool{}) &&
-							!allow.covers(p.Fset, n.Value.Pos()) {
+							!p.allowed(n.Value.Pos()) {
 							p.Reportf(n.Value.Pos(), "range copies %s elements containing atomic state; iterate by index or store pointers", typeRef(t))
 						}
 					}

@@ -27,7 +27,6 @@ var CancelPoint = &Analyzer{
 func runCancelPoint(p *Pass) {
 	info := p.Pkg.Info
 	for _, file := range p.Pkg.Files {
-		allowed := allowedLines(p.Fset, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !hasDirective(fn, "cancellable") {
@@ -46,7 +45,7 @@ func runCancelPoint(p *Pass) {
 				default:
 					return true
 				}
-				if allowed[p.Fset.Position(n.Pos()).Line] {
+				if p.allowed(n.Pos()) {
 					return true
 				}
 				if !loopHasCancelPoint(p, info, body) {

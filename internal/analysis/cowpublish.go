@@ -34,14 +34,13 @@ var cowPublishOps = map[string]bool{"Store": true, "Swap": true, "CompareAndSwap
 
 func runCowPublish(p *Pass) {
 	validateCowFields(p)
-	allow := buildAllowIndex(p)
-	walkHeldPackage(p, func(u fieldUse) {
+	p.watchHeld(heldSink{use: func(u fieldUse) {
 		ff := p.FactsFor(u.obj)
 		if ff == nil {
 			return
 		}
 		class, ok := ff.CowFields[u.obj]
-		if !ok || u.fresh || allow.covers(p.Fset, u.pos) {
+		if !ok || u.fresh || p.allowed(u.pos) {
 			return
 		}
 		switch u.kind {
@@ -62,11 +61,11 @@ func runCowPublish(p *Pass) {
 				p.Reportf(u.pos, "&%s escapes; the COW field must only be touched through its atomic methods", fieldRef(u.obj))
 			}
 		}
-	})
+	}})
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkCowMutation(p, fn, allow)
+				checkCowMutation(p, fn)
 			}
 		}
 	}
@@ -92,7 +91,7 @@ func validateCowFields(p *Pass) {
 // assigned from cowField.Load() (directly, through a type assertion, or
 // by aliasing a tainted local's fields) are tainted; any write through a
 // tainted chain is a mutation of the published value.
-func checkCowMutation(p *Pass, fn *ast.FuncDecl, allow allowIndex) {
+func checkCowMutation(p *Pass, fn *ast.FuncDecl) {
 	info := p.Pkg.Info
 	tainted := map[types.Object]bool{}
 
@@ -155,7 +154,7 @@ func checkCowMutation(p *Pass, fn *ast.FuncDecl, allow allowIndex) {
 	}
 
 	report := func(e ast.Expr) {
-		if allow.covers(p.Fset, e.Pos()) {
+		if p.allowed(e.Pos()) {
 			return
 		}
 		p.Reportf(e.Pos(), "in-place mutation of a value loaded from a COW field: build a fresh value and Store it instead")
@@ -176,10 +175,8 @@ func checkCowMutation(p *Pass, fn *ast.FuncDecl, allow allowIndex) {
 				report(st.X)
 			}
 		case *ast.CallExpr:
-			if id, ok := unparen(st.Fun).(*ast.Ident); ok && id.Name == "delete" && info.Uses[id] == nil && len(st.Args) == 2 {
-				if exprTainted(st.Args[0]) {
-					report(st.Args[0])
-				}
+			if isBuiltinCall(info, st, "delete") && len(st.Args) == 2 && exprTainted(st.Args[0]) {
+				report(st.Args[0])
 			}
 		}
 		return true

@@ -51,7 +51,6 @@ func runCtxProp(p *Pass) {
 	info := p.Pkg.Info
 	strict := ctxStrict(p.Pkg)
 	for _, file := range p.Pkg.Files {
-		allowed := allowedLines(p.Fset, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -75,8 +74,7 @@ func runCtxProp(p *Pass) {
 				if !ok {
 					return true
 				}
-				line := p.Fset.Position(call.Pos()).Line
-				if name, ok := ctxMintCall(info, call); ok && !allowed[line] {
+				if name, ok := ctxMintCall(info, call); ok && !p.allowed(call.Pos()) {
 					switch {
 					case hasCtx:
 						p.Reportf(call.Pos(),
@@ -89,7 +87,7 @@ func runCtxProp(p *Pass) {
 					}
 					return true
 				}
-				if !hasCtx || allowed[line] {
+				if !hasCtx || p.allowed(call.Pos()) {
 					return true
 				}
 				if sib := ctxlessSibling(info, call); sib != "" {

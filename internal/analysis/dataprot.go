@@ -1,13 +1,10 @@
 package analysis
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/types"
 
 // Shared plumbing for the data-protection analyzers (guardedby,
 // atomicfield, cowpublish): whole-program unions over per-package facts
-// and the //sqlcm:allow line index.
+// and diagnostic rendering.
 
 // AtomicTargets returns every struct field accessed through a raw
 // sync/atomic call anywhere in the program. The atomicfield analyzer
@@ -22,40 +19,6 @@ func (p *Program) AtomicTargets() map[types.Object]bool {
 		}
 	}
 	return p.atomicTargets
-}
-
-// LockClassNames returns every lock class declared by a //sqlcm:lock
-// field anywhere in the program, for validating the classes named by
-// //sqlcm:guarded-by and //sqlcm:cow.
-func (p *Program) LockClassNames() map[string]bool {
-	if p.lockClassSet == nil {
-		p.lockClassSet = map[string]bool{}
-		for _, pkg := range p.Packages {
-			for _, class := range pkg.Facts.LockFields {
-				p.lockClassSet[class] = true
-			}
-		}
-	}
-	return p.lockClassSet
-}
-
-// allowIndex maps filename to the source lines covered by a
-// //sqlcm:allow comment, for checks that report through the held-set
-// walker (positions, not syntax, in hand).
-type allowIndex map[string]map[int]bool
-
-func buildAllowIndex(p *Pass) allowIndex {
-	idx := allowIndex{}
-	for _, file := range p.Pkg.Files {
-		pos := p.Fset.Position(file.Pos())
-		idx[pos.Filename] = allowedLines(p.Fset, file)
-	}
-	return idx
-}
-
-func (ai allowIndex) covers(fset *token.FileSet, pos token.Pos) bool {
-	position := fset.Position(pos)
-	return ai[position.Filename][position.Line]
 }
 
 // fieldRef renders a struct field for diagnostics as pkg.field.

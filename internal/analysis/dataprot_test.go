@@ -35,6 +35,43 @@ func (r *reg) bump() {
 	wantFindings(t, diags, "write of x.n requires the write side of x.reg, which is only read-held here")
 }
 
+// Builtins resolve through go/types (a *types.Builtin, not a nil use):
+// delete mutates the map it is handed, and new(T) is a fresh allocation.
+func TestGuardedByBuiltins(t *testing.T) {
+	diags := analyzeSrc(t, guardedHeader+`
+func (r *reg) drop(k string) {
+	r.mu.RLock()
+	delete(r.m, k)
+	r.mu.RUnlock()
+}
+
+func newReg() *reg {
+	r := new(reg)
+	r.n = 1
+	return r
+}
+`)
+	wantFindings(t, diags, "write of x.m requires the write side of x.reg, which is only read-held here")
+}
+
+// A callee that locks and defer-unlocks holds nothing when it returns:
+// its summary must not leak the class into the caller's held-set.
+func TestGuardedByDeferredUnlockNotInSummary(t *testing.T) {
+	diags := analyzeSrc(t, guardedHeader+`
+func (r *reg) size() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.m)
+}
+
+func (r *reg) peek() int {
+	_ = r.size()
+	return r.n
+}
+`)
+	wantFindings(t, diags, "read of x.n requires x.reg (held: no lock)")
+}
+
 func TestGuardedByDeferUnlockKeepsHeld(t *testing.T) {
 	diags := analyzeSrc(t, guardedHeader+`
 func (r *reg) get(k string) int {

@@ -36,7 +36,6 @@ func runErrCode(p *Pass) {
 	}
 	files := append(append([]*ast.File(nil), p.Pkg.Files...), p.Pkg.TestFiles...)
 	for _, file := range files {
-		allowed := allowedLines(p.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			lit, ok := n.(*ast.BasicLit)
 			if !ok || lit.Kind != token.STRING {
@@ -46,7 +45,7 @@ func runErrCode(p *Pass) {
 			if err != nil || !looksLikeSQLSTATE(s) {
 				return true
 			}
-			if allowed[p.Fset.Position(lit.Pos()).Line] {
+			if p.allowed(lit.Pos()) {
 				return true
 			}
 			p.Reportf(lit.Pos(),

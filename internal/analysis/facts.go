@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -35,10 +36,17 @@ type Facts struct {
 	SelfOwned map[types.Object]bool
 	// LockClasses maps a function to the declared lock classes it may
 	// acquire, directly or transitively. This is the cross-package edge
-	// summary internal/lockcheck consumes.
+	// the lockorder analyzer checks at call sites into another package.
 	LockClasses map[types.Object][]string
 	// LockFields maps //sqlcm:lock-annotated mutex fields to their class.
 	LockFields map[types.Object]string
+	// LockDecls lists the package's well-formed //sqlcm:lock declarations
+	// in source order: the nodes and "after" edges of the lock-order DAG.
+	LockDecls []LockDecl
+	// Guards maps a lock class to the "pkg.Type.field" names this package
+	// declares it protects (//sqlcm:guards lists, //sqlcm:guarded-by and
+	// //sqlcm:cow fields), for the generated lock-order document.
+	Guards map[string][]string
 	// GuardedBy maps struct fields to the lock class that must be held to
 	// touch them, from either spelling: a //sqlcm:guards list on the mutex
 	// field, or a per-field //sqlcm:guarded-by <class> directive.
@@ -58,6 +66,14 @@ type Facts struct {
 	CtxStrict bool
 }
 
+// LockDecl is one //sqlcm:lock <class> [after <class>...] field annotation.
+type LockDecl struct {
+	Class string
+	After []string  // classes that may be held when acquiring Class
+	Field string    // "pkg.Type.field"
+	Pos   token.Pos // the field declaration
+}
+
 func newFacts() *Facts {
 	return &Facts{
 		Callback:      map[types.Object]bool{},
@@ -67,6 +83,7 @@ func newFacts() *Facts {
 		SelfOwned:     map[types.Object]bool{},
 		LockClasses:   map[types.Object][]string{},
 		LockFields:    map[types.Object]string{},
+		Guards:        map[string][]string{},
 		GuardedBy:     map[types.Object]string{},
 		CowFields:     map[types.Object]string{},
 		AtomicUse:     map[types.Object]bool{},
@@ -125,7 +142,7 @@ func computeFacts(prog *Program, pkg *Package) {
 					if !ok {
 						continue
 					}
-					collectTypeFacts(info, f, ts)
+					collectTypeFacts(info, f, pkg.Types.Name(), ts)
 				}
 			}
 		}
@@ -179,9 +196,10 @@ func computeFacts(prog *Program, pkg *Package) {
 // //sqlcm:lock classes on struct mutex fields, //sqlcm:cancelpoint and
 // //sqlcm:callback on interface method declarations (so dynamic dispatch
 // through the interface inherits the facts).
-func collectTypeFacts(info *types.Info, f *Facts, ts *ast.TypeSpec) {
+func collectTypeFacts(info *types.Info, f *Facts, pkgName string, ts *ast.TypeSpec) {
 	switch t := ts.Type.(type) {
 	case *ast.StructType:
+		qual := pkgName + "." + ts.Name.Name + "."
 		// First pass: field-name → object map (guards lists name siblings)
 		// and the per-field directives.
 		fieldObjs := map[string]types.Object{}
@@ -191,45 +209,39 @@ func collectTypeFacts(info *types.Info, f *Facts, ts *ast.TypeSpec) {
 					fieldObjs[name.Name] = obj
 				}
 			}
-			if class, ok := fieldDirective(field, "guarded-by"); ok && class != "" {
-				for _, name := range field.Names {
-					if obj := info.Defs[name]; obj != nil {
-						f.GuardedBy[obj] = class
-					}
+			for dir, into := range map[string]map[types.Object]string{"guarded-by": f.GuardedBy, "cow": f.CowFields} {
+				class, ok := fieldDirective(field, dir)
+				if !ok || class == "" {
+					continue
 				}
-			}
-			if class, ok := fieldDirective(field, "cow"); ok && class != "" {
 				for _, name := range field.Names {
 					if obj := info.Defs[name]; obj != nil {
-						f.CowFields[obj] = class
+						into[obj] = class
+						f.Guards[class] = append(f.Guards[class], qual+name.Name)
 					}
 				}
 			}
 		}
 		for _, field := range t.Fields.List {
-			class, ok := fieldDirective(field, "lock")
-			if !ok {
-				continue
-			}
-			if i := strings.IndexByte(class, ' '); i >= 0 {
-				class = class[:i] // drop any "after <class>" tail
+			class, after, ok, bad := lockDirective(field)
+			if !ok || bad != "" {
+				continue // missing and malformed annotations are lockclass findings
 			}
 			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil && class != "" {
+				if obj := info.Defs[name]; obj != nil {
 					f.LockFields[obj] = class
+					f.LockDecls = append(f.LockDecls, LockDecl{Class: class, After: after, Field: qual + name.Name, Pos: field.Pos()})
 				}
 			}
 			// //sqlcm:guards <field,...> on the mutex binds the named
 			// sibling fields to this class ("none" declares explicitly that
 			// the mutex guards no plain fields). Unresolvable names are
 			// diagnosed by the guardedby analyzer, not here.
-			if list, ok := fieldDirective(field, "guards"); ok && class != "" {
+			if list, ok := fieldDirective(field, "guards"); ok {
 				for _, fname := range splitGuardsList(list) {
-					if fname == "none" {
-						continue
-					}
-					if obj := fieldObjs[fname]; obj != nil {
+					if obj := fieldObjs[fname]; obj != nil && fname != "none" {
 						f.GuardedBy[obj] = class
+						f.Guards[class] = append(f.Guards[class], qual+fname)
 					}
 				}
 			}
@@ -526,6 +538,39 @@ func fieldDirective(field *ast.Field, name string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// lockDirective parses a field's //sqlcm:lock <class> [after <class>...]
+// annotation. found reports whether the field carries one; bad is
+// non-empty when it is malformed.
+func lockDirective(field *ast.Field) (class string, after []string, found bool, bad string) {
+	var args []string
+	lines := 0
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		for _, c := range cg.List {
+			text := strings.TrimSpace(c.Text)
+			if text == "//sqlcm:lock" || strings.HasPrefix(text, "//sqlcm:lock ") {
+				lines++
+				args = strings.Fields(text)[1:]
+			}
+		}
+	}
+	switch {
+	case lines == 0:
+		return "", nil, false, ""
+	case lines > 1:
+		return "", nil, true, "more than one //sqlcm:lock line on a single field"
+	case len(args) == 0:
+		return "", nil, true, "missing class name"
+	case len(args) > 1 && (args[1] != "after" || len(args) == 2):
+		return "", nil, true, fmt.Sprintf("expected %q followed by class names, got %q", "after", strings.Join(args[1:], " "))
+	case len(args) == 1:
+		return args[0], nil, true, ""
+	}
+	return args[0], args[2:], true, ""
 }
 
 // hasDirective reports whether the function's doc comment carries the

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -13,10 +15,13 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // TestSeededFixtureGoldens pins the exact diagnostics for one seeded
 // defect per analyzer: a dropped context, a poll-free row loop, an
 // ownerless goroutine, a raw SQLSTATE literal, an unguarded field
-// access, a mixed atomic/plain counter, and an in-place COW mutation.
-// Each fixture also carries the fixed shape of the same pattern, so the
-// goldens prove both that the defect fires and that the repair silences
-// it.
+// access, a mixed atomic/plain counter, an in-place COW mutation, and
+// the seeded lock bugs — order inversion, missing unlock, send and
+// enqueue under a lock, unannotated mutex, cyclic declaration, an
+// unclassed lock on the hot path, and a cross-package ordering edge
+// proved through the sibling package's real facts. Each fixture also
+// carries the fixed shape of the same pattern, so the goldens prove both
+// that the defect fires and that the repair silences it.
 func TestSeededFixtureGoldens(t *testing.T) {
 	cases := []string{
 		"ctxdrop",
@@ -26,6 +31,14 @@ func TestSeededFixtureGoldens(t *testing.T) {
 		"guardmiss",
 		"mixedatomic",
 		"cowinplace",
+		"seededinversion",
+		"missingunlock",
+		"sendunderlock",
+		"unannotated",
+		"cycle",
+		"enqueue",
+		"hotpathlock",
+		"crosssummary",
 	}
 	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -59,15 +72,32 @@ func TestSeededFixtureGoldens(t *testing.T) {
 
 // TestAnnotatedTreeIsClean runs every analyzer over the repository and
 // requires zero findings: the shipped tree must satisfy its own declared
-// concurrency discipline. This is the same gate `make vet` enforces in
-// CI; keeping it in the test suite means a plain `go test ./...` catches
-// a regression before the vet step runs.
+// concurrency discipline and lock hierarchy. This is the same gate `make
+// vet` enforces in CI; keeping it in the test suite means a plain `go
+// test ./...` catches a regression before the vet step runs. The same
+// load must carry the one cross-package lock edge the serving path has
+// as a fact: acquiring a row/table lock through lock.Manager reaches the
+// lock.manager latch.
 func TestAnnotatedTreeIsClean(t *testing.T) {
-	diags, err := RunTree("../..")
+	prog, err := LoadTree("../..")
 	if err != nil {
-		t.Fatalf("RunTree: %v", err)
+		t.Fatalf("LoadTree: %v", err)
 	}
-	for _, d := range diags {
+	for _, d := range RunProgram(prog) {
 		t.Errorf("unexpected finding: %s", d)
 	}
+	pkg := prog.PackageByPath("sqlcm/internal/lock")
+	if pkg == nil {
+		t.Fatal("sqlcm/internal/lock not loaded")
+	}
+	mgr, _ := pkg.Types.Scope().Lookup("Manager").Type().(*types.Named)
+	for i := 0; mgr != nil && i < mgr.NumMethods(); i++ {
+		if m := mgr.Method(i); m.Name() == "Acquire" {
+			if got := pkg.Facts.LockClasses[m]; !slices.Contains(got, "lock.manager") {
+				t.Errorf("LockClasses[(*lock.Manager).Acquire] = %v, want it to include %q", got, "lock.manager")
+			}
+			return
+		}
+	}
+	t.Error("(*lock.Manager).Acquire not found")
 }

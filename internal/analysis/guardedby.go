@@ -13,8 +13,8 @@ import (
 // class is held. Reads require the class in any mode; writes, address
 // escapes, and method calls on the field require the write side.
 //
-// The held-set is computed by the same flow-approximate walk
-// internal/lockcheck uses: branches merge conservatively, so a class
+// The held-set comes from the shared flow-approximate walk (heldwalk.go)
+// the lock-hierarchy analyzers also use: branches merge conservatively, so a class
 // held on only some paths still counts as held (the analyzer stays
 // silent rather than guessing), and a `defer mu.Unlock()` keeps the
 // class held to the end of the function. Accesses through locals
@@ -30,14 +30,13 @@ var GuardedBy = &Analyzer{
 func runGuardedBy(p *Pass) {
 	validateGuardAnnotations(p)
 	validateAllowReasons(p)
-	allow := buildAllowIndex(p)
-	walkHeldPackage(p, func(u fieldUse) {
+	p.watchHeld(heldSink{use: func(u fieldUse) {
 		ff := p.FactsFor(u.obj)
 		if ff == nil {
 			return
 		}
 		class, ok := ff.GuardedBy[u.obj]
-		if !ok || u.fresh || allow.covers(p.Fset, u.pos) {
+		if !ok || u.fresh || p.allowed(u.pos) {
 			return
 		}
 		held, write := heldFor(u.held, class)
@@ -51,7 +50,7 @@ func runGuardedBy(p *Pass) {
 				"%s of %s requires the write side of %s, which is only read-held here",
 				u.kind, fieldRef(u.obj), class)
 		}
-	})
+	}})
 }
 
 // validateAllowReasons reports //sqlcm:allow comments with no trailing
@@ -79,7 +78,7 @@ func validateAllowReasons(p *Pass) {
 // guarded-by or cow directive must name a lock class that exists
 // somewhere in the program; a field must not be claimed by two classes.
 func validateGuardAnnotations(p *Pass) {
-	classes := p.Prog.LockClassNames()
+	classes := p.Prog.lockOrder().classes
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -101,7 +100,7 @@ func validateGuardAnnotations(p *Pass) {
 	}
 }
 
-func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) {
+func validateStructGuards(p *Pass, classes map[string]*lockClass, st *ast.StructType) {
 	siblings := map[string]bool{}
 	for _, field := range st.Fields.List {
 		for _, name := range field.Names {
@@ -119,12 +118,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		claimed[fname] = class
 	}
 	for _, field := range st.Fields.List {
-		lockClass, isLock := fieldDirective(field, "lock")
-		if isLock {
-			if i := strings.IndexByte(lockClass, ' '); i >= 0 {
-				lockClass = lockClass[:i]
-			}
-		}
+		lockClass, _, isLock, _ := lockDirective(field)
 		if list, ok := fieldDirective(field, "guards"); ok {
 			if !isLock {
 				p.Reportf(field.Pos(), "//sqlcm:guards on a field without //sqlcm:lock: the guards list belongs on the mutex it describes")
@@ -151,7 +145,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		if class, ok := fieldDirective(field, "guarded-by"); ok {
 			if class == "" {
 				p.Reportf(field.Pos(), "//sqlcm:guarded-by needs a lock class argument")
-			} else if !classes[class] {
+			} else if classes[class] == nil {
 				p.Reportf(field.Pos(), "//sqlcm:guarded-by names unknown lock class %s (no //sqlcm:lock field declares it)", class)
 			} else {
 				for _, name := range field.Names {
@@ -162,7 +156,7 @@ func validateStructGuards(p *Pass, classes map[string]bool, st *ast.StructType) 
 		if class, ok := fieldDirective(field, "cow"); ok {
 			if class == "" {
 				p.Reportf(field.Pos(), "//sqlcm:cow needs a writer lock class argument")
-			} else if !classes[class] {
+			} else if classes[class] == nil {
 				p.Reportf(field.Pos(), "//sqlcm:cow names unknown lock class %s (no //sqlcm:lock field declares it)", class)
 			}
 		}

@@ -4,18 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// This file is the type-aware sibling of internal/lockcheck/check's
-// flow-approximate held-set walk, shared by the guardedby and cowpublish
-// analyzers. The shape is the same — branches walked on cloned held-sets
-// and merged with a maybe-held union, loops walked once, function
-// literals analyzed inline at their syntactic position, one level of
-// same-package interprocedural summaries — but lock receivers and field
-// accesses resolve through go/types instead of syntactic inference, so a
-// guarded field is recognized no matter how the expression spells it.
+// This file is the one flow-approximate held-set walk every lock-aware
+// analyzer shares: the data-protection checks (guardedby, atomicfield,
+// cowpublish) subscribe to its field-use events, the lock-hierarchy checks
+// (lockorder, lockunlock, locksend, lockclass) to its lock events. Branches
+// are walked on cloned held-sets and merged with a maybe-held union (a
+// branch ending in return or panic is checked at its exit and discarded),
+// loops are walked once, function literals are analyzed inline at their
+// syntactic position, and same-package calls replay a one-level summary
+// of the callee. Lock receivers, field accesses and callees resolve
+// through go/types, so a lock or a guarded field is recognized no matter
+// how the expression spells it.
 
 // accessKind classifies one use of a struct field.
 type accessKind int
@@ -41,14 +44,21 @@ func (k accessKind) String() string {
 
 // heldEntry is how one lock class is held at a program point.
 type heldEntry struct {
-	write      bool // held via Lock/TryLock, not just the read side
-	maybe      bool // held on only some merged control-flow paths
-	fromCaller bool // seeded by //sqlcm:lock-held or //sqlcm:lock-release
+	pos   token.Pos // acquisition site
+	write bool      // held via Lock/TryLock, not just the read side
+	// maybe marks a class held on only some merged control-flow paths
+	// ("if t.bounded { t.orderMu.Lock() }"). Ordering checks still apply
+	// — the lock really is held on one path — but same-class and leak
+	// reports are suppressed: the matching conditional unlock is beyond
+	// this walk's precision, and the runtime lockdep build covers those.
+	maybe      bool
+	deferred   bool // a defer releases it at function exit
+	fromCaller bool // seeded by //sqlcm:lock-held or //sqlcm:lock-release, or inherited by an inline callback
 }
 
-// fieldUse is one access to a struct field, delivered to the analyzer
-// callback together with the live held-set at that point. The held map
-// must not be retained past the callback.
+// fieldUse is one access to a struct field, delivered to subscribers
+// together with the live held-set at that point. The held map must not be
+// retained past the callback.
 type fieldUse struct {
 	obj       types.Object
 	pos       token.Pos
@@ -59,71 +69,118 @@ type fieldUse struct {
 	held      map[string]*heldEntry
 }
 
-// heldSummary is the one-level interprocedural digest of a function,
-// applied at same-package call sites.
-type heldSummary struct {
-	requires []string        // //sqlcm:lock-held classes
-	releases []string        // //sqlcm:lock-release classes
-	net      map[string]bool // class -> write-mode held at fall-off exit
+// lockEventKind classifies the lock-relevant program points of the walk.
+type lockEventKind int
+
+const (
+	evAcquire    lockEventKind = iota // class is about to be acquired
+	evRelease                         // class is about to be released
+	evUnresolved                      // Lock/Unlock call whose receiver has no declared class
+	evSend                            // channel send that can block
+	evEnqueue                         // outbox Enqueue/TryEnqueue call
+	evCall                            // call to a function with a lock summary
+	evExit                            // return statement, or falling off the function's end
+)
+
+// lockEvent is one lock-relevant program point. held is the live held-set
+// before the event takes effect and must not be retained.
+type lockEvent struct {
+	kind    lockEventKind
+	pos     token.Pos
+	held    map[string]*heldEntry
+	handoff map[string]bool // the walked function's //sqlcm:lock-release classes
+	class   string          // evAcquire, evRelease
+	call    *ast.CallExpr   // evUnresolved
+	callee  *types.Func     // evCall
+	sum     *heldSummary    // evCall
 }
 
-// walkHeldPackage walks every function of the package, delivering each
-// struct-field access to onUse with the held-set current at that point.
-func walkHeldPackage(p *Pass, onUse func(fieldUse)) {
-	sums := map[types.Object]*heldSummary{}
-	// Pass 1: summaries, with access reporting disabled.
-	for _, file := range p.Pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj := p.Pkg.Info.Defs[fn.Name]
-			if obj == nil {
-				continue
-			}
-			sums[obj] = walkHeldFunc(p, fn, sums, nil)
-		}
+// heldSink is one analyzer's subscription to the walk; nil callbacks are
+// skipped.
+type heldSink struct {
+	use  func(fieldUse)
+	lock func(lockEvent)
+}
+
+// heldSummary is the one-level interprocedural digest of a function,
+// replayed at same-package call sites. For a callee in another package
+// it is synthesized from Facts.LockClasses (external): the caller owes
+// the ordering proof for every class the callee can reach, but the
+// held-set is not mutated — unlock balance is the callee's own package's
+// walk to report.
+type heldSummary struct {
+	requires []string        // //sqlcm:lock-held classes, sorted
+	releases []string        // //sqlcm:lock-release classes, sorted
+	acquires []string        // classes the body acquires (external: may reach), sorted
+	net      map[string]bool // class -> write-mode held at fall-off exit
+	external bool
+}
+
+// enqueueOps are the outbox methods that must not be called under a lock.
+var enqueueOps = map[string]bool{"Enqueue": true, "TryEnqueue": true}
+
+var lockReleaseOps = map[string]bool{"Unlock": true, "RUnlock": true}
+
+// walkHeldPackage walks every function of the package once for all
+// subscribers: pass one computes per-function summaries with events
+// disabled, pass two re-walks with summaries applied and events delivered.
+func walkHeldPackage(prog *Program, pkg *Package, sinks []heldSink) {
+	if len(sinks) == 0 {
+		return
 	}
-	// Pass 2: re-walk with summaries applied and accesses reported.
-	for _, file := range p.Pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+	sums := map[types.Object]*heldSummary{}
+	for _, deliver := range [][]heldSink{nil, sinks} {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				s := walkHeldFunc(prog, pkg, fn, sums, deliver)
+				if obj := pkg.Info.Defs[fn.Name]; obj != nil && deliver == nil {
+					sums[obj] = s
+				}
 			}
-			walkHeldFunc(p, fn, sums, onUse)
 		}
 	}
 }
 
 // walkHeldFunc walks one function and returns its summary.
-func walkHeldFunc(p *Pass, fn *ast.FuncDecl, sums map[types.Object]*heldSummary, onUse func(fieldUse)) *heldSummary {
-	w := &heldWalker{
-		pass:  p,
-		info:  p.Pkg.Info,
-		sums:  sums,
-		onUse: onUse,
-		fresh: freshLocals(p.Pkg.Info, fn),
-		held:  map[string]*heldEntry{},
-	}
+func walkHeldFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, sums map[types.Object]*heldSummary, sinks []heldSink) *heldSummary {
 	s := &heldSummary{
 		requires: funcDirectiveArgs(fn, "lock-held"),
 		releases: funcDirectiveArgs(fn, "lock-release"),
 		net:      map[string]bool{},
 	}
+	slices.Sort(s.requires)
+	slices.Sort(s.releases)
+	w := &heldWalker{
+		prog:     prog,
+		pkg:      pkg,
+		info:     pkg.Info,
+		sums:     sums,
+		sinks:    sinks,
+		fresh:    freshLocals(pkg.Info, fn),
+		held:     map[string]*heldEntry{},
+		handoff:  map[string]bool{},
+		acquired: map[string]bool{},
+	}
 	for _, class := range s.requires {
-		w.held[class] = &heldEntry{write: true, fromCaller: true}
+		w.held[class] = &heldEntry{pos: fn.Pos(), write: true, fromCaller: true}
 	}
 	for _, class := range s.releases {
-		w.held[class] = &heldEntry{write: true, fromCaller: true}
+		w.held[class] = &heldEntry{pos: fn.Pos(), write: true, fromCaller: true}
+		w.handoff[class] = true
 	}
 	if fn.Body == nil {
 		return s
 	}
-	w.walkBlock(fn.Body.List)
+	if !w.walkBlock(fn.Body.List) {
+		w.emitLock(lockEvent{kind: evExit, pos: fn.Body.Rbrace})
+	}
+	s.acquires = sortedKeys(w.acquired)
 	for class, e := range w.held {
-		if !e.fromCaller && !e.maybe {
+		if !e.deferred && !e.fromCaller && !e.maybe {
 			s.net[class] = e.write
 		}
 	}
@@ -131,32 +188,38 @@ func walkHeldFunc(p *Pass, fn *ast.FuncDecl, sums map[types.Object]*heldSummary,
 }
 
 // heldWalker tracks the held lock classes along one control-flow path.
-// Branches run on clones; sums, fresh and the callback are shared.
+// Branches run on clones; everything but held is shared.
 type heldWalker struct {
-	pass  *Pass
-	info  *types.Info
-	sums  map[types.Object]*heldSummary
-	onUse func(fieldUse)
-	fresh map[types.Object]bool
-	held  map[string]*heldEntry
+	prog     *Program
+	pkg      *Package
+	info     *types.Info
+	sums     map[types.Object]*heldSummary
+	sinks    []heldSink
+	fresh    map[types.Object]bool
+	held     map[string]*heldEntry
+	handoff  map[string]bool // //sqlcm:lock-release classes of the function
+	acquired map[string]bool // every class the function body acquires
 }
 
 func (w *heldWalker) clone() *heldWalker {
-	nh := make(map[string]*heldEntry, len(w.held))
+	c := *w
+	c.held = make(map[string]*heldEntry, len(w.held))
 	for k, v := range w.held {
-		c := *v
-		nh[k] = &c
+		e := *v
+		c.held[k] = &e
 	}
-	return &heldWalker{pass: w.pass, info: w.info, sums: w.sums, onUse: w.onUse, fresh: w.fresh, held: nh}
+	return &c
 }
 
 // unionInto merges o's held-set in: a class held on any incoming path
-// stays held, downgraded to maybe when the paths disagree and to the
-// read side when only one path holds the write lock.
+// stays held (the conservative choice for ordering and access checks),
+// downgraded to maybe when the paths disagree and to the read side when
+// only one path holds the write lock.
 func (w *heldWalker) unionInto(o *heldWalker) {
 	for k, v := range o.held {
 		if mine, ok := w.held[k]; ok {
 			mine.maybe = mine.maybe || v.maybe
+			mine.deferred = mine.deferred || v.deferred
 			mine.write = mine.write && v.write
 		} else {
 			c := *v
@@ -186,6 +249,11 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		w.scanExpr(st.X, accRead)
+		if call, ok := st.X.(*ast.CallExpr); ok && isBuiltinCall(w.info, call, "panic") {
+			// A panicking path dies (or is quarantined by a recover
+			// upstream); held locks are not a leak here.
+			return true
+		}
 	case *ast.AssignStmt:
 		for _, e := range st.Rhs {
 			w.scanExpr(e, accRead)
@@ -212,6 +280,7 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 		for _, e := range st.Results {
 			w.scanExpr(e, accRead)
 		}
+		w.emitLock(lockEvent{kind: evExit, pos: st.Pos()})
 		return true
 	case *ast.BranchStmt:
 		return true
@@ -224,11 +293,14 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 			gw := w.clone()
 			gw.held = map[string]*heldEntry{}
 			gw.walkBlock(lit.Body.List)
+		} else {
+			w.scanExpr(st.Call.Fun, accRead)
 		}
 		for _, a := range st.Call.Args {
 			w.scanExpr(a, accRead)
 		}
 	case *ast.SendStmt:
+		w.emitLock(lockEvent{kind: evSend, pos: st.Arrow})
 		w.scanExpr(st.Chan, accRead)
 		w.scanExpr(st.Value, accRead)
 	case *ast.IfStmt:
@@ -287,19 +359,7 @@ func (w *heldWalker) walkStmt(s ast.Stmt) bool {
 		}
 		w.walkCases(st.Body)
 	case *ast.SelectStmt:
-		for _, cs := range st.Body.List {
-			cc, ok := cs.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			cw := w.clone()
-			if cc.Comm != nil {
-				cw.walkStmt(cc.Comm)
-			}
-			if !cw.walkBlock(cc.Body) {
-				w.unionInto(cw)
-			}
-		}
+		w.walkSelect(st)
 	case *ast.LabeledStmt:
 		return w.walkStmt(st.Stmt)
 	}
@@ -324,19 +384,50 @@ func (w *heldWalker) walkCases(body *ast.BlockStmt) {
 	}
 }
 
-// handleDefer processes a deferred call. A deferred unlock keeps the
-// class held for the rest of the walk (exactly what the access checks
-// want); any other deferred call is scanned for accesses under the
-// current held-set, which is the conservative approximation.
-func (w *heldWalker) handleDefer(call *ast.CallExpr) {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && lockReleaseOps[sel.Sel.Name] {
-		if _, ok := lockClassOf(w.pass.Prog, w.info, sel.X); ok {
-			return // deferred unlock: class stays held until return
+// walkSelect walks a select statement. Sends in a select that has a
+// default clause cannot block and raise no evSend.
+func (w *heldWalker) walkSelect(st *ast.SelectStmt) {
+	hasDefault := false
+	for _, cs := range st.Body.List {
+		if cc, ok := cs.(*ast.CommClause); ok && cc.Comm == nil {
+			hasDefault = true
 		}
 	}
+	for _, cs := range st.Body.List {
+		cc, ok := cs.(*ast.CommClause)
+		if !ok {
+			continue
+		}
+		cw := w.clone()
+		if send, ok := cc.Comm.(*ast.SendStmt); ok && hasDefault {
+			cw.scanExpr(send.Chan, accRead)
+			cw.scanExpr(send.Value, accRead)
+		} else if cc.Comm != nil {
+			cw.walkStmt(cc.Comm)
+		}
+		if !cw.walkBlock(cc.Body) {
+			w.unionInto(cw)
+		}
+	}
+}
+
+// handleDefer processes a deferred call. A deferred unlock — direct, or
+// inside a deferred function literal — marks the class as covered and
+// keeps it held for the rest of the walk (exactly what the access checks
+// want); a deferred literal's body and any other deferred call are
+// scanned under the current held-set, the conservative approximation.
+func (w *heldWalker) handleDefer(call *ast.CallExpr) {
+	if w.markDeferredUnlock(call) {
+		return
+	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		lw := w.clone()
-		lw.walkBlock(lit.Body.List)
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				w.markDeferredUnlock(c)
+			}
+			return true
+		})
+		w.walkLiteral(lit)
 		return
 	}
 	w.scanExpr(call.Fun, accRead)
@@ -345,11 +436,35 @@ func (w *heldWalker) handleDefer(call *ast.CallExpr) {
 	}
 }
 
-// lockReleaseOps mirrors internal/lockcheck/check.
-var lockReleaseOps = map[string]bool{"Unlock": true, "RUnlock": true}
+// walkLiteral walks a function literal inline under the current held-set:
+// literals run synchronously at their syntactic position in this codebase
+// (scan callbacks). The locks held there are the enclosing function's
+// responsibility: ordering inside the literal is still checked against
+// them, but a return inside the literal is not a leak.
+func (w *heldWalker) walkLiteral(lit *ast.FuncLit) {
+	lw := w.clone()
+	for _, e := range lw.held {
+		e.fromCaller = true
+	}
+	lw.walkBlock(lit.Body.List)
+}
+
+// markDeferredUnlock reports whether call is an unlock of a declared
+// class, flagging the class as defer-released when it is held.
+func (w *heldWalker) markDeferredUnlock(call *ast.CallExpr) bool {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || !lockReleaseOps[sel.Sel.Name] {
+		return false
+	}
+	class, ok := lockClassOf(w.prog, w.info, sel.X)
+	if e := w.held[class]; ok && e != nil {
+		e.deferred = true
+	}
+	return ok
+}
 
 // scanExpr classifies field uses in an expression, applying lock
-// operations and same-package call summaries along the way.
+// operations and call summaries along the way.
 func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 	if e == nil {
 		return
@@ -386,10 +501,6 @@ func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 		w.scanCall(x)
 	case *ast.CompositeLit:
 		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				w.scanExpr(kv.Value, accRead)
-				continue
-			}
 			w.scanExpr(el, accRead)
 		}
 	case *ast.KeyValueExpr:
@@ -398,28 +509,20 @@ func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 	case *ast.TypeAssertExpr:
 		w.scanExpr(x.X, accRead)
 	case *ast.FuncLit:
-		// Literals run synchronously at their syntactic position in this
-		// codebase (scan callbacks): walk inline under the current held-set.
-		lw := w.clone()
-		for _, entry := range lw.held {
-			entry.fromCaller = true
-		}
-		lw.walkBlock(x.Body.List)
+		w.walkLiteral(x)
 	case *ast.IndexListExpr:
 		w.scanExpr(x.X, kind)
 	}
 }
 
 // scanCall handles one call expression: a lock operation, a raw
-// sync/atomic call, a method on a field, a builtin, or a same-package
-// call whose summary is applied.
+// sync/atomic call, a method on a field, a builtin, or a call whose
+// callee's lock summary is applied.
 func (w *heldWalker) scanCall(call *ast.CallExpr) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "delete" && w.info.Uses[id] == nil {
+	if isBuiltinCall(w.info, call, "delete") && len(call.Args) == 2 {
 		// builtin delete mutates the map argument.
-		if len(call.Args) == 2 {
-			w.scanExpr(call.Args[0], accWrite)
-			w.scanExpr(call.Args[1], accRead)
-		}
+		w.scanExpr(call.Args[0], accWrite)
+		w.scanExpr(call.Args[1], accRead)
 		return
 	}
 	if isRawAtomicCall(w.info, call) {
@@ -432,60 +535,61 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 		}
 		return
 	}
+	recv := call.Fun
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		op := sel.Sel.Name
-		if lockAcquireOps[op] || lockReleaseOps[op] {
-			if class, ok := lockClassOf(w.pass.Prog, w.info, sel.X); ok {
-				if lockAcquireOps[op] {
-					w.acquire(class, op == "Lock" || op == "TryLock")
-				} else {
-					w.release(class)
-				}
-				for _, a := range call.Args {
-					w.scanExpr(a, accRead)
-				}
+		switch {
+		case lockAcquireOps[op] || lockReleaseOps[op]:
+			if class, ok := lockClassOf(w.prog, w.info, sel.X); !ok {
+				w.emitLock(lockEvent{kind: evUnresolved, pos: call.Pos(), call: call})
+			} else if lockAcquireOps[op] {
+				w.acquire(class, op == "Lock" || op == "TryLock", call.Pos())
+				return
+			} else {
+				w.emitLock(lockEvent{kind: evRelease, pos: call.Pos(), class: class})
+				delete(w.held, class)
 				return
 			}
+		case enqueueOps[op]:
+			w.emitLock(lockEvent{kind: evEnqueue, pos: call.Pos()})
 		}
 		if obj := fieldObjOf(w.info, sel); obj != nil {
 			// A field of function type invoked directly (x.fn(args)).
 			w.emit(obj, sel.Pos(), accCall, op, false, w.isFresh(sel.X))
-			w.scanExpr(sel.X, accRead)
-			for _, a := range call.Args {
-				w.scanExpr(a, accRead)
-			}
-			return
-		}
-		if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
+			recv = sel.X
+		} else if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
 			if obj := fieldObjOf(w.info, inner); obj != nil {
 				// A method invoked on the field itself (x.f.Load(),
 				// x.wg.Wait()): sel selects the method, inner the field.
 				w.emit(obj, inner.Pos(), accCall, op, false, w.isFresh(inner.X))
-				w.scanExpr(inner.X, accRead)
-				for _, a := range call.Args {
-					w.scanExpr(a, accRead)
-				}
-				return
+				recv = inner.X
 			}
 		}
 	}
-	w.scanExpr(call.Fun, accRead)
+	w.scanExpr(recv, accRead)
 	for _, a := range call.Args {
 		w.scanExpr(a, accRead)
 	}
-	if callee := calleeOf(w.info, call); callee != nil {
-		if s := w.sums[callee]; s != nil {
-			w.applySummary(s)
-		}
+	fn, ok := calleeOf(w.info, call).(*types.Func)
+	if !ok {
+		return
+	}
+	callee := fn.Origin() // summaries and facts are keyed by the declaration, not an instantiation
+	if s := w.sums[callee]; s != nil {
+		w.emitLock(lockEvent{kind: evCall, pos: call.Pos(), callee: callee, sum: s})
+		w.applySummary(s, call.Pos())
+	} else if ff := w.prog.FactsFor(callee); ff != nil && callee.Pkg() != w.pkg.Types && len(ff.LockClasses[callee]) > 0 {
+		w.emitLock(lockEvent{kind: evCall, pos: call.Pos(), callee: callee,
+			sum: &heldSummary{acquires: ff.LockClasses[callee], external: true}})
 	}
 }
 
 // applySummary replays a same-package callee's net lock effects at the
 // call site.
-func (w *heldWalker) applySummary(s *heldSummary) {
+func (w *heldWalker) applySummary(s *heldSummary, pos token.Pos) {
 	for class, write := range s.net {
 		if _, ok := w.held[class]; !ok {
-			w.held[class] = &heldEntry{write: write}
+			w.held[class] = &heldEntry{pos: pos, write: write}
 		}
 	}
 	for _, class := range s.releases {
@@ -493,36 +597,53 @@ func (w *heldWalker) applySummary(s *heldSummary) {
 	}
 }
 
-func (w *heldWalker) acquire(class string, write bool) {
-	if e, ok := w.held[class]; ok {
-		// A re-acquire on a maybe-held path makes it definite; the
-		// double-acquire report is lockcheck's to make.
+func (w *heldWalker) acquire(class string, write bool, pos token.Pos) {
+	w.acquired[class] = true
+	w.emitLock(lockEvent{kind: evAcquire, pos: pos, class: class})
+	e, ok := w.held[class]
+	if !ok {
+		w.held[class] = &heldEntry{pos: pos, write: write}
+		return
+	}
+	if e.maybe {
+		// Held on only some merged paths; this acquire makes it definite.
+		// Order against the other held classes still holds from the
+		// original acquisition site.
 		e.maybe = false
-		e.write = e.write || write
+		e.pos = pos
 		e.fromCaller = false
-		return
 	}
-	w.held[class] = &heldEntry{write: write}
+	e.write = e.write || write
 }
 
-func (w *heldWalker) release(class string) {
-	delete(w.held, class)
-}
-
-// emit delivers one field use to the analyzer callback.
+// emit delivers one field use to the subscribers.
 func (w *heldWalker) emit(obj types.Object, pos token.Pos, kind accessKind, call string, atomicArg, fresh bool) {
-	if w.onUse == nil {
-		return
+	for _, s := range w.sinks {
+		if s.use != nil {
+			s.use(fieldUse{obj: obj, pos: pos, kind: kind, call: call, atomicArg: atomicArg, fresh: fresh, held: w.held})
+		}
 	}
-	w.onUse(fieldUse{
-		obj:       obj,
-		pos:       pos,
-		kind:      kind,
-		call:      call,
-		atomicArg: atomicArg,
-		fresh:     fresh,
-		held:      w.held,
-	})
+}
+
+// emitLock delivers one lock event to the subscribers.
+func (w *heldWalker) emitLock(ev lockEvent) {
+	ev.held, ev.handoff = w.held, w.handoff
+	for _, s := range w.sinks {
+		if s.lock != nil {
+			s.lock(ev)
+		}
+	}
+}
+
+// isBuiltinCall reports whether call invokes the named predeclared
+// function (not a shadowing local).
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, builtin := info.Uses[id].(*types.Builtin)
+	return builtin || info.Uses[id] == nil
 }
 
 // isFresh reports whether the receiver expression roots at a local that
@@ -628,10 +749,19 @@ func isFreshAlloc(info *types.Info, e ast.Expr) bool {
 		_, ok := unparen(x.X).(*ast.CompositeLit)
 		return x.Op == token.AND && ok
 	case *ast.CallExpr:
-		id, ok := unparen(x.Fun).(*ast.Ident)
-		return ok && id.Name == "new" && info.Uses[id] == nil
+		return isBuiltinCall(info, x, "new")
 	}
 	return false
+}
+
+// sortedKeys returns the map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // heldFor reports whether class is held (maybe-held counts — the walk
@@ -649,12 +779,7 @@ func heldList(held map[string]*heldEntry) string {
 	if len(held) == 0 {
 		return "no lock"
 	}
-	out := make([]string, 0, len(held))
-	for k := range held {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
+	return strings.Join(sortedKeys(held), ", ")
 }
 
 // funcDirectiveArgs returns the whitespace-separated arguments of every

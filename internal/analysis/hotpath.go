@@ -11,7 +11,7 @@ import (
 // into per-query overhead the embedder never asked for. Hot-path
 // functions also must not acquire locks that lack a //sqlcm:lock class
 // annotation: unclassed locks are invisible to the lockdep machinery
-// (static order checking in internal/lockcheck/check and the
+// (the static lock-hierarchy analyzers in lockorder.go and the
 // sqlcmlockdep runtime build), so a latch the hot path takes must be part
 // of the declared hierarchy. Functions opt in with //sqlcm:hotpath; a
 // deliberate exception (e.g. a clock read gated behind an optional
@@ -52,7 +52,6 @@ var lockAcquireOps = map[string]bool{
 func runHotPath(p *Pass) {
 	info := p.Pkg.Info
 	for _, file := range p.Pkg.Files {
-		allowed := allowedLines(p.Fset, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !hasDirective(fn, "hotpath") {
@@ -67,7 +66,7 @@ func runHotPath(p *Pass) {
 				if !ok {
 					return true
 				}
-				if allowed[p.Fset.Position(call.Pos()).Line] {
+				if p.allowed(call.Pos()) {
 					return true
 				}
 				if lockAcquireOps[sel.Sel.Name] {

@@ -36,9 +36,9 @@ type Program struct {
 	byPath map[string]*Package
 
 	// Lazy whole-program unions over per-package facts, built on first
-	// use by the data-protection analyzers (single-threaded RunProgram).
+	// use by the lock-aware analyzers (single-threaded RunProgram).
 	atomicTargets map[types.Object]bool
-	lockClassSet  map[string]bool
+	order         *lockOrder
 }
 
 // Package is one loaded package: build-selected non-test files carry
@@ -61,6 +61,9 @@ type Package struct {
 	// that `go build` accepts; fixture trees that deliberately do not
 	// compile still get best-effort analysis from the partial info.
 	TypeErrors []error
+
+	// allow caches the //sqlcm:allow-covered lines per file name.
+	allow map[string]map[int]bool
 }
 
 // PackageByPath returns the loaded package with the given import path.

@@ -1,39 +1,14 @@
-package check
+package analysis
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// runSrc analyzes one in-memory file as a package.
-func runSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "fixture.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatalf("write fixture: %v", err)
-	}
-	diags, err := RunFiles([]string{path})
-	if err != nil {
-		t.Fatalf("RunFiles: %v", err)
-	}
-	return diags
-}
+// The lock-hierarchy analyzers (lockorder, lockunlock, locksend,
+// lockclass) over in-memory packages: one case per walk feature.
 
-func wantFindings(t *testing.T, diags []Diagnostic, substrs ...string) {
-	t.Helper()
-	if len(diags) != len(substrs) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(diags), len(substrs), diags)
-	}
-	for i, want := range substrs {
-		if !strings.Contains(diags[i].String(), want) {
-			t.Errorf("finding %d = %q, want substring %q", i, diags[i], want)
-		}
-	}
-}
-
-const header = `package x
+const lockHeader = `package x
 
 import "sync"
 
@@ -46,8 +21,8 @@ type guarded struct {
 }
 `
 
-func TestDeclaredOrderAccepted(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockDeclaredOrderAccepted(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
 	g.b.Lock()
@@ -57,8 +32,8 @@ func (g *guarded) ok() {
 `))
 }
 
-func TestInversionFlagged(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockInversionFlagged(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.b.Lock()
 	g.a.Lock()
@@ -68,8 +43,8 @@ func (g *guarded) bad() {
 `), `acquiring "x.a" while holding "x.b"`)
 }
 
-func TestTryLockIsAnAcquire(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockTryLockIsAnAcquire(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.b.Lock()
 	if g.a.TryLock() {
@@ -80,8 +55,8 @@ func (g *guarded) bad() {
 `), `acquiring "x.a" while holding "x.b"`)
 }
 
-func TestRWMutexSharesClass(t *testing.T) {
-	wantFindings(t, runSrc(t, `package x
+func TestLockRWMutexSharesClass(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, `package x
 
 import "sync"
 
@@ -101,10 +76,10 @@ func (g *g2) bad() {
 `), `acquiring "x.rw" while holding "x.m"`)
 }
 
-func TestInterproceduralSummary(t *testing.T) {
+func TestLockInterproceduralSummary(t *testing.T) {
 	// callee locks x.b; calling it while holding x.a is legal (a -> b),
 	// while holding x.b is a same-class double acquire.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) lockB() {
 	g.b.Lock()
 	g.b.Unlock()
@@ -125,7 +100,7 @@ func (g *guarded) bad() {
 }
 
 func TestLockHeldRequirement(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 //sqlcm:lock-held x.a
 func (g *guarded) stepLocked() {}
 
@@ -144,7 +119,7 @@ func (g *guarded) bad() {
 func TestLockHandoff(t *testing.T) {
 	// The waitLocked pattern: enter held, release inside, re-acquire and
 	// release again on a branch. No findings.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 //sqlcm:lock-held x.a
 //sqlcm:lock-release x.a
 func (g *guarded) waitLocked(fail bool) error {
@@ -165,10 +140,10 @@ func (g *guarded) acquire() error {
 `))
 }
 
-func TestConditionalPairedLock(t *testing.T) {
+func TestLockConditionalPairedLock(t *testing.T) {
 	// "if cond { lock }; work; if cond { unlock }" must not report: the
 	// class is only maybe-held after the merge.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) insert(bounded bool) {
 	if bounded {
 		g.a.Lock()
@@ -182,8 +157,8 @@ func (g *guarded) insert(bounded bool) {
 `))
 }
 
-func TestMaybeHeldStillOrdersAcquires(t *testing.T) {
-	wantFindings(t, runSrc(t, `package x
+func TestLockMaybeHeldStillOrdersAcquires(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, `package x
 
 import "sync"
 
@@ -207,10 +182,11 @@ func (g *g3) bad(cond bool) {
 `), `acquiring "y.a" while holding "y.b"`)
 }
 
-func TestGoroutineBodyStartsUnlocked(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockGoroutineBodyStartsUnlocked(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
+	//sqlcm:owned-by nobody; only the held-set at the go statement is under test
 	go func() {
 		g.ch <- 1
 	}()
@@ -219,8 +195,8 @@ func (g *guarded) ok() {
 `))
 }
 
-func TestDeferredUnlockInLiteral(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockDeferredUnlockInLiteral(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
 	defer func() {
@@ -233,10 +209,10 @@ func (g *guarded) ok() {
 `))
 }
 
-func TestCallbackReturnIsNotALeak(t *testing.T) {
+func TestLockCallbackReturnIsNotALeak(t *testing.T) {
 	// A return inside an inline callback must not report the enclosing
 	// function's held locks as leaked.
-	wantFindings(t, runSrc(t, header+`
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) scan(fn func(int) bool) {}
 
 func (g *guarded) ok() {
@@ -252,24 +228,51 @@ func (g *guarded) ok() {
 `))
 }
 
-func TestUnlockNotHeld(t *testing.T) {
-	wantFindings(t, runSrc(t, header+`
+func TestLockUnlockNotHeld(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) bad() {
 	g.a.Unlock()
 }
 `), `unlock of "x.a" which is not held`)
 }
 
-func TestDocRendersChains(t *testing.T) {
-	h := NewHierarchy()
-	diags := runSrc(t, header) // populates nothing here; build doc directly
-	_ = diags
-	h.Classes["x.a"] = &Class{Name: "x.a", After: map[string]bool{}, Fields: []string{"x.guarded.a"}}
-	h.Classes["x.b"] = &Class{Name: "x.b", After: map[string]bool{"x.a": true}, Fields: []string{"x.guarded.b"}}
-	doc := BuildDoc(h, "")
-	for _, want := range []string{"x.a -> x.b", "| x.a | — (root) |", "## Chains"} {
+func TestLockDocRendersChains(t *testing.T) {
+	dir := t.TempDir()
+	writeFixture(t, dir, "fixture.go", lockHeader)
+	prog, err := LoadTree(dir)
+	if err != nil {
+		t.Fatalf("LoadTree: %v", err)
+	}
+	doc := prog.LockOrderDoc()
+	for _, want := range []string{"x.a -> x.b", "| x.a | — (root) |", "`x.guarded.b` (fixture.go)", "## Chains"} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("doc missing %q:\n%s", want, doc)
 		}
 	}
+}
+
+// The declaration checks: a mutex field without a class, a malformed
+// annotation, an "after" naming no declared class, and a lock-held
+// directive naming no declared class.
+func TestLockClassDeclarations(t *testing.T) {
+	wantFindings(t, analyzeSrc(t, `package x
+
+import "sync"
+
+type g4 struct {
+	bare sync.Mutex
+	//sqlcm:lock z.a before z.b
+	odd sync.Mutex
+	//sqlcm:lock z.c after z.nowhere
+	c sync.RWMutex
+}
+
+//sqlcm:lock-held z.missing
+func (g *g4) stepLocked() {}
+`),
+		`mutex field x.g4.bare has no //sqlcm:lock annotation`,
+		`malformed //sqlcm:lock annotation: expected "after" followed by class names, got "before z.b"`,
+		`lock class "z.c" is declared after unknown class "z.nowhere"`,
+		`//sqlcm:lock-held names unknown class "z.missing"`,
+	)
 }

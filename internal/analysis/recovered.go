@@ -25,7 +25,6 @@ func runRecovered(p *Pass) {
 	info := p.Pkg.Info
 	facts := p.Pkg.Facts
 	for _, file := range p.Pkg.Files {
-		allowed := allowedLines(p.Fset, file)
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -55,7 +54,7 @@ func runRecovered(p *Pass) {
 				if ff == nil || !ff.Callback[callee] {
 					return true
 				}
-				if allowed[p.Fset.Position(call.Pos()).Line] {
+				if p.allowed(call.Pos()) {
 					return true
 				}
 				p.Reportf(call.Pos(),

@@ -179,7 +179,7 @@ func (e *Engine) PruneVersionsNow() {
 		t := e.tm.Begin(true)
 		if err := e.locks.Acquire(t.ID, lock.TableResource(name), lock.Exclusive); err != nil {
 			e.tm.Rollback(t) //nolint:errcheck
-			continue // contended or cancelled: the next pass retries
+			continue         // contended or cancelled: the next pass retries
 		}
 		// Watermark is read after the X lock is held: no writer on this
 		// table is in its commit window, and any snapshot taken later

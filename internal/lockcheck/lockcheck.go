@@ -10,8 +10,9 @@
 // lat.order" means lat.order may be held when acquiring lat.shard). Two
 // independent enforcers consume it:
 //
-//   - internal/lockcheck/check: a static go/ast pass (run by sqlcm-vet
-//     -code) that walks every function, tracks the set of held classes
+//   - the lockorder, lockunlock, locksend and lockclass analyzers of
+//     internal/analysis (run by sqlcm-vet -code): a type-checked static
+//     pass that walks every function, tracks the set of held classes
 //     across calls, and reports acquisitions that violate the declared
 //     order, Lock calls without a dominating Unlock, and locks held
 //     across channel sends or outbox enqueues.
@@ -22,7 +23,8 @@
 //     on the first order inversion or same-class double acquire. The
 //     default build compiles the wrappers down to plain sync types.
 //
-// SetClass names a lock's class at construction time; locks that never
-// get a class are ignored by the runtime lockdep (and flagged by the
-// static pass, which requires every mutex field to carry an annotation).
+// This package holds only the runtime half. SetClass names a lock's class
+// at construction time; locks that never get a class are ignored by the
+// runtime lockdep (and flagged by the static pass, which requires every
+// mutex field to carry an annotation).
 package lockcheck

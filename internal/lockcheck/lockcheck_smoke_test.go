@@ -13,7 +13,9 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 	var rw RWMutex
 	rw.SetClass("smoke.rw")
 
-	n := 0
+	// Each counter lives under exactly one wrapper: n under m, r under rw
+	// (written under the write side, read under the read side).
+	n, r := 0, 0
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -23,8 +25,11 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 				m.Lock()
 				n++
 				m.Unlock()
+				rw.Lock()
+				r++
+				rw.Unlock()
 				rw.RLock()
-				_ = n
+				_ = r
 				rw.RUnlock()
 			}
 		}()
@@ -35,9 +40,12 @@ func TestWrappersAreUsableMutexes(t *testing.T) {
 		t.Fatalf("n = %d, want 800", n)
 	}
 	m.Unlock()
+	rw.RLock()
+	if r != 800 {
+		t.Fatalf("r = %d, want 800", r)
+	}
+	rw.RUnlock()
 
-	rw.Lock()
-	rw.Unlock()
 	if m.TryLock() {
 		m.Unlock()
 	}

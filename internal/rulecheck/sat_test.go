@@ -32,7 +32,7 @@ func TestSatAnalysis(t *testing.T) {
 		{"Duration IS NULL AND Duration > 3", true, false},
 		{"Duration IS NULL OR Duration IS NOT NULL", false, true},
 		{"Time_Blocked >= 0 AND Time_Blocked <= -1", true, false},
-		{"Duration > 2.5 AND Duration < 2.6", false, false}, // float: non-empty open interval
+		{"Duration > 2.5 AND Duration < 2.6", false, false},      // float: non-empty open interval
 		{"Times_Blocked > 2 AND Times_Blocked < 3", true, false}, // int tightening
 		{"User = 'alice' AND User != 'alice'", true, false},
 		{"User = 'alice' AND User = 'bob'", true, false},

@@ -191,8 +191,8 @@ func cycleAllSync(cyc []int, adj [][]triggerEdge) bool {
 // longestChain returns the longest path length (in edges) of an acyclic
 // graph and one maximal path.
 func longestChain(n int, adj [][]triggerEdge) (int, []int) {
-	memo := make([]int, n)  // longest chain starting at node, -1 = unknown
-	next := make([]int, n)  // successor on that chain
+	memo := make([]int, n) // longest chain starting at node, -1 = unknown
+	next := make([]int, n) // successor on that chain
 	for i := range memo {
 		memo[i], next[i] = -1, -1
 	}

@@ -98,8 +98,8 @@ func (e *simEnv) SetTimer(name string, period time.Duration, count int) error {
 	return e.tm.Set(name, period, count)
 }
 
-func (e *simEnv) ActiveQueryObjects() []monitor.Object      { return nil }
-func (e *simEnv) BlockPairObjects() [][2]monitor.Object     { return nil }
+func (e *simEnv) ActiveQueryObjects() []monitor.Object  { return nil }
+func (e *simEnv) BlockPairObjects() [][2]monitor.Object { return nil }
 
 // alarmLogger journals every Timer.Alarm before forwarding it to the real
 // engine, pinning alarm order into the differential comparison.

@@ -16,14 +16,22 @@ go build ./...
 # recover discipline, context propagation, cancellation points, goroutine
 # ownership, SQLSTATE single-sourcing, the data-protection suite
 # (//sqlcm:guards field access, atomics-everywhere, //sqlcm:cow publish
-# checking), and the //sqlcm:lock hierarchy checker with cross-package
-# acquire summaries; `sqlcm-vet -analyzers` lists them), rule-set static
+# checking), and the //sqlcm:lock hierarchy suite (order, unlock balance,
+# sends under latches, unclassed mutexes; cross-package edges included);
+# `sqlcm-vet -analyzers` lists them), rule-set static
 # analysis, and pinned staticcheck
 # (offline-tolerant; see scripts/staticcheck.sh). docs/lock-order.md must
 # be current relative to the annotations. All hard gates, shared with the
 # local workflow via `make vet`; vet-bench additionally fails the build
 # if the whole-tree analysis run blows its 30-second latency budget.
+# gofmt must have nothing to rewrite anywhere in the tree.
 make vet
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l lists unformatted files:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 make vet-bench
 ./scripts/staticcheck.sh
 go test ./...
