@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet vet-bench lint test race chaos netchaos lockdep lockdoc fuzz bench bench-json bench-check serve-smoke mvcc-smoke sim sim-long sim-mvcc cover ci
+.PHONY: build vet vet-bench lint test race chaos netchaos lockdep lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover ci
 
 build:
 	$(GO) build ./...
@@ -36,9 +36,13 @@ test:
 	$(GO) test ./...
 
 # Race tier: the concurrency tests (striped LATs, copy-on-write rule
-# index, sharded caches, event bus) are only meaningful under -race.
+# index, sharded caches, event bus) are only meaningful under -race. The
+# repeated run guards the plan cache's single insert per statement text:
+# when two connections could both store a plan for one text, the signature
+# cache computed twice about once in twenty runs.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
 
 # Chaos tier: fault-injection tests for the fail-safe layer (panic
 # quarantine, outbox retry/backoff/shedding, crash-safe checkpointing),
@@ -96,28 +100,27 @@ cover:
 	./scripts/coverfloor.sh
 
 # Fuzz smoke: harden the {ref} substitution scanner and the wire-protocol
-# frame parser. One -fuzz target per go test invocation.
+# frame parser, and hold rule conditions and WHERE clauses to the same
+# answer on NULL-free input. One -fuzz target per go test invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
+	$(GO) test -run='^$$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1000x ./...
-
-# Committed benchmark snapshot: monitoring hot paths (event dispatch,
-# LAT observe), wire-level load percentiles at a fixed connection count
-# with monitoring on vs off, and the same load clean vs under 5ms network
-# jitter. Full run; see BENCH_10.json (whose `mvcc` section, snapshot reads
-# against the since-deleted 2PL read path, is historical and is dropped by
-# a re-run).
-bench-json:
-	$(GO) run ./cmd/sqlcm-benchjson -out BENCH_10.json
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under bench/,
 # which the root `go build ./...` does not see: vet and test it against
 # this tree.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The driver's regression gate, locally: alternating parent/change pairs of
+# the repo benchmark and the `-compare` verdict (about 40 minutes at the
+# defaults). make bench-gate PARENT=<ref> [PAIRS=10] [SECS=20]
+bench-gate:
+	./scripts/bench-gate.sh $(or $(PARENT),HEAD) $(PAIRS) $(SECS)
 
 # Loopback smoke tier: a short open-loop load run (internal/loadgen)
 # against an in-process network front-end under -race — nonzero

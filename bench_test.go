@@ -1,20 +1,16 @@
 package sqlcm
 
-// Benchmarks regenerating the paper's evaluation artifacts, one family per
-// table/figure (see DESIGN.md §3 for the experiment index):
+// Micro-benchmarks of the monitoring data structures, one family per
+// claim (see DESIGN.md §3 for the experiment index):
 //
-//	E-SIG   BenchmarkSignature*          — §6.2.1 signature-computation cost
-//	E-FIG2  BenchmarkRuleOverhead*       — Figure 2: per-query cost vs. rule
-//	                                       count × condition complexity
-//	E-FIG3  BenchmarkMonitoring*         — Figure 3: per-query cost of each
-//	                                       monitoring approach
 //	A-LAT   BenchmarkLATConcurrent*      — §6.1 LAT latching under stress
 //	A-AGE   BenchmarkAgingAggregates     — §4.3 aging vs. plain aggregates
 //	A-EVICT BenchmarkLATEviction*        — §4.3 bounded vs. unbounded LATs
+//	A-PAR   Benchmark*Parallel           — hot-path scaling across -cpu
 //
-// The full paper-shaped sweeps (absolute overhead percentages, accuracy
-// counts) are produced by cmd/sqlcm-bench; these testing.B benchmarks give
-// the per-operation costs behind them.
+// The paper-shaped sweeps (E-SIG, E-FIG2, E-FIG3: signature cost, rule
+// overhead, monitoring approaches) are produced by cmd/sqlcm-bench over
+// internal/harness; end-to-end cost is the repo benchmark under bench/.
 
 import (
 	"fmt"
@@ -22,16 +18,12 @@ import (
 	"testing"
 	"time"
 
-	"sqlcm/internal/baseline"
-	"sqlcm/internal/core"
 	"sqlcm/internal/engine"
 	"sqlcm/internal/event"
-	"sqlcm/internal/harness"
 	"sqlcm/internal/lat"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/rules"
-	"sqlcm/internal/signature"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/workload"
@@ -51,211 +43,6 @@ func benchEngine(b *testing.B, lineitems int) *engine.Engine {
 		b.Fatal(err)
 	}
 	return eng
-}
-
-// ---------------------------------------------------------------------------
-// E-SIG (§6.2.1): signature computation vs. optimization
-// ---------------------------------------------------------------------------
-
-func sigBenchPlans(b *testing.B, eng *engine.Engine, sql string) (plan.Logical, plan.Physical) {
-	b.Helper()
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := plan.BuildLogical(stmt, eng.Catalog())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := plan.Optimize(l, eng.Catalog())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return l, p
-}
-
-const sigSimpleSQL = "SELECT l_quantity FROM lineitem WHERE l_id = 42"
-
-const sigComplexSQL = `SELECT o.o_status, COUNT(*), SUM(l.l_extendedprice)
-	FROM lineitem l
-	JOIN orders o ON l.l_orderkey = o.o_orderkey
-	JOIN part p ON l.l_partkey = p.p_partkey
-	WHERE l.l_quantity > 10 AND o.o_totalprice > 1000
-	GROUP BY o.o_status ORDER BY COUNT(*) DESC LIMIT 10`
-
-func BenchmarkSignatureSimpleQuery(b *testing.B) {
-	eng := benchEngine(b, 1000)
-	l, p := sigBenchPlans(b, eng, sigSimpleSQL)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		signature.Logical(l)
-		signature.Physical(p)
-	}
-}
-
-func BenchmarkSignatureComplexQuery(b *testing.B) {
-	eng := benchEngine(b, 1000)
-	l, p := sigBenchPlans(b, eng, sigComplexSQL)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		signature.Logical(l)
-		signature.Physical(p)
-	}
-}
-
-// BenchmarkOptimizeSimpleQuery/Complex give the denominators of the
-// paper's ratio.
-func BenchmarkOptimizeSimpleQuery(b *testing.B) {
-	eng := benchEngine(b, 1000)
-	stmt, _ := sqlparser.Parse(sigSimpleSQL)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, _ := plan.BuildLogical(stmt, eng.Catalog())
-		if _, err := plan.Optimize(l, eng.Catalog()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOptimizeComplexQuery(b *testing.B) {
-	eng := benchEngine(b, 1000)
-	stmt, _ := sqlparser.Parse(sigComplexSQL)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, _ := plan.BuildLogical(stmt, eng.Catalog())
-		if _, err := plan.Optimize(l, eng.Catalog()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E-FIG2 (Figure 2): per-query cost under rule load
-// ---------------------------------------------------------------------------
-
-// benchFig2 measures the per-query cost of a single-row select with
-// nRules × nConds monitoring attached (0 rules = the engine baseline).
-func benchFig2(b *testing.B, nRules, nConds int) {
-	eng := benchEngine(b, 5000)
-	if nRules > 0 {
-		s := core.Attach(eng, core.Options{})
-		b.Cleanup(func() { s.Detach() })
-		for i := 0; i < nRules; i++ {
-			spec := lat.Spec{
-				Name:    fmt.Sprintf("b_lat_%04d", i),
-				GroupBy: []string{"ID"},
-				Aggs: []lat.AggCol{
-					{Func: lat.Last, Attr: "Query_Text", Name: "Text"},
-					{Func: lat.Last, Attr: "Duration", Name: "Dur"},
-				},
-				OrderBy: []lat.OrderKey{{Col: "ID", Desc: true}},
-				MaxRows: 10,
-			}
-			if _, err := s.DefineLAT(spec); err != nil {
-				b.Fatal(err)
-			}
-			cond := "Query.Duration >= 0"
-			for c := 1; c < nConds; c++ {
-				cond += " AND Query.ID > 0"
-			}
-			if _, err := s.NewRule(fmt.Sprintf("r%04d", i), "Query.Commit", cond,
-				&rules.InsertAction{LAT: spec.Name}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	sess := eng.NewSession("bench", "fig2")
-	params := map[string]sqltypes.Value{"key": sqltypes.NewInt(1)}
-	if _, err := sess.Exec("SELECT l_quantity FROM lineitem WHERE l_id = @key", params); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		params["key"] = sqltypes.NewInt(int64(i%5000 + 1))
-		if _, err := sess.Exec("SELECT l_quantity FROM lineitem WHERE l_id = @key", params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRuleOverheadNoRules(b *testing.B)          { benchFig2(b, 0, 0) }
-func BenchmarkRuleOverhead100Rules1Cond(b *testing.B)    { benchFig2(b, 100, 1) }
-func BenchmarkRuleOverhead100Rules20Conds(b *testing.B)  { benchFig2(b, 100, 20) }
-func BenchmarkRuleOverhead1000Rules1Cond(b *testing.B)   { benchFig2(b, 1000, 1) }
-func BenchmarkRuleOverhead1000Rules20Conds(b *testing.B) { benchFig2(b, 1000, 20) }
-
-// ---------------------------------------------------------------------------
-// E-FIG3 (Figure 3): per-query cost of each monitoring approach
-// ---------------------------------------------------------------------------
-
-func benchPointSelects(b *testing.B, eng *engine.Engine) {
-	sess := eng.NewSession("bench", "fig3")
-	params := map[string]sqltypes.Value{"key": sqltypes.NewInt(1)}
-	if _, err := sess.Exec("SELECT l_quantity FROM lineitem WHERE l_id = @key", params); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		params["key"] = sqltypes.NewInt(int64(i%5000 + 1))
-		if _, err := sess.Exec("SELECT l_quantity FROM lineitem WHERE l_id = @key", params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMonitoringNone(b *testing.B) {
-	eng := benchEngine(b, 5000)
-	benchPointSelects(b, eng)
-}
-
-func BenchmarkMonitoringSQLCMTopK(b *testing.B) {
-	eng := benchEngine(b, 5000)
-	s := core.Attach(eng, core.Options{})
-	b.Cleanup(func() { s.Detach() })
-	if _, err := s.DefineLAT(lat.Spec{
-		Name:    "TopQ",
-		GroupBy: []string{"Query_Text"},
-		Aggs:    []lat.AggCol{{Func: lat.Max, Attr: "Duration", Name: "Duration"}},
-		OrderBy: []lat.OrderKey{{Col: "Duration", Desc: true}},
-		MaxRows: 10,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := s.NewRule("topq", "Query.Commit", "", &rules.InsertAction{LAT: "TopQ"}); err != nil {
-		b.Fatal(err)
-	}
-	benchPointSelects(b, eng)
-}
-
-func BenchmarkMonitoringQueryLogging(b *testing.B) {
-	eng := benchEngine(b, 5000)
-	logger, err := baseline.NewQueryLogger(eng, "query_log")
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng.SetHooks(logger)
-	b.Cleanup(func() { eng.SetHooks(nil) })
-	benchPointSelects(b, eng)
-}
-
-func BenchmarkMonitoringPullHistory(b *testing.B) {
-	eng := benchEngine(b, 5000)
-	rec := baseline.NewHistoryRecorder(eng)
-	eng.SetHooks(rec)
-	hp := baseline.NewHistoryPoller(rec, 10*time.Millisecond)
-	hp.Start()
-	b.Cleanup(func() {
-		hp.Stop()
-		eng.SetHooks(nil)
-		rec.Drain()
-	})
-	benchPointSelects(b, eng)
 }
 
 // ---------------------------------------------------------------------------
@@ -380,19 +167,6 @@ func BenchmarkLATEvictionBounded100(b *testing.B) { benchLATEviction(b, 100) }
 func BenchmarkLATEvictionUnbounded(b *testing.B)  { benchLATEviction(b, 0) }
 
 // ---------------------------------------------------------------------------
-// End-to-end harness smoke benchmarks (tiny scale; the full sweeps live in
-// cmd/sqlcm-bench)
-// ---------------------------------------------------------------------------
-
-func BenchmarkHarnessSignatureTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.RunSignatureOverhead(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // A-PAR: hot-path scaling benchmarks. Each exercises one sharded/lock-free
 // structure from b.RunParallel so throughput can be compared across
 // -cpu values; on >= 4 cores the sharded paths should scale near-linearly
@@ -502,6 +276,23 @@ func benchLATObserveParallel(b *testing.B, hot bool) {
 func BenchmarkLATObserveParallel(b *testing.B) {
 	b.Run("DistinctKeys", func(b *testing.B) { benchLATObserveParallel(b, false) })
 	b.Run("HotKey", func(b *testing.B) { benchLATObserveParallel(b, true) })
+}
+
+func sigBenchPlans(b *testing.B, eng *engine.Engine, sql string) (plan.Logical, plan.Physical) {
+	b.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := plan.BuildLogical(stmt, eng.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := plan.Optimize(l, eng.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l, p
 }
 
 // BenchmarkSigCacheParallel hits the sharded signature cache from all

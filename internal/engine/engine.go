@@ -434,9 +434,15 @@ func (e *Engine) getPlan(sql string) (*cachedPlan, bool, error) {
 		qtype:    queryTypeOf(stmt),
 		optimize: optTime,
 	}
+	// Another session may have compiled the same text meanwhile: the first
+	// plan stored wins and every session runs that one, so the signature
+	// cache (keyed by plan identity) computes once per text.
 	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if winner, ok := e.planCache[sql]; ok {
+		return winner, false, nil
+	}
 	e.planCache[sql] = cp
-	e.planMu.Unlock()
 	return cp, false, nil
 }
 

@@ -590,3 +590,42 @@ type instHooks struct {
 }
 
 func (h *instHooks) QueryCompiled(q *QueryInfo) { h.last = q.Instances }
+
+// TestConcurrentPrepareSharesOnePlan: sessions that miss the plan cache on
+// the same new text at the same moment may all compile it, but every one of
+// them must end up holding the one plan that was stored — the monitor's
+// signature cache is keyed by plan identity, so a second stored plan means a
+// second signature computation for one statement text.
+func TestConcurrentPrepareSharesOnePlan(t *testing.T) {
+	e := newTestEngine(t)
+	seedAccounts(t, e.NewSession("alice", "app"))
+
+	const sessions = 16
+	for round := 0; round < 20; round++ {
+		sql := fmt.Sprintf("SELECT balance FROM accounts WHERE id = @id AND balance > %d", round)
+		plans := make([]*cachedPlan, sessions)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < sessions; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s := e.NewSession("alice", "app")
+				<-start
+				p, err := s.Prepare(sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				plans[i] = p.cp
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for i, cp := range plans {
+			if cp != plans[0] {
+				t.Fatalf("round %d: session %d holds plan %p, session 0 holds %p", round, i, cp, plans[0])
+			}
+		}
+	}
+}

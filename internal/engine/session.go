@@ -9,6 +9,7 @@ import (
 
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/exec"
+	"sqlcm/internal/expr"
 	"sqlcm/internal/lock"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
@@ -563,7 +564,7 @@ func (s *Session) execProcedure(ctx context.Context, call *sqlparser.Exec, calle
 		if err != nil {
 			return nil, err
 		}
-		v, err := ev.Eval(nil, callerParams)
+		v, err := ev.Eval(expr.Env{Params: callerParams})
 		if err != nil {
 			return nil, err
 		}
@@ -615,7 +616,7 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			if err != nil {
 				return nil, err
 			}
-			ok, err := exec.EvalBool(ev, nil, locals)
+			ok, err := expr.EvalBool(ev, expr.Env{Params: locals})
 			if err != nil {
 				return nil, err
 			}
@@ -635,7 +636,7 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			if err != nil {
 				return nil, err
 			}
-			v, err := ev.Eval(nil, locals)
+			v, err := ev.Eval(expr.Env{Params: locals})
 			if err != nil {
 				return nil, err
 			}

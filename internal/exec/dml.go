@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sqlcm/internal/catalog"
+	"sqlcm/internal/expr"
 	"sqlcm/internal/index"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
@@ -53,7 +54,7 @@ func ExecInsert(ctx *Ctx, sp StoreProvider, p *plan.PhysInsert, cat *catalog.Cat
 		}
 		//sqlcm:allow bounded by one row's width
 		for j, ev := range evals {
-			v, err := ev.Eval(nil, ctx.Params)
+			v, err := ev.Eval(Env{Params: ctx.Params})
 			if err != nil {
 				return n, err
 			}
@@ -188,7 +189,7 @@ func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan
 			return out, err
 		}
 		if a.residual != nil {
-			ok, err := EvalBool(a.residual, row, ctx.Params)
+			ok, err := expr.EvalBool(a.residual, Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return nil, err
 			}
@@ -234,7 +235,7 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate) (int64, error) {
 		newRow := tgt.row.Clone()
 		//sqlcm:allow bounded by the statement's SET list
 		for i, s := range p.Sets {
-			v, err := setEvals[i].Eval(tgt.row, ctx.Params)
+			v, err := setEvals[i].Eval(Env{Row: tgt.row, Params: ctx.Params})
 			if err != nil {
 				return n, err
 			}

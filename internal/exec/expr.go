@@ -5,9 +5,8 @@ package exec
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
+	"sqlcm/internal/expr"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -23,239 +22,30 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Evaluator is a compiled expression.
-type Evaluator interface {
-	Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error)
-}
+// Env is what a compiled expression reads its leaves from: the current
+// tuple (Row) and the statement's bind parameters (Params).
+type Env = expr.Env
 
-type constEval struct{ v sqltypes.Value }
-
-func (e constEval) Eval(Row, map[string]sqltypes.Value) (sqltypes.Value, error) { return e.v, nil }
+// Evaluator is an expression compiled by Compile.
+type Evaluator = expr.Evaluator
 
 type colEval struct{ ord int }
 
-func (e colEval) Eval(row Row, _ map[string]sqltypes.Value) (sqltypes.Value, error) {
-	if e.ord >= len(row) {
-		return sqltypes.Null, fmt.Errorf("exec: column ordinal %d out of range (row width %d)", e.ord, len(row))
+func (e colEval) Eval(env Env) (sqltypes.Value, error) {
+	if e.ord >= len(env.Row) {
+		return sqltypes.Null, fmt.Errorf("exec: column ordinal %d out of range (row width %d)", e.ord, len(env.Row))
 	}
-	return row[e.ord], nil
+	return env.Row[e.ord], nil
 }
 
 type paramEval struct{ name string }
 
-func (e paramEval) Eval(_ Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	v, ok := params[e.name]
+func (e paramEval) Eval(env Env) (sqltypes.Value, error) {
+	v, ok := env.Params[e.name]
 	if !ok {
 		return sqltypes.Null, fmt.Errorf("exec: unbound parameter @%s", e.name)
 	}
 	return v, nil
-}
-
-type arithEval struct {
-	op   sqltypes.BinaryOp
-	l, r Evaluator
-}
-
-func (e arithEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	lv, err := e.l.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	rv, err := e.r.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	return sqltypes.Arith(e.op, lv, rv)
-}
-
-type cmpEval struct {
-	op   sqlparser.CmpOp
-	l, r Evaluator
-}
-
-func (e cmpEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	lv, err := e.l.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	rv, err := e.r.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if lv.IsNull() || rv.IsNull() {
-		return sqltypes.Null, nil // SQL three-valued logic
-	}
-	c := sqltypes.Compare(lv, rv)
-	var out bool
-	switch e.op {
-	case sqlparser.CmpEq:
-		out = c == 0
-	case sqlparser.CmpNe:
-		out = c != 0
-	case sqlparser.CmpLt:
-		out = c < 0
-	case sqlparser.CmpLe:
-		out = c <= 0
-	case sqlparser.CmpGt:
-		out = c > 0
-	case sqlparser.CmpGe:
-		out = c >= 0
-	}
-	return sqltypes.NewBool(out), nil
-}
-
-type logicEval struct {
-	op   sqlparser.LogicOp
-	l, r Evaluator
-}
-
-func (e logicEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	lv, err := e.l.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	// Short-circuit with three-valued logic.
-	if e.op == sqlparser.LogicAnd {
-		if !lv.IsNull() && !truthy(lv) {
-			return sqltypes.NewBool(false), nil
-		}
-	} else {
-		if !lv.IsNull() && truthy(lv) {
-			return sqltypes.NewBool(true), nil
-		}
-	}
-	rv, err := e.r.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if e.op == sqlparser.LogicAnd {
-		switch {
-		case !rv.IsNull() && !truthy(rv):
-			return sqltypes.NewBool(false), nil
-		case lv.IsNull() || rv.IsNull():
-			return sqltypes.Null, nil
-		default:
-			return sqltypes.NewBool(true), nil
-		}
-	}
-	switch {
-	case !rv.IsNull() && truthy(rv):
-		return sqltypes.NewBool(true), nil
-	case lv.IsNull() || rv.IsNull():
-		return sqltypes.Null, nil
-	default:
-		return sqltypes.NewBool(false), nil
-	}
-}
-
-type notEval struct{ e Evaluator }
-
-func (e notEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	v, err := e.e.Eval(row, params)
-	if err != nil || v.IsNull() {
-		return sqltypes.Null, err
-	}
-	return sqltypes.NewBool(!truthy(v)), nil
-}
-
-type negEval struct{ e Evaluator }
-
-func (e negEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	v, err := e.e.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	return sqltypes.Negate(v)
-}
-
-type isNullEval struct {
-	e      Evaluator
-	negate bool
-}
-
-func (e isNullEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	v, err := e.e.Eval(row, params)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	return sqltypes.NewBool(v.IsNull() != e.negate), nil
-}
-
-type scalarFuncEval struct {
-	name string
-	args []Evaluator
-}
-
-func (e scalarFuncEval) Eval(row Row, params map[string]sqltypes.Value) (sqltypes.Value, error) {
-	vals := make([]sqltypes.Value, len(e.args))
-	for i, a := range e.args {
-		v, err := a.Eval(row, params)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		vals[i] = v
-	}
-	switch e.name {
-	case "ABS":
-		if len(vals) != 1 {
-			return sqltypes.Null, fmt.Errorf("exec: ABS takes 1 argument")
-		}
-		if vals[0].IsNull() {
-			return sqltypes.Null, nil
-		}
-		switch vals[0].Kind() {
-		case sqltypes.KindInt:
-			n := vals[0].Int()
-			if n < 0 {
-				n = -n
-			}
-			return sqltypes.NewInt(n), nil
-		case sqltypes.KindFloat:
-			return sqltypes.NewFloat(math.Abs(vals[0].Float())), nil
-		}
-		return sqltypes.Null, fmt.Errorf("exec: ABS of %s", vals[0].Kind())
-	case "LENGTH", "LEN":
-		if len(vals) != 1 {
-			return sqltypes.Null, fmt.Errorf("exec: %s takes 1 argument", e.name)
-		}
-		if vals[0].IsNull() {
-			return sqltypes.Null, nil
-		}
-		if vals[0].Kind() != sqltypes.KindString {
-			return sqltypes.Null, fmt.Errorf("exec: %s of %s", e.name, vals[0].Kind())
-		}
-		return sqltypes.NewInt(int64(len(vals[0].Str()))), nil
-	case "UPPER":
-		if len(vals) != 1 || vals[0].Kind() != sqltypes.KindString {
-			if len(vals) == 1 && vals[0].IsNull() {
-				return sqltypes.Null, nil
-			}
-			return sqltypes.Null, fmt.Errorf("exec: UPPER needs one string argument")
-		}
-		return sqltypes.NewString(strings.ToUpper(vals[0].Str())), nil
-	case "LOWER":
-		if len(vals) != 1 || vals[0].Kind() != sqltypes.KindString {
-			if len(vals) == 1 && vals[0].IsNull() {
-				return sqltypes.Null, nil
-			}
-			return sqltypes.Null, fmt.Errorf("exec: LOWER needs one string argument")
-		}
-		return sqltypes.NewString(strings.ToLower(vals[0].Str())), nil
-	default:
-		return sqltypes.Null, fmt.Errorf("exec: unknown function %s", e.name)
-	}
-}
-
-// truthy interprets a value as a boolean condition.
-func truthy(v sqltypes.Value) bool {
-	switch v.Kind() {
-	case sqltypes.KindBool, sqltypes.KindInt:
-		return v.Int() != 0
-	case sqltypes.KindFloat:
-		return v.Float() != 0
-	default:
-		return false
-	}
 }
 
 // ResolveColumn finds the ordinal of a column reference in a schema.
@@ -285,105 +75,45 @@ func ResolveColumn(c *sqlparser.ColumnRef, schema []plan.ColMeta) (int, error) {
 	return found, nil
 }
 
-// Compile binds expr against schema. Aggregate function calls resolve to
-// same-named output columns of the schema (as produced by PhysHashAgg), so
-// HAVING and ORDER BY can reference aggregates.
-func Compile(expr sqlparser.Expr, schema []plan.ColMeta) (Evaluator, error) {
-	switch e := expr.(type) {
-	case *sqlparser.Literal:
-		return constEval{v: e.Val}, nil
-	case *sqlparser.ColumnRef:
-		ord, err := ResolveColumn(e, schema)
-		if err != nil {
-			return nil, err
-		}
-		return colEval{ord: ord}, nil
-	case *sqlparser.Param:
-		return paramEval{name: e.Name}, nil
-	case *sqlparser.Arith:
-		l, err := Compile(e.Left, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Compile(e.Right, schema)
-		if err != nil {
-			return nil, err
-		}
-		return arithEval{op: e.Op, l: l, r: r}, nil
-	case *sqlparser.Comparison:
-		l, err := Compile(e.Left, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Compile(e.Right, schema)
-		if err != nil {
-			return nil, err
-		}
-		return cmpEval{op: e.Op, l: l, r: r}, nil
-	case *sqlparser.Logic:
-		l, err := Compile(e.Left, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Compile(e.Right, schema)
-		if err != nil {
-			return nil, err
-		}
-		return logicEval{op: e.Op, l: l, r: r}, nil
-	case *sqlparser.Not:
-		inner, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
-		return notEval{e: inner}, nil
-	case *sqlparser.Neg:
-		inner, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
-		return negEval{e: inner}, nil
-	case *sqlparser.IsNull:
-		inner, err := Compile(e.Expr, schema)
-		if err != nil {
-			return nil, err
-		}
-		return isNullEval{e: inner, negate: e.Negate}, nil
-	case *sqlparser.FuncCall:
-		if sqlparser.AggregateFuncs[e.Name] {
-			// Aggregates appear in scalar position only above a HashAgg,
-			// whose schema exposes one column per aggregate named by the
-			// call's textual form.
-			name := e.String()
-			for i, m := range schema {
-				if m.Qual == "" && m.Name == name {
-					return colEval{ord: i}, nil
-				}
-			}
-			return nil, fmt.Errorf("exec: aggregate %s used outside aggregation context", name)
-		}
-		args := make([]Evaluator, len(e.Args))
-		for i, a := range e.Args {
-			ev, err := Compile(a, schema)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ev
-		}
-		return scalarFuncEval{name: e.Name, args: args}, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot compile %T", expr)
+// schemaLeaves resolves the leaves of an expression against an operator's
+// input schema.
+type schemaLeaves []plan.ColMeta
+
+func (s schemaLeaves) Column(c *sqlparser.ColumnRef) (Evaluator, error) {
+	ord, err := ResolveColumn(c, s)
+	if err != nil {
+		return nil, err
 	}
+	return colEval{ord: ord}, nil
 }
 
-// EvalBool evaluates a compiled predicate with filter semantics: NULL is
-// treated as false.
-func EvalBool(ev Evaluator, row Row, params map[string]sqltypes.Value) (bool, error) {
-	v, err := ev.Eval(row, params)
-	if err != nil {
-		return false, err
+func (schemaLeaves) Param(p *sqlparser.Param) (Evaluator, error) {
+	return paramEval{name: p.Name}, nil
+}
+
+func (s schemaLeaves) Func(f *sqlparser.FuncCall) (Evaluator, error) {
+	if !sqlparser.AggregateFuncs[f.Name] {
+		return expr.ScalarFunc(f, s)
 	}
-	if v.IsNull() {
-		return false, nil
+	// Aggregates appear in scalar position only above a HashAgg, whose
+	// schema exposes one column per aggregate named by the call's textual
+	// form.
+	name := f.String()
+	for i, m := range s {
+		if m.Qual == "" && m.Name == name {
+			return colEval{ord: i}, nil
+		}
 	}
-	return truthy(v), nil
+	return nil, fmt.Errorf("exec: aggregate %s used outside aggregation context", name)
+}
+
+// Operand leaves AND/OR/NOT operands as they are: plain SQL three-valued
+// logic, NULL filtered only at the top of a predicate (expr.EvalBool).
+func (schemaLeaves) Operand(p expr.Predicate) expr.Predicate { return p }
+
+// Compile binds e against schema. Aggregate function calls resolve to
+// same-named output columns of the schema (as produced by PhysHashAgg), so
+// HAVING and ORDER BY can reference aggregates.
+func Compile(e sqlparser.Expr, schema []plan.ColMeta) (Evaluator, error) {
+	return expr.Compile(e, schemaLeaves(schema))
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"sqlcm/internal/expr"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/storage"
@@ -189,7 +190,7 @@ func (s *scanOp) Next(ctx *Ctx) (Row, error) {
 			return nil, err
 		}
 		if s.access.residual != nil {
-			ok, err := EvalBool(s.access.residual, row, ctx.Params)
+			ok, err := expr.EvalBool(s.access.residual, Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return nil, err
 			}
@@ -220,7 +221,7 @@ func (f *filterOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		ok, err := EvalBool(f.pred, row, ctx.Params)
+		ok, err := expr.EvalBool(f.pred, Env{Row: row, Params: ctx.Params})
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +247,7 @@ func (p *projectOp) Next(ctx *Ctx) (Row, error) {
 	}
 	out := make(Row, len(p.evals))
 	for i, ev := range p.evals {
-		v, err := ev.Eval(row, ctx.Params)
+		v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +300,7 @@ func (v *valuesOp) Next(ctx *Ctx) (Row, error) {
 	v.done = true
 	out := make(Row, len(v.evals))
 	for i, ev := range v.evals {
-		val, err := ev.Eval(nil, ctx.Params)
+		val, err := ev.Eval(Env{Params: ctx.Params})
 		if err != nil {
 			return nil, err
 		}
@@ -393,7 +394,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 func evalKey(evals []Evaluator, row Row, params map[string]sqltypes.Value) (string, bool, error) {
 	vals := make([]sqltypes.Value, len(evals))
 	for i, ev := range evals {
-		v, err := ev.Eval(row, params)
+		v, err := ev.Eval(Env{Row: row, Params: params})
 		if err != nil {
 			return "", false, err
 		}
@@ -426,7 +427,7 @@ func (j *hashJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.curIdx++
 			joined := append(append(Row{}, j.leftRow...), rightRow...)
 			if j.residual != nil {
-				ok, err := EvalBool(j.residual, joined, ctx.Params)
+				ok, err := expr.EvalBool(j.residual, Env{Row: joined, Params: ctx.Params})
 				if err != nil {
 					return nil, err
 				}
@@ -516,7 +517,7 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.matchIdx++
 			joined := append(append(Row{}, j.outerRow...), inner...)
 			if j.residual != nil {
-				ok, err := EvalBool(j.residual, joined, ctx.Params)
+				ok, err := expr.EvalBool(j.residual, Env{Row: joined, Params: ctx.Params})
 				if err != nil {
 					return nil, err
 				}
@@ -628,7 +629,7 @@ func (j *nlJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.innerIdx++
 			joined := append(append(Row{}, j.leftRow...), inner...)
 			if j.on != nil {
-				ok, err := EvalBool(j.on, joined, ctx.Params)
+				ok, err := expr.EvalBool(j.on, Env{Row: joined, Params: ctx.Params})
 				if err != nil {
 					return nil, err
 				}
@@ -736,7 +737,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 		vals := make([]sqltypes.Value, len(a.groupBys))
 		keyVals := make([]sqltypes.Value, len(a.groupBys))
 		for i, ev := range a.groupBys {
-			v, err := ev.Eval(row, ctx.Params)
+			v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return err
 			}
@@ -756,7 +757,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 				st.count++
 				continue
 			}
-			v, err := argEv.Eval(row, ctx.Params)
+			v, err := argEv.Eval(Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return err
 			}
@@ -796,7 +797,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 			row = append(row, finishAgg(a.aggNames[i], st))
 		}
 		if a.having != nil {
-			ok, err := EvalBool(a.having, row, ctx.Params)
+			ok, err := expr.EvalBool(a.having, Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return err
 			}
@@ -910,7 +911,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 		}
 		keys := make([]sqltypes.Value, len(s.evals))
 		for i, ev := range s.evals {
-			v, err := ev.Eval(row, ctx.Params)
+			v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
 			if err != nil {
 				return err
 			}

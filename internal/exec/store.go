@@ -110,7 +110,7 @@ type keyRange struct {
 func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange, null bool, err error) {
 	eq := make([]sqltypes.Value, len(a.eq))
 	for i, ev := range a.eq {
-		if eq[i], err = ev.Eval(row, params); err != nil {
+		if eq[i], err = ev.Eval(Env{Row: row, Params: params}); err != nil {
 			return r, false, err
 		}
 		null = null || eq[i].IsNull()
@@ -118,7 +118,7 @@ func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange
 	prefix := sqltypes.EncodeKey(eq...)
 	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
 	if a.lo != nil {
-		v, err := a.lo.Eval(row, params)
+		v, err := a.lo.Eval(Env{Row: row, Params: params})
 		if err != nil {
 			return r, false, err
 		}
@@ -126,7 +126,7 @@ func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange
 	}
 	switch {
 	case a.hi != nil:
-		v, err := a.hi.Eval(row, params)
+		v, err := a.hi.Eval(Env{Row: row, Params: params})
 		if err != nil {
 			return r, false, err
 		}

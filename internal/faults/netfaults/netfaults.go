@@ -83,12 +83,6 @@ func DefaultPlans() []Plan {
 	}
 }
 
-// JitterPlan is a single benign latency/jitter toxic, the load used for
-// the "under faults" benchmark percentiles.
-func JitterPlan(jitter time.Duration) Plan {
-	return Plan{Name: "jitter", Jitter: jitter}
-}
-
 // Config tunes a wrapped listener.
 type Config struct {
 	// Seed keys the per-connection RNG; a fixed seed reproduces the same

@@ -1,8 +1,10 @@
 package rulecheck
 
 import (
+	"errors"
 	"math"
 
+	"sqlcm/internal/expr"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -20,8 +22,8 @@ import (
 //	sat(cond, true) empty  → the rule can never fire (dead rule, Error)
 //	sat(cond, false) empty → the condition is always true (Warning)
 //
-// Soundness notes, matching internal/rules/compile.go and
-// sqltypes.Compare:
+// Soundness notes, matching the rule-condition semantics of
+// internal/rules/compile.go and sqltypes.Compare:
 //
 //   - Negation is NOT classical: NOT(x > 5) is true when x is NULL, so a
 //     negated comparison contributes "inverted interval OR null", never
@@ -290,6 +292,14 @@ func (c *checker) checkSat(r *RuleDef) {
 // the runtime: non-NULL, non-missing and truthy). The result
 // over-approximates; an empty list is a proof of unreachability.
 func (s *satChecker) sat(e sqlparser.Expr, want bool) worldList {
+	// Reference-free: the truth value is fixed (NULL, strings and times are
+	// never truthy).
+	if v, ok := foldConst(e); ok {
+		if expr.Truthy(v) == want {
+			return top
+		}
+		return nil
+	}
 	switch x := e.(type) {
 	case *sqlparser.Logic:
 		and := x.Op == sqlparser.LogicAnd
@@ -310,75 +320,38 @@ func (s *satChecker) sat(e sqlparser.Expr, want bool) worldList {
 	case *sqlparser.IsNull:
 		return s.satIsNull(x, want)
 
-	case *sqlparser.Literal:
-		// Constant: truthy(lit) is fixed (strings/times are never truthy).
-		if litTruthy(x.Val) == want {
-			return top
-		}
-		return nil
-
 	case *sqlparser.ColumnRef:
 		// Bare reference as a boolean operand.
 		return s.satRefTruthy(x, want)
 
 	default:
-		// Arithmetic or unsupported shapes as boolean operands: fold if
-		// constant, otherwise claim nothing.
-		if v, ok := foldConst(e); ok {
-			if litTruthy(v) == want {
-				return top
-			}
-			return nil
-		}
+		// Arithmetic or unsupported shapes as boolean operands: claim
+		// nothing.
 		return top
 	}
 }
 
-func litTruthy(v sqltypes.Value) bool {
-	switch v.Kind() {
-	case sqltypes.KindBool, sqltypes.KindInt:
-		return v.Int() != 0
-	case sqltypes.KindFloat:
-		return v.Float() != 0
-	default:
-		return false
-	}
-}
-
-// foldConst evaluates literal-only subtrees (arithmetic, negation) to a
-// constant value.
+// foldConst evaluates a reference-free subtree to its constant value, with
+// the compiler and the operand filter the rule engine evaluates conditions
+// with.
 func foldConst(e sqlparser.Expr) (sqltypes.Value, bool) {
-	switch x := e.(type) {
-	case *sqlparser.Literal:
-		return x.Val, true
-	case *sqlparser.Neg:
-		v, ok := foldConst(x.Expr)
-		if !ok {
-			return sqltypes.Null, false
-		}
-		out, err := sqltypes.Negate(v)
-		if err != nil {
-			return sqltypes.Null, false
-		}
-		return out, true
-	case *sqlparser.Arith:
-		l, ok := foldConst(x.Left)
-		if !ok {
-			return sqltypes.Null, false
-		}
-		r, ok := foldConst(x.Right)
-		if !ok {
-			return sqltypes.Null, false
-		}
-		out, err := sqltypes.Arith(x.Op, l, r)
-		if err != nil {
-			return sqltypes.Null, false
-		}
-		return out, true
-	default:
+	ev, err := expr.Compile(e, constLeaves{})
+	if err != nil {
 		return sqltypes.Null, false
 	}
+	v, err := ev.Eval(expr.Env{})
+	return v, err == nil
 }
+
+// constLeaves refuses every reference, so only constants compile.
+type constLeaves struct{}
+
+var errNotConst = errors.New("rulecheck: not a constant")
+
+func (constLeaves) Column(*sqlparser.ColumnRef) (expr.Evaluator, error) { return nil, errNotConst }
+func (constLeaves) Param(*sqlparser.Param) (expr.Evaluator, error)      { return nil, errNotConst }
+func (constLeaves) Func(*sqlparser.FuncCall) (expr.Evaluator, error)    { return nil, errNotConst }
+func (constLeaves) Operand(p expr.Predicate) expr.Predicate             { return expr.Filter(p) }
 
 // refKindQuiet resolves a reference's static kind without emitting
 // diagnostics (checkTypes owns the reporting).
@@ -464,25 +437,12 @@ func (s *satChecker) satIsNull(x *sqlparser.IsNull, want bool) worldList {
 	return worldList{world{v: vc}}
 }
 
-// satComparison handles ref-vs-literal, literal-vs-literal and
-// same-ref comparisons; anything else claims nothing.
+// satComparison handles ref-vs-literal and same-ref comparisons; anything
+// else claims nothing.
 func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList {
-	// Constant fold both sides first.
+	// Constant fold both sides first (sat has dealt with both constant).
 	lv, lConst := foldConst(x.Left)
 	rv, rConst := foldConst(x.Right)
-	if lConst && rConst {
-		if lv.IsNull() || rv.IsNull() {
-			// NULL comparison: never truthy.
-			if want {
-				return nil
-			}
-			return top
-		}
-		if cmpHolds(x.Op, sqltypes.Compare(lv, rv)) == want {
-			return top
-		}
-		return nil
-	}
 
 	lRef, lIsRef := x.Left.(*sqlparser.ColumnRef)
 	rRef, rIsRef := x.Right.(*sqlparser.ColumnRef)
@@ -492,7 +452,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 		lv := canonicalVar(s.r.Event.Class, lRef)
 		rv := canonicalVar(s.r.Event.Class, rRef)
 		if lv == rv {
-			holds := cmpHolds(x.Op, 0) // x = x, x <= x, x >= x true; <, >, != false
+			holds := expr.CmpHolds(x.Op, 0) // x = x, x <= x, x >= x true; <, >, != false
 			k := s.refKindQuiet(lRef)
 			kind := sqltypes.KindFloat
 			if k.known {
@@ -547,7 +507,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 	// outcome is fixed whenever the variable is non-NULL.
 	refNum, litNum := numericKind(k.kind), lit.IsNumeric()
 	if refNum != litNum || (!refNum && k.kind != lit.Kind()) {
-		holds := cmpHolds(op, kindOrder(k.kind, lit.Kind()))
+		holds := expr.CmpHolds(op, kindOrder(k.kind, lit.Kind()))
 		return s.constForNonNull(v, k.kind, holds, want)
 	}
 
@@ -641,24 +601,6 @@ func (s *satChecker) stringAtom(v string, op sqlparser.CmpOp, lit string, want b
 		}
 	}
 	return worldList{world{v: vc}}
-}
-
-// cmpHolds reports whether op holds for a Compare result.
-func cmpHolds(op sqlparser.CmpOp, c int) bool {
-	switch op {
-	case sqlparser.CmpEq:
-		return c == 0
-	case sqlparser.CmpNe:
-		return c != 0
-	case sqlparser.CmpLt:
-		return c < 0
-	case sqlparser.CmpLe:
-		return c <= 0
-	case sqlparser.CmpGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
 }
 
 // invertCmp returns the complement operator (¬(a op b) for non-NULL

@@ -4,15 +4,23 @@ import (
 	"fmt"
 	"strings"
 
+	"sqlcm/internal/expr"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 )
 
-// Conditions are compiled once at rule-registration time into a tree of
-// closures; per-event evaluation then involves no AST traversal. This is
-// what keeps rule evaluation cheap enough to run hundreds of times per
-// query (§2.1: "ECA rules are amenable to implementation with low CPU and
-// memory overheads").
+// Conditions are compiled once at rule-registration time by the engine's one
+// expression compiler (internal/expr); per-event evaluation then involves no
+// AST traversal. This is what keeps rule evaluation cheap enough to run
+// hundreds of times per query (§2.1: "ECA rules are amenable to
+// implementation with low CPU and memory overheads").
+//
+// A condition is SQL three-valued logic with two additions. A column of a
+// LAT row that does not exist reads NULL, which makes LAT references
+// ∃-quantified (§5.2); and every operand of AND, OR and NOT is read as a
+// WHERE clause reads its predicate (NULL counts as false), as is the
+// condition as a whole. This file supplies only the leaves: how a reference
+// finds its value in a rule evaluation.
 
 // evalState is the per-evaluation scratch: the rule context plus the
 // memoized LAT-row lookups.
@@ -22,225 +30,97 @@ type evalState struct {
 	latRows map[string][]sqltypes.Value
 }
 
-// condFn evaluates one compiled node: value, missing-LAT-row flag, error.
-type condFn func(st *evalState) (sqltypes.Value, bool, error)
+// cond is a compiled condition; its leaves find the evalState in
+// expr.Env.Ctx.
+type cond = expr.Evaluator
 
 // compileCond compiles a condition expression. Returns nil for a nil
 // expression (always-true rules).
-func compileCond(e sqlparser.Expr) (condFn, error) {
+func compileCond(e sqlparser.Expr) (cond, error) {
 	if e == nil {
 		return nil, nil
 	}
-	switch x := e.(type) {
-	case *sqlparser.Literal:
-		v := x.Val
-		return func(*evalState) (sqltypes.Value, bool, error) { return v, false, nil }, nil
-
-	case *sqlparser.Param:
-		return nil, fmt.Errorf("rules: parameters not allowed in conditions")
-
-	case *sqlparser.ColumnRef:
-		return compileRef(x), nil
-
-	case *sqlparser.Arith:
-		l, err := compileCond(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileCond(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			lv, m, err := l(st)
-			if err != nil || m {
-				return sqltypes.Null, m, err
-			}
-			rv, m, err := r(st)
-			if err != nil || m {
-				return sqltypes.Null, m, err
-			}
-			v, err := sqltypes.Arith(op, lv, rv)
-			return v, false, err
-		}, nil
-
-	case *sqlparser.Comparison:
-		l, err := compileCond(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileCond(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			lv, m, err := l(st)
-			if err != nil || m {
-				return sqltypes.Null, m, err
-			}
-			rv, m, err := r(st)
-			if err != nil || m {
-				return sqltypes.Null, m, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return sqltypes.Null, false, nil
-			}
-			c := sqltypes.Compare(lv, rv)
-			var out bool
-			switch op {
-			case sqlparser.CmpEq:
-				out = c == 0
-			case sqlparser.CmpNe:
-				out = c != 0
-			case sqlparser.CmpLt:
-				out = c < 0
-			case sqlparser.CmpLe:
-				out = c <= 0
-			case sqlparser.CmpGt:
-				out = c > 0
-			case sqlparser.CmpGe:
-				out = c >= 0
-			}
-			return sqltypes.NewBool(out), false, nil
-		}, nil
-
-	case *sqlparser.Logic:
-		l, err := compileCond(x.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileCond(x.Right)
-		if err != nil {
-			return nil, err
-		}
-		and := x.Op == sqlparser.LogicAnd
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			lv, m1, err := l(st)
-			if err != nil {
-				return sqltypes.Null, false, err
-			}
-			lTrue := !m1 && !lv.IsNull() && truthy(lv)
-			lFalse := m1 || (!lv.IsNull() && !truthy(lv))
-			if and && lFalse {
-				return sqltypes.NewBool(false), false, nil
-			}
-			if !and && lTrue {
-				return sqltypes.NewBool(true), false, nil
-			}
-			rv, m2, err := r(st)
-			if err != nil {
-				return sqltypes.Null, false, err
-			}
-			rTrue := !m2 && !rv.IsNull() && truthy(rv)
-			if and {
-				return sqltypes.NewBool(lTrue && rTrue), false, nil
-			}
-			return sqltypes.NewBool(lTrue || rTrue), false, nil
-		}, nil
-
-	case *sqlparser.Not:
-		inner, err := compileCond(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			v, m, err := inner(st)
-			if err != nil {
-				return sqltypes.Null, false, err
-			}
-			in := !m && !v.IsNull() && truthy(v)
-			return sqltypes.NewBool(!in), false, nil
-		}, nil
-
-	case *sqlparser.Neg:
-		inner, err := compileCond(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			v, m, err := inner(st)
-			if err != nil || m {
-				return sqltypes.Null, m, err
-			}
-			out, err := sqltypes.Negate(v)
-			return out, false, err
-		}, nil
-
-	case *sqlparser.IsNull:
-		inner, err := compileCond(x.Expr)
-		if err != nil {
-			return nil, err
-		}
-		negate := x.Negate
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			v, m, err := inner(st)
-			if err != nil {
-				return sqltypes.Null, false, err
-			}
-			isNull := m || v.IsNull()
-			return sqltypes.NewBool(isNull != negate), false, nil
-		}, nil
-
-	default:
-		return nil, fmt.Errorf("rules: unsupported condition node %T", e)
-	}
+	return expr.Compile(e, condLeaves{})
 }
 
-// compileRef compiles an attribute or LAT-column reference. Whether the
+type condLeaves struct{}
+
+func (condLeaves) Param(*sqlparser.Param) (cond, error) {
+	return nil, fmt.Errorf("rules: parameters not allowed in conditions")
+}
+
+func (condLeaves) Func(f *sqlparser.FuncCall) (cond, error) {
+	return nil, fmt.Errorf("rules: unsupported condition node %T", f)
+}
+
+func (condLeaves) Operand(p expr.Predicate) expr.Predicate { return expr.Filter(p) }
+
+// Column compiles an attribute or LAT-column reference. Whether the
 // qualifier names a monitored class or a LAT is decided per evaluation
 // (the object may be bound by the event, and LATs can be defined after the
 // rule), but the reference pieces are pre-split.
-func compileRef(c *sqlparser.ColumnRef) condFn {
-	qual, col := c.Table, c.Column
-	if qual == "" {
-		return func(st *evalState) (sqltypes.Value, bool, error) {
-			if st.ctx.Primary == nil {
-				return sqltypes.Null, false, fmt.Errorf("rules: unqualified attribute %q with no primary object", col)
-			}
-			v, ok := st.ctx.Primary.Get(col)
-			if !ok {
-				return sqltypes.Null, false, fmt.Errorf("rules: %s has no attribute %q", st.ctx.Primary.Class(), col)
-			}
-			return v, false, nil
-		}
+func (condLeaves) Column(c *sqlparser.ColumnRef) (cond, error) {
+	if c.Table == "" {
+		return &primaryRef{col: c.Column}, nil
 	}
-	isClass := knownClasses[qual]
-	return func(st *evalState) (sqltypes.Value, bool, error) {
-		if obj, ok := st.ctx.Objects[qual]; ok {
-			v, found := obj.Get(col)
-			if !found {
-				return sqltypes.Null, false, fmt.Errorf("rules: %s has no attribute %q", qual, col)
-			}
-			return v, false, nil
-		}
-		if isClass {
-			return sqltypes.Null, false, fmt.Errorf("rules: no %s object in context", qual)
-		}
-		// LAT reference: memoized ∃-quantified row lookup.
-		table, ok := st.eng.env.LAT(qual)
-		if !ok {
-			return sqltypes.Null, false, fmt.Errorf("rules: unknown object or LAT %q", qual)
-		}
-		row, cached := st.latRows[qual]
-		if !cached {
-			var found bool
-			row, found = table.LookupByGetter(st.ctx.Attr)
-			if !found {
-				return sqltypes.Null, true, nil
-			}
-			if st.latRows == nil {
-				st.latRows = make(map[string][]sqltypes.Value, 2)
-			}
-			st.latRows[qual] = row
-		}
-		idx := table.ColumnIndex(col)
-		if idx < 0 {
-			return sqltypes.Null, false, fmt.Errorf("rules: LAT %s has no column %q", qual, col)
-		}
-		return row[idx], false, nil
+	return &qualifiedRef{qual: c.Table, col: c.Column, isClass: isClass(c.Table)}, nil
+}
+
+// primaryRef is a bare attribute of the event's primary object.
+type primaryRef struct{ col string }
+
+func (r *primaryRef) Eval(env expr.Env) (sqltypes.Value, error) {
+	st := env.Ctx.(*evalState)
+	if st.ctx.Primary == nil {
+		return sqltypes.Null, fmt.Errorf("rules: unqualified attribute %q with no primary object", r.col)
 	}
+	v, ok := st.ctx.Primary.Get(r.col)
+	if !ok {
+		return sqltypes.Null, fmt.Errorf("rules: %s has no attribute %q", st.ctx.Primary.Class(), r.col)
+	}
+	return v, nil
+}
+
+// qualifiedRef is Class.Attr or LAT.Column.
+type qualifiedRef struct {
+	qual, col string
+	isClass   bool
+}
+
+func (r *qualifiedRef) Eval(env expr.Env) (sqltypes.Value, error) {
+	st := env.Ctx.(*evalState)
+	if obj, ok := st.ctx.Objects[r.qual]; ok {
+		v, found := obj.Get(r.col)
+		if !found {
+			return sqltypes.Null, fmt.Errorf("rules: %s has no attribute %q", r.qual, r.col)
+		}
+		return v, nil
+	}
+	if r.isClass {
+		return sqltypes.Null, fmt.Errorf("rules: no %s object in context", r.qual)
+	}
+	// LAT reference: memoized row lookup; no matching row reads NULL.
+	table, ok := st.eng.env.LAT(r.qual)
+	if !ok {
+		return sqltypes.Null, fmt.Errorf("rules: unknown object or LAT %q", r.qual)
+	}
+	row, cached := st.latRows[r.qual]
+	if !cached {
+		var found bool
+		row, found = table.LookupByGetter(st.ctx.Attr)
+		if !found {
+			return sqltypes.Null, nil
+		}
+		if st.latRows == nil {
+			st.latRows = make(map[string][]sqltypes.Value, 2)
+		}
+		st.latRows[r.qual] = row
+	}
+	idx := table.ColumnIndex(r.col)
+	if idx < 0 {
+		return sqltypes.Null, fmt.Errorf("rules: LAT %s has no column %q", r.qual, r.col)
+	}
+	return row[idx], nil
 }
 
 // describeActions renders a rule's action list for diagnostics.

@@ -4,19 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"sqlcm/internal/exec"
+	"sqlcm/internal/expr"
 	"sqlcm/internal/lat"
 	"sqlcm/internal/monitor"
+	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
+	"sqlcm/internal/sqltypes"
 )
 
 // TestCompileCondTruthTable pins the three-valued logic of compiled
-// conditions, node by node. Besides TRUE, FALSE and NULL a node can be
-// "missing" — it referenced a LAT row that does not exist — which is what
-// makes LAT references ∃-quantified (§5.2): missing propagates through
-// arithmetic, comparison and negation, counts as false under AND/OR/NOT,
-// and as NULL under IS [NOT] NULL. This is the table the two expression
-// compilers (this one and internal/exec's) must agree on before they can
-// be merged.
+// conditions, node by node. A column of a LAT row that does not exist
+// reads NULL — which is what makes LAT references ∃-quantified (§5.2):
+// NULL propagates through arithmetic, comparison and negation, counts as
+// false under AND/OR/NOT, and satisfies IS NULL. Every row is evaluated
+// twice: as a rule condition, and as a WHERE predicate through the
+// executor's leaves (whereValue), which must agree except in the cells
+// whereDiffers names.
 func TestCompileCondTruthTable(t *testing.T) {
 	env := newFakeEnv()
 	table, err := lat.New(lat.Spec{
@@ -37,10 +41,15 @@ func TestCompileCondTruthTable(t *testing.T) {
 		return &Ctx{Objects: map[string]monitor.Object{monitor.ClassQuery: q}, Primary: q}
 	}
 
+	unseenDiffers := map[string]bool{}
+	for k := range whereDiffers {
+		unseenDiffers[k] = true
+	}
+
 	cases := []struct {
 		cond string
 		sig  string
-		want string // "true", "false", "null", "missing", or "error: <substring>"
+		want string // "true", "false", "null", or "error: <substring>"
 	}{
 		// Literals, references, arithmetic.
 		{"1 = 1", "seen", "true"},
@@ -59,7 +68,7 @@ func TestCompileCondTruthTable(t *testing.T) {
 		// Neg.
 		{"-Duration = -10", "seen", "true"},
 		{"-Duration < 0", "seen", "true"},
-		{"-L.AvgD < 0", "unseen", "missing"},
+		{"-L.AvgD < 0", "unseen", "null"},
 		{"-Query_Text < 0", "seen", "error: "},
 
 		// NULL operands: comparison and arithmetic yield NULL, not false.
@@ -78,17 +87,17 @@ func TestCompileCondTruthTable(t *testing.T) {
 		{"L.AvgD IS NOT NULL", "unseen", "false"},
 		{"L.AvgD IS NOT NULL", "seen", "true"},
 
-		// NOT: NULL and missing count as not-true, so NOT yields TRUE.
+		// NOT: NULL counts as not-true, so NOT yields TRUE.
 		{"NOT 1 = 2", "seen", "true"},
 		{"NOT 1 = 1", "seen", "false"},
 		{"NOT NULL = 1", "seen", "true"},
 		{"NOT L.AvgD > 0", "unseen", "true"},
 
 		// A missing row propagates through comparison and arithmetic...
-		{"L.AvgD > 0", "unseen", "missing"},
-		{"1 < L.AvgD", "unseen", "missing"},
-		{"L.AvgD + 1 > 0", "unseen", "missing"},
-		{"1 + L.AvgD > 0", "unseen", "missing"},
+		{"L.AvgD > 0", "unseen", "null"},
+		{"1 < L.AvgD", "unseen", "null"},
+		{"L.AvgD + 1 > 0", "unseen", "null"},
+		{"1 + L.AvgD > 0", "unseen", "null"},
 		// ...and is plain false under AND / OR, on either side.
 		{"L.AvgD > 0 AND 1 = 1", "unseen", "false"},
 		{"1 = 1 AND L.AvgD > 0", "unseen", "false"},
@@ -120,28 +129,16 @@ func TestCompileCondTruthTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.cond+"/"+tc.sig, func(t *testing.T) {
-			expr, err := ParseCondition(tc.cond)
+			parsed, err := ParseCondition(tc.cond)
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			fn, err := compileCond(expr)
+			fn, err := compileCond(parsed)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			v, missing, err := fn(&evalState{eng: e, ctx: ctxFor(tc.sig)})
-			var got string
-			switch {
-			case err != nil:
-				got = "error: " + err.Error()
-			case missing:
-				got = "missing"
-			case v.IsNull():
-				got = "null"
-			case truthy(v):
-				got = "true"
-			default:
-				got = "false"
-			}
+			v, err := fn.Eval(expr.Env{Ctx: &evalState{eng: e, ctx: ctxFor(tc.sig)}})
+			got := nodeValue(v, err)
 			if got != tc.want && !(strings.HasPrefix(tc.want, "error: ") && strings.Contains(got, tc.want[len("error: "):]) && err != nil) {
 				t.Errorf("%s = %s, want %s", tc.cond, got, tc.want)
 			}
@@ -150,8 +147,87 @@ func TestCompileCondTruthTable(t *testing.T) {
 			if (ferr != nil) != (err != nil) || fired != (got == "true") {
 				t.Errorf("runCond(%s) = %v, %v; node value %s", tc.cond, fired, ferr, got)
 			}
+
+			// The same expression through the executor's leaves, the
+			// second time with Duration bound as a parameter.
+			want, differs := whereDiffers[tc.cond+"/"+tc.sig]
+			if !differs {
+				want = tc.want
+			}
+			delete(unseenDiffers, tc.cond+"/"+tc.sig)
+			asParam := strings.ReplaceAll(strings.ReplaceAll(tc.cond, "Query.Duration", "@D"), "Duration", "@D")
+			for _, src := range []string{tc.cond, asParam} {
+				got := whereValue(t, src, tc.sig == "seen")
+				if got != want && !(strings.HasPrefix(got, "error: ") && strings.HasPrefix(want, "error: ")) {
+					t.Errorf("WHERE %s = %s, want %s", src, got, want)
+				}
+			}
 		})
 	}
+	if len(unseenDiffers) > 0 {
+		t.Errorf("whereDiffers names cells the table does not have: %v", unseenDiffers)
+	}
+}
+
+// nodeValue labels the result of evaluating one node.
+func nodeValue(v sqltypes.Value, err error) string {
+	switch {
+	case err != nil:
+		return "error: " + err.Error()
+	case v.IsNull():
+		return "null"
+	case expr.Truthy(v):
+		return "true"
+	default:
+		return "false"
+	}
+}
+
+// whereDiffers lists the cells of the truth table where the expression as
+// a WHERE predicate — plain three-valued logic, NULL filtered only at the
+// top — has a different node value than as a rule condition, which filters
+// every operand of AND, OR and NOT. NOT over NULL is the one shape in the
+// table where the outcome differs too: the rule fires, the WHERE rejects
+// the row.
+var whereDiffers = map[string]string{
+	"NOT NULL = 1/seen":           "null", // rule: true
+	"NOT L.AvgD > 0/unseen":       "null", // rule: true
+	"L.AvgD > 0 AND 1 = 1/unseen": "null", // rule: false, as all below
+	"1 = 1 AND L.AvgD > 0/unseen": "null",
+	"L.AvgD > 0 OR 1 = 2/unseen":  "null",
+	"1 = 2 OR L.AvgD > 0/unseen":  "null",
+	"NULL = 1 AND 1 = 1/seen":     "null",
+	"1 = 1 AND NULL = 1/seen":     "null",
+	"NULL = 1 OR 1 = 2/seen":      "null",
+}
+
+// whereValue evaluates src through the executor's leaves over one row that
+// carries the truth table's probes and LAT column — a missing LAT row is a
+// NULL column, as an outer join would produce it. A reference the rule
+// engine fails on at evaluation fails here at compilation.
+func whereValue(t *testing.T, src string, latRow bool) string {
+	t.Helper()
+	parsed, err := sqlparser.ParseExpr(src)
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	schema := []plan.ColMeta{{Qual: "Query", Name: "Duration"}, {Qual: "Query", Name: "Query_Text"}, {Qual: "L", Name: "AvgD"}}
+	env := exec.Env{
+		Row:    exec.Row{sqltypes.NewFloat(10), sqltypes.NewString("SELECT x"), sqltypes.Null},
+		Params: map[string]sqltypes.Value{"D": sqltypes.NewFloat(10)},
+	}
+	if latRow {
+		env.Row[2] = sqltypes.NewFloat(4)
+	}
+	ev, err := exec.Compile(parsed, schema)
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	got := nodeValue(ev.Eval(env))
+	if fired, ferr := expr.EvalBool(ev, env); fired != (got == "true") || (ferr != nil) != strings.HasPrefix(got, "error: ") {
+		t.Errorf("EvalBool(%s) = %v, %v; node value %s", src, fired, ferr, got)
+	}
+	return got
 }
 
 // Conditions take no @parameters, at any depth; a nil condition

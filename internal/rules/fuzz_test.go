@@ -1,9 +1,11 @@
 package rules
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"sqlcm/internal/engine"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/sqltypes"
 )
@@ -82,4 +84,138 @@ func TestSubstituteEdgeCases(t *testing.T) {
 			t.Errorf("Substitute(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
+}
+
+// condGen derives a NULL-free integer condition over the columns a, b and c
+// from fuzz input, byte by byte; exhausted input yields the shortest form, so
+// generation always terminates.
+type condGen struct {
+	data []byte
+	pos  int
+}
+
+func (g *condGen) next(n int) int {
+	if g.pos >= len(g.data) {
+		return 0
+	}
+	b := g.data[g.pos]
+	g.pos++
+	return int(b) % n
+}
+
+func (g *condGen) arith(depth int) string {
+	choices := 6
+	if depth == 0 {
+		choices = 2
+	}
+	switch g.next(choices) {
+	case 0:
+		return fmt.Sprint(g.next(10))
+	case 1:
+		return []string{"a", "b", "c"}[g.next(3)]
+	case 2:
+		return "(" + g.arith(depth-1) + " + " + g.arith(depth-1) + ")"
+	case 3:
+		return "(" + g.arith(depth-1) + " - " + g.arith(depth-1) + ")"
+	case 4:
+		return "(" + g.arith(depth-1) + " * " + g.arith(depth-1) + ")"
+	default:
+		return "(-" + g.arith(depth-1) + ")"
+	}
+}
+
+func (g *condGen) cond(depth int) string {
+	if depth == 0 || g.next(3) == 0 {
+		l := g.arith(2)
+		switch op := g.next(8); op {
+		case 6:
+			return "(" + l + ") IS NULL"
+		case 7:
+			return "(" + l + ") IS NOT NULL"
+		default:
+			return l + " " + []string{"=", "<>", "<", "<=", ">", ">="}[op] + " " + g.arith(2)
+		}
+	}
+	switch g.next(3) {
+	case 0:
+		return "(" + g.cond(depth-1) + ") AND (" + g.cond(depth-1) + ")"
+	case 1:
+		return "(" + g.cond(depth-1) + ") OR (" + g.cond(depth-1) + ")"
+	default:
+		return "NOT (" + g.cond(depth-1) + ")"
+	}
+}
+
+// FuzzCondVsWhere is the differential check behind the one expression
+// compiler: where no NULL can arise, a rule condition over an object and the
+// same text as the WHERE clause of a SELECT over the equal row must give the
+// same answer — filtering the operands of AND/OR/NOT (rules) and filtering
+// only the top (WHERE) differ on NULL alone. The SELECT goes through the
+// planner, so conjuncts split between access path and residual are covered.
+func FuzzCondVsWhere(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 1, 0, 2, 1, 0, 0, 5})
+	f.Add([]byte{5, 1, 0, 1, 2, 0, 3, 2, 1, 1, 4, 0, 7, 1, 2, 6})
+	f.Add([]byte{7, 2, 2, 1, 0, 1, 1, 5, 1, 0, 0, 9, 1, 1, 2, 3, 0, 4})
+
+	const rows = 8
+	vals := func(id int) (a, b, c int64) { return int64(id - 3), int64(5 - 2*id), int64(id * id % 7) }
+	var eng *engine.Engine
+	var sess *engine.Session
+	f.Cleanup(func() {
+		if eng != nil {
+			eng.Close() //nolint:errcheck
+		}
+	})
+	reopenEvery, execs := 2048, 0 // the engine's plan cache keeps every text it has seen
+	reopen := func(t *testing.T) {
+		if eng != nil {
+			eng.Close() //nolint:errcheck
+		}
+		var err error
+		if eng, err = engine.Open(engine.Config{PoolPages: 64}); err != nil {
+			t.Fatal(err)
+		}
+		sess = eng.NewSession("fuzz", "fuzz")
+		if _, err := sess.Exec("CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT, c INT)", nil); err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id < rows; id++ {
+			a, b, c := vals(id)
+			if _, err := sess.Exec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d, %d, %d)", id, a, b, c), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	re := NewEngine(newFakeEnv())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if execs%reopenEvery == 0 {
+			reopen(t)
+		}
+		execs++
+		g := condGen{data: data}
+		id := g.next(rows)
+		src := g.cond(3)
+
+		cond, err := ParseCondition(src)
+		if err != nil {
+			t.Fatalf("generated condition does not parse: %q: %v", src, err)
+		}
+		a, b, c := vals(id)
+		obj := &fakeObj{class: monitor.ClassQuery, attrs: map[string]sqltypes.Value{
+			"a": sqltypes.NewInt(a), "b": sqltypes.NewInt(b), "c": sqltypes.NewInt(c),
+		}}
+		fired, err := re.evalCond(cond, &Ctx{Objects: map[string]monitor.Object{monitor.ClassQuery: obj}, Primary: obj})
+		if err != nil {
+			t.Fatalf("rule condition %q: %v", src, err)
+		}
+		res, err := sess.Exec(fmt.Sprintf("SELECT id FROM t WHERE id = %d AND (%s)", id, src), nil)
+		if err != nil {
+			t.Fatalf("SELECT … WHERE %q: %v", src, err)
+		}
+		if selected := len(res.Rows) == 1; selected != fired {
+			t.Fatalf("%q over a=%d b=%d c=%d: rule fired=%v, WHERE selected=%v", src, a, b, c, fired, selected)
+		}
+	})
 }

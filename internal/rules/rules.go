@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sqlcm/internal/expr"
 	"sqlcm/internal/lat"
 	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
@@ -97,13 +98,11 @@ type Rule struct {
 	quarantined atomic.Bool
 	// consecFails counts consecutive panicking evaluations.
 	consecFails atomic.Int32
-	// cond is the condition compiled to closures at registration time.
-	cond condFn
+	// cond is the condition compiled at registration time.
+	cond cond
 	// classes referenced by the condition but not bound by the event; the
 	// engine iterates over all live objects of these classes (§5.2).
 	freeClasses []string
-	// lats referenced by the condition.
-	latRefs []string
 }
 
 // Enabled reports whether the rule participates in dispatch.
@@ -112,15 +111,11 @@ func (r *Rule) Enabled() bool { return r.enabled.Load() }
 // SetEnabled toggles the rule (rules can be turned on/off dynamically, §3).
 func (r *Rule) SetEnabled(v bool) { r.enabled.Store(v) }
 
-// knownClasses is the set of monitored classes for reference resolution.
-var knownClasses = map[string]bool{
-	monitor.ClassQuery:       true,
-	monitor.ClassTransaction: true,
-	monitor.ClassBlocker:     true,
-	monitor.ClassBlocked:     true,
-	monitor.ClassTimer:       true,
-	monitor.ClassLATRow:      true,
-	monitor.ClassMonitor:     true,
+// isClass reports whether a reference qualifier names a monitored class
+// (anything else names a LAT).
+func isClass(qual string) bool {
+	_, ok := monitor.ClassAttributes(qual)
+	return ok
 }
 
 // ruleIndex is an immutable snapshot of the registered rule set. Readers
@@ -303,20 +298,12 @@ func (e *Engine) Rules() []string {
 	return out
 }
 
-// analyze compiles the condition and extracts its free classes and LAT
-// references.
+// analyze compiles the condition and extracts its free classes.
 func (r *Rule) analyze() error {
 	classes := map[string]bool{}
-	lats := map[string]bool{}
 	sqlparser.WalkExpr(r.Condition, func(x sqlparser.Expr) {
-		c, ok := x.(*sqlparser.ColumnRef)
-		if !ok || c.Table == "" {
-			return
-		}
-		if knownClasses[c.Table] {
+		if c, ok := x.(*sqlparser.ColumnRef); ok && isClass(c.Table) {
 			classes[c.Table] = true
-		} else {
-			lats[c.Table] = true
 		}
 	})
 	r.freeClasses = r.freeClasses[:0]
@@ -325,16 +312,9 @@ func (r *Rule) analyze() error {
 			r.freeClasses = append(r.freeClasses, cl)
 		}
 	}
-	r.latRefs = r.latRefs[:0]
-	for l := range lats {
-		r.latRefs = append(r.latRefs, l)
-	}
-	fn, err := compileCond(r.Condition)
-	if err != nil {
-		return err
-	}
-	r.cond = fn
-	return nil
+	var err error
+	r.cond, err = compileCond(r.Condition)
+	return err
 }
 
 // Dispatch delivers one event with its bound objects to every matching
@@ -353,6 +333,7 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 
 	base := Ctx{Objects: objs, Primary: objs[ev.Class]}
 	if base.Primary == nil {
+		// Events like Timer.Alarm bind the timer object as primary.
 		for _, o := range objs {
 			base.Primary = o
 			break
@@ -366,7 +347,7 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 			e.safeEvalRule(r, &base)
 			continue
 		}
-		for _, ctx := range e.expand(r, ev, objs) {
+		for _, ctx := range e.expand(r, &base) {
 			e.safeEvalRule(r, ctx)
 		}
 	}
@@ -412,18 +393,10 @@ func (e *Engine) observe(rule string, fired bool) {
 
 // expand produces the object combinations a rule evaluates over: the bound
 // event objects crossed with all live objects of every free class (§5.2).
-func (e *Engine) expand(r *Rule, ev monitor.Event, objs map[string]monitor.Object) []*Ctx {
-	base := &Ctx{Objects: objs, Primary: objs[ev.Class]}
-	if base.Primary == nil {
-		// Events like Timer.Alarm bind the timer object as primary.
-		for _, o := range objs {
-			base.Primary = o
-			break
-		}
-	}
+func (e *Engine) expand(r *Rule, base *Ctx) []*Ctx {
 	out := []*Ctx{base}
 	for _, class := range r.freeClasses {
-		if _, bound := objs[class]; bound {
+		if _, bound := base.Objects[class]; bound {
 			continue
 		}
 		var candidates []monitor.Object
@@ -474,11 +447,9 @@ func cloneObjs(in map[string]monitor.Object) map[string]monitor.Object {
 // Condition evaluation
 // ---------------------------------------------------------------------------
 
-// evalCond compiles and evaluates a rule condition with filter semantics
-// (NULL→false). All LAT row references are implicitly ∃-quantified: a
-// missing matching row makes the condition false (§5.2). Registered rules
-// use the precompiled form via runCond; this helper serves ad-hoc
-// evaluation and tests.
+// evalCond compiles and evaluates a rule condition (semantics: compile.go).
+// Registered rules use the precompiled form via runCond; this helper
+// serves ad-hoc evaluation and tests.
 func (e *Engine) evalCond(cond sqlparser.Expr, ctx *Ctx) (bool, error) {
 	fn, err := compileCond(cond)
 	if err != nil {
@@ -493,27 +464,8 @@ func (e *Engine) evalCond(cond sqlparser.Expr, ctx *Ctx) (bool, error) {
 // runCond evaluates a compiled condition against a context.
 //
 //sqlcm:hotpath
-func (e *Engine) runCond(fn condFn, ctx *Ctx) (bool, error) {
-	st := evalState{eng: e, ctx: ctx}
-	v, missing, err := fn(&st)
-	if err != nil || missing {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	return truthy(v), nil
-}
-
-func truthy(v sqltypes.Value) bool {
-	switch v.Kind() {
-	case sqltypes.KindBool, sqltypes.KindInt:
-		return v.Int() != 0
-	case sqltypes.KindFloat:
-		return v.Float() != 0
-	default:
-		return false
-	}
+func (e *Engine) runCond(c cond, ctx *Ctx) (bool, error) {
+	return expr.EvalBool(c, expr.Env{Ctx: &evalState{eng: e, ctx: ctx}})
 }
 
 // ParseCondition parses a condition string (reusing the SQL expression

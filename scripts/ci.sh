@@ -36,6 +36,9 @@ make vet-bench
 ./scripts/staticcheck.sh
 go test ./...
 go test -race ./...
+# One plan per statement text: the double insert this guards against showed
+# up as a second signature computation about once in twenty runs.
+go test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
 go test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 go test -race -count=1 ./internal/faults/ ./internal/outbox/
 
@@ -85,6 +88,9 @@ SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
 ./scripts/coverfloor.sh
 
 # Fuzz smoke (one -fuzz target per invocation): the placeholder
-# substitution scanner and the wire-protocol frame parser.
+# substitution scanner, rule conditions against WHERE clauses on NULL-free
+# input (the one expression compiler's differential check), and the
+# wire-protocol frame parser.
 go test -run='^$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
+go test -run='^$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
