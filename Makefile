@@ -39,10 +39,13 @@ test:
 # index, sharded caches, event bus) are only meaningful under -race. The
 # repeated run guards the plan cache's single insert per statement text:
 # when two connections could both store a plan for one text, the signature
-# cache computed twice about once in twenty runs.
+# cache computed twice about once in twenty runs. The second repeated run
+# is version GC on the write path against snapshot readers, and CREATE INDEX
+# publishing the index set under point SELECTs.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
+	$(GO) test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
 
 # Chaos tier: fault-injection tests for the fail-safe layer (panic
 # quarantine, outbox retry/backoff/shedding, crash-safe checkpointing),
@@ -107,8 +110,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 
+# internal/workload's benchmark is one 127 000-statement load per iteration.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1000x ./...
+	$(GO) test -run xxx -bench . -benchtime 1000x $$($(GO) list ./... | grep -v /internal/workload)
+	$(GO) test -run xxx -bench . -benchtime 3x ./internal/workload
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under bench/,
 # which the root `go build ./...` does not see: vet and test it against

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -24,7 +25,19 @@ type Table struct {
 	ID      int64
 	Name    string
 	Columns []Column
-	Indexes []*Index
+	// indexes is the index list, published copy-on-write: the planner
+	// reads it with no lock while CREATE INDEX appends.
+	//sqlcm:cow catalog.registry
+	indexes atomic.Pointer[[]*Index]
+}
+
+// Indexes returns the table's indexes, primary key first. The slice is
+// shared with every reader: callers must not write to it.
+func (t *Table) Indexes() []*Index {
+	if p := t.indexes.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // ColumnIndex returns the position of the named column, or -1.
@@ -49,7 +62,7 @@ func (t *Table) PrimaryKeyColumn() int {
 
 // IndexByName returns the named index, or nil.
 func (t *Table) IndexByName(name string) *Index {
-	for _, ix := range t.Indexes {
+	for _, ix := range t.Indexes() {
 		if ix.Name == name {
 			return ix
 		}
@@ -129,13 +142,13 @@ func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	t := &Table{ID: c.nextID, Name: name, Columns: append([]Column(nil), cols...)}
 	c.nextID++
 	if i := t.PrimaryKeyColumn(); i >= 0 {
-		t.Indexes = append(t.Indexes, &Index{
+		t.indexes.Store(&[]*Index{{
 			Name:    name + "_pk",
 			Table:   name,
 			Columns: []int{i},
 			Unique:  true,
 			Primary: true,
-		})
+		}})
 	}
 	c.tables[name] = t
 	c.stats[name] = &Stats{}
@@ -197,7 +210,8 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 		ords[i] = ord
 	}
 	ix := &Index{Name: name, Table: table, Columns: ords, Unique: unique}
-	t.Indexes = append(t.Indexes, ix)
+	next := append(append([]*Index(nil), t.Indexes()...), ix)
+	t.indexes.Store(&next)
 	return ix, nil
 }
 

@@ -34,8 +34,8 @@ func TestCreateTableAndLookup(t *testing.T) {
 		t.Error("PrimaryKeyColumn wrong")
 	}
 	// Primary key auto-creates a unique index.
-	if len(tbl.Indexes) != 1 || !tbl.Indexes[0].Primary || !tbl.Indexes[0].Unique {
-		t.Fatalf("pk index: %+v", tbl.Indexes)
+	if len(tbl.Indexes()) != 1 || !tbl.Indexes()[0].Primary || !tbl.Indexes()[0].Unique {
+		t.Fatalf("pk index: %+v", tbl.Indexes())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/exec"
-	"sqlcm/internal/index"
 	"sqlcm/internal/lock"
 	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/plan"
@@ -36,10 +35,6 @@ type Config struct {
 	// still applies). Default 10s.
 	LockTimeout time.Duration
 }
-
-// versionGCEvery is the writer-commit interval between version-garbage
-// collection passes.
-const versionGCEvery = 256
 
 func (c Config) withDefaults() Config {
 	if c.PoolPages == 0 {
@@ -89,11 +84,6 @@ type Engine struct {
 	// mvccStats aggregates version-store counters across all tables (the
 	// Versions_Pruned / Versions_Retained probes).
 	mvccStats storage.VersionStats
-	// gcTick counts writer commits; every versionGCEvery-th triggers a
-	// version-garbage pass. gcBusy collapses concurrent triggers into one
-	// running pass.
-	gcTick atomic.Int64
-	gcBusy atomic.Bool
 
 	// planGen counts plan-cache invalidations (DDL). Prepared statements
 	// snapshot it and re-plan when it moves, so a handle never executes a
@@ -144,33 +134,33 @@ func Open(cfg Config) (*Engine, error) {
 	e.planMu.SetClass("engine.plan")
 	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
-	e.tm.SetPostCommit(e.onWriterCommit)
 	return e, nil
 }
 
-// onWriterCommit is the transaction manager's post-commit observer: every
-// versionGCEvery-th writer commit triggers a version-garbage pass. It runs
-// on the committing goroutine after that transaction's locks released, so
-// the prune transactions it opens cannot deadlock with the trigger.
-func (e *Engine) onWriterCommit(int64) {
-	if e.gcTick.Add(1)%versionGCEvery == 0 {
-		e.PruneVersionsNow()
+// pruneAfterWrite is the version-garbage trigger: a writer calls it on the
+// table it wrote, still holding that table's exclusive lock, and runs the
+// pass itself when the table's version store says one is due. The lock
+// is what a pass needs (no other writer is in its commit window on this
+// table, readers only ever follow atomics), the watermark is read under it,
+// and the writer's own uncommitted versions sit above every version the
+// pass may cut, so rolling the writer back afterwards still finds them.
+func (e *Engine) pruneAfterWrite(table string) {
+	ts, err := e.reg.Store(table)
+	if err != nil {
+		return // dropped under the statement: nothing left to collect
+	}
+	if wm, due := ts.Vers.PruneDue(e.tm.Watermark); due {
+		ts.PruneVersions(wm)
 	}
 }
 
-// PruneVersionsNow runs one version-garbage-collection pass over every
-// table at the current watermark (oldest active snapshot).
-// Each table is pruned under its exclusive lock inside a short internal
-// transaction, so pruning serializes against writers exactly like a
-// statement; the internal transactions carry no QueryInfo and are therefore
-// invisible to the monitor. Concurrent calls collapse into the one running
-// pass. Prune transactions stamp no versions, so they never re-trigger the
-// post-commit observer.
+// PruneVersionsNow sweeps every table's garbage set at the current
+// watermark (oldest active snapshot), whatever the write-path trigger
+// thinks is due: shutdown, tests and measurements call it to reclaim what
+// tables nobody writes any more were left holding. Each table is pruned
+// under its exclusive lock inside a short internal transaction, so the
+// sweep serializes against writers exactly like a statement.
 func (e *Engine) PruneVersionsNow() {
-	if !e.gcBusy.CompareAndSwap(false, true) {
-		return
-	}
-	defer e.gcBusy.Store(false)
 	for _, name := range e.reg.Names() {
 		ts, err := e.reg.Store(name)
 		if err != nil {
@@ -543,9 +533,7 @@ func (e *Engine) TruncateTableDirect(table string) error {
 		e.tm.Rollback(t) //nolint:errcheck
 		return err
 	}
-	for name, ix := range ts.Indexes {
-		ts.Indexes[name] = index.New(ix.Unique())
-	}
+	ts.ResetIndexes()
 	ts.Vers.Reset()
 	e.cat.AddRows(table, -1<<40) // clamps at zero
 	return e.tm.Commit(t)
@@ -589,6 +577,7 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 			return 0, err
 		}
 	}
+	e.pruneAfterWrite(table)
 	if err := e.tm.Commit(t); err != nil {
 		return 0, err
 	}

@@ -499,7 +499,7 @@ func TestCreateIndexWaitsForOpenWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ts.Indexes["t_g"].Len(); n != 390 {
+	if n := ts.Indexes()["t_g"].Len(); n != 390 {
 		t.Fatalf("index entries: %d, want 390", n)
 	}
 	for g, id := range map[int]int64{5: 2, 7: 1} {
@@ -529,7 +529,7 @@ func TestCreateIndexInsideOwnTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ts.Indexes["t_g"].Len(); n != 1 {
+	if n := ts.Indexes()["t_g"].Len(); n != 1 {
 		t.Fatalf("index entries after rollback: %d, want 1", n)
 	}
 	mustExec(t, e.NewSession("w", "b"), "UPDATE t SET g = 11 WHERE id = 1") // lock released

@@ -493,12 +493,14 @@ func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params 
 		if err != nil {
 			return nil, err
 		}
+		s.e.pruneAfterWrite(p.Table.Name)
 		return &Result{Affected: n}, nil
 	case *plan.PhysDelete:
 		n, err := exec.ExecDelete(ctx, s.e.reg, p, s.e.cat)
 		if err != nil {
 			return nil, err
 		}
+		s.e.pruneAfterWrite(p.Table.Name)
 		return &Result{Affected: n}, nil
 	default:
 		op, err := exec.Build(cp.physical, s.e.reg)

@@ -92,15 +92,16 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		return err
 	}
 	// Maintain indexes; unwind on unique violation.
+	indexes := ts.Indexes()
 	var done []*catalog.Index
-	for _, ix := range meta.Indexes {
-		bt := ts.Indexes[ix.Name]
+	for _, ix := range meta.Indexes() {
+		bt := indexes[ix.Name]
 		if bt == nil {
 			continue
 		}
 		if err := insertEntry(ctx, ts, bt, ts.IndexKey(ix, row), rid); err != nil {
 			for _, u := range done {
-				ts.Indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
+				indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
 			}
 			if derr := ts.Heap.Delete(rid); derr != nil {
 				return fmt.Errorf("exec: unwind failed (%v) after: %w", derr, err)
@@ -126,8 +127,8 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		ctx.Txn.OnRollback(func() error {
 			heapRid := ts.Vers.CurrentRID(rid)
 			ts.Vers.Discard(rid)
-			for _, ix := range meta.Indexes {
-				if bt := ts.Indexes[ix.Name]; bt != nil {
+			for _, ix := range meta.Indexes() {
+				if bt := ts.Indexes()[ix.Name]; bt != nil {
 					bt.Delete(ts.IndexKey(ix, rowCopy), rid)
 				}
 			}
@@ -277,7 +278,7 @@ func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta
 		d := deltas[i]
 		ts.Vers.TakePending(rid, d.ix.Name, d.oldKey)
 		if d.inserted {
-			if bt := ts.Indexes[d.ix.Name]; bt != nil {
+			if bt := ts.Indexes()[d.ix.Name]; bt != nil {
 				bt.Delete(d.newKey, anchor)
 			}
 		}
@@ -315,9 +316,10 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	}
 	anchor := ts.Vers.Anchor(newRid)
 
+	indexes := ts.Indexes()
 	var deltas []ixDelta
-	for _, ix := range ts.Meta.Indexes {
-		bt := ts.Indexes[ix.Name]
+	for _, ix := range ts.Meta.Indexes() {
+		bt := indexes[ix.Name]
 		if bt == nil {
 			continue
 		}
@@ -415,8 +417,9 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		v.SetCommit(storage.BaseCommitTS)
 	}
 	anchor := ts.Vers.Anchor(rid)
-	for _, ix := range ts.Meta.Indexes {
-		if ts.Indexes[ix.Name] == nil {
+	indexes := ts.Indexes()
+	for _, ix := range ts.Meta.Indexes() {
+		if indexes[ix.Name] == nil {
 			continue
 		}
 		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
@@ -428,8 +431,9 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
 			cur := ts.Vers.CurrentRID(rid)
-			for _, ix := range ts.Meta.Indexes {
-				if ts.Indexes[ix.Name] == nil {
+			indexes := ts.Indexes()
+			for _, ix := range ts.Meta.Indexes() {
+				if indexes[ix.Name] == nil {
 					continue
 				}
 				ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))

@@ -252,7 +252,7 @@ func TestDMLSequenceMatchesModel(t *testing.T) {
 	if retained := ts.Vers.Stats().Retained.Load(); retained != int64(len(model)) {
 		t.Fatalf("after prune: %d versions retained, %d live rows", retained, len(model))
 	}
-	for name, bt := range ts.Indexes {
+	for name, bt := range ts.Indexes() {
 		if bt.Len() != len(model) {
 			t.Fatalf("after prune: index %s has %d entries, %d live rows", name, bt.Len(), len(model))
 		}

@@ -3,8 +3,10 @@ package exec
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/catalog"
@@ -19,10 +21,20 @@ import (
 // the only thing reads touch; the heap allocates RIDs and mirrors the
 // current row images, and physical deletes are deferred to PruneVersions.
 type TableStore struct {
-	Meta    *catalog.Table
-	Heap    *storage.HeapFile
-	Vers    *storage.VersionStore
-	Indexes map[string]*index.BTree // keyed by index name
+	Meta *catalog.Table
+	Heap *storage.HeapFile
+	Vers *storage.VersionStore
+
+	// ixMu serializes publication of the index set (CREATE INDEX, TRUNCATE);
+	// its only protected state is the copy-on-write set below.
+	//sqlcm:lock exec.indexes
+	//sqlcm:guards none
+	ixMu sync.Mutex
+	// indexes is the published index set, keyed by index name: lock-free
+	// SELECT cursors load it while CREATE INDEX builds a copy and swaps it
+	// in. The trees latch themselves.
+	//sqlcm:cow exec.indexes
+	indexes atomic.Pointer[map[string]*index.BTree]
 }
 
 // NewTableStore creates storage for a table, including B+trees for every
@@ -33,16 +45,36 @@ func NewTableStore(meta *catalog.Table, pool *storage.BufferPool, stats *storage
 	if err != nil {
 		return nil, err
 	}
-	ts := &TableStore{
-		Meta:    meta,
-		Heap:    heap,
-		Vers:    storage.NewVersionStore(stats),
-		Indexes: make(map[string]*index.BTree),
+	ts := &TableStore{Meta: meta, Heap: heap, Vers: storage.NewVersionStore(stats)}
+	set := make(map[string]*index.BTree)
+	for _, ix := range meta.Indexes() {
+		set[ix.Name] = index.New(ix.Unique)
 	}
-	for _, ix := range meta.Indexes {
-		ts.Indexes[ix.Name] = index.New(ix.Unique)
-	}
+	ts.indexes.Store(&set)
 	return ts, nil
+}
+
+// Indexes returns the published index set, keyed by index name. It is
+// shared with every reader: callers must not write to it.
+func (ts *TableStore) Indexes() map[string]*index.BTree { return *ts.indexes.Load() }
+
+// publishIndexes swaps in a copy of the index set with edit applied.
+func (ts *TableStore) publishIndexes(edit func(set map[string]*index.BTree)) {
+	ts.ixMu.Lock()
+	defer ts.ixMu.Unlock()
+	next := maps.Clone(ts.Indexes())
+	edit(next)
+	ts.indexes.Store(&next)
+}
+
+// ResetIndexes replaces every index with an empty tree (TRUNCATE). The
+// caller holds the table's exclusive lock.
+func (ts *TableStore) ResetIndexes() {
+	ts.publishIndexes(func(set map[string]*index.BTree) {
+		for name, bt := range set {
+			set[name] = index.New(bt.Unique())
+		}
+	})
 }
 
 // IndexKey extracts the encoded key of row for the given index.
@@ -202,7 +234,7 @@ func (ts *TableStore) openRange(snap storage.Snapshot, ix *catalog.Index, r keyR
 // index-NL join seeks once per outer row). Entries keep the tree's key
 // slices: key bytes are never written after Insert.
 func (c *Cursor) seek(r keyRange) error {
-	bt, ok := c.ts.Indexes[c.index.Name]
+	bt, ok := c.ts.Indexes()[c.index.Name]
 	if !ok {
 		return fmt.Errorf("exec: index %q has no storage", c.index.Name)
 	}
@@ -276,7 +308,7 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
-	ts.Indexes[ix.Name] = bt
+	ts.publishIndexes(func(set map[string]*index.BTree) { set[ix.Name] = bt })
 	return nil
 }
 
@@ -287,8 +319,9 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 // lock (Prune itself only takes the version store's leaf latch).
 func (ts *TableStore) PruneVersions(watermark int64) {
 	work := ts.Vers.Prune(watermark)
+	indexes := ts.Indexes()
 	for _, p := range work.Entries {
-		if bt := ts.Indexes[p.Index]; bt != nil {
+		if bt := indexes[p.Index]; bt != nil {
 			bt.Delete(p.Key, p.Rid)
 		}
 	}
@@ -327,9 +360,9 @@ func (r *Registry) Store(table string) (*TableStore, error) {
 	return ts, nil
 }
 
-// Names returns the registered table names in sorted order (the
-// version-garbage collector iterates tables in deterministic order, which
-// also matches the statement-level lock ordering).
+// Names returns the registered table names in sorted order (the order
+// statements lock tables in, so a sweep over every table queues behind
+// writers the way a statement would).
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	out := make([]string, 0, len(r.stores))

@@ -34,7 +34,7 @@ func TestAddIndexBuildsAfterScan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store: %v", err)
 	}
-	bt, ok := ts.Indexes["t_grp"]
+	bt, ok := ts.Indexes()["t_grp"]
 	if !ok {
 		t.Fatalf("index t_grp not registered")
 	}
@@ -54,7 +54,7 @@ func TestAddIndexBuildsAfterScan(t *testing.T) {
 	if _, _, err := h.exec("CREATE UNIQUE INDEX t_grp_u ON t (grp)", nil); err == nil {
 		t.Fatalf("unique index over duplicate keys built without error")
 	}
-	if _, ok := ts.Indexes["t_grp_u"]; ok {
+	if _, ok := ts.Indexes()["t_grp_u"]; ok {
 		t.Fatalf("failed unique index was registered anyway")
 	}
 }

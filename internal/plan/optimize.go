@@ -320,7 +320,7 @@ func (o *optimizer) chooseAccess(t *catalog.Table, alias string, conjuncts []sql
 		cost:   tableRows/rowsPerPage*costPageIO + tableRows*costRowCPU,
 	}
 
-	for _, ix := range t.Indexes {
+	for _, ix := range t.Indexes() {
 		used := map[sqlparser.Expr]bool{}
 		var eq []sqlparser.Expr
 		matched := 0
@@ -517,7 +517,7 @@ func (o *optimizer) physicalJoin(j *LogicalJoin, conjuncts []sqlparser.Expr) (Ph
 	// Index nested loop: the right column of some equi pair is the leading
 	// column of an index on the inner table.
 	if len(leftKeys) > 0 {
-		for _, ix := range rightScan.Table.Indexes {
+		for _, ix := range rightScan.Table.Indexes() {
 			probe := matchIndexProbe(ix, leftKeys, rightKeys, rightScan.Table, rightAlias)
 			if probe == nil {
 				continue

@@ -65,6 +65,9 @@ type VersionStats struct {
 	Pruned atomic.Int64
 	// Retained counts versions currently held across all chains.
 	Retained atomic.Int64
+	// Scanned counts chains Prune examined: the work garbage collection
+	// did, whether or not it found garbage.
+	Scanned atomic.Int64
 }
 
 // Version is one immutable row version. rec and txnID are fixed at
@@ -142,6 +145,9 @@ type chain struct {
 	// cancels it.
 	//sqlcm:guarded-by storage.version
 	pend []Pending
+	// dirty marks membership in the store's garbage set.
+	//sqlcm:guarded-by storage.version
+	dirty bool
 }
 
 // ChainRow is one row materialized from a chain scan.
@@ -160,13 +166,26 @@ type ChainRow struct {
 type VersionStore struct {
 	stats *VersionStats
 
-	// mu protects the chain map and every chain's mutable fields (rid,
-	// anchor, rids, pend). Chain heads and version links are read through
-	// atomics so visibility walks escape the critical section.
+	// mu protects the chain map, every chain's mutable fields (rid, anchor,
+	// rids, pend, dirty) and the garbage set with its counters. Chain heads
+	// and version links are read through atomics so visibility walks escape
+	// the critical section.
 	//sqlcm:lock storage.version
-	//sqlcm:guards chains
+	//sqlcm:guards chains, garbage, grown, residue, prunedAt
 	mu     lockcheck.RWMutex
 	chains map[RID]*chain
+	// garbage is the set of chains Prune can find work in. Invariant: every
+	// chain with more than one version, a tombstone head or a pending entry
+	// is in it — a chain outside it is one live version, which no watermark
+	// makes garbage. Chains enter on Push, Tombstone, AddPending and
+	// RestorePending; Prune drops the ones it leaves clean and the ones Pop
+	// or Discard removed from the map since they entered.
+	garbage []*chain
+	// grown counts the versions pushed since the last Prune; residue the
+	// versions that pass examined and had to keep, prunedAt its watermark.
+	// PruneDue weighs them.
+	grown, residue int
+	prunedAt       int64
 }
 
 // NewVersionStore returns an empty store reporting into stats.
@@ -228,8 +247,20 @@ func (s *VersionStore) push(rid RID, v *Version) {
 		v.next.Store(c.head.Load())
 	}
 	c.head.Store(v)
+	s.markGarbage(c)
+	s.grown++
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
+}
+
+// markGarbage enters c into the garbage set. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) markGarbage(c *chain) {
+	if !c.dirty {
+		c.dirty = true
+		s.garbage = append(s.garbage, c)
+	}
 }
 
 // Relocate records that the heap moved the row from oldRid to newRid. The
@@ -371,6 +402,7 @@ func (s *VersionStore) AddPending(rid RID, index string, key []byte, entryRid RI
 	s.mu.Lock()
 	if c := s.chains[rid]; c != nil {
 		c.pend = append(c.pend, Pending{Index: index, Key: key, Rid: entryRid, By: by})
+		s.markGarbage(c)
 	}
 	s.mu.Unlock()
 }
@@ -400,6 +432,7 @@ func (s *VersionStore) RestorePending(rid RID, p Pending) {
 	s.mu.Lock()
 	if c := s.chains[rid]; c != nil {
 		c.pend = append(c.pend, p)
+		s.markGarbage(c)
 	}
 	s.mu.Unlock()
 }
@@ -415,37 +448,60 @@ type PruneWork struct {
 	Entries []Pending
 }
 
+// PruneBatch is the number of versions a table's writers push before one
+// of them runs a pass: it amortizes a pass's fixed cost and bounds the
+// garbage a quiescent table is left holding.
+const PruneBatch = 256
+
+// PruneDue is the write-path trigger: a writer holding the table's
+// exclusive lock asks it after its rows are written and, when due, runs the
+// pass at the returned watermark. A pass is due once PruneBatch versions
+// were pushed since the last one, provided it can find new garbage: the
+// watermark moved past the last pass's, or the pushes since outnumber the
+// versions that pass had to keep. The second arm keeps a pinned watermark (a
+// long-open snapshot) from turning every batch into a rescan of the same
+// un-prunable set: the passes then space out geometrically. watermark is
+// called without the store's latch held.
+func (s *VersionStore) PruneDue(watermark func() int64) (wm int64, due bool) {
+	s.mu.RLock()
+	grown, residue, prunedAt := s.grown, s.residue, s.prunedAt
+	s.mu.RUnlock()
+	if grown < PruneBatch {
+		return 0, false
+	}
+	wm = watermark()
+	return wm, wm > prunedAt || grown >= residue
+}
+
 // Prune discards versions no snapshot at or after watermark can observe:
 // versions older than each chain's anchor version (the newest with commit
 // <= watermark), deferred index entries whose superseding commit passed
 // the watermark, and whole chains whose visible state at the watermark is
-// a tombstone.
+// a tombstone. It walks the garbage set only, so a pass costs what was
+// written since the chains it visits were last clean, not what is stored.
 func (s *VersionStore) Prune(watermark int64) PruneWork {
 	var work PruneWork
 	var pruned int64
 	s.mu.Lock()
-	seen := make(map[*chain]bool)
-	for _, c := range s.chains {
-		if c == nil || seen[c] {
-			continue
+	scanned := len(s.garbage)
+	kept, residue := s.garbage[:0], 0
+	for _, c := range s.garbage {
+		if s.chains[c.anchor] != c {
+			continue // rolled back (Pop, Discard) since it entered the set
 		}
-		seen[c] = true
 
 		// Sweep deferred index-entry removals.
-		kept := c.pend[:0]
+		pend := c.pend[:0]
 		for _, p := range c.pend {
 			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
 				work.Entries = append(work.Entries, p)
 			} else {
-				kept = append(kept, p)
+				pend = append(pend, p)
 			}
 		}
-		c.pend = kept
+		c.pend = pend
 
 		head := c.head.Load()
-		if head == nil {
-			continue
-		}
 		// Whole-row death: the version visible at the watermark is a
 		// tombstone, so no live or future snapshot sees any data.
 		if ts := head.commit.Load(); head.Tombstone() && ts != 0 && ts <= watermark {
@@ -459,7 +515,9 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 			continue
 		}
 		// Interior truncation below the newest watermark-visible version.
+		n := 0
 		for v := head; v != nil; v = v.next.Load() {
+			n++
 			if ts := v.commit.Load(); ts != 0 && ts <= watermark {
 				if tail := v.next.Load(); tail != nil {
 					pruned += int64(chainLen(tail))
@@ -468,8 +526,18 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 				break
 			}
 		}
+		if n == 1 && !head.Tombstone() && len(c.pend) == 0 {
+			c.dirty = false // one live version: nothing for any later pass
+			continue
+		}
+		residue += n
+		kept = append(kept, c)
 	}
+	clear(s.garbage[len(kept):])
+	s.garbage = kept
+	s.grown, s.residue, s.prunedAt = 0, residue, watermark
 	s.mu.Unlock()
+	s.stats.Scanned.Add(int64(scanned))
 	if pruned > 0 {
 		s.stats.Pruned.Add(pruned)
 		s.stats.Retained.Add(-pruned)
@@ -489,6 +557,7 @@ func (s *VersionStore) Reset() {
 		}
 	}
 	s.chains = make(map[RID]*chain)
+	s.garbage, s.grown, s.residue = nil, 0, 0
 	s.mu.Unlock()
 	s.stats.Retained.Add(-n)
 }

@@ -121,3 +121,23 @@ func TestRunWorkload(t *testing.T) {
 		break
 	}
 }
+
+// BenchmarkSetupAutocommit loads the default-size database through Setup:
+// 127 000 autocommit INSERTs, each a writer commit. Version garbage
+// collection must not charge them for rows already loaded.
+func BenchmarkSetupAutocommit(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		eng, err := engine.Open(engine.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Setup(eng, Config{Seed: 42}); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -39,6 +39,9 @@ go test -race ./...
 # One plan per statement text: the double insert this guards against showed
 # up as a second signature computation about once in twenty runs.
 go test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
+# Writers prune the chains they wrote under their own X lock while snapshot
+# readers walk them; CREATE INDEX publishes the index set under point SELECTs.
+go test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
 go test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 go test -race -count=1 ./internal/faults/ ./internal/outbox/
 
@@ -77,6 +80,12 @@ go test -race -count=1 -run TestNetChaos ./internal/loadgen/
 # reference (testdata/invariance_2pl.golden). `make sim-mvcc` runs just
 # those.
 SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
+
+# The two benchmarks version GC is sized by, one iteration each so they
+# cannot rot: a pass over a large table with few written chains, and the
+# autocommit loader (127 000 writer commits).
+go test -run '^$' -bench 'BenchmarkPruneSparse$' -benchtime=1x ./internal/storage
+go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/workload
 
 # Benchmark module: bench/ is its own module (sqlcm/bench), so the root
 # `go build ./...` and `go test ./...` never see it; an internal API change
