@@ -35,8 +35,8 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# Race tier: the concurrency tests (striped LATs, copy-on-write rule
-# index, sharded caches, event bus) are only meaningful under -race. The
+# Race tier: the concurrency tests (LATs, copy-on-write rule index,
+# signature cache, event bus) are only meaningful under -race. The
 # repeated run guards the plan cache's single insert per statement text:
 # when two connections could both store a plan for one text, the signature
 # cache computed twice about once in twenty runs. The second repeated run

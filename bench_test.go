@@ -167,10 +167,11 @@ func BenchmarkLATEvictionBounded100(b *testing.B) { benchLATEviction(b, 100) }
 func BenchmarkLATEvictionUnbounded(b *testing.B)  { benchLATEviction(b, 0) }
 
 // ---------------------------------------------------------------------------
-// A-PAR: hot-path scaling benchmarks. Each exercises one sharded/lock-free
-// structure from b.RunParallel so throughput can be compared across
-// -cpu values; on >= 4 cores the sharded paths should scale near-linearly
-// where the seed's single-mutex versions flatlined.
+// A-PAR: hot-path scaling benchmarks. Each exercises one structure of the
+// monitoring hot path from b.RunParallel so throughput can be compared
+// across -cpu values: the lock-free ones (event bus, rule index, signature
+// cache) scale with cores, the one-latch LAT does not (DESIGN.md §5.1 says
+// why that is the right trade for the measured traffic).
 // ---------------------------------------------------------------------------
 
 // nullEnv is a rules.Env that does nothing: dispatch benchmarks measure
@@ -230,10 +231,9 @@ func BenchmarkEventDispatchParallel(b *testing.B) {
 	}
 }
 
-// benchLATObserveParallel inserts into an unbounded striped LAT from all
-// procs. hot=false gives every goroutine its own key range (different
-// stripes, near-zero latch contention); hot=true forces every insert onto
-// one group so all procs fight over a single row latch.
+// benchLATObserveParallel inserts into an unbounded LAT from all procs.
+// hot=false gives every goroutine its own key range; hot=true forces every
+// insert onto one group. Both meet on the table latch.
 func benchLATObserveParallel(b *testing.B, hot bool) {
 	table, err := lat.New(lat.Spec{
 		Name:    "par",
@@ -295,7 +295,7 @@ func sigBenchPlans(b *testing.B, eng *engine.Engine, sql string) (plan.Logical, 
 	return l, p
 }
 
-// BenchmarkSigCacheParallel hits the sharded signature cache from all
+// BenchmarkSigCacheParallel hits the signature cache from all
 // procs over a working set of pre-optimized plans (all hits after the
 // first round; the interesting number is lookup throughput).
 func BenchmarkSigCacheParallel(b *testing.B) {

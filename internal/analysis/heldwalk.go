@@ -47,7 +47,7 @@ type heldEntry struct {
 	pos   token.Pos // acquisition site
 	write bool      // held via Lock/TryLock, not just the read side
 	// maybe marks a class held on only some merged control-flow paths
-	// ("if t.bounded { t.orderMu.Lock() }"). Ordering checks still apply
+	// ("if bounded { mu.Lock() }"). Ordering checks still apply
 	// — the lock really is held on one path — but same-class and leak
 	// reports are suppressed: the matching conditional unlock is beyond
 	// this walk's precision, and the runtime lockdep build covers those.

@@ -1,5 +1,5 @@
-// Package seededinversion reproduces the pre-sharding LAT latch bug
-// shape: inserts nest ordering latch → shard latch, while the seeded
+// Package seededinversion reproduces the latch bug shape of the early,
+// multi-latch LAT: inserts nest ordering latch → shard latch, while the seeded
 // eviction path takes a shard latch first and the ordering latch second.
 // Running both concurrently deadlocks; the static checker must flag the
 // reversed nesting from the declared order alone.
@@ -10,8 +10,8 @@ import "sync"
 type table struct {
 	// Ordering latch: taken before any shard latch.
 	//sqlcm:lock t.order
-	orderMu sync.Mutex
-	shards  [4]shard
+	heapMu sync.Mutex
+	shards [4]shard
 }
 
 type shard struct {
@@ -22,12 +22,12 @@ type shard struct {
 
 // insert nests correctly: ordering latch, then shard latch.
 func (t *table) insert(key string) {
-	t.orderMu.Lock()
+	t.heapMu.Lock()
 	sh := &t.shards[0]
 	sh.mu.Lock()
 	sh.groups[key] = 1
 	sh.mu.Unlock()
-	t.orderMu.Unlock()
+	t.heapMu.Unlock()
 }
 
 // evict is the seeded bug: shard latch first, ordering latch second —
@@ -35,8 +35,8 @@ func (t *table) insert(key string) {
 func (t *table) evict(key string) {
 	sh := &t.shards[0]
 	sh.mu.Lock()
-	t.orderMu.Lock()
+	t.heapMu.Lock()
 	delete(sh.groups, key)
-	t.orderMu.Unlock()
+	t.heapMu.Unlock()
 	sh.mu.Unlock()
 }

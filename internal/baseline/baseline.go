@@ -130,14 +130,6 @@ func (p *Puller) Stop() {
 	<-p.done
 }
 
-// ResetObservations clears everything observed so far (used to delimit an
-// accuracy measurement window).
-func (p *Puller) ResetObservations() {
-	p.mu.Lock()
-	p.observed = make(map[string]time.Duration)
-	p.mu.Unlock()
-}
-
 // Polls returns the number of snapshots taken.
 func (p *Puller) Polls() int64 {
 	p.mu.Lock()

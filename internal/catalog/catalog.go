@@ -190,10 +190,13 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// CreateIndex registers a secondary index on an existing table.
-func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// NewIndex validates a secondary index on an existing table and returns
+// its description without registering it: the planner cannot pick the
+// index until AddIndex publishes it, which CREATE INDEX does only once the
+// tree is built.
+func (c *Catalog) NewIndex(name, table string, columns []string, unique bool) (*Index, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	t, ok := c.tables[table]
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %q does not exist", table)
@@ -209,10 +212,33 @@ func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool)
 		}
 		ords[i] = ord
 	}
-	ix := &Index{Name: name, Table: table, Columns: ords, Unique: unique}
+	return &Index{Name: name, Table: table, Columns: ords, Unique: unique}, nil
+}
+
+// AddIndex registers an index built from NewIndex.
+func (c *Catalog) AddIndex(ix *Index) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t, ok := c.tables[ix.Table]
+	if !ok {
+		return fmt.Errorf("catalog: table %q does not exist", ix.Table)
+	}
+	if t.IndexByName(ix.Name) != nil {
+		return fmt.Errorf("catalog: index %q already exists on %q", ix.Name, ix.Table)
+	}
 	next := append(append([]*Index(nil), t.Indexes()...), ix)
 	t.indexes.Store(&next)
-	return ix, nil
+	return nil
+}
+
+// CreateIndex is NewIndex followed by AddIndex, for callers with no tree
+// to build in between.
+func (c *Catalog) CreateIndex(name, table string, columns []string, unique bool) (*Index, error) {
+	ix, err := c.NewIndex(name, table, columns, unique)
+	if err != nil {
+		return nil, err
+	}
+	return ix, c.AddIndex(ix)
 }
 
 // CreateProcedure registers a stored procedure.

@@ -269,10 +269,6 @@ func (s *SQLCM) SigComputes() int64 { return s.sigs.Computes() }
 // Events reports how many monitored events were dispatched to rules.
 func (s *SQLCM) Events() int64 { return s.bus.Total() }
 
-// EventCounts reports per-event dispatch counts ("Class.Name" → count) for
-// events dispatched at least once.
-func (s *SQLCM) EventCounts() map[string]int64 { return s.bus.Counts() }
-
 // ---------------------------------------------------------------------------
 // LAT management
 // ---------------------------------------------------------------------------
@@ -374,8 +370,10 @@ func (s *SQLCM) PersistLAT(name, table string) error {
 	return nil
 }
 
-// LoadLAT folds the contents of a previously persisted table back into the
-// LAT, carrying monitoring state across server restarts (§4.3). The
+// LoadLAT restores the LAT from a previously persisted table, carrying
+// monitoring state across server restarts (§4.3), through the same
+// lat.Table.Restore the checkpointer uses. Rows replay in insertion order,
+// so of several persisted snapshots of one group the newest wins. The
 // trailing timestamp column added by Persist is dropped.
 func (s *SQLCM) LoadLAT(name, table string) error {
 	t, ok := s.LAT(name)
@@ -394,7 +392,7 @@ func (s *SQLCM) LoadLAT(name, table string) error {
 		}
 		trimmed = append(trimmed, r)
 	}
-	return t.Load(trimmed)
+	return t.Restore(trimmed)
 }
 
 // ---------------------------------------------------------------------------

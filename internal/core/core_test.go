@@ -441,7 +441,9 @@ func TestTransactionSignatureGroupsCodePaths(t *testing.T) {
 }
 
 func TestLATPersistenceAcrossRestart(t *testing.T) {
-	// §4.3: LAT contents survive a "restart" via Persist + Load.
+	// §4.3: LAT contents survive a "restart" via PersistLAT + LoadLAT. The
+	// table is persisted twice; the reload must equal the second snapshot
+	// in every aggregate whose state its output determines.
 	eng, s := newMonitored(t)
 	sess := eng.NewSession("dba", "app")
 	seed(t, sess)
@@ -450,7 +452,11 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 		GroupBy: []string{"Logical_Signature"},
 		Aggs: []lat.AggCol{
 			{Func: lat.Count, Name: "N"},
-			{Func: lat.Avg, Attr: "Duration", Name: "AvgD"},
+			{Func: lat.Sum, Attr: "Duration", Name: "SumD"},
+			{Func: lat.Min, Attr: "Duration", Name: "MinD"},
+			{Func: lat.Max, Attr: "Duration", Name: "MaxD"},
+			{Func: lat.First, Attr: "ID", Name: "FirstID"},
+			{Func: lat.Last, Attr: "ID", Name: "LastID"},
 		},
 	}
 	if _, err := s.DefineLAT(spec); err != nil {
@@ -459,11 +465,18 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	if _, err := s.NewRule("collect", "Query.Commit", "", &rules.InsertAction{LAT: "Persistent"}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		mustExec(t, sess, fmt.Sprintf("SELECT val FROM items WHERE id = %d", i+1))
+	for snapshot := 0; snapshot < 2; snapshot++ {
+		for i := 0; i < 10; i++ {
+			mustExec(t, sess, fmt.Sprintf("SELECT val FROM items WHERE id = %d", i+1))
+		}
+		if err := s.PersistLAT("Persistent", "lat_backup"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.PersistLAT("Persistent", "lat_backup"); err != nil {
-		t.Fatal(err)
+	lt, _ := s.LAT("Persistent")
+	want := lt.Rows()
+	if len(want) != 1 || want[0][1].Int() != 20 {
+		t.Fatalf("second snapshot: %v", want)
 	}
 	// "Restart": drop and re-define, then reload.
 	s.DropLAT("Persistent")
@@ -473,9 +486,15 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	if err := s.LoadLAT("Persistent", "lat_backup"); err != nil {
 		t.Fatal(err)
 	}
-	lt, _ := s.LAT("Persistent")
-	if lt.Len() != 1 {
-		t.Fatalf("restored groups: %d", lt.Len())
+	lt, _ = s.LAT("Persistent")
+	got := lt.Rows()
+	if len(got) != 1 {
+		t.Fatalf("restored groups: %v", got)
+	}
+	for i, col := range spec.Columns() {
+		if sqltypes.Compare(got[0][i], want[0][i]) != 0 {
+			t.Errorf("restored %s = %v, second snapshot has %v", col, got[0][i], want[0][i])
+		}
 	}
 }
 

@@ -68,14 +68,13 @@ type Engine struct {
 	planMu    lockcheck.Mutex
 	planCache map[string]*cachedPlan
 
-	// queryMu protects the active-query and transaction-info maps.
+	// queryMu protects the active-query maps.
 	//sqlcm:lock engine.query
-	//sqlcm:guards active, byTxn, txnInfo
+	//sqlcm:guards active, byTxn
 	queryMu lockcheck.RWMutex
 	// active queries by query id and the current query of each transaction
-	active  map[int64]*QueryInfo
-	byTxn   map[lock.TxnID]*QueryInfo
-	txnInfo map[lock.TxnID]*TxnInfo
+	active map[int64]*QueryInfo
+	byTxn  map[lock.TxnID]*QueryInfo
 
 	querySeq   atomic.Int64
 	sessionSeq atomic.Int64
@@ -128,7 +127,6 @@ func Open(cfg Config) (*Engine, error) {
 		planCache: make(map[string]*cachedPlan),
 		active:    make(map[int64]*QueryInfo),
 		byTxn:     make(map[lock.TxnID]*QueryInfo),
-		txnInfo:   make(map[lock.TxnID]*TxnInfo),
 	}
 	e.hooksMu.SetClass("engine.hooks")
 	e.planMu.SetClass("engine.plan")
@@ -604,9 +602,5 @@ func (e *Engine) ReadTableDirect(table string) ([][]sqltypes.Value, error) {
 		out = append(out, row)
 	}
 }
-
-// NewQueryID allocates a fresh query id (exported for the monitor's
-// synthetic objects such as evicted LAT rows).
-func (e *Engine) NewQueryID() int64 { return e.querySeq.Add(1) }
 
 var errClosed = fmt.Errorf("engine: closed")

@@ -538,6 +538,38 @@ func TestCreateIndexInsideOwnTransaction(t *testing.T) {
 	}
 }
 
+// A unique build that fails on a duplicate leaves neither a catalog entry
+// nor a tree behind: the name is free for a second attempt.
+func TestCreateIndexFailedUniqueBuildLeavesNothing(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("a", "b")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+	mustExec(t, s, "INSERT INTO t VALUES (1, 10)")
+	mustExec(t, s, "INSERT INTO t VALUES (2, 10)")
+	if _, err := s.Exec("CREATE UNIQUE INDEX t_g ON t(g)", nil); err == nil {
+		t.Fatal("unique index over duplicate keys was built")
+	}
+	meta, err := e.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix := meta.IndexByName("t_g"); ix != nil {
+		t.Fatalf("failed build left catalog entry %+v", ix)
+	}
+	ts, err := e.Stores().Store("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ts.Indexes()["t_g"]; ok {
+		t.Fatal("failed build left a tree")
+	}
+	mustExec(t, s, "UPDATE t SET g = 20 WHERE id = 2")
+	mustExec(t, s, "CREATE UNIQUE INDEX t_g ON t(g)")
+	if res := mustExec(t, s, "SELECT id FROM t WHERE g = 20"); len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
+		t.Fatalf("lookup through the rebuilt index: %v", res.Rows)
+	}
+}
+
 func TestFileBackedEngine(t *testing.T) {
 	dir := t.TempDir()
 	e, err := Open(Config{PoolPages: 16, DataPath: dir + "/data.db"})

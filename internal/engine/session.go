@@ -105,10 +105,6 @@ func (s *Session) leave() { s.busy.Store(0) }
 // handlers call it once when they take ownership of a session.
 func (s *Session) PinOwner() { s.owner.pin() }
 
-// InTxnOpen reports whether an explicit transaction is open without
-// claiming the session (diagnostics only; racy by nature).
-func (s *Session) InTxnOpen() bool { return s.tx != nil }
-
 // Closed reports whether the session has been closed.
 func (s *Session) Closed() bool { return s.closed.Load() }
 
@@ -212,7 +208,10 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 // other transaction has an uncommitted version on the table while the build
 // reads it and no writer misses the new tree. The lock is taken by the
 // session's open transaction (and then held to its end, like a write) or by
-// a short internal one that is invisible to the monitor.
+// a short internal one that is invisible to the monitor. The tree is built
+// and published before the catalog entry: a lock-free SELECT planned
+// meanwhile cannot pick an index without storage, and a failed build (a
+// duplicate under UNIQUE) leaves the name free.
 func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
 	t := s.tx
 	if t == nil {
@@ -225,7 +224,7 @@ func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
 		}
 		return err
 	}
-	ix, err := s.e.cat.CreateIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
+	ix, err := s.e.cat.NewIndex(stmt.Name, stmt.Table, stmt.Columns, stmt.Unique)
 	if err != nil {
 		return err
 	}
@@ -234,6 +233,9 @@ func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
 		return err
 	}
 	if err := ts.AddIndex(&exec.Ctx{Txn: t}, ix); err != nil {
+		return err
+	}
+	if err := s.e.cat.AddIndex(ix); err != nil {
 		return err
 	}
 	s.e.invalidatePlans()
@@ -257,7 +259,7 @@ func (s *Session) begin() error {
 }
 
 func (s *Session) newTxnInfo(t *txn.Txn, implicit bool) *TxnInfo {
-	ti := &TxnInfo{
+	return &TxnInfo{
 		ID:        t.ID,
 		SessionID: s.ID,
 		User:      s.User,
@@ -265,16 +267,11 @@ func (s *Session) newTxnInfo(t *txn.Txn, implicit bool) *TxnInfo {
 		StartTime: t.Start,
 		Implicit:  implicit,
 	}
-	s.e.queryMu.Lock()
-	s.e.txnInfo[t.ID] = ti
-	s.e.queryMu.Unlock()
-	return ti
 }
 
 func (s *Session) endTxn(t *txn.Txn) {
 	s.e.queryMu.Lock()
 	delete(s.e.byTxn, t.ID)
-	delete(s.e.txnInfo, t.ID)
 	s.e.queryMu.Unlock()
 }
 

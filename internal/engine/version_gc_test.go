@@ -289,6 +289,24 @@ func TestCreateIndexRacesPointSelects(t *testing.T) {
 			}
 		}(r)
 	}
+	// One reader filters on the column being indexed, so its plans pick a
+	// new index as soon as the catalog lists it: the tree must be there.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s := e.NewSession("val", "gc")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.Exec("SELECT id FROM kv WHERE val = 0", nil); err != nil {
+				t.Errorf("SELECT by val: %v", err) // e.g. index "kv_val_3" has no storage
+				return
+			}
+		}
+	}()
 	ddl := e.NewSession("ddl", "gc")
 	for i := 0; i < 20; i++ {
 		mustExec(t, ddl, fmt.Sprintf("CREATE INDEX kv_val_%d ON kv (val)", i))

@@ -50,10 +50,7 @@ type Bus struct {
 	// shed counts events dropped in degraded mode, per schema event.
 	shed      []atomic.Int64
 	shedTotal atomic.Int64
-	// other counts events outside the schema (none today; kept so a future
-	// extension cannot silently lose counts).
-	other atomic.Int64
-	total atomic.Int64
+	total     atomic.Int64
 
 	// budgetNs is the latency budget (0 = shedding disabled).
 	budgetNs atomic.Int64
@@ -106,8 +103,6 @@ func (b *Bus) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 	i, known := monitor.EventIndex(ev)
 	if known {
 		b.counts[i].Add(1)
-	} else {
-		b.other.Add(1)
 	}
 	budget := b.budgetNs.Load()
 	if budget == 0 {
@@ -161,10 +156,6 @@ func (b *Bus) ShedCount(ev monitor.Event) int64 {
 // Degraded reports whether the bus is currently sampling events because
 // the dispatch-latency average exceeds the configured budget.
 func (b *Bus) Degraded() bool { return b.degraded.Load() }
-
-// DispatchEWMA returns the current dispatch-latency moving average (zero
-// until a budget is armed).
-func (b *Bus) DispatchEWMA() time.Duration { return time.Duration(b.ewmaNs.Load()) }
 
 // Count returns the number of dispatches of one schema event.
 func (b *Bus) Count(ev monitor.Event) int64 {

@@ -8,7 +8,8 @@ import (
 	"sqlcm/internal/sqltypes"
 )
 
-// aggState holds the accumulator for one aggregation column of one row.
+// aggState holds the accumulator for one aggregation column of one row;
+// its zero value is the empty accumulator (the zero sqltypes.Value is NULL).
 // Non-aging aggregates use the scalar fields; aging aggregates additionally
 // maintain a bounded list of time blocks (the paper's block-based moving
 // window: values are grouped into blocks spanning Δ, and whole blocks age
@@ -55,11 +56,6 @@ type agingBlock struct {
 	hasMM   bool
 	first   sqltypes.Value
 	last    sqltypes.Value
-}
-
-func (a *aggState) init(spec *Spec, col *AggCol) {
-	a.min, a.max = sqltypes.Null, sqltypes.Null
-	a.first, a.last = sqltypes.Null, sqltypes.Null
 }
 
 // add folds one observation in.
@@ -183,19 +179,26 @@ func (a *aggState) addAging(spec *Spec, v sqltypes.Value, now time.Time) {
 	}
 }
 
-// expire drops blocks entirely older than the window.
-func (a *aggState) expire(spec *Spec, now time.Time) {
+// aged returns how many leading blocks are entirely older than the window.
+func (a *aggState) aged(spec *Spec, now time.Time) int {
 	cutoff := now.Add(-spec.AgingWindow)
 	i := 0
 	for i < len(a.blocks) && a.blocks[i].start.Add(spec.AgingBlock).Before(cutoff) {
 		i++
 	}
-	if i > 0 {
+	return i
+}
+
+// expire drops the aged blocks.
+func (a *aggState) expire(spec *Spec, now time.Time) {
+	if i := a.aged(spec, now); i > 0 {
 		a.blocks = append(a.blocks[:0], a.blocks[i:]...)
 	}
 }
 
-// value materializes the aggregate's current output.
+// value materializes the aggregate's current output. It does not modify
+// the accumulator: Lookup and Rows call it under the read side of the
+// table latch.
 func (a *aggState) value(spec *Spec, col *AggCol, now time.Time) sqltypes.Value {
 	if col.Aging {
 		return a.agingValue(spec, col, now)
@@ -229,13 +232,12 @@ func (a *aggState) value(spec *Spec, col *AggCol, now time.Time) sqltypes.Value 
 }
 
 func (a *aggState) agingValue(spec *Spec, col *AggCol, now time.Time) sqltypes.Value {
-	a.expire(spec, now)
 	var count, nonNull, numeric int64
 	var sum, mean, m2 float64
 	mn, mx := sqltypes.Null, sqltypes.Null
 	first, last := sqltypes.Null, sqltypes.Null
 	hasMM, hasF := false, false
-	for i := range a.blocks {
+	for i := a.aged(spec, now); i < len(a.blocks); i++ {
 		b := &a.blocks[i]
 		count += b.count
 		nonNull += b.nonNull

@@ -6,16 +6,13 @@
 //     STDEV, FIRST, LAST) plus aging (moving-window, block-based) variants,
 //   - ordering columns with a bounded size (rows or bytes) and
 //     least-important-first eviction backed by a heap,
-//   - latch-based concurrency (the group hash striped into shard latches,
-//     a small ordering latch for the eviction heap, a per-row latch for
-//     aggregate state), and
+//   - latch-based concurrency (one reader/writer latch per table), and
 //   - snapshot/persist support.
 package lat
 
 import (
 	"container/heap"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -197,57 +194,36 @@ type Stats struct {
 	GroupCount int
 }
 
-// latShards is the number of stripes the group hash is split into. A
-// power of two, so shard selection is a mask over the FNV hash of the
-// encoded grouping key. 16 stripes keep the probability of two concurrent
-// Observe calls on different groups colliding on one latch below ~6% at
-// realistic thread counts while costing ~2KB per table.
-const latShards = 16
+// maxFree bounds the recycled-row pool.
+const maxFree = 64
 
-// maxFreePerShard bounds each shard's recycled-row pool (64 rows per
-// table, matching the seed's single free list).
-const maxFreePerShard = 4
-
-// latShard is one stripe of the group hash: a latch, the groups that hash
-// into the stripe, and a small pool of evicted rows for reuse (§6.1:
-// "evicted leafs can be re-used for the newly inserted value, keeping
-// memory fragmentation low").
-type latShard struct {
-	// mu protects the stripe's group map and free list.
-	//sqlcm:lock lat.shard after lat.order
-	//sqlcm:guards groups, free
-	mu     lockcheck.RWMutex
-	groups map[string]*row
-	free   []*row
-	_      [24]byte // pad shards onto distinct cache lines
-}
-
-// Table is a live LAT.
-//
-// Latching discipline (mirrors the paper's per-row + structure latches,
-// with the structure latch striped): shard latches protect the per-stripe
-// hash maps and free lists; the ordering latch protects the eviction heap
-// and every row's heapIdx; row latches protect aggregate state. Latches
-// nest only in the order orderMu → shard.mu → row.mu, so concurrent
-// Observe calls on different groups touch disjoint shard and row latches
-// and — in the unbounded case — never share a latch at all. Memory and
-// group counters are atomics. The ordering heap is maintained only when
-// the spec carries a size limit; an unbounded LAT pays no ordering latch.
+// Table is a live LAT: the paper's hash on the grouping columns plus a
+// heap on the ordering columns, behind one latch. Insert, Restore, Reset
+// and eviction take its write side, Lookup and Rows its read side;
+// attribute getters run before it is taken and eviction callbacks after
+// it is released, so no caller code runs under it. The heap is maintained
+// only when the spec carries a size limit. The counters are atomics, so
+// Len and Stats take no latch.
 type Table struct {
 	spec Spec
 	// Clock is injectable for deterministic aging tests.
 	clock func() time.Time
+	// bounded is true when the spec has MaxRows or MaxBytes; orderCols is
+	// the output-column position of each ordering column. Both immutable.
+	bounded   bool
+	orderCols []int
 
-	shards [latShards]latShard
-
-	// bounded is true when the spec has MaxRows or MaxBytes: only then do
-	// inserts maintain the eviction heap under orderMu.
-	bounded bool
-	// orderMu is the ordering latch: eviction heap + row heapIdx.
-	//sqlcm:lock lat.order
-	//sqlcm:guards order
-	orderMu lockcheck.Mutex
-	order   rowHeap
+	// mu is the table latch: group hash, eviction heap, free list and all
+	// row state.
+	//sqlcm:lock lat.table
+	//sqlcm:guards groups, order, free
+	mu     lockcheck.RWMutex
+	groups map[string]*row
+	order  rowHeap
+	// free pools evicted rows for reuse (§6.1: "evicted leafs can be
+	// re-used for the newly inserted value, keeping memory fragmentation
+	// low").
+	free []*row
 
 	mem     atomic.Int64
 	nGroups atomic.Int64
@@ -259,36 +235,23 @@ type Table struct {
 	evictions atomic.Int64
 }
 
-// row is one group's state.
-//
-// The row latch protects the aggregate state, mem, live and key; heapIdx
-// is protected by the table's ordering latch. Ordering-heap comparisons
-// read orderKey, an atomically published snapshot of the row's
-// ordering-column values, so they never need the row latch.
+// row is one group's state, all of it under the table latch.
 type row struct {
-	// mu is the row latch: aggregate state, mem, live, key.
-	//sqlcm:lock lat.row after lat.shard
-	//sqlcm:guards key, groupVal, aggs, mem, live
-	mu       lockcheck.Mutex
-	key      string
+	//sqlcm:guarded-by lat.table
+	key string
+	//sqlcm:guarded-by lat.table
 	groupVal []sqltypes.Value
-	aggs     []aggState
-	mem      int64
-	live     bool
-
-	// heapIdx is the row's position in the eviction heap.
-	//sqlcm:guarded-by lat.order
+	//sqlcm:guarded-by lat.table
+	aggs []aggState
+	//sqlcm:guarded-by lat.table
+	mem int64
+	// heapIdx is the row's position in the eviction heap (-1: not in it).
+	//sqlcm:guarded-by lat.table
 	heapIdx int
-	// orderKey is the atomically published ordering-column snapshot for
-	// heap comparisons, so they never need the row latch.
-	orderKey atomic.Pointer[[]sqltypes.Value]
-}
-
-// shardFor picks the stripe for an encoded grouping key.
-func (t *Table) shardFor(key string) *latShard {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck
-	return &t.shards[h.Sum64()&(latShards-1)]
+	// orderKey holds the ordering-column values the heap compares,
+	// rewritten in place after every update (bounded tables only).
+	//sqlcm:guarded-by lat.table
+	orderKey []sqltypes.Value
 }
 
 // EvictedRow is delivered to the eviction callback; the paper exposes each
@@ -308,12 +271,13 @@ func New(spec Spec) (*Table, error) {
 		spec:    spec,
 		clock:   time.Now,
 		bounded: spec.MaxRows > 0 || spec.MaxBytes > 0,
+		groups:  make(map[string]*row),
+		order:   rowHeap{by: spec.OrderBy},
 	}
-	t.orderMu.SetClass("lat.order")
-	for i := range t.shards {
-		t.shards[i].mu.SetClass("lat.shard")
-		t.shards[i].groups = make(map[string]*row)
+	for _, o := range spec.OrderBy {
+		t.orderCols = append(t.orderCols, t.ColumnIndex(o.Col))
 	}
+	t.mu.SetClass("lat.table")
 	return t, nil
 }
 
@@ -359,267 +323,163 @@ func (t *Table) Stats() Stats {
 // updated, and the size limit enforced (paper action Insert(LATName)).
 func (t *Table) Insert(get AttrGetter) error {
 	t.inserts.Add(1)
-	return t.insert(get)
-}
-
-// insert is Insert without the statistics update; eviction races retry
-// through it so one logical insert counts once.
-func (t *Table) insert(get AttrGetter) error {
 	now := t.clock()
 
-	groupVals := make([]sqltypes.Value, len(t.spec.GroupBy))
+	// Getters are caller code: every attribute is fetched before the latch
+	// is taken. vals holds the grouping values, then one source value per
+	// aggregation column.
+	ng := len(t.spec.GroupBy)
+	var buf [8]sqltypes.Value // keeps the usual spec's values off the heap
+	vals := buf[:]
+	if n := ng + len(t.spec.Aggs); n > len(buf) {
+		vals = make([]sqltypes.Value, n)
+	}
 	for i, attr := range t.spec.GroupBy {
 		v, ok := get(attr)
 		if !ok {
 			return fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, attr)
 		}
-		groupVals[i] = v
+		vals[i] = v
 	}
-	key := string(sqltypes.EncodeKey(groupVals...))
-	sh := t.shardFor(key)
-
-	// Fast path: existing group under the shard read latch.
-	sh.mu.RLock()
-	r := sh.groups[key]
-	sh.mu.RUnlock()
-
-	if r == nil {
-		// Group creation. Bounded tables also register the row in the
-		// eviction heap, so the ordering latch is taken first (latch order
-		// orderMu → shard.mu) making creation atomic with respect to
-		// eviction and Reset.
-		if t.bounded {
-			t.orderMu.Lock()
-		}
-		sh.mu.Lock()
-		r = sh.groups[key]
-		if r == nil {
-			if n := len(sh.free); n > 0 {
-				// Reuse an evicted row's memory. Reinitialization happens
-				// under the row latch: a stale updater that still holds a
-				// pointer to this row revalidates its key after latching.
-				// (heapIdx is already -1: rows enter the free list only via
-				// an eviction pop.)
-				r = sh.free[n-1]
-				sh.free = sh.free[:n-1]
-				r.mu.Lock()
-				r.key = key
-				r.groupVal = groupVals
-				for i := range r.aggs {
-					r.aggs[i] = aggState{}
-					r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
-				}
-				r.live = true
-				r.mem = r.memSize()
-				r.storeOrderKey(t.orderKeyLocked(r, now))
-				r.mu.Unlock()
-			} else {
-				r = &row{key: key, groupVal: groupVals, heapIdx: -1, live: true}
-				r.mu.SetClass("lat.row")
-				r.aggs = make([]aggState, len(t.spec.Aggs))
-				for i := range r.aggs {
-					r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
-				}
-				//sqlcm:allow fresh row: not yet published to any shard map, this goroutine has exclusive access
-				r.mem = r.memSize()
-				//sqlcm:allow fresh row: exclusive access until published below (see above)
-				r.storeOrderKey(t.orderKeyLocked(r, now))
-			}
-			sh.groups[key] = r
-			if t.bounded {
-				heap.Push(&rowHeapRef{t: t}, r)
-			}
-			t.mem.Add(r.mem)
-			t.nGroups.Add(1)
-			t.newGroups.Add(1)
-		}
-		sh.mu.Unlock()
-		if t.bounded {
-			t.orderMu.Unlock()
-		}
-	}
-
-	// Update the row under its own latch. The key revalidation catches the
-	// eviction + reuse race: a row looked up before its group was evicted
-	// may belong to a different group by the time the latch is acquired.
-	r.mu.Lock()
-	if !r.live || r.key != key {
-		r.mu.Unlock()
-		return t.insert(get)
-	}
-	oldMem := r.mem
+	var absent []bool // aggregates whose source attribute the object lacks
 	for i := range t.spec.Aggs {
-		col := &t.spec.Aggs[i]
-		var v sqltypes.Value
-		ok := true
-		if col.Attr != "" {
-			v, ok = get(col.Attr)
-		}
-		if !ok {
+		attr := t.spec.Aggs[i].Attr
+		if attr == "" {
 			continue
 		}
-		r.aggs[i].add(&t.spec, col, v, now)
+		v, ok := get(attr)
+		if !ok {
+			if absent == nil {
+				absent = make([]bool, len(t.spec.Aggs))
+			}
+			absent[i] = true
+		}
+		vals[ng+i] = v
 	}
-	r.mem = r.memSize()
-	memDelta := r.mem - oldMem
-	r.storeOrderKey(t.orderKeyLocked(r, now))
-	r.mu.Unlock()
+	key := sqltypes.EncodeKey(vals[:ng]...)
 
-	// Account the update's memory and — for bounded tables — reposition
-	// the row in the ordering heap and enforce limits. Membership is
-	// re-checked under the shard latch: if the row was evicted (or Reset)
-	// between the latches, its updated memory was already subtracted by
-	// the evictor, so accounting is skipped. (The local key is used, never
-	// r.key, which may be concurrently reinitialized by row reuse.)
-	if !t.bounded {
-		sh.mu.RLock()
-		if sh.groups[key] == r {
-			t.mem.Add(memDelta)
+	t.mu.Lock()
+	r := t.groupLocked(key, vals[:ng])
+	for i := range t.spec.Aggs {
+		if absent != nil && absent[i] {
+			continue
 		}
-		sh.mu.RUnlock()
-		return nil
+		r.aggs[i].add(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
 	}
-	t.orderMu.Lock()
-	sh.mu.RLock()
-	present := sh.groups[key] == r
-	sh.mu.RUnlock()
-	var evicted []EvictedRow
-	if present {
-		t.mem.Add(memDelta)
-		if r.heapIdx >= 0 && len(t.spec.OrderBy) > 0 {
-			heap.Fix(&rowHeapRef{t: t}, r.heapIdx)
-		}
-		evicted = t.enforceLimitsLocked(now)
-	}
-	t.orderMu.Unlock()
+	evicted := t.updatedLocked(r, now)
+	t.mu.Unlock()
 	t.deliverEvictions(evicted)
 	return nil
 }
 
-// storeOrderKey publishes an ordering-key snapshot for heap comparisons.
-func (r *row) storeOrderKey(k []sqltypes.Value) { r.orderKey.Store(&k) }
-
-// loadOrderKey returns the published ordering-key snapshot (nil before
-// the first store — only reachable for rows never registered in a heap).
-func (r *row) loadOrderKey() []sqltypes.Value {
-	if p := r.orderKey.Load(); p != nil {
-		return *p
+// groupLocked returns the row of the group with the given encoded key,
+// creating it — from the free list when possible — with empty aggregates.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) groupLocked(key []byte, groupVals []sqltypes.Value) *row {
+	if r := t.groups[string(key)]; r != nil {
+		return r
 	}
-	return nil
+	var r *row
+	if n := len(t.free); n > 0 {
+		r = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		r = &row{
+			aggs:     make([]aggState, len(t.spec.Aggs)),
+			orderKey: make([]sqltypes.Value, len(t.orderCols)),
+		}
+	}
+	r.key = string(key)
+	r.groupVal = append(r.groupVal[:0], groupVals...)
+	clear(r.aggs)
+	r.mem, r.heapIdx = 0, -1 // updatedLocked accounts the memory and enters the heap
+	t.groups[r.key] = r
+	t.nGroups.Add(1)
+	t.newGroups.Add(1)
+	return r
 }
 
-// orderKeyLocked snapshots the row's ordering-column values. Caller holds
-// the row latch (or has exclusive access to a fresh row — such call sites
-// carry //sqlcm:allow).
+// updatedLocked re-accounts a row whose aggregates changed and, for a
+// bounded table, (re)positions it in the heap and enforces the limits. The
+// evicted snapshots it returns are delivered after the latch is released.
 //
-//sqlcm:lock-held lat.row
-func (t *Table) orderKeyLocked(r *row, now time.Time) []sqltypes.Value {
-	if len(t.spec.OrderBy) == 0 {
-		return []sqltypes.Value{}
-	}
-	out := make([]sqltypes.Value, len(t.spec.OrderBy))
-outer:
-	for i, o := range t.spec.OrderBy {
-		for gi, g := range t.spec.GroupBy {
-			if g == o.Col {
-				out[i] = r.groupVal[gi]
-				continue outer
-			}
-		}
-		for ai := range t.spec.Aggs {
-			if t.spec.Aggs[ai].Name == o.Col {
-				out[i] = r.aggs[ai].value(&t.spec, &t.spec.Aggs[ai], now)
-				continue outer
-			}
-		}
-		out[i] = sqltypes.Null
-	}
-	return out
-}
-
-// enforceLimitsLocked evicts least-important rows while over limits,
-// returning the evicted snapshots. Caller holds the ordering latch;
-// eviction callbacks must be delivered after releasing it. Victim shard
-// and row latches nest inside the ordering latch (orderMu → shard.mu →
-// row.mu).
-//
-//sqlcm:lock-held lat.order
-func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
+//sqlcm:lock-held lat.table
+func (t *Table) updatedLocked(r *row, now time.Time) []EvictedRow {
+	mem := r.memSize()
+	t.mem.Add(mem - r.mem)
+	r.mem = mem
 	if !t.bounded {
 		return nil
 	}
+	t.setOrderKeyLocked(r, now)
+	if r.heapIdx < 0 {
+		heap.Push(&t.order, r)
+	} else {
+		heap.Fix(&t.order, r.heapIdx)
+	}
+	return t.enforceLimitsLocked(now)
+}
+
+// setOrderKeyLocked rewrites the row's ordering-column values in place.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) setOrderKeyLocked(r *row, now time.Time) {
+	ng := len(r.groupVal)
+	for i, c := range t.orderCols {
+		if c < ng {
+			r.orderKey[i] = r.groupVal[c]
+		} else {
+			r.orderKey[i] = r.aggs[c-ng].value(&t.spec, &t.spec.Aggs[c-ng], now)
+		}
+	}
+}
+
+// enforceLimitsLocked evicts least-important rows while over limits,
+// returning their snapshots for deliverEvictions.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 	// Snapshots of evicted rows are only materialized when a callback is
 	// installed (i.e. some rule listens on LATRow.Evicted).
 	fn := t.onEvict.Load()
 	var out []EvictedRow
-	for {
-		over := false
-		if t.spec.MaxRows > 0 && len(t.order) > t.spec.MaxRows {
-			over = true
-		}
-		if t.spec.MaxBytes > 0 && t.mem.Load() > t.spec.MaxBytes {
-			over = true
-		}
-		if !over || len(t.order) == 0 {
-			return out
-		}
-		victim := heap.Pop(&rowHeapRef{t: t}).(*row)
-		// victim.key is stable here: reuse-reinitialization can only happen
-		// after the row is returned to a free list below.
-		//sqlcm:allow victim.key is stable: rows are only reinitialized after returning to a free list, which happens below
-		vsh := t.shardFor(victim.key)
-		vsh.mu.Lock()
-		//sqlcm:allow victim.key is stable until the row is freed (see above)
-		delete(vsh.groups, victim.key)
-		victim.mu.Lock()
-		victim.live = false
+	for len(t.order.rows) > 0 &&
+		(t.spec.MaxRows > 0 && len(t.order.rows) > t.spec.MaxRows ||
+			t.spec.MaxBytes > 0 && t.mem.Load() > t.spec.MaxBytes) {
+		victim := heap.Pop(&t.order).(*row)
+		delete(t.groups, victim.key)
 		t.mem.Add(-victim.mem)
-		var vals []sqltypes.Value
-		if fn != nil {
-			vals = t.rowValuesRowLocked(victim, now)
-		}
-		victim.mu.Unlock()
-		if len(vsh.free) < maxFreePerShard {
-			vsh.free = append(vsh.free, victim)
-		}
-		vsh.mu.Unlock()
 		t.nGroups.Add(-1)
 		t.evictions.Add(1)
 		if fn != nil {
 			out = append(out, EvictedRow{
 				Table:   t.spec.Name,
 				Columns: t.spec.Columns(),
-				Values:  vals,
+				Values:  t.rowValuesLocked(victim, now),
 			})
+		}
+		if len(t.free) < maxFree {
+			t.free = append(t.free, victim)
+		}
+	}
+	return out
+}
+
+// deliverEvictions invokes the eviction callback outside the latch.
+func (t *Table) deliverEvictions(rows []EvictedRow) {
+	if fn := t.onEvict.Load(); fn != nil {
+		for _, r := range rows {
+			(*fn)(r)
 		}
 	}
 }
 
-// deliverEvictions invokes the eviction callback outside all latches.
-func (t *Table) deliverEvictions(rows []EvictedRow) {
-	if len(rows) == 0 {
-		return
-	}
-	fn := t.onEvict.Load()
-	if fn == nil {
-		return
-	}
-	for _, r := range rows {
-		(*fn)(r)
-	}
-}
-
-// rowValues materializes the output values of a row (group then aggs).
-func (t *Table) rowValues(r *row, now time.Time) []sqltypes.Value {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return t.rowValuesRowLocked(r, now)
-}
-
-// rowValuesRowLocked is rowValues with the row latch already held.
+// rowValuesLocked materializes the output values of a row (group then
+// aggs). It only reads, so the read side of the latch suffices.
 //
-//sqlcm:lock-held lat.row
-func (t *Table) rowValuesRowLocked(r *row, now time.Time) []sqltypes.Value {
+//sqlcm:lock-held lat.table
+func (t *Table) rowValuesLocked(r *row, now time.Time) []sqltypes.Value {
 	out := make([]sqltypes.Value, 0, len(r.groupVal)+len(r.aggs))
 	out = append(out, r.groupVal...)
 	for i := range r.aggs {
@@ -633,21 +493,15 @@ func (t *Table) rowValuesRowLocked(r *row, now time.Time) []sqltypes.Value {
 // reports whether a matching row exists (rules treat a missing row as a
 // false condition, §5.2).
 func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
-	key := string(sqltypes.EncodeKey(groupVals...))
-	sh := t.shardFor(key)
+	key := sqltypes.EncodeKey(groupVals...)
 	now := t.clock()
-	sh.mu.RLock()
-	r := sh.groups[key]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	r := t.groups[string(key)]
 	if r == nil {
-		sh.mu.RUnlock()
 		return nil, false
 	}
-	// Materialize under the shard latch (shard.mu → row.mu) so a
-	// concurrent eviction + row reuse cannot hand back another group's
-	// values.
-	vals := t.rowValues(r, now)
-	sh.mu.RUnlock()
-	return vals, true
+	return t.rowValuesLocked(r, now), true
 }
 
 // LookupByGetter resolves the grouping attributes through an object
@@ -675,21 +529,15 @@ func (t *Table) ColumnIndex(col string) int {
 }
 
 // Rows returns a snapshot of all rows in declared order (most important
-// first). Each row is the output values in column order. The snapshot is
-// taken shard by shard: rows are materialized under their shard latch so
-// a concurrent eviction + reuse cannot duplicate or corrupt a row, but
-// the snapshot as a whole is not a single point in time.
+// first). Each row is the output values in column order.
 func (t *Table) Rows() [][]sqltypes.Value {
 	now := t.clock()
-	out := make([][]sqltypes.Value, 0, t.nGroups.Load())
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		for _, r := range sh.groups {
-			out = append(out, t.rowValues(r, now))
-		}
-		sh.mu.RUnlock()
+	t.mu.RLock()
+	out := make([][]sqltypes.Value, 0, len(t.groups))
+	for _, r := range t.groups {
+		out = append(out, t.rowValuesLocked(r, now))
 	}
+	t.mu.RUnlock()
 	// Heap order is not sorted order: sort by the spec (most important
 	// first = reverse of eviction priority).
 	t.sortRows(out)
@@ -702,13 +550,9 @@ func (t *Table) sortRows(rows [][]sqltypes.Value) {
 	if len(t.spec.OrderBy) == 0 {
 		return
 	}
-	idx := make([]int, len(t.spec.OrderBy))
-	for i, o := range t.spec.OrderBy {
-		idx[i] = t.ColumnIndex(o.Col)
-	}
-	sortSliceStable(rows, func(a, b []sqltypes.Value) bool {
+	sort.SliceStable(rows, func(a, b int) bool {
 		for i, o := range t.spec.OrderBy {
-			c := sqltypes.Compare(a[idx[i]], b[idx[i]])
+			c := sqltypes.Compare(rows[a][t.orderCols[i]], rows[b][t.orderCols[i]])
 			if c == 0 {
 				continue
 			}
@@ -721,119 +565,34 @@ func (t *Table) sortRows(rows [][]sqltypes.Value) {
 	})
 }
 
-// Reset clears the table (paper action Reset(LATName)). It takes the
-// ordering latch and every shard latch (in latch order), so it is atomic
-// with respect to concurrent inserts.
+// Reset clears the table (paper action Reset(LATName)).
 func (t *Table) Reset() {
-	t.orderMu.Lock()
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.groups {
-			r.mu.Lock()
-			r.live = false
-			r.mu.Unlock()
-		}
-		sh.groups = make(map[string]*row)
-		sh.free = nil
-		sh.mu.Unlock()
-	}
-	t.order = nil
+	t.mu.Lock()
+	t.groups = make(map[string]*row)
+	t.order.rows = nil
+	t.free = nil
 	t.mem.Store(0)
 	t.nGroups.Store(0)
-	t.orderMu.Unlock()
+	t.mu.Unlock()
 }
 
-// Load replays persisted rows into the table as single observations (used
-// to carry LAT contents across server restarts, §4.3). Aggregates resume
-// approximately: each persisted AVG/SUM/… row is folded back as one
-// observation per aggregate column.
-func (t *Table) Load(rows [][]sqltypes.Value) error {
-	cols := t.spec.Columns()
-	for _, vals := range rows {
-		if len(vals) != len(cols) {
-			return fmt.Errorf("lat %s: load row has %d values, want %d", t.spec.Name, len(vals), len(cols))
-		}
-		attrByName := make(map[string]sqltypes.Value, len(cols))
-		for i, c := range cols {
-			attrByName[c] = vals[i]
-		}
-		err := t.Insert(func(attr string) (sqltypes.Value, bool) {
-			// Grouping attributes resolve by name; aggregation sources
-			// resolve through their output column value.
-			if v, ok := attrByName[attr]; ok {
-				return v, true
-			}
-			for i, a := range t.spec.Aggs {
-				if a.Attr == attr {
-					return vals[len(t.spec.GroupBy)+i], true
-				}
-			}
-			return sqltypes.Null, false
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// rowHeap is the eviction heap: the least important row at the top. Its
+// methods run under the table latch, like every container/heap call on it.
+type rowHeap struct {
+	rows []*row
+	by   []OrderKey // the spec's OrderBy
 }
 
-// --- ordering heap (least important at the top) ---
+//sqlcm:lock-held lat.table
+func (h *rowHeap) Len() int { return len(h.rows) }
 
-type rowHeap []*row
-
-// rowHeapRef adapts the table to heap.Interface with access to the spec.
-// Every method runs under the ordering latch: container/heap operations
-// on the table are only issued while orderMu is held.
-type rowHeapRef struct{ t *Table }
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Len() int { return len(h.t.order) }
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Less(i, j int) bool {
-	return h.t.lessImportant(h.t.order[i], h.t.order[j])
-}
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Swap(i, j int) {
-	o := h.t.order
-	o[i], o[j] = o[j], o[i]
-	o[i].heapIdx = i
-	o[j].heapIdx = j
-}
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Push(x interface{}) {
-	r := x.(*row)
-	r.heapIdx = len(h.t.order)
-	h.t.order = append(h.t.order, r)
-}
-
-//sqlcm:lock-held lat.order
-func (h *rowHeapRef) Pop() interface{} {
-	o := h.t.order
-	r := o[len(o)-1]
-	r.heapIdx = -1
-	h.t.order = o[:len(o)-1]
-	return r
-}
-
-// lessImportant orders rows by eviction priority: true when a should be
-// evicted before b. It compares the atomically published ordering-key
-// snapshots, so it is safe under the table latch alone.
-func (t *Table) lessImportant(a, b *row) bool {
-	ak := a.loadOrderKey()
-	bk := b.loadOrderKey()
-	for i, o := range t.spec.OrderBy {
-		var av, bv sqltypes.Value
-		if i < len(ak) {
-			av = ak[i]
-		}
-		if i < len(bk) {
-			bv = bk[i]
-		}
-		c := sqltypes.Compare(av, bv)
+// Less reports whether row i should be evicted before row j.
+//
+//sqlcm:lock-held lat.table
+func (h *rowHeap) Less(i, j int) bool {
+	a, b := h.rows[i].orderKey, h.rows[j].orderKey
+	for k, o := range h.by {
+		c := sqltypes.Compare(a[k], b[k])
 		if c == 0 {
 			continue
 		}
@@ -845,11 +604,32 @@ func (t *Table) lessImportant(a, b *row) bool {
 	return false
 }
 
-// memSize approximates the row's footprint. Caller holds the row latch
-// (or has exclusive access to a fresh row — such call sites carry
-// //sqlcm:allow).
+//sqlcm:lock-held lat.table
+func (h *rowHeap) Swap(i, j int) {
+	h.rows[i], h.rows[j] = h.rows[j], h.rows[i]
+	h.rows[i].heapIdx = i
+	h.rows[j].heapIdx = j
+}
+
+//sqlcm:lock-held lat.table
+func (h *rowHeap) Push(x interface{}) {
+	r := x.(*row)
+	r.heapIdx = len(h.rows)
+	h.rows = append(h.rows, r)
+}
+
+//sqlcm:lock-held lat.table
+func (h *rowHeap) Pop() interface{} {
+	n := len(h.rows) - 1
+	r := h.rows[n]
+	r.heapIdx = -1
+	h.rows = h.rows[:n]
+	return r
+}
+
+// memSize approximates the row's footprint.
 //
-//sqlcm:lock-held lat.row
+//sqlcm:lock-held lat.table
 func (r *row) memSize() int64 {
 	var n int64 = 64
 	for _, v := range r.groupVal {
@@ -859,8 +639,4 @@ func (r *row) memSize() int64 {
 		n += r.aggs[i].memSize()
 	}
 	return n
-}
-
-func sortSliceStable(rows [][]sqltypes.Value, less func(a, b []sqltypes.Value) bool) {
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
 }

@@ -1,75 +1,39 @@
 package lat
 
 import (
-	"container/heap"
 	"fmt"
 
 	"sqlcm/internal/sqltypes"
 )
 
-// Restore rebuilds table rows from checkpointed output values (§4.3:
-// LATs are persistable to a disk table and reloadable at startup). Unlike
-// Load, which folds each persisted row back as a single observation,
-// Restore reconstructs the accumulator of every aggregate whose state is
+// Restore rebuilds table rows from persisted output values (§4.3: LATs
+// are persistable to a disk table and reloadable at startup). It
+// reconstructs the accumulator of every aggregate whose state is
 // determined by its output — COUNT, SUM, MIN, MAX, FIRST, LAST resume
 // exactly; AVG resumes with the correct current value but unit weight for
 // future observations; STDEV and aging aggregates resume as a single
 // observation (their accumulators are not recoverable from one output
 // value). Restoring into a non-empty group overwrites that group's
-// aggregate state.
+// aggregate state, so of several snapshots of one group the last wins.
 func (t *Table) Restore(rows [][]sqltypes.Value) error {
 	now := t.clock()
-	cols := t.spec.Columns()
 	ng := len(t.spec.GroupBy)
+	want := ng + len(t.spec.Aggs)
 	for _, vals := range rows {
-		if len(vals) != len(cols) {
-			return fmt.Errorf("lat %s: restore row has %d values, want %d", t.spec.Name, len(vals), len(cols))
+		if len(vals) != want {
+			return fmt.Errorf("lat %s: restore row has %d values, want %d", t.spec.Name, len(vals), want)
 		}
-		groupVals := append([]sqltypes.Value(nil), vals[:ng]...)
-		key := string(sqltypes.EncodeKey(groupVals...))
-		sh := t.shardFor(key)
+		key := sqltypes.EncodeKey(vals[:ng]...)
 
-		if t.bounded {
-			t.orderMu.Lock()
-		}
-		sh.mu.Lock()
-		r := sh.groups[key]
-		fresh := r == nil
-		if fresh {
-			r = &row{key: key, groupVal: groupVals, heapIdx: -1, live: true}
-			r.aggs = make([]aggState, len(t.spec.Aggs))
-			sh.groups[key] = r
-			if t.bounded {
-				heap.Push(&rowHeapRef{t: t}, r)
-			}
-			t.nGroups.Add(1)
-			t.newGroups.Add(1)
-		}
-		r.mu.Lock()
-		oldMem := r.mem
+		t.mu.Lock()
+		r := t.groupLocked(key, vals[:ng])
 		for i := range t.spec.Aggs {
 			r.aggs[i] = aggState{}
-			r.aggs[i].init(&t.spec, &t.spec.Aggs[i])
 			r.aggs[i].restoreFrom(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
 		}
-		r.mem = r.memSize()
-		r.storeOrderKey(t.orderKeyLocked(r, now))
-		memDelta := r.mem - oldMem
-		r.mu.Unlock()
-		sh.mu.Unlock()
-		t.mem.Add(memDelta)
-
-		if t.bounded {
-			// Reposition in the eviction heap and enforce limits; the shard
-			// latch is released so eviction can take victim shard latches in
-			// the orderMu → shard.mu order.
-			if r.heapIdx >= 0 && len(t.spec.OrderBy) > 0 {
-				heap.Fix(&rowHeapRef{t: t}, r.heapIdx)
-			}
-			evicted := t.enforceLimitsLocked(now)
-			t.orderMu.Unlock()
-			t.deliverEvictions(evicted)
-		}
+		evicted := t.updatedLocked(r, now)
+		t.mu.Unlock()
+		t.deliverEvictions(evicted)
 	}
 	return nil
 }

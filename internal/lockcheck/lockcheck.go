@@ -3,11 +3,12 @@
 // Every mutex on the monitoring hot path is declared to belong to a lock
 // class with a //sqlcm:lock annotation on its field:
 //
-//	//sqlcm:lock lat.shard after lat.order
-//	mu lockcheck.RWMutex
+//	//sqlcm:lock storage.pool after storage.heap
+//	mu lockcheck.Mutex
 //
-// The annotations compile into a partial-order DAG ("lat.shard after
-// lat.order" means lat.order may be held when acquiring lat.shard). Two
+// The annotations compile into a partial-order DAG ("storage.pool after
+// storage.heap" means storage.heap may be held when acquiring
+// storage.pool). Two
 // independent enforcers consume it:
 //
 //   - the lockorder, lockunlock, locksend and lockclass analyzers of

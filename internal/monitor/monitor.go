@@ -6,10 +6,8 @@
 package monitor
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"reflect"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -159,66 +157,16 @@ type Sigs struct {
 	PhysicalText string
 }
 
-// sigShards is the number of lock shards in the signature cache. A power
-// of two so shard selection is a mask of the plan-pointer hash; 16 keeps
-// contention negligible for any realistic number of concurrent compiles
-// while costing ~1KB per cache.
-const sigShards = 16
-
 // SigCache memoizes per-plan signatures: the paper computes the signature
-// once during optimization and caches it with the query plan. The map is
-// sharded by a hash of the plan pointer so concurrent lookups of distinct
-// plans do not contend on one lock.
+// once during optimization and caches it with the query plan. Keys are
+// cached plans by identity (pointer-typed interface values).
 type SigCache struct {
-	shards   [sigShards]sigShard
+	m        sync.Map     // plan.Logical → *Sigs
 	computes atomic.Int64 // number of actual computations (cache misses)
 }
 
-type sigShard struct {
-	// mu protects the stripe's plan-signature map.
-	//sqlcm:lock monitor.sig
-	//sqlcm:guards m
-	mu lockcheck.Mutex
-	m  map[interface{}]*Sigs
-	_  [40]byte // pad shards onto distinct cache lines
-}
-
 // NewSigCache returns an empty signature cache.
-func NewSigCache() *SigCache {
-	c := &SigCache{}
-	for i := range c.shards {
-		c.shards[i].mu.SetClass("monitor.sig")
-		c.shards[i].m = make(map[interface{}]*Sigs)
-	}
-	return c
-}
-
-// shardFor picks the lock shard for a plan key.
-func (c *SigCache) shardFor(key interface{}) *sigShard {
-	return &c.shards[ptrHash(key)&(sigShards-1)]
-}
-
-// ptrHash hashes the identity of a cached plan. Plans are pointer-typed
-// interface values, so the data pointer is FNV-hashed; non-pointer keys
-// (never produced by the planner) degrade to shard 0 without panicking.
-func ptrHash(key interface{}) uint64 {
-	v := reflect.ValueOf(key)
-	switch v.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func:
-		return fnvUint64(uint64(v.Pointer()))
-	default:
-		return 0
-	}
-}
-
-// fnvUint64 runs FNV-1a over the 8 little-endian bytes of x.
-func fnvUint64(x uint64) uint64 {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	h := fnv.New64a()
-	h.Write(b[:]) //nolint:errcheck
-	return h.Sum64()
-}
+func NewSigCache() *SigCache { return &SigCache{} }
 
 // For returns the signatures for a compiled statement, computing them on
 // first sight of its (cached) plan.
@@ -226,33 +174,23 @@ func (c *SigCache) For(q *engine.QueryInfo) *Sigs {
 	if q.Logical == nil {
 		return &Sigs{}
 	}
-	sh := c.shardFor(q.Logical)
-	sh.mu.Lock()
-	if s, ok := sh.m[q.Logical]; ok {
-		sh.mu.Unlock()
-		return s
+	if s, ok := c.m.Load(q.Logical); ok {
+		return s.(*Sigs)
 	}
-	sh.mu.Unlock()
-	// Compute outside the lock; a racing duplicate computation is benign.
 	lid, ltext := signature.Logical(q.Logical)
 	pid, ptext := signature.Physical(q.Physical)
-	s := &Sigs{
+	s, lost := c.m.LoadOrStore(q.Logical, &Sigs{
 		Logical: lid, Physical: pid,
 		LogicalHex: lid.String(), PhysicalHex: pid.String(),
 		LogicalText: ltext, PhysicalText: ptext,
+	})
+	if !lost {
+		// Only the winner of a racing first computation counts a miss,
+		// keeping the signature-overhead experiment's counter exact (one
+		// compute per distinct plan).
+		c.computes.Add(1)
 	}
-	sh.mu.Lock()
-	if winner, ok := sh.m[q.Logical]; ok {
-		// Lost the insertion race: adopt the winner's entry and do not count
-		// a miss, keeping the signature-overhead experiment's counter exact
-		// (one compute per distinct plan).
-		sh.mu.Unlock()
-		return winner
-	}
-	sh.m[q.Logical] = s
-	sh.mu.Unlock()
-	c.computes.Add(1)
-	return s
+	return s.(*Sigs)
 }
 
 // Computes returns the number of signature computations performed (cache
@@ -447,25 +385,14 @@ func (t *TxnObject) Get(attr string) (sqltypes.Value, bool) {
 	}
 }
 
-// txnShards is the number of lock shards in the transaction tracker
-// (power of two, masked over an FNV hash of the transaction id).
-const txnShards = 16
-
 // TxnTracker accumulates per-transaction statement signatures so the
-// Transaction object can expose transaction signatures at commit. State is
-// sharded by transaction id: concurrent sessions observing statements in
-// different transactions never share a lock.
+// Transaction object can expose transaction signatures at commit.
 type TxnTracker struct {
-	shards [txnShards]txnShard
-}
-
-type txnShard struct {
-	// mu protects the stripe's per-transaction accumulators.
+	// mu protects the per-transaction accumulators.
 	//sqlcm:lock monitor.txn
 	//sqlcm:guards m
 	mu lockcheck.Mutex
 	m  map[int64]*txnAccum // by txn id
-	_  [40]byte            // pad shards onto distinct cache lines
 }
 
 type txnAccum struct {
@@ -477,42 +404,32 @@ type txnAccum struct {
 
 // NewTxnTracker returns an empty tracker.
 func NewTxnTracker() *TxnTracker {
-	t := &TxnTracker{}
-	for i := range t.shards {
-		t.shards[i].mu.SetClass("monitor.txn")
-		t.shards[i].m = make(map[int64]*txnAccum)
-	}
+	t := &TxnTracker{m: make(map[int64]*txnAccum)}
+	t.mu.SetClass("monitor.txn")
 	return t
-}
-
-// shardFor picks the lock shard for a transaction id.
-func (t *TxnTracker) shardFor(txnID int64) *txnShard {
-	return &t.shards[fnvUint64(uint64(txnID))&(txnShards-1)]
 }
 
 // Observe records one statement's signatures under its transaction.
 func (t *TxnTracker) Observe(txnID int64, s *Sigs, blocked time.Duration) {
-	sh := t.shardFor(txnID)
-	sh.mu.Lock()
-	a := sh.m[txnID]
+	t.mu.Lock()
+	a := t.m[txnID]
 	if a == nil {
 		a = &txnAccum{}
-		sh.m[txnID] = a
+		t.m[txnID] = a
 	}
 	a.logical = append(a.logical, s.Logical)
 	a.physical = append(a.physical, s.Physical)
 	a.nQueries++
 	a.timeBlocked += blocked
-	sh.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // Finish closes a transaction, returning its object fields.
 func (t *TxnTracker) Finish(info *engine.TxnInfo, dur time.Duration) *TxnObject {
-	sh := t.shardFor(int64(info.ID))
-	sh.mu.Lock()
-	a := sh.m[int64(info.ID)]
-	delete(sh.m, int64(info.ID))
-	sh.mu.Unlock()
+	t.mu.Lock()
+	a := t.m[int64(info.ID)]
+	delete(t.m, int64(info.ID))
+	t.mu.Unlock()
 	obj := &TxnObject{Info: info, Duration: dur}
 	if a != nil {
 		obj.LogicalSig = signature.Transaction(a.logical)

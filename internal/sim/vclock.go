@@ -1,5 +1,5 @@
 // Package sim is SQLCM's deterministic simulation and differential-testing
-// subsystem. It drives the real monitoring stack — striped LATs, the
+// subsystem. It drives the real monitoring stack — the LATs, the
 // copy-on-write rule engine, the timer manager — against a virtual clock
 // and a seeded workload generator, and checks every step against naive
 // reference oracles: an O(n) recompute-from-history LAT and a sequential

@@ -75,9 +75,6 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 // Disk exposes the underlying disk manager.
 func (bp *BufferPool) Disk() DiskManager { return bp.disk }
 
-// Capacity returns the configured page capacity (before reservations).
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // ReserveBytes steals n bytes of capacity from the pool, modelling other
 // in-server memory consumers (e.g. a monitoring history buffer) competing
 // with the page cache. Pass a negative n to release. The effective
@@ -227,18 +224,4 @@ func (bp *BufferPool) Stats() PoolStats {
 		Writes:    bp.writes,
 		Evictions: bp.evictions,
 	}
-}
-
-// ResetStats zeroes the pool counters.
-func (bp *BufferPool) ResetStats() {
-	bp.mu.Lock()
-	bp.hits, bp.misses, bp.writes, bp.evictions = 0, 0, 0, 0
-	bp.mu.Unlock()
-}
-
-// Resident returns the number of pages currently cached.
-func (bp *BufferPool) Resident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.frames)
 }

@@ -111,23 +111,7 @@ func ignorable(stack string) bool {
 		strings.Contains(stack, "[finalizer wait") {
 		return true
 	}
-	for _, marker := range extraIgnores {
-		if marker != "" && strings.Contains(stack, marker) {
-			return true
-		}
-	}
 	return false
-}
-
-// extraIgnores holds substrings registered by Ignore.
-var extraIgnores []string
-
-// Ignore registers a stack substring (typically a function name) the
-// leak checker should permanently tolerate — for process-lifetime
-// singletons a test may lazily start. Not safe for concurrent use; call
-// from TestMain or init.
-func Ignore(fnSubstring string) {
-	extraIgnores = append(extraIgnores, fnSubstring)
 }
 
 // String renders the current goroutine count, for debug logging.

@@ -150,9 +150,6 @@ func NewManager(locks *lock.Manager) *Manager {
 	return m
 }
 
-// LastCommit returns the newest published commit timestamp.
-func (m *Manager) LastCommit() int64 { return m.lastCommit.Load() }
-
 // Watermark returns the version-garbage horizon: the oldest snapshot any
 // in-flight transaction holds (or the newest commit timestamp when the
 // system is idle). Versions superseded at or before the watermark are

@@ -2,8 +2,8 @@
 # CI gate: build, lint, the functional test tier, then the race tier.
 # The race tier re-runs every test under the race detector; the
 # concurrency tests in internal/lat, internal/rules, internal/monitor and
-# internal/event are written to surface latch-ordering and published-state
-# bugs only -race can see. The chaos tier exercises the fail-safe layer
+# internal/event are written to surface latching and published-state bugs
+# only -race can see. The chaos tier exercises the fail-safe layer
 # (panic quarantine, outbox retry/shedding, checkpoint crash-recovery)
 # under fault injection. A short fuzz smoke hardens the placeholder
 # substitution scanner.
@@ -86,6 +86,9 @@ SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
 # autocommit loader (127 000 writer commits).
 go test -run '^$' -bench 'BenchmarkPruneSparse$' -benchtime=1x ./internal/storage
 go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/workload
+# The LAT and signature-cache micro-benchmarks the one-latch LAT was sized
+# by (DESIGN.md §5.1), likewise one iteration each.
+go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$' -benchtime=1x .
 
 # Benchmark module: bench/ is its own module (sqlcm/bench), so the root
 # `go build ./...` and `go test ./...` never see it; an internal API change
