@@ -7,6 +7,7 @@ package sqlcm
 //	A-AGE   BenchmarkAgingAggregates     — §4.3 aging vs. plain aggregates
 //	A-EVICT BenchmarkLATEviction*        — §4.3 bounded vs. unbounded LATs
 //	A-PAR   Benchmark*Parallel           — hot-path scaling across -cpu
+//	A-MON   BenchmarkMonitoredPointRead  — §2.1 what the bench rule set costs a point read
 //
 // The paper-shaped sweeps (E-SIG, E-FIG2, E-FIG3: signature cost, rule
 // overhead, monitoring approaches) are produced by cmd/sqlcm-bench over
@@ -14,6 +15,7 @@ package sqlcm
 
 import (
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,6 +23,7 @@ import (
 	"sqlcm/internal/engine"
 	"sqlcm/internal/event"
 	"sqlcm/internal/lat"
+	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/rules"
@@ -320,5 +323,95 @@ func BenchmarkSigCacheParallel(b *testing.B) {
 	// Every plan is computed at most once no matter how many procs raced.
 	if n := c.Computes(); n > plans {
 		b.Fatalf("Computes = %d, want <= %d", n, plans)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// What monitoring costs one point read, in process: the repo benchmark's
+// point_read workloads without the wire, on a small database with the
+// benchmark's own rule set (bench/rules/bench.rules, read, not copied).
+// ---------------------------------------------------------------------------
+
+// monitoredPointRead opens a DB loaded by workload.Setup with the bench
+// rule set installed and returns one prepared point SELECT per call of the
+// returned function.
+func monitoredPointRead(tb testing.TB) (*DB, func()) {
+	tb.Helper()
+	src, err := os.ReadFile("bench/rules/bench.rules")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db, err := Open(Config{RuleCheck: RuleCheckStrict})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	const lineitems = 2000
+	if _, err := workload.Setup(db.Engine(), workload.Config{
+		Lineitems: lineitems, ShortQueries: 1, JoinQueries: 1, Seed: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.LoadRuleSet(string(src)); err != nil {
+		tb.Fatal(err)
+	}
+	p, err := db.Session("bench", "bench").Prepare("SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_id = @key")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params := map[string]sqltypes.Value{"key": sqltypes.NewInt(1)}
+	key := int64(0)
+	return db, func() {
+		key = key%lineitems + 1
+		params["key"] = sqltypes.NewInt(key)
+		if res, err := p.Exec(params); err != nil || len(res.Rows) != 1 {
+			tb.Fatalf("point read %d: %v", key, err)
+		}
+	}
+}
+
+// TestMonitoredPointReadAllocs pins what the rule set adds to a point
+// read's allocations (45 before rule dispatch was made allocation-free):
+// one Query and one Transaction object, their two hex signatures, and
+// little else.
+func TestMonitoredPointReadAllocs(t *testing.T) {
+	if lockcheck.Enabled {
+		t.Skip("the lockdep build's instrumented latches allocate")
+	}
+	db, read := monitoredPointRead(t)
+	for i := 0; i < 200; i++ {
+		read() // warm the plan, signature and LAT state
+	}
+	live := testing.AllocsPerRun(500, read)
+	db.Monitor().Suspend()
+	off := testing.AllocsPerRun(500, read)
+	db.Monitor().Resume()
+	if added := live - off; added > 12 {
+		t.Errorf("monitoring adds %.1f allocations per point read (%.1f live, %.1f suspended), want <= 12", added, live, off)
+	}
+}
+
+// BenchmarkMonitoredPointRead reports one point read with the monitor
+// suspended and live; the difference is the monitoring cost per statement.
+func BenchmarkMonitoredPointRead(b *testing.B) {
+	for _, on := range []bool{false, true} {
+		name := "mon_off"
+		if on {
+			name = "mon_on"
+		}
+		b.Run(name, func(b *testing.B) {
+			db, read := monitoredPointRead(b)
+			if !on {
+				db.Monitor().Suspend()
+			}
+			for i := 0; i < 200; i++ {
+				read()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+		})
 	}
 }

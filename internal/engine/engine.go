@@ -56,11 +56,9 @@ type Engine struct {
 	locks *lock.Manager
 	tm    *txn.Manager
 
-	// hooksMu protects the installed hook set.
-	//sqlcm:lock engine.hooks
-	//sqlcm:guards hooks
-	hooksMu lockcheck.RWMutex
-	hooks   Hooks
+	// hooks is the installed hook set, published whole (nil: none); every
+	// statement loads it, so reading it takes no lock.
+	hooks atomic.Pointer[Hooks]
 
 	// planMu protects the plan cache.
 	//sqlcm:lock engine.plan
@@ -128,7 +126,6 @@ func Open(cfg Config) (*Engine, error) {
 		active:    make(map[int64]*QueryInfo),
 		byTxn:     make(map[lock.TxnID]*QueryInfo),
 	}
-	e.hooksMu.SetClass("engine.hooks")
 	e.planMu.SetClass("engine.plan")
 	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
@@ -198,16 +195,18 @@ func (e *Engine) Close() error {
 
 // SetHooks installs (or, with nil, removes) the monitoring hook set.
 func (e *Engine) SetHooks(h Hooks) {
-	e.hooksMu.Lock()
-	e.hooks = h
-	e.hooksMu.Unlock()
+	if h == nil {
+		e.hooks.Store(nil)
+		return
+	}
+	e.hooks.Store(&h)
 }
 
 func (e *Engine) hooksRef() Hooks {
-	e.hooksMu.RLock()
-	h := e.hooks
-	e.hooksMu.RUnlock()
-	return h
+	if h := e.hooks.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
 // Catalog exposes the metadata catalog.

@@ -22,7 +22,9 @@ import (
 // Sink consumes dispatched events. The rule engine is the production sink.
 type Sink interface {
 	// Dispatch delivers one event with its bound objects, synchronously in
-	// the caller's thread.
+	// the caller's thread. objs is borrowed: it is valid only for the call
+	// (Hooks reuses it for a later event) and must not be retained or
+	// modified; the objects in it may be kept.
 	Dispatch(ev monitor.Event, objs map[string]monitor.Object)
 	// HasRulesFor reports whether anything listens on ev, so callers can
 	// skip monitored-object assembly entirely (§2.1).

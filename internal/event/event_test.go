@@ -1,11 +1,17 @@
 package event
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"sqlcm/internal/engine"
+	"sqlcm/internal/lat"
 	"sqlcm/internal/monitor"
+	"sqlcm/internal/rules"
+	"sqlcm/internal/sqltypes"
 )
 
 // recordSink counts dispatches and simulates per-event rule interest.
@@ -113,5 +119,67 @@ func TestBusConcurrentDispatch(t *testing.T) {
 	}
 	if got := sink.dispatched.Load(); got != goroutines*perG {
 		t.Errorf("sink saw %d dispatches, want %d", got, goroutines*perG)
+	}
+}
+
+// nopEnv is a rules.Env whose capabilities do nothing.
+type nopEnv struct{}
+
+func (nopEnv) LAT(string) (*lat.Table, bool) { return nil, false }
+func (nopEnv) Persist(string, []string, []sqltypes.Kind, []sqltypes.Value) error {
+	return nil
+}
+func (nopEnv) SendMail(string, string) error             { return nil }
+func (nopEnv) RunExternal(string) error                  { return nil }
+func (nopEnv) CancelQuery(int64) bool                    { return false }
+func (nopEnv) SetTimer(string, time.Duration, int) error { return nil }
+func (nopEnv) ActiveQueryObjects() []monitor.Object      { return nil }
+func (nopEnv) BlockPairObjects() [][2]monitor.Object     { return nil }
+
+// TestPooledObjectsStayPerDispatch dispatches Query.Commit through the
+// hooks from 8 goroutines into a rule whose action counts the Query object
+// it finds in its context. The hooks lend every dispatch a pooled objects
+// map and the rule engine a pooled context, so handing one goroutine's
+// map or context to another (or reusing one uncleared) shows up as a
+// statement counted twice, never, or next to a stale object. Run under
+// -race in the race tier.
+func TestPooledObjectsStayPerDispatch(t *testing.T) {
+	const goroutines, perG = 8, 2000
+	var counts [goroutines * perG]atomic.Int32
+	var bad atomic.Int64
+	re := rules.NewEngine(nopEnv{})
+	if err := re.AddRule(&rules.Rule{
+		Name: "own", Event: monitor.EvQueryCommit,
+		Actions: []rules.Action{&rules.FuncAction{Fn: func(_ rules.Env, ctx *rules.Ctx) error {
+			runtime.Gosched() // let other dispatches in while this one holds its map
+			obj, ok := ctx.Objects[monitor.ClassQuery].(*monitor.QueryObject)
+			if !ok || len(ctx.Objects) != 1 || ctx.Primary != obj {
+				bad.Add(1)
+				return nil
+			}
+			counts[obj.Info.ID].Add(1)
+			return nil
+		}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHooks(NewBus(re), monitor.NewSigCache(), monitor.NewTxnTracker())
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * perG; i < (g+1)*perG; i++ {
+				h.QueryCommit(&engine.QueryInfo{ID: int64(i)}, time.Millisecond)
+				if n := counts[i].Load(); n != 1 {
+					t.Errorf("statement %d: its action saw its own object %d times, want 1", i, n)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Errorf("%d dispatches saw a context other than their own Query object alone", n)
 	}
 }

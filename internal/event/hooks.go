@@ -1,6 +1,7 @@
 package event
 
 import (
+	"sync"
 	"time"
 
 	"sqlcm/internal/engine"
@@ -16,12 +17,34 @@ type Hooks struct {
 	bus  *Bus
 	sigs *monitor.SigCache
 	txns *monitor.TxnTracker
+	// objs recycles the maps events bind their objects into: one is
+	// borrowed per Bus.Dispatch and cleared when it returns (Sink.Dispatch
+	// may not retain it).
+	objs sync.Pool
 }
 
 // NewHooks builds the hook set over a bus, a signature cache and a
 // transaction tracker.
 func NewHooks(bus *Bus, sigs *monitor.SigCache, txns *monitor.TxnTracker) *Hooks {
-	return &Hooks{bus: bus, sigs: sigs, txns: txns}
+	h := &Hooks{bus: bus, sigs: sigs, txns: txns}
+	h.objs.New = func() any { return make(map[string]monitor.Object, 3) }
+	return h
+}
+
+// dispatch binds the non-nil objects by class into a borrowed map and
+// dispatches the event.
+//
+//sqlcm:hotpath
+func (h *Hooks) dispatch(ev monitor.Event, objs ...monitor.Object) {
+	m := h.objs.Get().(map[string]monitor.Object)
+	for _, o := range objs {
+		if o != nil {
+			m[o.Class()] = o
+		}
+	}
+	h.bus.Dispatch(ev, m)
+	clear(m)
+	h.objs.Put(m)
 }
 
 // Bus returns the bus the hooks dispatch into.
@@ -32,8 +55,7 @@ func (h *Hooks) QueryStart(q *engine.QueryInfo) {
 	if !h.bus.Interested(monitor.EvQueryStart) {
 		return
 	}
-	obj := monitor.NewQueryObject(q, nil)
-	h.bus.Dispatch(monitor.EvQueryStart, map[string]monitor.Object{monitor.ClassQuery: obj})
+	h.dispatch(monitor.EvQueryStart, monitor.NewQueryObject(q, nil))
 }
 
 // QueryCompiled implements engine.Hooks.
@@ -48,8 +70,7 @@ func (h *Hooks) QueryCompiled(q *engine.QueryInfo) {
 	if !h.bus.Interested(monitor.EvQueryCompile) {
 		return
 	}
-	obj := monitor.NewQueryObject(q, sig)
-	h.bus.Dispatch(monitor.EvQueryCompile, map[string]monitor.Object{monitor.ClassQuery: obj})
+	h.dispatch(monitor.EvQueryCompile, monitor.NewQueryObject(q, sig))
 }
 
 // QueryCommit implements engine.Hooks.
@@ -70,7 +91,7 @@ func (h *Hooks) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
 	}
 	obj := monitor.NewQueryObject(q, sig)
 	obj.DurationAt = dur
-	h.bus.Dispatch(monitor.EvQueryCommit, map[string]monitor.Object{monitor.ClassQuery: obj})
+	h.dispatch(monitor.EvQueryCommit, obj)
 }
 
 // QueryAbort implements engine.Hooks.
@@ -84,7 +105,7 @@ func (h *Hooks) QueryAbort(q *engine.QueryInfo, dur time.Duration, cancelled boo
 	}
 	obj := monitor.NewQueryObject(q, h.sigs.For(q))
 	obj.DurationAt = dur
-	h.bus.Dispatch(ev, map[string]monitor.Object{monitor.ClassQuery: obj})
+	h.dispatch(ev, obj)
 }
 
 // QueryCancelled implements engine.Hooks: the engine terminated a
@@ -98,7 +119,7 @@ func (h *Hooks) QueryCancelled(q *engine.QueryInfo, dur time.Duration, reason en
 	}
 	obj := monitor.NewQueryObject(q, h.sigs.For(q))
 	obj.DurationAt = dur
-	h.bus.Dispatch(monitor.EvQueryCancelled, map[string]monitor.Object{monitor.ClassQuery: obj})
+	h.dispatch(monitor.EvQueryCancelled, obj)
 }
 
 // QueryBlocked implements engine.Hooks.
@@ -106,20 +127,17 @@ func (h *Hooks) QueryBlocked(ev engine.BlockEvent) {
 	if !h.bus.Interested(monitor.EvQueryBlocked) {
 		return
 	}
-	waiter := monitor.NewQueryObject(ev.Waiter, h.sigs.For(ev.Waiter))
-	objs := map[string]monitor.Object{
-		monitor.ClassQuery:   waiter,
-		monitor.ClassBlocked: monitor.NewBlockedObject(ev.Waiter, h.sigs.For(ev.Waiter), 0),
-	}
 	// Bind the first resolvable holder as the Blocker (when several
 	// transactions share the resource one is designated, §6.1).
+	var blocker monitor.Object
 	for _, holder := range ev.Holders {
 		if holder != nil {
-			objs[monitor.ClassBlocker] = monitor.NewBlockerObject(holder, h.sigs.For(holder))
+			blocker = monitor.NewBlockerObject(holder, h.sigs.For(holder))
 			break
 		}
 	}
-	h.bus.Dispatch(monitor.EvQueryBlocked, objs)
+	h.dispatch(monitor.EvQueryBlocked, monitor.NewQueryObject(ev.Waiter, h.sigs.For(ev.Waiter)),
+		monitor.NewBlockedObject(ev.Waiter, h.sigs.For(ev.Waiter), 0), blocker)
 }
 
 // QueryUnblocked implements engine.Hooks.
@@ -136,12 +154,8 @@ func (h *Hooks) BlockReleased(holder *engine.QueryInfo, waiters []engine.BlockEv
 	}
 	blocker := monitor.NewBlockerObject(holder, h.sigs.For(holder))
 	for _, w := range waiters {
-		objs := map[string]monitor.Object{
-			monitor.ClassQuery:   monitor.NewQueryObject(w.Waiter, h.sigs.For(w.Waiter)),
-			monitor.ClassBlocker: blocker,
-			monitor.ClassBlocked: monitor.NewBlockedObject(w.Waiter, h.sigs.For(w.Waiter), w.Waited),
-		}
-		h.bus.Dispatch(monitor.EvQueryBlockReleased, objs)
+		h.dispatch(monitor.EvQueryBlockReleased, monitor.NewQueryObject(w.Waiter, h.sigs.For(w.Waiter)),
+			blocker, monitor.NewBlockedObject(w.Waiter, h.sigs.For(w.Waiter), w.Waited))
 	}
 }
 
@@ -169,5 +183,5 @@ func (h *Hooks) txnEnd(t *engine.TxnInfo, dur time.Duration, ev monitor.Event) {
 	if !h.bus.Interested(ev) {
 		return
 	}
-	h.bus.Dispatch(ev, map[string]monitor.Object{monitor.ClassTransaction: obj})
+	h.dispatch(ev, obj)
 }

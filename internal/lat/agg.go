@@ -58,23 +58,22 @@ type agingBlock struct {
 	last    sqltypes.Value
 }
 
-// add folds one observation in.
-func (a *aggState) add(spec *Spec, col *AggCol, v sqltypes.Value, now time.Time) {
+// add folds one observation in and returns how much memSize grew.
+func (a *aggState) add(spec *Spec, col *AggCol, v sqltypes.Value, now time.Time) (grew int64) {
 	if col.Aging {
-		a.addAging(spec, v, now)
-		return
+		return a.addAging(spec, v, now)
 	}
 	if !a.hasF {
-		a.first = v
+		grew += set(&a.first, v)
 		a.hasF = true
 	}
-	a.last = v
+	grew += set(&a.last, v)
 	if col.Func == Count && col.Attr == "" {
 		a.count++
-		return
+		return grew
 	}
 	if v.IsNull() {
-		return
+		return grew
 	}
 	a.count++
 	if f, ok := v.AsFloat(); ok {
@@ -87,16 +86,24 @@ func (a *aggState) add(spec *Spec, col *AggCol, v sqltypes.Value, now time.Time)
 		a.m2 += delta * (f - a.mean)
 	}
 	if !a.hasMM {
-		a.min, a.max = v, v
+		grew += set(&a.min, v) + set(&a.max, v)
 		a.hasMM = true
 	} else {
 		if sqltypes.Compare(v, a.min) < 0 {
-			a.min = v
+			grew += set(&a.min, v)
 		}
 		if sqltypes.Compare(v, a.max) > 0 {
-			a.max = v
+			grew += set(&a.max, v)
 		}
 	}
+	return grew
+}
+
+// set assigns v to *dst and returns how much the footprint grew.
+func set(dst *sqltypes.Value, v sqltypes.Value) int64 {
+	grew := int64(v.MemSize() - dst.MemSize())
+	*dst = v
+	return grew
 }
 
 // restoreFrom reconstructs the accumulator from a checkpointed output
@@ -136,8 +143,8 @@ func (a *aggState) restoreFrom(spec *Spec, col *AggCol, v sqltypes.Value, now ti
 	}
 }
 
-func (a *aggState) addAging(spec *Spec, v sqltypes.Value, now time.Time) {
-	a.expire(spec, now)
+func (a *aggState) addAging(spec *Spec, v sqltypes.Value, now time.Time) (grew int64) {
+	grew = -a.expire(spec, now)
 	blockStart := now.Truncate(spec.AgingBlock)
 	var b *agingBlock
 	if n := len(a.blocks); n > 0 && !a.blocks[n-1].start.Before(blockStart) {
@@ -149,14 +156,15 @@ func (a *aggState) addAging(spec *Spec, v sqltypes.Value, now time.Time) {
 			first: sqltypes.Null, last: sqltypes.Null,
 		})
 		b = &a.blocks[len(a.blocks)-1]
+		grew += b.memSize()
 	}
 	if b.count == 0 {
-		b.first = v
+		grew += set(&b.first, v)
 	}
-	b.last = v
+	grew += set(&b.last, v)
 	b.count++
 	if v.IsNull() {
-		return
+		return grew
 	}
 	b.nonNull++
 	if f, ok := v.AsFloat(); ok {
@@ -167,16 +175,17 @@ func (a *aggState) addAging(spec *Spec, v sqltypes.Value, now time.Time) {
 		b.m2 += delta * (f - b.mean)
 	}
 	if !b.hasMM {
-		b.min, b.max = v, v
+		grew += set(&b.min, v) + set(&b.max, v)
 		b.hasMM = true
 	} else {
 		if sqltypes.Compare(v, b.min) < 0 {
-			b.min = v
+			grew += set(&b.min, v)
 		}
 		if sqltypes.Compare(v, b.max) > 0 {
-			b.max = v
+			grew += set(&b.max, v)
 		}
 	}
+	return grew
 }
 
 // aged returns how many leading blocks are entirely older than the window.
@@ -189,11 +198,14 @@ func (a *aggState) aged(spec *Spec, now time.Time) int {
 	return i
 }
 
-// expire drops the aged blocks.
-func (a *aggState) expire(spec *Spec, now time.Time) {
-	if i := a.aged(spec, now); i > 0 {
-		a.blocks = append(a.blocks[:0], a.blocks[i:]...)
+// expire drops the aged blocks and returns their memSize.
+func (a *aggState) expire(spec *Spec, now time.Time) (freed int64) {
+	i := a.aged(spec, now)
+	for j := range a.blocks[:i] {
+		freed += a.blocks[j].memSize()
 	}
+	a.blocks = append(a.blocks[:0], a.blocks[i:]...)
+	return freed
 }
 
 // value materializes the aggregate's current output. It does not modify
@@ -317,13 +329,18 @@ func stdevOf(n int64, m2 float64) sqltypes.Value {
 	return sqltypes.NewFloat(math.Sqrt(variance))
 }
 
-// memSize approximates the accumulator footprint.
+// emptyAggMem is the footprint of an accumulator that has seen nothing.
+var emptyAggMem = new(aggState).memSize()
+
+// memSize approximates the accumulator footprint; add reports its changes.
 func (a *aggState) memSize() int64 {
-	n := int64(96)
-	n += int64(a.min.MemSize() + a.max.MemSize() + a.first.MemSize() + a.last.MemSize())
+	n := 96 + int64(a.min.MemSize()+a.max.MemSize()+a.first.MemSize()+a.last.MemSize())
 	for i := range a.blocks {
-		n += 96 + int64(a.blocks[i].min.MemSize()+a.blocks[i].max.MemSize()+
-			a.blocks[i].first.MemSize()+a.blocks[i].last.MemSize())
+		n += a.blocks[i].memSize()
 	}
 	return n
+}
+
+func (b *agingBlock) memSize() int64 {
+	return 96 + int64(b.min.MemSize()+b.max.MemSize()+b.first.MemSize()+b.last.MemSize())
 }

@@ -208,9 +208,11 @@ type Table struct {
 	spec Spec
 	// Clock is injectable for deterministic aging tests.
 	clock func() time.Time
-	// bounded is true when the spec has MaxRows or MaxBytes; orderCols is
-	// the output-column position of each ordering column. Both immutable.
+	// bounded is true when the spec has MaxRows or MaxBytes; columns are
+	// the output columns, orderCols the positions of the ordering ones.
+	// All immutable.
 	bounded   bool
+	columns   []string
 	orderCols []int
 
 	// mu is the table latch: group hash, eviction heap, free list and all
@@ -255,7 +257,8 @@ type row struct {
 }
 
 // EvictedRow is delivered to the eviction callback; the paper exposes each
-// evicted row as a monitored object so rules can persist it.
+// evicted row as a monitored object so rules can persist it. Columns is
+// shared: receivers must not modify it.
 type EvictedRow struct {
 	Table   string
 	Columns []string
@@ -271,6 +274,7 @@ func New(spec Spec) (*Table, error) {
 		spec:    spec,
 		clock:   time.Now,
 		bounded: spec.MaxRows > 0 || spec.MaxBytes > 0,
+		columns: spec.Columns(),
 		groups:  make(map[string]*row),
 		order:   rowHeap{by: spec.OrderBy},
 	}
@@ -356,17 +360,19 @@ func (t *Table) Insert(get AttrGetter) error {
 		}
 		vals[ng+i] = v
 	}
-	key := sqltypes.EncodeKey(vals[:ng]...)
+	var kb [64]byte
+	key := sqltypes.AppendKey(kb[:0], vals[:ng]...)
 
 	t.mu.Lock()
 	r := t.groupLocked(key, vals[:ng])
+	var grew int64
 	for i := range t.spec.Aggs {
 		if absent != nil && absent[i] {
 			continue
 		}
-		r.aggs[i].add(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
+		grew += r.aggs[i].add(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
 	}
-	evicted := t.updatedLocked(r, now)
+	evicted := t.updatedLocked(r, grew, now)
 	t.mu.Unlock()
 	t.deliverEvictions(evicted)
 	return nil
@@ -393,22 +399,28 @@ func (t *Table) groupLocked(key []byte, groupVals []sqltypes.Value) *row {
 	r.key = string(key)
 	r.groupVal = append(r.groupVal[:0], groupVals...)
 	clear(r.aggs)
-	r.mem, r.heapIdx = 0, -1 // updatedLocked accounts the memory and enters the heap
+	r.heapIdx = -1 // updatedLocked enters the heap
+	// memSize of a row whose aggregates are all empty:
+	r.mem = 64 + int64(len(r.aggs))*emptyAggMem
+	for _, v := range groupVals {
+		r.mem += int64(v.MemSize())
+	}
+	t.mem.Add(r.mem)
 	t.groups[r.key] = r
 	t.nGroups.Add(1)
 	t.newGroups.Add(1)
 	return r
 }
 
-// updatedLocked re-accounts a row whose aggregates changed and, for a
-// bounded table, (re)positions it in the heap and enforces the limits. The
-// evicted snapshots it returns are delivered after the latch is released.
+// updatedLocked accounts a row whose footprint grew by grew bytes and, for
+// a bounded table, (re)positions it in the heap and enforces the limits.
+// The evicted snapshots it returns are delivered after the latch is
+// released.
 //
 //sqlcm:lock-held lat.table
-func (t *Table) updatedLocked(r *row, now time.Time) []EvictedRow {
-	mem := r.memSize()
-	t.mem.Add(mem - r.mem)
-	r.mem = mem
+func (t *Table) updatedLocked(r *row, grew int64, now time.Time) []EvictedRow {
+	r.mem += grew
+	t.mem.Add(grew)
 	if !t.bounded {
 		return nil
 	}
@@ -425,14 +437,19 @@ func (t *Table) updatedLocked(r *row, now time.Time) []EvictedRow {
 //
 //sqlcm:lock-held lat.table
 func (t *Table) setOrderKeyLocked(r *row, now time.Time) {
-	ng := len(r.groupVal)
 	for i, c := range t.orderCols {
-		if c < ng {
-			r.orderKey[i] = r.groupVal[c]
-		} else {
-			r.orderKey[i] = r.aggs[c-ng].value(&t.spec, &t.spec.Aggs[c-ng], now)
-		}
+		r.orderKey[i] = t.valueLocked(r, c, now)
 	}
+}
+
+// valueLocked returns the value of one output column of a row.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) valueLocked(r *row, col int, now time.Time) sqltypes.Value {
+	if ng := len(r.groupVal); col >= ng {
+		return r.aggs[col-ng].value(&t.spec, &t.spec.Aggs[col-ng], now)
+	}
+	return r.groupVal[col]
 }
 
 // enforceLimitsLocked evicts least-important rows while over limits,
@@ -455,7 +472,7 @@ func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 		if fn != nil {
 			out = append(out, EvictedRow{
 				Table:   t.spec.Name,
-				Columns: t.spec.Columns(),
+				Columns: t.columns,
 				Values:  t.rowValuesLocked(victim, now),
 			})
 		}
@@ -493,7 +510,22 @@ func (t *Table) rowValuesLocked(r *row, now time.Time) []sqltypes.Value {
 // reports whether a matching row exists (rules treat a missing row as a
 // false condition, §5.2).
 func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
-	key := sqltypes.EncodeKey(groupVals...)
+	var kb [64]byte
+	return t.lookupRow(sqltypes.AppendKey(kb[:0], groupVals...))
+}
+
+// LookupByGetter resolves the grouping attributes through an object
+// accessor and looks the group up.
+func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
+	var kb [64]byte
+	key, ok := t.GroupKey(kb[:0], get)
+	if !ok {
+		return nil, false
+	}
+	return t.lookupRow(key)
+}
+
+func (t *Table) lookupRow(key []byte) ([]sqltypes.Value, bool) {
 	now := t.clock()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -504,23 +536,35 @@ func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
 	return t.rowValuesLocked(r, now), true
 }
 
-// LookupByGetter resolves the grouping attributes through an object
-// accessor and looks the group up.
-func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
-	groupVals := make([]sqltypes.Value, len(t.spec.GroupBy))
-	for i, attr := range t.spec.GroupBy {
+// GroupKey appends to dst the encoded group key of the object behind get;
+// false if it lacks a grouping attribute.
+func (t *Table) GroupKey(dst []byte, get AttrGetter) ([]byte, bool) {
+	for _, attr := range t.spec.GroupBy {
 		v, ok := get(attr)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
-		groupVals[i] = v
+		dst = v.Encode(dst)
 	}
-	return t.Lookup(groupVals)
+	return dst, true
+}
+
+// LookupColumn returns output column col (a ColumnIndex position) of the
+// group with the given key (GroupKey) and whether the group exists.
+func (t *Table) LookupColumn(key []byte, col int) (sqltypes.Value, bool) {
+	now := t.clock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	r := t.groups[string(key)]
+	if r == nil {
+		return sqltypes.Null, false
+	}
+	return t.valueLocked(r, col, now), true
 }
 
 // ColumnIndex returns the position of an output column, or -1.
 func (t *Table) ColumnIndex(col string) int {
-	for i, c := range t.spec.Columns() {
+	for i, c := range t.columns {
 		if c == col {
 			return i
 		}
@@ -627,7 +671,8 @@ func (h *rowHeap) Pop() interface{} {
 	return r
 }
 
-// memSize approximates the row's footprint.
+// memSize approximates the row's footprint. Inserts keep row.mem current
+// from what aggState.add reports; restored rows are measured whole.
 //
 //sqlcm:lock-held lat.table
 func (r *row) memSize() int64 {

@@ -31,7 +31,7 @@ func (t *Table) Restore(rows [][]sqltypes.Value) error {
 			r.aggs[i] = aggState{}
 			r.aggs[i].restoreFrom(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
 		}
-		evicted := t.updatedLocked(r, now)
+		evicted := t.updatedLocked(r, r.memSize()-r.mem, now)
 		t.mu.Unlock()
 		t.deliverEvictions(evicted)
 	}

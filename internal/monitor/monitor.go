@@ -232,25 +232,28 @@ func (q *QueryObject) Class() string { return q.class }
 
 // Get implements Object. Durations are exposed in seconds (float), matching
 // the paper's examples ("Query.Duration > 100").
-func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
+func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) { return q.attr(attrID(attr)) }
+
+// attr answers an attribute by id.
+func (q *QueryObject) attr(id int) (sqltypes.Value, bool) {
 	info := q.Info
 	if info == nil {
 		return sqltypes.Null, false
 	}
-	switch attr {
-	case "ID":
+	switch id {
+	case aID:
 		return sqltypes.NewInt(info.ID), true
-	case "Session_ID":
+	case aSessionID:
 		return sqltypes.NewInt(info.SessionID), true
-	case "User":
+	case aUser:
 		return sqltypes.NewString(info.User), true
-	case "Application":
+	case aApplication:
 		return sqltypes.NewString(info.App), true
-	case "Query_Text":
+	case aQueryText:
 		return sqltypes.NewString(info.Text), true
-	case "Query_Type":
+	case aQueryType:
 		return sqltypes.NewString(string(info.Type)), true
-	case "Logical_Signature":
+	case aLogicalSignature:
 		if q.Sig == nil {
 			return sqltypes.Null, true
 		}
@@ -259,7 +262,7 @@ func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
 			hex = q.Sig.Logical.String()
 		}
 		return sqltypes.NewString(hex), true
-	case "Physical_Signature":
+	case aPhysicalSignature:
 		if q.Sig == nil {
 			return sqltypes.Null, true
 		}
@@ -268,64 +271,64 @@ func (q *QueryObject) Get(attr string) (sqltypes.Value, bool) {
 			hex = q.Sig.Physical.String()
 		}
 		return sqltypes.NewString(hex), true
-	case "Start_Time":
+	case aStartTime:
 		return sqltypes.NewTime(info.StartTime), true
-	case "Duration":
+	case aDuration:
 		d := q.DurationAt
 		if d < 0 {
 			d = now().Sub(info.StartTime)
 		}
 		return sqltypes.NewFloat(d.Seconds()), true
-	case "Estimated_Cost":
+	case aEstimatedCost:
 		return sqltypes.NewFloat(info.EstimatedCost), true
-	case "Time_Blocked":
+	case aTimeBlocked:
 		return sqltypes.NewFloat(info.TimeBlocked().Seconds()), true
-	case "Times_Blocked":
+	case aTimesBlocked:
 		return sqltypes.NewInt(info.TimesBlocked()), true
-	case "Queries_Blocked":
+	case aQueriesBlocked:
 		return sqltypes.NewInt(info.QueriesBlocked()), true
-	case "Number_of_instances":
+	case aNumberOfInstances:
 		return sqltypes.NewInt(info.Instances), true
-	case "Wait_Time":
+	case aWaitTime:
 		return sqltypes.NewFloat(q.WaitTime.Seconds()), true
-	case "Remote_Addr":
+	case aRemoteAddr:
 		// NULL for embedded sessions so connection-targeting conditions
 		// never match in-process traffic.
 		if info.RemoteAddr == "" {
 			return sqltypes.Null, true
 		}
 		return sqltypes.NewString(info.RemoteAddr), true
-	case "Connect_Time":
+	case aConnectTime:
 		if info.SessionStart.IsZero() {
 			return sqltypes.Null, true
 		}
 		return sqltypes.NewTime(info.SessionStart), true
-	case "Session_Age":
+	case aSessionAge:
 		if info.SessionStart.IsZero() {
 			return sqltypes.Null, true
 		}
 		return sqltypes.NewFloat(now().Sub(info.SessionStart).Seconds()), true
-	case "Cancel_Reason":
+	case aCancelReason:
 		// NULL unless the statement was defensively cancelled, so rules
 		// matching on a reason never fire for ordinary statements.
 		if r := info.CancelReason(); r != engine.CancelNone {
 			return sqltypes.NewString(r.String()), true
 		}
 		return sqltypes.Null, true
-	case "Snapshot_Age":
+	case aSnapshotAge:
 		// NULL for a statement that never ran (shed: no snapshot taken).
 		if info.SnapshotAt.IsZero() {
 			return sqltypes.Null, true
 		}
 		return sqltypes.NewFloat(now().Sub(info.SnapshotAt).Seconds()), true
-	case "Version_Chain_Length":
+	case aVersionChainLength:
 		return sqltypes.NewInt(info.MaxChain()), true
-	case "Versions_Pruned":
+	case aVersionsPruned:
 		if info.MVCC == nil {
 			return sqltypes.Null, true
 		}
 		return sqltypes.NewInt(info.MVCC.Pruned.Load()), true
-	case "Versions_Retained":
+	case aVersionsRetained:
 		if info.MVCC == nil {
 			return sqltypes.Null, true
 		}
@@ -350,35 +353,40 @@ type TxnObject struct {
 	PhysicalSig signature.ID
 	NQueries    int64
 	TimeBlocked time.Duration
+	// Hex forms of the two signatures, formatted once by Finish.
+	logicalHex, physicalHex string
 }
 
 // Class implements Object.
 func (t *TxnObject) Class() string { return ClassTransaction }
 
 // Get implements Object.
-func (t *TxnObject) Get(attr string) (sqltypes.Value, bool) {
-	switch attr {
-	case "ID":
+func (t *TxnObject) Get(attr string) (sqltypes.Value, bool) { return t.attr(attrID(attr)) }
+
+// attr answers an attribute by id.
+func (t *TxnObject) attr(id int) (sqltypes.Value, bool) {
+	switch id {
+	case aID:
 		return sqltypes.NewInt(int64(t.Info.ID)), true
-	case "Session_ID":
+	case aSessionID:
 		return sqltypes.NewInt(t.Info.SessionID), true
-	case "User":
+	case aUser:
 		return sqltypes.NewString(t.Info.User), true
-	case "Application":
+	case aApplication:
 		return sqltypes.NewString(t.Info.App), true
-	case "Start_Time":
+	case aStartTime:
 		return sqltypes.NewTime(t.Info.StartTime), true
-	case "Duration":
+	case aDuration:
 		return sqltypes.NewFloat(t.Duration.Seconds()), true
-	case "Logical_Signature":
-		return sqltypes.NewString(t.LogicalSig.String()), true
-	case "Physical_Signature":
-		return sqltypes.NewString(t.PhysicalSig.String()), true
-	case "Number_of_instances":
+	case aLogicalSignature:
+		return sqltypes.NewString(t.logicalHex), true
+	case aPhysicalSignature:
+		return sqltypes.NewString(t.physicalHex), true
+	case aNumberOfInstances:
 		return sqltypes.NewInt(t.NQueries), true
-	case "Time_Blocked":
+	case aTimeBlocked:
 		return sqltypes.NewFloat(t.TimeBlocked.Seconds()), true
-	case "Implicit":
+	case aImplicit:
 		return sqltypes.NewBool(t.Info.Implicit), true
 	default:
 		return sqltypes.Null, false
@@ -392,19 +400,20 @@ type TxnTracker struct {
 	//sqlcm:lock monitor.txn
 	//sqlcm:guards m
 	mu lockcheck.Mutex
-	m  map[int64]*txnAccum // by txn id
+	m  map[int64]txnAccum // by txn id
 }
 
+// txnAccum is one open transaction: its two transaction signatures so far
+// (running hashes, signature.ID.Then) and its counters.
 type txnAccum struct {
-	logical     []signature.ID
-	physical    []signature.ID
-	nQueries    int64
-	timeBlocked time.Duration
+	logical, physical signature.ID
+	nQueries          int64
+	timeBlocked       time.Duration
 }
 
 // NewTxnTracker returns an empty tracker.
 func NewTxnTracker() *TxnTracker {
-	t := &TxnTracker{m: make(map[int64]*txnAccum)}
+	t := &TxnTracker{m: make(map[int64]txnAccum)}
 	t.mu.SetClass("monitor.txn")
 	return t
 }
@@ -412,15 +421,15 @@ func NewTxnTracker() *TxnTracker {
 // Observe records one statement's signatures under its transaction.
 func (t *TxnTracker) Observe(txnID int64, s *Sigs, blocked time.Duration) {
 	t.mu.Lock()
-	a := t.m[txnID]
-	if a == nil {
-		a = &txnAccum{}
-		t.m[txnID] = a
+	a, ok := t.m[txnID]
+	if !ok {
+		a.logical, a.physical = signature.EmptyTransaction, signature.EmptyTransaction
 	}
-	a.logical = append(a.logical, s.Logical)
-	a.physical = append(a.physical, s.Physical)
+	a.logical = a.logical.Then(s.Logical)
+	a.physical = a.physical.Then(s.Physical)
 	a.nQueries++
 	a.timeBlocked += blocked
+	t.m[txnID] = a
 	t.mu.Unlock()
 }
 
@@ -430,14 +439,12 @@ func (t *TxnTracker) Finish(info *engine.TxnInfo, dur time.Duration) *TxnObject 
 	a := t.m[int64(info.ID)]
 	delete(t.m, int64(info.ID))
 	t.mu.Unlock()
-	obj := &TxnObject{Info: info, Duration: dur}
-	if a != nil {
-		obj.LogicalSig = signature.Transaction(a.logical)
-		obj.PhysicalSig = signature.Transaction(a.physical)
-		obj.NQueries = a.nQueries
-		obj.TimeBlocked = a.timeBlocked
+	return &TxnObject{
+		Info: info, Duration: dur,
+		LogicalSig: a.logical, PhysicalSig: a.physical,
+		NQueries: a.nQueries, TimeBlocked: a.timeBlocked,
+		logicalHex: a.logical.String(), physicalHex: a.physical.String(),
 	}
-	return obj
 }
 
 // ---------------------------------------------------------------------------

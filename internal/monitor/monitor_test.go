@@ -177,6 +177,74 @@ func TestQueryAttributesSchemaCoversObject(t *testing.T) {
 	}
 }
 
+func TestTransactionAttributesSchemaCoversObject(t *testing.T) {
+	tr := NewTxnTracker()
+	tr.Observe(1, &Sigs{Logical: 10, Physical: 20}, 0)
+	obj := tr.Finish(&engine.TxnInfo{ID: 1, StartTime: time.Now()}, time.Second)
+	for _, attr := range TransactionAttributes() {
+		if _, ok := obj.Get(attr.Name); !ok {
+			t.Errorf("schema attribute %q not gettable", attr.Name)
+		}
+	}
+}
+
+// TestObjectsAnswerOnlySchemaAttributes is the converse of the two tests
+// above: the id switches of Query/Blocker/Blocked and Transaction objects
+// answer exactly the ids of their schema's names, and every probe reads
+// what Get returns, so schema.go and the objects cannot drift.
+func TestObjectsAnswerOnlySchemaAttributes(t *testing.T) {
+	names := map[int]string{}
+	for _, a := range append(QueryAttributes(), TransactionAttributes()...) {
+		names[attrID(a.Name)] = a.Name
+	}
+	qi := testQueryInfo()
+	tr := NewTxnTracker()
+	tr.Observe(1, &Sigs{Logical: 10, Physical: 20}, 0)
+	txn := tr.Finish(&engine.TxnInfo{ID: 1, StartTime: time.Now()}, time.Second)
+	for _, tc := range []struct {
+		obj   Object
+		attrs []Attribute
+		attr  func(int) (sqltypes.Value, bool)
+	}{
+		{NewQueryObject(qi, &Sigs{Logical: 1}), QueryAttributes(), nil},
+		{NewBlockerObject(qi, &Sigs{}), QueryAttributes(), nil},
+		{NewBlockedObject(qi, &Sigs{}, time.Second), QueryAttributes(), nil},
+		{txn, TransactionAttributes(), txn.attr},
+	} {
+		attr := tc.attr
+		if attr == nil {
+			attr = tc.obj.(*QueryObject).attr
+		}
+		inSchema := map[string]bool{}
+		for _, a := range tc.attrs {
+			inSchema[a.Name] = true
+		}
+		for id := -2; id < len(names)+8; id++ {
+			if _, ok := attr(id); ok != inSchema[names[id]] {
+				t.Errorf("%s: attribute id %d (%q) answered = %v, in schema = %v", tc.obj.Class(), id, names[id], ok, inSchema[names[id]])
+			}
+		}
+		for _, a := range tc.attrs {
+			got, ok := NewProbe(a.Name).Of(tc.obj)
+			want, _ := tc.obj.Get(a.Name)
+			if !ok || (a.Name != "Duration" && sqltypes.Compare(got, want) != 0) {
+				t.Errorf("%s: probe %s = %v, %v; Get = %v", tc.obj.Class(), a.Name, got, ok, want)
+			}
+		}
+		if _, ok := NewProbe("No_Such").Of(tc.obj); ok {
+			t.Errorf("%s: unknown probe answered", tc.obj.Class())
+		}
+	}
+	if len(classIDs) != NumClasses || len(classAttributes) != NumClasses {
+		t.Errorf("NumClasses = %d, but %d class ids and %d class schemas", NumClasses, len(classIDs), len(classAttributes))
+	}
+	for class, id := range classIDs {
+		if _, ok := classAttributes[class]; !ok || id < 0 || id >= NumClasses {
+			t.Errorf("class %s: id %d, schema %v", class, id, ok)
+		}
+	}
+}
+
 func TestSigCacheMemoizes(t *testing.T) {
 	cat := catalog.New()
 	if _, err := cat.CreateTable("t", []catalog.Column{{Name: "a", Type: sqltypes.KindInt, PrimaryKey: true, NotNull: true}}); err != nil {

@@ -18,6 +18,37 @@ type Attribute struct {
 	Doc  string
 }
 
+// Attribute ids number the attribute names of the Query/Blocker/Blocked
+// and Transaction schemas densely (attrID); query and transaction objects
+// answer an id through an integer switch.
+const (
+	aID = iota
+	aSessionID
+	aUser
+	aApplication
+	aQueryText
+	aQueryType
+	aLogicalSignature
+	aPhysicalSignature
+	aStartTime
+	aDuration
+	aEstimatedCost
+	aTimeBlocked
+	aTimesBlocked
+	aQueriesBlocked
+	aNumberOfInstances
+	aWaitTime
+	aRemoteAddr
+	aConnectTime
+	aSessionAge
+	aCancelReason
+	aSnapshotAge
+	aVersionChainLength
+	aVersionsPruned
+	aVersionsRetained
+	aImplicit
+)
+
 // QueryAttributes lists the Query/Blocker/Blocked schema.
 func QueryAttributes() []Attribute {
 	return []Attribute{
@@ -63,6 +94,88 @@ func TransactionAttributes() []Attribute {
 		{Name: "Time_Blocked", Kind: sqltypes.KindFloat, Doc: "total lock wait (s)"},
 		{Name: "Implicit", Kind: sqltypes.KindBool, Doc: "auto-commit transaction"},
 	}
+}
+
+// attrID returns the id of a Query or Transaction attribute name, or -1
+// (a string switch: several times faster than a map lookup).
+func attrID(name string) int {
+	switch name {
+	case "ID":
+		return aID
+	case "Session_ID":
+		return aSessionID
+	case "User":
+		return aUser
+	case "Application":
+		return aApplication
+	case "Query_Text":
+		return aQueryText
+	case "Query_Type":
+		return aQueryType
+	case "Logical_Signature":
+		return aLogicalSignature
+	case "Physical_Signature":
+		return aPhysicalSignature
+	case "Start_Time":
+		return aStartTime
+	case "Duration":
+		return aDuration
+	case "Estimated_Cost":
+		return aEstimatedCost
+	case "Time_Blocked":
+		return aTimeBlocked
+	case "Times_Blocked":
+		return aTimesBlocked
+	case "Queries_Blocked":
+		return aQueriesBlocked
+	case "Number_of_instances":
+		return aNumberOfInstances
+	case "Wait_Time":
+		return aWaitTime
+	case "Remote_Addr":
+		return aRemoteAddr
+	case "Connect_Time":
+		return aConnectTime
+	case "Session_Age":
+		return aSessionAge
+	case "Cancel_Reason":
+		return aCancelReason
+	case "Snapshot_Age":
+		return aSnapshotAge
+	case "Version_Chain_Length":
+		return aVersionChainLength
+	case "Versions_Pruned":
+		return aVersionsPruned
+	case "Versions_Retained":
+		return aVersionsRetained
+	case "Implicit":
+		return aImplicit
+	}
+	return -1
+}
+
+// Probe is an attribute name resolved to its id once, when a rule is
+// compiled. Objects without a static schema (LATRow's attributes are its
+// LAT's columns) answer it by name.
+type Probe struct {
+	Name string
+	id   int // -1: no Query or Transaction attribute
+}
+
+// NewProbe resolves an attribute name.
+func NewProbe(name string) Probe { return Probe{Name: name, id: attrID(name)} }
+
+// Of reads the probed attribute of o.
+//
+//sqlcm:hotpath
+func (p Probe) Of(o Object) (sqltypes.Value, bool) {
+	switch o := o.(type) {
+	case *QueryObject:
+		return o.attr(p.id)
+	case *TxnObject:
+		return o.attr(p.id)
+	}
+	return o.Get(p.Name)
 }
 
 // TimerAttributes lists the Timer schema.
@@ -112,6 +225,22 @@ var classAttributes = map[string][]Attribute{
 func ClassAttributes(class string) ([]Attribute, bool) {
 	attrs, ok := classAttributes[class]
 	return attrs, ok
+}
+
+// classIDs numbers the monitored classes densely; the rule engine keeps an
+// object slot per class.
+var classIDs = map[string]int{
+	ClassQuery: 0, ClassBlocker: 1, ClassBlocked: 2, ClassTransaction: 3,
+	ClassTimer: 4, ClassMonitor: 5, ClassLATRow: 6,
+}
+
+// NumClasses is the number of monitored classes.
+const NumClasses = 7
+
+// ClassID returns the dense id of a monitored class.
+func ClassID(class string) (int, bool) {
+	id, ok := classIDs[class]
+	return id, ok
 }
 
 // AttrKind resolves one attribute of a monitored class to its SQL kind.

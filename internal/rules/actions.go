@@ -26,7 +26,7 @@ func (a *InsertAction) Run(env Env, ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("rules: Insert: unknown LAT %q", a.LAT)
 	}
-	return table.Insert(ctx.Attr)
+	return table.Insert(ctx.getter())
 }
 
 // Describe implements Action.
@@ -202,7 +202,7 @@ func lookupRef(env Env, ref string, ctx *Ctx) (sqltypes.Value, bool) {
 	}
 	if latName, col, ok := strings.Cut(ref, "."); ok {
 		if table, found := env.LAT(latName); found {
-			row, matched := table.LookupByGetter(ctx.Attr)
+			row, matched := table.LookupByGetter(ctx.getter())
 			if !matched {
 				return sqltypes.Null, false
 			}

@@ -86,14 +86,14 @@ func (e *Engine) Reinstate(name string) bool {
 	return false
 }
 
-// safeEvalRule evaluates one rule against one context with panic
+// safeEvalRule evaluates one rule against st's context with panic
 // isolation: a panic in the condition or in any action is recovered,
 // counted, and — after quarantineThreshold consecutive panicking
 // evaluations — quarantines the rule. A fully non-panicking evaluation
 // resets the rule's consecutive-failure count. The query thread that
 // raised the event never observes the failure.
-func (e *Engine) safeEvalRule(r *Rule, ctx *Ctx) {
-	err := e.evalRuleRecover(r, ctx)
+func (e *Engine) safeEvalRule(r *Rule, st *evalState) {
+	err := e.evalRuleRecover(r, st)
 	if err == nil {
 		r.consecFails.Store(0)
 		return
@@ -112,13 +112,13 @@ func (e *Engine) safeEvalRule(r *Rule, ctx *Ctx) {
 // the condition or the action list into an error.
 //
 //sqlcm:recovered
-func (e *Engine) evalRuleRecover(r *Rule, ctx *Ctx) (err error) {
+func (e *Engine) evalRuleRecover(r *Rule, st *evalState) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("rules: rule %q panicked: %v\n%s", r.Name, p, debug.Stack())
 		}
 	}()
-	e.evalRule(r, ctx)
+	e.evalRule(r, st)
 	return nil
 }
 

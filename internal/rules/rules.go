@@ -9,10 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"sqlcm/internal/expr"
 	"sqlcm/internal/lat"
 	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
@@ -21,12 +21,24 @@ import (
 )
 
 // Ctx is the evaluation context of one rule invocation: the monitored
-// objects in scope, keyed by class.
+// objects in scope, keyed by class. A Ctx handed to an Action is valid
+// only for the call: Dispatch reuses it for the next event.
 type Ctx struct {
 	Objects map[string]monitor.Object
 	// Primary is the object bound by the rule's event clause; unqualified
 	// and LAT-grouping attribute references resolve against it.
 	Primary monitor.Object
+	// get is Attr bound once: the getter every LAT insert and lookup of
+	// this context shares.
+	get lat.AttrGetter
+}
+
+// getter returns Attr as a lat.AttrGetter.
+func (c *Ctx) getter() lat.AttrGetter {
+	if c.get == nil {
+		c.get = c.Attr
+	}
+	return c.get
 }
 
 // Object returns the in-context object of a class.
@@ -111,13 +123,6 @@ func (r *Rule) Enabled() bool { return r.enabled.Load() }
 // SetEnabled toggles the rule (rules can be turned on/off dynamically, §3).
 func (r *Rule) SetEnabled(v bool) { r.enabled.Store(v) }
 
-// isClass reports whether a reference qualifier names a monitored class
-// (anything else names a LAT).
-func isClass(qual string) bool {
-	_, ok := monitor.ClassAttributes(qual)
-	return ok
-}
-
 // ruleIndex is an immutable snapshot of the registered rule set. Readers
 // load it through an atomic pointer and never take a lock; writers rebuild
 // a fresh index and publish it (copy-on-write). The per-event dispatch
@@ -174,6 +179,9 @@ type Engine struct {
 	// sequential oracle). One atomic load on the hot path when unset.
 	observer atomic.Pointer[func(rule string, fired bool)]
 
+	// states recycles the per-event evaluation state (*evalState).
+	states sync.Pool
+
 	failsafeState
 }
 
@@ -192,6 +200,7 @@ func (e *Engine) SetEvalObserver(fn func(rule string, fired bool)) {
 // NewEngine creates a rule engine over env.
 func NewEngine(env Env) *Engine {
 	e := &Engine{env: env}
+	e.states.New = func() any { return &evalState{eng: e} }
 	e.writeMu.SetClass("rules.write")
 	e.idx.Store(buildIndex(nil))
 	return e
@@ -302,8 +311,10 @@ func (e *Engine) Rules() []string {
 func (r *Rule) analyze() error {
 	classes := map[string]bool{}
 	sqlparser.WalkExpr(r.Condition, func(x sqlparser.Expr) {
-		if c, ok := x.(*sqlparser.ColumnRef); ok && isClass(c.Table) {
-			classes[c.Table] = true
+		if c, ok := x.(*sqlparser.ColumnRef); ok {
+			if _, isClass := monitor.ClassID(c.Table); isClass {
+				classes[c.Table] = true
+			}
 		}
 	})
 	r.freeClasses = r.freeClasses[:0]
@@ -320,7 +331,7 @@ func (r *Rule) analyze() error {
 // Dispatch delivers one event with its bound objects to every matching
 // rule, synchronously in the caller's thread and in registration order
 // (§5: fixed rule order; all applicable rules run before the engine
-// resumes).
+// resumes). objs is only read during the call.
 //
 //sqlcm:hotpath
 func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
@@ -331,38 +342,45 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 		return
 	}
 
-	base := Ctx{Objects: objs, Primary: objs[ev.Class]}
-	if base.Primary == nil {
+	// One evaluation state for the whole event.
+	st := e.states.Get().(*evalState)
+	st.base.Objects, st.base.Primary = objs, objs[ev.Class]
+	if st.base.Primary == nil {
 		// Events like Timer.Alarm bind the timer object as primary.
 		for _, o := range objs {
-			base.Primary = o
+			st.base.Primary = o
 			break
 		}
 	}
+	st.bind(&st.base)
 	for _, r := range matching {
 		if !r.Enabled() {
 			continue
 		}
 		if len(r.freeClasses) == 0 {
-			e.safeEvalRule(r, &base)
+			e.safeEvalRule(r, st)
 			continue
 		}
-		for _, ctx := range e.expand(r, &base) {
-			e.safeEvalRule(r, ctx)
+		for _, ctx := range e.expand(r, &st.base) {
+			st.bind(ctx)
+			e.safeEvalRule(r, st)
 		}
+		st.bind(&st.base)
 	}
+	st.reset()
+	e.states.Put(st)
 }
 
-// evalRule evaluates one rule against one object combination. It runs
+// evalRule evaluates one rule against the context bound in st. It runs
 // user rule code (condition and actions), so it must only be reached
 // through a recover-protected wrapper.
 //
 //sqlcm:hotpath
 //sqlcm:callback
-func (e *Engine) evalRule(r *Rule, ctx *Ctx) {
+func (e *Engine) evalRule(r *Rule, st *evalState) {
 	e.evaluations.Add(1)
 	if r.cond != nil {
-		ok, err := e.runCond(r.cond, ctx)
+		ok, err := st.holds(r.cond)
 		if err != nil {
 			e.actionErrs.Add(1)
 			e.observe(r.Name, false)
@@ -376,7 +394,7 @@ func (e *Engine) evalRule(r *Rule, ctx *Ctx) {
 	e.fired.Add(1)
 	e.observe(r.Name, true)
 	for _, a := range r.Actions {
-		if err := a.Run(e.env, ctx); err != nil {
+		if err := a.Run(e.env, st.ctx); err != nil {
 			e.actionErrs.Add(1)
 		}
 	}
@@ -444,29 +462,8 @@ func cloneObjs(in map[string]monitor.Object) map[string]monitor.Object {
 }
 
 // ---------------------------------------------------------------------------
-// Condition evaluation
+// Conditions
 // ---------------------------------------------------------------------------
-
-// evalCond compiles and evaluates a rule condition (semantics: compile.go).
-// Registered rules use the precompiled form via runCond; this helper
-// serves ad-hoc evaluation and tests.
-func (e *Engine) evalCond(cond sqlparser.Expr, ctx *Ctx) (bool, error) {
-	fn, err := compileCond(cond)
-	if err != nil {
-		return false, err
-	}
-	if fn == nil {
-		return true, nil
-	}
-	return e.runCond(fn, ctx)
-}
-
-// runCond evaluates a compiled condition against a context.
-//
-//sqlcm:hotpath
-func (e *Engine) runCond(c cond, ctx *Ctx) (bool, error) {
-	return expr.EvalBool(c, expr.Env{Ctx: &evalState{eng: e, ctx: ctx}})
-}
 
 // ParseCondition parses a condition string (reusing the SQL expression
 // grammar: Class.Attr and LAT.Column references, arithmetic, comparisons,

@@ -531,3 +531,47 @@ func TestPersistFromLAT(t *testing.T) {
 		t.Fatalf("order/most-important-first: %v", env.persisted)
 	}
 }
+
+// TestLATColumnFollowsRedefinition registers a rule against a LAT, then
+// replaces the LAT with one whose columns come in another order, drops it
+// and defines it again: the column position a reference resolved for the
+// first table must not be used for the next.
+func TestLATColumnFollowsRedefinition(t *testing.T) {
+	env := newFakeEnv()
+	mk := func(aggs ...lat.AggCol) *lat.Table {
+		table, err := lat.New(lat.Spec{Name: "L", GroupBy: []string{"Logical_Signature"}, Aggs: aggs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		table.Insert(queryObj(1, "s", 10).Get) //nolint:errcheck
+		return table
+	}
+	maxA := lat.AggCol{Func: lat.Max, Attr: "Duration", Name: "A"}
+	countB := lat.AggCol{Func: lat.Count, Name: "B"}
+	first, reordered := mk(maxA, countB), mk(countB, maxA)
+	e := NewEngine(env)
+	cond, _ := ParseCondition("L.B = 1 AND L.A = 10")
+	fired := 0
+	if err := e.AddRule(&Rule{
+		Name: "r", Event: monitor.EvQueryCommit, Condition: cond,
+		Actions: []Action{&FuncAction{Fn: func(Env, *Ctx) error { fired++; return nil }}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range []struct {
+		table     *lat.Table
+		wantFired int
+	}{{first, 1}, {reordered, 2}, {nil, 2}, {first, 3}} {
+		delete(env.lats, "L")
+		if step.table != nil {
+			env.lats["L"] = step.table
+		}
+		dispatchQuery(e, queryObj(2, "s", 1))
+		if fired != step.wantFired {
+			t.Fatalf("step %d: rule fired %d times, want %d", i, fired, step.wantFired)
+		}
+	}
+	if n := e.Stats().ActionErrs; n != 1 {
+		t.Errorf("ActionErrs = %d, want 1 (the evaluation while L was dropped)", n)
+	}
+}

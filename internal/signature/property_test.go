@@ -99,3 +99,53 @@ func TestSignatureDispersion(t *testing.T) {
 		t.Fatalf("dispersion test too small: %d", n)
 	}
 }
+
+// TestTransactionSignatureGolden pins Transaction to values computed before
+// it streamed FNV-1a over the hex forms instead of hashing a built string:
+// persisted LATs and rules that group by a transaction signature must see
+// the same values, and so must TxnTracker's running hashes (Then).
+func TestTransactionSignatureGolden(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []ID
+		want ID
+	}{
+		{nil, 0xcbf29ce484222325},
+		{[]ID{0}, 0x02d2f7fc03a66bba},
+		{[]ID{^ID(0)}, 0x07ebdd381ca792ba},
+		{[]ID{0x0123456789abcdef}, 0x353d42cf45a67bf2},
+		{[]ID{7, 7, 7}, 0xf3f23dbedaf51539},
+		{[]ID{0, ^ID(0), 0}, 0x5d06f519baee0538},
+		{[]ID{1, 2, 3}, 0xb0cbc709ba4a9090},
+		{[]ID{3, 2, 1}, 0xaf2e6f10b680435c},
+		{[]ID{0xdeadbeef, 0xcafebabe00000000}, 0xad8ec6d48ac5c754},
+	} {
+		if got := Transaction(tc.ids); got != tc.want {
+			t.Errorf("Transaction(%v) = %s, want %s", tc.ids, got, tc.want)
+		}
+		sig := EmptyTransaction
+		for _, id := range tc.ids {
+			sig = sig.Then(id)
+		}
+		if sig != tc.want {
+			t.Errorf("Then over %v = %s, want %s", tc.ids, sig, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { EmptyTransaction.Then(^ID(0)) }); n != 0 {
+		t.Errorf("Then allocates %.0f times, want 0", n)
+	}
+}
+
+// TestIDStringMatchesSprintf checks the fmt-free hex rendering against the
+// format it replaced, on edge values and random ones.
+func TestIDStringMatchesSprintf(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	ids := []ID{0, 1, 0xf, 0x10, ^ID(0), 1 << 63, 0x0123456789abcdef}
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, ID(r.Uint64()))
+	}
+	for _, id := range ids {
+		if got, want := id.String(), fmt.Sprintf("%016x", uint64(id)); got != want {
+			t.Fatalf("ID(%#x).String() = %q, want %q", uint64(id), got, want)
+		}
+	}
+}

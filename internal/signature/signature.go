@@ -29,21 +29,31 @@ import (
 // ID is a 64-bit signature value.
 type ID uint64
 
-// String renders the ID in hex.
-func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+// String renders the ID as 16 lower-case hex digits.
+//
+//sqlcm:hotpath
+func (id ID) String() string {
+	var b [16]byte
+	return string(id.appendHex(b[:0]))
+}
+
+func (id ID) appendHex(dst []byte) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[id>>shift&0xf])
+	}
+	return dst
+}
+
+// fold continues the FNV-1a hash h over s.
+func (h ID) fold(s string) ID {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ ID(s[i])) * 1099511628211
+	}
+	return h
+}
 
 // hash is FNV-1a over a string.
-func hash(s string) ID {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime
-	}
-	return ID(h)
-}
+func hash(s string) ID { return EmptyTransaction.fold(s) }
 
 // Logical returns the logical query signature and its canonical text.
 func Logical(l plan.Logical) (ID, string) {
@@ -61,14 +71,26 @@ func Physical(p plan.Physical) (ID, string) {
 
 // Transaction combines per-statement signatures into a transaction
 // signature (order-sensitive: different code paths through a stored
-// procedure yield different sequences and therefore different signatures).
+// procedure yield different sequences and therefore different signatures):
+// FNV-1a over each statement signature in hex followed by ';'.
 func Transaction(ids []ID) ID {
-	var b strings.Builder
+	sig := EmptyTransaction
 	for _, id := range ids {
-		b.WriteString(id.String())
-		b.WriteByte(';')
+		sig = sig.Then(id)
 	}
-	return hash(b.String())
+	return sig
+}
+
+// EmptyTransaction is the signature of no statements (FNV-1a's offset).
+const EmptyTransaction ID = 14695981039346656037
+
+// Then extends a transaction signature by one statement without keeping
+// the sequence: Transaction(append(ids, id)) == Transaction(ids).Then(id).
+//
+//sqlcm:hotpath
+func (sig ID) Then(id ID) ID {
+	var b [17]byte
+	return sig.fold(string(append(id.appendHex(b[:0]), ';')))
 }
 
 // canonicalizer tracks parameter numbering while linearizing. Linearization

@@ -373,7 +373,7 @@ func (v Value) Encode(dst []byte) []byte {
 		return encodeOrderedFloat(dst, v.f)
 	case KindString:
 		dst = append(dst, 0x04)
-		return encodeOrderedBytes(dst, []byte(v.s))
+		return encodeOrderedBytes(dst, v.s)
 	case KindTime:
 		dst = append(dst, 0x05)
 		return encodeOrderedInt(dst, v.i)
@@ -471,16 +471,16 @@ func decodeOrderedFloat(src []byte) (float64, []byte, error) {
 }
 
 // encodeOrderedBytes escapes 0x00 as 0x00 0xff and terminates with
-// 0x00 0x00, preserving lexicographic order.
-func encodeOrderedBytes(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
-			dst = append(dst, 0x00, 0xff)
-		} else {
-			dst = append(dst, c)
+// 0x00 0x00, preserving lexicographic order. Strings are read in place.
+func encodeOrderedBytes[B string | []byte](dst []byte, b B) []byte {
+	start := 0
+	for i := 0; i < len(b); i++ {
+		if b[i] == 0x00 {
+			dst = append(append(dst, b[start:i]...), 0x00, 0xff)
+			start = i + 1
 		}
 	}
-	return append(dst, 0x00, 0x00)
+	return append(append(dst, b[start:]...), 0x00, 0x00)
 }
 
 func decodeOrderedBytes(src []byte) ([]byte, []byte, error) {
@@ -509,8 +509,11 @@ func decodeOrderedBytes(src []byte) ([]byte, []byte, error) {
 
 // EncodeKey encodes a composite key of values into a single order-preserving
 // byte string.
-func EncodeKey(vals ...Value) []byte {
-	var dst []byte
+func EncodeKey(vals ...Value) []byte { return AppendKey(nil, vals...) }
+
+// AppendKey appends the composite key encoding of vals to dst, so a caller
+// with a stack buffer encodes without allocating.
+func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		dst = v.Encode(dst)
 	}

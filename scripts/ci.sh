@@ -87,8 +87,9 @@ SQLCM_SIM_SEEDS=64 go test -count=1 ./internal/sim/
 go test -run '^$' -bench 'BenchmarkPruneSparse$' -benchtime=1x ./internal/storage
 go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/workload
 # The LAT and signature-cache micro-benchmarks the one-latch LAT was sized
-# by (DESIGN.md §5.1), likewise one iteration each.
-go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$' -benchtime=1x .
+# by (DESIGN.md §5.1), and the in-process monitored point read the
+# allocation-free rule dispatch was sized by (§5), likewise one iteration each.
+go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead' -benchtime=1x .
 
 # Benchmark module: bench/ is its own module (sqlcm/bench), so the root
 # `go build ./...` and `go test ./...` never see it; an internal API change
