@@ -35,7 +35,7 @@ import (
 // benchEngine opens an engine with a small TPC-H-style database.
 func benchEngine(b *testing.B, lineitems int) *engine.Engine {
 	b.Helper()
-	eng, err := engine.Open(engine.Config{PoolPages: 2048})
+	eng, err := engine.Open(engine.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: sig, fig2, fig3, failsafe, all")
 	quick := flag.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
-	dataDir := flag.String("datadir", "", "back fig3 engines with files in this directory (real I/O)")
+	dataDir := flag.String("datadir", "", "directory for fig3's Query_logging log file (default: the system temp directory)")
 	flag.Parse()
 
 	ok := true
@@ -132,11 +132,11 @@ func runFig3(quick bool, dataDir string) bool {
 		return false
 	}
 	fmt.Println()
-	fmt.Printf("%-14s %-10s %14s %10s %10s %8s\n",
-		"approach", "interval", "elapsed", "overhead", "missed", "polls")
+	fmt.Printf("%-14s %-10s %14s %10s %10s %8s %12s\n",
+		"approach", "interval", "elapsed", "overhead", "missed", "polls", "history_B")
 	for _, r := range rows {
-		fmt.Printf("%-14s %-10s %14s %9.2f%% %7d/10 %8d\n",
-			r.Approach, r.Param, time.Duration(r.ElapsedNs), r.OverheadPct, r.Missed, r.Polls)
+		fmt.Printf("%-14s %-10s %14s %9.2f%% %7d/10 %8d %12d\n",
+			r.Approach, r.Param, time.Duration(r.ElapsedNs), r.OverheadPct, r.Missed, r.Polls, r.HistoryBytes)
 	}
 	fmt.Println()
 	fmt.Println("paper shape: SQLCM cheapest (<0.1% there), PULL lossy (missed 5-9/10),")

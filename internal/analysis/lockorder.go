@@ -225,8 +225,8 @@ func isMutexType(t types.Type) bool {
 // lockClass is one declared lock class: a node of the order DAG.
 type lockClass struct {
 	// after lists the classes that may legally be held when acquiring
-	// this one; the union across fields when several share a class (two
-	// disk managers both declaring storage.disk).
+	// this one; the union across fields when several mutex fields declare
+	// the same class.
 	after  map[string]bool
 	decl   token.Pos // first field declaration carrying the annotation
 	pkg    *Package  // the package of decl

@@ -7,8 +7,8 @@
 //   - PULL: a client repeatedly polls the server's active-query snapshot
 //     and keeps the top-k externally (pull, client-side filtering, lossy).
 //   - PULL_history: the server keeps a history of all completed queries,
-//     erased when the client picks it up; the history buffer competes with
-//     the buffer pool for memory (pull, no filtering, lossless).
+//     erased when the client picks it up; the history's bytes are server
+//     memory the approach costs (pull, no filtering, lossless).
 package baseline
 
 import (
@@ -155,19 +155,18 @@ type historyEntry struct {
 }
 
 // HistoryRecorder implements engine.Hooks: it appends every completed
-// query to an in-server history buffer whose memory is charged against the
-// buffer pool (degrading the page cache, as the paper observes for
-// infrequent pick-ups), and lets a client drain it periodically.
+// query to an in-server history buffer, counting the bytes it holds (the
+// memory cost the paper observes growing with infrequent pick-ups), and
+// lets a client drain it periodically.
 type HistoryRecorder struct {
 	engine.NopHooks
-	eng *engine.Engine
 
 	// mu protects the history buffer.
 	//sqlcm:lock baseline.history
 	//sqlcm:guards history, charged, observed, maxBytes
 	mu      sync.Mutex
 	history []historyEntry
-	charged int64
+	charged int64 // bytes the undrained history holds
 
 	observed map[string]time.Duration // drained results (client side)
 	maxBytes int64                    // high-water mark of history memory
@@ -177,31 +176,28 @@ type HistoryRecorder struct {
 const entryBytes = 64
 
 // NewHistoryRecorder creates the recorder. Install it with eng.SetHooks.
-func NewHistoryRecorder(eng *engine.Engine) *HistoryRecorder {
-	return &HistoryRecorder{eng: eng, observed: make(map[string]time.Duration)}
+func NewHistoryRecorder() *HistoryRecorder {
+	return &HistoryRecorder{observed: make(map[string]time.Duration)}
 }
 
 // QueryCommit implements engine.Hooks.
 func (h *HistoryRecorder) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
 	h.mu.Lock()
 	h.history = append(h.history, historyEntry{text: q.Text, duration: dur})
-	charge := int64(entryBytes + len(q.Text))
-	h.charged += charge
+	h.charged += int64(entryBytes + len(q.Text))
 	if h.charged > h.maxBytes {
 		h.maxBytes = h.charged
 	}
 	h.mu.Unlock()
-	h.eng.Pool().ReserveBytes(charge)
 }
 
 // Drain moves the server-side history into the client-side observation
-// map, releasing the buffer-pool reservation — the "picked up by the
-// outside monitoring application" step.
+// map, freeing the history's bytes — the "picked up by the outside
+// monitoring application" step.
 func (h *HistoryRecorder) Drain() int {
 	h.mu.Lock()
 	batch := h.history
 	h.history = nil
-	charged := h.charged
 	h.charged = 0
 	for _, e := range batch {
 		if e.duration > h.observed[e.text] {
@@ -209,7 +205,6 @@ func (h *HistoryRecorder) Drain() int {
 		}
 	}
 	h.mu.Unlock()
-	h.eng.Pool().ReserveBytes(-charged)
 	return len(batch)
 }
 

@@ -2,6 +2,8 @@ package baseline
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 
 func newEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	eng, err := engine.Open(engine.Config{PoolPages: 256, LockTimeout: 5 * time.Second})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +60,10 @@ func TestQueryLoggerRecordsAndRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if logger.Sync, err = os.Create(filepath.Join(t.TempDir(), "query_log")); err != nil {
+		t.Fatal(err)
+	}
+	defer logger.Sync.Close()
 	eng.SetHooks(logger)
 	sess := eng.NewSession("u", "a")
 	for i := 1; i <= 20; i++ {
@@ -76,6 +82,9 @@ func TestQueryLoggerRecordsAndRanks(t *testing.T) {
 	}
 	if len(rows) != 21 {
 		t.Fatalf("logged rows: %d", len(rows))
+	}
+	if st, err := logger.Sync.Stat(); err != nil || st.Size() == 0 {
+		t.Fatalf("synchronous log file: %v, %v", st, err)
 	}
 	top, err := logger.TopK(5)
 	if err != nil {
@@ -132,7 +141,7 @@ func TestPullerObservesLongRunningOnly(t *testing.T) {
 func TestHistoryRecorderExactAndBounded(t *testing.T) {
 	eng := newEngine(t)
 	seed(t, eng)
-	rec := NewHistoryRecorder(eng)
+	rec := NewHistoryRecorder()
 	eng.SetHooks(rec)
 	sess := eng.NewSession("u", "a")
 	for i := 1; i <= 30; i++ {
@@ -142,7 +151,7 @@ func TestHistoryRecorderExactAndBounded(t *testing.T) {
 	}
 	eng.SetHooks(nil)
 	if rec.MaxHistoryBytes() == 0 {
-		t.Fatal("no history memory charged")
+		t.Fatal("no history memory counted")
 	}
 	n := rec.Drain()
 	if n != 30 {
@@ -155,14 +164,12 @@ func TestHistoryRecorderExactAndBounded(t *testing.T) {
 	if len(top) == 0 {
 		t.Fatal("no observations after drain")
 	}
-	// Reservation is fully released after drain.
-	eng.Pool().ReserveBytes(0) // no-op; just ensure no panic
 }
 
 func TestHistoryPollerDrains(t *testing.T) {
 	eng := newEngine(t)
 	seed(t, eng)
-	rec := NewHistoryRecorder(eng)
+	rec := NewHistoryRecorder()
 	eng.SetHooks(rec)
 	hp := NewHistoryPoller(rec, 10*time.Millisecond)
 	hp.Start()

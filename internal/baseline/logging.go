@@ -1,10 +1,12 @@
 package baseline
 
 import (
+	"os"
 	"time"
 
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/engine"
+	"sqlcm/internal/exec"
 	"sqlcm/internal/sqltypes"
 )
 
@@ -16,9 +18,10 @@ type QueryLogger struct {
 	engine.NopHooks
 	eng   *engine.Engine
 	table string
-	// Sync forces dirty pages to disk after every logged query, modelling
-	// the paper's "we force synchronous writes" setup for this baseline.
-	Sync bool
+	// Sync, when set, receives every logged row as one unbuffered write,
+	// modelling the paper's "we force synchronous writes" setup for this
+	// baseline.
+	Sync *os.File
 }
 
 // NewQueryLogger creates the reporting table and returns the logger.
@@ -39,13 +42,16 @@ func NewQueryLogger(eng *engine.Engine, table string) (*QueryLogger, error) {
 // forces for this baseline ("monitoring and reporting is not integrated
 // ... we force synchronous writes").
 func (l *QueryLogger) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
-	_ = l.eng.InsertRowDirect(l.table, []sqltypes.Value{
+	row := []sqltypes.Value{
 		sqltypes.NewString(q.Text),
 		sqltypes.NewFloat(dur.Seconds()),
 		sqltypes.NewTime(time.Now()),
-	})
-	if l.Sync {
-		_ = l.eng.Pool().FlushAll()
+	}
+	// A hook has no caller to report a failure to; a failed write costs
+	// the baseline its accuracy, which the experiment measures.
+	_ = l.eng.InsertRowDirect(l.table, row)
+	if l.Sync != nil {
+		_, _ = l.Sync.Write(exec.EncodeRow(row))
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 
 func chaosEngine(t *testing.T) (*engine.Engine, *engine.Session) {
 	t.Helper()
-	eng, err := engine.Open(engine.Config{PoolPages: 256, LockTimeout: 5 * time.Second})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,8 @@ func (r *MemRunner) Commands() []string {
 }
 
 // Persister writes one monitoring row (with a timestamp column appended)
-// to durable storage. The default implementation writes to an engine disk
-// table, creating it on first use; fault-injection harnesses wrap it.
+// to a table. The default implementation writes to an engine table,
+// creating it on first use; fault-injection harnesses wrap it.
 type Persister interface {
 	Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error
 }

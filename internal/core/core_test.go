@@ -15,7 +15,7 @@ import (
 
 func newMonitored(t *testing.T) (*engine.Engine, *SQLCM) {
 	t.Helper()
-	eng, err := engine.Open(engine.Config{PoolPages: 512, LockTimeout: 5 * time.Second})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,8 +442,11 @@ func TestTransactionSignatureGroupsCodePaths(t *testing.T) {
 
 func TestLATPersistenceAcrossRestart(t *testing.T) {
 	// §4.3: LAT contents survive a "restart" via PersistLAT + LoadLAT. The
-	// table is persisted twice; the reload must equal the second snapshot
-	// in every aggregate whose state its output determines.
+	// table is persisted three times, and the first snapshot's row is
+	// deleted and pruned away before the third is written; the reload must
+	// equal the third snapshot in every aggregate whose state its output
+	// determines. A row store that reused the freed row's place would scan
+	// the third snapshot before the second, and LoadLAT would restore N=20.
 	eng, s := newMonitored(t)
 	sess := eng.NewSession("dba", "app")
 	seed(t, sess)
@@ -465,7 +468,14 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	if _, err := s.NewRule("collect", "Query.Commit", "", &rules.InsertAction{LAT: "Persistent"}); err != nil {
 		t.Fatal(err)
 	}
-	for snapshot := 0; snapshot < 2; snapshot++ {
+	for snapshot := 1; snapshot <= 3; snapshot++ {
+		if snapshot == 3 {
+			n, err := eng.DeleteRowsDirect("lat_backup", func(row []sqltypes.Value) bool { return row[1].Int() == 10 })
+			if err != nil || n != 1 {
+				t.Fatalf("deleting the first snapshot: %d rows, %v", n, err)
+			}
+			eng.PruneVersionsNow()
+		}
 		for i := 0; i < 10; i++ {
 			mustExec(t, sess, fmt.Sprintf("SELECT val FROM items WHERE id = %d", i+1))
 		}
@@ -475,8 +485,8 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	}
 	lt, _ := s.LAT("Persistent")
 	want := lt.Rows()
-	if len(want) != 1 || want[0][1].Int() != 20 {
-		t.Fatalf("second snapshot: %v", want)
+	if len(want) != 1 || want[0][1].Int() != 30 {
+		t.Fatalf("third snapshot: %v", want)
 	}
 	// "Restart": drop and re-define, then reload.
 	s.DropLAT("Persistent")
@@ -493,7 +503,7 @@ func TestLATPersistenceAcrossRestart(t *testing.T) {
 	}
 	for i, col := range spec.Columns() {
 		if sqltypes.Compare(got[0][i], want[0][i]) != 0 {
-			t.Errorf("restored %s = %v, second snapshot has %v", col, got[0][i], want[0][i])
+			t.Errorf("restored %s = %v, third snapshot has %v", col, got[0][i], want[0][i])
 		}
 	}
 }

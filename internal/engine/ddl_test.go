@@ -122,7 +122,7 @@ func TestSessionErrors(t *testing.T) {
 }
 
 func TestClosedEngineRejectsWork(t *testing.T) {
-	e, err := Open(Config{PoolPages: 16})
+	e, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,23 +23,12 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// PoolPages is the buffer-pool capacity in pages (default 2048 ≈ 16 MiB).
-	PoolPages int
-	// DataPath, when set, backs pages with a file; empty uses memory.
-	DataPath string
-	// Disk, when set, overrides the disk manager entirely (DataPath is
-	// ignored). Fault-injection harnesses use it to wrap the page store
-	// with failing or slow writes.
-	Disk storage.DiskManager
 	// LockTimeout bounds lock waits; zero waits forever (deadlock detection
 	// still applies). Default 10s.
 	LockTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.PoolPages == 0 {
-		c.PoolPages = 2048
-	}
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 10 * time.Second
 	}
@@ -51,8 +40,6 @@ type Engine struct {
 	cfg   Config
 	cat   *catalog.Catalog
 	reg   *exec.Registry
-	disk  storage.DiskManager
-	pool  *storage.BufferPool
 	locks *lock.Manager
 	tm    *txn.Manager
 
@@ -101,25 +88,11 @@ type cachedPlan struct {
 // Open creates an engine.
 func Open(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	var disk storage.DiskManager
-	if cfg.Disk != nil {
-		disk = cfg.Disk
-	} else if cfg.DataPath != "" {
-		fd, err := storage.NewFileDisk(cfg.DataPath)
-		if err != nil {
-			return nil, err
-		}
-		disk = fd
-	} else {
-		disk = storage.NewMemDisk()
-	}
 	locks := lock.NewManager(cfg.LockTimeout)
 	e := &Engine{
 		cfg:       cfg,
 		cat:       catalog.New(),
 		reg:       exec.NewRegistry(),
-		disk:      disk,
-		pool:      storage.NewBufferPool(disk, cfg.PoolPages),
 		locks:     locks,
 		tm:        txn.NewManager(locks),
 		planCache: make(map[string]*cachedPlan),
@@ -178,19 +151,11 @@ func (e *Engine) PruneVersionsNow() {
 // probes and tests).
 func (e *Engine) MVCCStats() *storage.VersionStats { return &e.mvccStats }
 
-// Close shuts the engine down. Tables are fully pruned first (at shutdown
-// the watermark is the newest commit, so every superseded version and
-// deleted row is reclaimed) so the flushed heaps hold exactly the live row
-// images.
+// Close shuts the engine down. Nothing is persisted: every table lives in
+// memory only.
 func (e *Engine) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	e.PruneVersionsNow()
-	if err := e.pool.FlushAll(); err != nil {
-		return err
-	}
-	return e.disk.Close()
+	e.closed.Store(true)
+	return nil
 }
 
 // SetHooks installs (or, with nil, removes) the monitoring hook set.
@@ -212,8 +177,16 @@ func (e *Engine) hooksRef() Hooks {
 // Catalog exposes the metadata catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// Pool exposes the buffer pool (stats, pressure injection).
-func (e *Engine) Pool() *storage.BufferPool { return e.pool }
+// Pool exists only for the frozen bench/ harness, which still reads
+// buffer-pool counters; there is no pool, so every counter is zero. It goes
+// with ROADMAP item 2.
+func (e *Engine) Pool() ZeroPool { return ZeroPool{} }
+
+// ZeroPool is what Pool returns.
+type ZeroPool struct{}
+
+// Stats returns zero hits, misses and evictions.
+func (ZeroPool) Stats() (s struct{ Hits, Misses, Evictions int64 }) { return s }
 
 // Locks exposes the lock manager (block-graph snapshots).
 func (e *Engine) Locks() *lock.Manager { return e.locks }
@@ -473,11 +446,7 @@ func (e *Engine) CreateTable(name string, cols []catalog.Column) error {
 	if err != nil {
 		return err
 	}
-	ts, err := exec.NewTableStore(meta, e.pool, &e.mvccStats)
-	if err != nil {
-		return err
-	}
-	e.reg.Register(name, ts)
+	e.reg.Register(name, exec.NewTableStore(meta, &e.mvccStats))
 	e.invalidatePlans()
 	return nil
 }
@@ -523,10 +492,6 @@ func (e *Engine) TruncateTableDirect(table string) error {
 	}
 	t := e.tm.Begin(true)
 	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
-		return err
-	}
-	if err := ts.Heap.Truncate(); err != nil {
 		e.tm.Rollback(t) //nolint:errcheck
 		return err
 	}
@@ -581,9 +546,10 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 	return int64(len(victims)), nil
 }
 
-// ReadTableDirect returns all committed rows of a table (used to reload
-// persisted LATs at startup and by tests). It reads at a fresh snapshot
-// like a SELECT: no locks, and no other transaction's uncommitted writes.
+// ReadTableDirect returns all committed rows of a table in insertion order
+// (used to reload persisted LATs at startup, which relies on that order, and
+// by tests). It reads at a fresh snapshot like a SELECT: no locks, and no
+// other transaction's uncommitted writes.
 func (e *Engine) ReadTableDirect(table string) ([][]sqltypes.Value, error) {
 	ts, err := e.reg.Store(table)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 
 func newTestEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := Open(Config{PoolPages: 256, LockTimeout: 5 * time.Second})
+	e, err := Open(Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,33 +567,6 @@ func TestCreateIndexFailedUniqueBuildLeavesNothing(t *testing.T) {
 	mustExec(t, s, "CREATE UNIQUE INDEX t_g ON t(g)")
 	if res := mustExec(t, s, "SELECT id FROM t WHERE g = 20"); len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 {
 		t.Fatalf("lookup through the rebuilt index: %v", res.Rows)
-	}
-}
-
-func TestFileBackedEngine(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(Config{PoolPages: 16, DataPath: dir + "/data.db"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s := e.NewSession("a", "b")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)")
-	pad := strings.Repeat("x", 120)
-	for i := 0; i < 2000; i++ {
-		if _, err := s.Exec("INSERT INTO t VALUES (@i, @v)", map[string]sqltypes.Value{
-			"i": sqltypes.NewInt(int64(i)),
-			"v": sqltypes.NewString(fmt.Sprintf("value-%d-%s", i, pad)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := mustExec(t, s, "SELECT COUNT(*) FROM t")
-	if res.Rows[0][0].Int() != 2000 {
-		t.Fatalf("count: %v", res.Rows[0][0])
-	}
-	if e.Pool().Stats().Evictions == 0 {
-		t.Fatal("expected evictions with a 16-page pool")
 	}
 }
 

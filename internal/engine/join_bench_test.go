@@ -9,7 +9,7 @@ import (
 // index-NL probe: 200 outer rows, each seeking the inner table's primary
 // key.
 func BenchmarkIndexNLJoin(b *testing.B) {
-	e, err := Open(Config{PoolPages: 256})
+	e, err := Open(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

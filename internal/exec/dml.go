@@ -87,10 +87,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		}
 	}
 	rec := EncodeRow(row)
-	rid, err := ts.Heap.Insert(rec)
-	if err != nil {
-		return err
-	}
+	rid := ts.Vers.NewRID()
 	// Maintain indexes; unwind on unique violation.
 	indexes := ts.Indexes()
 	var done []*catalog.Index
@@ -102,9 +99,6 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		if err := insertEntry(ctx, ts, bt, ts.IndexKey(ix, row), rid); err != nil {
 			for _, u := range done {
 				indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
-			}
-			if derr := ts.Heap.Delete(rid); derr != nil {
-				return fmt.Errorf("exec: unwind failed (%v) after: %w", derr, err)
 			}
 			return fmt.Errorf("exec: %s on %q: %w", ix.Name, meta.Name, err)
 		}
@@ -125,7 +119,6 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			heapRid := ts.Vers.CurrentRID(rid)
 			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes() {
 				if bt := ts.Indexes()[ix.Name]; bt != nil {
@@ -135,7 +128,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 			if cat != nil {
 				cat.AddRows(meta.Name, -1)
 			}
-			return ts.Heap.Delete(heapRid)
+			return nil
 		})
 	}
 	return nil
@@ -264,7 +257,7 @@ type ixDelta struct {
 	ix       *catalog.Index
 	oldKey   []byte
 	newKey   []byte
-	inserted bool // a fresh entry (newKey, anchor) went into the index
+	inserted bool // a fresh entry (newKey, rid) went into the index
 	// canceled, when non-nil, is the deferred removal canceled because
 	// newKey returned to the row (its entry was still physically present).
 	canceled *storage.Pending
@@ -273,13 +266,13 @@ type ixDelta struct {
 // revertIndexDeltas undoes deltas in reverse: drops the deferred oldKey
 // removals this update registered, removes entries it inserted, and
 // re-registers removals it canceled.
-func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta) {
+func revertIndexDeltas(ts *TableStore, rid storage.RID, deltas []ixDelta) {
 	for i := len(deltas) - 1; i >= 0; i-- {
 		d := deltas[i]
 		ts.Vers.TakePending(rid, d.ix.Name, d.oldKey)
 		if d.inserted {
 			if bt := ts.Indexes()[d.ix.Name]; bt != nil {
-				bt.Delete(d.newKey, anchor)
+				bt.Delete(d.newKey, rid)
 			}
 		}
 		if d.canceled != nil {
@@ -289,32 +282,21 @@ func revertIndexDeltas(ts *TableStore, rid, anchor storage.RID, deltas []ixDelta
 }
 
 // updateRow replaces oldRow (at rid) with newRow: push a new version
-// (readers resolve through the chain), mirror the current image into the
-// heap, and maintain indexes rid-stably — equal keys need no entry work even
-// across relocation, changed keys insert the new entry and defer removal of
-// the old one to the garbage collector so older snapshots keep finding the
-// row under its old key.
+// (readers resolve through the chain) and maintain indexes — equal keys need
+// no entry work, changed keys insert the new entry and defer removal of the
+// old one to the garbage collector so older snapshots keep finding the row
+// under its old key.
 func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) error {
-	newRec := EncodeRow(newRow)
 	var txnID int64
 	if ctx.Txn != nil {
 		txnID = int64(ctx.Txn.ID)
 	}
-	v := ts.Vers.Push(rid, newRec, txnID)
+	v := ts.Vers.Push(rid, EncodeRow(newRow), txnID)
 	if ctx.Txn != nil {
 		ctx.Txn.OnCommit(v.SetCommit)
 	} else {
 		v.SetCommit(storage.BaseCommitTS)
 	}
-	newRid, err := ts.Heap.Update(rid, newRec)
-	if err != nil {
-		ts.Vers.Pop(rid)
-		return err
-	}
-	if newRid != rid {
-		ts.Vers.Relocate(rid, newRid)
-	}
-	anchor := ts.Vers.Anchor(newRid)
 
 	indexes := ts.Indexes()
 	var deltas []ixDelta
@@ -329,41 +311,24 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 			continue
 		}
 		d := ixDelta{ix: ix, oldKey: oldKey, newKey: newKey}
-		if p, ok := ts.Vers.TakePending(newRid, ix.Name, newKey); ok {
+		if p, ok := ts.Vers.TakePending(rid, ix.Name, newKey); ok {
 			d.canceled = &p
-		} else if err := insertEntry(ctx, ts, bt, newKey, anchor); err != nil {
-			// Unique violation: revert the completed index work, pop the
-			// version, and restore the heap image; the caller aborts the
-			// transaction.
-			revertIndexDeltas(ts, newRid, anchor, deltas)
-			ts.Vers.Pop(newRid)
-			restored, rerr := ts.Heap.Update(newRid, EncodeRow(oldRow))
-			if rerr != nil {
-				return fmt.Errorf("exec: unwind failed (%v) after: %w", rerr, err)
-			}
-			if restored != newRid {
-				ts.Vers.Relocate(newRid, restored)
-			}
+		} else if err := insertEntry(ctx, ts, bt, newKey, rid); err != nil {
+			// Unique violation: revert the completed index work and pop the
+			// version; the caller aborts the transaction.
+			revertIndexDeltas(ts, rid, deltas)
+			ts.Vers.Pop(rid)
 			return fmt.Errorf("exec: %s on %q: %w", ix.Name, ts.Meta.Name, err)
 		} else {
 			d.inserted = true
 		}
-		ts.Vers.AddPending(newRid, ix.Name, oldKey, anchor, v)
+		ts.Vers.AddPending(rid, ix.Name, oldKey, v)
 		deltas = append(deltas, d)
 	}
 	if ctx.Txn != nil {
-		oldCopy := oldRow.Clone()
 		ctx.Txn.OnRollback(func() error {
-			cur := ts.Vers.CurrentRID(newRid)
-			revertIndexDeltas(ts, cur, anchor, deltas)
-			ts.Vers.Pop(cur)
-			restored, err := ts.Heap.Update(cur, EncodeRow(oldCopy))
-			if err != nil {
-				return err
-			}
-			if restored != cur {
-				ts.Vers.Relocate(cur, restored)
-			}
+			revertIndexDeltas(ts, rid, deltas)
+			ts.Vers.Pop(rid)
 			return nil
 		})
 	}
@@ -401,8 +366,8 @@ func ExecDelete(ctx *Ctx, sp StoreProvider, p *plan.PhysDelete, cat *catalog.Cat
 }
 
 // DeleteRow removes one row, maintaining statistics and undo. The delete is
-// logical: a tombstone version goes onto the chain, the heap record and
-// index entries stay for older snapshots, and every index entry is
+// logical: a tombstone version goes onto the chain, the chain and its index
+// entries stay for older snapshots, and every index entry is
 // registered for deferred removal once the tombstone's commit passes the
 // version-garbage watermark.
 func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
@@ -416,13 +381,12 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 	} else {
 		v.SetCommit(storage.BaseCommitTS)
 	}
-	anchor := ts.Vers.Anchor(rid)
 	indexes := ts.Indexes()
 	for _, ix := range ts.Meta.Indexes() {
 		if indexes[ix.Name] == nil {
 			continue
 		}
-		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), anchor, v)
+		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), v)
 	}
 	if cat != nil {
 		cat.AddRows(ts.Meta.Name, -1)
@@ -430,15 +394,14 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 	if ctx.Txn != nil {
 		rowCopy := row.Clone()
 		ctx.Txn.OnRollback(func() error {
-			cur := ts.Vers.CurrentRID(rid)
 			indexes := ts.Indexes()
 			for _, ix := range ts.Meta.Indexes() {
 				if indexes[ix.Name] == nil {
 					continue
 				}
-				ts.Vers.TakePending(cur, ix.Name, ts.IndexKey(ix, rowCopy))
+				ts.Vers.TakePending(rid, ix.Name, ts.IndexKey(ix, rowCopy))
 			}
-			ts.Vers.Pop(cur)
+			ts.Vers.Pop(rid)
 			if cat != nil {
 				cat.AddRows(ts.Meta.Name, 1)
 			}

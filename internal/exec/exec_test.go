@@ -11,7 +11,6 @@ import (
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
-	"sqlcm/internal/storage"
 	"sqlcm/internal/txn"
 )
 
@@ -20,11 +19,10 @@ import (
 // engine's sessions do: SELECTs at their transaction's snapshot, DML in the
 // writer's current view.
 type harness struct {
-	cat  *catalog.Catalog
-	reg  *Registry
-	pool *storage.BufferPool
-	tm   *txn.Manager
-	t    *testing.T
+	cat *catalog.Catalog
+	reg *Registry
+	tm  *txn.Manager
+	t   *testing.T
 
 	// examined is Ctx.RowsExamined of the last planned statement.
 	examined int64
@@ -33,11 +31,10 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	return &harness{
-		cat:  catalog.New(),
-		reg:  NewRegistry(),
-		pool: storage.NewBufferPool(storage.NewMemDisk(), 256),
-		tm:   txn.NewManager(lock.NewManager(time.Second)),
-		t:    t,
+		cat: catalog.New(),
+		reg: NewRegistry(),
+		tm:  txn.NewManager(lock.NewManager(time.Second)),
+		t:   t,
 	}
 }
 
@@ -78,11 +75,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		ts, err := NewTableStore(meta, h.pool, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		h.reg.Register(s.Name, ts)
+		h.reg.Register(s.Name, NewTableStore(meta, nil))
 		return nil, 0, nil
 	case *sqlparser.CreateIndex:
 		ix, err := h.cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)

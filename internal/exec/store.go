@@ -17,12 +17,10 @@ import (
 )
 
 // TableStore binds a catalog table to its storage. Every table is
-// multi-versioned: the version chains are the authoritative row storage and
-// the only thing reads touch; the heap allocates RIDs and mirrors the
-// current row images, and physical deletes are deferred to PruneVersions.
+// multi-versioned: the version store holds the rows and hands out their
+// RIDs, and physical deletes are deferred to PruneVersions.
 type TableStore struct {
 	Meta *catalog.Table
-	Heap *storage.HeapFile
 	Vers *storage.VersionStore
 
 	// ixMu serializes publication of the index set (CREATE INDEX, TRUNCATE);
@@ -40,18 +38,14 @@ type TableStore struct {
 // NewTableStore creates storage for a table, including B+trees for every
 // index already declared in the catalog entry. stats receives the version
 // store's counters (nil for a private set).
-func NewTableStore(meta *catalog.Table, pool *storage.BufferPool, stats *storage.VersionStats) (*TableStore, error) {
-	heap, err := storage.NewHeapFile(pool)
-	if err != nil {
-		return nil, err
-	}
-	ts := &TableStore{Meta: meta, Heap: heap, Vers: storage.NewVersionStore(stats)}
+func NewTableStore(meta *catalog.Table, stats *storage.VersionStats) *TableStore {
+	ts := &TableStore{Meta: meta, Vers: storage.NewVersionStore(stats)}
 	set := make(map[string]*index.BTree)
 	for _, ix := range meta.Indexes() {
 		set[ix.Name] = index.New(ix.Unique)
 	}
 	ts.indexes.Store(&set)
-	return ts, nil
+	return ts
 }
 
 // Indexes returns the published index set, keyed by index name. It is
@@ -194,9 +188,9 @@ type Cursor struct {
 	ts    *TableStore
 	snap  storage.Snapshot
 	index *catalog.Index // nil: whole table
-	// rows (whole table) are materialized at open, in RID order; entries
-	// (index range) are collected at open and resolved one per Next. Only
-	// one of the two is set.
+	// rows (whole table) are materialized at open, in RID order, which is
+	// insertion order; entries (index range) are collected at open and
+	// resolved one per Next. Only one of the two is set.
 	rows    []storage.ChainRow
 	entries []indexEntry
 	pos     int
@@ -246,7 +240,7 @@ func (c *Cursor) seek(r keyRange) error {
 	return nil
 }
 
-// Next returns the next visible row and its current heap RID, or a nil row
+// Next returns the next visible row and its RID, or a nil row
 // at the end. It counts the row into ctx.RowsExamined and records the
 // version-chain walk in ctx.MaxChain.
 //
@@ -255,7 +249,7 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 	ncols := len(c.ts.Meta.Columns)
 	for end := len(c.rows) + len(c.entries); c.pos < end; {
 		if err := ctx.checkCancel(); err != nil {
-			return storage.RID{}, nil, err
+			return 0, nil, err
 		}
 		var cr storage.ChainRow
 		var key []byte
@@ -275,7 +269,7 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		}
 		row, err := DecodeRow(cr.Rec, ncols)
 		if err != nil {
-			return storage.RID{}, nil, err
+			return 0, nil, err
 		}
 		if c.index != nil && !bytes.Equal(c.ts.IndexKey(c.index, row), key) {
 			// Stale entry: index cleanup is deferred to PruneVersions, so
@@ -286,11 +280,11 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		ctx.RowsExamined++
 		return cr.Rid, row, nil
 	}
-	return storage.RID{}, nil, nil
+	return 0, nil, nil
 }
 
 // AddIndex registers a new B+tree for ix and populates it from the rows
-// current to ctx's transaction. Entries carry anchor RIDs. That transaction
+// current to ctx's transaction. That transaction
 // must hold the table's exclusive lock: then no other transaction has an
 // uncommitted version on the table and the build indexes every chain head.
 func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
@@ -304,7 +298,7 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 		if row == nil {
 			break
 		}
-		if err := bt.Insert(ts.IndexKey(ix, row), ts.Vers.Anchor(rid)); err != nil {
+		if err := bt.Insert(ts.IndexKey(ix, row), rid); err != nil {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
@@ -313,20 +307,15 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 }
 
 // PruneVersions runs one version-garbage-collection pass at the given
-// watermark and applies the physical cleanup: stale index entries whose
-// superseding commits every snapshot has passed, and heap slots of rows
-// deleted before the watermark. The caller must hold the table's exclusive
+// watermark and deletes the stale index entries whose superseding commits
+// every snapshot has passed. The caller must hold the table's exclusive
 // lock (Prune itself only takes the version store's leaf latch).
 func (ts *TableStore) PruneVersions(watermark int64) {
-	work := ts.Vers.Prune(watermark)
 	indexes := ts.Indexes()
-	for _, p := range work.Entries {
+	for _, p := range ts.Vers.Prune(watermark) {
 		if bt := indexes[p.Index]; bt != nil {
 			bt.Delete(p.Key, p.Rid)
 		}
-	}
-	for _, rid := range work.HeapRIDs {
-		_ = ts.Heap.Delete(rid) // slot already reclaimed is fine
 	}
 }
 

@@ -1,7 +1,6 @@
 // Package faults provides injectable failure modes for exercising the
-// monitoring layer's fail-safe paths: flaky or slow disks, persisters that
-// error, mailers that refuse delivery, external runners that hang, and
-// actions that panic. Everything is toggled atomically so chaos tests can
+// monitoring layer's fail-safe paths: persisters that error, mailers that
+// refuse delivery, external runners that hang, and a seeded aggregate bug. Everything is toggled atomically so chaos tests can
 // flip faults on and off while load is running.
 package faults
 
@@ -9,10 +8,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sqlcm/internal/sqltypes"
-	"sqlcm/internal/storage"
 )
 
 // ErrInjected is the error returned by every injected failure.
@@ -43,52 +40,6 @@ func AggSumDropped() bool {
 	}
 	return aggSumDropTick.Add(1)%every == 0
 }
-
-// Disk wraps a storage.DiskManager with injectable write failures and
-// latency. Reads are never failed (the engine's buffer pool treats read
-// errors as fatal; SQLCM's fail-safety covers the write side).
-type Disk struct {
-	inner storage.DiskManager
-
-	failWrites atomic.Bool
-	writeDelay atomic.Int64 // nanoseconds added to every write
-
-	// FailedWrites counts writes refused while failWrites was set.
-	FailedWrites atomic.Int64
-}
-
-// NewDisk wraps inner.
-func NewDisk(inner storage.DiskManager) *Disk { return &Disk{inner: inner} }
-
-// FailWrites toggles write failures.
-func (d *Disk) FailWrites(on bool) { d.failWrites.Store(on) }
-
-// SlowWrites adds delay to every write (0 restores full speed).
-func (d *Disk) SlowWrites(delay time.Duration) { d.writeDelay.Store(int64(delay)) }
-
-// ReadPage implements storage.DiskManager.
-func (d *Disk) ReadPage(id storage.PageID, buf []byte) error { return d.inner.ReadPage(id, buf) }
-
-// WritePage implements storage.DiskManager.
-func (d *Disk) WritePage(id storage.PageID, buf []byte) error {
-	if delay := d.writeDelay.Load(); delay > 0 {
-		time.Sleep(time.Duration(delay))
-	}
-	if d.failWrites.Load() {
-		d.FailedWrites.Add(1)
-		return ErrInjected
-	}
-	return d.inner.WritePage(id, buf)
-}
-
-// AllocatePage implements storage.DiskManager.
-func (d *Disk) AllocatePage() (storage.PageID, error) { return d.inner.AllocatePage() }
-
-// NumPages implements storage.DiskManager.
-func (d *Disk) NumPages() int64 { return d.inner.NumPages() }
-
-// Close implements storage.DiskManager.
-func (d *Disk) Close() error { return d.inner.Close() }
 
 // Persister is the write interface faults wraps (mirrors core.Persister;
 // redeclared here to keep the dependency arrow pointing at faults).

@@ -2,79 +2,11 @@ package faults
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"sqlcm/internal/engine"
 	"sqlcm/internal/sqltypes"
-	"sqlcm/internal/storage"
 )
-
-func TestDiskFaultToggles(t *testing.T) {
-	d := NewDisk(storage.NewMemDisk())
-	id, err := d.AllocatePage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, storage.PageSize)
-	buf[0] = 42
-	if err := d.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	d.FailWrites(true)
-	if err := d.WritePage(id, buf); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write err = %v, want injected", err)
-	}
-	if d.FailedWrites.Load() != 1 {
-		t.Fatalf("failed writes: %d", d.FailedWrites.Load())
-	}
-	// Reads keep working through a write outage.
-	got := make([]byte, storage.PageSize)
-	if err := d.ReadPage(id, got); err != nil || got[0] != 42 {
-		t.Fatalf("read: %v, byte %d", err, got[0])
-	}
-	d.FailWrites(false)
-	if err := d.WritePage(id, buf); err != nil {
-		t.Fatalf("write after heal: %v", err)
-	}
-
-	d.SlowWrites(20 * time.Millisecond)
-	start := time.Now()
-	if err := d.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("slow write returned in %v", elapsed)
-	}
-}
-
-func TestEngineRunsOnFaultyDisk(t *testing.T) {
-	// A slow disk under the buffer pool must not break query execution —
-	// only slow it down.
-	d := NewDisk(storage.NewMemDisk())
-	eng, err := engine.Open(engine.Config{PoolPages: 16, Disk: d, LockTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	sess := eng.NewSession("dba", "app")
-	if _, err := sess.Exec("CREATE TABLE ft (id INT PRIMARY KEY, v FLOAT)", nil); err != nil {
-		t.Fatal(err)
-	}
-	d.SlowWrites(time.Millisecond)
-	for i := 1; i <= 50; i++ {
-		if _, err := sess.Exec(fmt.Sprintf("INSERT INTO ft VALUES (%d, %g)", i, float64(i)), nil); err != nil {
-			t.Fatalf("insert %d on slow disk: %v", i, err)
-		}
-	}
-	d.SlowWrites(0)
-	rows, err := eng.ReadTableDirect("ft")
-	if err != nil || len(rows) != 50 {
-		t.Fatalf("rows: %d, err: %v", len(rows), err)
-	}
-}
 
 type recordingPersister struct{ calls int }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -83,7 +82,7 @@ func RunSignatureOverhead(iters int) ([]SigResult, error) {
 	if iters <= 0 {
 		iters = 2000
 	}
-	eng, err := engine.Open(engine.Config{PoolPages: 128})
+	eng, err := engine.Open(engine.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +249,7 @@ func fig2Workload(cfg Fig2Config) workload.Config {
 // combination against an unmonitored baseline on the same engine state.
 func RunFig2(cfg Fig2Config, progress io.Writer) ([]Fig2Point, error) {
 	cfg = cfg.withDefaults()
-	eng, err := engine.Open(engine.Config{PoolPages: 4096})
+	eng, err := engine.Open(engine.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -331,11 +330,10 @@ type Fig3Config struct {
 	// 1/sec and 1/5min on 2003 hardware with ~1000x slower queries; scaled
 	// defaults keep the same polls-per-query ratios.
 	PollIntervals []time.Duration
-	// PoolPages bounds the buffer pool (pressure matters for PULL_history).
-	PoolPages int
 	// K is the top-k size (paper: 10).
 	K int
-	// DataDir, when set, backs the engine with a file there (real I/O).
+	// DataDir holds Query_logging's log file (default: the system's
+	// temporary directory).
 	DataDir string
 }
 
@@ -353,20 +351,8 @@ func (c Fig3Config) withDefaults() Fig3Config {
 			time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond, time.Second,
 		}
 	}
-	if c.PoolPages == 0 {
-		// Sized so the dataset mostly fits but the PULL_history buffer's
-		// memory reservation causes real page-cache pressure.
-		c.PoolPages = 640
-	}
 	if c.K == 0 {
 		c.K = 10
-	}
-	if c.DataDir == "" {
-		// Real file I/O by default: eviction and synchronous logging cost
-		// something, as they did on the paper's testbed.
-		if dir, err := os.MkdirTemp("", "sqlcm-fig3-"); err == nil {
-			c.DataDir = dir
-		}
 	}
 	return c
 }
@@ -379,6 +365,9 @@ type Fig3Row struct {
 	OverheadPct float64
 	Missed      int   // of the true top-k (E-ACC)
 	Polls       int64 // snapshot/drain count, where applicable
+	// HistoryBytes is PULL_history's in-server history high-water mark:
+	// the memory that approach costs the server beside its overhead.
+	HistoryBytes int64
 }
 
 // topQLATSpec is the SQLCM approach's container: the k most expensive
@@ -405,16 +394,12 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 		truth    []baseline.TopEntry
 		got      []baseline.TopEntry
 		polls    int64
+		histMax  int64 // PULL_history's history high-water mark
 	}
 
 	// newEngine builds a fresh engine + data for one approach run.
-	newEngine := func(tag string) (*engine.Engine, []workload.Query, error) {
-		ecfg := engine.Config{PoolPages: cfg.PoolPages}
-		if cfg.DataDir != "" {
-			ecfg.DataPath = filepath.Join(cfg.DataDir, "fig3-"+tag+".db")
-			os.Remove(ecfg.DataPath) //nolint:errcheck
-		}
-		eng, err := engine.Open(ecfg)
+	newEngine := func() (*engine.Engine, []workload.Query, error) {
+		eng, err := engine.Open(engine.Config{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -430,8 +415,8 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 	// unmonitored passes interleaved: rep r runs one unmonitored pass (the
 	// approach suspended) followed by one monitored pass, and overhead
 	// compares the minima. Interleaving on a single engine cancels the
-	// drift (page-cache state, GC, file layout) that would otherwise swamp
-	// per-query monitoring costs. A final monitored pass on reset
+	// drift (GC, heap growth) that would otherwise swamp per-query
+	// monitoring costs. A final monitored pass on reset
 	// observation state yields the accuracy comparison: ground truth
 	// (client-measured durations) and the approach's top-k cover exactly
 	// the same execution window.
@@ -446,13 +431,13 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 		// stop produces the final top-k (and poll count) and tears down.
 		stop func() (got []baseline.TopEntry, polls int64)
 	}
-	measure := func(tag string, build func(*engine.Engine) (approach, error)) (runResult, error) {
-		eng, queries, err := newEngine(tag)
+	measure := func(build func(*engine.Engine) (approach, error)) (runResult, error) {
+		eng, queries, err := newEngine()
 		if err != nil {
 			return runResult{}, err
 		}
 		defer eng.Close()
-		// Warm-up pass to populate plan and page caches.
+		// Warm-up pass to populate the plan cache.
 		if _, err := workload.Run(eng, queries, "warm", "fig3"); err != nil {
 			return runResult{}, err
 		}
@@ -509,24 +494,25 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 	var out []Fig3Row
 	emit := func(approach, param string, r runResult) {
 		row := Fig3Row{
-			Approach:  approach,
-			Param:     param,
-			ElapsedNs: r.elapsed.Nanoseconds(),
-			Missed:    baseline.Missed(r.truth, r.got),
-			Polls:     r.polls,
+			Approach:     approach,
+			Param:        param,
+			ElapsedNs:    r.elapsed.Nanoseconds(),
+			Missed:       baseline.Missed(r.truth, r.got),
+			Polls:        r.polls,
+			HistoryBytes: r.histMax,
 		}
 		if r.baseline > 0 {
 			row.OverheadPct = 100 * float64(r.elapsed-r.baseline) / float64(r.baseline)
 		}
 		out = append(out, row)
 		if progress != nil {
-			fmt.Fprintf(progress, "fig3: %-14s %-8s elapsed=%-12v overhead=%6.2f%% missed=%d/%d polls=%d\n",
-				approach, param, r.elapsed, row.OverheadPct, row.Missed, cfg.K, row.Polls)
+			fmt.Fprintf(progress, "fig3: %-14s %-8s elapsed=%-12v overhead=%6.2f%% missed=%d/%d polls=%d history=%dB\n",
+				approach, param, r.elapsed, row.OverheadPct, row.Missed, cfg.K, row.Polls, row.HistoryBytes)
 		}
 	}
 
 	// 1. Unmonitored baseline (its "monitored" passes simply run bare).
-	base, err := measure("none", nil)
+	base, err := measure(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +522,7 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 	// 2. SQLCM: top-k LAT + insert-on-commit rule; results read from the
 	// LAT (the paper persists it with the Persist action, exercised in
 	// examples/topk and the core tests).
-	r, err := measure("sqlcm", func(eng *engine.Engine) (approach, error) {
+	r, err := measure(func(eng *engine.Engine) (approach, error) {
 		s := core.Attach(eng, core.Options{})
 		table, err := s.DefineLAT(topQLATSpec(cfg.K))
 		if err != nil {
@@ -570,7 +556,7 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 	// 3. PULL at each interval: a fresh poller per monitored window.
 	for _, iv := range cfg.PollIntervals {
 		iv := iv
-		r, err := measure("pull-"+iv.String(), func(eng *engine.Engine) (approach, error) {
+		r, err := measure(func(eng *engine.Engine) (approach, error) {
 			var p *baseline.Puller
 			var polls int64
 			return approach{
@@ -599,11 +585,13 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 		emit("PULL", iv.String(), r)
 	}
 
-	// 4. PULL_history at each interval.
+	// 4. PULL_history at each interval. Its cost is the overhead plus the
+	// server memory the undrained history holds.
 	for _, iv := range cfg.PollIntervals {
 		iv := iv
-		r, err := measure("hist-"+iv.String(), func(eng *engine.Engine) (approach, error) {
-			rec := baseline.NewHistoryRecorder(eng)
+		var rec *baseline.HistoryRecorder
+		r, err := measure(func(eng *engine.Engine) (approach, error) {
+			rec = baseline.NewHistoryRecorder()
 			var hp *baseline.HistoryPoller
 			return approach{
 				attach: func() {
@@ -632,16 +620,24 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		r.histMax = rec.MaxHistoryBytes()
 		emit("PULL_history", iv.String(), r)
 	}
 
-	// 5. Query_logging with forced synchronous writes.
-	r, err = measure("logging", func(eng *engine.Engine) (approach, error) {
+	// 5. Query_logging with forced synchronous writes (the paper's setup)
+	// to a file of its own.
+	logFile, err := os.CreateTemp(cfg.DataDir, "fig3-query_log-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.Remove(logFile.Name()) //nolint:errcheck
+	defer logFile.Close()           //nolint:errcheck // scratch output, removed unread
+	r, err = measure(func(eng *engine.Engine) (approach, error) {
 		logger, err := baseline.NewQueryLogger(eng, "query_log")
 		if err != nil {
 			return approach{}, err
 		}
-		logger.Sync = true // the paper forces synchronous writes here
+		logger.Sync = logFile
 		return approach{
 			attach: func() { eng.SetHooks(logger) },
 			detach: func() { eng.SetHooks(nil) },
@@ -706,7 +702,7 @@ type FailsafeResult struct {
 // nothing but monitoring fidelity.
 func RunFailsafe(cfg FailsafeConfig, progress io.Writer) (*FailsafeResult, error) {
 	cfg = cfg.withDefaults()
-	eng, err := engine.Open(engine.Config{PoolPages: 2048})
+	eng, err := engine.Open(engine.Config{})
 	if err != nil {
 		return nil, err
 	}

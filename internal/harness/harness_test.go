@@ -67,7 +67,6 @@ func TestFig3SmallRun(t *testing.T) {
 			Seed:         3,
 		},
 		PollIntervals: []time.Duration{5 * time.Millisecond, 50 * time.Millisecond},
-		PoolPages:     256,
 		K:             5,
 	}, io.Discard)
 	if err != nil {

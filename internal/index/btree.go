@@ -1,5 +1,5 @@
 // Package index implements an in-memory B+tree mapping encoded composite
-// keys to heap-record identifiers. It backs both primary and secondary
+// keys to row identifiers (storage.RID). It backs both primary and secondary
 // indexes of the engine.
 //
 // Keys are the order-preserving encodings produced by sqltypes.EncodeKey,
@@ -70,7 +70,7 @@ func entryLess(k1 []byte, r1 storage.RID, k2 []byte, r2 storage.RID) bool {
 	case 1:
 		return false
 	default:
-		return r1.Less(r2)
+		return r1 < r2
 	}
 }
 
@@ -104,7 +104,7 @@ func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node) 
 		n.keys = append(n.keys, nil)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.rids = append(n.rids, storage.RID{})
+		n.rids = append(n.rids, 0)
 		copy(n.rids[i+1:], n.rids[i:])
 		n.rids[i] = rid
 		if len(n.keys) <= maxKeys {
@@ -234,10 +234,10 @@ func (t *BTree) lookupLocked(key []byte) (storage.RID, bool) {
 			if bytes.Equal(n.keys[i], key) {
 				return n.rids[i], true
 			}
-			return storage.RID{}, false
+			return 0, false
 		}
 		if n.next == nil {
-			return storage.RID{}, false
+			return 0, false
 		}
 		n = n.next
 	}

@@ -13,9 +13,7 @@ import (
 
 func intKey(i int64) []byte { return sqltypes.EncodeKey(sqltypes.NewInt(i)) }
 
-func rid(i int) storage.RID {
-	return storage.RID{Page: storage.PageID(i / 100), Slot: storage.Slot(i % 100)}
-}
+func rid(i int) storage.RID { return storage.RID(i) }
 
 func TestInsertGet(t *testing.T) {
 	tr := New(true)
@@ -158,7 +156,7 @@ func TestAgainstModel(t *testing.T) {
 			if s[i].key != s[j].key {
 				return s[i].key < s[j].key
 			}
-			return s[i].rid.Less(s[j].rid)
+			return s[i].rid < s[j].rid
 		})
 		return s
 	}

@@ -57,7 +57,7 @@ func RowResource(table string, rid storage.RID) Resource {
 // String renders the resource for diagnostics.
 func (r Resource) String() string {
 	if r.Row {
-		return fmt.Sprintf("%s%s", r.Table, r.RID)
+		return fmt.Sprintf("%s(%d)", r.Table, r.RID)
 	}
 	return r.Table
 }

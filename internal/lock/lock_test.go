@@ -301,8 +301,8 @@ func TestBlockSnapshot(t *testing.T) {
 
 func TestRowAndTableResourcesDistinct(t *testing.T) {
 	m := NewManager(time.Second)
-	r1 := RowResource("t", storage.RID{Page: 1, Slot: 2})
-	r2 := RowResource("t", storage.RID{Page: 1, Slot: 3})
+	r1 := RowResource("t", storage.RID(2))
+	r2 := RowResource("t", storage.RID(3))
 	if err := m.Acquire(1, r1, Exclusive); err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,12 @@
 // Every mutex on the monitoring hot path is declared to belong to a lock
 // class with a //sqlcm:lock annotation on its field:
 //
-//	//sqlcm:lock storage.pool after storage.heap
+//	//sqlcm:lock sim.clock after rules.timer
 //	mu lockcheck.Mutex
 //
-// The annotations compile into a partial-order DAG ("storage.pool after
-// storage.heap" means storage.heap may be held when acquiring
-// storage.pool). Two
-// independent enforcers consume it:
+// The annotations compile into a partial-order DAG ("sim.clock after
+// rules.timer" means rules.timer may be held when acquiring sim.clock).
+// Two independent enforcers consume it:
 //
 //   - the lockorder, lockunlock, locksend and lockclass analyzers of
 //     internal/analysis (run by sqlcm-vet -code): a type-checked static

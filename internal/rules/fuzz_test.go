@@ -173,7 +173,7 @@ func FuzzCondVsWhere(f *testing.F) {
 			eng.Close() //nolint:errcheck
 		}
 		var err error
-		if eng, err = engine.Open(engine.Config{PoolPages: 64}); err != nil {
+		if eng, err = engine.Open(engine.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		sess = eng.NewSession("fuzz", "fuzz")

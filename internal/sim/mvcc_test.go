@@ -66,10 +66,7 @@ func TestGoldenReplayMVCC(t *testing.T) {
 // all rendered to strings for bit-identical comparison.
 func invarianceRun(t *testing.T) (results, journal, latRows []string) {
 	t.Helper()
-	eng, err := engine.Open(engine.Config{
-		PoolPages:   512,
-		LockTimeout: 5 * time.Second,
-	})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

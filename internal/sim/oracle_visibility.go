@@ -13,12 +13,13 @@ import (
 // The oracle keeps the complete, never-pruned write history of every row
 // and answers "what does snapshot S see of row R" by linear search with the
 // visibility rule stated in one place. The real side (storage.VersionStore)
-// maintains pruned chains, rid aliases, atomically published heads and a
+// maintains pruned chains, atomically published heads and a
 // commit-timestamp oracle; RunMVCCDiff drives both through the same
-// randomized schedule of transactions — begin, write, relocate, commit,
-// rollback, prune at the live watermark — and requires bit-identical
-// visibility after every step, for every live snapshot and for a fresh
-// snapshot at the newest commit. It also pins the equivalence the executor's
+// randomized schedule of transactions — begin, write, commit, rollback,
+// prune at the live watermark — and requires bit-identical visibility after
+// every step, for every live snapshot and for a fresh snapshot at the
+// newest commit, with SnapScan returning the visible rows in install order
+// and no RID handed out twice. It also pins the equivalence the executor's
 // single read path rests on: under a row's write lock,
 // storage.CurrentSnapshot resolves to the newest write at depth 1, so
 // writers need no head-only reader beside ReadAt/SnapScan.
@@ -95,16 +96,12 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 	for i := range rows {
 		rows[i] = &visRow{}
 	}
-	rid := func(i int) storage.RID { return storage.RID{Page: storage.PageID(i), Slot: 0} }
-	alias := make([]storage.RID, cfg.Rows) // current RID per row (relocations move it)
-	for i := range alias {
-		alias[i] = rid(i)
-	}
-	chainLive := make([]bool, cfg.Rows) // row has a chain on the real side
+	rids := make([]storage.RID, cfg.Rows) // each row's RID while it has a chain
+	var installed []storage.RID           // every RID installed, in install order
+	chainLive := make([]bool, cfg.Rows)   // row has a chain on the real side
 	lockOwner := make([]int64, cfg.Rows)
 
-	var lastCommit, nextTxn, nextPage int64
-	nextPage = int64(cfg.Rows) + 1000
+	var lastCommit, nextTxn int64
 	active := map[int64]*visTxn{}
 
 	check := func(step int) error {
@@ -113,14 +110,14 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 			snaps = append(snaps, storage.Snapshot{TS: t.snapTS, Self: t.id})
 		}
 		for _, snap := range snaps {
-			visibleRows := 0
+			visible := make(map[storage.RID]bool)
 			for i, r := range rows {
 				wantRec, wantOK := r.visible(snap)
 				var gotRec []byte
 				var gotOK bool
 				if chainLive[i] {
 					var cr storage.ChainRow
-					cr, gotOK = store.ReadAt(alias[i], snap)
+					cr, gotOK = store.ReadAt(rids[i], snap)
 					gotRec = cr.Rec
 				}
 				if gotOK != wantOK {
@@ -132,12 +129,22 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 						cfg.Seed, step, snap.TS, snap.Self, i, gotRec, wantRec)
 				}
 				if wantOK {
-					visibleRows++
+					visible[rids[i]] = true
 				}
 			}
-			if got := len(store.SnapScan(snap)); got != visibleRows {
-				return fmt.Errorf("seed %d step %d snap{ts=%d self=%d}: SnapScan %d rows, oracle %d",
-					cfg.Seed, step, snap.TS, snap.Self, got, visibleRows)
+			// SnapScan returns exactly the visible rows, in install order.
+			var want, got []storage.RID
+			for _, rid := range installed {
+				if visible[rid] {
+					want = append(want, rid)
+				}
+			}
+			for _, cr := range store.SnapScan(snap) {
+				got = append(got, cr.Rid)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				return fmt.Errorf("seed %d step %d snap{ts=%d self=%d}: SnapScan %v, oracle in install order %v",
+					cfg.Seed, step, snap.TS, snap.Self, got, want)
 			}
 		}
 		for i, r := range rows {
@@ -147,7 +154,7 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 			// lockOwner is 0 for an unlocked row, which then has no
 			// uncommitted entry: any reader's current view is the head.
 			head := r.hist[len(r.hist)-1]
-			cr, ok := store.ReadAt(alias[i], storage.CurrentSnapshot(lockOwner[i]))
+			cr, ok := store.ReadAt(rids[i], storage.CurrentSnapshot(lockOwner[i]))
 			if ok == head.tomb || (ok && string(cr.Rec) != head.rec) || cr.Depth != 1 {
 				return fmt.Errorf("seed %d step %d row %d: current-mode read (%q, live=%v, depth %d) is not the newest write (%q, tomb=%v)",
 					cfg.Seed, step, i, cr.Rec, ok, cr.Depth, head.rec, head.tomb)
@@ -189,14 +196,19 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 			rec := fmt.Sprintf("row%d@txn%d.%d", i, t.id, step)
 			switch {
 			case !liveForT && !chainLive[i]:
-				// Insert of a row with no surviving chain.
-				alias[i] = rid(i)
-				v := store.Install(alias[i], []byte(rec), t.id, false)
+				// Insert of a row with no surviving chain, under a RID never
+				// handed out before.
+				a := store.NewRID()
+				if n := len(installed); n > 0 && a <= installed[n-1] {
+					return fmt.Errorf("seed %d step %d: NewRID handed out %v after %v", cfg.Seed, step, a, installed[n-1])
+				}
+				installed = append(installed, a)
+				rids[i] = a
+				v := store.Install(a, []byte(rec), t.id, false)
 				chainLive[i] = true
 				r.hist = append(r.hist, visEntry{txnID: t.id, rec: rec})
 				ei := len(r.hist) - 1
 				t.stamps = append(t.stamps, func(ts int64) { v.SetCommit(ts); r.hist[ei].commitTS = ts })
-				a := alias[i]
 				t.undo = append(t.undo, func() {
 					store.Discard(a)
 					chainLive[i] = false
@@ -206,43 +218,37 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 				// Re-insert after a delete whose chain still holds history:
 				// push the new image onto the surviving chain so every old
 				// snapshot keeps resolving through the one chain.
-				v := store.Push(alias[i], []byte(rec), t.id)
+				v := store.Push(rids[i], []byte(rec), t.id)
 				r.hist = append(r.hist, visEntry{txnID: t.id, rec: rec})
 				ei := len(r.hist) - 1
 				t.stamps = append(t.stamps, func(ts int64) { v.SetCommit(ts); r.hist[ei].commitTS = ts })
-				a := alias[i]
+				a := rids[i]
 				t.undo = append(t.undo, func() {
-					store.Pop(store.CurrentRID(a))
+					store.Pop(a)
 					r.hist = r.hist[:len(r.hist)-1]
 				})
 			case rng.Intn(4) == 0:
 				// Delete.
-				v := store.Tombstone(alias[i], t.id)
+				v := store.Tombstone(rids[i], t.id)
 				r.hist = append(r.hist, visEntry{txnID: t.id, tomb: true})
 				ei := len(r.hist) - 1
 				t.stamps = append(t.stamps, func(ts int64) { v.SetCommit(ts); r.hist[ei].commitTS = ts })
-				a := alias[i]
+				a := rids[i]
 				t.undo = append(t.undo, func() {
 					store.Pop(a)
 					r.hist = r.hist[:len(r.hist)-1]
 				})
 			default:
-				// Update, occasionally with a heap relocation.
-				v := store.Push(alias[i], []byte(rec), t.id)
+				// Update.
+				v := store.Push(rids[i], []byte(rec), t.id)
 				r.hist = append(r.hist, visEntry{txnID: t.id, rec: rec})
 				ei := len(r.hist) - 1
 				t.stamps = append(t.stamps, func(ts int64) { v.SetCommit(ts); r.hist[ei].commitTS = ts })
-				a := alias[i]
+				a := rids[i]
 				t.undo = append(t.undo, func() {
-					store.Pop(store.CurrentRID(a))
+					store.Pop(a)
 					r.hist = r.hist[:len(r.hist)-1]
 				})
-				if rng.Intn(6) == 0 {
-					newRid := storage.RID{Page: storage.PageID(nextPage), Slot: 0}
-					nextPage++
-					store.Relocate(alias[i], newRid)
-					alias[i] = newRid
-				}
 			}
 
 		case op < 8 && len(active) > 0:
@@ -285,7 +291,7 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 				if !chainLive[i] {
 					continue
 				}
-				if cr, _ := store.ReadAt(alias[i], storage.Snapshot{TS: 1 << 62}); cr.Depth == 0 {
+				if cr, _ := store.ReadAt(rids[i], storage.Snapshot{TS: 1 << 62}); cr.Depth == 0 {
 					chainLive[i] = false
 				}
 			}

@@ -1,16 +1,6 @@
-package storage
-
-import (
-	"math"
-	"sort"
-	"sync/atomic"
-
-	"sqlcm/internal/lockcheck"
-)
-
-// Multi-version row storage. Every logical row of every table carries a
-// chain of immutable versions, newest first. Writers (serialized per table
-// by the lock manager's exclusive table locks) prepend versions
+// Package storage is the engine's row store: per table, a map from RID to a
+// chain of immutable row versions, newest first. Writers (serialized per
+// table by the lock manager's exclusive table locks) prepend versions
 // stamped with their transaction id; commit stamps the versions with a
 // monotonically increasing commit timestamp inside the transaction
 // manager's commit critical section. Readers resolve the version visible
@@ -18,24 +8,31 @@ import (
 // store's own short map latch, so readers never appear in the lock
 // manager's wait graph.
 //
-// The chains are the authoritative row storage for reads: every scan
-// iterates the chain map and returns version bytes, never heap bytes. The
-// heap mirrors the current row images (for persistence) but is never read —
-// that is what makes lock-free readers safe against in-place heap updates
-// and slot relocation.
-//
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
-// leaves the heap record and index entries in place so older snapshots
-// keep resolving them; Prune reclaims both once the version-garbage
-// watermark (the oldest snapshot any live transaction holds) has passed
-// the superseding commit.
+// leaves the chain and its index entries in place so older snapshots keep
+// resolving them; Prune reclaims both once the version-garbage watermark
+// (the oldest snapshot any live transaction holds) has passed the
+// superseding commit.
 //
-// Index entries are rid-stable: they are always created with the chain's
-// anchor RID (the heap RID at first versioning), never rewritten on heap
-// relocation, and resolved through the chain map (which aliases every
-// historical RID of the row). Entries become stale only when the row's key
-// changes; stale entries are recorded as pending removals and reclaimed by
-// Prune.
+// A row never moves: index entries carry its RID and are resolved through
+// the chain map. Entries become stale only when the row's key changes;
+// stale entries are recorded as pending removals and reclaimed by Prune.
+package storage
+
+import (
+	"cmp"
+	"math"
+	"slices"
+	"sync/atomic"
+
+	"sqlcm/internal/lockcheck"
+)
+
+// RID identifies a row of one table. The table's version store hands RIDs
+// out in increasing order and never reuses one — not after an INSERT rolls
+// back, nor after Prune or TRUNCATE drops the row — so RID order is
+// insertion order.
+type RID uint64
 
 // BaseCommitTS stamps base versions installed outside any transaction
 // (engine-internal direct inserts). It is visible to every snapshot:
@@ -123,23 +120,11 @@ type Pending struct {
 	By *Version
 }
 
-// chain tracks the versions of one logical row. All fields are guarded by
-// the owning store's mutex except head, which readers load lock-free.
+// chain tracks the versions of one row. All fields are guarded by the
+// owning store's mutex except head, which readers load lock-free.
 type chain struct {
 	//sqlcm:cow storage.version
 	head atomic.Pointer[Version]
-	// rid is the row's current heap location (relocations move it).
-	//sqlcm:guarded-by storage.version
-	rid RID
-	// anchor is the heap RID the row was first versioned at; every index
-	// entry of the row is created with it, so exact-pair deletes work
-	// without tracking entry relocation.
-	//sqlcm:guarded-by storage.version
-	anchor RID
-	// rids lists every heap RID mapping to this chain (anchor, current,
-	// and aliases left behind by relocations).
-	//sqlcm:guarded-by storage.version
-	rids []RID
 	// pend holds the chain's deferred index-entry removals — at most one
 	// per (index, key): a key leaving the row adds one, the key returning
 	// cancels it.
@@ -152,10 +137,7 @@ type chain struct {
 
 // ChainRow is one row materialized from a chain scan.
 type ChainRow struct {
-	// Rid is the row's current heap RID.
 	Rid RID
-	// Anchor is the RID index entries for the row carry.
-	Anchor RID
 	// Rec is the visible version's encoded row.
 	Rec []byte
 	// Depth is the number of versions examined to resolve visibility.
@@ -165,11 +147,13 @@ type ChainRow struct {
 // VersionStore holds the version chains of one table.
 type VersionStore struct {
 	stats *VersionStats
+	// lastRID is the newest RID NewRID handed out.
+	lastRID atomic.Uint64
 
-	// mu protects the chain map, every chain's mutable fields (rid, anchor,
-	// rids, pend, dirty) and the garbage set with its counters. Chain heads
-	// and version links are read through atomics so visibility walks escape
-	// the critical section.
+	// mu protects the chain map, every chain's mutable fields (pend, dirty)
+	// and the garbage set with its counters. Chain heads and version links
+	// are read through atomics so visibility walks escape the critical
+	// section.
 	//sqlcm:lock storage.version
 	//sqlcm:guards chains, garbage, grown, residue, prunedAt
 	mu     lockcheck.RWMutex
@@ -180,7 +164,7 @@ type VersionStore struct {
 	// makes garbage. Chains enter on Push, Tombstone, AddPending and
 	// RestorePending; Prune drops the ones it leaves clean and the ones Pop
 	// or Discard removed from the map since they entered.
-	garbage []*chain
+	garbage []RID
 	// grown counts the versions pushed since the last Prune; residue the
 	// versions that pass examined and had to keep, prunedAt its watermark.
 	// PruneDue weighs them.
@@ -201,18 +185,22 @@ func NewVersionStore(stats *VersionStats) *VersionStore {
 // Stats returns the shared counters.
 func (s *VersionStore) Stats() *VersionStats { return s.stats }
 
-// Install creates the chain for a freshly inserted row. committed installs
-// the version pre-stamped with BaseCommitTS (engine-internal inserts that
-// must be visible to every snapshot); otherwise the caller stamps the
-// returned version at commit.
+// NewRID hands out the RID for a row about to be inserted: one greater than
+// any the store handed out before.
+func (s *VersionStore) NewRID() RID { return RID(s.lastRID.Add(1)) }
+
+// Install creates the chain for a freshly inserted row at a RID from
+// NewRID. committed installs the version pre-stamped with BaseCommitTS
+// (engine-internal inserts that must be visible to every snapshot);
+// otherwise the caller stamps the returned version at commit.
 func (s *VersionStore) Install(rid RID, rec []byte, txnID int64, committed bool) *Version {
 	v := &Version{rec: rec, txnID: txnID}
 	if committed {
 		v.commit.Store(BaseCommitTS)
 	}
-	c := &chain{rid: rid, anchor: rid, rids: []RID{rid}}
-	s.mu.Lock()
+	c := &chain{}
 	c.head.Store(v)
+	s.mu.Lock()
 	s.chains[rid] = c
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
@@ -226,8 +214,8 @@ func (s *VersionStore) Push(rid RID, rec []byte, txnID int64) *Version {
 	return v
 }
 
-// Tombstone prepends a deletion marker (DELETE). The heap record and the
-// index entries stay in place until Prune reclaims them.
+// Tombstone prepends a deletion marker (DELETE). The chain and the index
+// entries stay in place until Prune reclaims them.
 func (s *VersionStore) Tombstone(rid RID, txnID int64) *Version {
 	v := &Version{txnID: txnID}
 	s.push(rid, v)
@@ -241,74 +229,39 @@ func (s *VersionStore) push(rid RID, v *Version) {
 		// Defensive: a row the store has never seen (should not happen —
 		// every insert installs a chain). Adopt it with v as the only
 		// version.
-		c = &chain{rid: rid, anchor: rid, rids: []RID{rid}}
+		c = &chain{}
 		s.chains[rid] = c
 	} else {
 		v.next.Store(c.head.Load())
 	}
 	c.head.Store(v)
-	s.markGarbage(c)
+	s.markGarbage(rid, c)
 	s.grown++
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
 }
 
-// markGarbage enters c into the garbage set. The caller holds mu.
+// markGarbage enters the chain c at rid into the garbage set. The caller
+// holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) markGarbage(c *chain) {
+func (s *VersionStore) markGarbage(rid RID, c *chain) {
 	if !c.dirty {
 		c.dirty = true
-		s.garbage = append(s.garbage, c)
+		s.garbage = append(s.garbage, rid)
 	}
-}
-
-// Relocate records that the heap moved the row from oldRid to newRid. The
-// old RID stays aliased so index entries and captured RIDs keep resolving.
-func (s *VersionStore) Relocate(oldRid, newRid RID) {
-	s.mu.Lock()
-	c := s.chains[oldRid]
-	if c != nil {
-		c.rid = newRid
-		c.rids = append(c.rids, newRid)
-		s.chains[newRid] = c
-	}
-	s.mu.Unlock()
-}
-
-// Anchor returns the RID index entries of the row at rid carry.
-func (s *VersionStore) Anchor(rid RID) RID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if c := s.chains[rid]; c != nil {
-		return c.anchor
-	}
-	return rid
-}
-
-// CurrentRID returns the row's current heap RID.
-func (s *VersionStore) CurrentRID(rid RID) RID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if c := s.chains[rid]; c != nil {
-		return c.rid
-	}
-	return rid
 }
 
 // Pop removes the newest version (transaction rollback of one UPDATE or
 // DELETE). The chain must hold an older version underneath.
 func (s *VersionStore) Pop(rid RID) {
 	s.mu.Lock()
-	c := s.chains[rid]
-	if c != nil {
+	if c := s.chains[rid]; c != nil {
 		if h := c.head.Load(); h != nil {
 			if n := h.next.Load(); n != nil {
 				c.head.Store(n)
 			} else {
-				for _, r := range c.rids {
-					delete(s.chains, r)
-				}
+				delete(s.chains, rid)
 			}
 			s.stats.Retained.Add(-1)
 		}
@@ -316,17 +269,13 @@ func (s *VersionStore) Pop(rid RID) {
 	s.mu.Unlock()
 }
 
-// Discard drops the whole chain at rid (INSERT rollback — the heap slot is
-// being freed too).
+// Discard drops the whole chain at rid (INSERT rollback). The RID is not
+// handed out again.
 func (s *VersionStore) Discard(rid RID) {
 	s.mu.Lock()
-	c := s.chains[rid]
-	if c != nil {
-		n := int64(chainLen(c.head.Load()))
-		for _, r := range c.rids {
-			delete(s.chains, r)
-		}
-		s.stats.Retained.Add(-n)
+	if c := s.chains[rid]; c != nil {
+		delete(s.chains, rid)
+		s.stats.Retained.Add(-int64(chainLen(c.head.Load())))
 	}
 	s.mu.Unlock()
 }
@@ -339,16 +288,14 @@ func chainLen(v *Version) int {
 	return n
 }
 
-// ReadAt resolves the row at rid (an index-entry RID, any alias) for snap.
-// ok is false when the row is invisible to the snapshot or gone; Depth is
-// set either way.
+// ReadAt resolves the row at rid (an index entry's RID) for snap. ok is
+// false when the row is invisible to the snapshot or gone; Depth is set
+// either way.
 func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 	s.mu.RLock()
 	c := s.chains[rid]
-	if c != nil {
-		row.Rid, row.Anchor = c.rid, c.anchor
-	}
 	s.mu.RUnlock()
+	row.Rid = rid
 	if c == nil {
 		return row, false
 	}
@@ -361,48 +308,31 @@ func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 	return row, true
 }
 
-// collect captures the distinct live chains under the read lock.
-func (s *VersionStore) collect() []*chain {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*chain, 0, len(s.chains))
-	seen := make(map[*chain]bool, len(s.chains))
-	for _, c := range s.chains {
-		if c != nil && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// SnapScan materializes every row visible to snap, in current-RID order
-// (matching heap scan order). The row set is captured atomically with
-// respect to chain installation and pruning.
+// SnapScan materializes every row visible to snap in RID order, which is
+// insertion order. The row set is captured atomically with respect to
+// chain installation and pruning.
 func (s *VersionStore) SnapScan(snap Snapshot) []ChainRow {
-	chains := s.collect()
-	out := make([]ChainRow, 0, len(chains))
 	s.mu.RLock()
-	for _, c := range chains {
-		head := c.head.Load()
-		vis, depth := visibleTo(head, snap)
+	out := make([]ChainRow, 0, len(s.chains))
+	for rid, c := range s.chains {
+		vis, depth := visibleTo(c.head.Load(), snap)
 		if vis == nil || vis.Tombstone() {
 			continue
 		}
-		out = append(out, ChainRow{Rid: c.rid, Anchor: c.anchor, Rec: vis.rec, Depth: depth})
+		out = append(out, ChainRow{Rid: rid, Rec: vis.rec, Depth: depth})
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Rid.Less(out[j].Rid) })
+	slices.SortFunc(out, func(a, b ChainRow) int { return cmp.Compare(a.Rid, b.Rid) })
 	return out
 }
 
-// AddPending defers removal of index entry (index, key, entryRid) until by
+// AddPending defers removal of the row's index entry (index, key) until by
 // is visible to every snapshot.
-func (s *VersionStore) AddPending(rid RID, index string, key []byte, entryRid RID, by *Version) {
+func (s *VersionStore) AddPending(rid RID, index string, key []byte, by *Version) {
 	s.mu.Lock()
 	if c := s.chains[rid]; c != nil {
-		c.pend = append(c.pend, Pending{Index: index, Key: key, Rid: entryRid, By: by})
-		s.markGarbage(c)
+		c.pend = append(c.pend, Pending{Index: index, Key: key, Rid: rid, By: by})
+		s.markGarbage(rid, c)
 	}
 	s.mu.Unlock()
 }
@@ -432,20 +362,9 @@ func (s *VersionStore) RestorePending(rid RID, p Pending) {
 	s.mu.Lock()
 	if c := s.chains[rid]; c != nil {
 		c.pend = append(c.pend, p)
-		s.markGarbage(c)
+		s.markGarbage(rid, c)
 	}
 	s.mu.Unlock()
-}
-
-// PruneWork lists the physical cleanup a Prune pass produced; the caller
-// (holding the table's exclusive lock) applies it to the heap and the
-// indexes outside the store's mutex, keeping storage.version a leaf class.
-type PruneWork struct {
-	// HeapRIDs are the current heap slots of fully dead rows.
-	HeapRIDs []RID
-	// Entries are index entries whose superseding versions passed the
-	// watermark.
-	Entries []Pending
 }
 
 // PruneBatch is the number of versions a table's writers push before one
@@ -474,19 +393,24 @@ func (s *VersionStore) PruneDue(watermark func() int64) (wm int64, due bool) {
 }
 
 // Prune discards versions no snapshot at or after watermark can observe:
-// versions older than each chain's anchor version (the newest with commit
-// <= watermark), deferred index entries whose superseding commit passed
+// versions older than each chain's newest version with commit <=
+// watermark, deferred index entries whose superseding commit passed
 // the watermark, and whole chains whose visible state at the watermark is
 // a tombstone. It walks the garbage set only, so a pass costs what was
 // written since the chains it visits were last clean, not what is stored.
-func (s *VersionStore) Prune(watermark int64) PruneWork {
-	var work PruneWork
+//
+// It returns the index entries now safe to delete; the caller (holding the
+// table's exclusive lock) deletes them outside the store's mutex, keeping
+// storage.version a leaf class.
+func (s *VersionStore) Prune(watermark int64) []Pending {
+	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
 	scanned := len(s.garbage)
 	kept, residue := s.garbage[:0], 0
-	for _, c := range s.garbage {
-		if s.chains[c.anchor] != c {
+	for _, rid := range s.garbage {
+		c := s.chains[rid]
+		if c == nil {
 			continue // rolled back (Pop, Discard) since it entered the set
 		}
 
@@ -494,7 +418,7 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 		pend := c.pend[:0]
 		for _, p := range c.pend {
 			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
-				work.Entries = append(work.Entries, p)
+				entries = append(entries, p)
 			} else {
 				pend = append(pend, p)
 			}
@@ -505,13 +429,10 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 		// Whole-row death: the version visible at the watermark is a
 		// tombstone, so no live or future snapshot sees any data.
 		if ts := head.commit.Load(); head.Tombstone() && ts != 0 && ts <= watermark {
-			work.HeapRIDs = append(work.HeapRIDs, c.rid)
-			work.Entries = append(work.Entries, c.pend...)
+			entries = append(entries, c.pend...)
 			c.pend = nil
 			pruned += int64(chainLen(head))
-			for _, r := range c.rids {
-				delete(s.chains, r)
-			}
+			delete(s.chains, rid)
 			continue
 		}
 		// Interior truncation below the newest watermark-visible version.
@@ -531,9 +452,8 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 			continue
 		}
 		residue += n
-		kept = append(kept, c)
+		kept = append(kept, rid)
 	}
-	clear(s.garbage[len(kept):])
 	s.garbage = kept
 	s.grown, s.residue, s.prunedAt = 0, residue, watermark
 	s.mu.Unlock()
@@ -542,19 +462,16 @@ func (s *VersionStore) Prune(watermark int64) PruneWork {
 		s.stats.Pruned.Add(pruned)
 		s.stats.Retained.Add(-pruned)
 	}
-	return work
+	return entries
 }
 
-// Reset drops every chain (TRUNCATE).
+// Reset drops every chain (TRUNCATE). RIDs keep counting from where they
+// were.
 func (s *VersionStore) Reset() {
 	s.mu.Lock()
 	var n int64
-	seen := make(map[*chain]bool)
 	for _, c := range s.chains {
-		if c != nil && !seen[c] {
-			seen[c] = true
-			n += int64(chainLen(c.head.Load()))
-		}
+		n += int64(chainLen(c.head.Load()))
 	}
 	s.chains = make(map[RID]*chain)
 	s.garbage, s.grown, s.residue = nil, 0, 0
@@ -566,11 +483,5 @@ func (s *VersionStore) Reset() {
 func (s *VersionStore) Chains() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := make(map[*chain]bool)
-	for _, c := range s.chains {
-		if c != nil {
-			seen[c] = true
-		}
-	}
-	return len(seen)
+	return len(s.chains)
 }

@@ -12,21 +12,15 @@ import (
 // every chain of the store is examined at every pass. It is kept as the
 // reference the set-driven Prune must agree with — same work returned, same
 // versions cut, same chains dropped.
-func refPrune(s *VersionStore, watermark int64) PruneWork {
-	var work PruneWork
+func refPrune(s *VersionStore, watermark int64) []Pending {
+	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
-	seen := make(map[*chain]bool)
-	for _, c := range s.chains {
-		if c == nil || seen[c] {
-			continue
-		}
-		seen[c] = true
-
+	for rid, c := range s.chains {
 		kept := c.pend[:0]
 		for _, p := range c.pend {
 			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
-				work.Entries = append(work.Entries, p)
+				entries = append(entries, p)
 			} else {
 				kept = append(kept, p)
 			}
@@ -38,13 +32,10 @@ func refPrune(s *VersionStore, watermark int64) PruneWork {
 			continue
 		}
 		if ts := head.commit.Load(); head.Tombstone() && ts != 0 && ts <= watermark {
-			work.HeapRIDs = append(work.HeapRIDs, c.rid)
-			work.Entries = append(work.Entries, c.pend...)
+			entries = append(entries, c.pend...)
 			c.pend = nil
 			pruned += int64(chainLen(head))
-			for _, r := range c.rids {
-				delete(s.chains, r)
-			}
+			delete(s.chains, rid)
 			continue
 		}
 		for v := head; v != nil; v = v.next.Load() {
@@ -62,37 +53,29 @@ func refPrune(s *VersionStore, watermark int64) PruneWork {
 		s.stats.Pruned.Add(pruned)
 		s.stats.Retained.Add(-pruned)
 	}
-	return work
+	return entries
 }
 
 // workString renders a pass's work order-independently (both walks visit
 // chains in no particular order).
-func workString(w PruneWork) string {
+func workString(entries []Pending) string {
 	var parts []string
-	for _, r := range w.HeapRIDs {
-		parts = append(parts, fmt.Sprintf("heap %v", r))
-	}
-	for _, p := range w.Entries {
+	for _, p := range entries {
 		parts = append(parts, fmt.Sprintf("entry %s/%s/%v by@%d", p.Index, p.Key, p.Rid, p.By.CommitTS()))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, "; ")
 }
 
-// dumpStore renders every chain: versions newest first, pending entries,
-// current RID and aliases.
+// dumpStore renders every chain: RID, versions newest first, pending
+// entries.
 func dumpStore(s *VersionStore) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var lines []string
-	seen := make(map[*chain]bool)
-	for _, c := range s.chains {
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
+	for rid, c := range s.chains {
 		var b strings.Builder
-		fmt.Fprintf(&b, "%v@%v %v:", c.anchor, c.rid, c.rids)
+		fmt.Fprintf(&b, "%v:", rid)
 		for v := c.head.Load(); v != nil; v = v.next.Load() {
 			fmt.Fprintf(&b, " [%q t%d c%d]", v.rec, v.txnID, v.CommitTS())
 		}
@@ -116,36 +99,39 @@ func checkGarbageInvariant(t *testing.T, s *VersionStore, pruned bool) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	in := make(map[*chain]bool, len(s.garbage))
-	for _, c := range s.garbage {
-		if in[c] {
-			t.Fatalf("chain %v is in the garbage set twice", c.anchor)
+	in := make(map[RID]bool, len(s.garbage))
+	for _, rid := range s.garbage {
+		if in[rid] {
+			t.Fatalf("chain %v is in the garbage set twice", rid)
 		}
-		in[c] = true
-		if head := c.head.Load(); pruned && (s.chains[c.anchor] != c ||
-			head.next.Load() == nil && !head.Tombstone() && len(c.pend) == 0) {
-			t.Fatalf("chain %v survived a pass in the garbage set with nothing to collect", c.anchor)
+		in[rid] = true
+		if c := s.chains[rid]; pruned && (c == nil ||
+			c.head.Load().next.Load() == nil && !c.head.Load().Tombstone() && len(c.pend) == 0) {
+			t.Fatalf("chain %v survived a pass in the garbage set with nothing to collect", rid)
 		}
 	}
-	for _, c := range s.chains {
+	for rid, c := range s.chains {
 		head := c.head.Load()
 		if !c.dirty && (head.next.Load() != nil || head.Tombstone() || len(c.pend) > 0) {
-			t.Fatalf("chain %v can hold garbage but is not marked", c.anchor)
+			t.Fatalf("chain %v can hold garbage but is not marked", rid)
 		}
-		if c.dirty != in[c] {
-			t.Fatalf("chain %v: dirty=%v, in the garbage set=%v", c.anchor, c.dirty, in[c])
+		if c.dirty != in[rid] {
+			t.Fatalf("chain %v: dirty=%v, in the garbage set=%v", rid, c.dirty, in[rid])
 		}
 	}
 }
 
 // driveStore runs a seeded sequence of everything a table's writers do to a
 // version store — inserts, autocommit and in-transaction updates and
-// deletes, key changes with deferred index removals, relocations, commits
-// and rollbacks — pruning with prune at non-decreasing watermarks, and
-// returns a trace of every pass's work plus the store's state after it.
-// Every choice comes from the seed and from what the store answers, so two
-// prune implementations that agree produce identical traces.
-func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check func(s *VersionStore, pruned bool)) []string {
+// deletes, key changes with deferred index removals, commits and rollbacks —
+// pruning with prune at non-decreasing watermarks, and returns a trace of
+// every pass's work plus the store's state after it. Every choice comes
+// from the seed and from what the store answers, so two prune
+// implementations that agree produce identical traces. After every
+// operation it holds the store to its RID contract: NewRID never repeats a
+// RID, though inserts roll back and passes drop rows, and SnapScan returns
+// rows in install order.
+func driveStore(t *testing.T, seed int64, prune func(*VersionStore, int64) []Pending, check func(s *VersionStore, pruned bool)) []string {
 	rng := rand.New(rand.NewSource(seed))
 	stats := &VersionStats{}
 	s := NewVersionStore(stats)
@@ -156,8 +142,8 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 	// to run, newest first, on rollback.
 	var openVers []*Version
 	var openUndo []func()
-	cur := make(map[int]RID) // row → current RID while the row has a chain
-	nextPage := PageID(1000)
+	cur := make(map[int]RID) // row → its RID while the row has a chain
+	var installed []RID      // every RID installed, in install order
 	var ts, wm int64
 	var trace []string
 
@@ -187,7 +173,11 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 		rec := []byte(fmt.Sprintf("row%d@%d", row, step))
 		switch op := rng.Intn(10); {
 		case !exists:
-			rid = RID{Page: PageID(row), Slot: Slot(step)}
+			rid = s.NewRID()
+			if n := len(installed); n > 0 && rid <= installed[n-1] {
+				t.Fatalf("seed %d step %d: NewRID handed out %v after %v", seed, step, rid, installed[n-1])
+			}
+			installed = append(installed, rid)
 			v := s.Install(rid, rec, self, false)
 			cur[row] = rid
 			openVers = append(openVers, v)
@@ -197,31 +187,25 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 		case op < 6:
 			v := s.Push(rid, rec, self)
 			openVers = append(openVers, v)
-			undo := func() { s.Pop(s.CurrentRID(rid)) }
+			undo := func() { s.Pop(rid) }
 			if rng.Intn(3) == 0 { // the update changed an indexed key
 				key := []byte(fmt.Sprintf("k%d", rng.Intn(4)))
 				if p, ok := s.TakePending(rid, "ix", key); ok {
 					// The key came back to the row: its removal is off.
-					undo = func() { s.RestorePending(s.CurrentRID(rid), p); s.Pop(s.CurrentRID(rid)) }
+					undo = func() { s.RestorePending(rid, p); s.Pop(rid) }
 				} else {
-					s.AddPending(rid, "ix", key, s.Anchor(rid), v)
-					undo = func() { s.TakePending(s.CurrentRID(rid), "ix", key); s.Pop(s.CurrentRID(rid)) }
+					s.AddPending(rid, "ix", key, v)
+					undo = func() { s.TakePending(rid, "ix", key); s.Pop(rid) }
 				}
 			}
 			openUndo = append(openUndo, undo)
-			if rng.Intn(8) == 0 {
-				nextPage++
-				moved := RID{Page: nextPage}
-				s.Relocate(rid, moved)
-				cur[row] = moved
-			}
 		case op < 8:
 			v := s.Tombstone(rid, self)
-			s.AddPending(rid, "ix", []byte("dead"), s.Anchor(rid), v)
+			s.AddPending(rid, "ix", []byte("dead"), v)
 			openVers = append(openVers, v)
 			openUndo = append(openUndo, func() {
-				s.TakePending(s.CurrentRID(rid), "ix", []byte("dead"))
-				s.Pop(s.CurrentRID(rid))
+				s.TakePending(rid, "ix", []byte("dead"))
+				s.Pop(rid)
 			})
 		}
 		// End the writer's transaction: autocommit, or after a few
@@ -239,6 +223,7 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 			}
 			openVers, openUndo = nil, nil
 		}
+		checkScanOrder(t, s.SnapScan(CurrentSnapshot(self)), installed)
 		if check != nil {
 			check(s, false)
 		}
@@ -249,6 +234,7 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 			w := prune(s, wm)
 			trace = append(trace, fmt.Sprintf("step %d prune@%d: %s\npruned=%d retained=%d\n%s",
 				step, wm, workString(w), stats.Pruned.Load(), stats.Retained.Load(), dumpStore(s)))
+			checkScanOrder(t, s.SnapScan(CurrentSnapshot(self)), installed)
 			if check != nil {
 				check(s, true)
 			}
@@ -257,13 +243,32 @@ func driveStore(seed int64, prune func(*VersionStore, int64) PruneWork, check fu
 	return trace
 }
 
+// checkScanOrder fails unless scan's RIDs ascend and occur in installed (the
+// RIDs in install order) in the same order.
+func checkScanOrder(t *testing.T, scan []ChainRow, installed []RID) {
+	t.Helper()
+	i := 0
+	for k, r := range scan {
+		if k > 0 && r.Rid <= scan[k-1].Rid {
+			t.Fatalf("SnapScan returned %v after %v", r.Rid, scan[k-1].Rid)
+		}
+		for i < len(installed) && installed[i] != r.Rid {
+			i++
+		}
+		if i == len(installed) {
+			t.Fatalf("SnapScan row %v is out of install order", r.Rid)
+		}
+		i++
+	}
+}
+
 // The set-driven Prune collects exactly what the full walk collected, pass
 // for pass, over everything writers do to a store — and the garbage-set
 // invariant holds after every operation.
 func TestPruneMatchesFullWalk(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		want := driveStore(seed, refPrune, nil)
-		got := driveStore(seed, (*VersionStore).Prune, func(s *VersionStore, pruned bool) { checkGarbageInvariant(t, s, pruned) })
+		want := driveStore(t, seed, refPrune, nil)
+		got := driveStore(t, seed, (*VersionStore).Prune, func(s *VersionStore, pruned bool) { checkGarbageInvariant(t, s, pruned) })
 		if len(want) == 0 {
 			t.Fatalf("seed %d: the sequence never pruned", seed)
 		}
@@ -278,14 +283,14 @@ func TestPruneMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// sparseStore installs n committed rows and then updates every stride-th
-// one, committed at timestamp 2: the shape of a large table a few writers
-// touched since the last pass.
+// sparseStore installs n committed rows (RIDs 1..n) and then updates every
+// stride-th one, committed at timestamp 2: the shape of a large table a few
+// writers touched since the last pass.
 func sparseStore(n, dirty int) (*VersionStore, *VersionStats) {
 	stats := &VersionStats{}
 	s := NewVersionStore(stats)
 	for i := 0; i < n; i++ {
-		s.Install(RID{Page: PageID(i)}, []byte("base"), 1, false).SetCommit(1)
+		s.Install(s.NewRID(), []byte("base"), 1, false).SetCommit(1)
 	}
 	touchSparse(s, n, dirty, 2)
 	return s, stats
@@ -293,7 +298,7 @@ func sparseStore(n, dirty int) (*VersionStore, *VersionStats) {
 
 func touchSparse(s *VersionStore, n, dirty int, ts int64) {
 	for i := 0; i < dirty; i++ {
-		s.Push(RID{Page: PageID(i * (n / dirty))}, []byte("new"), ts).SetCommit(ts)
+		s.Push(RID(1+i*(n/dirty)), []byte("new"), ts).SetCommit(ts)
 	}
 }
 
@@ -332,7 +337,7 @@ func TestPruneScansOnlyWrittenChains(t *testing.T) {
 func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 	stats := &VersionStats{}
 	s := NewVersionStore(stats)
-	rid := RID{Page: 1}
+	rid := s.NewRID()
 	s.Install(rid, []byte("base"), 1, false).SetCommit(1)
 	const pinned = 1
 	ts := int64(1)
@@ -374,11 +379,15 @@ func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 func TestPruneDropsDiscardedChains(t *testing.T) {
 	stats := &VersionStats{}
 	s := NewVersionStore(stats)
-	rid := RID{Page: 1}
+	rid := s.NewRID()
 	s.Install(rid, []byte("a"), 7, false)
 	s.Push(rid, []byte("b"), 7)
 	s.Discard(rid)
-	s.Install(rid, []byte("c"), 8, false).SetCommit(1) // the heap reuses the slot
+	if again := s.NewRID(); again == rid {
+		t.Fatalf("RID %v handed out again after its insert rolled back", rid)
+	} else {
+		s.Install(again, []byte("c"), 8, false).SetCommit(1)
+	}
 	s.Prune(1)
 	checkGarbageInvariant(t, s, true)
 	if got := stats.Retained.Load(); got != 1 {
@@ -386,7 +395,7 @@ func TestPruneDropsDiscardedChains(t *testing.T) {
 	}
 }
 
-var benchWork PruneWork
+var benchWork []Pending
 
 // BenchmarkPruneSparse times one pass over a 100 000-chain store in which
 // 256 chains were written since the last pass.

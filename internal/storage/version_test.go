@@ -45,56 +45,56 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 
 			const rows = 12
 			const steps = 160
-			model := make(map[RID][]modelVersion) // keyed by original RID
-			alias := make(map[RID]RID)            // original → current RID
-			nextPage := PageID(100)
+			model := make(map[int][]modelVersion) // keyed by logical row
+			rids := make(map[int]RID)             // logical row → its chain's RID
+			var installed []RID                   // every RID installed, in install order
+			install := func(row int, rec []byte, ts int64) {
+				rid := s.NewRID()
+				if n := len(installed); n > 0 && rid <= installed[n-1] {
+					t.Fatalf("NewRID handed out %v after %v", rid, installed[n-1])
+				}
+				installed = append(installed, rid)
+				s.Install(rid, rec, ts, false).SetCommit(ts)
+				rids[row] = rid
+			}
 
-			live := func(rid RID) bool {
-				h := model[rid]
+			live := func(row int) bool {
+				h := model[row]
 				return len(h) > 0 && h[len(h)-1].rec != nil
 			}
 
 			var ts, maxWM int64
 			for step := 0; step < steps; step++ {
-				rid := RID{Page: PageID(rng.Intn(rows)), Slot: Slot(rng.Intn(2))}
+				row := rng.Intn(rows)*2 + rng.Intn(2)
 				ts++
-				rec := []byte(fmt.Sprintf("r%v@%d", rid, ts))
+				rec := []byte(fmt.Sprintf("r%v@%d", row, ts))
 				switch {
-				case len(model[rid]) == 0:
+				case len(model[row]) == 0:
 					// First write: install the chain.
-					v := s.Install(rid, rec, ts, false)
-					v.SetCommit(ts)
-					model[rid] = append(model[rid], modelVersion{commitTS: ts, rec: rec})
-					alias[rid] = rid
-				case !live(rid):
+					install(row, rec, ts)
+					model[row] = append(model[row], modelVersion{commitTS: ts, rec: rec})
+				case !live(row):
 					// Deleted: if the tombstoned chain was fully pruned the
-					// row is re-installed; otherwise push onto the surviving
-					// chain so old snapshots keep resolving the history.
-					if cr, _ := s.ReadAt(alias[rid], Snapshot{TS: 1 << 60}); cr.Depth == 0 {
-						v := s.Install(rid, rec, ts, false)
-						v.SetCommit(ts)
-						alias[rid] = rid
+					// row is re-installed under a fresh RID; otherwise push
+					// onto the surviving chain so old snapshots keep
+					// resolving the history.
+					if cr, _ := s.ReadAt(rids[row], Snapshot{TS: 1 << 60}); cr.Depth == 0 {
+						install(row, rec, ts)
 					} else {
-						v := s.Push(alias[rid], rec, ts)
+						v := s.Push(rids[row], rec, ts)
 						v.SetCommit(ts)
 					}
-					model[rid] = append(model[rid], modelVersion{commitTS: ts, rec: rec})
+					model[row] = append(model[row], modelVersion{commitTS: ts, rec: rec})
 				case rng.Intn(4) == 0:
 					// Delete.
-					v := s.Tombstone(alias[rid], ts)
+					v := s.Tombstone(rids[row], ts)
 					v.SetCommit(ts)
-					model[rid] = append(model[rid], modelVersion{commitTS: ts})
+					model[row] = append(model[row], modelVersion{commitTS: ts})
 				default:
-					// Update; occasionally the heap "relocates" the row.
-					v := s.Push(alias[rid], rec, ts)
+					// Update.
+					v := s.Push(rids[row], rec, ts)
 					v.SetCommit(ts)
-					model[rid] = append(model[rid], modelVersion{commitTS: ts, rec: rec})
-					if rng.Intn(8) == 0 {
-						newRid := RID{Page: nextPage, Slot: 0}
-						nextPage++
-						s.Relocate(alias[rid], newRid)
-						alias[rid] = newRid
-					}
+					model[row] = append(model[row], modelVersion{commitTS: ts, rec: rec})
 				}
 
 				// Advance the watermark at random points and verify every
@@ -110,28 +110,37 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 					s.Prune(wm)
 					for snapTS := wm; snapTS <= ts; snapTS++ {
 						snap := Snapshot{TS: snapTS}
-						for rid, hist := range model {
+						visible := make(map[RID]bool)
+						for row, hist := range model {
 							wantRec, wantOK := modelVisible(hist, snapTS)
-							cr, gotOK := s.ReadAt(alias[rid], snap)
+							cr, gotOK := s.ReadAt(rids[row], snap)
 							gotRec := cr.Rec
 							if gotOK != wantOK {
 								t.Fatalf("step %d wm %d snap %d row %v: visible=%v want %v",
-									step, wm, snapTS, rid, gotOK, wantOK)
+									step, wm, snapTS, row, gotOK, wantOK)
 							}
 							if gotOK && string(gotRec) != string(wantRec) {
 								t.Fatalf("step %d wm %d snap %d row %v: rec %q want %q",
-									step, wm, snapTS, rid, gotRec, wantRec)
+									step, wm, snapTS, row, gotRec, wantRec)
+							}
+							if wantOK {
+								visible[rids[row]] = true
 							}
 						}
-						// SnapScan must return exactly the visible rows.
-						visible := 0
-						for _, hist := range model {
-							if _, ok := modelVisible(hist, snapTS); ok {
-								visible++
+						// SnapScan must return exactly the visible rows, in
+						// install order.
+						var want []RID
+						for _, rid := range installed {
+							if visible[rid] {
+								want = append(want, rid)
 							}
 						}
-						if got := len(s.SnapScan(snap)); got != visible {
-							t.Fatalf("wm %d snap %d: SnapScan %d rows, model %d", wm, snapTS, got, visible)
+						var got []RID
+						for _, cr := range s.SnapScan(snap) {
+							got = append(got, cr.Rid)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("wm %d snap %d: SnapScan %v, model in install order %v", wm, snapTS, got, want)
 						}
 					}
 				}
@@ -162,7 +171,7 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 // after commit it is visible exactly to snapshots at or past the stamp.
 func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
 	s := NewVersionStore(nil)
-	rid := RID{Page: 1, Slot: 0}
+	rid := s.NewRID()
 	base := []byte("base")
 	v0 := s.Install(rid, base, 7, false)
 	v0.SetCommit(5)
@@ -188,27 +197,69 @@ func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
 // emitted exactly once after its superseding commit passes the watermark.
 func TestPendingLifecycle(t *testing.T) {
 	s := NewVersionStore(nil)
-	rid := RID{Page: 2, Slot: 1}
+	rid := s.NewRID()
 	v0 := s.Install(rid, []byte("a"), 1, false)
 	v0.SetCommit(1)
 	v1 := s.Push(rid, []byte("b"), 2)
-	s.AddPending(rid, "ix", []byte("key-a"), rid, v1)
+	s.AddPending(rid, "ix", []byte("key-a"), v1)
 
 	// Uncommitted superseder: never reclaimed.
-	if w := s.Prune(10); len(w.Entries) != 0 {
-		t.Fatalf("pending reclaimed while superseder uncommitted: %v", w.Entries)
+	if w := s.Prune(10); len(w) != 0 {
+		t.Fatalf("pending reclaimed while superseder uncommitted: %v", w)
 	}
 	v1.SetCommit(4)
 	// Watermark behind the superseding commit: entry still needed.
-	if w := s.Prune(3); len(w.Entries) != 0 {
-		t.Fatalf("pending reclaimed before watermark passed: %v", w.Entries)
+	if w := s.Prune(3); len(w) != 0 {
+		t.Fatalf("pending reclaimed before watermark passed: %v", w)
 	}
 	// Watermark past the commit: reclaimed exactly once.
 	w := s.Prune(4)
-	if len(w.Entries) != 1 || w.Entries[0].Index != "ix" || string(w.Entries[0].Key) != "key-a" {
+	if len(w) != 1 || w[0].Index != "ix" || string(w[0].Key) != "key-a" || w[0].Rid != rid {
 		t.Fatalf("pending not reclaimed: %+v", w)
 	}
-	if w := s.Prune(9); len(w.Entries) != 0 {
-		t.Fatalf("pending reclaimed twice: %v", w.Entries)
+	if w := s.Prune(9); len(w) != 0 {
+		t.Fatalf("pending reclaimed twice: %v", w)
+	}
+}
+
+// TestRIDOrdering pins the RID contract: RIDs ascend in install order and
+// are never handed out again — not after an INSERT rolls back, a pass drops
+// a deleted row or TRUNCATE empties the table — so a scan returns rows in
+// the order they were inserted, whatever was deleted in between.
+func TestRIDOrdering(t *testing.T) {
+	s := NewVersionStore(nil)
+	var rids []RID
+	insert := func(rec string) RID {
+		rid := s.NewRID()
+		for _, old := range rids {
+			if rid <= old {
+				t.Fatalf("NewRID handed out %v after %v", rid, old)
+			}
+		}
+		rids = append(rids, rid)
+		s.Install(rid, []byte(rec), 1, false).SetCommit(1)
+		return rid
+	}
+	scan := func() string {
+		var out []string
+		for _, cr := range s.SnapScan(Snapshot{TS: 100}) {
+			out = append(out, string(cr.Rec))
+		}
+		return fmt.Sprint(out)
+	}
+
+	first := insert("10")
+	insert("20")
+	s.Discard(insert("rolled back")) // INSERT rollback
+	s.Tombstone(first, 2).SetCommit(2)
+	s.Prune(2) // the deleted row's chain is dropped
+	insert("30")
+	if got := scan(); got != "[20 30]" {
+		t.Fatalf("scan after delete, prune and reinsert: %s", got)
+	}
+	s.Reset() // TRUNCATE
+	insert("40")
+	if got := scan(); got != "[40]" {
+		t.Fatalf("scan after truncate: %s", got)
 	}
 }

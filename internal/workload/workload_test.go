@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"sqlcm/internal/engine"
 	"sqlcm/internal/sqltypes"
+	"sqlcm/internal/storage"
 )
 
 func smallConfig() Config {
@@ -20,7 +23,7 @@ func smallConfig() Config {
 }
 
 func TestSetupAndCounts(t *testing.T) {
-	eng, err := engine.Open(engine.Config{PoolPages: 1024, LockTimeout: 5 * time.Second})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestMixDeterministicAndShaped(t *testing.T) {
 }
 
 func TestRunWorkload(t *testing.T) {
-	eng, err := engine.Open(engine.Config{PoolPages: 1024, LockTimeout: 5 * time.Second})
+	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,20 +127,53 @@ func TestRunWorkload(t *testing.T) {
 
 // BenchmarkSetupAutocommit loads the default-size database through Setup:
 // 127 000 autocommit INSERTs, each a writer commit. Version garbage
-// collection must not charge them for rows already loaded.
+// collection must not charge them for rows already loaded. It also reports
+// what a loaded row costs: B/row is the Go heap in use after the load and a
+// collection, over the rows loaded; ptrs/row the pointer words the row store
+// keeps for a one-version row, which the collector scans every cycle.
 func BenchmarkSetupAutocommit(b *testing.B) {
+	var bytesPerRow float64
 	for i := 0; i < b.N; i++ {
 		eng, err := engine.Open(engine.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Setup(eng, Config{Seed: 42}); err != nil {
+		cfg, err := Setup(eng, Config{Seed: 42})
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		bytesPerRow = float64(ms.HeapInuse) / float64(cfg.Lineitems+cfg.Orders+cfg.Parts)
 		if err := eng.Close(); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 	}
+	// The chain (head, pend) and its map entry (the *chain value; the RID
+	// key holds none) are unexported, so they are counted by hand.
+	const chainAndEntry = 2 + 1
+	b.ReportMetric(bytesPerRow, "B/row")
+	b.ReportMetric(float64(pointerWords(reflect.TypeFor[storage.Version]())+chainAndEntry), "ptrs/row")
+}
+
+// pointerWords counts the words of a t the garbage collector scans.
+func pointerWords(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func, reflect.Slice, reflect.String:
+		return 1
+	case reflect.Interface:
+		return 2
+	case reflect.Array:
+		return t.Len() * pointerWords(t.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := range t.NumField() {
+			n += pointerWords(t.Field(i).Type)
+		}
+		return n
+	}
+	return 0
 }

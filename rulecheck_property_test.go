@@ -16,7 +16,7 @@ import (
 // and both the LAT it defines and the persist rule it installs must have
 // observed traffic.
 func TestLoadRuleSet(t *testing.T) {
-	db, err := Open(Config{PoolPages: 512})
+	db, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLoadRuleSet(t *testing.T) {
 	}
 
 	// A defective set must be rejected wholesale in strict mode.
-	strict, err := Open(Config{PoolPages: 256, RuleCheck: RuleCheckStrict})
+	strict, err := Open(Config{RuleCheck: RuleCheckStrict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestUnsatRulesNeverFire(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			db, err := Open(Config{PoolPages: 512, RuleCheck: RuleCheckWarn})
+			db, err := Open(Config{RuleCheck: RuleCheckWarn})
 			if err != nil {
 				t.Fatal(err)
 			}

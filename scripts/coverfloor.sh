@@ -7,13 +7,16 @@
 #
 # Floors are set slightly below the measured values at the time the gate
 # was introduced (lat 93.0%, rules 79.5%) to absorb formatting-level
-# statement-count drift, not real regressions.
+# statement-count drift, not real regressions. The row store's floor is
+# its measured coverage (95.9%) rounded down when the package became the
+# MVCC store alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A FLOOR=(
   [./internal/lat]=92.5
   [./internal/rules]=79.0
+  [./internal/storage]=95
 )
 
 fail=0

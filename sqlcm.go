@@ -133,7 +133,7 @@ type (
 	MemMailer = core.MemMailer
 	// MemRunner is the recording in-memory Runner.
 	MemRunner = core.MemRunner
-	// Persister writes monitoring rows to durable storage.
+	// Persister writes monitoring rows to a table.
 	Persister = core.Persister
 	// FailsafeConfig tunes panic quarantine, the async action outbox,
 	// overload shedding, and crash-safe LAT checkpointing.
@@ -166,10 +166,6 @@ const (
 
 // Config tunes a DB.
 type Config struct {
-	// PoolPages is the buffer-pool size in 8 KiB pages (default 2048).
-	PoolPages int
-	// DataPath backs pages with a file; empty keeps everything in memory.
-	DataPath string
 	// LockTimeout bounds lock waits (default 10s; deadlocks are always
 	// detected regardless).
 	LockTimeout time.Duration
@@ -178,7 +174,7 @@ type Config struct {
 	// Runner handles RunExternal actions (default: recording MemRunner).
 	Runner Runner
 	// Persister handles Persist actions and LAT checkpoints (default:
-	// engine disk tables).
+	// engine tables).
 	Persister Persister
 	// Failsafe tunes the fail-safe monitoring layer.
 	Failsafe FailsafeConfig
@@ -195,11 +191,7 @@ type DB struct {
 
 // Open creates a DB with monitoring attached.
 func Open(cfg Config) (*DB, error) {
-	eng, err := engine.Open(engine.Config{
-		PoolPages:   cfg.PoolPages,
-		DataPath:    cfg.DataPath,
-		LockTimeout: cfg.LockTimeout,
-	})
+	eng, err := engine.Open(engine.Config{LockTimeout: cfg.LockTimeout})
 	if err != nil {
 		return nil, err
 	}

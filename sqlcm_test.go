@@ -9,7 +9,7 @@ import (
 
 func openDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := Open(Config{PoolPages: 256})
+	db, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
