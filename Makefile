@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: build vet vet-bench lint test race chaos netchaos lockdep lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover ci
+.PHONY: build vet vet-bench lint test race chaos netchaos lockdep lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover mutate ci
 
 build:
 	$(GO) build ./...
 
 # Vet tier: go vet plus SQLCM's own analyzers (sqlcm-vet -analyzers lists
-# them) — hot-path hygiene, the rule-callback recover discipline, context
-# propagation, cancellation-point proofs, goroutine ownership, the
-# SQLSTATE single-source check, the data-protection suite and the
-# lock-hierarchy suite, all over one type-checked load — and static
+# them) — no clock reads on the hot path (hotpath), context propagation
+# (ctxprop), cancellation-point proofs (cancelpoint), guarded-field access
+# (guardedby), copy-on-write publication (cowpublish) and the lock
+# hierarchy (lockorder), plus the driver's check that every //sqlcm:
+# directive is a known verb, all over one type-checked load — and static
 # analysis of the shipped rule sets (which must be finding-free even in
 # strict mode). docs/lock-order.md must match the annotations.
 vet:
@@ -97,6 +98,17 @@ sim-long:
 # frozen 2PL reference in internal/sim/testdata/invariance_2pl.golden).
 sim-mvcc:
 	SQLCM_SIM_SEEDS=64 $(GO) test -count=1 -run 'TestMVCCVisibilitySweep|TestGoldenReplayMVCC|TestSingleSessionMVCCInvariance' ./internal/sim/
+
+# Mutation tier: every internal/analysis/testdata/mutations/*.patch seeds
+# one bug of one analyzer's class into a real package of a `git archive`
+# copy of REF (default HEAD), which then goes through vet, sqlcm-vet -code,
+# test, race, lockdep, sim and chaos; the table says which tier catches
+# each bug first and whether its analyzer is the only catcher (DESIGN.md
+# §12). About 100 minutes for the 34 patches on 2 CPUs: not part of
+# `make ci`.
+# make mutate [REF=<ref>]
+mutate:
+	./scripts/mutate.sh $(or $(REF),HEAD)
 
 # Coverage floors for the packages the differential oracle leans on.
 cover:

@@ -17,17 +17,16 @@
 //
 // In -code mode each argument is a directory tree whose Go packages are
 // loaded, type-checked (offline, against GOROOT source) and run through
-// SQLCM's custom source analyzers (see internal/analysis) — hot-path
-// hygiene, the recover discipline for rule callbacks, context
-// propagation, cancellation-point proofs for //sqlcm:cancellable loops,
-// goroutine ownership, the SQLSTATE single-source check, the
-// data-protection suite (//sqlcm:guards/guarded-by field access under the
-// declared lock class, atomics-everywhere discipline for sync/atomic
-// fields, COW publish checking for //sqlcm:cow snapshots), and the
-// lock-hierarchy suite (declared //sqlcm:lock order, missing unlocks,
-// sends and outbox enqueues under latches, unclassed mutexes), which
-// order-checks a call into another package that can reach a classified
-// latch like a local acquire. -analyzers lists the registered checks.
+// SQLCM's custom source analyzers (see internal/analysis): no clock reads
+// in //sqlcm:hotpath functions, context propagation, cancellation-point
+// proofs for //sqlcm:cancellable loops, guarded-field access under the
+// declared lock class (//sqlcm:guards, //sqlcm:guarded-by), COW publish
+// checking for //sqlcm:cow snapshots, and the lock hierarchy (declared
+// //sqlcm:lock order, missing unlocks, sends and outbox enqueues under
+// latches, unclassed mutexes), which order-checks a call into another
+// package that can reach a classified latch like a local acquire. An
+// unknown //sqlcm: verb or a reasonless //sqlcm:allow is a finding too.
+// -analyzers lists the registered checks.
 //
 // In -lockdoc mode the tree's //sqlcm:lock, //sqlcm:guards,
 // //sqlcm:guarded-by and //sqlcm:cow annotations are rendered as

@@ -16,7 +16,7 @@ func TestVetDetectsSeededDefects(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
 	}
-	for _, analysis := range []string{"[type]", "[sat]", "[latref]", "[trigger]", "[shadow]"} {
+	for _, analysis := range []string{"[type]", "[sat]", "[latref]", "[trigger]", "[shadow]", "[action]", "[latdef]", "[syntax]"} {
 		if !strings.Contains(out.String(), analysis) {
 			t.Errorf("output missing %s finding:\n%s", analysis, out.String())
 		}
@@ -36,8 +36,7 @@ func TestVetExamplesCleanStrict(t *testing.T) {
 	}
 }
 
-// The repo's own source must satisfy the hot-path and recover-discipline
-// analyzers.
+// The repo's own source must satisfy every source analyzer.
 func TestVetCodeClean(t *testing.T) {
 	var out, errw strings.Builder
 	code := run([]string{"-code", "../.."}, &out, &errw)

@@ -9,16 +9,7 @@
 // directives in comments:
 //
 //	//sqlcm:hotpath      — this function runs on the monitoring hot
-//	                       path: calls that read the clock or allocate
-//	                       through fmt are flagged, as are acquisitions
-//	                       of locks outside the declared hierarchy.
-//	//sqlcm:callback     — this function runs user rule code (conditions
-//	                       and actions): it may only be invoked from a
-//	                       function marked //sqlcm:recovered (or another
-//	                       callback already under that discipline).
-//	//sqlcm:recovered    — this function is a sanctioned recover site;
-//	                       the analyzer verifies it really defers a
-//	                       recover().
+//	                       path: calls that read the clock are flagged.
 //	//sqlcm:cancellable  — every loop in this function must reach a
 //	                       cancellation check: ctx.Err()/ctx.Done(), a
 //	                       stop-channel receive, or a callee summarized
@@ -30,9 +21,6 @@
 //	                     — this function may mint a fresh context
 //	                       (context.Background()/TODO()) even inside a
 //	                       ctx-strict package.
-//	//sqlcm:owned-by <owner>
-//	                     — the goroutine started on (or right below)
-//	                       this line is owned by the named mechanism.
 //	//sqlcm:ctx-strict   — package-doc directive: apply the serving-path
 //	                       context strictness to this package.
 //	//sqlcm:lock <class> [after <class>...]
@@ -71,6 +59,14 @@
 //
 // The directives live with the code they constrain, so the checks keep
 // holding as the hot path evolves without a central configuration file.
+// Any other //sqlcm: verb is itself a finding (checkDirectives): a typo
+// or a verb whose check was deleted must not switch a check off silently.
+//
+// Every analyzer earns its place by being the only tier that catches
+// some seeded bug: scripts/mutate.sh applies the patches under
+// testdata/mutations to a copy of the tree and records which tier —
+// go vet, these analyzers, go test, -race, sqlcmlockdep, the simulator,
+// the chaos suite — catches each one first (DESIGN.md §12).
 package analysis
 
 import (
@@ -79,6 +75,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // Diagnostic is one finding from a source analyzer.
@@ -154,8 +151,7 @@ type Analyzer struct {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, Recovered, CtxProp, CancelPoint, GoOwnership, ErrCode, GuardedBy, AtomicField, CowPublish,
-		LockOrder, LockUnlock, LockSend, LockClass}
+	return []*Analyzer{HotPath, CtxProp, CancelPoint, GuardedBy, CowPublish, LockOrder}
 }
 
 // RunTree loads, type-checks and analyzes every package under root.
@@ -171,7 +167,8 @@ func RunTree(root string) ([]Diagnostic, error) {
 // RunProgram runs every analyzer over every package of an already-loaded
 // program. Soft type-check errors surface as findings of a synthetic
 // "typecheck" analyzer: an unresolvable tree must not silently pass with
-// analyzers degraded.
+// analyzers degraded. Malformed directives surface the same way, as
+// "directive" findings (checkDirectives).
 func RunProgram(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
@@ -184,6 +181,7 @@ func RunProgram(prog *Program) []Diagnostic {
 			}
 			report(d)
 		}
+		checkDirectives(prog, pkg, report)
 		var sinks []heldSink
 		for _, a := range All() {
 			a.Run(&Pass{
@@ -199,6 +197,47 @@ func RunProgram(prog *Program) []Diagnostic {
 	}
 	sortDiags(diags)
 	return diags
+}
+
+// directiveVerbs are the //sqlcm: verbs listed in the package doc, the
+// only ones any analyzer reads.
+var directiveVerbs = map[string]bool{
+	"hotpath": true, "cancellable": true, "cancelpoint": true,
+	"ctx-root": true, "ctx-strict": true,
+	"lock": true, "lock-held": true, "lock-release": true,
+	"guards": true, "guarded-by": true, "cow": true, "allow": true,
+}
+
+// checkDirectives reports every comment that starts with //sqlcm: but
+// names no listed verb — a typo (//sqlcm:guard) or a verb whose check was
+// deleted would otherwise switch a check off silently — and every
+// //sqlcm:allow without a reason, since the suppression is reviewed like
+// code and a bare allow gives the reviewer nothing to review. Test files
+// are covered too.
+func checkDirectives(prog *Program, pkg *Package, report func(Diagnostic)) {
+	for _, files := range [][]*ast.File{pkg.Files, pkg.TestFiles} {
+		for _, file := range files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "//sqlcm:")
+					if !ok {
+						continue
+					}
+					verb, reason, _ := strings.Cut(rest, " ")
+					d := Diagnostic{Pos: prog.Fset.Position(c.Pos()), Analyzer: "directive"}
+					switch {
+					case !directiveVerbs[verb]:
+						d.Message = fmt.Sprintf("unknown directive //sqlcm:%s: the package doc of internal/analysis lists the verbs", verb)
+					case verb == "allow" && strings.TrimSpace(reason) == "":
+						d.Message = "//sqlcm:allow without a reason: say why the finding is safe to suppress"
+					default:
+						continue
+					}
+					report(d)
+				}
+			}
+		}
+	}
 }
 
 func sortDiags(diags []Diagnostic) {

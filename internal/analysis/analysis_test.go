@@ -52,7 +52,10 @@ func wantFindings(t *testing.T, diags []Diagnostic, substrs ...string) {
 	}
 }
 
-func TestHotPathFlagsClockAndFmt(t *testing.T) {
+// Only the clock reads are findings: allocation on the hot path is pinned
+// by TestMonitoredPointReadAllocs, which sees every allocation, not only
+// fmt's.
+func TestHotPathFlagsClockReads(t *testing.T) {
 	diags := analyzeSrc(t, `package x
 
 import (
@@ -69,7 +72,6 @@ func dispatch() {
 `)
 	wantFindings(t, diags,
 		"call to time.Now in hot-path function dispatch",
-		"call to fmt.Sprintf in hot-path function dispatch",
 		"call to time.Since in hot-path function dispatch",
 	)
 }
@@ -115,87 +117,6 @@ func dispatch() {
 }
 `)
 	wantFindings(t, diags)
-}
-
-func TestRecoveredCallbackOutsideRecover(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-//sqlcm:callback
-func evalRule() {}
-
-func dispatch() {
-	evalRule()
-}
-`)
-	wantFindings(t, diags, "rule callback evalRule invoked from dispatch")
-}
-
-func TestRecoveredDisciplineSatisfied(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-//sqlcm:callback
-func evalRule() {}
-
-//sqlcm:recovered
-func safeEval() {
-	defer func() {
-		if p := recover(); p != nil {
-			_ = p
-		}
-	}()
-	evalRule()
-}
-
-func dispatch() { safeEval() }
-`)
-	wantFindings(t, diags)
-}
-
-func TestRecoveredMarkerWithoutRecover(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-//sqlcm:recovered
-func safeEval() {}
-`)
-	wantFindings(t, diags, "marked //sqlcm:recovered but never defers a recover()")
-}
-
-func TestCallbackMayCallCallback(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-//sqlcm:callback
-func runActions() {}
-
-//sqlcm:callback
-func evalRule() { runActions() }
-
-//sqlcm:recovered
-func safeEval() {
-	defer func() { recover() }()
-	evalRule()
-}
-`)
-	wantFindings(t, diags)
-}
-
-// The callback fact crosses package boundaries: invoking another
-// package's //sqlcm:callback function without the recover discipline is
-// still a finding.
-func TestCallbackFactCrossesPackages(t *testing.T) {
-	diags := analyzeTree(t, map[string]string{
-		"cb/cb.go": `package cb
-
-//sqlcm:callback
-func EvalRule() {}
-`,
-		"driver/driver.go": `package driver
-
-import "cb"
-
-func dispatch() { cb.EvalRule() }
-`,
-	})
-	wantFindings(t, diags, "rule callback EvalRule invoked from dispatch")
 }
 
 func TestCtxPropStrictPackageDirective(t *testing.T) {
@@ -291,48 +212,6 @@ func drain(it iter) int {
 		total += v
 	}
 }
-`)
-	wantFindings(t, diags)
-}
-
-func TestGoOwnershipSelfOwnedNamedCallee(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-type conn struct {
-	stop chan struct{}
-}
-
-// loop blocks on the stop channel: the goroutine owns its exit.
-func (c *conn) loop() {
-	<-c.stop
-}
-
-func (c *conn) start() {
-	go c.loop()
-}
-`)
-	wantFindings(t, diags)
-}
-
-func TestGoOwnershipOrphanFlagged(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-func work() {}
-
-func fire() {
-	go work()
-}
-`)
-	wantFindings(t, diags, "goroutine has no owner")
-}
-
-func TestErrCodeAllowDirective(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-// legacyCode documents the one grandfathered literal.
-//
-//sqlcm:allow exercised by the fixture, not shipped
-const legacyCode = "40001"
 `)
 	wantFindings(t, diags)
 }

@@ -57,9 +57,7 @@ func runCowPublish(p *Pass) {
 		case accWrite:
 			p.Reportf(u.pos, "plain write to COW field %s: publish through Store under %s", fieldRef(u.obj), class)
 		case accAddr:
-			if !u.atomicArg {
-				p.Reportf(u.pos, "&%s escapes; the COW field must only be touched through its atomic methods", fieldRef(u.obj))
-			}
+			p.Reportf(u.pos, "&%s escapes; the COW field must only be touched through its atomic methods", fieldRef(u.obj))
 		}
 	}})
 	for _, file := range p.Pkg.Files {
@@ -204,4 +202,15 @@ func isCowLoad(p *Pass, info *types.Info, call *ast.CallExpr) bool {
 	}
 	_, isCow := ff.CowFields[obj]
 	return isCow
+}
+
+// isAtomicPointerType reports whether t is sync/atomic's Pointer[T] or
+// Value — the types a //sqlcm:cow field must have so the read side is an
+// atomic load by construction.
+func isAtomicPointerType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync/atomic" {
+		return false
+	}
+	return named.Obj().Name() == "Pointer" || named.Obj().Name() == "Value"
 }

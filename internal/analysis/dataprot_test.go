@@ -184,44 +184,6 @@ func (p *s) use() {
 	)
 }
 
-func TestAtomicFieldMixedAccess(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "sync/atomic"
-
-type s struct{ n int64 }
-
-func (p *s) bump() { atomic.AddInt64(&p.n, 1) }
-func (p *s) read() int64 { return p.n }
-`)
-	wantFindings(t, diags, "plain read of x.n, which is accessed via sync/atomic elsewhere")
-}
-
-func TestAtomicFieldStructCopy(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "sync/atomic"
-
-type s struct{ n atomic.Int64 }
-
-func snapshot(p *s) s { return *p }
-`)
-	wantFindings(t, diags, "copies a x.s value containing atomic state")
-}
-
-func TestAtomicFieldTypedAtomicsClean(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "sync/atomic"
-
-type s struct{ n atomic.Int64 }
-
-func (p *s) bump() { p.n.Add(1) }
-func (p *s) read() int64 { return p.n.Load() }
-`)
-	wantFindings(t, diags)
-}
-
 // cowHeader declares one COW index published under a writer mutex.
 const cowHeader = `package x
 

@@ -16,11 +16,6 @@ import (
 // summarized once, and importers consult summaries instead of re-walking
 // foreign bodies.
 type Facts struct {
-	// Callback marks //sqlcm:callback functions (run user rule code).
-	Callback map[types.Object]bool
-	// Recovered marks //sqlcm:recovered functions (sanctioned recover
-	// sites).
-	Recovered map[types.Object]bool
 	// CancelCapable marks functions whose call reaches a cancellation
 	// check: annotated //sqlcm:cancelpoint, or a body that checks
 	// ctx.Err()/ctx.Done(), blocks on a stop channel, ranges over a
@@ -30,10 +25,6 @@ type Facts struct {
 	// reason: sanctioned places where a fresh context may be minted
 	// inside a ctx-strict package.
 	CtxRoot map[types.Object]string
-	// SelfOwned marks functions that, run as a goroutine ("go c.loop()"),
-	// tie their own lifetime to an owner: they signal a WaitGroup.Done,
-	// block on a stop channel, or range over a channel an owner closes.
-	SelfOwned map[types.Object]bool
 	// LockClasses maps a function to the declared lock classes it may
 	// acquire, directly or transitively. This is the cross-package edge
 	// the lockorder analyzer checks at call sites into another package.
@@ -55,11 +46,6 @@ type Facts struct {
 	// their declared writer class: stores require the class, loads are
 	// lock-free, and the published value is immutable.
 	CowFields map[types.Object]string
-	// AtomicUse records every struct field this package accesses through a
-	// raw sync/atomic call (atomic.AddInt64(&s.n, 1) style). The atomicfield
-	// analyzer unions these across the program: a field atomically accessed
-	// anywhere must be atomically accessed everywhere.
-	AtomicUse map[types.Object]bool
 	// CtxStrict is set by a package-doc //sqlcm:ctx-strict directive:
 	// the ctxprop Background()/TODO() ban applies to this package even
 	// outside the hardcoded serving-path list (used by fixtures).
@@ -76,17 +62,13 @@ type LockDecl struct {
 
 func newFacts() *Facts {
 	return &Facts{
-		Callback:      map[types.Object]bool{},
-		Recovered:     map[types.Object]bool{},
 		CancelCapable: map[types.Object]bool{},
 		CtxRoot:       map[types.Object]string{},
-		SelfOwned:     map[types.Object]bool{},
 		LockClasses:   map[types.Object][]string{},
 		LockFields:    map[types.Object]string{},
 		Guards:        map[string][]string{},
 		GuardedBy:     map[types.Object]string{},
 		CowFields:     map[types.Object]string{},
-		AtomicUse:     map[types.Object]bool{},
 	}
 }
 
@@ -95,7 +77,6 @@ func newFacts() *Facts {
 type funcSummary struct {
 	obj          types.Object
 	directCancel bool
-	selfOwned    bool
 	callees      []types.Object
 	classes      map[string]bool
 }
@@ -120,12 +101,6 @@ func computeFacts(prog *Program, pkg *Package) {
 				obj := info.Defs[d.Name]
 				if obj == nil {
 					continue
-				}
-				if hasDirective(d, "callback") {
-					f.Callback[obj] = true
-				}
-				if hasDirective(d, "recovered") {
-					f.Recovered[obj] = true
 				}
 				if hasDirective(d, "cancelpoint") {
 					f.CancelCapable[obj] = true
@@ -185,17 +160,12 @@ func computeFacts(prog *Program, pkg *Package) {
 			}
 		}
 	}
-	for _, s := range sums {
-		if s.selfOwned {
-			f.SelfOwned[s.obj] = true
-		}
-	}
 }
 
 // collectTypeFacts records directives attached to a type declaration:
-// //sqlcm:lock classes on struct mutex fields, //sqlcm:cancelpoint and
-// //sqlcm:callback on interface method declarations (so dynamic dispatch
-// through the interface inherits the facts).
+// //sqlcm:lock classes on struct mutex fields, //sqlcm:cancelpoint on
+// interface method declarations (so dynamic dispatch through the
+// interface inherits the fact).
 func collectTypeFacts(info *types.Info, f *Facts, pkgName string, ts *ast.TypeSpec) {
 	switch t := ts.Type.(type) {
 	case *ast.StructType:
@@ -225,7 +195,7 @@ func collectTypeFacts(info *types.Info, f *Facts, pkgName string, ts *ast.TypeSp
 		for _, field := range t.Fields.List {
 			class, after, ok, bad := lockDirective(field)
 			if !ok || bad != "" {
-				continue // missing and malformed annotations are lockclass findings
+				continue // missing and malformed annotations are lockorder findings
 			}
 			for _, name := range field.Names {
 				if obj := info.Defs[name]; obj != nil {
@@ -256,9 +226,6 @@ func collectTypeFacts(info *types.Info, f *Facts, pkgName string, ts *ast.TypeSp
 				if _, ok := fieldDirective(m, "cancelpoint"); ok {
 					f.CancelCapable[obj] = true
 				}
-				if _, ok := fieldDirective(m, "callback"); ok {
-					f.Callback[obj] = true
-				}
 			}
 		}
 	}
@@ -275,16 +242,6 @@ func summarizeFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, obj types.Obje
 			if isCtxCancelCheck(info, n) {
 				s.directCancel = true
 			}
-			if isRawAtomicCall(info, n) {
-				for _, arg := range n.Args {
-					if obj := addrOfFieldArg(info, arg); obj != nil {
-						pkg.Facts.AtomicUse[obj] = true
-					}
-				}
-			}
-			if isWaitGroupOp(info, n, "Done") {
-				s.selfOwned = true
-			}
 			if callee := calleeOf(info, n); callee != nil {
 				s.callees = append(s.callees, callee)
 			}
@@ -296,12 +253,10 @@ func summarizeFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, obj types.Obje
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && isStopChan(info.TypeOf(n.X)) {
 				s.directCancel = true
-				s.selfOwned = true
 			}
 		case *ast.RangeStmt:
 			if _, ok := info.TypeOf(n.X).Underlying().(*types.Chan); ok {
 				s.directCancel = true
-				s.selfOwned = true
 			}
 		}
 		return true
@@ -401,25 +356,6 @@ func isCtxCancelCheck(info *types.Info, call *ast.CallExpr) bool {
 	return isContextType(info.TypeOf(sel.X))
 }
 
-// isWaitGroupOp reports whether the call is a sync.WaitGroup method with
-// the given name ("Add", "Done", "Wait").
-func isWaitGroupOp(info *types.Info, call *ast.CallExpr, name string) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	t := info.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
-}
-
 // isContextType reports whether t is context.Context.
 func isContextType(t types.Type) bool {
 	if t == nil {
@@ -454,35 +390,6 @@ func splitGuardsList(list string) []string {
 		}
 	}
 	return out
-}
-
-// isRawAtomicCall reports whether the call is a sync/atomic package-level
-// function (the raw atomic.AddInt64(&x, 1) style). Methods on the typed
-// atomic.Int64 family also live in package sync/atomic but take the field
-// as their receiver, not as an &arg, so they are deliberately excluded:
-// the held-set walker must see e.idx.Store(v) as a method call on the
-// field for the cowpublish checks.
-func isRawAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	fn, ok := calleeOf(info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// addrOfFieldArg resolves an &x.f argument to the struct field object f,
-// or nil when the argument is not an address of a field selection.
-func addrOfFieldArg(info *types.Info, arg ast.Expr) types.Object {
-	un, ok := unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil
-	}
-	sel, ok := unparen(un.X).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return fieldObjOf(info, sel)
 }
 
 // fieldObjOf resolves a selector expression to the struct field it

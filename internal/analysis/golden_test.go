@@ -14,22 +14,18 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 
 // TestSeededFixtureGoldens pins the exact diagnostics for one seeded
 // defect per analyzer: a dropped context, a poll-free row loop, an
-// ownerless goroutine, a raw SQLSTATE literal, an unguarded field
-// access, a mixed atomic/plain counter, an in-place COW mutation, and
-// the seeded lock bugs — order inversion, missing unlock, send and
-// enqueue under a lock, unannotated mutex, cyclic declaration, an
-// unclassed lock on the hot path, and a cross-package ordering edge
-// proved through the sibling package's real facts. Each fixture also
-// carries the fixed shape of the same pattern, so the goldens prove both
-// that the defect fires and that the repair silences it.
+// unguarded field access, an in-place COW mutation, the seeded lock bugs
+// — order inversion, missing unlock, send and enqueue under a lock,
+// unannotated mutex, cyclic declaration, and a cross-package ordering
+// edge proved through the sibling package's real facts — and misspelled
+// and reasonless directives. Each fixture also carries the fixed
+// shape of the same pattern, so the goldens prove both that the defect
+// fires and that the repair silences it.
 func TestSeededFixtureGoldens(t *testing.T) {
 	cases := []string{
 		"ctxdrop",
 		"loopnopoll",
-		"orphangoroutine",
-		"rawsqlstate",
 		"guardmiss",
-		"mixedatomic",
 		"cowinplace",
 		"seededinversion",
 		"missingunlock",
@@ -37,8 +33,8 @@ func TestSeededFixtureGoldens(t *testing.T) {
 		"unannotated",
 		"cycle",
 		"enqueue",
-		"hotpathlock",
 		"crosssummary",
+		"unknowndirective",
 	}
 	for _, name := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -3,7 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"strings"
+	"go/types"
 )
 
 // GuardedBy checks the data-protection contract declared next to each
@@ -29,7 +29,6 @@ var GuardedBy = &Analyzer{
 
 func runGuardedBy(p *Pass) {
 	validateGuardAnnotations(p)
-	validateAllowReasons(p)
 	p.watchHeld(heldSink{use: func(u fieldUse) {
 		ff := p.FactsFor(u.obj)
 		if ff == nil {
@@ -51,26 +50,6 @@ func runGuardedBy(p *Pass) {
 				u.kind, fieldRef(u.obj), class)
 		}
 	}})
-}
-
-// validateAllowReasons reports //sqlcm:allow comments with no trailing
-// reason. The suppression is reviewed like code; a bare allow gives the
-// reviewer nothing to review.
-func validateAllowReasons(p *Pass) {
-	for _, file := range p.Pkg.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
-				rest, ok := strings.CutPrefix(text, "sqlcm:allow")
-				if !ok {
-					continue
-				}
-				if strings.TrimSpace(strings.TrimSuffix(rest, "*/")) == "" {
-					p.Reportf(c.Pos(), "//sqlcm:allow without a reason: say why the finding is safe to suppress")
-				}
-			}
-		}
-	}
 }
 
 // validateGuardAnnotations checks the annotations themselves: a guards
@@ -161,4 +140,12 @@ func validateStructGuards(p *Pass, classes map[string]*lockClass, st *ast.Struct
 			}
 		}
 	}
+}
+
+// fieldRef renders a struct field for diagnostics as pkg.field.
+func fieldRef(obj types.Object) string {
+	if obj.Pkg() != nil {
+		return obj.Pkg().Name() + "." + obj.Name()
+	}
+	return obj.Name()
 }

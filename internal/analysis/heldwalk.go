@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the one flow-approximate held-set walk every lock-aware
-// analyzer shares: the data-protection checks (guardedby, atomicfield,
-// cowpublish) subscribe to its field-use events, the lock-hierarchy checks
-// (lockorder, lockunlock, locksend, lockclass) to its lock events. Branches
+// analyzer shares: the data-protection checks (guardedby, cowpublish)
+// subscribe to its field-use events, the lock-hierarchy check (lockorder)
+// to its lock events. Branches
 // are walked on cloned held-sets and merged with a maybe-held union (a
 // branch ending in return or panic is checked at its exit and discarded),
 // loops are walked once, function literals are analyzed inline at their
@@ -60,13 +60,12 @@ type heldEntry struct {
 // together with the live held-set at that point. The held map must not be
 // retained past the callback.
 type fieldUse struct {
-	obj       types.Object
-	pos       token.Pos
-	kind      accessKind
-	call      string // method name when kind == accCall
-	atomicArg bool   // the use is &x.f passed to a sync/atomic function
-	fresh     bool   // receiver chain roots at an unpublished local
-	held      map[string]*heldEntry
+	obj   types.Object
+	pos   token.Pos
+	kind  accessKind
+	call  string // method name when kind == accCall
+	fresh bool   // receiver chain roots at an unpublished local
+	held  map[string]*heldEntry
 }
 
 // lockEventKind classifies the lock-relevant program points of the walk.
@@ -119,7 +118,12 @@ type heldSummary struct {
 // enqueueOps are the outbox methods that must not be called under a lock.
 var enqueueOps = map[string]bool{"Enqueue": true, "TryEnqueue": true}
 
-var lockReleaseOps = map[string]bool{"Unlock": true, "RUnlock": true}
+// lockAcquireOps and lockReleaseOps are the methods that take and release
+// a latch when called through a selector.
+var (
+	lockAcquireOps = map[string]bool{"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true}
+	lockReleaseOps = map[string]bool{"Unlock": true, "RUnlock": true}
+)
 
 // walkHeldPackage walks every function of the package once for all
 // subscribers: pass one computes per-function summaries with events
@@ -474,7 +478,7 @@ func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 		w.scanExpr(x.X, kind)
 	case *ast.SelectorExpr:
 		if obj := fieldObjOf(w.info, x); obj != nil {
-			w.emit(obj, x.Pos(), kind, "", false, w.isFresh(x.X))
+			w.emit(obj, x.Pos(), kind, "", w.isFresh(x.X))
 		}
 		w.scanExpr(x.X, accRead)
 	case *ast.IndexExpr:
@@ -515,24 +519,13 @@ func (w *heldWalker) scanExpr(e ast.Expr, kind accessKind) {
 	}
 }
 
-// scanCall handles one call expression: a lock operation, a raw
-// sync/atomic call, a method on a field, a builtin, or a call whose
-// callee's lock summary is applied.
+// scanCall handles one call expression: a lock operation, a method on a
+// field, a builtin, or a call whose callee's lock summary is applied.
 func (w *heldWalker) scanCall(call *ast.CallExpr) {
 	if isBuiltinCall(w.info, call, "delete") && len(call.Args) == 2 {
 		// builtin delete mutates the map argument.
 		w.scanExpr(call.Args[0], accWrite)
 		w.scanExpr(call.Args[1], accRead)
-		return
-	}
-	if isRawAtomicCall(w.info, call) {
-		for _, arg := range call.Args {
-			if obj := addrOfFieldArg(w.info, arg); obj != nil {
-				w.emit(obj, arg.Pos(), accAddr, "", true, w.isFreshAddr(arg))
-				continue
-			}
-			w.scanExpr(arg, accRead)
-		}
 		return
 	}
 	recv := call.Fun
@@ -555,13 +548,13 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 		}
 		if obj := fieldObjOf(w.info, sel); obj != nil {
 			// A field of function type invoked directly (x.fn(args)).
-			w.emit(obj, sel.Pos(), accCall, op, false, w.isFresh(sel.X))
+			w.emit(obj, sel.Pos(), accCall, op, w.isFresh(sel.X))
 			recv = sel.X
 		} else if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
 			if obj := fieldObjOf(w.info, inner); obj != nil {
 				// A method invoked on the field itself (x.f.Load(),
 				// x.wg.Wait()): sel selects the method, inner the field.
-				w.emit(obj, inner.Pos(), accCall, op, false, w.isFresh(inner.X))
+				w.emit(obj, inner.Pos(), accCall, op, w.isFresh(inner.X))
 				recv = inner.X
 			}
 		}
@@ -617,10 +610,10 @@ func (w *heldWalker) acquire(class string, write bool, pos token.Pos) {
 }
 
 // emit delivers one field use to the subscribers.
-func (w *heldWalker) emit(obj types.Object, pos token.Pos, kind accessKind, call string, atomicArg, fresh bool) {
+func (w *heldWalker) emit(obj types.Object, pos token.Pos, kind accessKind, call string, fresh bool) {
 	for _, s := range w.sinks {
 		if s.use != nil {
-			s.use(fieldUse{obj: obj, pos: pos, kind: kind, call: call, atomicArg: atomicArg, fresh: fresh, held: w.held})
+			s.use(fieldUse{obj: obj, pos: pos, kind: kind, call: call, fresh: fresh, held: w.held})
 		}
 	}
 }
@@ -659,19 +652,6 @@ func (w *heldWalker) isFresh(recv ast.Expr) bool {
 		obj = w.info.Defs[id]
 	}
 	return obj != nil && w.fresh[obj]
-}
-
-// isFreshAddr applies the freshness check to an &x.f argument.
-func (w *heldWalker) isFreshAddr(arg ast.Expr) bool {
-	un, ok := unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return false
-	}
-	sel, ok := unparen(un.X).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return w.isFresh(sel.X)
 }
 
 // baseIdentOf walks a selector/index/star/paren chain to its root

@@ -35,10 +35,9 @@ type Program struct {
 
 	byPath map[string]*Package
 
-	// Lazy whole-program unions over per-package facts, built on first
-	// use by the lock-aware analyzers (single-threaded RunProgram).
-	atomicTargets map[types.Object]bool
-	order         *lockOrder
+	// order is the declared lock-order DAG, built on first use from every
+	// package's facts (single-threaded RunProgram).
+	order *lockOrder
 }
 
 // Package is one loaded package: build-selected non-test files carry

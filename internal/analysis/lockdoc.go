@@ -11,7 +11,7 @@ import (
 // golden docs/lock-order.md. Output is deterministic and position-free
 // (field names and repo-relative files, not line numbers), so it only
 // changes when an annotation changes. Annotation problems (unknown
-// classes, cycles) surface as lockclass findings, not here; the document
+// classes, cycles) surface as lockorder findings, not here; the document
 // renders what is declared.
 func (p *Program) LockOrderDoc() string {
 	o := p.lockOrder()

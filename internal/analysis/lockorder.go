@@ -9,53 +9,38 @@ import (
 	"strings"
 )
 
-// The lock-hierarchy analyzers are the static half of SQLCM's lock
-// contract (the runtime half is the sqlcmlockdep build of
-// internal/lockcheck). The //sqlcm:lock annotations on mutex fields
-// declare a partial-order DAG of lock classes; the analyzers listen to
-// the shared held-set walk (heldwalk.go) and check every lock-relevant
-// program point against it.
+// The lock-hierarchy analyzer is the static half of SQLCM's lock contract
+// (the runtime half is the sqlcmlockdep build of internal/lockcheck). The
+// //sqlcm:lock annotations on mutex fields declare a partial-order DAG of
+// lock classes; the analyzer listens to the shared held-set walk
+// (heldwalk.go) and checks every lock-relevant program point against it.
 
-// LockOrder checks acquisitions against the declared order: every held
-// class must have a declared path to the acquired one, whether the
-// acquire is a direct Lock call, a same-package callee's (one-level
-// summary) or a cross-package callee's (Facts.LockClasses).
+// LockOrder checks the lock hierarchy:
+//
+//   - order: every held class has a declared path to the one acquired,
+//     whether the acquire is a direct Lock call, a same-package callee's
+//     (one-level summary) or a cross-package callee's
+//     (Facts.LockClasses); no class is acquired twice; //sqlcm:lock-held
+//     callees are called with the class held;
+//   - balance: every Lock is released (or defer-released) on every exit
+//     path, and only held locks are unlocked;
+//   - blocking: no channel send that can block (a send in a select with a
+//     default clause cannot) and no outbox enqueue inside a critical
+//     section;
+//   - classes: every named mutex field carries a well-formed
+//     //sqlcm:lock annotation, the declared order is an acyclic graph over
+//     known classes, and every lock site resolves to a declared class.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "locks are acquired in the declared //sqlcm:lock order, never twice, and //sqlcm:lock-held callees are called with the class held",
+	Doc:  "locks follow the declared //sqlcm:lock hierarchy: acquired in order, released on every path, never held across a blocking send or an enqueue, every mutex classed",
 	Run:  runLockOrder,
-}
-
-// LockUnlock checks lock/unlock balance along every path.
-var LockUnlock = &Analyzer{
-	Name: "lockunlock",
-	Doc:  "every Lock is released (or defer-released) on every exit path, and only held locks are unlocked",
-	Run:  runLockUnlock,
-}
-
-// LockSend flags operations that can block, or run arbitrary
-// backpressure logic, inside a critical section. Sends in a select with
-// a default clause cannot block and are exempt.
-var LockSend = &Analyzer{
-	Name: "locksend",
-	Doc:  "no blocking channel send or outbox enqueue while holding a lock",
-	Run:  runLockSend,
-}
-
-// LockClass checks the declarations themselves: every named mutex field
-// carries a well-formed //sqlcm:lock annotation, the declared order is
-// an acyclic graph over known classes, and every lock site resolves to a
-// declared class.
-var LockClass = &Analyzer{
-	Name: "lockclass",
-	Doc:  "mutex fields carry a //sqlcm:lock class, the declared order is acyclic, and every lock site resolves to a class",
-	Run:  runLockClass,
 }
 
 const noOrderPath = "no declared order path %s -> %s (see docs/lock-order.md)"
 
 func runLockOrder(p *Pass) {
 	order := p.Prog.lockOrder()
+	checkLockDecls(p, order)
 	p.watchHeld(heldSink{lock: func(ev lockEvent) {
 		switch ev.kind {
 		case evAcquire:
@@ -70,43 +55,6 @@ func runLockOrder(p *Pass) {
 					p.reportUnlessAllowed(ev.pos, "acquiring %q while holding %q: "+noOrderPath, ev.class, h, h, ev.class)
 				}
 			}
-		case evCall:
-			name, verb := funcRef(ev.callee, p.Pkg.Types), "acquires"
-			if ev.sum.external {
-				verb = "may acquire"
-			}
-			for _, req := range ev.sum.requires {
-				if _, ok := ev.held[req]; !ok {
-					p.reportUnlessAllowed(ev.pos, "call to %s requires %q to be held (//sqlcm:lock-held)", name, req)
-				}
-			}
-			for _, class := range ev.sum.acquires {
-				if slices.Contains(ev.sum.releases, class) {
-					// The callee manages this class's lifecycle itself (lock
-					// handoff): any internal re-acquire happens after the
-					// declared release, and the lock-held check above already
-					// validated the entry state.
-					continue
-				}
-				if prev, ok := ev.held[class]; ok {
-					if !prev.maybe {
-						p.reportUnlessAllowed(ev.pos, "call to %s %s %q which is already held", name, verb, class)
-					}
-					continue
-				}
-				for _, h := range sortedKeys(ev.held) {
-					if !order.reachable(h, class) {
-						p.reportUnlessAllowed(ev.pos, "call to %s %s %q while holding %q: "+noOrderPath, name, verb, class, h, h, class)
-					}
-				}
-			}
-		}
-	}})
-}
-
-func runLockUnlock(p *Pass) {
-	p.watchHeld(heldSink{lock: func(ev lockEvent) {
-		switch ev.kind {
 		case evRelease:
 			// An unlock of a declared handoff class is the caller's lock,
 			// released here.
@@ -114,12 +62,7 @@ func runLockUnlock(p *Pass) {
 				p.reportUnlessAllowed(ev.pos, "unlock of %q which is not held on this path", ev.class)
 			}
 		case evCall:
-			for _, class := range ev.sum.releases {
-				_, held := ev.held[class]
-				if _, net := ev.sum.net[class]; !held && !net && !ev.handoff[class] {
-					p.reportUnlessAllowed(ev.pos, "call to %s releases %q which is not held", funcRef(ev.callee, p.Pkg.Types), class)
-				}
-			}
+			checkLockCall(p, order, ev)
 		case evExit:
 			// Locally acquired locks must have been released or be covered
 			// by a defer, and declared lock-release classes must actually
@@ -134,26 +77,66 @@ func runLockUnlock(p *Pass) {
 					p.reportUnlessAllowed(ev.pos, "//sqlcm:lock-release declares %q released, but it may still be held at this return", class)
 				}
 			}
-		}
-	}})
-}
-
-func runLockSend(p *Pass) {
-	p.watchHeld(heldSink{lock: func(ev lockEvent) {
-		if len(ev.held) == 0 {
-			return
-		}
-		switch ev.kind {
 		case evSend:
-			p.reportUnlessAllowed(ev.pos, "channel send while holding %s; move the send outside the critical section or use select with default", quotedList(sortedKeys(ev.held)))
+			if len(ev.held) > 0 {
+				p.reportUnlessAllowed(ev.pos, "channel send while holding %s; move the send outside the critical section or use select with default", quotedList(sortedKeys(ev.held)))
+			}
 		case evEnqueue:
-			p.reportUnlessAllowed(ev.pos, "outbox enqueue while holding %s; enqueue after unlocking", quotedList(sortedKeys(ev.held)))
+			if len(ev.held) > 0 {
+				p.reportUnlessAllowed(ev.pos, "outbox enqueue while holding %s; enqueue after unlocking", quotedList(sortedKeys(ev.held)))
+			}
+		case evUnresolved:
+			sel := unparen(ev.call.Fun).(*ast.SelectorExpr)
+			p.reportUnlessAllowed(ev.pos, "cannot resolve the lock class of %s.%s(); annotate the field with //sqlcm:lock or keep the receiver locally inferable", exprText(sel.X), sel.Sel.Name)
 		}
 	}})
 }
 
-func runLockClass(p *Pass) {
-	order := p.Prog.lockOrder()
+// checkLockCall applies a callee's lock summary at a call site: the
+// classes it requires held, the ones it may acquire (ordered against the
+// caller's held set) and the ones it releases.
+func checkLockCall(p *Pass, order *lockOrder, ev lockEvent) {
+	name, verb := funcRef(ev.callee, p.Pkg.Types), "acquires"
+	if ev.sum.external {
+		verb = "may acquire"
+	}
+	for _, req := range ev.sum.requires {
+		if _, ok := ev.held[req]; !ok {
+			p.reportUnlessAllowed(ev.pos, "call to %s requires %q to be held (//sqlcm:lock-held)", name, req)
+		}
+	}
+	for _, class := range ev.sum.acquires {
+		if slices.Contains(ev.sum.releases, class) {
+			// The callee manages this class's lifecycle itself (lock
+			// handoff): any internal re-acquire happens after the
+			// declared release, and the lock-held check above already
+			// validated the entry state.
+			continue
+		}
+		if prev, ok := ev.held[class]; ok {
+			if !prev.maybe {
+				p.reportUnlessAllowed(ev.pos, "call to %s %s %q which is already held", name, verb, class)
+			}
+			continue
+		}
+		for _, h := range sortedKeys(ev.held) {
+			if !order.reachable(h, class) {
+				p.reportUnlessAllowed(ev.pos, "call to %s %s %q while holding %q: "+noOrderPath, name, verb, class, h, h, class)
+			}
+		}
+	}
+	for _, class := range ev.sum.releases {
+		_, held := ev.held[class]
+		if _, net := ev.sum.net[class]; !held && !net && !ev.handoff[class] {
+			p.reportUnlessAllowed(ev.pos, "call to %s releases %q which is not held", name, class)
+		}
+	}
+}
+
+// checkLockDecls checks the declarations themselves: defects of the
+// declared order, lock-held/lock-release directives naming unknown
+// classes, and mutex fields with a missing or malformed annotation.
+func checkLockDecls(p *Pass, order *lockOrder) {
 	for _, prob := range order.problems {
 		if prob.pkg == p.Pkg {
 			p.Reportf(prob.pos, "%s", prob.msg)
@@ -179,12 +162,6 @@ func runLockClass(p *Pass) {
 			return true
 		})
 	}
-	p.watchHeld(heldSink{lock: func(ev lockEvent) {
-		if ev.kind == evUnresolved {
-			sel := unparen(ev.call.Fun).(*ast.SelectorExpr)
-			p.reportUnlessAllowed(ev.pos, "cannot resolve the lock class of %s.%s(); annotate the field with //sqlcm:lock or keep the receiver locally inferable", exprText(sel.X), sel.Sel.Name)
-		}
-	}})
 }
 
 // checkMutexFields requires every named mutex field of a struct to carry
@@ -242,7 +219,7 @@ type lockOrder struct {
 }
 
 // orderProblem is a defect of the declared order itself, reported by the
-// lockclass analyzer when it runs over the declaring package.
+// lockorder analyzer when it runs over the declaring package.
 type orderProblem struct {
 	pkg *Package
 	pos token.Pos

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// The lock-hierarchy analyzers (lockorder, lockunlock, locksend,
-// lockclass) over in-memory packages: one case per walk feature.
+// The lock-hierarchy analyzer (lockorder: order, balance, sends under a
+// lock, classes) over in-memory packages: one case per walk feature.
 
 const lockHeader = `package x
 
@@ -186,7 +186,6 @@ func TestLockGoroutineBodyStartsUnlocked(t *testing.T) {
 	wantFindings(t, analyzeSrc(t, lockHeader+`
 func (g *guarded) ok() {
 	g.a.Lock()
-	//sqlcm:owned-by nobody; only the held-set at the go statement is under test
 	go func() {
 		g.ch <- 1
 	}()

@@ -77,6 +77,11 @@ type Index struct {
 	Columns []int // column ordinals in the table schema
 	Unique  bool
 	Primary bool
+	// BuiltAt is the commit timestamp a CREATE INDEX build read the table
+	// at (0 for indexes declared with the table). The build indexes chain
+	// heads only, so a snapshot older than BuiltAt may need row versions
+	// the tree never held.
+	BuiltAt int64
 }
 
 // Procedure is a stored procedure: parameters and a parsed body.

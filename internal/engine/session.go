@@ -232,6 +232,9 @@ func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
 	if err != nil {
 		return err
 	}
+	// Under the exclusive lock every committed version of the table is at
+	// or below the last commit, and the build reads the chain heads.
+	ix.BuiltAt = s.e.tm.LastCommit()
 	if err := ts.AddIndex(&exec.Ctx{Txn: t}, ix); err != nil {
 		return err
 	}

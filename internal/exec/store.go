@@ -165,6 +165,22 @@ func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange
 	return r, null, nil
 }
 
+// contains reports whether key lies in the range, bounds compared the way
+// index.BTree.ScanRange compares them.
+func (r *keyRange) contains(key []byte) bool {
+	if r.lo != nil {
+		if c := bytes.Compare(key, r.lo); c < 0 || (c == 0 && !r.loIncl) {
+			return false
+		}
+	}
+	if r.hi != nil {
+		if c := bytes.Compare(key, r.hi); c > 0 || (c == 0 && !r.hiIncl) {
+			return false
+		}
+	}
+	return true
+}
+
 // prefixSuccessor returns the smallest byte string greater than every string
 // with the given prefix.
 func prefixSuccessor(prefix []byte) []byte {
@@ -194,6 +210,9 @@ type Cursor struct {
 	rows    []storage.ChainRow
 	entries []indexEntry
 	pos     int
+	// span, when set, filters rows by the index range: a snapshot older
+	// than the index's build reads the whole table instead of the tree.
+	span *keyRange
 }
 
 type indexEntry struct {
@@ -228,11 +247,22 @@ func (ts *TableStore) openRange(snap storage.Snapshot, ix *catalog.Index, r keyR
 // index-NL join seeks once per outer row). Entries keep the tree's key
 // slices: key bytes are never written after Insert.
 func (c *Cursor) seek(r keyRange) error {
+	c.pos = 0
+	if c.snap.TS < c.index.BuiltAt {
+		// The tree holds the chain heads of its build: versions this
+		// snapshot sees may be missing from it. Plans are cached across
+		// snapshots, so the check is here and not in the planner.
+		if c.rows == nil {
+			c.rows = c.ts.Vers.SnapScan(c.snap)
+		}
+		c.span = &r
+		return nil
+	}
 	bt, ok := c.ts.Indexes()[c.index.Name]
 	if !ok {
 		return fmt.Errorf("exec: index %q has no storage", c.index.Name)
 	}
-	c.entries, c.pos = c.entries[:0], 0
+	c.entries = c.entries[:0]
 	bt.ScanRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, rid storage.RID) bool {
 		c.entries = append(c.entries, indexEntry{key: k, rid: rid})
 		return true
@@ -254,7 +284,7 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		var cr storage.ChainRow
 		var key []byte
 		visible := true
-		if c.index == nil {
+		if c.pos < len(c.rows) {
 			cr = c.rows[c.pos]
 		} else {
 			key = c.entries[c.pos].key
@@ -271,7 +301,12 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if c.index != nil && !bytes.Equal(c.ts.IndexKey(c.index, row), key) {
+		switch {
+		case c.span != nil:
+			if !c.span.contains(c.ts.IndexKey(c.index, row)) {
+				continue
+			}
+		case c.index != nil && !bytes.Equal(c.ts.IndexKey(c.index, row), key):
 			// Stale entry: index cleanup is deferred to PruneVersions, so
 			// the visible version may carry a different key; that key's own
 			// entry locates the row if it qualifies.

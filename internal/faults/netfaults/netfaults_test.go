@@ -91,7 +91,7 @@ func TestResetAfterBytes(t *testing.T) {
 	fc := newConn(a, Plan{ResetAfter: 10}, nil, 1)
 	fc.clk = testClock{}
 
-	//sqlcm:owned-by the deferred b.Close ends the copy with the pipe
+	// The deferred b.Close ends the copy with the pipe.
 	go io.Copy(io.Discard, b) //nolint:errcheck
 
 	// First write is capped to the 10-byte budget, second one trips the
@@ -118,7 +118,7 @@ func TestSlowReadIsByteAtATime(t *testing.T) {
 	fc := newConn(a, Plan{SlowReadDelay: time.Microsecond}, nil, 1)
 	fc.clk = testClock{}
 
-	//sqlcm:owned-by the test's reads drain the pipe; the deferred b.Close backstops
+	// The test's reads drain the pipe; the deferred b.Close backstops.
 	go b.Write([]byte("hello")) //nolint:errcheck
 
 	buf := make([]byte, 16)

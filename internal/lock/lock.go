@@ -1,6 +1,9 @@
-// Package lock implements the engine's lock manager: shared/exclusive
-// table and row locks with FIFO queuing, lock upgrades, wait-for-graph
-// deadlock detection, cancellation, and blocking notifications.
+// Package lock implements the engine's lock manager: FIFO queuing,
+// wait-for-graph deadlock detection, cancellation, and blocking
+// notifications. The engine requests one kind of lock, a table-level
+// Exclusive lock (DML, CREATE INDEX and the direct writers); the Shared
+// mode, row resources and S->X upgrades are implemented here but have no
+// caller outside this package's tests.
 //
 // The notification hooks are the instrumentation points the SQLCM monitor
 // uses to expose the Blocker and Blocked monitored classes and the

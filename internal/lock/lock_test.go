@@ -284,7 +284,7 @@ func TestBlockSnapshot(t *testing.T) {
 	if err := m.Acquire(1, res("t"), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	//sqlcm:owned-by the ReleaseAll below grants the waiter and ends it
+	// The ReleaseAll below grants the waiter, which ends the goroutine.
 	go m.Acquire(2, res("t"), Shared) //nolint:errcheck
 	time.Sleep(50 * time.Millisecond)
 	pairs := m.BlockSnapshot()

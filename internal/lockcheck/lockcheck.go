@@ -10,12 +10,12 @@
 // rules.timer" means rules.timer may be held when acquiring sim.clock).
 // Two independent enforcers consume it:
 //
-//   - the lockorder, lockunlock, locksend and lockclass analyzers of
-//     internal/analysis (run by sqlcm-vet -code): a type-checked static
-//     pass that walks every function, tracks the set of held classes
-//     across calls, and reports acquisitions that violate the declared
-//     order, Lock calls without a dominating Unlock, and locks held
-//     across channel sends or outbox enqueues.
+//   - the lockorder analyzer of internal/analysis (run by sqlcm-vet
+//     -code): a type-checked static pass that walks every function,
+//     tracks the set of held classes across calls, and reports
+//     acquisitions that violate the declared order, Lock calls without a
+//     dominating Unlock, and locks held across channel sends or outbox
+//     enqueues.
 //
 //   - a runtime lockdep, compiled in with -tags sqlcmlockdep: the Mutex
 //     and RWMutex wrappers below record the per-goroutine held-set and

@@ -398,7 +398,8 @@ func (o *Outbox) runJob(ks *kindState, job Job) {
 // own goroutine so a hung action cannot pin the worker past the deadline.
 func (o *Outbox) attempt(ks *kindState, job Job) error {
 	result := make(chan error, 1)
-	//sqlcm:owned-by result channel: buffered, so the goroutine ends when the action returns even after the deadline abandons it
+	// result is buffered, so the goroutine ends when the action returns even
+	// after the deadline abandons it.
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {

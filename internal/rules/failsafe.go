@@ -110,8 +110,6 @@ func (e *Engine) safeEvalRule(r *Rule, st *evalState) {
 
 // evalRuleRecover runs one evaluation under recover, converting a panic in
 // the condition or the action list into an error.
-//
-//sqlcm:recovered
 func (e *Engine) evalRuleRecover(r *Rule, st *evalState) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

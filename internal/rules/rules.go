@@ -373,10 +373,10 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 
 // evalRule evaluates one rule against the context bound in st. It runs
 // user rule code (condition and actions), so it must only be reached
-// through a recover-protected wrapper.
+// through the recover-protected safeEvalRule (the failsafe tests and the
+// chaos tier's panicking rules fail the moment it is not).
 //
 //sqlcm:hotpath
-//sqlcm:callback
 func (e *Engine) evalRule(r *Rule, st *evalState) {
 	e.evaluations.Add(1)
 	if r.cond != nil {

@@ -5,9 +5,9 @@
 // policy and the monitoring schema cannot drift apart — there is exactly
 // one table to change.
 //
-// Raw five-character SQLSTATE string literals anywhere else in the tree
-// are findings: the errcode analyzer in internal/analysis enforces that
-// this package stays the only source (sqlcm-vet -code).
+// The server writes only codes from this table (protoWriter.writeError
+// takes a Code, not a string), and the wire tests in internal/server pin
+// the code each refusal and failure path puts on the wire.
 package errcode
 
 import "sort"

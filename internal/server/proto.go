@@ -400,7 +400,7 @@ func (e *WireError) Error() string {
 
 // writeError frames one ErrorResponse. The code comes from the
 // internal/server/errcode table — the single source for the wire
-// taxonomy; raw SQLSTATE literals here are analyzer findings.
+// taxonomy.
 func (pw *protoWriter) writeError(code errcode.Code, msg string) error {
 	pw.begin(msgErrorResponse)
 	pw.putByte('S')

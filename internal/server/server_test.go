@@ -95,12 +95,12 @@ func TestWireSimpleQuery(t *testing.T) {
 		t.Fatalf("empty query: %v", err)
 	}
 
-	// A statement error arrives as a WireError and the connection stays
-	// usable.
+	// A statement error arrives as a WireError with the generic execution
+	// code, and the connection stays usable.
 	_, err = cli.Query("SELECT nope FROM nothing")
 	var we *server.WireError
-	if !errors.As(err, &we) {
-		t.Fatalf("bad sql: got %v, want WireError", err)
+	if !errors.As(err, &we) || we.Code != errcode.SyntaxOrExec.SQLSTATE {
+		t.Fatalf("bad sql: got %v, want WireError %s", err, errcode.SyntaxOrExec.SQLSTATE)
 	}
 	if rows, err = cli.Query("SELECT COUNT(*) FROM t"); err != nil || rows.Rows[0][0].Int() != 3 {
 		t.Fatalf("connection unusable after error: %v %+v", err, rows)
@@ -148,11 +148,11 @@ func TestWirePreparedStatements(t *testing.T) {
 	if err := cli.Prepare("by_id", "SELECT 1", 0); !errors.As(err, &we) || we.Code != errcode.DuplicateStmt.SQLSTATE {
 		t.Fatalf("duplicate stmt: %v", err)
 	}
-	if err := cli.Prepare("bad", "SELECT FROM WHERE"); !errors.As(err, &we) {
+	if err := cli.Prepare("bad", "SELECT FROM WHERE"); !errors.As(err, &we) || we.Code != errcode.SyntaxOrExec.SQLSTATE {
 		t.Fatalf("bad prepare: %v", err)
 	}
 	// Wrong arity is caught at Bind.
-	if _, err := cli.ExecPrepared("by_id"); !errors.As(err, &we) {
+	if _, err := cli.ExecPrepared("by_id"); !errors.As(err, &we) || we.Code != errcode.SyntaxOrExec.SQLSTATE {
 		t.Fatalf("missing params: %v", err)
 	}
 	rows, err := cli.ExecPrepared("by_id", sqltypes.NewInt(1))

@@ -189,6 +189,10 @@ func (m *Manager) Begin(implicit bool) *Txn {
 	return t
 }
 
+// LastCommit returns the highest published commit timestamp: every
+// committed version carries a timestamp at or below it.
+func (m *Manager) LastCommit() int64 { return m.lastCommit.Load() }
+
 // Commit finishes the transaction and releases its locks.
 func (m *Manager) Commit(t *Txn) error {
 	t.mu.Lock()

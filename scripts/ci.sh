@@ -12,13 +12,14 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 
-# Lint tier: go vet, the in-repo analyzers (hot-path hygiene, rule-callback
-# recover discipline, context propagation, cancellation points, goroutine
-# ownership, SQLSTATE single-sourcing, the data-protection suite
-# (//sqlcm:guards field access, atomics-everywhere, //sqlcm:cow publish
-# checking), and the //sqlcm:lock hierarchy suite (order, unlock balance,
-# sends under latches, unclassed mutexes; cross-package edges included);
-# `sqlcm-vet -analyzers` lists them), rule-set static
+# Lint tier: go vet, the in-repo analyzers (`sqlcm-vet -analyzers` lists
+# them: hotpath — no clock reads on the hot path; ctxprop — context
+# propagation; cancelpoint — cancellation points; guardedby —
+# //sqlcm:guards field access; cowpublish — //sqlcm:cow publish checking;
+# lockorder — the //sqlcm:lock hierarchy: order, unlock balance, sends
+# under latches, unclassed mutexes, cross-package edges included; each is
+# the sole catcher of some bug in the mutation tier below), the check
+# that every //sqlcm: directive is a known verb, rule-set static
 # analysis, and pinned staticcheck
 # (offline-tolerant; see scripts/staticcheck.sh). docs/lock-order.md must
 # be current relative to the annotations. All hard gates, shared with the
@@ -107,3 +108,10 @@ go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|B
 go test -run='^$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
+
+# Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
+# applies every internal/analysis/testdata/mutations/*.patch to a fresh
+# copy of the tree and runs each one through vet, sqlcm-vet -code, test,
+# race, lockdep, sim and chaos — about 100 minutes for the 34 patches on
+# a 2-CPU host. Run it when an analyzer, a directive or a runtime tier
+# changes; its table is DESIGN.md §12.
