@@ -9,7 +9,7 @@ build:
 # them) — no clock reads on the hot path (hotpath), context propagation
 # (ctxprop), cancellation-point proofs (cancelpoint), guarded-field access
 # (guardedby), copy-on-write publication (cowpublish) and the lock
-# hierarchy (lockorder), plus the driver's check that every //sqlcm:
+# hierarchy (lockorder), plus a check that every //sqlcm:
 # directive is a known verb, all over one type-checked load — and static
 # analysis of the shipped rule sets (which must be finding-free even in
 # strict mode). docs/lock-order.md must match the annotations.

@@ -212,7 +212,7 @@ var directiveVerbs = map[string]bool{
 // names no listed verb — a typo (//sqlcm:guard) or a verb whose check was
 // deleted would otherwise switch a check off silently — and every
 // //sqlcm:allow without a reason, since the suppression is reviewed like
-// code and a bare allow gives the reviewer nothing to review. Test files
+// code and a bare allow gives a code review nothing to check. Test files
 // are covered too.
 func checkDirectives(prog *Program, pkg *Package, report func(Diagnostic)) {
 	for _, files := range [][]*ast.File{pkg.Files, pkg.TestFiles} {
