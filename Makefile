@@ -115,9 +115,11 @@ cover:
 	./scripts/coverfloor.sh
 
 # Fuzz smoke: harden the {ref} substitution scanner and the wire-protocol
-# frame parser, and hold rule conditions and WHERE clauses to the same
-# answer on NULL-free input. One -fuzz target per go test invocation.
+# frame parser, hold rule conditions and WHERE clauses to the same answer
+# on NULL-free input, and texts with one template key to one parse. One
+# -fuzz target per go test invocation.
 fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzTemplateKey -fuzztime=30s ./internal/sqlparser/
 	$(GO) test -run='^$$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/

@@ -8,6 +8,7 @@ package sqlcm
 //	A-EVICT BenchmarkLATEviction*        — §4.3 bounded vs. unbounded LATs
 //	A-PAR   Benchmark*Parallel           — hot-path scaling across -cpu
 //	A-MON   BenchmarkMonitoredPointRead  — §2.1 what the bench rule set costs a point read
+//	A-TPL   BenchmarkAdhocRange          — §4.2 an ad-hoc statement on its template's plan
 //
 // The paper-shaped sweeps (E-SIG, E-FIG2, E-FIG3: signature cost, rule
 // overhead, monitoring approaches) are produced by cmd/sqlcm-bench over
@@ -308,7 +309,7 @@ func BenchmarkSigCacheParallel(b *testing.B) {
 	for i := range infos {
 		sql := fmt.Sprintf("SELECT l_quantity FROM lineitem WHERE l_id = %d", i+1)
 		l, p := sigBenchPlans(b, eng, sql)
-		infos[i] = &engine.QueryInfo{Logical: l, Physical: p}
+		infos[i] = &engine.QueryInfo{Logical: l, Physical: p, Sigs: new(engine.SigSlot)}
 	}
 	c := monitor.NewSigCache()
 	b.ReportAllocs()
@@ -332,10 +333,11 @@ func BenchmarkSigCacheParallel(b *testing.B) {
 // benchmark's own rule set (bench/rules/bench.rules, read, not copied).
 // ---------------------------------------------------------------------------
 
-// monitoredPointRead opens a DB loaded by workload.Setup with the bench
-// rule set installed and returns one prepared point SELECT per call of the
-// returned function.
-func monitoredPointRead(tb testing.TB) (*DB, func()) {
+const benchLineitems = 2000
+
+// monitoredDB opens a DB loaded by workload.Setup with the bench rule set
+// installed.
+func monitoredDB(tb testing.TB) *DB {
 	tb.Helper()
 	src, err := os.ReadFile("bench/rules/bench.rules")
 	if err != nil {
@@ -346,15 +348,22 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { db.Close() })
-	const lineitems = 2000
 	if _, err := workload.Setup(db.Engine(), workload.Config{
-		Lineitems: lineitems, ShortQueries: 1, JoinQueries: 1, Seed: 1,
+		Lineitems: benchLineitems, ShortQueries: 1, JoinQueries: 1, Seed: 1,
 	}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := db.LoadRuleSet(string(src)); err != nil {
 		tb.Fatal(err)
 	}
+	return db
+}
+
+// monitoredPointRead returns a monitored DB and one prepared point SELECT
+// per call of the returned function.
+func monitoredPointRead(tb testing.TB) (*DB, func()) {
+	tb.Helper()
+	db := monitoredDB(tb)
 	p, err := db.Session("bench", "bench").Prepare("SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_id = @key")
 	if err != nil {
 		tb.Fatal(err)
@@ -362,7 +371,7 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 	params := map[string]sqltypes.Value{"key": sqltypes.NewInt(1)}
 	key := int64(0)
 	return db, func() {
-		key = key%lineitems + 1
+		key = key%benchLineitems + 1
 		params["key"] = sqltypes.NewInt(key)
 		if res, err := p.Exec(params); err != nil || len(res.Rows) != 1 {
 			tb.Fatalf("point read %d: %v", key, err)
@@ -413,5 +422,65 @@ func BenchmarkMonitoredPointRead(b *testing.B) {
 				read()
 			}
 		})
+	}
+}
+
+// ---------------------------------------------------------------------------
+// An ad-hoc statement in process: the repo benchmark's adhoc_compile_mon_on
+// range SELECT, literals inline and no text repeated within a run of 4096,
+// on the monitored DB above. Every text is a new one; the template is not.
+// ---------------------------------------------------------------------------
+
+// adhocRange returns a monitored DB and one new range SELECT text per call
+// of the returned function.
+func adhocRange(tb testing.TB) (*DB, func()) {
+	tb.Helper()
+	db := monitoredDB(tb)
+	texts := make([]string, 4096)
+	for i := range texts {
+		lo := i*7%(benchLineitems-20) + 1
+		texts[i] = fmt.Sprintf("SELECT l_id, l_quantity, l_extendedprice FROM lineitem WHERE l_id >= %d AND l_id < %d", lo, lo+1+i%20)
+	}
+	sess := db.Session("bench", "bench")
+	i := 0
+	return db, func() {
+		sql := texts[i%len(texts)]
+		i++
+		if res, err := sess.Exec(sql, nil); err != nil || len(res.Rows) == 0 {
+			tb.Fatalf("%s: %v", sql, err)
+		}
+	}
+}
+
+// TestAdhocRangeAllocs pins the allocations of an ad-hoc statement whose
+// template is cached: one lex (three allocations) and one lookup instead of
+// a parse, a plan and a signature computation. 128 here (130–131 under
+// -race, which drops pooled objects at random); the same statements
+// allocated 230 times each when the plan cache was keyed on the raw text
+// and every new text was compiled. Most of the rest is the ~10 result
+// rows.
+func TestAdhocRangeAllocs(t *testing.T) {
+	if lockcheck.Enabled {
+		t.Skip("the lockdep build's instrumented latches allocate")
+	}
+	_, query := adhocRange(t)
+	for i := 0; i < 200; i++ {
+		query()
+	}
+	if n := testing.AllocsPerRun(500, query); n > 135 {
+		t.Errorf("%.1f allocations per ad-hoc range SELECT, want <= 135", n)
+	}
+}
+
+// BenchmarkAdhocRange reports one ad-hoc range SELECT, monitored.
+func BenchmarkAdhocRange(b *testing.B) {
+	_, query := adhocRange(b)
+	for i := 0; i < 200; i++ {
+		query()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
 	}
 }

@@ -47,7 +47,8 @@ type Engine struct {
 	// statement loads it, so reading it takes no lock.
 	hooks atomic.Pointer[Hooks]
 
-	// planMu protects the plan cache.
+	// planMu protects the plan cache, keyed by template
+	// (sqlparser.Template.Key) and bounded by planCacheCap.
 	//sqlcm:lock engine.plan
 	//sqlcm:guards planCache
 	planMu    lockcheck.Mutex
@@ -69,9 +70,9 @@ type Engine struct {
 	// Versions_Pruned / Versions_Retained probes).
 	mvccStats storage.VersionStats
 
-	// planGen counts plan-cache invalidations (DDL). Prepared statements
-	// snapshot it and re-plan when it moves, so a handle never executes a
-	// plan compiled against dropped or re-indexed schema.
+	// planGen counts plan-cache invalidations (DDL); it moves under planMu.
+	// Prepared statements snapshot it and re-plan when it moves, so a handle
+	// never executes a plan compiled against dropped or re-indexed schema.
 	planGen atomic.Int64
 }
 
@@ -83,6 +84,7 @@ type cachedPlan struct {
 	qtype     QueryType
 	optimize  time.Duration
 	instances atomic.Int64
+	sigs      SigSlot
 }
 
 // Open creates an engine.
@@ -357,64 +359,94 @@ func (b *lockBridge) ReleasedWithWaiters(holder lock.TxnID, res lock.Resource, w
 // Plan cache
 // ---------------------------------------------------------------------------
 
-// getPlan returns the cached plan for sql, compiling it on a miss. DDL is
-// never cached.
-func (e *Engine) getPlan(sql string) (*cachedPlan, bool, error) {
-	e.planMu.Lock()
-	if cp, ok := e.planCache[sql]; ok {
-		e.planMu.Unlock()
-		return cp, true, nil
-	}
-	e.planMu.Unlock()
+// planCacheCap bounds the plan cache in templates. Real workloads have a
+// handful (Ettu, PAPERS.md); the bound is for text built to defeat that.
+const planCacheCap = 4096
 
-	stmt, err := sqlparser.Parse(sql)
+// getPlan returns the plan of tpl's template, compiling it on a miss, and
+// the plan generation the plan was compiled under. DDL, EXEC, IF and SET
+// are never cached.
+func (e *Engine) getPlan(tpl *sqlparser.Template) (*cachedPlan, int64, error) {
+	e.planMu.Lock()
+	gen := e.planGen.Load()
+	cp, ok := e.planCache[string(tpl.Key)]
+	e.planMu.Unlock()
+	if ok {
+		return cp, gen, nil
+	}
+	stmt, err := tpl.Parse()
 	if err != nil {
-		return nil, false, err
+		return nil, 0, err
 	}
 	switch stmt.(type) {
 	case *sqlparser.Select, *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
+	case *sqlparser.Begin, *sqlparser.Commit, *sqlparser.Rollback:
+		return e.storePlan(tpl.Key, &cachedPlan{stmt: stmt}, gen), gen, nil
 	default:
-		return &cachedPlan{stmt: stmt}, false, nil // not cacheable, not a query
+		return &cachedPlan{stmt: stmt}, gen, nil // not cacheable, not a query
 	}
+	cp, err = e.compile(stmt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.storePlan(tpl.Key, cp, gen), gen, nil
+}
+
+// compile plans one query.
+func (e *Engine) compile(stmt sqlparser.Statement) (*cachedPlan, error) {
 	start := time.Now()
 	l, err := plan.BuildLogical(stmt, e.cat)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	p, err := plan.Optimize(l, e.cat)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	optTime := time.Since(start)
-	cp := &cachedPlan{
+	return &cachedPlan{
 		stmt:     stmt,
 		logical:  l,
 		physical: p,
 		estCost:  p.EstCost(),
 		qtype:    queryTypeOf(stmt),
-		optimize: optTime,
-	}
-	// Another session may have compiled the same text meanwhile: the first
-	// plan stored wins and every session runs that one, so the signature
-	// cache (keyed by plan identity) computes once per text.
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	if winner, ok := e.planCache[sql]; ok {
-		return winner, false, nil
-	}
-	e.planCache[sql] = cp
-	return cp, false, nil
+		optimize: time.Since(start),
+	}, nil
 }
 
-// invalidatePlans clears the plan cache (after DDL).
+// storePlan caches cp, compiled under generation gen, and returns the plan
+// every session runs for key. Another session may have compiled the same
+// template meanwhile: the first plan stored wins, so its signatures are
+// computed once. A plan compiled before DDL moved the generation is not
+// stored: it may be bound to a dropped table.
+func (e *Engine) storePlan(key []byte, cp *cachedPlan, gen int64) *cachedPlan {
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if e.planGen.Load() != gen {
+		return cp
+	}
+	if winner, ok := e.planCache[string(key)]; ok {
+		return winner
+	}
+	if len(e.planCache) >= planCacheCap {
+		for k := range e.planCache { // full: evict an arbitrary template
+			delete(e.planCache, k)
+			break
+		}
+	}
+	e.planCache[string(key)] = cp
+	return cp
+}
+
+// invalidatePlans clears the plan cache (after DDL). The generation moves
+// under planMu, so storePlan never caches a plan compiled before it.
 func (e *Engine) invalidatePlans() {
 	e.planMu.Lock()
 	e.planCache = make(map[string]*cachedPlan)
-	e.planMu.Unlock()
 	e.planGen.Add(1)
+	e.planMu.Unlock()
 }
 
-// PlanCacheSize returns the number of cached plans.
+// PlanCacheSize returns the number of cached plans (templates).
 func (e *Engine) PlanCacheSize() int {
 	e.planMu.Lock()
 	defer e.planMu.Unlock()

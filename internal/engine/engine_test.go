@@ -651,17 +651,18 @@ type instHooks struct {
 func (h *instHooks) QueryCompiled(q *QueryInfo) { h.last = q.Instances }
 
 // TestConcurrentPrepareSharesOnePlan: sessions that miss the plan cache on
-// the same new text at the same moment may all compile it, but every one of
-// them must end up holding the one plan that was stored — the monitor's
-// signature cache is keyed by plan identity, so a second stored plan means a
-// second signature computation for one statement text.
+// the same new template at the same moment may all compile it, but every
+// one of them must end up holding the one plan that was stored — the
+// signatures live in the plan's slot, so a second stored plan means a
+// second signature computation for one template.
 func TestConcurrentPrepareSharesOnePlan(t *testing.T) {
 	e := newTestEngine(t)
 	seedAccounts(t, e.NewSession("alice", "app"))
 
 	const sessions = 16
 	for round := 0; round < 20; round++ {
-		sql := fmt.Sprintf("SELECT balance FROM accounts WHERE id = @id AND balance > %d", round)
+		// The LIMIT count is part of the template: a new one every round.
+		sql := fmt.Sprintf("SELECT balance FROM accounts WHERE id = @id AND balance > %d LIMIT %d", round, round+1)
 		plans := make([]*cachedPlan, sessions)
 		start := make(chan struct{})
 		var wg sync.WaitGroup

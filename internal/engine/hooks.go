@@ -44,8 +44,11 @@ type QueryInfo struct {
 	Physical      plan.Physical
 	EstimatedCost float64
 	PlanCacheHit  bool
-	// Instances counts executions of this cached plan, including this one.
+	// Instances counts executions of this cached plan (its template),
+	// including this one.
 	Instances int64
+	// Sigs is the cached plan's signature slot (nil without a plan).
+	Sigs *SigSlot
 
 	// Transaction context.
 	TxnID lock.TxnID
@@ -125,6 +128,11 @@ func (q *QueryInfo) NoteMaxChain(n int) { q.maxChain.Store(int64(n)) }
 // MaxChain returns the longest version chain the statement walked (the
 // Version_Chain_Length probe; 0 for writes).
 func (q *QueryInfo) MaxChain() int64 { return q.maxChain.Load() }
+
+// SigSlot holds what the monitor computes once per cached plan, its
+// signatures (§4.2). It lives on the plan-cache entry, so evicting a plan
+// frees its signatures too.
+type SigSlot struct{ atomic.Value }
 
 // TxnInfo is the engine-side record of one transaction, the raw material
 // for the Transaction monitored class.

@@ -4,25 +4,26 @@ import (
 	"context"
 	"fmt"
 
+	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 )
 
-// Prepared is a server-side prepared statement: one parse/plan, many
-// executions with different parameter bindings. The handle shares the
-// engine-wide cached plan for its text, so the monitor's signature cache
-// computes the statement's signatures exactly once no matter how many
-// sessions or connections prepare it (§4.2's compute-once discipline,
-// extended across the wire). A handle belongs to the session that prepared
-// it and follows the same single-goroutine contract.
+// Prepared is a server-side prepared statement: one lex and plan lookup,
+// many executions with different parameter bindings. The handle shares the
+// engine-wide cached plan of its template, so the monitor computes the
+// statement's signatures exactly once no matter how many sessions or
+// connections prepare it (§4.2's compute-once discipline, extended across
+// the wire). A handle belongs to the session that prepared it and follows
+// the same single-goroutine contract.
 type Prepared struct {
 	s   *Session
 	sql string
+	// tpl is the statement's template: its literals, bound on every
+	// execution, and its parameter names in first-appearance order, which
+	// wire protocols bind positional values through.
+	tpl sqlparser.Template
 	cp  *cachedPlan
 	gen int64 // engine plan generation the plan was compiled under
-	// names lists the statement's parameter names (@name placeholders) in
-	// first-appearance order; wire protocols bind positional values
-	// through it.
-	names []string
 }
 
 // Prepare parses and plans one statement for repeated execution.
@@ -34,17 +35,15 @@ func (s *Session) Prepare(sql string) (*Prepared, error) {
 	if s.e.closed.Load() {
 		return nil, errClosed
 	}
-	cp, _, err := s.e.getPlan(sql)
-	if err != nil {
+	p := &Prepared{s: s, sql: sql}
+	var err error
+	if p.tpl, err = sqlparser.Lex(sql); err != nil {
 		return nil, err
 	}
-	return &Prepared{
-		s:     s,
-		sql:   sql,
-		cp:    cp,
-		gen:   s.e.planGen.Load(),
-		names: ScanParamNames(sql),
-	}, nil
+	if p.cp, p.gen, err = s.e.getPlan(&p.tpl); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // SQL returns the statement text.
@@ -52,7 +51,7 @@ func (p *Prepared) SQL() string { return p.sql }
 
 // ParamNames returns the statement's parameter names in first-appearance
 // order (without the leading '@').
-func (p *Prepared) ParamNames() []string { return append([]string(nil), p.names...) }
+func (p *Prepared) ParamNames() []string { return append([]string(nil), p.tpl.Params...) }
 
 // Exec runs the prepared statement with the given parameter bindings.
 //
@@ -73,57 +72,14 @@ func (p *Prepared) ExecContext(ctx context.Context, params map[string]sqltypes.V
 		return nil, errClosed
 	}
 	// DDL since Prepare invalidated the plan cache: re-plan against the
-	// current schema before executing (the text, not the plan, is the
+	// current schema before executing (the template, not the plan, is the
 	// durable part of the handle).
-	if gen := s.e.planGen.Load(); gen != p.gen {
-		cp, _, err := s.e.getPlan(p.sql)
+	if s.e.planGen.Load() != p.gen {
+		cp, gen, err := s.e.getPlan(&p.tpl)
 		if err != nil {
 			return nil, fmt.Errorf("engine: re-preparing %q: %w", p.sql, err)
 		}
 		p.cp, p.gen = cp, gen
 	}
-	return s.execPlanned(ctx, p.cp, p.sql, params)
-}
-
-// ScanParamNames extracts the @name parameter placeholders of a statement
-// in first-appearance order, skipping string literals. It is lexical on
-// purpose: the scan must agree with what the parser treats as a parameter
-// without compiling the statement (wire front-ends describe parameters
-// before planning).
-func ScanParamNames(sql string) []string {
-	var names []string
-	seen := map[string]bool{}
-	inStr := false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if inStr {
-			if c == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case c == '\'':
-			inStr = true
-		case c == '@':
-			j := i + 1
-			for j < len(sql) && isParamChar(sql[j]) {
-				j++
-			}
-			if j > i+1 {
-				name := sql[i+1 : j]
-				if !seen[name] {
-					seen[name] = true
-					names = append(names, name)
-				}
-				i = j - 1
-			}
-		}
-	}
-	return names
-}
-
-// isParamChar reports whether c may appear in a parameter name.
-func isParamChar(c byte) bool {
-	return c == '_' || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+	return s.execPlanned(ctx, p.cp, p.sql, params, p.tpl.Lits)
 }

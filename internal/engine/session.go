@@ -163,14 +163,20 @@ func (s *Session) ExecContext(ctx context.Context, sql string, params map[string
 	if s.e.closed.Load() {
 		return nil, errClosed
 	}
-	cp, _, err := s.e.getPlan(sql)
+	tpl, err := sqlparser.Lex(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.execPlanned(ctx, cp, sql, params)
+	cp, _, err := s.e.getPlan(&tpl)
+	if err != nil {
+		return nil, err
+	}
+	return s.execPlanned(ctx, cp, sql, params, tpl.Lits)
 }
 
-func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value) (*Result, error) {
+// execPlanned runs one statement: its plan, text, bind parameters and
+// normalized literals.
+func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	switch stmt := cp.stmt.(type) {
 	case *sqlparser.Begin:
 		return nil, s.begin()
@@ -198,7 +204,7 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 	case *sqlparser.Exec:
 		return s.execProcedure(ctx, stmt, params)
 	case *sqlparser.Select, *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
-		return s.runQuery(ctx, cp, sql, params)
+		return s.runQuery(ctx, cp, sql, params, lits)
 	default:
 		return nil, fmt.Errorf("engine: statement %T not executable at session level", cp.stmt)
 	}
@@ -356,7 +362,7 @@ func tablesOf(l plan.Logical) []string {
 	return out
 }
 
-func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value) (*Result, error) {
+func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	// A context already cancelled at entry fails fast, before a
 	// transaction begins or the statement registers — the deterministic
 	// floor under the asynchronous watcher below.
@@ -396,13 +402,14 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 		TxnID:        t.ID,
 		Txn:          t,
 		// Plans come from the cache; signatures are computed by the monitor
-		// on first dispatch and cached with the plan (see monitor package).
+		// on first dispatch and kept in the plan's slot (see monitor package).
 		Logical:       cp.logical,
 		Physical:      cp.physical,
 		EstimatedCost: cp.estCost,
 		OptimizeTime:  cp.optimize,
 		Instances:     instances,
 		PlanCacheHit:  instances > 1,
+		Sigs:          &cp.sigs,
 		SnapshotTS:    t.SnapshotTS(),
 		SnapshotAt:    t.SnapshotAt(),
 		MVCC:          s.e.MVCCStats(),
@@ -418,7 +425,7 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 
 	ti.QueryIDs = append(ti.QueryIDs, qi.ID)
 
-	res, err := s.executeBody(cp, qi, t, params)
+	res, err := s.executeBody(cp, qi, t, params, lits)
 	dur := time.Since(qi.StartTime)
 	if stopWatch != nil {
 		stopWatch()
@@ -470,8 +477,8 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 // so they produce no Blocker/Blocked events. Writes take exclusive table
 // locks (strict 2PL): write-write blocking and deadlock behavior are those
 // of a plain locking engine.
-func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value) (*Result, error) {
-	ctx := &exec.Ctx{Txn: t, Params: params}
+func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
+	ctx := &exec.Ctx{Txn: t, Params: params, Lits: lits}
 	if cp.qtype == QuerySelect {
 		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
 	} else {
@@ -653,13 +660,18 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			}
 		default:
 			// Regular statement: go through the planned path (cached by
-			// its canonical text) so it is monitored like any query.
+			// the template of its canonical text) so it is monitored like
+			// any query.
 			text := stmt.String()
-			cp, _, err := s.e.getPlan(text)
+			tpl, err := sqlparser.Lex(text)
 			if err != nil {
 				return nil, err
 			}
-			res, err := s.execPlanned(ctx, cp, text, locals)
+			cp, _, err := s.e.getPlan(&tpl)
+			if err != nil {
+				return nil, err
+			}
+			res, err := s.execPlanned(ctx, cp, text, locals, tpl.Lits)
 			if err != nil {
 				return nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/testutil"
 )
@@ -116,9 +117,18 @@ func TestScanParamNames(t *testing.T) {
 		{"SELECT '@not_a_param' FROM t WHERE a = @real", []string{"real"}},
 		{"SELECT 1", nil},
 		{"SELECT @p1, @P2, @_u3", []string{"p1", "P2", "_u3"}},
+		// Comments are skipped, as the parser skips them.
+		{"SELECT val FROM items WHERE id = @id -- was @old", []string{"id"}},
+		{"SELECT /* @a, */ @b FROM t", []string{"b"}},
+		// Non-ASCII letters continue a name, as they continue an identifier.
+		{"SELECT * FROM t WHERE größe = @größe AND b = @ß2", []string{"größe", "ß2"}},
 	}
 	for _, c := range cases {
-		got := ScanParamNames(c.sql)
+		tpl, err := sqlparser.Lex(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		got := tpl.Params
 		if len(got) != len(c.want) {
 			t.Fatalf("%q: got %v want %v", c.sql, got, c.want)
 		}

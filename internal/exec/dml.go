@@ -54,7 +54,7 @@ func ExecInsert(ctx *Ctx, sp StoreProvider, p *plan.PhysInsert, cat *catalog.Cat
 		}
 		//sqlcm:allow bounded by one row's width
 		for j, ev := range evals {
-			v, err := ev.Eval(Env{Params: ctx.Params})
+			v, err := ev.Eval(ctx.env(nil))
 			if err != nil {
 				return n, err
 			}
@@ -172,7 +172,7 @@ func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan
 	if err != nil {
 		return nil, err
 	}
-	cur, err := ts.open(ctx.Current(), a, ctx.Params)
+	cur, err := ts.open(ctx.Current(), a, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan
 			return out, err
 		}
 		if a.residual != nil {
-			ok, err := expr.EvalBool(a.residual, Env{Row: row, Params: ctx.Params})
+			ok, err := expr.EvalBool(a.residual, ctx.env(row))
 			if err != nil {
 				return nil, err
 			}
@@ -229,7 +229,7 @@ func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate) (int64, error) {
 		newRow := tgt.row.Clone()
 		//sqlcm:allow bounded by the statement's SET list
 		for i, s := range p.Sets {
-			v, err := setEvals[i].Eval(Env{Row: tgt.row, Params: ctx.Params})
+			v, err := setEvals[i].Eval(ctx.env(tgt.row))
 			if err != nil {
 				return n, err
 			}

@@ -23,7 +23,8 @@ func (r Row) Clone() Row {
 }
 
 // Env is what a compiled expression reads its leaves from: the current
-// tuple (Row) and the statement's bind parameters (Params).
+// tuple (Row), the statement's bind parameters (Params) and its normalized
+// literals (Lits).
 type Env = expr.Env
 
 // Evaluator is an expression compiled by Compile.

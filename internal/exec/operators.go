@@ -16,6 +16,8 @@ import (
 type Ctx struct {
 	Txn    *txn.Txn
 	Params map[string]sqltypes.Value
+	// Lits are the statement's normalized literals (sqlparser.Template).
+	Lits []sqltypes.Value
 
 	// RowsExamined counts base-table rows touched (a probe source for the
 	// monitor).
@@ -24,6 +26,9 @@ type Ctx struct {
 	// performed (the Version_Chain_Length probe).
 	MaxChain int
 }
+
+// env is what the statement's expressions read at row.
+func (c *Ctx) env(row Row) Env { return Env{Row: row, Params: c.Params, Lits: c.Lits} }
 
 // noteDepth records a version-chain walk length.
 func (c *Ctx) noteDepth(d int) {
@@ -178,7 +183,7 @@ func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) (*sca
 }
 
 func (s *scanOp) Open(ctx *Ctx) (err error) {
-	s.cur, err = s.store.open(ctx.Snapshot(), s.access, ctx.Params)
+	s.cur, err = s.store.open(ctx.Snapshot(), s.access, ctx)
 	return err
 }
 
@@ -190,7 +195,7 @@ func (s *scanOp) Next(ctx *Ctx) (Row, error) {
 			return nil, err
 		}
 		if s.access.residual != nil {
-			ok, err := expr.EvalBool(s.access.residual, Env{Row: row, Params: ctx.Params})
+			ok, err := expr.EvalBool(s.access.residual, ctx.env(row))
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +226,7 @@ func (f *filterOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		ok, err := expr.EvalBool(f.pred, Env{Row: row, Params: ctx.Params})
+		ok, err := expr.EvalBool(f.pred, ctx.env(row))
 		if err != nil {
 			return nil, err
 		}
@@ -247,7 +252,7 @@ func (p *projectOp) Next(ctx *Ctx) (Row, error) {
 	}
 	out := make(Row, len(p.evals))
 	for i, ev := range p.evals {
-		v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
+		v, err := ev.Eval(ctx.env(row))
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +305,7 @@ func (v *valuesOp) Next(ctx *Ctx) (Row, error) {
 	v.done = true
 	out := make(Row, len(v.evals))
 	for i, ev := range v.evals {
-		val, err := ev.Eval(Env{Params: ctx.Params})
+		val, err := ev.Eval(ctx.env(nil))
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +384,7 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 		if row == nil {
 			break
 		}
-		key, null, err := evalKey(j.rightKeys, row, ctx.Params)
+		key, null, err := evalKey(j.rightKeys, ctx.env(row))
 		if err != nil {
 			return err
 		}
@@ -391,10 +396,10 @@ func (j *hashJoinOp) Open(ctx *Ctx) error {
 	return nil
 }
 
-func evalKey(evals []Evaluator, row Row, params map[string]sqltypes.Value) (string, bool, error) {
+func evalKey(evals []Evaluator, env Env) (string, bool, error) {
 	vals := make([]sqltypes.Value, len(evals))
 	for i, ev := range evals {
-		v, err := ev.Eval(Env{Row: row, Params: params})
+		v, err := ev.Eval(env)
 		if err != nil {
 			return "", false, err
 		}
@@ -427,7 +432,7 @@ func (j *hashJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.curIdx++
 			joined := append(append(Row{}, j.leftRow...), rightRow...)
 			if j.residual != nil {
-				ok, err := expr.EvalBool(j.residual, Env{Row: joined, Params: ctx.Params})
+				ok, err := expr.EvalBool(j.residual, ctx.env(joined))
 				if err != nil {
 					return nil, err
 				}
@@ -441,7 +446,7 @@ func (j *hashJoinOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		key, null, err := evalKey(j.leftKeys, row, ctx.Params)
+		key, null, err := evalKey(j.leftKeys, ctx.env(row))
 		if err != nil {
 			return nil, err
 		}
@@ -517,7 +522,7 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.matchIdx++
 			joined := append(append(Row{}, j.outerRow...), inner...)
 			if j.residual != nil {
-				ok, err := expr.EvalBool(j.residual, Env{Row: joined, Params: ctx.Params})
+				ok, err := expr.EvalBool(j.residual, ctx.env(joined))
 				if err != nil {
 					return nil, err
 				}
@@ -531,7 +536,7 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		r, null, err := j.probe.keyRange(row, ctx.Params)
+		r, null, err := j.probe.keyRange(ctx.env(row))
 		if err != nil {
 			return nil, err
 		}
@@ -629,7 +634,7 @@ func (j *nlJoinOp) Next(ctx *Ctx) (Row, error) {
 			j.innerIdx++
 			joined := append(append(Row{}, j.leftRow...), inner...)
 			if j.on != nil {
-				ok, err := expr.EvalBool(j.on, Env{Row: joined, Params: ctx.Params})
+				ok, err := expr.EvalBool(j.on, ctx.env(joined))
 				if err != nil {
 					return nil, err
 				}
@@ -737,7 +742,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 		vals := make([]sqltypes.Value, len(a.groupBys))
 		keyVals := make([]sqltypes.Value, len(a.groupBys))
 		for i, ev := range a.groupBys {
-			v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
+			v, err := ev.Eval(ctx.env(row))
 			if err != nil {
 				return err
 			}
@@ -757,7 +762,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 				st.count++
 				continue
 			}
-			v, err := argEv.Eval(Env{Row: row, Params: ctx.Params})
+			v, err := argEv.Eval(ctx.env(row))
 			if err != nil {
 				return err
 			}
@@ -797,7 +802,7 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 			row = append(row, finishAgg(a.aggNames[i], st))
 		}
 		if a.having != nil {
-			ok, err := expr.EvalBool(a.having, Env{Row: row, Params: ctx.Params})
+			ok, err := expr.EvalBool(a.having, ctx.env(row))
 			if err != nil {
 				return err
 			}
@@ -911,7 +916,7 @@ func (s *sortOp) Open(ctx *Ctx) error {
 		}
 		keys := make([]sqltypes.Value, len(s.evals))
 		for i, ev := range s.evals {
-			v, err := ev.Eval(Env{Row: row, Params: ctx.Params})
+			v, err := ev.Eval(ctx.env(row))
 			if err != nil {
 				return err
 			}

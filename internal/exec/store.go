@@ -129,14 +129,14 @@ type keyRange struct {
 }
 
 // keyRange evaluates the path's index bounds: equality on a key prefix,
-// optionally narrowed by a range on the next key column. row feeds bounds
-// that reference an outer row (index nested-loop probes) and is nil
+// optionally narrowed by a range on the next key column. env.Row feeds
+// bounds that reference an outer row (index nested-loop probes) and is nil
 // otherwise. null reports a NULL equality value, which a join probe must
 // treat as matching nothing.
-func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange, null bool, err error) {
+func (a *access) keyRange(env Env) (r keyRange, null bool, err error) {
 	eq := make([]sqltypes.Value, len(a.eq))
 	for i, ev := range a.eq {
-		if eq[i], err = ev.Eval(Env{Row: row, Params: params}); err != nil {
+		if eq[i], err = ev.Eval(env); err != nil {
 			return r, false, err
 		}
 		null = null || eq[i].IsNull()
@@ -144,7 +144,7 @@ func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange
 	prefix := sqltypes.EncodeKey(eq...)
 	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
 	if a.lo != nil {
-		v, err := a.lo.Eval(Env{Row: row, Params: params})
+		v, err := a.lo.Eval(env)
 		if err != nil {
 			return r, false, err
 		}
@@ -152,7 +152,7 @@ func (a *access) keyRange(row Row, params map[string]sqltypes.Value) (r keyRange
 	}
 	switch {
 	case a.hi != nil:
-		v, err := a.hi.Eval(Env{Row: row, Params: params})
+		v, err := a.hi.Eval(env)
 		if err != nil {
 			return r, false, err
 		}
@@ -227,11 +227,11 @@ func (ts *TableStore) Scan(snap storage.Snapshot) *Cursor {
 
 // open starts a cursor along a. A NULL equality bound is looked up like any
 // other key.
-func (ts *TableStore) open(snap storage.Snapshot, a *access, params map[string]sqltypes.Value) (*Cursor, error) {
+func (ts *TableStore) open(snap storage.Snapshot, a *access, ctx *Ctx) (*Cursor, error) {
 	if a.index == nil {
 		return ts.Scan(snap), nil
 	}
-	r, _, err := a.keyRange(nil, params)
+	r, _, err := a.keyRange(ctx.env(nil))
 	if err != nil {
 		return nil, err
 	}

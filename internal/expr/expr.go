@@ -17,10 +17,12 @@ import (
 
 // Env is what leaves read their values from.
 type Env struct {
-	// Row and Params are the executor's current tuple and the statement's
-	// bind parameters.
+	// Row, Params and Lits are the executor's current tuple, the
+	// statement's bind parameters and its normalized literals
+	// (sqlparser.Template.Lits).
 	Row    []sqltypes.Value
 	Params map[string]sqltypes.Value
+	Lits   []sqltypes.Value
 	// Ctx is the state of any other caller's leaves (the rule engine's
 	// per-evaluation object context).
 	Ctx any
@@ -66,6 +68,9 @@ type Leaves interface {
 func Compile(e sqlparser.Expr, leaves Leaves) (Evaluator, error) {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
+		if x.Slot > 0 {
+			return &slotEval{i: x.Slot - 1, neg: x.Neg}, nil
+		}
 		return &constEval{v: x.Val}, nil
 	case *sqlparser.ColumnRef:
 		return leaves.Column(x)
@@ -274,6 +279,23 @@ func asPredicate(ev Evaluator) Predicate {
 type constEval struct{ v sqltypes.Value }
 
 func (e *constEval) Eval(Env) (sqltypes.Value, error) { return e.v, nil }
+
+// slotEval is a normalized literal: the statement's literal i, bound per
+// execution.
+type slotEval struct {
+	i   int
+	neg bool
+}
+
+func (e *slotEval) Eval(env Env) (sqltypes.Value, error) {
+	if e.i >= len(env.Lits) {
+		return sqltypes.Null, fmt.Errorf("expr: literal slot %d unbound", e.i+1)
+	}
+	if e.neg {
+		return sqltypes.Negate(env.Lits[e.i])
+	}
+	return env.Lits[e.i], nil
+}
 
 type arithEval struct {
 	op   sqltypes.BinaryOp

@@ -16,7 +16,8 @@ import (
 )
 
 // buildQueryInfo compiles one statement into a QueryInfo with real
-// logical/physical plans.
+// logical/physical plans and the plan's own signature slot, as a plan-cache
+// entry would give it.
 func buildQueryInfo(t *testing.T, cat *catalog.Catalog, sql string) *engine.QueryInfo {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -31,7 +32,7 @@ func buildQueryInfo(t *testing.T, cat *catalog.Catalog, sql string) *engine.Quer
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &engine.QueryInfo{Logical: l, Physical: p}
+	return &engine.QueryInfo{Logical: l, Physical: p, Sigs: new(engine.SigSlot)}
 }
 
 // TestSigCacheConcurrentSinglePlan races many goroutines onto the same

@@ -7,7 +7,6 @@ package monitor
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -157,15 +156,15 @@ type Sigs struct {
 	PhysicalText string
 }
 
-// SigCache memoizes per-plan signatures: the paper computes the signature
-// once during optimization and caches it with the query plan. Keys are
-// cached plans by identity (pointer-typed interface values).
+// SigCache computes per-plan signatures once: the paper computes the
+// signature during optimization and caches it with the query plan, and so
+// does this — in the plan-cache entry's slot (QueryInfo.Sigs), which an
+// eviction frees with the plan.
 type SigCache struct {
-	m        sync.Map     // plan.Logical → *Sigs
 	computes atomic.Int64 // number of actual computations (cache misses)
 }
 
-// NewSigCache returns an empty signature cache.
+// NewSigCache returns a signature cache with no computations counted.
 func NewSigCache() *SigCache { return &SigCache{} }
 
 // For returns the signatures for a compiled statement, computing them on
@@ -174,23 +173,26 @@ func (c *SigCache) For(q *engine.QueryInfo) *Sigs {
 	if q.Logical == nil {
 		return &Sigs{}
 	}
-	if s, ok := c.m.Load(q.Logical); ok {
-		return s.(*Sigs)
+	if q.Sigs != nil {
+		if s, ok := q.Sigs.Load().(*Sigs); ok {
+			return s
+		}
 	}
 	lid, ltext := signature.Logical(q.Logical)
 	pid, ptext := signature.Physical(q.Physical)
-	s, lost := c.m.LoadOrStore(q.Logical, &Sigs{
+	s := &Sigs{
 		Logical: lid, Physical: pid,
 		LogicalHex: lid.String(), PhysicalHex: pid.String(),
 		LogicalText: ltext, PhysicalText: ptext,
-	})
-	if !lost {
+	}
+	if q.Sigs != nil && !q.Sigs.CompareAndSwap(nil, s) {
 		// Only the winner of a racing first computation counts a miss,
 		// keeping the signature-overhead experiment's counter exact (one
 		// compute per distinct plan).
-		c.computes.Add(1)
+		return q.Sigs.Load().(*Sigs)
 	}
-	return s.(*Sigs)
+	c.computes.Add(1)
+	return s
 }
 
 // Computes returns the number of signature computations performed (cache

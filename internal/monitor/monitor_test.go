@@ -259,7 +259,7 @@ func TestSigCacheMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qi := &engine.QueryInfo{Logical: l, Physical: p}
+	qi := &engine.QueryInfo{Logical: l, Physical: p, Sigs: new(engine.SigSlot)}
 	c := NewSigCache()
 	s1 := c.For(qi)
 	s2 := c.For(qi)

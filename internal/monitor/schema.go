@@ -66,7 +66,7 @@ func QueryAttributes() []Attribute {
 		{Name: "Time_Blocked", Kind: sqltypes.KindFloat, Doc: "total lock wait (s)"},
 		{Name: "Times_Blocked", Kind: sqltypes.KindInt, Doc: "lock wait count"},
 		{Name: "Queries_Blocked", Kind: sqltypes.KindInt, Doc: "# of queries blocked by this one"},
-		{Name: "Number_of_instances", Kind: sqltypes.KindInt, Doc: "executions of this plan"},
+		{Name: "Number_of_instances", Kind: sqltypes.KindInt, Doc: "executions of this statement's template (its cached plan)"},
 		{Name: "Wait_Time", Kind: sqltypes.KindFloat, Doc: "wait of the current blocking event (s)"},
 		{Name: "Remote_Addr", Kind: sqltypes.KindString, Doc: "client address (NULL for embedded sessions)"},
 		{Name: "Connect_Time", Kind: sqltypes.KindTime, Doc: "owning session's connect time"},

@@ -27,26 +27,31 @@ func TestSigCacheDeterministicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	const plans = 20
-	infos := make([]*engine.QueryInfo, plans)
-	for i := range infos {
+	refInfos := make([]*engine.QueryInfo, plans)
+	for i := range refInfos {
 		// Vary shape, not just constants, so logical signatures differ too.
 		sql := fmt.Sprintf("SELECT a FROM t WHERE a = %d", i)
 		if i%3 == 0 {
 			sql = fmt.Sprintf("SELECT a, b FROM t WHERE a > %d", i)
 		}
-		infos[i] = buildQueryInfo(t, cat, sql)
+		refInfos[i] = buildQueryInfo(t, cat, sql)
 	}
 
 	// Sequential reference: one fresh cache, plans in order.
-	ref := NewSigCache()
+	refCache := NewSigCache()
 	want := make([]*Sigs, plans)
-	for i, qi := range infos {
-		want[i] = ref.For(qi)
+	for i, qi := range refInfos {
+		want[i] = refCache.For(qi)
 	}
 
 	for seed := int64(0); seed < 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			// The same plans, each with a fresh slot: a new cache entry.
+			infos := make([]*engine.QueryInfo, plans)
+			for i, qi := range refInfos {
+				infos[i] = &engine.QueryInfo{Logical: qi.Logical, Physical: qi.Physical, Sigs: new(engine.SigSlot)}
+			}
 			c := NewSigCache()
 			const goroutines = 8
 			got := make([][]*Sigs, goroutines)

@@ -161,6 +161,25 @@ func TestWirePreparedStatements(t *testing.T) {
 	}
 }
 
+// TestWireBindSkipsCommentedParams: a parameter named only in a comment is
+// not a parameter — Bind counts what the parser binds.
+func TestWireBindSkipsCommentedParams(t *testing.T) {
+	_, srv := startServer(t, nil)
+	cli := dial(t, srv)
+	mustQuery(t, cli, "CREATE TABLE items (id INT PRIMARY KEY, val VARCHAR)")
+	mustQuery(t, cli, "INSERT INTO items VALUES (7, 'seven')")
+	if err := cli.Prepare("q", "SELECT val FROM items WHERE id = @id -- was @old", sqltypes.KindInt); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	rows, err := cli.ExecPrepared("q", sqltypes.NewInt(7))
+	if err != nil {
+		t.Fatalf("bind one value: %v", err)
+	}
+	if len(rows.Rows) != 1 || rows.Rows[0][0].Str() != "seven" {
+		t.Fatalf("rows: %+v", rows.Rows)
+	}
+}
+
 func mustQuery(t *testing.T, cli *server.Client, sql string) *server.Rows {
 	t.Helper()
 	rows, err := cli.Query(sql)

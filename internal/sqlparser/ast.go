@@ -353,8 +353,15 @@ func (s *SetVar) String() string { return "SET @" + s.Name + " = " + s.Expr.Stri
 // Expressions
 // ---------------------------------------------------------------------------
 
-// Literal is a constant value.
-type Literal struct{ Val sqltypes.Value }
+// Literal is a constant value. A literal Lex normalized (Slot > 0) is bound
+// per execution: it evaluates to the statement's literal number Slot
+// (1-based, negated when Neg), and Val is only the value in the text that
+// was parsed.
+type Literal struct {
+	Val  sqltypes.Value
+	Slot int
+	Neg  bool
+}
 
 func (*Literal) exprNode()        {}
 func (e *Literal) String() string { return e.Val.SQLLiteral() }

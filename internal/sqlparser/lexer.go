@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
@@ -21,22 +22,44 @@ const (
 
 type token struct {
 	kind tokenKind
+	// slot is the 1-based literal slot Lex gave a normalized literal; 0 for
+	// every other token.
+	slot int32
 	text string // keywords upper-cased; idents as written; ops canonical
 	pos  int    // byte offset in the input (for errors)
 }
 
-// keywords recognized by the lexer (value true). Lookup is on the
-// upper-cased identifier text.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true, "SET": true,
-	"DELETE": true, "CREATE": true, "TABLE": true, "INDEX": true, "UNIQUE": true,
-	"DROP": true, "PRIMARY": true, "KEY": true, "NOT": true, "NULL": true,
-	"AND": true, "OR": true, "AS": true, "JOIN": true, "ON": true, "IS": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "TRANSACTION": true,
-	"PROCEDURE": true, "EXEC": true, "CALL": true, "IF": true, "THEN": true,
-	"ELSE": true, "END": true, "TRUE": true, "FALSE": true, "DISTINCT": true,
+// keywords recognized by the lexer, each mapped to itself so a lookup by
+// the upper-cased identifier yields a string the token can keep.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT ASC DESC
+		INSERT INTO VALUES UPDATE SET DELETE CREATE TABLE INDEX UNIQUE
+		DROP PRIMARY KEY NOT NULL AND OR AS JOIN ON IS
+		BEGIN COMMIT ROLLBACK TRANSACTION PROCEDURE EXEC CALL IF THEN
+		ELSE END TRUE FALSE DISTINCT`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword returns the keyword text names, case-insensitively, without
+// allocating: idents are lexed on every statement, plan-cache hits
+// included.
+func keyword(text string) (string, bool) {
+	var buf [16]byte
+	if len(text) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(text)])]
+	return kw, ok
 }
 
 type lexer struct {
@@ -47,7 +70,7 @@ type lexer struct {
 
 // lex tokenizes src. It returns a token stream terminated by tokEOF.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+2)}
 	for {
 		l.skipSpaceAndComments()
 		if l.pos >= len(l.src) {
@@ -57,7 +80,7 @@ func lex(src string) ([]token, error) {
 		start := l.pos
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(l.rune()):
 			l.lexIdent()
 		case c >= '0' && c <= '9':
 			l.lexNumber()
@@ -69,13 +92,11 @@ func lex(src string) ([]token, error) {
 			}
 		case c == '@':
 			l.pos++
-			if l.pos >= len(l.src) || !isIdentStart(rune(l.src[l.pos])) {
+			if !isIdentStart(l.rune()) {
 				return nil, &ParseError{Offset: start, Token: "@", Msg: "bare '@'", Src: l.src}
 			}
 			s := l.pos
-			for l.pos < len(l.src) && isIdentCont(rune(l.src[l.pos])) {
-				l.pos++
-			}
+			l.skipIdent()
 			l.toks = append(l.toks, token{kind: tokParam, text: l.src[s:l.pos], pos: start})
 		default:
 			if err := l.lexOp(); err != nil {
@@ -110,19 +131,34 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// rune decodes the character at the current position (utf8.RuneError at
+// the end of input).
+func (l *lexer) rune() rune {
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
+// skipIdent advances past identifier characters.
+func (l *lexer) skipIdent() {
+	for l.pos < len(l.src) {
+		r, n := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentCont(r) {
+			return
+		}
+		l.pos += n
+	}
+}
+
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
 func isIdentCont(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
 
 func (l *lexer) lexIdent() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentCont(rune(l.src[l.pos])) {
-		l.pos++
-	}
+	l.skipIdent()
 	text := l.src[start:l.pos]
-	upper := strings.ToUpper(text)
-	if keywords[upper] {
-		l.toks = append(l.toks, token{kind: tokKeyword, text: upper, pos: start})
+	if kw, ok := keyword(text); ok {
+		l.toks = append(l.toks, token{kind: tokKeyword, text: kw, pos: start})
 		return
 	}
 	l.toks = append(l.toks, token{kind: tokIdent, text: text, pos: start})
@@ -197,7 +233,7 @@ func (l *lexer) lexOp() error {
 	c := l.src[l.pos]
 	switch c {
 	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';', '.':
-		l.toks = append(l.toks, token{kind: tokOp, text: string(c), pos: start})
+		l.toks = append(l.toks, token{kind: tokOp, text: l.src[start : start+1], pos: start})
 		l.pos++
 		return nil
 	}

@@ -9,8 +9,18 @@ import (
 )
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
+// Its literals are constants; Lex and Template.Parse give the engine the
+// same statement with its normalized literals bound per execution.
 func Parse(src string) (Statement, error) {
-	stmts, err := ParseAll(src)
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	return parseOne(toks, src)
+}
+
+func parseOne(toks []token, src string) (Statement, error) {
+	stmts, err := parseAll(toks, src)
 	if err != nil {
 		return nil, err
 	}
@@ -26,6 +36,10 @@ func ParseAll(src string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseAll(toks, src)
+}
+
+func parseAll(toks []token, src string) ([]Statement, error) {
 	p := &parser{toks: toks, src: src}
 	var out []Statement
 	for {
@@ -911,9 +925,11 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Literal); ok {
+			// A slotted literal keeps the fold: whether Negate succeeds
+			// depends only on its kind, which every instance shares.
 			v, nerr := sqltypes.Negate(lit.Val)
 			if nerr == nil {
-				return &Literal{Val: v}, nil
+				return &Literal{Val: v, Slot: lit.Slot, Neg: lit.Slot > 0 && !lit.Neg}, nil
 			}
 		}
 		return &Neg{Expr: e}, nil
@@ -929,25 +945,14 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: sqltypes.NewFloat(f)}, nil
+		v, ok := numberValue(t.text)
+		if !ok {
+			return nil, p.errf("bad number %q", t.text)
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(t.text, 64)
-			if ferr != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &Literal{Val: sqltypes.NewFloat(f)}, nil
-		}
-		return &Literal{Val: sqltypes.NewInt(n)}, nil
+		return &Literal{Val: v, Slot: int(t.slot)}, nil
 	case tokString:
 		p.next()
-		return &Literal{Val: sqltypes.NewString(t.text)}, nil
+		return &Literal{Val: sqltypes.NewString(t.text), Slot: int(t.slot)}, nil
 	case tokParam:
 		p.next()
 		return &Param{Name: t.text}, nil

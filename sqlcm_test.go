@@ -3,8 +3,11 @@ package sqlcm
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sqlcm/internal/rules"
 )
 
 func openDB(t *testing.T) *DB {
@@ -88,6 +91,65 @@ func TestPublicAPIMonitoringFlow(t *testing.T) {
 	}
 	if !db.DropLAT("ByTemplate") {
 		t.Fatal("drop LAT")
+	}
+}
+
+// TestAdhocTemplatesShareOnePlan: ad-hoc texts that differ only in their
+// literals are one template — one cached plan, one signature computation,
+// one Logical_Signature group — and Number_of_instances counts them all.
+func TestAdhocTemplatesShareOnePlan(t *testing.T) {
+	db := openDB(t)
+	if _, err := db.Exec("CREATE TABLE r (id INT PRIMARY KEY, v FLOAT)", nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 200; i++ {
+		if err := db.Engine().InsertRowDirect("r", []Value{NewInt(int64(i)), NewFloat(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.DefineLAT(LATSpec{
+		Name:    "Duration_LAT",
+		GroupBy: []string{"Logical_Signature"},
+		Aggs:    []AggCol{{Func: Avg, Attr: "Duration", Name: "Avg_Duration"}, {Func: Count, Name: "N"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.NewRule("maintain", "Query.Commit", "", &InsertAction{LAT: "Duration_LAT"}); err != nil {
+		t.Fatal(err)
+	}
+	var instances atomic.Int64
+	if _, err := db.NewRule("instances", "Query.Commit", "", &FuncAction{Name: "instances",
+		Fn: func(_ rules.Env, ctx *rules.Ctx) error {
+			if v, ok := ctx.Attr("Query.Number_of_instances"); ok {
+				instances.Store(v.Int())
+			}
+			return nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	sess := db.Session("adhoc", "app")
+	const texts = 10000
+	for i := 0; i < texts; i++ {
+		lo := i%190 + 1
+		sql := fmt.Sprintf("SELECT id, v FROM r WHERE id >= %d AND id < %d AND v > %d.5", lo, lo+1+i/190, i%3)
+		if _, err := sess.Exec(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !db.Flush(5 * time.Second) {
+		t.Fatal("flush timed out")
+	}
+	if n := db.Engine().PlanCacheSize(); n != 1 {
+		t.Errorf("plan cache holds %d plans, want 1", n)
+	}
+	if n := db.Monitor().SigComputes(); n != 1 {
+		t.Errorf("signatures computed %d times, want 1", n)
+	}
+	if n := instances.Load(); n != texts {
+		t.Errorf("last Number_of_instances = %d, want %d", n, texts)
+	}
+	if lt, _ := db.LAT("Duration_LAT"); lt.Len() != 1 {
+		t.Errorf("Duration_LAT has %d groups, want 1", lt.Len())
 	}
 }
 
