@@ -116,10 +116,11 @@ cover:
 
 # Fuzz smoke: harden the {ref} substitution scanner and the wire-protocol
 # frame parser, hold rule conditions and WHERE clauses to the same answer
-# on NULL-free input, and texts with one template key to one parse. One
-# -fuzz target per go test invocation.
+# on NULL-free input, texts with one template key to one parse, and every
+# value to its own decode. One -fuzz target per go test invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateKey -fuzztime=30s ./internal/sqlparser/
+	$(GO) test -run='^$$' -fuzz=FuzzValueRoundTrip -fuzztime=30s ./internal/sqltypes/
 	$(GO) test -run='^$$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/

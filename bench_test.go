@@ -9,6 +9,7 @@ package sqlcm
 //	A-PAR   Benchmark*Parallel           — hot-path scaling across -cpu
 //	A-MON   BenchmarkMonitoredPointRead  — §2.1 what the bench rule set costs a point read
 //	A-TPL   BenchmarkAdhocRange          — §4.2 an ad-hoc statement on its template's plan
+//	A-DML   BenchmarkPointUpdate         — a prepared UPDATE on its compiled write
 //
 // The paper-shaped sweeps (E-SIG, E-FIG2, E-FIG3: signature cost, rule
 // overhead, monitoring approaches) are produced by cmd/sqlcm-bench over
@@ -452,24 +453,34 @@ func adhocRange(tb testing.TB) (*DB, func()) {
 	}
 }
 
-// TestAdhocRangeAllocs pins the allocations of an ad-hoc statement whose
-// template is cached: one lex (three allocations) and one lookup instead of
-// a parse, a plan and a signature computation. 128 here (130–131 under
-// -race, which drops pooled objects at random); the same statements
-// allocated 230 times each when the plan cache was keyed on the raw text
-// and every new text was compiled. Most of the rest is the ~10 result
-// rows.
-func TestAdhocRangeAllocs(t *testing.T) {
+// pinAllocs fails t when one call of f, warmed up, allocates more than max
+// times on average, plus raceAllocSlack under -race, whose random drops of
+// pooled objects (operator trees, evaluation state) cost rebuilds.
+func pinAllocs(t *testing.T, what string, max float64, f func()) {
+	t.Helper()
 	if lockcheck.Enabled {
 		t.Skip("the lockdep build's instrumented latches allocate")
 	}
-	_, query := adhocRange(t)
 	for i := 0; i < 200; i++ {
-		query()
+		f()
 	}
-	if n := testing.AllocsPerRun(500, query); n > 135 {
-		t.Errorf("%.1f allocations per ad-hoc range SELECT, want <= 135", n)
+	n := testing.AllocsPerRun(500, f)
+	t.Logf("%.1f allocations per %s", n, what)
+	if max += raceAllocSlack; n > max {
+		t.Errorf("%.1f allocations per %s, want <= %.0f", n, what, max)
 	}
+}
+
+// TestAdhocRangeAllocs pins the allocations of an ad-hoc statement whose
+// template is cached: one lex and one lookup instead of a parse, a plan and
+// a signature computation, and the template's pooled operator tree instead
+// of a build. 50 here (57–58 under -race); 128 while every execution built
+// its tree, decoded strings twice and allocated a key per row, and 230 when
+// the plan cache was keyed on the raw text. Most of the rest is the ~10
+// result rows, each decoded and then projected.
+func TestAdhocRangeAllocs(t *testing.T) {
+	_, query := adhocRange(t)
+	pinAllocs(t, "ad-hoc range SELECT", 55, query)
 }
 
 // BenchmarkAdhocRange reports one ad-hoc range SELECT, monitored.
@@ -482,5 +493,70 @@ func BenchmarkAdhocRange(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		query()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// What the engine alone costs one prepared statement: the repo benchmark's
+// point read and the oltp workload's UPDATE, on the monitored DB above with
+// the monitor suspended.
+// ---------------------------------------------------------------------------
+
+// suspendedPrepared prepares sql on a monitored DB, suspends the monitor and
+// returns one execution per call, @key cycling over the lineitems and @d 1.
+// Each execution must touch exactly one row.
+func suspendedPrepared(tb testing.TB, sql string) func() {
+	tb.Helper()
+	db := monitoredDB(tb)
+	db.Monitor().Suspend()
+	p, err := db.Session("bench", "bench").Prepare(sql)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params := map[string]sqltypes.Value{"d": sqltypes.NewInt(1)}
+	key := int64(0)
+	return func() {
+		key = key%benchLineitems + 1
+		params["key"] = sqltypes.NewInt(key)
+		if res, err := p.Exec(params); err != nil || res.Affected != 1 {
+			tb.Fatalf("%s @key=%d: %v", sql, key, err)
+		}
+	}
+}
+
+const (
+	pointReadSQL   = "SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_id = @key"
+	pointUpdateSQL = "UPDATE lineitem SET l_quantity = l_quantity + @d WHERE l_id = @key"
+)
+
+// TestPointReadAllocs pins what the engine alone allocates for a prepared
+// point read: 10 (13–14 under -race), 34 while every execution built its
+// operator tree and cursor and encoded its key bounds into new slices.
+func TestPointReadAllocs(t *testing.T) {
+	pinAllocs(t, "prepared point read", 15, suspendedPrepared(t, pointReadSQL))
+}
+
+// TestPointUpdateAllocs pins the same for a point UPDATE: 26, 56 while every
+// execution compiled its access path and SET list, the row record grew by
+// appends and both index keys of each index were allocated to be compared.
+func TestPointUpdateAllocs(t *testing.T) {
+	pinAllocs(t, "prepared point UPDATE", 31, suspendedPrepared(t, pointUpdateSQL))
+}
+
+// raceAllocSlack is the allocation pins' allowance under -race (set in
+// race_test.go).
+var raceAllocSlack float64
+
+// BenchmarkPointUpdate reports one prepared point UPDATE with the monitor
+// suspended: the write path (collect, version push, index check, commit).
+func BenchmarkPointUpdate(b *testing.B) {
+	update := suspendedPrepared(b, pointUpdateSQL)
+	for i := 0; i < 200; i++ {
+		update()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
 	}
 }

@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,6 +86,14 @@ type cachedPlan struct {
 	optimize  time.Duration
 	instances atomic.Int64
 	sigs      SigSlot
+	// The rest of what is decided once per template (DESIGN.md §5.4). A
+	// SELECT has its result column names and a pool of built operator
+	// trees: Build runs only when the pool is empty, and only a tree whose
+	// run succeeded goes back. A write has its compiled form, which names
+	// the one table it locks.
+	cols  []string
+	trees sync.Pool
+	write *exec.Write
 }
 
 // Open creates an engine.
@@ -114,11 +123,7 @@ func Open(cfg Config) (*Engine, error) {
 // table, readers only ever follow atomics), the watermark is read under it,
 // and the writer's own uncommitted versions sit above every version the
 // pass may cut, so rolling the writer back afterwards still finds them.
-func (e *Engine) pruneAfterWrite(table string) {
-	ts, err := e.reg.Store(table)
-	if err != nil {
-		return // dropped under the statement: nothing left to collect
-	}
+func (e *Engine) pruneAfterWrite(ts *exec.TableStore) {
 	if wm, due := ts.Vers.PruneDue(e.tm.Watermark); due {
 		ts.PruneVersions(wm)
 	}
@@ -344,7 +349,12 @@ func (b *lockBridge) ReleasedWithWaiters(holder lock.TxnID, res lock.Resource, w
 		if hq != nil {
 			hq.AddQueryBlocked()
 		}
-		wq := b.e.queryForTxn(w.Txn)
+		// A statement waiter queued with its query: by now the grant may
+		// have let it finish and leave byTxn.
+		wq, _ := w.Tag.(*QueryInfo)
+		if wq == nil {
+			wq = b.e.queryForTxn(w.Txn)
+		}
 		if wq == nil {
 			continue
 		}
@@ -403,14 +413,24 @@ func (e *Engine) compile(stmt sqlparser.Statement) (*cachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cachedPlan{
+	cp := &cachedPlan{
 		stmt:     stmt,
 		logical:  l,
 		physical: p,
 		estCost:  p.EstCost(),
 		qtype:    queryTypeOf(stmt),
 		optimize: time.Since(start),
-	}, nil
+	}
+	if cp.qtype == QuerySelect {
+		schema := p.Schema()
+		cp.cols = make([]string, len(schema))
+		for i, c := range schema {
+			cp.cols[i] = c.Name
+		}
+	} else if cp.write, err = exec.CompileWrite(p, e.reg, e.cat); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // storePlan caches cp, compiled under generation gen, and returns the plan
@@ -571,7 +591,7 @@ func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) 
 			return 0, err
 		}
 	}
-	e.pruneAfterWrite(table)
+	e.pruneAfterWrite(ts)
 	if err := e.tm.Commit(t); err != nil {
 		return 0, err
 	}

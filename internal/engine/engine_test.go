@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlcm/internal/lock"
 	"sqlcm/internal/sqltypes"
 )
 
@@ -296,6 +297,61 @@ func TestBlockingEventsAcrossSessions(t *testing.T) {
 	defer h.mu.Unlock()
 	if h.released != 1 {
 		t.Fatalf("released events: %d", h.released)
+	}
+}
+
+// heldRelease delays every ReleasedWithWaiters until hold is closed, so a
+// granted waiter can run to its commit before the release is delivered.
+type heldRelease struct {
+	lock.Notifier
+	hold chan struct{}
+}
+
+func (n heldRelease) ReleasedWithWaiters(holder lock.TxnID, res lock.Resource, waiters []lock.WaiterInfo) {
+	<-n.hold
+	n.Notifier.ReleasedWithWaiters(holder, res, waiters)
+}
+
+// TestBlockReleasedSurvivesWaiterCommit: the waiter a release grants may
+// run, commit and end its transaction before the releasing thread delivers
+// ReleasedWithWaiters; its Block_Released event (the paper's Example 2
+// pairing) must still be raised.
+func TestBlockReleasedSurvivesWaiterCommit(t *testing.T) {
+	e := newTestEngine(t)
+	s1 := e.NewSession("writer", "app")
+	seedAccounts(t, s1)
+	h := &recHooks{}
+	e.SetHooks(h)
+	hold := make(chan struct{})
+	e.locks.SetNotifier(heldRelease{Notifier: &lockBridge{e: e}, hold: hold})
+
+	mustExec(t, s1, "BEGIN")
+	mustExec(t, s1, "UPDATE accounts SET balance = 0 WHERE id = 1")
+	s2 := e.NewSession("waiter", "app")
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 2", nil)
+		waiter <- err
+	}()
+	for e.locks.WaitingCount() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	committed := make(chan error, 1)
+	go func() {
+		_, err := s1.Exec("COMMIT", nil)
+		committed <- err
+	}()
+	if err := <-waiter; err != nil { // granted and committed, release still held
+		t.Fatal(err)
+	}
+	close(hold)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.released != 1 {
+		t.Fatalf("released events: %d, want 1", h.released)
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"sqlcm/internal/exec"
 	"sqlcm/internal/expr"
 	"sqlcm/internal/lock"
-	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/txn"
@@ -132,6 +130,8 @@ func (s *Session) Close() error {
 
 // Result is the outcome of one statement.
 type Result struct {
+	// Columns is shared by every result of the statement's template:
+	// read it, never write to it.
 	Columns  []string
 	Rows     []exec.Row
 	Affected int64
@@ -331,37 +331,6 @@ func (s *Session) abortTxn(t *txn.Txn, ti *TxnInfo) {
 // Query execution
 // ---------------------------------------------------------------------------
 
-// tablesOf collects the base tables a logical plan touches.
-func tablesOf(l plan.Logical) []string {
-	seen := map[string]bool{}
-	var out []string
-	var walk func(n plan.Logical)
-	walk = func(n plan.Logical) {
-		if n == nil {
-			return
-		}
-		switch t := n.(type) {
-		case *plan.LogicalScan:
-			if !seen[t.Table.Name] {
-				seen[t.Table.Name] = true
-				out = append(out, t.Table.Name)
-			}
-		case *plan.LogicalInsert:
-			out = append(out, t.Table.Name)
-		case *plan.LogicalUpdate:
-			out = append(out, t.Table.Name)
-		case *plan.LogicalDelete:
-			out = append(out, t.Table.Name)
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(l)
-	sort.Strings(out) // deterministic lock order limits deadlocks
-	return out
-}
-
 func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	// A context already cancelled at entry fails fast, before a
 	// transaction begins or the statement registers — the deterministic
@@ -479,52 +448,34 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 // of a plain locking engine.
 func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	ctx := &exec.Ctx{Txn: t, Params: params, Lits: lits}
-	if cp.qtype == QuerySelect {
-		defer func() { qi.NoteMaxChain(ctx.MaxChain) }()
-	} else {
-		for _, table := range tablesOf(cp.logical) {
-			if err := s.e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-				return nil, err
-			}
+	if w := cp.write; w != nil {
+		ts := w.Store()
+		if err := s.e.locks.AcquireTagged(t.ID, lock.TableResource(ts.Meta.Name), lock.Exclusive, qi); err != nil {
+			return nil, err
+		}
+		n, err := w.Exec(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if cp.qtype != QueryInsert {
+			s.e.pruneAfterWrite(ts)
+		}
+		return &Result{Affected: n}, nil
+	}
+	op, _ := cp.trees.Get().(exec.Operator)
+	if op == nil {
+		var err error
+		if op, err = exec.Build(cp.physical, s.e.reg); err != nil {
+			return nil, err
 		}
 	}
-	switch p := cp.physical.(type) {
-	case *plan.PhysInsert:
-		n, err := exec.ExecInsert(ctx, s.e.reg, p, s.e.cat)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
-	case *plan.PhysUpdate:
-		n, err := exec.ExecUpdate(ctx, s.e.reg, p)
-		if err != nil {
-			return nil, err
-		}
-		s.e.pruneAfterWrite(p.Table.Name)
-		return &Result{Affected: n}, nil
-	case *plan.PhysDelete:
-		n, err := exec.ExecDelete(ctx, s.e.reg, p, s.e.cat)
-		if err != nil {
-			return nil, err
-		}
-		s.e.pruneAfterWrite(p.Table.Name)
-		return &Result{Affected: n}, nil
-	default:
-		op, err := exec.Build(cp.physical, s.e.reg)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := exec.Run(op, ctx)
-		if err != nil {
-			return nil, err
-		}
-		schema := cp.physical.Schema()
-		cols := make([]string, len(schema))
-		for i, c := range schema {
-			cols[i] = c.Name
-		}
-		return &Result{Columns: cols, Rows: rows, Affected: int64(len(rows))}, nil
+	rows, err := exec.Run(op, ctx)
+	qi.NoteMaxChain(ctx.MaxChain)
+	if err != nil {
+		return nil, err // the tree may hold partial state: drop it
 	}
+	cp.trees.Put(op)
+	return &Result{Columns: cp.cols, Rows: rows, Affected: int64(len(rows))}, nil
 }
 
 // NoteShedStatement records a statement that admission control refused

@@ -3,13 +3,17 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"sqlcm/internal/exec"
 	"sqlcm/internal/signature"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
+	"sqlcm/internal/storage"
 )
 
 // sigRecorder collects the signatures of every compiled statement and
@@ -215,4 +219,174 @@ func TestStalePlanNotCachedAcrossDDL(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 20 {
 		t.Fatalf("after DDL: %v, want [[20]]", res.Rows)
 	}
+}
+
+// concurrentShapes are read templates covering every operator a cached
+// tree keeps (full scan, index range, sort, hash aggregate with HAVING,
+// hash join, index-NL join, LIMIT) and write templates, which run inside a
+// transaction that is rolled back, so every statement sees the seeded rows.
+var concurrentShapes = []string{
+	"SELECT id, s FROM t WHERE f > %sf",
+	"SELECT id, g FROM t WHERE g >= %si AND g < %si",
+	"SELECT id, f FROM t WHERE id > %si ORDER BY f DESC, id",
+	"SELECT g, SUM(f * %sk), COUNT(*) FROM t GROUP BY g HAVING SUM(f * %sk) > %si",
+	"SELECT a.id, b.id FROM t a JOIN t b ON a.f = b.f WHERE a.id < %si",
+	"SELECT a.id, b.s FROM t a JOIN t b ON a.g = b.id WHERE a.id > %si",
+	"SELECT id FROM t WHERE g > %si ORDER BY id LIMIT 5",
+	"SELECT id FROM t WHERE g = @p AND id > %si",
+	"UPDATE t SET f = f + %sf, s = %ss WHERE id = %si",
+	"UPDATE t SET g = g - %si WHERE g = @p",
+	"DELETE FROM t WHERE id = %si OR s = %ss",
+}
+
+// runRolledBack runs sql, inside a transaction it rolls back when sql
+// writes, and renders the result without signatures.
+func runRolledBack(s *Session, sql string, params map[string]sqltypes.Value) string {
+	write := !strings.HasPrefix(sql, "SELECT")
+	if write {
+		if _, err := s.Exec("BEGIN", nil); err != nil {
+			return "BEGIN: " + err.Error()
+		}
+	}
+	res, err := s.Exec(sql, params)
+	if write && err == nil {
+		if _, err := s.Exec("ROLLBACK", nil); err != nil {
+			return "ROLLBACK: " + err.Error()
+		}
+	}
+	return outcome(res, err, &sigRecorder{})
+}
+
+// TestTemplateCacheMatchesFreshCompileConcurrently: two sessions running
+// interleaved instances of the same templates share each template's
+// pooled operator trees and compiled writes; every result must equal what
+// a fresh compile gives. Run under -race, it also checks that a tree is
+// never in two executions at once.
+func TestTemplateCacheMatchesFreshCompileConcurrently(t *testing.T) {
+	type run struct {
+		sql    string
+		params map[string]sqltypes.Value
+		got    string
+	}
+	warm, _ := templateEngine(t)
+	warm.e.SetHooks(nil)
+	cold, _ := templateEngine(t)
+	cold.e.SetHooks(nil)
+	const perSession = 150
+	runs := make([][]run, 2)
+	var wg sync.WaitGroup
+	for g := range runs {
+		s := warm
+		if g == 1 {
+			s = warm.e.NewSession("bob", "app")
+		}
+		wg.Add(1)
+		go func(g int, s *Session) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g + 1)))
+			for i := 0; i < perSession; i++ {
+				sql := instance(r, concurrentShapes[r.Intn(len(concurrentShapes))])
+				params := map[string]sqltypes.Value{"p": sqltypes.NewInt(int64(r.Intn(8)))}
+				runs[g] = append(runs[g], run{sql, params, runRolledBack(s, sql, params)})
+			}
+		}(g, s)
+	}
+	wg.Wait()
+	for _, rs := range runs {
+		for _, r := range rs {
+			if strings.HasPrefix(r.got, "error") {
+				t.Fatalf("%q: %s", r.sql, r.got)
+			}
+			cold.e.invalidatePlans()
+			if want := runRolledBack(cold, r.sql, r.params); r.got != want {
+				t.Fatalf("%q @p=%v:\ncached plan: %s\nfresh plan:  %s", r.sql, r.params["p"], r.got, want)
+			}
+		}
+	}
+}
+
+// TestPooledTreesHoldNoRows: a tree back in its plan's pool after a run
+// references no row, chain row or row buffer, so idle cached plans pin no
+// table data.
+func TestPooledTreesHoldNoRows(t *testing.T) {
+	s, _ := templateEngine(t)
+	for _, sql := range []string{
+		"SELECT id, s FROM t",
+		"SELECT id, f FROM t ORDER BY f",
+		"SELECT g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 1",
+		"SELECT a.id, b.id FROM t a JOIN t b ON a.f = b.f",
+		"SELECT a.id, b.s FROM t a JOIN t b ON a.g = b.id",
+		"SELECT a.id FROM t a JOIN t b ON a.id < b.g",
+	} {
+		tpl, err := sqlparser.Lex(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tree any
+		// The race detector drops pooled objects at random: retry.
+		for i := 0; tree == nil && i < 100; i++ {
+			mustExec(t, s, sql)
+			s.e.planMu.Lock()
+			cp := s.e.planCache[string(tpl.Key)]
+			s.e.planMu.Unlock()
+			tree = cp.trees.Get()
+		}
+		if tree == nil {
+			t.Fatalf("%s: no tree in the pool", sql)
+		}
+		if path := rowRef(reflect.ValueOf(tree), "tree", map[uintptr]bool{}); path != "" {
+			t.Errorf("%s: pooled tree still references rows at %s", sql, path)
+		}
+	}
+}
+
+var (
+	rowType      = reflect.TypeOf(exec.Row(nil))
+	chainRowType = reflect.TypeOf(storage.ChainRow{})
+)
+
+// rowRef returns the path of the first row reference under v: a non-empty
+// Row, a non-zero ChainRow, or either in the spare capacity of a slice.
+func rowRef(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return rowRef(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return rowRef(v.Elem(), path, seen)
+	case reflect.Struct:
+		if v.Type() == chainRowType && !v.IsZero() {
+			return path
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if p := rowRef(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice:
+		if v.Type() == rowType && v.Len() > 0 {
+			return path
+		}
+		if e := v.Type().Elem(); e == rowType || e == chainRowType {
+			full := v.Slice(0, v.Cap())
+			for i := 0; i < full.Len(); i++ {
+				if !full.Index(i).IsZero() {
+					return fmt.Sprintf("%s[%d]", path, i)
+				}
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := rowRef(it.Value(), path+"[key]", seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

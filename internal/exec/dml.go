@@ -8,7 +8,6 @@ import (
 	"sqlcm/internal/expr"
 	"sqlcm/internal/index"
 	"sqlcm/internal/plan"
-	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/storage"
 )
 
@@ -17,54 +16,128 @@ import (
 // error by rolling back the transaction (statement-level atomicity is
 // subsumed by transaction rollback, a behaviour documented in DESIGN.md).
 
-// ExecInsert runs an insert plan, returning the number of rows inserted.
+// Write is a compiled INSERT, UPDATE or DELETE: its table, access path and
+// evaluators, resolved once per plan and shared by every execution (none of
+// it changes after CompileWrite; per-run state is in the Ctx and a cursor).
+type Write struct {
+	ts     *TableStore
+	cat    *catalog.Catalog // receives row-count changes; may be nil
+	ins    *plan.PhysInsert
+	values [][]Evaluator    // INSERT: one per listed column, per VALUES row
+	access *access          // UPDATE, DELETE: the rows to change
+	sets   []plan.UpdateSet // UPDATE
+	setEvs []Evaluator      // UPDATE: one per SET item
+	del    bool
+}
+
+// CompileWrite compiles an insert, update or delete plan against sp's
+// stores.
+func CompileWrite(p plan.Physical, sp StoreProvider, cat *catalog.Catalog) (*Write, error) {
+	w := &Write{cat: cat}
+	var table *catalog.Table
+	var ap *plan.AccessPath
+	switch n := p.(type) {
+	case *plan.PhysInsert:
+		table, w.ins = n.Table, n
+	case *plan.PhysUpdate:
+		table, ap, w.sets = n.Table, n.Access, n.Sets
+	case *plan.PhysDelete:
+		table, ap, w.del = n.Table, n.Access, true
+	default:
+		return nil, fmt.Errorf("exec: %T is not a write", p)
+	}
+	var err error
+	if w.ts, err = sp.Store(table.Name); err != nil {
+		return nil, err
+	}
+	schema := make([]plan.ColMeta, len(w.ts.Meta.Columns))
+	for i, c := range w.ts.Meta.Columns {
+		schema[i] = plan.ColMeta{Qual: w.ts.Meta.Name, Name: c.Name}
+	}
+	if ap != nil {
+		if w.access, err = compileAccess(ap, schema); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range w.sets {
+		ev, err := Compile(s.Expr, schema)
+		if err != nil {
+			return nil, err
+		}
+		w.setEvs = append(w.setEvs, ev)
+	}
+	if w.ins != nil {
+		w.values = make([][]Evaluator, len(w.ins.RowsSrc))
+		for i, row := range w.ins.RowsSrc {
+			for _, e := range row {
+				ev, err := Compile(e, nil)
+				if err != nil {
+					return nil, err
+				}
+				w.values[i] = append(w.values[i], ev)
+			}
+		}
+	}
+	return w, nil
+}
+
+// Store returns the table the statement writes.
+func (w *Write) Store() *TableStore { return w.ts }
+
+// Exec runs the statement, returning the number of rows it inserted,
+// changed or removed.
 //
 //sqlcm:cancellable
-func ExecInsert(ctx *Ctx, sp StoreProvider, p *plan.PhysInsert, cat *catalog.Catalog) (int64, error) {
-	ts, err := sp.Store(p.Table.Name)
+func (w *Write) Exec(ctx *Ctx) (int64, error) {
+	if w.ins != nil {
+		return w.insert(ctx)
+	}
+	targets, err := w.collectTargets(ctx)
 	if err != nil {
 		return 0, err
 	}
-	evalsPerRow := make([][]Evaluator, len(p.RowsSrc))
-	for i, row := range p.RowsSrc {
-		// A multi-row INSERT can carry arbitrarily many rows: the compile
-		// loop is a statement-deadline boundary just like the apply loop.
-		if err := ctx.checkCancel(); err != nil {
-			return 0, err
-		}
-		evalsPerRow[i] = make([]Evaluator, len(row))
-		//sqlcm:allow bounded by one row's width
-		for j, e := range row {
-			ev, err := Compile(e, nil)
-			if err != nil {
-				return 0, err
-			}
-			evalsPerRow[i][j] = ev
-		}
-	}
 	var n int64
-	for _, evals := range evalsPerRow {
+	for _, tgt := range targets {
 		if err := ctx.checkCancel(); err != nil {
 			return n, err
 		}
-		row := make(Row, len(p.Table.Columns))
-		//sqlcm:allow bounded by the table's column count
-		for i := range row {
-			row[i] = sqltypes.Null
+		if w.del {
+			err = DeleteRow(ctx, w.ts, tgt.rid, tgt.row, w.cat)
+		} else {
+			err = w.update(ctx, tgt)
 		}
+		if err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// insert evaluates and inserts each VALUES row.
+//
+//sqlcm:cancellable
+func (w *Write) insert(ctx *Ctx) (int64, error) {
+	cols, p := w.ts.Meta.Columns, w.ins
+	var n int64
+	for _, evals := range w.values {
+		if err := ctx.checkCancel(); err != nil {
+			return n, err
+		}
+		row := make(Row, len(cols)) // the zero Value is NULL
 		//sqlcm:allow bounded by one row's width
 		for j, ev := range evals {
 			v, err := ev.Eval(ctx.env(nil))
 			if err != nil {
 				return n, err
 			}
-			cv, err := CoerceValue(p.Table.Columns[p.Columns[j]].Type, v)
+			cv, err := CoerceValue(cols[p.Columns[j]].Type, v)
 			if err != nil {
-				return n, fmt.Errorf("column %q: %w", p.Table.Columns[p.Columns[j]].Name, err)
+				return n, fmt.Errorf("column %q: %w", cols[p.Columns[j]].Name, err)
 			}
 			row[p.Columns[j]] = cv
 		}
-		if err := InsertRow(ctx, ts, row, cat); err != nil {
+		if err := InsertRow(ctx, w.ts, row, w.cat); err != nil {
 			return n, err
 		}
 		n++
@@ -96,9 +169,9 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		if bt == nil {
 			continue
 		}
-		if err := insertEntry(ctx, ts, bt, ts.IndexKey(ix, row), rid); err != nil {
+		if err := insertEntry(ctx, ts, bt, appendIndexKey(nil, ix, row), rid); err != nil {
 			for _, u := range done {
-				indexes[u.Name].Delete(ts.IndexKey(u, row), rid)
+				indexes[u.Name].Delete(appendIndexKey(nil, u, row), rid)
 			}
 			return fmt.Errorf("exec: %s on %q: %w", ix.Name, meta.Name, err)
 		}
@@ -122,7 +195,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes() {
 				if bt := ts.Indexes()[ix.Name]; bt != nil {
-					bt.Delete(ts.IndexKey(ix, rowCopy), rid)
+					bt.Delete(appendIndexKey(nil, ix, rowCopy), rid)
 				}
 			}
 			if cat != nil {
@@ -161,19 +234,15 @@ type targetRow struct {
 	row Row
 }
 
-// collectTargets materializes the (rid, row) pairs matched by an access
-// path, read in the writer's current view. DML collects all targets before
-// mutating so the scan never observes its own writes (Halloween
+// collectTargets materializes the (rid, row) pairs the access path
+// matches, read in the writer's current view. DML collects all targets
+// before mutating so the scan never observes its own writes (Halloween
 // protection).
 //
 //sqlcm:cancellable
-func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) ([]targetRow, error) {
-	a, err := compileAccess(ap, schema)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := ts.open(ctx.Current(), a, ctx)
-	if err != nil {
+func (w *Write) collectTargets(ctx *Ctx) ([]targetRow, error) {
+	var cur Cursor
+	if err := cur.open(w.ts, ctx.Current(), w.access, ctx); err != nil {
 		return nil, err
 	}
 	var out []targetRow
@@ -182,8 +251,8 @@ func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan
 		if err != nil || row == nil {
 			return out, err
 		}
-		if a.residual != nil {
-			ok, err := expr.EvalBool(a.residual, ctx.env(row))
+		if w.access.residual != nil {
+			ok, err := expr.EvalBool(w.access.residual, ctx.env(row))
 			if err != nil {
 				return nil, err
 			}
@@ -195,59 +264,26 @@ func collectTargets(ctx *Ctx, ts *TableStore, ap *plan.AccessPath, schema []plan
 	}
 }
 
-// ExecUpdate runs an update plan, returning the number of rows changed.
-//
-//sqlcm:cancellable
-func ExecUpdate(ctx *Ctx, sp StoreProvider, p *plan.PhysUpdate) (int64, error) {
-	ts, err := sp.Store(p.Table.Name)
-	if err != nil {
-		return 0, err
-	}
-	schema := make([]plan.ColMeta, len(ts.Meta.Columns))
-	//sqlcm:allow bounded by the table's column count
-	for i, c := range ts.Meta.Columns {
-		schema[i] = plan.ColMeta{Qual: ts.Meta.Name, Name: c.Name}
-	}
-	targets, err := collectTargets(ctx, ts, p.Access, schema)
-	if err != nil {
-		return 0, err
-	}
-	setEvals := make([]Evaluator, len(p.Sets))
+// update applies the SET list to one target row.
+func (w *Write) update(ctx *Ctx, tgt targetRow) error {
+	cols := w.ts.Meta.Columns
+	newRow := tgt.row.Clone()
 	//sqlcm:allow bounded by the statement's SET list
-	for i, s := range p.Sets {
-		ev, err := Compile(s.Expr, schema)
+	for i, s := range w.sets {
+		v, err := w.setEvs[i].Eval(ctx.env(tgt.row))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		setEvals[i] = ev
+		cv, err := CoerceValue(cols[s.Column].Type, v)
+		if err != nil {
+			return fmt.Errorf("column %q: %w", cols[s.Column].Name, err)
+		}
+		if cols[s.Column].NotNull && cv.IsNull() {
+			return fmt.Errorf("exec: NULL in NOT NULL column %q", cols[s.Column].Name)
+		}
+		newRow[s.Column] = cv
 	}
-	var n int64
-	for _, tgt := range targets {
-		if err := ctx.checkCancel(); err != nil {
-			return n, err
-		}
-		newRow := tgt.row.Clone()
-		//sqlcm:allow bounded by the statement's SET list
-		for i, s := range p.Sets {
-			v, err := setEvals[i].Eval(ctx.env(tgt.row))
-			if err != nil {
-				return n, err
-			}
-			cv, err := CoerceValue(ts.Meta.Columns[s.Column].Type, v)
-			if err != nil {
-				return n, fmt.Errorf("column %q: %w", ts.Meta.Columns[s.Column].Name, err)
-			}
-			if ts.Meta.Columns[s.Column].NotNull && cv.IsNull() {
-				return n, fmt.Errorf("exec: NULL in NOT NULL column %q", ts.Meta.Columns[s.Column].Name)
-			}
-			newRow[s.Column] = cv
-		}
-		if err := updateRow(ctx, ts, tgt.rid, tgt.row, newRow); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
+	return updateRow(ctx, w.ts, tgt.rid, tgt.row, newRow)
 }
 
 // ixDelta records the index work one versioned update applied for one
@@ -300,16 +336,20 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 
 	indexes := ts.Indexes()
 	var deltas []ixDelta
+	var kb [128]byte
 	for _, ix := range ts.Meta.Indexes() {
 		bt := indexes[ix.Name]
 		if bt == nil {
 			continue
 		}
-		oldKey := ts.IndexKey(ix, oldRow)
-		newKey := ts.IndexKey(ix, newRow)
-		if bytes.Equal(oldKey, newKey) {
+		// Both keys go into a stack buffer; only a changed key is kept.
+		keys := appendIndexKey(kb[:0], ix, oldRow)
+		n := len(keys)
+		keys = appendIndexKey(keys, ix, newRow)
+		if bytes.Equal(keys[:n], keys[n:]) {
 			continue
 		}
+		oldKey, newKey := bytes.Clone(keys[:n]), bytes.Clone(keys[n:])
 		d := ixDelta{ix: ix, oldKey: oldKey, newKey: newKey}
 		if p, ok := ts.Vers.TakePending(rid, ix.Name, newKey); ok {
 			d.canceled = &p
@@ -335,36 +375,6 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	return nil
 }
 
-// ExecDelete runs a delete plan, returning the number of rows removed.
-//
-//sqlcm:cancellable
-func ExecDelete(ctx *Ctx, sp StoreProvider, p *plan.PhysDelete, cat *catalog.Catalog) (int64, error) {
-	ts, err := sp.Store(p.Table.Name)
-	if err != nil {
-		return 0, err
-	}
-	schema := make([]plan.ColMeta, len(ts.Meta.Columns))
-	//sqlcm:allow bounded by the table's column count
-	for i, c := range ts.Meta.Columns {
-		schema[i] = plan.ColMeta{Qual: ts.Meta.Name, Name: c.Name}
-	}
-	targets, err := collectTargets(ctx, ts, p.Access, schema)
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for _, tgt := range targets {
-		if err := ctx.checkCancel(); err != nil {
-			return n, err
-		}
-		if err := DeleteRow(ctx, ts, tgt.rid, tgt.row, cat); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}
-
 // DeleteRow removes one row, maintaining statistics and undo. The delete is
 // logical: a tombstone version goes onto the chain, the chain and its index
 // entries stay for older snapshots, and every index entry is
@@ -386,7 +396,7 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		if indexes[ix.Name] == nil {
 			continue
 		}
-		ts.Vers.AddPending(rid, ix.Name, ts.IndexKey(ix, row), v)
+		ts.Vers.AddPending(rid, ix.Name, appendIndexKey(nil, ix, row), v)
 	}
 	if cat != nil {
 		cat.AddRows(ts.Meta.Name, -1)
@@ -399,7 +409,7 @@ func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 				if indexes[ix.Name] == nil {
 					continue
 				}
-				ts.Vers.TakePending(rid, ix.Name, ts.IndexKey(ix, rowCopy))
+				ts.Vers.TakePending(rid, ix.Name, appendIndexKey(nil, ix, rowCopy))
 			}
 			ts.Vers.Pop(rid)
 			if cat != nil {

@@ -98,15 +98,13 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 	}
 	ctx := &Ctx{Txn: tx, Params: params}
 	defer func() { h.examined = ctx.RowsExamined }()
-	switch pp := p.(type) {
-	case *plan.PhysInsert:
-		n, err := ExecInsert(ctx, h.reg, pp, h.cat)
-		return nil, n, err
-	case *plan.PhysUpdate:
-		n, err := ExecUpdate(ctx, h.reg, pp)
-		return nil, n, err
-	case *plan.PhysDelete:
-		n, err := ExecDelete(ctx, h.reg, pp, h.cat)
+	switch p.(type) {
+	case *plan.PhysInsert, *plan.PhysUpdate, *plan.PhysDelete:
+		w, err := CompileWrite(p, h.reg, h.cat)
+		if err != nil {
+			return nil, 0, err
+		}
+		n, err := w.Exec(ctx)
 		return nil, n, err
 	default:
 		op, err := Build(p, h.reg)

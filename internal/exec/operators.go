@@ -64,9 +64,11 @@ func (c *Ctx) checkCancel() error {
 	return c.Txn.CheckCancelled()
 }
 
-// Operator is a Volcano-style iterator.
+// Operator is a Volcano-style iterator. A tree is reusable: the engine
+// keeps built trees per cached plan and runs one again after Close.
 type Operator interface {
-	// Open prepares the operator for iteration.
+	// Open prepares the operator for iteration, resetting every piece of
+	// per-run state.
 	Open(ctx *Ctx) error
 	// Next returns the next row, or nil at end of input. Every
 	// implementation polls the transaction's cancellation flag at its
@@ -74,7 +76,8 @@ type Operator interface {
 	// by construction.
 	//sqlcm:cancelpoint
 	Next(ctx *Ctx) (Row, error)
-	// Close releases resources. Close is idempotent.
+	// Close releases resources and drops every reference to rows, so a
+	// tree kept for reuse pins no memory. Close is idempotent.
 	Close() error
 }
 
@@ -171,7 +174,7 @@ func Run(op Operator, ctx *Ctx) ([]Row, error) {
 type scanOp struct {
 	store  *TableStore
 	access *access
-	cur    *Cursor
+	cur    Cursor
 }
 
 func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) (*scanOp, error) {
@@ -182,9 +185,8 @@ func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) (*sca
 	return &scanOp{store: ts, access: a}, nil
 }
 
-func (s *scanOp) Open(ctx *Ctx) (err error) {
-	s.cur, err = s.store.open(ctx.Snapshot(), s.access, ctx)
-	return err
+func (s *scanOp) Open(ctx *Ctx) error {
+	return s.cur.open(s.store, ctx.Snapshot(), s.access, ctx)
 }
 
 //sqlcm:cancellable
@@ -207,7 +209,10 @@ func (s *scanOp) Next(ctx *Ctx) (Row, error) {
 	}
 }
 
-func (s *scanOp) Close() error { return nil }
+func (s *scanOp) Close() error {
+	s.cur.close()
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Filter / Project / Limit / Values
@@ -460,7 +465,7 @@ func (j *hashJoinOp) Next(ctx *Ctx) (Row, error) {
 }
 
 func (j *hashJoinOp) Close() error {
-	j.table = nil
+	j.table, j.current, j.leftRow = nil, nil, nil
 	err1 := j.left.Close()
 	err2 := j.right.Close()
 	if err1 != nil {
@@ -475,7 +480,7 @@ type indexNLJoinOp struct {
 	probe    *access // equality on the index, evaluated against the outer row
 	residual Evaluator
 
-	cur      *Cursor // re-seeked per outer row
+	cur      Cursor // re-seeked per outer row
 	outerRow Row
 	matches  []Row
 	matchIdx int
@@ -509,9 +514,8 @@ func newIndexNLJoinOp(n *plan.PhysIndexNLJoin, sp StoreProvider) (Operator, erro
 }
 
 func (j *indexNLJoinOp) Open(ctx *Ctx) error {
-	j.outerRow, j.matches = nil, nil
-	j.matchIdx = 0
-	j.cur = &Cursor{ts: j.store, snap: ctx.Snapshot(), index: j.probe.index}
+	j.outerRow, j.matches, j.matchIdx = nil, j.matches[:0], 0
+	j.cur.reset(j.store, ctx.Snapshot(), j.probe.index)
 	return j.outer.Open(ctx)
 }
 
@@ -536,7 +540,7 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		r, null, err := j.probe.keyRange(ctx.env(row))
+		r, null, err := j.probe.keyRange(ctx.env(row), &j.cur.bounds)
 		if err != nil {
 			return nil, err
 		}
@@ -562,7 +566,12 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 	}
 }
 
-func (j *indexNLJoinOp) Close() error { return j.outer.Close() }
+func (j *indexNLJoinOp) Close() error {
+	clear(j.matches)
+	j.cur.close()
+	j.outerRow, j.matches = nil, j.matches[:0]
+	return j.outer.Close()
+}
 
 type nlJoinOp struct {
 	left, right Operator
@@ -649,6 +658,7 @@ func (j *nlJoinOp) Next(ctx *Ctx) (Row, error) {
 }
 
 func (j *nlJoinOp) Close() error {
+	j.inner, j.leftRow = nil, nil
 	err1 := j.left.Close()
 	err2 := j.right.Close()
 	if err1 != nil {
@@ -793,7 +803,6 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 		groups[""] = &group{states: make([]aggState, len(a.aggArgs))}
 		order = append(order, "")
 	}
-	a.out = a.out[:0]
 	for _, key := range order {
 		g := groups[key]
 		row := make(Row, 0, len(g.vals)+len(g.states))
@@ -864,7 +873,10 @@ func (a *hashAggOp) Next(ctx *Ctx) (Row, error) {
 	return row, nil
 }
 
-func (a *hashAggOp) Close() error { return a.child.Close() }
+func (a *hashAggOp) Close() error {
+	a.out = nil
+	return a.child.Close()
+}
 
 // ---------------------------------------------------------------------------
 // Sort
@@ -900,7 +912,6 @@ func (s *sortOp) Open(ctx *Ctx) error {
 	if err := s.child.Open(ctx); err != nil {
 		return err
 	}
-	s.rows = s.rows[:0]
 	type keyed struct {
 		row  Row
 		keys []sqltypes.Value
@@ -953,4 +964,7 @@ func (s *sortOp) Next(ctx *Ctx) (Row, error) {
 	return row, nil
 }
 
-func (s *sortOp) Close() error { return s.child.Close() }
+func (s *sortOp) Close() error {
+	s.rows = nil
+	return s.child.Close()
+}

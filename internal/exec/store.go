@@ -71,13 +71,12 @@ func (ts *TableStore) ResetIndexes() {
 	})
 }
 
-// IndexKey extracts the encoded key of row for the given index.
-func (ts *TableStore) IndexKey(ix *catalog.Index, row Row) []byte {
-	vals := make([]sqltypes.Value, len(ix.Columns))
-	for i, ord := range ix.Columns {
-		vals[i] = row[ord]
+// appendIndexKey appends the encoded key of row for the given index to dst.
+func appendIndexKey(dst []byte, ix *catalog.Index, row Row) []byte {
+	for _, ord := range ix.Columns {
+		dst = row[ord].Encode(dst)
 	}
-	return sqltypes.EncodeKey(vals...)
+	return dst
 }
 
 // access is a compiled plan.AccessPath: the index to walk (nil reads the
@@ -129,38 +128,55 @@ type keyRange struct {
 }
 
 // keyRange evaluates the path's index bounds: equality on a key prefix,
-// optionally narrowed by a range on the next key column. env.Row feeds
-// bounds that reference an outer row (index nested-loop probes) and is nil
-// otherwise. null reports a NULL equality value, which a join probe must
-// treat as matching nothing.
-func (a *access) keyRange(env Env) (r keyRange, null bool, err error) {
-	eq := make([]sqltypes.Value, len(a.eq))
-	for i, ev := range a.eq {
-		if eq[i], err = ev.Eval(env); err != nil {
-			return r, false, err
-		}
-		null = null || eq[i].IsNull()
-	}
-	prefix := sqltypes.EncodeKey(eq...)
-	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
-	if a.lo != nil {
-		v, err := a.lo.Eval(env)
+// optionally narrowed by a range on the next key column. The bounds are
+// encoded into *bounds, a buffer the caller keeps and the range aliases.
+// env.Row feeds bounds that reference an outer row (index nested-loop
+// probes) and is nil otherwise. null reports a NULL equality value, which a
+// join probe must treat as matching nothing.
+func (a *access) keyRange(env Env, bounds *[]byte) (r keyRange, null bool, err error) {
+	buf := (*bounds)[:0]
+	defer func() { *bounds = buf }()
+	for _, ev := range a.eq {
+		v, err := ev.Eval(env)
 		if err != nil {
 			return r, false, err
 		}
-		r.lo, r.loIncl = v.Encode(append([]byte(nil), prefix...)), a.loIncl
+		null = null || v.IsNull()
+		buf = v.Encode(buf)
+	}
+	prefix := buf[:len(buf):len(buf)]
+	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
+	// bound encodes the prefix followed by ev's value.
+	bound := func(ev Evaluator) ([]byte, error) {
+		v, err := ev.Eval(env)
+		if err != nil {
+			return nil, err
+		}
+		start := len(buf)
+		buf = v.Encode(append(buf, prefix...))
+		return buf[start:len(buf):len(buf)], nil
+	}
+	if a.lo != nil {
+		if r.lo, err = bound(a.lo); err != nil {
+			return r, false, err
+		}
+		r.loIncl = a.loIncl
 	}
 	switch {
 	case a.hi != nil:
-		v, err := a.hi.Eval(env)
-		if err != nil {
+		if r.hi, err = bound(a.hi); err != nil {
 			return r, false, err
 		}
-		r.hi, r.hiIncl = v.Encode(append([]byte(nil), prefix...)), a.hiIncl
-	case a.lo != nil || len(eq) < len(a.index.Columns):
+		r.hiIncl = a.hiIncl
+	case a.lo != nil || len(a.eq) < len(a.index.Columns):
 		// Open-ended range or equality on a proper key prefix: run to the
 		// end of the prefix.
-		r.hi, r.hiIncl = prefixSuccessor(prefix), false
+		start := len(buf)
+		buf = prefixSuccessor(append(buf, prefix...), start)
+		r.hi, r.hiIncl = buf[start:len(buf):len(buf)], false
+		if len(buf) == start {
+			r.hi = nil // prefix is all 0xff: no upper bound
+		}
 	}
 	return r, null, nil
 }
@@ -181,17 +197,17 @@ func (r *keyRange) contains(key []byte) bool {
 	return true
 }
 
-// prefixSuccessor returns the smallest byte string greater than every string
-// with the given prefix.
-func prefixSuccessor(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
+// prefixSuccessor turns b[start:], a key prefix, into the smallest byte
+// string greater than every string with that prefix, in place; it is empty
+// when the prefix is all 0xff.
+func prefixSuccessor(b []byte, start int) []byte {
+	for i := len(b) - 1; i >= start; i-- {
+		if b[i] != 0xff {
+			b[i]++
+			return b[:i+1]
 		}
 	}
-	return nil // prefix is all 0xff: no upper bound
+	return b[:start]
 }
 
 // Cursor iterates the rows of one table visible to a snapshot, along an
@@ -210,9 +226,13 @@ type Cursor struct {
 	rows    []storage.ChainRow
 	entries []indexEntry
 	pos     int
-	// span, when set, filters rows by the index range: a snapshot older
+	// span, when spanned, filters rows by the index range: a snapshot older
 	// than the index's build reads the whole table instead of the tree.
-	span *keyRange
+	span    keyRange
+	spanned bool
+	// bounds holds the encoded bounds of the last seek, key the index key
+	// of the row Next is checking: buffers kept across seeks and opens.
+	bounds, key []byte
 }
 
 type indexEntry struct {
@@ -225,22 +245,32 @@ func (ts *TableStore) Scan(snap storage.Snapshot) *Cursor {
 	return &Cursor{ts: ts, snap: snap, rows: ts.Vers.SnapScan(snap)}
 }
 
-// open starts a cursor along a. A NULL equality bound is looked up like any
-// other key.
-func (ts *TableStore) open(snap storage.Snapshot, a *access, ctx *Ctx) (*Cursor, error) {
-	if a.index == nil {
-		return ts.Scan(snap), nil
-	}
-	r, _, err := a.keyRange(ctx.env(nil))
-	if err != nil {
-		return nil, err
-	}
-	return ts.openRange(snap, a.index, r)
+// reset points c at ts, snap and ix with nothing to read, keeping its
+// buffers.
+func (c *Cursor) reset(ts *TableStore, snap storage.Snapshot, ix *catalog.Index) {
+	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], bounds: c.bounds, key: c.key}
 }
 
-func (ts *TableStore) openRange(snap storage.Snapshot, ix *catalog.Index, r keyRange) (*Cursor, error) {
-	c := &Cursor{ts: ts, snap: snap, index: ix}
-	return c, c.seek(r)
+// open restarts c along a at snap. A NULL equality bound is looked up like
+// any other key.
+func (c *Cursor) open(ts *TableStore, snap storage.Snapshot, a *access, ctx *Ctx) error {
+	c.reset(ts, snap, a.index)
+	if a.index == nil {
+		c.rows = ts.Vers.SnapScan(snap)
+		return nil
+	}
+	r, _, err := a.keyRange(ctx.env(nil), &c.bounds)
+	if err != nil {
+		return err
+	}
+	return c.seek(r)
+}
+
+// close drops the cursor's references to rows and index keys; its buffers
+// stay for the next open.
+func (c *Cursor) close() {
+	clear(c.entries)
+	c.rows, c.entries, c.span = nil, c.entries[:0], keyRange{}
 }
 
 // seek restarts an index cursor on range r, reusing its entry buffer (the
@@ -255,7 +285,7 @@ func (c *Cursor) seek(r keyRange) error {
 		if c.rows == nil {
 			c.rows = c.ts.Vers.SnapScan(c.snap)
 		}
-		c.span = &r
+		c.span, c.spanned = r, true
 		return nil
 	}
 	bt, ok := c.ts.Indexes()[c.index.Name]
@@ -301,12 +331,15 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		if err != nil {
 			return 0, nil, err
 		}
+		if c.index != nil {
+			c.key = appendIndexKey(c.key[:0], c.index, row)
+		}
 		switch {
-		case c.span != nil:
-			if !c.span.contains(c.ts.IndexKey(c.index, row)) {
+		case c.spanned:
+			if !c.span.contains(c.key) {
 				continue
 			}
-		case c.index != nil && !bytes.Equal(c.ts.IndexKey(c.index, row), key):
+		case c.index != nil && !bytes.Equal(c.key, key):
 			// Stale entry: index cleanup is deferred to PruneVersions, so
 			// the visible version may carry a different key; that key's own
 			// entry locates the row if it qualifies.
@@ -333,7 +366,7 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 		if row == nil {
 			break
 		}
-		if err := bt.Insert(ts.IndexKey(ix, row), rid); err != nil {
+		if err := bt.Insert(appendIndexKey(nil, ix, row), rid); err != nil {
 			return fmt.Errorf("exec: building index %s: %w", ix.Name, err)
 		}
 	}
@@ -412,13 +445,16 @@ func (r *Registry) Unregister(name string) {
 	r.mu.Unlock()
 }
 
-// EncodeRow serializes a row with the self-delimiting value encoding.
+// EncodeRow serializes a row with the self-delimiting value encoding into
+// a record of exactly its length: one allocation for a row that fits the
+// stack buffer.
 func EncodeRow(row Row) []byte {
-	var out []byte
+	var buf [256]byte
+	out := buf[:0]
 	for _, v := range row {
 		out = v.Encode(out)
 	}
-	return out
+	return bytes.Clone(out)
 }
 
 // DecodeRow parses exactly ncols values from rec.

@@ -78,7 +78,11 @@ var (
 // WaiterInfo describes one waiter observed when a blocking lock is
 // released.
 type WaiterInfo struct {
-	Txn    TxnID
+	Txn TxnID
+	// Tag is what the waiter passed to AcquireTagged (nil from Acquire),
+	// captured when it queued: it still names the waiter after the grant
+	// has let it run to its end.
+	Tag    any
 	Waited time.Duration
 }
 
@@ -106,6 +110,7 @@ type Notifier interface {
 
 type request struct {
 	txn     TxnID
+	tag     any
 	mode    Mode
 	upgrade bool
 	grant   chan error // buffered(1); receives nil on grant
@@ -158,6 +163,15 @@ func (m *Manager) SetNotifier(n Notifier) {
 //
 //sqlcm:cancellable
 func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
+	//sqlcm:allow AcquireTagged releases the latch on every path (the waits through waitLocked)
+	return m.AcquireTagged(txn, res, mode, nil)
+}
+
+// AcquireTagged is Acquire with a tag that ReleasedWithWaiters reports for
+// txn should it wait.
+//
+//sqlcm:cancellable
+func (m *Manager) AcquireTagged(txn TxnID, res Resource, mode Mode, tag any) error {
 	m.mu.Lock()
 	q := m.queues[res]
 	if q == nil {
@@ -177,7 +191,7 @@ func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
 			m.mu.Unlock()
 			return nil
 		}
-		req := &request{txn: txn, mode: Exclusive, upgrade: true, grant: make(chan error, 1), since: time.Now()}
+		req := &request{txn: txn, tag: tag, mode: Exclusive, upgrade: true, grant: make(chan error, 1), since: time.Now()}
 		// Upgrades queue at the front so they are not starved behind new
 		// shared requests.
 		q.waiting = append([]*request{req}, q.waiting...)
@@ -189,7 +203,7 @@ func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
 		m.mu.Unlock()
 		return nil
 	}
-	req := &request{txn: txn, mode: mode, grant: make(chan error, 1), since: time.Now()}
+	req := &request{txn: txn, tag: tag, mode: mode, grant: make(chan error, 1), since: time.Now()}
 	q.waiting = append(q.waiting, req)
 	return m.waitLocked(txn, res, q, req)
 }
@@ -359,7 +373,7 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 			now := time.Now()
 			infos := make([]WaiterInfo, 0, len(q.waiting))
 			for _, w := range q.waiting {
-				infos = append(infos, WaiterInfo{Txn: w.txn, Waited: now.Sub(w.since)})
+				infos = append(infos, WaiterInfo{Txn: w.txn, Tag: w.tag, Waited: now.Sub(w.since)})
 			}
 			notes = append(notes, releaseNote{res: res, waiters: infos})
 		}

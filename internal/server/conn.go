@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -349,17 +350,17 @@ func execErrCode(srv *Server, err error) errcode.Code {
 }
 
 // writeResult frames a statement result: RowDescription + DataRows for
-// row-returning statements, then CommandComplete.
+// row-returning statements, then CommandComplete. Values and the tag are
+// appended straight into the message buffer.
 func (c *conn) writeResult(res *engine.Result) {
 	if res != nil && res.Columns != nil {
 		c.pw.begin(msgRowDescription)
 		c.pw.putInt16(int16(len(res.Columns)))
-		kinds := columnKinds(res)
 		for i, col := range res.Columns {
 			c.pw.putString(col)
 			c.pw.putInt32(0) // table oid
 			c.pw.putInt16(0) // attr number
-			c.pw.putInt32(kindOID(kinds[i]))
+			c.pw.putInt32(kindOID(columnKind(res, i)))
 			c.pw.putInt16(-1) // type size
 			c.pw.putInt32(-1) // type modifier
 			c.pw.putInt16(0)  // text format
@@ -369,46 +370,32 @@ func (c *conn) writeResult(res *engine.Result) {
 			c.pw.begin(msgDataRow)
 			c.pw.putInt16(int16(len(row)))
 			for _, v := range row {
-				if s, ok := encodeValue(v); ok {
-					c.pw.putInt32(int32(len(s)))
-					c.pw.putBytes([]byte(s))
-				} else {
-					c.pw.putInt32(-1) // NULL
-				}
+				c.pw.putValue(v)
 			}
 			c.pw.end() //nolint:errcheck
 		}
 	}
 	c.pw.begin(msgCommandComplete)
-	c.pw.putString(commandTag(res))
+	switch {
+	case res == nil:
+		c.pw.putString("OK")
+	case res.Columns != nil:
+		c.pw.buf = append(strconv.AppendInt(append(c.pw.buf, "SELECT "...), int64(len(res.Rows)), 10), 0)
+	default:
+		c.pw.buf = append(strconv.AppendInt(append(c.pw.buf, "OK "...), res.Affected, 10), 0)
+	}
 	c.pw.end() //nolint:errcheck
 }
 
-// columnKinds infers each result column's wire type from the first
-// non-NULL value in that column (all-NULL or empty → text).
-func columnKinds(res *engine.Result) []sqltypes.Kind {
-	kinds := make([]sqltypes.Kind, len(res.Columns))
-	for i := range kinds {
-		kinds[i] = sqltypes.KindString
-		for _, row := range res.Rows {
-			if i < len(row) && !row[i].IsNull() {
-				kinds[i] = row[i].Kind()
-				break
-			}
+// columnKind infers result column i's wire type from its first non-NULL
+// value (all-NULL or no rows → text).
+func columnKind(res *engine.Result, i int) sqltypes.Kind {
+	for _, row := range res.Rows {
+		if i < len(row) && !row[i].IsNull() {
+			return row[i].Kind()
 		}
 	}
-	return kinds
-}
-
-// commandTag renders the CommandComplete tag for a result.
-func commandTag(res *engine.Result) string {
-	if res == nil {
-		return "OK"
-	}
-	if res.Columns != nil {
-		return fmt.Sprintf("SELECT %d", len(res.Rows))
-	}
-	return fmt.Sprintf("OK %d", res.Affected)
+	return sqltypes.KindString
 }
 
 // ---------------------------------------------------------------------------

@@ -127,23 +127,33 @@ const wireTimeFormat = time.RFC3339Nano
 
 // encodeValue renders one value in text format; ok=false marks NULL.
 func encodeValue(v sqltypes.Value) (s string, ok bool) {
-	if v.IsNull() {
-		return "", false
+	if v.Kind() == sqltypes.KindString {
+		return v.Str(), true
 	}
+	var buf [40]byte
+	b, ok := appendValue(buf[:0], v)
+	return string(b), ok
+}
+
+// appendValue appends v in text format to dst; ok=false marks NULL, with
+// dst unchanged.
+func appendValue(dst []byte, v sqltypes.Value) (_ []byte, ok bool) {
 	switch v.Kind() {
+	case sqltypes.KindNull:
+		return dst, false
 	case sqltypes.KindInt:
-		return strconv.FormatInt(v.Int(), 10), true
+		return strconv.AppendInt(dst, v.Int(), 10), true
 	case sqltypes.KindFloat:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64), true
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64), true
 	case sqltypes.KindBool:
 		if v.Bool() {
-			return "t", true
+			return append(dst, 't'), true
 		}
-		return "f", true
+		return append(dst, 'f'), true
 	case sqltypes.KindTime:
-		return v.Time().Format(wireTimeFormat), true
+		return v.Time().AppendFormat(dst, wireTimeFormat), true
 	default:
-		return v.Str(), true
+		return append(dst, v.Str()...), true
 	}
 }
 
@@ -338,6 +348,16 @@ func (pw *protoWriter) putString(s string) {
 	pw.buf = append(pw.buf, 0)
 }
 func (pw *protoWriter) putBytes(b []byte) { pw.buf = append(pw.buf, b...) }
+
+// putValue appends v in text format behind its length, or -1 for NULL.
+func (pw *protoWriter) putValue(v sqltypes.Value) {
+	at := len(pw.buf)
+	pw.putInt32(-1)
+	if b, ok := appendValue(pw.buf, v); ok {
+		binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+		pw.buf = b
+	}
+}
 
 // end frames the message under construction into the output buffer.
 func (pw *protoWriter) end() error {

@@ -5,6 +5,7 @@
 package sqltypes
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -413,7 +414,7 @@ func Decode(src []byte) (Value, []byte, error) {
 		if err != nil {
 			return Null, nil, err
 		}
-		return NewString(string(b)), rest, nil
+		return NewString(string(b)), rest, nil // the one copy
 	case 0x05:
 		i, rest, err := decodeOrderedInt(src)
 		if err != nil {
@@ -425,7 +426,9 @@ func Decode(src []byte) (Value, []byte, error) {
 		if err != nil {
 			return Null, nil, err
 		}
-		return NewBlob(b), rest, nil
+		// A value must not alias the encoding it came from (a version's
+		// record): copy.
+		return NewBlob(append([]byte(nil), b...)), rest, nil
 	default:
 		return Null, nil, fmt.Errorf("sqltypes: bad value tag 0x%02x", tag)
 	}
@@ -483,28 +486,33 @@ func encodeOrderedBytes[B string | []byte](dst []byte, b B) []byte {
 	return append(append(dst, b[start:]...), 0x00, 0x00)
 }
 
+// decodeOrderedBytes reads one encodeOrderedBytes payload off src. An
+// escape-free payload is returned in place, aliasing src; one with escapes
+// is unescaped into a new slice. Callers copy before keeping it.
 func decodeOrderedBytes(src []byte) ([]byte, []byte, error) {
-	var out []byte
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c != 0x00 {
-			out = append(out, c)
-			continue
+	var out []byte // nil until the first escape
+	for start := 0; ; {
+		i := bytes.IndexByte(src[start:], 0x00)
+		if i < 0 {
+			return nil, nil, fmt.Errorf("sqltypes: unterminated bytes encoding")
 		}
+		i += start
 		if i+1 >= len(src) {
 			return nil, nil, fmt.Errorf("sqltypes: truncated bytes encoding")
 		}
 		switch src[i+1] {
 		case 0x00:
-			return out, src[i+2:], nil
+			if out == nil {
+				return src[:i], src[i+2:], nil
+			}
+			return append(out, src[start:i]...), src[i+2:], nil
 		case 0xff:
-			out = append(out, 0x00)
-			i++
+			out = append(append(out, src[start:i]...), 0x00)
+			start = i + 2
 		default:
 			return nil, nil, fmt.Errorf("sqltypes: bad escape in bytes encoding")
 		}
 	}
-	return nil, nil, fmt.Errorf("sqltypes: unterminated bytes encoding")
 }
 
 // EncodeKey encodes a composite key of values into a single order-preserving

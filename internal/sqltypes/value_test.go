@@ -330,3 +330,57 @@ func TestEqualValuesBuiltDifferently(t *testing.T) {
 		t.Error("equal strings built differently must agree on DeepEqual, Equal and Hash")
 	}
 }
+
+// FuzzValueRoundTrip: Decode(Encode(v)) is v for every kind (BOOL encodes
+// as INT), bytes past the value are left alone, strings and blobs carrying
+// the escape bytes 0x00/0xff included, and a decoded value never aliases
+// its input: overwriting the encoding afterwards leaves it unchanged.
+func FuzzValueRoundTrip(f *testing.F) {
+	f.Add(uint8(KindString), int64(0), 0.0, "plain", []byte(nil))
+	f.Add(uint8(KindString), int64(0), 0.0, "a\x00b\xff\x00", []byte(nil))
+	f.Add(uint8(KindBlob), int64(0), 0.0, "", []byte{0x00, 0xff, 0x00, 0x00})
+	f.Add(uint8(KindBlob), int64(0), 0.0, "", []byte{})
+	f.Add(uint8(KindBlob), int64(0), 0.0, "", []byte("plain"))
+	f.Add(uint8(KindFloat), int64(0), math.Copysign(0, -1), "", []byte(nil))
+	f.Add(uint8(KindInt), int64(math.MinInt64), 0.0, "", []byte(nil))
+	f.Add(uint8(KindTime), int64(-1), 0.0, "", []byte(nil))
+	f.Fuzz(func(t *testing.T, kind uint8, i int64, fl float64, s string, b []byte) {
+		var v Value
+		switch Kind(kind % 7) {
+		case KindBool:
+			v = NewBool(i&1 == 1)
+		case KindInt:
+			v = NewInt(i)
+		case KindFloat:
+			v = NewFloat(fl)
+		case KindString:
+			v = NewString(s)
+		case KindTime:
+			v = Value{kind: KindTime, i: i}
+		case KindBlob:
+			v = NewBlob(append([]byte(nil), b...))
+		}
+		want := v
+		if v.kind == KindBool {
+			want = NewInt(v.i)
+		}
+		enc := append(v.Encode(nil), 0x07)
+		got, rest, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("Decode(Encode(%v)): %v", v, err)
+		}
+		same := func() bool {
+			return got.kind == want.kind && got.i == want.i && got.s == want.s &&
+				math.Float64bits(got.f) == math.Float64bits(want.f) && bytes.Equal(got.b, want.b)
+		}
+		if !same() || !bytes.Equal(rest, []byte{0x07}) {
+			t.Fatalf("Decode(Encode(%v)) = %v, rest %x", want, got, rest)
+		}
+		for k := range enc {
+			enc[k] ^= 0xff
+		}
+		if !same() {
+			t.Fatalf("decoded %v changed to %v with its input", want, got)
+		}
+	})
+}

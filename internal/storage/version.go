@@ -1,11 +1,12 @@
-// Package storage is the engine's row store: per table, a map from RID to a
-// chain of immutable row versions, newest first. Writers (serialized per
+// Package storage is the engine's row store: per table, a slot array
+// indexed by RID holding each row's chain of immutable row versions, newest
+// first. Writers (serialized per
 // table by the lock manager's exclusive table locks) prepend versions
 // stamped with their transaction id; commit stamps the versions with a
 // monotonically increasing commit timestamp inside the transaction
 // manager's commit critical section. Readers resolve the version visible
 // to their snapshot by walking the chain — no locks taken beyond the
-// store's own short map latch, so readers never appear in the lock
+// store's own short slot latch, so readers never appear in the lock
 // manager's wait graph.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
@@ -15,14 +16,12 @@
 // superseding commit.
 //
 // A row never moves: index entries carry its RID and are resolved through
-// the chain map. Entries become stale only when the row's key changes;
+// the chain slots. Entries become stale only when the row's key changes;
 // stale entries are recorded as pending removals and reclaimed by Prune.
 package storage
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"sqlcm/internal/lockcheck"
@@ -150,20 +149,26 @@ type VersionStore struct {
 	// lastRID is the newest RID NewRID handed out.
 	lastRID atomic.Uint64
 
-	// mu protects the chain map, every chain's mutable fields (pend, dirty)
-	// and the garbage set with its counters. Chain heads and version links
-	// are read through atomics so visibility walks escape the critical
+	// mu protects the chain slots, every chain's mutable fields (pend,
+	// dirty) and the garbage set with its counters. Chain heads and version
+	// links are read through atomics so visibility walks escape the critical
 	// section.
 	//sqlcm:lock storage.version
-	//sqlcm:guards chains, garbage, grown, residue, prunedAt
-	mu     lockcheck.RWMutex
-	chains map[RID]*chain
+	//sqlcm:guards chains, base, live, garbage, grown, residue, prunedAt
+	mu lockcheck.RWMutex
+	// chains[i] is the chain of RID base+i, nil for a RID whose row is gone
+	// or was never installed. Leading nil slots are trimmed (base moves up),
+	// so a table that drops its oldest rows keeps no slot for them; interior
+	// holes cost one pointer each. live counts the non-nil slots.
+	chains []*chain
+	base   RID
+	live   int
 	// garbage is the set of chains Prune can find work in. Invariant: every
 	// chain with more than one version, a tombstone head or a pending entry
 	// is in it — a chain outside it is one live version, which no watermark
 	// makes garbage. Chains enter on Push, Tombstone, AddPending and
 	// RestorePending; Prune drops the ones it leaves clean and the ones Pop
-	// or Discard removed from the map since they entered.
+	// or Discard removed from the store since they entered.
 	garbage []RID
 	// grown counts the versions pushed since the last Prune; residue the
 	// versions that pass examined and had to keep, prunedAt its watermark.
@@ -177,7 +182,7 @@ func NewVersionStore(stats *VersionStats) *VersionStore {
 	if stats == nil {
 		stats = &VersionStats{}
 	}
-	s := &VersionStore{stats: stats, chains: make(map[RID]*chain)}
+	s := &VersionStore{stats: stats, base: 1}
 	s.mu.SetClass("storage.version")
 	return s
 }
@@ -201,10 +206,47 @@ func (s *VersionStore) Install(rid RID, rec []byte, txnID int64, committed bool)
 	c := &chain{}
 	c.head.Store(v)
 	s.mu.Lock()
-	s.chains[rid] = c
+	s.setSlot(rid, c)
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
 	return v
+}
+
+// slot returns the chain at rid, nil when there is none. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) slot(rid RID) *chain {
+	if rid < s.base || rid-s.base >= RID(len(s.chains)) {
+		return nil
+	}
+	return s.chains[rid-s.base]
+}
+
+// setSlot installs c at rid, growing the slot array up to it. The caller
+// holds mu; rid is at or above base (NewRID only counts up, and Reset moves
+// base past every RID handed out).
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) setSlot(rid RID, c *chain) {
+	i := int(rid - s.base)
+	for len(s.chains) <= i {
+		s.chains = append(s.chains, nil)
+	}
+	s.chains[i] = c
+	s.live++
+}
+
+// drop empties the slot at rid and trims the leading empty slots. The
+// caller holds mu and has checked that the slot is set.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) drop(rid RID) {
+	s.chains[rid-s.base] = nil
+	s.live--
+	for len(s.chains) > 0 && s.chains[0] == nil {
+		s.chains = s.chains[1:]
+		s.base++
+	}
 }
 
 // Push prepends a new version carrying rec (UPDATE).
@@ -224,13 +266,13 @@ func (s *VersionStore) Tombstone(rid RID, txnID int64) *Version {
 
 func (s *VersionStore) push(rid RID, v *Version) {
 	s.mu.Lock()
-	c := s.chains[rid]
+	c := s.slot(rid)
 	if c == nil {
 		// Defensive: a row the store has never seen (should not happen —
 		// every insert installs a chain). Adopt it with v as the only
 		// version.
 		c = &chain{}
-		s.chains[rid] = c
+		s.setSlot(rid, c)
 	} else {
 		v.next.Store(c.head.Load())
 	}
@@ -256,12 +298,12 @@ func (s *VersionStore) markGarbage(rid RID, c *chain) {
 // DELETE). The chain must hold an older version underneath.
 func (s *VersionStore) Pop(rid RID) {
 	s.mu.Lock()
-	if c := s.chains[rid]; c != nil {
+	if c := s.slot(rid); c != nil {
 		if h := c.head.Load(); h != nil {
 			if n := h.next.Load(); n != nil {
 				c.head.Store(n)
 			} else {
-				delete(s.chains, rid)
+				s.drop(rid)
 			}
 			s.stats.Retained.Add(-1)
 		}
@@ -273,8 +315,8 @@ func (s *VersionStore) Pop(rid RID) {
 // handed out again.
 func (s *VersionStore) Discard(rid RID) {
 	s.mu.Lock()
-	if c := s.chains[rid]; c != nil {
-		delete(s.chains, rid)
+	if c := s.slot(rid); c != nil {
+		s.drop(rid)
 		s.stats.Retained.Add(-int64(chainLen(c.head.Load())))
 	}
 	s.mu.Unlock()
@@ -293,7 +335,7 @@ func chainLen(v *Version) int {
 // either way.
 func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 	s.mu.RLock()
-	c := s.chains[rid]
+	c := s.slot(rid)
 	s.mu.RUnlock()
 	row.Rid = rid
 	if c == nil {
@@ -309,20 +351,22 @@ func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 }
 
 // SnapScan materializes every row visible to snap in RID order, which is
-// insertion order. The row set is captured atomically with respect to
-// chain installation and pruning.
+// insertion order: the slot order. The row set is captured atomically with
+// respect to chain installation and pruning.
 func (s *VersionStore) SnapScan(snap Snapshot) []ChainRow {
 	s.mu.RLock()
-	out := make([]ChainRow, 0, len(s.chains))
-	for rid, c := range s.chains {
+	out := make([]ChainRow, 0, s.live)
+	for i, c := range s.chains {
+		if c == nil {
+			continue
+		}
 		vis, depth := visibleTo(c.head.Load(), snap)
 		if vis == nil || vis.Tombstone() {
 			continue
 		}
-		out = append(out, ChainRow{Rid: rid, Rec: vis.rec, Depth: depth})
+		out = append(out, ChainRow{Rid: s.base + RID(i), Rec: vis.rec, Depth: depth})
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(out, func(a, b ChainRow) int { return cmp.Compare(a.Rid, b.Rid) })
 	return out
 }
 
@@ -330,7 +374,7 @@ func (s *VersionStore) SnapScan(snap Snapshot) []ChainRow {
 // is visible to every snapshot.
 func (s *VersionStore) AddPending(rid RID, index string, key []byte, by *Version) {
 	s.mu.Lock()
-	if c := s.chains[rid]; c != nil {
+	if c := s.slot(rid); c != nil {
 		c.pend = append(c.pend, Pending{Index: index, Key: key, Rid: rid, By: by})
 		s.markGarbage(rid, c)
 	}
@@ -344,7 +388,7 @@ func (s *VersionStore) AddPending(rid RID, index string, key []byte, by *Version
 func (s *VersionStore) TakePending(rid RID, index string, key []byte) (Pending, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.chains[rid]
+	c := s.slot(rid)
 	if c == nil {
 		return Pending{}, false
 	}
@@ -360,7 +404,7 @@ func (s *VersionStore) TakePending(rid RID, index string, key []byte) (Pending, 
 // RestorePending re-registers a deferred removal taken by TakePending.
 func (s *VersionStore) RestorePending(rid RID, p Pending) {
 	s.mu.Lock()
-	if c := s.chains[rid]; c != nil {
+	if c := s.slot(rid); c != nil {
 		c.pend = append(c.pend, p)
 		s.markGarbage(rid, c)
 	}
@@ -409,7 +453,7 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 	scanned := len(s.garbage)
 	kept, residue := s.garbage[:0], 0
 	for _, rid := range s.garbage {
-		c := s.chains[rid]
+		c := s.slot(rid)
 		if c == nil {
 			continue // rolled back (Pop, Discard) since it entered the set
 		}
@@ -432,7 +476,7 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 			entries = append(entries, c.pend...)
 			c.pend = nil
 			pruned += int64(chainLen(head))
-			delete(s.chains, rid)
+			s.drop(rid)
 			continue
 		}
 		// Interior truncation below the newest watermark-visible version.
@@ -466,14 +510,16 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 }
 
 // Reset drops every chain (TRUNCATE). RIDs keep counting from where they
-// were.
+// were, and the slot array starts past the last one handed out.
 func (s *VersionStore) Reset() {
 	s.mu.Lock()
 	var n int64
 	for _, c := range s.chains {
-		n += int64(chainLen(c.head.Load()))
+		if c != nil {
+			n += int64(chainLen(c.head.Load()))
+		}
 	}
-	s.chains = make(map[RID]*chain)
+	s.chains, s.base, s.live = nil, RID(s.lastRID.Load())+1, 0
 	s.garbage, s.grown, s.residue = nil, 0, 0
 	s.mu.Unlock()
 	s.stats.Retained.Add(-n)
@@ -483,5 +529,5 @@ func (s *VersionStore) Reset() {
 func (s *VersionStore) Chains() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.chains)
+	return s.live
 }

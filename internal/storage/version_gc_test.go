@@ -16,7 +16,7 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
-	for rid, c := range s.chains {
+	for rid, c := range eachChain(s) {
 		kept := c.pend[:0]
 		for _, p := range c.pend {
 			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
@@ -35,7 +35,7 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 			entries = append(entries, c.pend...)
 			c.pend = nil
 			pruned += int64(chainLen(head))
-			delete(s.chains, rid)
+			s.drop(rid)
 			continue
 		}
 		for v := head; v != nil; v = v.next.Load() {
@@ -56,6 +56,18 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 	return entries
 }
 
+// eachChain returns the store's chains keyed by RID, a copy of the slot
+// array without its empty slots. The caller holds s.mu.
+func eachChain(s *VersionStore) map[RID]*chain {
+	out := make(map[RID]*chain, s.live)
+	for i, c := range s.chains {
+		if c != nil {
+			out[s.base+RID(i)] = c
+		}
+	}
+	return out
+}
+
 // workString renders a pass's work order-independently (both walks visit
 // chains in no particular order).
 func workString(entries []Pending) string {
@@ -73,7 +85,7 @@ func dumpStore(s *VersionStore) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var lines []string
-	for rid, c := range s.chains {
+	for rid, c := range eachChain(s) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%v:", rid)
 		for v := c.head.Load(); v != nil; v = v.next.Load() {
@@ -105,12 +117,12 @@ func checkGarbageInvariant(t *testing.T, s *VersionStore, pruned bool) {
 			t.Fatalf("chain %v is in the garbage set twice", rid)
 		}
 		in[rid] = true
-		if c := s.chains[rid]; pruned && (c == nil ||
+		if c := s.slot(rid); pruned && (c == nil ||
 			c.head.Load().next.Load() == nil && !c.head.Load().Tombstone() && len(c.pend) == 0) {
 			t.Fatalf("chain %v survived a pass in the garbage set with nothing to collect", rid)
 		}
 	}
-	for rid, c := range s.chains {
+	for rid, c := range eachChain(s) {
 		head := c.head.Load()
 		if !c.dirty && (head.next.Load() != nil || head.Tombstone() || len(c.pend) > 0) {
 			t.Fatalf("chain %v can hold garbage but is not marked", rid)
@@ -150,7 +162,7 @@ func driveStore(t *testing.T, seed int64, prune func(*VersionStore, int64) []Pen
 	headOf := func(rid RID) *Version {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.chains[rid].head.Load()
+		return s.slot(rid).head.Load()
 	}
 	lastRow := 0
 	for step := 0; step < steps; step++ {
@@ -409,5 +421,54 @@ func BenchmarkPruneSparse(b *testing.B) {
 		b.StopTimer()
 		touchSparse(s, n, dirty, ts+1)
 		b.StartTimer()
+	}
+}
+
+// TRUNCATE moves the slot array past every RID handed out: the next insert
+// does not reserve a slot for each dropped row.
+func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
+	s := NewVersionStore(nil)
+	for i := 0; i < 10_000; i++ {
+		s.Install(s.NewRID(), []byte("row"), 0, true)
+	}
+	s.Reset()
+	rid := s.NewRID()
+	s.Install(rid, []byte("after"), 0, true)
+	if n := len(s.chains); n > 1 {
+		t.Fatalf("%d slots after TRUNCATE and one insert", n)
+	}
+	if cr, ok := s.ReadAt(rid, CurrentSnapshot(0)); !ok || string(cr.Rec) != "after" {
+		t.Fatalf("row %v after TRUNCATE: %q, %v", rid, cr.Rec, ok)
+	}
+	if got := s.SnapScan(CurrentSnapshot(0)); len(got) != 1 || got[0].Rid != rid {
+		t.Fatalf("scan after TRUNCATE: %v", got)
+	}
+}
+
+// A table that deletes its oldest rows (checkpoint generations) keeps no
+// slot for them once they are pruned; rows behind an interior hole keep
+// their slots and resolve.
+func TestLeadingHolesTrimmed(t *testing.T) {
+	s := NewVersionStore(nil)
+	const n, oldest = 100, 60
+	for i := 0; i < n; i++ {
+		s.Install(s.NewRID(), []byte("row"), 0, true)
+	}
+	for rid := RID(1); rid <= oldest; rid++ {
+		s.Tombstone(rid, 0).SetCommit(1)
+	}
+	s.Tombstone(oldest+5, 0).SetCommit(1) // an interior hole
+	s.Prune(1)
+	if s.base != oldest+1 || len(s.chains) != n-oldest {
+		t.Fatalf("base %v, %d slots after pruning the %d oldest of %d rows", s.base, len(s.chains), oldest, n)
+	}
+	if s.Chains() != n-oldest-1 {
+		t.Fatalf("%d live chains, want %d", s.Chains(), n-oldest-1)
+	}
+	for rid := RID(1); rid <= n; rid++ {
+		_, ok := s.ReadAt(rid, CurrentSnapshot(0))
+		if want := rid > oldest && rid != oldest+5; ok != want {
+			t.Fatalf("row %v visible %v, want %v", rid, ok, want)
+		}
 	}
 }

@@ -90,9 +90,9 @@ go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/wo
 # The LAT and signature-cache micro-benchmarks the one-latch LAT was sized
 # by (DESIGN.md §5.1), the in-process monitored point read the
 # allocation-free rule dispatch was sized by (§5), and the ad-hoc range
-# SELECT the template plan cache was sized by (§5.4), likewise one
-# iteration each.
-go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange' -benchtime=1x .
+# SELECT and prepared point UPDATE the per-template plans, operator trees
+# and compiled writes were sized by (§5.4), likewise one iteration each.
+go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate' -benchtime=1x .
 
 # Benchmark module: bench/ is its own module (sqlcm/bench), so the root
 # `go build ./...` and `go test ./...` never see it; an internal API change
