@@ -104,7 +104,7 @@ sim-mvcc:
 # copy of REF (default HEAD), which then goes through vet, sqlcm-vet -code,
 # test, race, lockdep, sim and chaos; the table says which tier catches
 # each bug first and whether its analyzer is the only catcher (DESIGN.md
-# §12). About 100 minutes for the 34 patches on 2 CPUs: not part of
+# §12). About 100 minutes for the 35 patches on 2 CPUs: not part of
 # `make ci`.
 # make mutate [REF=<ref>]
 mutate:

@@ -48,11 +48,12 @@ func main() {
 	}
 
 	// Simulate an application with a long write transaction (the hotspot)
-	// and several checkout writers that pile up behind it. (Reads are MVCC
-	// snapshot reads and never block — only writers contend for locks.)
+	// and several checkouts of the same SKU that pile up behind it. (Reads
+	// are MVCC snapshot reads and never block, and writers lock rows, so
+	// only writers of the same row contend.)
 	writer := db.Session("batch", "nightly-job")
 	mustExec(writer, "BEGIN")
-	mustExec(writer, "UPDATE inventory SET stock = stock - 1 WHERE sku = 42")
+	mustExec(writer, "UPDATE inventory SET stock = stock + 100 WHERE sku = 42")
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -60,13 +61,13 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			checkout := db.Session(fmt.Sprintf("web-%d", i), "storefront")
-			sql := fmt.Sprintf("UPDATE inventory SET stock = stock - 1 WHERE sku = %d", i+1)
+			sql := fmt.Sprintf("UPDATE inventory SET stock = stock - %d WHERE sku = 42", i+1)
 			if _, err := checkout.Exec(sql, nil); err != nil {
 				log.Printf("checkout %d: %v", i, err)
 			}
 		}(i)
 	}
-	time.Sleep(300 * time.Millisecond) // the checkouts wait on the writer's lock
+	time.Sleep(300 * time.Millisecond) // the checkouts wait on the writer's row lock
 	mustExec(writer, "COMMIT")
 	wg.Wait()
 

@@ -103,12 +103,12 @@ func TestPullerObservesLongRunningOnly(t *testing.T) {
 
 	// A short query between polls is likely missed; a blocked (long)
 	// query is observed. MVCC reads never block, so the parked statement
-	// is a second writer waiting on the first writer's X lock.
+	// is a second writer waiting on the first writer's X lock on its row.
 	w := eng.NewSession("writer", "a")
 	if _, err := w.Exec("BEGIN", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Exec("UPDATE data SET v = 0 WHERE id = 1", nil); err != nil {
+	if _, err := w.Exec("UPDATE data SET v = 0 WHERE id = 2", nil); err != nil {
 		t.Fatal(err)
 	}
 	waiter := eng.NewSession("waiter", "a")

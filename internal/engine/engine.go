@@ -117,12 +117,21 @@ func Open(cfg Config) (*Engine, error) {
 }
 
 // pruneAfterWrite is the version-garbage trigger: a writer calls it on the
-// table it wrote, still holding that table's exclusive lock, and runs the
-// pass itself when the table's version store says one is due. The lock
-// is what a pass needs (no other writer is in its commit window on this
-// table, readers only ever follow atomics), the watermark is read under it,
-// and the writer's own uncommitted versions sit above every version the
-// pass may cut, so rolling the writer back afterwards still finds them.
+// table it wrote, still holding its write locks — X on the table, or IX on
+// it and X on the rows it changed — and runs the pass itself when the
+// table's version store says one is due. Under IX two writers of one table
+// may prune at once: each garbage record goes to one pass under the store's
+// latch, and index deletes latch their tree. Every version a pass may cut
+// is committed at or below the watermark, read here after the locks:
+// another writer's uncommitted head sits above it on its chain (its row's
+// lock kept this writer off that chain), a commit running concurrently
+// stamps a timestamp above the published last commit, which is at or
+// above the watermark, and the writer's own uncommitted versions sit above
+// everything the pass cuts, so rolling it back afterwards still finds
+// them. A whole chain dies only under a committed tombstone at or below
+// the watermark, and a row-locked writer cannot be about to write such a
+// row: it locked the row before reading it, so it read the tombstone and
+// skipped the row. Readers only ever follow atomics.
 func (e *Engine) pruneAfterWrite(ts *exec.TableStore) {
 	if wm, due := ts.Vers.PruneDue(e.tm.Watermark); due {
 		ts.PruneVersions(wm)
@@ -133,8 +142,9 @@ func (e *Engine) pruneAfterWrite(ts *exec.TableStore) {
 // watermark (oldest active snapshot), whatever the write-path trigger
 // thinks is due: shutdown, tests and measurements call it to reclaim what
 // tables nobody writes any more were left holding. Each table is pruned
-// under its exclusive lock inside a short internal transaction, so the
-// sweep serializes against writers exactly like a statement.
+// under its X lock inside a short internal transaction, so the sweep
+// serializes against writers, row-locked ones included, exactly like a
+// table-locked statement.
 func (e *Engine) PruneVersionsNow() {
 	for _, name := range e.reg.Names() {
 		ts, err := e.reg.Store(name)

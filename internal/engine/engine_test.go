@@ -279,7 +279,7 @@ func TestBlockingEventsAcrossSessions(t *testing.T) {
 	s2 := e.NewSession("waiter", "app")
 	done := make(chan error, 1)
 	go func() {
-		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 2", nil)
+		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 1", nil)
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -330,7 +330,7 @@ func TestBlockReleasedSurvivesWaiterCommit(t *testing.T) {
 	s2 := e.NewSession("waiter", "app")
 	waiter := make(chan error, 1)
 	go func() {
-		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 2", nil)
+		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 1", nil)
 		waiter <- err
 	}()
 	for e.locks.WaitingCount() == 0 {
@@ -369,7 +369,7 @@ func TestCancelQueryMidExecution(t *testing.T) {
 	s2 := e.NewSession("victim", "app")
 	done := make(chan error, 1)
 	go func() {
-		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 2", nil)
+		_, err := s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 1", nil)
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -406,7 +406,7 @@ func TestActiveQueriesSnapshotDuringExecution(t *testing.T) {
 
 	s2 := e.NewSession("waiter", "rpt")
 	// The writer's rollback below releases the lock, which ends the query.
-	go s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 2", nil) //nolint:errcheck
+	go s2.Exec("UPDATE accounts SET balance = 1 WHERE id = 1", nil) //nolint:errcheck
 	time.Sleep(100 * time.Millisecond)
 	snaps := e.ActiveQueries()
 	if len(snaps) != 1 {

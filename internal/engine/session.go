@@ -443,14 +443,21 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 // executeBody acquires locks and runs the statement. SELECTs read a
 // transaction-consistent snapshot through the version chains and never
 // touch the lock manager — readers cannot block, be blocked, or deadlock,
-// so they produce no Blocker/Blocked events. Writes take exclusive table
-// locks (strict 2PL): write-write blocking and deadlock behavior are those
-// of a plain locking engine.
+// so they produce no Blocker/Blocked events. Writes lock under strict 2PL:
+// a row-locked write (exec.Write.RowLocked) takes IX on its table and X on
+// each row before reading it, every other write X on the table, so
+// write-write blocking and deadlock behavior are those of a plain locking
+// engine.
 func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	ctx := &exec.Ctx{Txn: t, Params: params, Lits: lits}
 	if w := cp.write; w != nil {
 		ts := w.Store()
-		if err := s.e.locks.AcquireTagged(t.ID, lock.TableResource(ts.Meta.Name), lock.Exclusive, qi); err != nil {
+		mode := lock.Exclusive
+		if w.RowLocked() {
+			mode = lock.IntentExclusive
+			ctx.Locks, ctx.LockTag = s.e.locks, qi
+		}
+		if err := s.e.locks.AcquireTagged(t.ID, lock.TableResource(ts.Meta.Name), mode, qi); err != nil {
 			return nil, err
 		}
 		n, err := w.Exec(ctx)

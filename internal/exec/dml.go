@@ -28,6 +28,8 @@ type Write struct {
 	sets   []plan.UpdateSet // UPDATE
 	setEvs []Evaluator      // UPDATE: one per SET item
 	del    bool
+	// rowLocked: see RowLocked.
+	rowLocked bool
 }
 
 // CompileWrite compiles an insert, update or delete plan against sp's
@@ -66,6 +68,7 @@ func CompileWrite(p plan.Physical, sp StoreProvider, cat *catalog.Catalog) (*Wri
 		}
 		w.setEvs = append(w.setEvs, ev)
 	}
+	w.rowLocked = ap != nil && uniqueKeyPath(ap) && !setsIndexed(w.sets, w.ts.Meta)
 	if w.ins != nil {
 		w.values = make([][]Evaluator, len(w.ins.RowsSrc))
 		for i, row := range w.ins.RowsSrc {
@@ -81,8 +84,38 @@ func CompileWrite(p plan.Physical, sp StoreProvider, cat *catalog.Catalog) (*Wri
 	return w, nil
 }
 
+// uniqueKeyPath reports whether ap locates rows by equality on every
+// column of a unique index: at most one row per execution.
+func uniqueKeyPath(ap *plan.AccessPath) bool {
+	return ap.Index != nil && ap.Index.Unique && len(ap.Eq) == len(ap.Index.Columns) && ap.Lo == nil && ap.Hi == nil
+}
+
+// setsIndexed reports whether sets assign a column of one of t's indexes.
+func setsIndexed(sets []plan.UpdateSet, t *catalog.Table) bool {
+	for _, ix := range t.Indexes() {
+		for _, col := range ix.Columns {
+			for _, s := range sets {
+				if s.Column == col {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // Store returns the table the statement writes.
 func (w *Write) Store() *TableStore { return w.ts }
+
+// RowLocked reports whether the statement locks the rows it changes
+// instead of its table: an UPDATE or DELETE located by a unique key whose
+// SET list changes no indexed column. Its transaction holds IX on the
+// table, and target collection takes each row's X lock (Ctx.Locks) before
+// it reads the row. Every other write needs the table's X lock: an index
+// insert reclaims a unique entry whose row looks dead in the current view,
+// which another writer's uncommitted insert would, and a scan would lock
+// row by row.
+func (w *Write) RowLocked() bool { return w.rowLocked }
 
 // Exec runs the statement, returning the number of rows it inserted,
 // changed or removed.
@@ -237,7 +270,9 @@ type targetRow struct {
 // collectTargets materializes the (rid, row) pairs the access path
 // matches, read in the writer's current view. DML collects all targets
 // before mutating so the scan never observes its own writes (Halloween
-// protection).
+// protection). A row-locked write locks each entry's row before the
+// cursor reads it: no other writer then has an uncommitted version on the
+// chain, and the current view is the newest commit.
 //
 //sqlcm:cancellable
 func (w *Write) collectTargets(ctx *Ctx) ([]targetRow, error) {
@@ -245,6 +280,7 @@ func (w *Write) collectTargets(ctx *Ctx) ([]targetRow, error) {
 	if err := cur.open(w.ts, ctx.Current(), w.access, ctx); err != nil {
 		return nil, err
 	}
+	cur.lockRows = w.rowLocked && ctx.Locks != nil // nil: the caller runs no concurrent writer
 	var out []targetRow
 	for {
 		rid, row, err := cur.Next(ctx)

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"sqlcm/internal/expr"
+	"sqlcm/internal/lock"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/storage"
@@ -25,6 +26,12 @@ type Ctx struct {
 	// MaxChain tracks the longest version-chain walk the statement
 	// performed (the Version_Chain_Length probe).
 	MaxChain int
+
+	// Locks is where a row-locked write (Write.RowLocked) takes the X lock
+	// of each row it is about to read, tagged with LockTag. A caller that
+	// runs writes one at a time (this package's tests) leaves it nil.
+	Locks   *lock.Manager
+	LockTag any
 }
 
 // env is what the statement's expressions read at row.
@@ -45,13 +52,21 @@ func (c *Ctx) Snapshot() storage.Snapshot {
 }
 
 // Current is the read view of the statement as a writer (DML target
-// collection): valid while its transaction holds the table's exclusive
-// lock.
+// collection): valid for a row while its transaction holds the row's X
+// lock or the table's.
 func (c *Ctx) Current() storage.Snapshot {
 	if c.Txn == nil {
 		return storage.CurrentSnapshot(0)
 	}
 	return storage.CurrentSnapshot(int64(c.Txn.ID))
+}
+
+// lockRow takes the X lock of the row at rid of ts for the statement's
+// transaction, waiting behind the row's writer if it has one.
+//
+//sqlcm:cancellable
+func (c *Ctx) lockRow(ts *TableStore, rid storage.RID) error {
+	return c.Locks.AcquireTagged(c.Txn.ID, lock.RowResource(ts.Meta.Name, rid), lock.Exclusive, c.LockTag)
 }
 
 // checkCancel polls the transaction's cancellation flag.

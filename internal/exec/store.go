@@ -215,11 +215,14 @@ func prefixSuccessor(b []byte, start int) []byte {
 // SELECT scans, join probes, DML target collection, index builds and the
 // engine's direct readers differ only in the snapshot they pass (a
 // transaction's read snapshot, or storage.CurrentSnapshot for a writer
-// under the table's exclusive lock).
+// under the table's X lock or its rows' X locks).
 type Cursor struct {
 	ts    *TableStore
 	snap  storage.Snapshot
 	index *catalog.Index // nil: whole table
+	// lockRows makes an index cursor take each entry's row lock before it
+	// resolves the row (a row-locked write's target collection).
+	lockRows bool
 	// rows (whole table) are materialized at open, in RID order, which is
 	// insertion order; entries (index range) are collected at open and
 	// resolved one per Next. Only one of the two is set.
@@ -317,8 +320,14 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 		if c.pos < len(c.rows) {
 			cr = c.rows[c.pos]
 		} else {
-			key = c.entries[c.pos].key
-			cr, visible = c.ts.Vers.ReadAt(c.entries[c.pos].rid, c.snap)
+			e := c.entries[c.pos]
+			if c.lockRows {
+				if err := ctx.lockRow(c.ts, e.rid); err != nil {
+					return 0, nil, err
+				}
+			}
+			key = e.key
+			cr, visible = c.ts.Vers.ReadAt(e.rid, c.snap)
 		}
 		c.pos++
 		ctx.noteDepth(cr.Depth)
@@ -376,8 +385,11 @@ func (ts *TableStore) AddIndex(ctx *Ctx, ix *catalog.Index) error {
 
 // PruneVersions runs one version-garbage-collection pass at the given
 // watermark and deletes the stale index entries whose superseding commits
-// every snapshot has passed. The caller must hold the table's exclusive
-// lock (Prune itself only takes the version store's leaf latch).
+// every snapshot has passed. The caller holds a write lock on the table:
+// X, or IX as a row-locked writer, read the watermark under it, and the
+// pass needs no more (DESIGN.md §14). Two IX writers of one table may
+// prune at once: the store hands each garbage record to one pass under
+// storage.version, and each index delete runs under index.btree.
 func (ts *TableStore) PruneVersions(watermark int64) {
 	indexes := ts.Indexes()
 	for _, p := range ts.Vers.Prune(watermark) {

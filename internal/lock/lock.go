@@ -1,9 +1,14 @@
 // Package lock implements the engine's lock manager: FIFO queuing,
 // wait-for-graph deadlock detection, cancellation, and blocking
-// notifications. The engine requests one kind of lock, a table-level
-// Exclusive lock (DML, CREATE INDEX and the direct writers); the Shared
-// mode, row resources and S->X upgrades are implemented here but have no
-// caller outside this package's tests.
+// notifications. It has exactly the modes and resources the engine
+// requests. A point UPDATE or DELETE located by a unique key takes
+// IntentExclusive (IX) on its table and Exclusive (X) on each row it
+// changes, before it reads the row; every other write (INSERT, key-changing
+// and range or scan DML, CREATE INDEX, the version-prune sweep and the
+// direct writers) takes X on the table. IX is compatible only with IX and X
+// with nothing, so point writers of different rows run concurrently while a
+// table writer excludes them all. A transaction holding IX that asks for X
+// on the same table upgrades in place.
 //
 // The notification hooks are the instrumentation points the SQLCM monitor
 // uses to expose the Blocker and Blocked monitored classes and the
@@ -27,20 +32,22 @@ type Mode uint8
 
 // Lock modes.
 const (
-	Shared Mode = iota
+	// IntentExclusive is a table lock of a transaction that writes single
+	// rows of the table under their own Exclusive locks.
+	IntentExclusive Mode = iota
 	Exclusive
 )
 
-// String returns "S" or "X".
+// String returns "IX" or "X".
 func (m Mode) String() string {
-	if m == Shared {
-		return "S"
+	if m == IntentExclusive {
+		return "IX"
 	}
 	return "X"
 }
 
 // compatible reports whether a lock in mode a coexists with mode b.
-func compatible(a, b Mode) bool { return a == Shared && b == Shared }
+func compatible(a, b Mode) bool { return a == IntentExclusive && b == IntentExclusive }
 
 // Resource identifies a lockable object: a whole table or a single row.
 type Resource struct {
@@ -102,8 +109,9 @@ type Notifier interface {
 	Blocked(waiter TxnID, res Resource, holders []TxnID)
 	// Unblocked fires when a waiter is granted (or gives up) after waiting.
 	Unblocked(waiter TxnID, res Resource, waited time.Duration)
-	// ReleasedWithWaiters fires when holder releases res while others wait,
-	// reporting how long each had waited so far. This is the event behind
+	// ReleasedWithWaiters fires when holder releases res while others wait
+	// in a mode its lock conflicted with, reporting how long each had waited
+	// so far. This is the event behind
 	// the paper's "total blocking delay per statement" task (Example 2).
 	ReleasedWithWaiters(holder TxnID, res Resource, waiters []WaiterInfo)
 }
@@ -122,14 +130,21 @@ type queue struct {
 	waiting []*request
 }
 
+// queuePoolCap bounds the emptied queues the manager keeps for reuse: a
+// point write locks a row and its table per statement, and a pooled queue
+// costs neither a queue nor a holder map.
+const queuePoolCap = 64
+
 // Manager is the lock manager.
 type Manager struct {
-	// mu protects the queues, held and waitsFor maps. timeout is immutable
-	// after construction and deliberately unguarded.
+	// mu protects the queues, free list, held and waitsFor maps. timeout is
+	// immutable after construction and deliberately unguarded.
 	//sqlcm:lock lock.manager
-	//sqlcm:guards queues, held, waitsFor, notifier
-	mu       lockcheck.Mutex
-	queues   map[Resource]*queue
+	//sqlcm:guards queues, free, held, waitsFor, notifier
+	mu     lockcheck.Mutex
+	queues map[Resource]*queue
+	// free holds emptied queues for reuse, at most queuePoolCap.
+	free     []*queue
 	held     map[TxnID]map[Resource]Mode // reverse map for release
 	waitsFor map[TxnID]map[TxnID]bool    // wait-for graph edges
 	notifier Notifier
@@ -175,7 +190,7 @@ func (m *Manager) AcquireTagged(txn TxnID, res Resource, mode Mode, tag any) err
 	m.mu.Lock()
 	q := m.queues[res]
 	if q == nil {
-		q = &queue{granted: make(map[TxnID]Mode)}
+		q = m.newQueueLocked()
 		m.queues[res] = q
 	}
 
@@ -184,7 +199,7 @@ func (m *Manager) AcquireTagged(txn TxnID, res Resource, mode Mode, tag any) err
 			m.mu.Unlock()
 			return nil // already sufficient
 		}
-		// Upgrade S -> X.
+		// Upgrade IX -> X.
 		if m.canUpgradeLocked(q, txn) {
 			q.granted[txn] = Exclusive
 			m.held[txn][res] = Exclusive
@@ -193,7 +208,7 @@ func (m *Manager) AcquireTagged(txn TxnID, res Resource, mode Mode, tag any) err
 		}
 		req := &request{txn: txn, tag: tag, mode: Exclusive, upgrade: true, grant: make(chan error, 1), since: time.Now()}
 		// Upgrades queue at the front so they are not starved behind new
-		// shared requests.
+		// IX requests.
 		q.waiting = append([]*request{req}, q.waiting...)
 		return m.waitLocked(txn, res, q, req)
 	}
@@ -228,7 +243,7 @@ func (m *Manager) canGrantLocked(q *queue, txn TxnID, mode Mode) bool {
 	return true
 }
 
-// canUpgradeLocked reports whether txn (holding S) can upgrade to X now.
+// canUpgradeLocked reports whether txn (holding IX) can upgrade to X now.
 //
 //sqlcm:lock-held lock.manager
 func (m *Manager) canUpgradeLocked(q *queue, txn TxnID) bool {
@@ -257,10 +272,12 @@ func (m *Manager) grantLocked(q *queue, txn TxnID, res Resource, mode Mode) {
 //sqlcm:lock-held lock.manager
 //sqlcm:lock-release lock.manager
 func (m *Manager) waitLocked(txn TxnID, res Resource, q *queue, req *request) error {
-	// Record wait-for edges and run deadlock detection before sleeping.
-	holders := make([]TxnID, 0, len(q.granted))
-	for holder := range q.granted {
-		if holder != txn {
+	// Record wait-for edges and run deadlock detection before sleeping. A
+	// holder whose mode is compatible with the request does not block it:
+	// no edge, or a compatible holder would close false cycles.
+	var holders []TxnID
+	for holder, hm := range q.granted {
+		if holder != txn && !compatible(hm, req.mode) {
 			holders = append(holders, holder)
 			m.addEdgeLocked(txn, holder)
 		}
@@ -276,8 +293,7 @@ func (m *Manager) waitLocked(txn TxnID, res Resource, q *queue, req *request) er
 		}
 	}
 	if m.cycleFromLocked(txn) {
-		m.removeRequestLocked(q, req)
-		m.clearEdgesLocked(txn)
+		m.leaveLocked(res, q, req)
 		m.mu.Unlock()
 		return fmt.Errorf("%w (txn %d on %s)", ErrDeadlock, txn, res)
 	}
@@ -305,8 +321,7 @@ func (m *Manager) waitLocked(txn TxnID, res Resource, q *queue, req *request) er
 		select {
 		case err = <-req.grant:
 		default:
-			m.removeRequestLocked(q, req)
-			m.clearEdgesLocked(txn)
+			m.leaveLocked(res, q, req)
 			err = fmt.Errorf("%w (txn %d on %s after %s)", ErrTimeout, txn, res, m.timeout)
 		}
 		m.mu.Unlock()
@@ -324,28 +339,30 @@ func (m *Manager) waitLocked(txn TxnID, res Resource, q *queue, req *request) er
 func (m *Manager) Cancel(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, q := range m.queues {
+	for res, q := range m.queues {
 		for _, req := range q.waiting {
 			if req.txn == txn {
 				select {
 				case req.grant <- ErrCancelled:
 				default:
 				}
+				m.leaveLocked(res, q, req)
+				break // a transaction waits for one request at a time
 			}
 		}
-		q.waiting = filterRequests(q.waiting, txn)
 	}
 	m.clearEdgesLocked(txn)
 }
 
-func filterRequests(reqs []*request, txn TxnID) []*request {
-	out := reqs[:0]
-	for _, r := range reqs {
-		if r.txn != txn {
-			out = append(out, r)
-		}
-	}
-	return out
+// leaveLocked takes req, which gives up waiting, out of res's queue and
+// grants what its departure unblocks: compatible requests queued behind it
+// would otherwise wait for the holders to release.
+//
+//sqlcm:lock-held lock.manager
+func (m *Manager) leaveLocked(res Resource, q *queue, req *request) {
+	m.removeRequestLocked(q, req)
+	m.clearEdgesLocked(req.txn)
+	m.promoteLocked(res, q)
 }
 
 // ReleaseAll drops every lock held by txn and wakes eligible waiters.
@@ -363,23 +380,29 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	resources := m.held[txn]
 	delete(m.held, txn)
 	m.clearEdgesLocked(txn)
-	for res := range resources {
+	for res, mode := range resources {
 		q := m.queues[res]
 		if q == nil {
 			continue
 		}
 		delete(q.granted, txn)
 		if m.notifier != nil && len(q.waiting) > 0 {
+			// Only the waiters this holder's mode blocked were waiting on it.
 			now := time.Now()
-			infos := make([]WaiterInfo, 0, len(q.waiting))
+			var infos []WaiterInfo
 			for _, w := range q.waiting {
-				infos = append(infos, WaiterInfo{Txn: w.txn, Tag: w.tag, Waited: now.Sub(w.since)})
+				if !compatible(mode, w.mode) {
+					infos = append(infos, WaiterInfo{Txn: w.txn, Tag: w.tag, Waited: now.Sub(w.since)})
+				}
 			}
-			notes = append(notes, releaseNote{res: res, waiters: infos})
+			if infos != nil {
+				notes = append(notes, releaseNote{res: res, waiters: infos})
+			}
 		}
 		m.promoteLocked(res, q)
 		if len(q.granted) == 0 && len(q.waiting) == 0 {
 			delete(m.queues, res)
+			m.freeQueueLocked(q)
 		}
 	}
 	notifier := m.notifier
@@ -422,6 +445,29 @@ func (m *Manager) promoteLocked(res Resource, q *queue) {
 		m.clearEdgesLocked(req.txn)
 		//sqlcm:allow grant is buffered (capacity 1, one waiter); the send cannot block
 		req.grant <- nil
+	}
+}
+
+// newQueueLocked returns an empty queue, reusing a freed one when it can.
+//
+//sqlcm:lock-held lock.manager
+func (m *Manager) newQueueLocked() *queue {
+	if n := len(m.free); n > 0 {
+		q := m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		return q
+	}
+	return &queue{granted: make(map[TxnID]Mode)}
+}
+
+// freeQueueLocked keeps q, emptied and unlinked from m.queues, for reuse.
+//
+//sqlcm:lock-held lock.manager
+func (m *Manager) freeQueueLocked(q *queue) {
+	if len(m.free) < queuePoolCap {
+		q.waiting = nil
+		m.free = append(m.free, q)
 	}
 }
 
@@ -492,8 +538,8 @@ func (m *Manager) Held(txn TxnID) map[Resource]Mode {
 // BlockSnapshot traverses the current lock queues and returns every
 // (blocker, blocked) pair, mirroring the paper's lock-resource-graph
 // traversal used when rules are triggered by Timer.Alarm rather than by a
-// blocking event. When several transactions share a resource a waiter
-// needs, each holder is reported as a blocker.
+// blocking event. When several transactions hold a resource a waiter
+// needs, each holder whose mode conflicts with the wait is a blocker.
 func (m *Manager) BlockSnapshot() []BlockPair {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -504,7 +550,7 @@ func (m *Manager) BlockSnapshot() []BlockPair {
 				if holder == w.txn {
 					continue
 				}
-				if !compatible(hm, w.mode) || w.mode == Exclusive || hm == Exclusive {
+				if !compatible(hm, w.mode) {
 					out = append(out, BlockPair{
 						Blocker: holder,
 						Blocked: w.txn,

@@ -12,20 +12,20 @@ import (
 
 func res(name string) Resource { return TableResource(name) }
 
-func TestSharedLocksCoexist(t *testing.T) {
+func TestIntentExclusiveLocksCoexist(t *testing.T) {
 	m := NewManager(time.Second)
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, res("t"), Shared) }()
+	go func() { done <- m.Acquire(2, res("t"), IntentExclusive) }()
 	select {
 	case err := <-done:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(time.Second):
-		t.Fatal("shared lock blocked on shared lock")
+		t.Fatal("IX lock blocked on IX lock")
 	}
 }
 
@@ -60,8 +60,8 @@ func TestReacquireIsNoop(t *testing.T) {
 	if err := m.Acquire(1, res("t"), Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
-		t.Fatal(err) // X covers S
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
+		t.Fatal(err) // X covers IX
 	}
 	if got := len(m.Held(1)); got != 1 {
 		t.Fatalf("held = %d", got)
@@ -70,7 +70,7 @@ func TestReacquireIsNoop(t *testing.T) {
 
 func TestUpgrade(t *testing.T) {
 	m := NewManager(time.Second)
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
 	// Sole holder upgrades immediately.
@@ -84,17 +84,17 @@ func TestUpgrade(t *testing.T) {
 
 func TestUpgradeWaitsForOtherSharers(t *testing.T) {
 	m := NewManager(5 * time.Second)
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, res("t"), Shared); err != nil {
+	if err := m.Acquire(2, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
 	go func() { got <- m.Acquire(1, res("t"), Exclusive) }()
 	select {
 	case <-got:
-		t.Fatal("upgrade granted while another sharer holds")
+		t.Fatal("upgrade granted while another IX holder holds")
 	case <-time.After(50 * time.Millisecond):
 	}
 	m.ReleaseAll(2)
@@ -127,10 +127,10 @@ func TestDeadlockDetected(t *testing.T) {
 
 func TestUpgradeDeadlock(t *testing.T) {
 	m := NewManager(0)
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, res("t"), Shared); err != nil {
+	if err := m.Acquire(2, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
 	first := make(chan error, 1)
@@ -181,9 +181,9 @@ func TestCancelWakesWaiter(t *testing.T) {
 }
 
 func TestFIFOFairnessNoStarvation(t *testing.T) {
-	// X waiter queued before later S requests must win first.
+	// X waiter queued before later IX requests must win first.
 	m := NewManager(5 * time.Second)
-	if err := m.Acquire(1, res("t"), Shared); err != nil {
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
 		t.Fatal(err)
 	}
 	var order []int
@@ -207,7 +207,7 @@ func TestFIFOFairnessNoStarvation(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	go func() {
 		defer wg.Done()
-		if err := m.Acquire(3, res("t"), Shared); err != nil {
+		if err := m.Acquire(3, res("t"), IntentExclusive); err != nil {
 			t.Error(err)
 			return
 		}
@@ -285,7 +285,7 @@ func TestBlockSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ReleaseAll below grants the waiter, which ends the goroutine.
-	go m.Acquire(2, res("t"), Shared) //nolint:errcheck
+	go m.Acquire(2, res("t"), IntentExclusive) //nolint:errcheck
 	time.Sleep(50 * time.Millisecond)
 	pairs := m.BlockSnapshot()
 	if len(pairs) != 1 || pairs[0].Blocker != 1 || pairs[0].Blocked != 2 {
@@ -309,7 +309,7 @@ func TestRowAndTableResourcesDistinct(t *testing.T) {
 	if err := m.Acquire(2, r2, Exclusive); err != nil {
 		t.Fatal(err) // different rows do not conflict
 	}
-	if err := m.Acquire(2, TableResource("t"), Shared); err != nil {
+	if err := m.Acquire(2, TableResource("t"), IntentExclusive); err != nil {
 		t.Fatal(err) // table resource is separate from row resources
 	}
 }
@@ -328,7 +328,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				txn := TxnID(txnSeq.Add(1))
-				mode := Shared
+				mode := IntentExclusive
 				if (g+i)%3 == 0 {
 					mode = Exclusive
 				}
@@ -356,4 +356,87 @@ func TestConcurrentStress(t *testing.T) {
 	if m.WaitingCount() != 0 {
 		t.Fatalf("waiters leaked: %d", m.WaitingCount())
 	}
+}
+
+// waitQueued blocks until n requests wait in m's queues.
+func waitQueued(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); m.WaitingCount() < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters queued, want %d", m.WaitingCount(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelledWaiterUnblocksCompatibleWaiters: an IX request queued behind
+// an X waiter is granted as soon as that waiter leaves, not when the
+// holders release.
+func TestCancelledWaiterUnblocksCompatibleWaiters(t *testing.T) {
+	m := NewManager(0)
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
+		t.Fatal(err)
+	}
+	x := make(chan error, 1)
+	go func() { x <- m.Acquire(2, res("t"), Exclusive) }()
+	waitQueued(t, m, 1)
+	ix := make(chan error, 1)
+	go func() { ix <- m.Acquire(3, res("t"), IntentExclusive) }()
+	waitQueued(t, m, 2)
+	m.Cancel(2)
+	if err := <-x; !errors.Is(err, ErrCancelled) {
+		t.Fatalf("X waiter: %v, want cancelled", err)
+	}
+	select {
+	case err := <-ix:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("IX waiter still queued after the X ahead of it was cancelled")
+	}
+	m.ReleaseAll(1)
+	m.ReleaseAll(3)
+}
+
+// TestNoDeadlockThroughCompatibleHolder: a waiter has no wait-for edge to a
+// holder whose mode does not block it, so a cycle that only closes through
+// such a holder is not a deadlock.
+func TestNoDeadlockThroughCompatibleHolder(t *testing.T) {
+	m := NewManager(0)
+	row := RowResource("t", storage.RID(7))
+	if err := m.Acquire(1, res("t"), IntentExclusive); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Acquire(2, row, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	x := make(chan error, 1)
+	go func() { x <- m.Acquire(3, res("t"), Exclusive) }()
+	waitQueued(t, m, 1)
+	ix := make(chan error, 1)
+	go func() { ix <- m.Acquire(2, res("t"), IntentExclusive) }() // FIFO: behind txn 3
+	waitQueued(t, m, 2)
+	m.mu.Lock()
+	edges := m.waitsFor[2]
+	falseEdge, fifoEdge := edges[1], edges[3]
+	m.mu.Unlock()
+	if falseEdge || !fifoEdge {
+		t.Fatalf("txn 2 waits for %v, want txn 3 only", edges)
+	}
+	m.Cancel(3)
+	if err := <-x; !errors.Is(err, ErrCancelled) {
+		t.Fatalf("X waiter: %v, want cancelled", err)
+	}
+	// Txn 1 now waits for txn 2's row; txn 2 waits for nobody.
+	got := make(chan error, 1)
+	go func() { got <- m.Acquire(1, row, Exclusive) }()
+	if err := <-ix; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+	if err := <-got; err != nil {
+		t.Fatalf("row request after the cancel: %v", err)
+	}
+	m.ReleaseAll(1)
 }

@@ -1,19 +1,23 @@
 // Package storage is the engine's row store: per table, a slot array
 // indexed by RID holding each row's chain of immutable row versions, newest
-// first. Writers (serialized per
-// table by the lock manager's exclusive table locks) prepend versions
-// stamped with their transaction id; commit stamps the versions with a
-// monotonically increasing commit timestamp inside the transaction
-// manager's commit critical section. Readers resolve the version visible
-// to their snapshot by walking the chain — no locks taken beyond the
-// store's own short slot latch, so readers never appear in the lock
-// manager's wait graph.
+// first. Writers prepend versions stamped with their transaction id, one
+// writer per chain at a time: the lock manager serializes them per row (a
+// point writer's X row lock, taken before it reads the row) or per table
+// (X). Commit stamps the versions with a monotonically increasing commit
+// timestamp inside the transaction manager's commit critical section.
+// Readers resolve the version visible to their snapshot by walking the
+// chain — no locks taken beyond the store's own short slot latch, so
+// readers never appear in the lock manager's wait graph.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
 // leaves the chain and its index entries in place so older snapshots keep
 // resolving them; Prune reclaims both once the version-garbage watermark
 // (the oldest snapshot any live transaction holds) has passed the
-// superseding commit.
+// superseding commit. Writers of different rows of one table may run Prune
+// at once; it is safe at chain granularity because it only cuts versions
+// committed at or below the watermark. Another writer's uncommitted head
+// sits above them, and a commit in progress stamps a timestamp above the
+// published last commit, which is at or above the watermark.
 //
 // A row never moves: index entries carry its RID and are resolved through
 // the chain slots. Entries become stale only when the row's key changes;
@@ -47,11 +51,13 @@ type Snapshot struct {
 	Self int64
 }
 
-// CurrentSnapshot is the read view of a writer holding the table's
-// exclusive lock: every committed version is inside the horizon and the
-// only uncommitted versions on the table are self's own (strict 2PL), so
-// the visible version of every chain is its head — current-mode reads need
-// no visibility rule of their own.
+// CurrentSnapshot is the read view of a writer: every committed version is
+// inside the horizon, and on a chain the writer has locked — its row under
+// an X row lock, or every row under the table's X lock — the only
+// uncommitted versions are self's own (strict 2PL), so the visible version
+// of that chain is its head. Current-mode reads need no visibility rule of
+// their own. On a chain another writer holds, the view skips that writer's
+// uncommitted head and resolves the newest committed version.
 func CurrentSnapshot(self int64) Snapshot { return Snapshot{TS: math.MaxInt64, Self: self} }
 
 // VersionStats aggregates MVCC counters, shared by every version store of
@@ -416,8 +422,8 @@ func (s *VersionStore) RestorePending(rid RID, p Pending) {
 // garbage a quiescent table is left holding.
 const PruneBatch = 256
 
-// PruneDue is the write-path trigger: a writer holding the table's
-// exclusive lock asks it after its rows are written and, when due, runs the
+// PruneDue is the write-path trigger: a writer holding its write locks on
+// the table asks it after its rows are written and, when due, runs the
 // pass at the returned watermark. A pass is due once PruneBatch versions
 // were pushed since the last one, provided it can find new garbage: the
 // watermark moved past the last pass's, or the pushes since outnumber the
@@ -443,9 +449,10 @@ func (s *VersionStore) PruneDue(watermark func() int64) (wm int64, due bool) {
 // a tombstone. It walks the garbage set only, so a pass costs what was
 // written since the chains it visits were last clean, not what is stored.
 //
-// It returns the index entries now safe to delete; the caller (holding the
-// table's exclusive lock) deletes them outside the store's mutex, keeping
-// storage.version a leaf class.
+// It returns the index entries now safe to delete; the caller (holding a
+// write lock on the table) deletes them outside the store's mutex, keeping
+// storage.version a leaf class. Concurrent passes serialize on the store's
+// mutex, so each entry is returned to exactly one of them.
 func (s *VersionStore) Prune(watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64

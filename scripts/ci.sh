@@ -114,6 +114,6 @@ go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 # Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
 # applies every internal/analysis/testdata/mutations/*.patch to a fresh
 # copy of the tree and runs each one through vet, sqlcm-vet -code, test,
-# race, lockdep, sim and chaos — about 100 minutes for the 34 patches on
+# race, lockdep, sim and chaos — about 100 minutes for the 35 patches on
 # a 2-CPU host. Run it when an analyzer, a directive or a runtime tier
 # changes; its table is DESIGN.md §12.

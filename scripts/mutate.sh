@@ -2,9 +2,11 @@
 # Mutation tier: does each source analyzer catch a bug that no other tier
 # catches? Every patch under internal/analysis/testdata/mutations seeds one
 # bug of one analyzer's class into a real package (<analyzer>-<n>.patch; the
-# text above the diff says what it seeds). Each patch is applied to a fresh
-# copy of the tree made with `git archive`, so the working tree is never
-# touched, and the copy goes through the tiers in cost order:
+# text above the diff says what it seeds; a patch named after no analyzer,
+# such as rowlock-1, seeds a bug a runtime tier must catch). Each patch is
+# applied to a fresh copy of the tree made with `git archive`, so the
+# working tree is never touched, and the copy goes through the tiers in
+# cost order:
 #
 #   vet      go vet ./...
 #   analyzer sqlcm-vet -code . (which analyzers report, by name)
@@ -24,7 +26,7 @@
 #
 #   scripts/mutate.sh [ref=HEAD] [mutation ...]     (or: make mutate)
 #
-# The 34 patches take about 100 minutes on a 2-CPU host: a mutation caught
+# The 35 patches take about 100 minutes on a 2-CPU host: a mutation caught
 # by go test stops there (ten minutes when it hangs a test into the
 # timeout twice), one only an analyzer catches runs every tier. CI does
 # not run it on every push; see scripts/ci.sh.
