@@ -49,8 +49,9 @@ race:
 	$(GO) test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
 
 # Chaos tier: fault-injection tests for the fail-safe layer (panic
-# quarantine, outbox retry/backoff/shedding, crash-safe checkpointing),
-# run under -race because the faults race against live dispatch.
+# quarantine, outbox retry/backoff/shedding, torn PersistLAT snapshots,
+# PersistLAT racing evictions), run under -race because the faults race
+# against live dispatch.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/outbox/

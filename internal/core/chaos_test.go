@@ -12,12 +12,13 @@ import (
 	"sqlcm/internal/lat"
 	"sqlcm/internal/outbox"
 	"sqlcm/internal/rules"
+	"sqlcm/internal/sqltypes"
 )
 
 // Chaos tests: inject panics, hangs, and flaky storage into the monitoring
 // layer and assert the two fail-safe invariants — queries never fail or
-// block because monitoring is sick, and checkpoint/restore never loses or
-// double-counts LAT observations.
+// block because monitoring is sick, and a LAT reloaded from a torn
+// PersistLAT snapshot double-counts no group.
 
 func chaosEngine(t *testing.T) (*engine.Engine, *engine.Session) {
 	t.Helper()
@@ -36,7 +37,7 @@ func chaosEngine(t *testing.T) (*engine.Engine, *engine.Session) {
 
 func TestChaosPanickingRuleQuarantined(t *testing.T) {
 	eng, sess := chaosEngine(t)
-	s := Attach(eng, Options{Failsafe: FailsafeOptions{QuarantineThreshold: 3}})
+	s := Attach(eng, Options{})
 	t.Cleanup(func() { s.Detach() })
 
 	var healthy, quarantined atomic.Int64
@@ -156,95 +157,89 @@ func TestChaosFlakyPersistRetries(t *testing.T) {
 	}
 }
 
-// countQC returns the single-group COUNT value of the "QC" LAT.
-func countQC(t *testing.T, s *SQLCM) int64 {
-	t.Helper()
-	lt, ok := s.LAT("QC")
-	if !ok {
-		t.Fatal("no QC LAT")
-	}
-	rows := lt.Rows()
-	if len(rows) != 1 {
-		t.Fatalf("QC rows: %d, want 1", len(rows))
-	}
-	return rows[0][1].Int()
-}
-
-func TestChaosCheckpointKillRestart(t *testing.T) {
-	eng, sess := chaosEngine(t)
+func TestChaosTornPersistLATRestoresNewestPerGroup(t *testing.T) {
+	eng, _ := chaosEngine(t)
+	fp := &faults.FlakyPersister{Inner: NewEnginePersister(eng)}
+	s := Attach(eng, Options{Persister: fp})
+	t.Cleanup(func() { s.Detach() })
 	spec := lat.Spec{
-		Name:    "QC",
+		Name:    "PerUser",
 		GroupBy: []string{"User"},
 		Aggs:    []lat.AggCol{{Func: lat.Count, Name: "N"}},
 	}
-	fp := &faults.FlakyPersister{Inner: NewEnginePersister(eng)}
-
-	boot := func() *SQLCM {
-		s := Attach(eng, Options{Persister: fp})
-		if _, err := s.DefineLAT(spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.MarkForCheckpoint("QC", "qc_ckpt"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.NewRule("count", "Query.Commit", "", &rules.InsertAction{LAT: "QC"}); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	// Generation 1: 10 observations, cleanly checkpointed.
-	s1 := boot()
-	for i := 0; i < 10; i++ {
-		mustExec(t, sess, "SELECT COUNT(*) FROM chaos_t")
-	}
-	if err := s1.CheckpointNow("QC"); err != nil {
+	if _, err := s.DefineLAT(spec); err != nil {
 		t.Fatal(err)
 	}
-	// 5 more observations, then a checkpoint that dies between its data
-	// rows and the meta row — the commit point is never reached.
-	for i := 0; i < 5; i++ {
-		mustExec(t, sess, "SELECT COUNT(*) FROM chaos_t")
+	if _, err := s.NewRule("count", "Query.Commit", "", &rules.InsertAction{LAT: "PerUser"}); err != nil {
+		t.Fatal(err)
 	}
-	fp.FailCallsAfter(1) // the lone data row lands, the meta row fails
-	if err := s1.CheckpointNow("QC"); err == nil {
-		t.Fatal("mid-checkpoint crash not reported")
+	users := []string{"u1", "u2", "u3"}
+	observe := func(times int) {
+		for _, u := range users {
+			sess := eng.NewSession(u, "app")
+			for i := 0; i < times; i++ {
+				mustExec(t, sess, "SELECT COUNT(*) FROM chaos_t")
+			}
+		}
+	}
+	counts := func(rows [][]sqltypes.Value) map[string]int64 {
+		out := make(map[string]int64, len(rows))
+		for _, r := range rows {
+			out[r[0].Str()] = r[1].Int()
+		}
+		return out
+	}
+	lt, _ := s.LAT("PerUser")
+
+	// Snapshot 1 lands whole: 2 observations per user.
+	observe(2)
+	first := counts(lt.Rows())
+	if err := s.PersistLAT("PerUser", "per_user"); err != nil {
+		t.Fatal(err)
+	}
+	// Snapshot 2 (5 per user) tears after its first row.
+	observe(3)
+	second := counts(lt.Rows())
+	fp.FailCallsAfter(1)
+	if err := s.PersistLAT("PerUser", "per_user"); err == nil {
+		t.Fatal("torn PersistLAT reported no error")
 	}
 	fp.Reset()
-	// Crash: hooks torn off with no graceful drain or final checkpoint.
-	s1.Suspend()
+	persisted, err := eng.ReadTableDirect("per_user")
+	if err != nil || len(persisted) != len(users)+1 {
+		t.Fatalf("persisted rows: %d, %v; want %d", len(persisted), err, len(users)+1)
+	}
+	torn := persisted[len(users)][0].Str()
 
-	// Restart: the torn generation 2 must be ignored; exactly the 10
-	// committed observations come back — none lost, none double-counted.
-	s2 := boot()
-	if got := countQC(t, s2); got != 10 {
-		t.Fatalf("restored count %d, want 10", got)
-	}
-	for i := 0; i < 3; i++ {
-		mustExec(t, sess, "SELECT COUNT(*) FROM chaos_t")
-	}
-	if err := s2.CheckpointNow("QC"); err != nil {
+	// Reload: the group whose row landed comes back from snapshot 2, the
+	// others from snapshot 1; no group sums both snapshots.
+	s.DropLAT("PerUser")
+	if _, err := s.DefineLAT(spec); err != nil {
 		t.Fatal(err)
 	}
-	s2.Suspend()
-
-	// Second restart: the new checkpoint superseded both the stale torn
-	// rows and generation 1.
-	s3 := boot()
-	if got := countQC(t, s3); got != 13 {
-		t.Fatalf("restored count %d, want 13", got)
-	}
-	if err := s3.Detach(); err != nil {
+	if err := s.LoadLAT("PerUser", "per_user"); err != nil {
 		t.Fatal(err)
+	}
+	lt, _ = s.LAT("PerUser")
+	got := counts(lt.Rows())
+	if len(got) != len(users) {
+		t.Fatalf("restored groups: %v, want %d", got, len(users))
+	}
+	for _, u := range users {
+		want := first[u]
+		if u == torn {
+			want = second[u]
+		}
+		if got[u] != want {
+			t.Errorf("group %s restored N=%d, want %d (snapshot 1: %d, snapshot 2: %d)",
+				u, got[u], want, first[u], second[u])
+		}
 	}
 }
 
 func TestChaosOverloadShedsNotBlocks(t *testing.T) {
 	eng, sess := chaosEngine(t)
-	s := Attach(eng, Options{Failsafe: FailsafeOptions{
-		DispatchBudget: 5 * time.Microsecond,
-		ShedSampleN:    4,
-	}})
+	s := Attach(eng, Options{Failsafe: FailsafeOptions{DispatchBudget: 5 * time.Microsecond}})
 	t.Cleanup(func() { s.Detach() })
 	if _, err := s.NewRule("slow", "Query.Commit", "",
 		&rules.FuncAction{Fn: func(rules.Env, *rules.Ctx) error {
@@ -302,7 +297,7 @@ func TestChaosOutboxShedsLowPriority(t *testing.T) {
 	}
 }
 
-func TestEvictionsDuringCheckpoint(t *testing.T) {
+func TestEvictionsDuringPersistLAT(t *testing.T) {
 	eng, sess := chaosEngine(t)
 	s := Attach(eng, Options{})
 	t.Cleanup(func() { s.Detach() })
@@ -315,44 +310,81 @@ func TestEvictionsDuringCheckpoint(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MarkForCheckpoint("Small", "small_ckpt"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.NewRule("fill", "Query.Commit", "", &rules.InsertAction{LAT: "Small"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.NewRule("spill", "LATRow.Evicted", "",
-		&rules.PersistAction{Table: "evict_ckpt", Attrs: []string{"ID", "D"}},
+		&rules.PersistAction{Table: "evict_spill", Attrs: []string{"ID", "D"}},
 	); err != nil {
 		t.Fatal(err)
 	}
 
-	// Checkpoints race against inserts that evict rows through the bus.
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		for i := 0; i < 50 && err == nil; i++ {
-			err = s.CheckpointNow("Small")
-		}
-		done <- err
-	}()
-	for i := 0; i < 100; i++ {
+	// Fill the table to its bound, then race snapshots against inserts
+	// that evict rows through the bus.
+	for i := 0; i < 2; i++ {
 		mustExec(t, sess, fmt.Sprintf("SELECT v FROM chaos_t WHERE id = %d", i+1))
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("checkpoint during evictions: %v", err)
+	stop := make(chan struct{})
+	type result struct {
+		snapshots int
+		err       error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		for {
+			if r.err = s.PersistLAT("Small", "small_snap"); r.err != nil {
+				break
+			}
+			r.snapshots++
+			select {
+			case <-stop:
+				done <- r
+				return
+			default:
+			}
+		}
+		done <- r
+	}()
+	for i := 2; i < 100; i++ {
+		mustExec(t, sess, fmt.Sprintf("SELECT v FROM chaos_t WHERE id = %d", i+1))
+	}
+	close(stop)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("PersistLAT during evictions: %v", r.err)
 	}
 	flush(t, s)
-	rows, err := eng.ReadTableDirect("evict_ckpt")
+	rows, err := eng.ReadTableDirect("evict_spill")
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("evicted rows not persisted: %v, %v", rows, err)
 	}
-	// The table stayed within bounds and is still checkpointable.
-	if err := s.CheckpointNow("Small"); err != nil {
-		t.Fatal(err)
+	// Every snapshot is whole and within the bound: two rows each.
+	snap, err := eng.ReadTableDirect("small_snap")
+	if err != nil || len(snap) != 2*r.snapshots {
+		t.Fatalf("%d snapshots wrote %d rows (%v), want %d", r.snapshots, len(snap), err, 2*r.snapshots)
 	}
 	lt, _ := s.LAT("Small")
 	if lt.Len() > 2 {
 		t.Fatalf("LAT exceeded MaxRows: %d", lt.Len())
+	}
+	// Quiescent, a snapshot is exactly the table.
+	if err := s.PersistLAT("Small", "small_final"); err != nil {
+		t.Fatal(err)
+	}
+	final, err := eng.ReadTableDirect("small_final")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := lt.Rows()
+	if len(final) != len(live) {
+		t.Fatalf("final snapshot %d rows, LAT has %d", len(final), len(live))
+	}
+	for i, r := range live {
+		for c := range r {
+			if sqltypes.Compare(final[i][c], r[c]) != 0 {
+				t.Fatalf("final snapshot row %d = %v, LAT row %v", i, final[i], r)
+			}
+		}
 	}
 }

@@ -37,9 +37,6 @@ type ruleChecker struct {
 // Returns the findings newly introduced by the candidate; in Strict mode
 // an error when any of them is error-severity.
 func (s *SQLCM) vetRule(r *rules.Rule, condSrc string) ([]rulecheck.Diagnostic, error) {
-	if s.check.mode == rulecheck.Off {
-		return nil, nil
-	}
 	before := s.snapshotSet(nil, "")
 	after := s.snapshotSet(r, condSrc)
 	fresh := diffDiags(rulecheck.Check(before), rulecheck.Check(after))
@@ -189,19 +186,16 @@ func (s *SQLCM) LoadRuleSet(src string) error {
 	if rulecheck.HasErrors(parseDiags) {
 		return fmt.Errorf("core: rule set rejected:\n%s", renderDiags(parseDiags, rulecheck.Error))
 	}
-	var diags []rulecheck.Diagnostic
-	if s.check.mode != rulecheck.Off {
-		// Analyse the file's declarations merged with the live set.
-		merged := s.snapshotSet(nil, "")
-		merged.LATs = append(merged.LATs, set.LATs...)
-		merged.Rules = append(merged.Rules, set.Rules...)
-		merged.Closed = true
-		merged.MaxTriggerDepth = set.MaxTriggerDepth
-		diags = rulecheck.Check(merged)
-		if s.check.mode == rulecheck.Strict && rulecheck.HasErrors(diags) {
-			return fmt.Errorf("core: rule set rejected by static analysis:\n%s",
-				renderDiags(diags, rulecheck.Error))
-		}
+	// Analyse the file's declarations merged with the live set.
+	merged := s.snapshotSet(nil, "")
+	merged.LATs = append(merged.LATs, set.LATs...)
+	merged.Rules = append(merged.Rules, set.Rules...)
+	merged.Closed = true
+	merged.MaxTriggerDepth = set.MaxTriggerDepth
+	diags := rulecheck.Check(merged)
+	if s.check.mode == rulecheck.Strict && rulecheck.HasErrors(diags) {
+		return fmt.Errorf("core: rule set rejected by static analysis:\n%s",
+			renderDiags(diags, rulecheck.Error))
 	}
 	for _, spec := range set.LATs {
 		if _, err := s.DefineLAT(spec); err != nil {

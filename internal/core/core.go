@@ -99,26 +99,17 @@ type Persister interface {
 	Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error
 }
 
-// FailsafeOptions tunes the fail-safe layer: panic quarantine, the async
-// action outbox, overload shedding, and LAT checkpointing.
+// FailsafeOptions tunes the fail-safe layer: the async action outbox and
+// overload shedding. Panic quarantine needs no tuning: a rule is
+// quarantined after rules.QuarantineThreshold consecutive panics.
 type FailsafeOptions struct {
-	// QuarantineThreshold is the number of consecutive panicking
-	// evaluations after which a rule is quarantined (0 = default of
-	// rules.DefaultQuarantineThreshold, negative = never quarantine).
-	QuarantineThreshold int
 	// Outbox tunes the async action executor (queue sizes, retry policy,
 	// drain timeout). Zero values select the outbox defaults.
 	Outbox outbox.Config
 	// DispatchBudget arms event shedding: when the average rule-dispatch
-	// latency exceeds the budget, the bus samples events (1 in
-	// ShedSampleN) instead of evaluating all of them. Zero disables.
+	// latency exceeds the budget, the bus samples events (1 in 16)
+	// instead of evaluating all of them. Zero disables.
 	DispatchBudget time.Duration
-	// ShedSampleN is the degraded-mode sampling rate (default 16).
-	ShedSampleN int
-	// CheckpointInterval is the period of automatic LAT checkpoints for
-	// tables registered with MarkForCheckpoint. Zero disables the
-	// background checkpointer (CheckpointNow still works).
-	CheckpointInterval time.Duration
 }
 
 // Options configures an SQLCM instance.
@@ -127,14 +118,14 @@ type Options struct {
 	Mailer Mailer
 	// Runner handles RunExternal actions (default: MemRunner).
 	Runner Runner
-	// Persister handles Persist actions and LAT checkpoints (default:
-	// engine disk tables).
+	// Persister handles Persist actions and PersistLAT (default: engine
+	// tables, created on first use).
 	Persister Persister
 	// Failsafe tunes the fail-safe layer.
 	Failsafe FailsafeOptions
 	// RuleCheck selects how static rule analysis treats findings at
 	// registration time: Warn (default) records them, Strict rejects
-	// rules with error-severity findings, Off skips analysis.
+	// rules with error-severity findings.
 	RuleCheck rulecheck.Mode
 }
 
@@ -151,7 +142,6 @@ type SQLCM struct {
 	runner    Runner
 	persister Persister
 	box       *outbox.Outbox
-	ckpt      *checkpointer
 
 	// latMu protects the LAT registry.
 	//sqlcm:lock core.lats
@@ -191,12 +181,11 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 	s.check.mode = opts.RuleCheck
 	s.box = outbox.New(opts.Failsafe.Outbox)
 	s.ruleEng = rules.NewEngine((*env)(s))
-	s.ruleEng.SetQuarantineThreshold(opts.Failsafe.QuarantineThreshold)
 	// All event intake — engine hooks, timer alarms, LAT evictions — goes
 	// through one bus in front of the rule engine.
 	s.bus = event.NewBus(s.ruleEng)
 	if opts.Failsafe.DispatchBudget > 0 {
-		s.bus.SetBudget(opts.Failsafe.DispatchBudget, opts.Failsafe.ShedSampleN)
+		s.bus.SetBudget(opts.Failsafe.DispatchBudget)
 	}
 	// Quarantine decisions surface as Monitor.RuleQuarantined events, so
 	// rules can alert on the health of the monitoring layer itself.
@@ -206,23 +195,20 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 	})
 	s.hooks = event.NewHooks(s.bus, s.sigs, s.txns)
 	s.timers = rules.NewTimerManager(s.bus)
-	s.ckpt = newCheckpointer(s, opts.Failsafe.CheckpointInterval)
 	eng.SetHooks(s.hooks)
 	s.attached.Store(true)
 	return s
 }
 
 // Detach removes SQLCM from the engine (no monitoring overhead remains),
-// stops all timers, takes a final checkpoint of marked LATs, and drains
-// the action outbox (bounded by its drain timeout). The error reports
-// work abandoned by a timed-out drain.
+// stops all timers, and drains the action outbox (bounded by its drain
+// timeout). The error reports work abandoned by a timed-out drain.
 func (s *SQLCM) Detach() error {
 	if !s.attached.Swap(false) {
 		return nil
 	}
 	s.eng.SetHooks(nil)
 	s.timers.Close()
-	s.ckpt.stop()
 	return s.box.Close()
 }
 
@@ -353,7 +339,7 @@ func (s *SQLCM) LATs() []string {
 }
 
 // PersistLAT writes the LAT's current rows (plus a timestamp column) to a
-// disk-resident table, creating it on first use (§4.3). Unlike the
+// table through the Persister, creating it on first use (§4.3). Unlike the
 // rule-triggered Persist action, this direct API is synchronous: when it
 // returns, the rows are in the table.
 func (s *SQLCM) PersistLAT(name, table string) error {
@@ -370,11 +356,11 @@ func (s *SQLCM) PersistLAT(name, table string) error {
 	return nil
 }
 
-// LoadLAT restores the LAT from a previously persisted table, carrying
-// monitoring state across server restarts (§4.3), through the same
-// lat.Table.Restore the checkpointer uses. Rows replay in insertion order,
-// so of several persisted snapshots of one group the newest wins. The
-// trailing timestamp column added by Persist is dropped.
+// LoadLAT restores the LAT from a previously persisted engine table
+// (§4.3) through lat.Table.Restore. Rows replay in insertion order, so of
+// several persisted snapshots of one group the newest wins; a snapshot
+// torn by a failed PersistLAT restores each group from its newest row
+// that landed. The trailing timestamp column added by Persist is dropped.
 func (s *SQLCM) LoadLAT(name, table string) error {
 	t, ok := s.LAT(name)
 	if !ok {
@@ -456,9 +442,9 @@ func (s *SQLCM) RemoveRule(name string) bool {
 // so fault-injection harnesses can wrap it.
 func NewEnginePersister(eng *engine.Engine) Persister { return &enginePersister{eng: eng} }
 
-// enginePersister is the default Persister: rows go to a disk-resident
-// table with an extra timestamp column, the table being created on first
-// use.
+// enginePersister is the default Persister: rows go to an engine table
+// (in memory, like every engine table) with an extra timestamp column, the
+// table being created on first use.
 type enginePersister struct {
 	eng *engine.Engine
 }

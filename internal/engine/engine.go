@@ -563,51 +563,6 @@ func (e *Engine) TruncateTableDirect(table string) error {
 	return e.tm.Commit(t)
 }
 
-// DeleteRowsDirect removes every row matching pred outside any user
-// transaction (used by the LAT checkpointer to garbage-collect superseded
-// checkpoint generations). It returns the number of rows deleted.
-func (e *Engine) DeleteRowsDirect(table string, pred func(row []sqltypes.Value) bool) (int64, error) {
-	ts, err := e.reg.Store(table)
-	if err != nil {
-		return 0, err
-	}
-	t := e.tm.Begin(true)
-	ctx := &exec.Ctx{Txn: t}
-	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
-		return 0, err
-	}
-	type victim struct {
-		rid storage.RID
-		row []sqltypes.Value
-	}
-	var victims []victim
-	for cur := ts.Scan(ctx.Current()); ; {
-		rid, row, err := cur.Next(ctx)
-		if err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			return 0, err
-		}
-		if row == nil {
-			break
-		}
-		if pred(row) {
-			victims = append(victims, victim{rid: rid, row: row})
-		}
-	}
-	for _, v := range victims {
-		if err := exec.DeleteRow(ctx, ts, v.rid, v.row, e.cat); err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			return 0, err
-		}
-	}
-	e.pruneAfterWrite(ts)
-	if err := e.tm.Commit(t); err != nil {
-		return 0, err
-	}
-	return int64(len(victims)), nil
-}
-
 // ReadTableDirect returns all committed rows of a table in insertion order
 // (used to reload persisted LATs at startup, which relies on that order, and
 // by tests). It reads at a fresh snapshot like a SELECT: no locks, and no

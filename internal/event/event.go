@@ -56,8 +56,6 @@ type Bus struct {
 
 	// budgetNs is the latency budget (0 = shedding disabled).
 	budgetNs atomic.Int64
-	// sampleN is the degraded-mode sampling rate (forward 1 in sampleN).
-	sampleN atomic.Int64
 	// ewmaNs is the moving average of dispatch latency in nanoseconds.
 	// Updated with load/compute/store (a lost update under contention only
 	// delays the average by one sample, which is harmless).
@@ -71,26 +69,23 @@ type Bus struct {
 // ewmaShift sets the EWMA weight: alpha = 1/2^ewmaShift per sample.
 const ewmaShift = 4
 
+// sampleN is the degraded-mode sampling rate: forward 1 in sampleN events.
+const sampleN = 16
+
 // NewBus creates a bus forwarding into sink.
 func NewBus(sink Sink) *Bus {
-	b := &Bus{
+	return &Bus{
 		sink:   sink,
 		counts: make([]atomic.Int64, monitor.NumEvents()),
 		shed:   make([]atomic.Int64, monitor.NumEvents()),
 	}
-	b.sampleN.Store(16)
-	return b
 }
 
 // SetBudget arms (or with budget 0 disarms) overload shedding: when the
 // average dispatch latency exceeds budget, only one in sampleN events is
-// forwarded until the average recovers. sampleN <= 0 keeps the previous
-// rate (default 16).
-func (b *Bus) SetBudget(budget time.Duration, sampleN int) {
+// forwarded until the average recovers.
+func (b *Bus) SetBudget(budget time.Duration) {
 	b.budgetNs.Store(int64(budget))
-	if sampleN > 0 {
-		b.sampleN.Store(int64(sampleN))
-	}
 	if budget <= 0 {
 		b.degraded.Store(false)
 	}
@@ -112,7 +107,7 @@ func (b *Bus) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 		return
 	}
 	if b.degraded.Load() && b.sheddable(ev) {
-		if b.seq.Add(1)%b.sampleN.Load() != 0 {
+		if b.seq.Add(1)%sampleN != 0 {
 			if known {
 				b.shed[i].Add(1)
 			}

@@ -26,7 +26,7 @@ func (s *slowSink) HasAnyRules() bool                 { return true }
 func TestBusShedsUnderLatencyBudget(t *testing.T) {
 	sink := &slowSink{delay: time.Millisecond}
 	b := NewBus(sink)
-	b.SetBudget(10*time.Microsecond, 4)
+	b.SetBudget(10 * time.Microsecond)
 	for i := 0; i < 200; i++ {
 		b.Dispatch(monitor.EvQueryCommit, nil)
 	}
@@ -47,7 +47,7 @@ func TestBusShedsUnderLatencyBudget(t *testing.T) {
 	if got := sink.delivered.Load() + b.ShedTotal(); got != 200 {
 		t.Fatalf("delivered+shed = %d, want 200", got)
 	}
-	// Sampling forwards roughly 1 in 4 once degraded; far fewer than all.
+	// Sampling forwards roughly 1 in sampleN once degraded; far fewer than all.
 	if sink.delivered.Load() > 150 {
 		t.Fatalf("too many delivered under overload: %d", sink.delivered.Load())
 	}
@@ -56,7 +56,7 @@ func TestBusShedsUnderLatencyBudget(t *testing.T) {
 func TestBusExemptEventsNeverShed(t *testing.T) {
 	sink := &slowSink{delay: time.Millisecond}
 	b := NewBus(sink)
-	b.SetBudget(10*time.Microsecond, 2)
+	b.SetBudget(10 * time.Microsecond)
 	for i := 0; i < 50; i++ {
 		b.Dispatch(monitor.EvQueryCommit, nil) // drive it degraded
 	}

@@ -135,7 +135,7 @@ func (w *Write) Exec(ctx *Ctx) (int64, error) {
 			return n, err
 		}
 		if w.del {
-			err = DeleteRow(ctx, w.ts, tgt.rid, tgt.row, w.cat)
+			err = deleteRow(ctx, w.ts, tgt.rid, tgt.row, w.cat)
 		} else {
 			err = w.update(ctx, tgt)
 		}
@@ -411,12 +411,12 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	return nil
 }
 
-// DeleteRow removes one row, maintaining statistics and undo. The delete is
+// deleteRow removes one row, maintaining statistics and undo. The delete is
 // logical: a tombstone version goes onto the chain, the chain and its index
 // entries stay for older snapshots, and every index entry is
 // registered for deferred removal once the tombstone's commit passes the
 // version-garbage watermark.
-func DeleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
+func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
 	var txnID int64
 	if ctx.Txn != nil {
 		txnID = int64(ctx.Txn.ID)

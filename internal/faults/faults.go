@@ -74,8 +74,8 @@ func (p *FlakyPersister) FailNext(n int) {
 }
 
 // FailCallsAfter lets the next n calls through, then fails every later
-// call (a mid-sequence outage, e.g. dying between a checkpoint's data rows
-// and its meta row). Reset clears it.
+// call (a mid-sequence outage, e.g. a PersistLAT torn after its first
+// rows). Reset clears it.
 func (p *FlakyPersister) FailCallsAfter(n int) {
 	p.mu.Lock()
 	p.passLeft, p.passSet = n, true

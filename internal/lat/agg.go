@@ -106,12 +106,12 @@ func set(dst *sqltypes.Value, v sqltypes.Value) int64 {
 	return grew
 }
 
-// restoreFrom reconstructs the accumulator from a checkpointed output
+// restoreFrom reconstructs the accumulator from a persisted output
 // value (see Table.Restore for the per-function exactness contract).
 func (a *aggState) restoreFrom(spec *Spec, col *AggCol, v sqltypes.Value, now time.Time) {
 	if col.Aging {
 		// Block structure is not recoverable from one output value: fold
-		// the checkpointed value back as a single observation.
+		// the persisted value back as a single observation.
 		if !v.IsNull() {
 			a.addAging(spec, v, now)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // Restore rebuilds table rows from persisted output values (§4.3: LATs
-// are persistable to a disk table and reloadable at startup). It
+// are persistable to a table and reloadable from it; LoadLAT). It
 // reconstructs the accumulator of every aggregate whose state is
 // determined by its output — COUNT, SUM, MIN, MAX, FIRST, LAST resume
 // exactly; AVG resumes with the correct current value but unit weight for

@@ -3,10 +3,11 @@
 // defining constraint (§2.1) is that rules evaluate synchronously inside
 // the engine, so a slow mail server or a hung external command would stall
 // the very statement being monitored. The outbox gives each action kind a
-// bounded queue drained by worker goroutines with per-attempt deadlines,
-// exponential backoff with jitter between retries, a dead-letter ring for
-// jobs that exhaust their attempts, and a graceful bounded drain at
-// shutdown. Enqueueing never blocks: when a queue is full the job is shed
+// bounded queue drained by one worker goroutine, so the jobs of a kind run
+// one at a time in FIFO order, with per-attempt deadlines, exponential
+// backoff with jitter between retries, a dead-letter ring for jobs that
+// exhaust their attempts, and a graceful bounded drain at shutdown.
+// Enqueueing never blocks: when a queue is full the job is shed
 // (low-priority work first — a fraction of each queue is reserved for
 // high-priority jobs such as Persist) and an atomic counter records the
 // decision.
@@ -77,8 +78,6 @@ type Job struct {
 type Config struct {
 	// QueueSize bounds each kind's queue (default 256).
 	QueueSize int
-	// Workers is the number of drain goroutines per kind (default 1).
-	Workers int
 	// MaxAttempts bounds tries per job, including the first (default 4).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry; it doubles per
@@ -94,8 +93,6 @@ type Config struct {
 	// DrainTimeout bounds Close: how long to wait for queued jobs to
 	// finish before abandoning the rest (default 5s).
 	DrainTimeout time.Duration
-	// DeadLetterCap bounds the dead-letter ring (default 128).
-	DeadLetterCap int
 	// Clock is the time source for retry backoff, attempt deadlines and
 	// drain timeouts (default: the wall clock). The simulation harness
 	// injects a virtual clock so retry schedules are deterministic.
@@ -108,9 +105,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
@@ -127,14 +121,15 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.DeadLetterCap <= 0 {
-		c.DeadLetterCap = 128
-	}
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
 	return c
 }
+
+// deadLetterCap bounds the dead-letter ring: DeadLetters keeps the newest
+// deadLetterCap entries.
+const deadLetterCap = 128
 
 // DeadLetter records a job that exhausted its attempts.
 type DeadLetter struct {
@@ -214,7 +209,7 @@ type Outbox struct {
 	rng   *rand.Rand
 }
 
-// New starts an outbox with its workers.
+// New starts an outbox with one worker per kind.
 func New(cfg Config) *Outbox {
 	cfg = cfg.withDefaults()
 	seed := cfg.Seed
@@ -231,10 +226,8 @@ func New(cfg Config) *Outbox {
 	o.rngMu.SetClass("outbox.rng")
 	for k := range o.kinds {
 		o.kinds[k].queue = make(chan Job, cfg.QueueSize)
-		for w := 0; w < cfg.Workers; w++ {
-			o.wg.Add(1)
-			go o.worker(&o.kinds[k])
-		}
+		o.wg.Add(1)
+		go o.worker(&o.kinds[k])
 	}
 	return o
 }
@@ -337,11 +330,11 @@ func (o *Outbox) DeadLetters() []DeadLetter {
 
 func (o *Outbox) addDeadLetter(d DeadLetter) {
 	o.dlMu.Lock()
-	if len(o.dl) < o.cfg.DeadLetterCap {
+	if len(o.dl) < deadLetterCap {
 		o.dl = append(o.dl, d)
 	} else {
 		o.dl[o.dlAt] = d
-		o.dlAt = (o.dlAt + 1) % o.cfg.DeadLetterCap
+		o.dlAt = (o.dlAt + 1) % deadLetterCap
 	}
 	o.dlMu.Unlock()
 }

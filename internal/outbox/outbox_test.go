@@ -33,6 +33,41 @@ func TestEnqueueAndDrain(t *testing.T) {
 	}
 }
 
+// TestJobsOfAKindRunInOrder: one worker drains each kind, so a kind's jobs
+// run one at a time in enqueue order.
+func TestJobsOfAKindRunInOrder(t *testing.T) {
+	o := New(Config{})
+	defer o.Close() //nolint:errcheck
+	var mu sync.Mutex
+	var order []int
+	var running atomic.Int64
+	for i := 0; i < 50; i++ {
+		o.TryEnqueue(Job{Kind: Persist, Priority: High, Label: "p", Do: func() error {
+			if running.Add(1) != 1 {
+				t.Error("two jobs of one kind ran at once")
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			running.Add(-1)
+			return nil
+		}})
+	}
+	if !o.Drain(2 * time.Second) {
+		t.Fatal("drain timed out")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("job %d ran at position %d: %v", got, i, order)
+		}
+	}
+	if len(order) != 50 {
+		t.Fatalf("ran %d jobs, want 50", len(order))
+	}
+}
+
 func TestRetryBackoffThenSuccess(t *testing.T) {
 	o := New(Config{BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
 	defer o.Close() //nolint:errcheck
@@ -97,7 +132,7 @@ func TestAttemptTimeoutOnHungJob(t *testing.T) {
 
 func TestShedWhenFull(t *testing.T) {
 	block := make(chan struct{})
-	o := New(Config{QueueSize: 8, Workers: 1})
+	o := New(Config{QueueSize: 8})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// Pin the single worker so the queue backs up.
@@ -182,7 +217,7 @@ func TestCloseAbandonsAfterDrainTimeout(t *testing.T) {
 func TestKindIsolation(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	o := New(Config{Workers: 1, AttemptTimeout: 10 * time.Second})
+	o := New(Config{AttemptTimeout: 10 * time.Second})
 	defer o.Close() //nolint:errcheck
 	// Hang the external worker…
 	o.TryEnqueue(Job{Kind: External, Label: "hung", Do: func() error { <-release; return nil }})

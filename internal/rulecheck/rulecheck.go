@@ -69,12 +69,11 @@ func (s Severity) String() string {
 // registration time.
 type Mode uint8
 
-// Modes. Off skips analysis entirely; Warn records diagnostics but
-// registers the rule; Strict rejects rules with Error diagnostics.
+// Modes. Warn records diagnostics but registers the rule; Strict rejects
+// rules with Error diagnostics.
 const (
 	Warn Mode = iota
 	Strict
-	Off
 )
 
 // Diagnostic is one finding.

@@ -58,7 +58,7 @@ func (a *ResetAction) Describe() string { return "Reset(" + a.LAT + ")" }
 // Persist(Table, …) — write object attributes or a whole LAT to a table.
 // ---------------------------------------------------------------------------
 
-// PersistAction writes monitoring data to a disk-resident table (§5.3).
+// PersistAction writes monitoring data to an engine table (§5.3).
 // With FromLAT set it persists every row of that LAT; otherwise it persists
 // the listed attributes of the in-context object. The engine appends a
 // timestamp column, per §4.3.

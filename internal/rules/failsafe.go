@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-// DefaultQuarantineThreshold is the number of consecutive panicking
-// evaluations after which a rule is quarantined when no explicit threshold
-// is configured.
-const DefaultQuarantineThreshold = 3
+// QuarantineThreshold is the number of consecutive panicking evaluations
+// after which a rule is quarantined.
+const QuarantineThreshold = 3
 
 // QuarantineInfo describes one quarantine decision; it is handed to the
 // engine's quarantine callback (and from there dispatched through the event
@@ -20,22 +19,6 @@ type QuarantineInfo struct {
 	Failures int64
 	Err      string
 	At       time.Time
-}
-
-// SetQuarantineThreshold sets how many consecutive panicking evaluations
-// quarantine a rule. Zero restores the default; a negative value disables
-// quarantining (panics are still recovered and counted).
-func (e *Engine) SetQuarantineThreshold(n int) {
-	e.quarantineAfter.Store(int64(n))
-}
-
-// quarantineThreshold resolves the effective threshold (<0 = disabled).
-func (e *Engine) quarantineThreshold() int64 {
-	n := e.quarantineAfter.Load()
-	if n == 0 {
-		return DefaultQuarantineThreshold
-	}
-	return n
 }
 
 // SetOnQuarantine installs the callback invoked after a rule is
@@ -88,7 +71,7 @@ func (e *Engine) Reinstate(name string) bool {
 
 // safeEvalRule evaluates one rule against st's context with panic
 // isolation: a panic in the condition or in any action is recovered,
-// counted, and — after quarantineThreshold consecutive panicking
+// counted, and — after QuarantineThreshold consecutive panicking
 // evaluations — quarantines the rule. A fully non-panicking evaluation
 // resets the rule's consecutive-failure count. The query thread that
 // raised the event never observes the failure.
@@ -101,8 +84,7 @@ func (e *Engine) safeEvalRule(r *Rule, st *evalState) {
 	e.panics.Add(1)
 	e.actionErrs.Add(1)
 	fails := int64(r.consecFails.Add(1))
-	limit := e.quarantineThreshold()
-	if limit < 0 || fails < limit || r.quarantined.Load() {
+	if fails < QuarantineThreshold || r.quarantined.Load() {
 		return
 	}
 	e.quarantine(r, fails, err)
@@ -137,11 +119,9 @@ func (e *Engine) quarantine(r *Rule, fails int64, cause error) {
 	}
 }
 
-// failsafeState carries the engine's fail-safe configuration and counters;
-// embedded in Engine.
+// failsafeState carries the engine's quarantine callback and fail-safe
+// counters; embedded in Engine.
 type failsafeState struct {
-	// quarantineAfter is the configured threshold (0 = default, <0 = off).
-	quarantineAfter atomic.Int64
 	// onQuarantine is the installed quarantine callback, if any.
 	onQuarantine atomic.Pointer[func(QuarantineInfo)]
 

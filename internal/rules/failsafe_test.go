@@ -99,7 +99,6 @@ func TestPersistActionColumnCollision(t *testing.T) {
 func TestQuarantineAfterConsecutivePanics(t *testing.T) {
 	env := newFakeEnv()
 	e := NewEngine(env)
-	e.SetQuarantineThreshold(2)
 	var infos []QuarantineInfo
 	var mu sync.Mutex
 	e.SetOnQuarantine(func(info QuarantineInfo) {
@@ -122,12 +121,12 @@ func TestQuarantineAfterConsecutivePanics(t *testing.T) {
 	if !e.Quarantined("bad") {
 		t.Fatal("rule not quarantined")
 	}
-	if got := e.Stats().Panics; got != 2 {
-		t.Fatalf("panics: %d, want 2 (evaluation stops at quarantine)", got)
+	if got := e.Stats().Panics; got != 3 {
+		t.Fatalf("panics: %d, want 3 (evaluation stops at quarantine)", got)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(infos) != 1 || infos[0].Rule != "bad" || infos[0].Failures != 2 ||
+	if len(infos) != 1 || infos[0].Rule != "bad" || infos[0].Failures != 3 ||
 		!strings.Contains(infos[0].Err, "kaboom") {
 		t.Fatalf("quarantine info: %+v", infos)
 	}
@@ -138,7 +137,6 @@ func TestQuarantineResetOnSuccess(t *testing.T) {
 	// threshold — stays live.
 	env := newFakeEnv()
 	e := NewEngine(env)
-	e.SetQuarantineThreshold(3)
 	n := 0
 	if err := e.AddRule(&Rule{
 		Name:  "flappy",

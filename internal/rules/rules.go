@@ -67,8 +67,8 @@ func (c *Ctx) Attr(ref string) (sqltypes.Value, bool) {
 type Env interface {
 	// LAT resolves a registered aggregation table.
 	LAT(name string) (*lat.Table, bool)
-	// Persist writes one row (with a timestamp column appended) to a
-	// disk-resident table, creating the table on first use.
+	// Persist writes one row (with a timestamp column appended) to an
+	// engine table, creating the table on first use.
 	Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error
 	// SendMail delivers a notification.
 	SendMail(addr, body string) error

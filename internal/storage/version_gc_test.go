@@ -445,7 +445,7 @@ func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
 	}
 }
 
-// A table that deletes its oldest rows (checkpoint generations) keeps no
+// A table that deletes its oldest rows (superseded snapshots) keeps no
 // slot for them once they are pruned; rows behind an interior hole keep
 // their slots and resolve.
 func TestLeadingHolesTrimmed(t *testing.T) {

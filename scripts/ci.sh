@@ -4,7 +4,7 @@
 # concurrency tests in internal/lat, internal/rules, internal/monitor and
 # internal/event are written to surface latching and published-state bugs
 # only -race can see. The chaos tier exercises the fail-safe layer
-# (panic quarantine, outbox retry/shedding, checkpoint crash-recovery)
+# (panic quarantine, outbox retry/shedding, torn PersistLAT snapshots)
 # under fault injection. A short fuzz smoke hardens the placeholder
 # substitution scanner.
 set -euo pipefail

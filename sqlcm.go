@@ -135,8 +135,8 @@ type (
 	MemRunner = core.MemRunner
 	// Persister writes monitoring rows to a table.
 	Persister = core.Persister
-	// FailsafeConfig tunes panic quarantine, the async action outbox,
-	// overload shedding, and crash-safe LAT checkpointing.
+	// FailsafeConfig tunes the async action outbox and overload
+	// shedding.
 	FailsafeConfig = core.FailsafeOptions
 	// OutboxConfig tunes the async action executor.
 	OutboxConfig = outbox.Config
@@ -160,8 +160,6 @@ const (
 	// (kind-mismatched conditions, dead rules, bad LAT references,
 	// synchronous trigger cycles, duplicates).
 	RuleCheckStrict = rulecheck.Strict
-	// RuleCheckOff skips static analysis entirely.
-	RuleCheckOff = rulecheck.Off
 )
 
 // Config tunes a DB.
@@ -173,8 +171,8 @@ type Config struct {
 	Mailer Mailer
 	// Runner handles RunExternal actions (default: recording MemRunner).
 	Runner Runner
-	// Persister handles Persist actions and LAT checkpoints (default:
-	// engine tables).
+	// Persister handles Persist actions and PersistLAT (default: engine
+	// tables, created on first use).
 	Persister Persister
 	// Failsafe tunes the fail-safe monitoring layer.
 	Failsafe FailsafeConfig
@@ -205,9 +203,10 @@ func Open(cfg Config) (*DB, error) {
 	return &DB{eng: eng, mon: mon}, nil
 }
 
-// Close detaches monitoring (draining queued actions and taking a final
-// checkpoint of marked LATs) and shuts the engine down. The error reports
-// actions abandoned by a timed-out drain or an engine shutdown failure.
+// Close detaches monitoring (draining queued actions) and shuts the engine
+// down. Engine tables live in memory, so persisted LATs go with it. The
+// error reports actions abandoned by a timed-out drain or an engine
+// shutdown failure.
 func (db *DB) Close() error {
 	err := db.mon.Detach()
 	if cerr := db.eng.Close(); err == nil {
@@ -220,15 +219,6 @@ func (db *DB) Close() error {
 // timeout elapses), reporting whether the outbox is idle. Rule actions run
 // asynchronously; call Flush before reading their side effects.
 func (db *DB) Flush(timeout time.Duration) bool { return db.mon.Flush(timeout) }
-
-// MarkForCheckpoint registers a LAT for crash-safe checkpointing into a
-// disk table and restores the newest consistent checkpoint found there.
-func (db *DB) MarkForCheckpoint(latName, table string) error {
-	return db.mon.MarkForCheckpoint(latName, table)
-}
-
-// CheckpointNow synchronously checkpoints one marked LAT.
-func (db *DB) CheckpointNow(latName string) error { return db.mon.CheckpointNow(latName) }
 
 // Session opens a client session; user and application name are monitoring
 // probes (the User and Application attributes of the Query class).
