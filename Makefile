@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet vet-bench lint test race chaos netchaos lockdep lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover mutate ci
+.PHONY: build vet vet-bench lint test race chaos netchaos lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover mutate ci
 
 build:
 	$(GO) build ./...
@@ -9,10 +9,11 @@ build:
 # them) — no clock reads on the hot path (hotpath), context propagation
 # (ctxprop), cancellation-point proofs (cancelpoint), guarded-field access
 # (guardedby), copy-on-write publication (cowpublish) and the lock
-# hierarchy (lockorder), plus a check that every //sqlcm:
-# directive is a known verb, all over one type-checked load — and static
-# analysis of the shipped rule sets (which must be finding-free even in
-# strict mode). docs/lock-order.md must match the annotations.
+# hierarchy (lockorder, the only lock-order check), plus a check that
+# every //sqlcm: directive is a known verb, all over one type-checked
+# load — and static analysis of the shipped rule sets (which must be
+# finding-free even in strict mode). docs/lock-order.md must match the
+# annotations.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sqlcm-vet -code .
@@ -64,17 +65,6 @@ chaos:
 netchaos:
 	$(GO) test -race -count=1 -run TestNetChaos ./internal/loadgen/
 
-# Lockdep tier: run the chaos and concurrency suites with the runtime
-# lock-order assertions compiled in (sqlcmlockdep) under -race, plus the
-# tag-gated lockdep unit tests themselves. Any lock acquired against the
-# observed order panics with both stacks instead of deadlocking. Also
-# verifies docs/lock-order.md is current.
-lockdep:
-	$(GO) run ./cmd/sqlcm-vet -lockdoc .
-	$(GO) test -tags sqlcmlockdep -race -count=1 ./internal/lockcheck/... ./internal/lat/ ./internal/rules/ ./internal/monitor/ ./internal/event/ ./internal/engine/ ./internal/server/
-	$(GO) test -tags sqlcmlockdep -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
-	$(GO) test -tags sqlcmlockdep -race -count=1 ./internal/faults/ ./internal/outbox/
-
 # Regenerate docs/lock-order.md from the //sqlcm:lock annotations.
 lockdoc:
 	$(GO) run ./cmd/sqlcm-vet -lockdoc -write .
@@ -103,10 +93,9 @@ sim-mvcc:
 # Mutation tier: every internal/analysis/testdata/mutations/*.patch seeds
 # one bug of one analyzer's class into a real package of a `git archive`
 # copy of REF (default HEAD), which then goes through vet, sqlcm-vet -code,
-# test, race, lockdep, sim and chaos; the table says which tier catches
-# each bug first and whether its analyzer is the only catcher (DESIGN.md
-# §12). About 100 minutes for the 35 patches on 2 CPUs: not part of
-# `make ci`.
+# test, race, sim and chaos; the table says which tier catches each bug
+# first and whether its analyzer is the only catcher (DESIGN.md §12).
+# About 100 minutes for the 37 patches on 2 CPUs: not part of `make ci`.
 # make mutate [REF=<ref>]
 mutate:
 	./scripts/mutate.sh $(or $(REF),HEAD)

@@ -25,7 +25,6 @@ import (
 	"sqlcm/internal/engine"
 	"sqlcm/internal/event"
 	"sqlcm/internal/lat"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/rules"
@@ -385,9 +384,6 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 // one Query and one Transaction object, their two hex signatures, and
 // little else.
 func TestMonitoredPointReadAllocs(t *testing.T) {
-	if lockcheck.Enabled {
-		t.Skip("the lockdep build's instrumented latches allocate")
-	}
 	db, read := monitoredPointRead(t)
 	for i := 0; i < 200; i++ {
 		read() // warm the plan, signature and LAT state
@@ -458,9 +454,6 @@ func adhocRange(tb testing.TB) (*DB, func()) {
 // pooled objects (operator trees, evaluation state) cost rebuilds.
 func pinAllocs(t *testing.T, what string, max float64, f func()) {
 	t.Helper()
-	if lockcheck.Enabled {
-		t.Skip("the lockdep build's instrumented latches allocate")
-	}
 	for i := 0; i < 200; i++ {
 		f()
 	}

@@ -65,8 +65,8 @@
 // Every analyzer earns its place by being the only tier that catches
 // some seeded bug: scripts/mutate.sh applies the patches under
 // testdata/mutations to a copy of the tree and records which tier —
-// go vet, these analyzers, go test, -race, sqlcmlockdep, the simulator,
-// the chaos suite — catches each one first (DESIGN.md §12).
+// go vet, these analyzers, go test, -race, the simulator, the chaos
+// suite — catches each one first (DESIGN.md §12).
 package analysis
 
 import (
@@ -74,6 +74,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -196,7 +197,9 @@ func RunProgram(prog *Program) []Diagnostic {
 		walkHeldPackage(prog, pkg, sinks)
 	}
 	sortDiags(diags)
-	return diags
+	// A closure's body is walked where it is declared and again where it
+	// is called: the same finding can come out twice.
+	return slices.Compact(diags)
 }
 
 // directiveVerbs are the //sqlcm: verbs listed in the package doc, the

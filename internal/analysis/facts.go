@@ -330,10 +330,18 @@ func lockClassOf(prog *Program, info *types.Info, recv ast.Expr) (string, bool) 
 }
 
 // calleeOf resolves a call expression to the called function object:
-// package function, method (concrete or interface), or local function
-// identifier. Function-typed fields and literals resolve to nil.
+// package function (explicitly instantiated or not), method (concrete or
+// interface), or local function identifier. Function-typed fields and
+// literals resolve to nil.
 func calleeOf(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := unparen(call.Fun).(type) {
+	fun := unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = unparen(x.X)
+	case *ast.IndexListExpr:
+		fun = unparen(x.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		if obj, ok := info.Uses[fun].(*types.Func); ok {
 			return obj

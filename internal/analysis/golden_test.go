@@ -16,8 +16,10 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // defect per analyzer: a dropped context, a poll-free row loop, an
 // unguarded field access, an in-place COW mutation, the seeded lock bugs
 // — order inversion, missing unlock, send and enqueue under a lock,
-// unannotated mutex, cyclic declaration, and a cross-package ordering
-// edge proved through the sibling package's real facts — and misspelled
+// unannotated mutex, cyclic declaration, a cross-package ordering edge
+// proved through the sibling package's real facts, a nesting two
+// same-package calls deep, and calls through an interface method or a
+// function value under a latch — and misspelled
 // and reasonless directives. Each fixture also carries the fixed
 // shape of the same pattern, so the goldens prove both that the defect
 // fires and that the repair silences it.
@@ -34,6 +36,8 @@ func TestSeededFixtureGoldens(t *testing.T) {
 		"cycle",
 		"enqueue",
 		"crosssummary",
+		"deepnesting",
+		"callbackunderlock",
 		"unknowndirective",
 	}
 	for _, name := range cases {

@@ -15,10 +15,13 @@ import (
 // are walked on cloned held-sets and merged with a maybe-held union (a
 // branch ending in return or panic is checked at its exit and discarded),
 // loops are walked once, function literals are analyzed inline at their
-// syntactic position, and same-package calls replay a one-level summary
-// of the callee. Lock receivers, field accesses and callees resolve
-// through go/types, so a lock or a guarded field is recognized no matter
-// how the expression spells it.
+// syntactic position (and again at each call of the local they are bound
+// to), and same-package calls replay the callee's summary: its net
+// held-set effect and every class it may reach. A call through an
+// interface method or a function value reaches code the walk cannot see
+// and raises an event of its own. Lock receivers, field accesses and
+// callees resolve through go/types, so a lock or a guarded field is
+// recognized no matter how the expression spells it.
 
 // accessKind classifies one use of a struct field.
 type accessKind int
@@ -50,7 +53,7 @@ type heldEntry struct {
 	// ("if bounded { mu.Lock() }"). Ordering checks still apply
 	// — the lock really is held on one path — but same-class and leak
 	// reports are suppressed: the matching conditional unlock is beyond
-	// this walk's precision, and the runtime lockdep build covers those.
+	// this walk's precision.
 	maybe      bool
 	deferred   bool // a defer releases it at function exit
 	fromCaller bool // seeded by //sqlcm:lock-held or //sqlcm:lock-release, or inherited by an inline callback
@@ -78,6 +81,7 @@ const (
 	evSend                            // channel send that can block
 	evEnqueue                         // outbox Enqueue/TryEnqueue call
 	evCall                            // call to a function with a lock summary
+	evDynamic                         // call through an interface method or a function value
 	evExit                            // return statement, or falling off the function's end
 )
 
@@ -89,8 +93,8 @@ type lockEvent struct {
 	held    map[string]*heldEntry
 	handoff map[string]bool // the walked function's //sqlcm:lock-release classes
 	class   string          // evAcquire, evRelease
-	call    *ast.CallExpr   // evUnresolved
-	callee  *types.Func     // evCall
+	call    *ast.CallExpr   // evUnresolved, evDynamic
+	callee  *types.Func     // evCall; evDynamic through an interface method
 	sum     *heldSummary    // evCall
 }
 
@@ -101,16 +105,16 @@ type heldSink struct {
 	lock func(lockEvent)
 }
 
-// heldSummary is the one-level interprocedural digest of a function,
-// replayed at same-package call sites. For a callee in another package
-// it is synthesized from Facts.LockClasses (external): the caller owes
-// the ordering proof for every class the callee can reach, but the
-// held-set is not mutated — unlock balance is the callee's own package's
-// walk to report.
+// heldSummary is the interprocedural digest of a function, replayed at
+// same-package call sites. For a callee in another package it is
+// synthesized from Facts.LockClasses (external): the caller owes the
+// ordering proof for every class the callee can reach, but the held-set
+// is not mutated — unlock balance is the callee's own package's walk to
+// report.
 type heldSummary struct {
 	requires []string        // //sqlcm:lock-held classes, sorted
 	releases []string        // //sqlcm:lock-release classes, sorted
-	acquires []string        // classes the body acquires (external: may reach), sorted
+	acquires []string        // classes the body or its callees may acquire, sorted
 	net      map[string]bool // class -> write-mode held at fall-off exit
 	external bool
 }
@@ -168,6 +172,8 @@ func walkHeldFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, sums map[types.
 		held:     map[string]*heldEntry{},
 		handoff:  map[string]bool{},
 		acquired: map[string]bool{},
+		closures: localClosures(pkg.Info, fn),
+		walking:  map[*ast.FuncLit]bool{},
 	}
 	for _, class := range s.requires {
 		w.held[class] = &heldEntry{pos: fn.Pos(), write: true, fromCaller: true}
@@ -181,6 +187,11 @@ func walkHeldFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, sums map[types.
 	}
 	if !w.walkBlock(fn.Body.List) {
 		w.emitLock(lockEvent{kind: evExit, pos: fn.Body.Rbrace})
+	}
+	// Facts.LockClasses reaches through every call chain, not only the
+	// body's own Lock calls.
+	for _, class := range pkg.Facts.LockClasses[pkg.Info.Defs[fn.Name]] {
+		w.acquired[class] = true
 	}
 	s.acquires = sortedKeys(w.acquired)
 	for class, e := range w.held {
@@ -203,6 +214,8 @@ type heldWalker struct {
 	held     map[string]*heldEntry
 	handoff  map[string]bool // //sqlcm:lock-release classes of the function
 	acquired map[string]bool // every class the function body acquires
+	closures map[types.Object][]*ast.FuncLit
+	walking  map[*ast.FuncLit]bool // literals on the walk stack: a recursive closure's own call
 }
 
 func (w *heldWalker) clone() *heldWalker {
@@ -446,6 +459,11 @@ func (w *heldWalker) handleDefer(call *ast.CallExpr) {
 // responsibility: ordering inside the literal is still checked against
 // them, but a return inside the literal is not a leak.
 func (w *heldWalker) walkLiteral(lit *ast.FuncLit) {
+	if w.walking[lit] {
+		return
+	}
+	w.walking[lit] = true
+	defer delete(w.walking, lit)
 	lw := w.clone()
 	for _, e := range lw.held {
 		e.fromCaller = true
@@ -564,7 +582,8 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 		w.scanExpr(a, accRead)
 	}
 	fn, ok := calleeOf(w.info, call).(*types.Func)
-	if !ok {
+	if !ok || isInterfaceMethod(fn) {
+		w.dynamicCall(call, fn)
 		return
 	}
 	callee := fn.Origin() // summaries and facts are keyed by the declaration, not an instantiation
@@ -575,6 +594,38 @@ func (w *heldWalker) scanCall(call *ast.CallExpr) {
 		w.emitLock(lockEvent{kind: evCall, pos: call.Pos(), callee: callee,
 			sum: &heldSummary{acquires: ff.LockClasses[callee], external: true}})
 	}
+}
+
+// dynamicCall handles a call the walk cannot resolve to a declaration:
+// through an interface method (fn) or a function value. A literal bound
+// to a local of this function is walked inline under the live held-set,
+// as a callback; any other target raises evDynamic.
+func (w *heldWalker) dynamicCall(call *ast.CallExpr, fn *types.Func) {
+	if fn == nil {
+		fun := unparen(call.Fun)
+		if tv := w.info.Types[fun]; tv.IsType() || tv.IsBuiltin() {
+			return // a conversion or a builtin
+		}
+		switch f := fun.(type) {
+		case *ast.FuncLit:
+			return // walked inline as the call's operand
+		case *ast.Ident:
+			if lits := w.closures[w.info.Uses[f]]; lits != nil {
+				for _, lit := range lits {
+					w.walkLiteral(lit)
+				}
+				return
+			}
+		}
+	}
+	w.emitLock(lockEvent{kind: evDynamic, pos: call.Pos(), call: call, callee: fn})
+}
+
+// isInterfaceMethod reports whether fn is declared by an interface, so a
+// call to it dispatches dynamically.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }
 
 // applySummary replays a same-package callee's net lock effects at the
@@ -675,6 +726,31 @@ func baseIdentOf(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// localClosures maps each local of fn that is assigned a function literal
+// (f := func...; or f = func... after var f func...) to those literals.
+func localClosures(info *types.Info, fn *ast.FuncDecl) map[types.Object][]*ast.FuncLit {
+	out := map[types.Object][]*ast.FuncLit{}
+	if fn.Body == nil {
+		return out
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if st, ok := n.(*ast.AssignStmt); ok && len(st.Lhs) == len(st.Rhs) {
+			for i, lhs := range st.Lhs {
+				id, isID := lhs.(*ast.Ident)
+				lit, isLit := unparen(st.Rhs[i]).(*ast.FuncLit)
+				if !isID || !isLit {
+					continue
+				}
+				if obj := info.ObjectOf(id); obj != nil {
+					out[obj] = append(out[obj], lit)
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // freshLocals collects the locals of fn assigned (anywhere in the body,

@@ -234,8 +234,8 @@ func importPathFor(prog *Program, dir string) string {
 
 // buildSelected evaluates a file's //go:build constraint under the
 // default build configuration: current GOOS/GOARCH, gc, current
-// language version, and no custom tags (so the sqlcmlockdep runtime
-// shims are excluded, exactly as in a default `go build`).
+// language version, and no custom tags, exactly as in a default
+// `go build`.
 func buildSelected(src string) bool {
 	for _, line := range strings.Split(src, "\n") {
 		line = strings.TrimSpace(line)

@@ -19,13 +19,13 @@ func (p *Program) LockOrderDoc() string {
 	b.WriteString("# Lock order\n\n")
 	b.WriteString("Generated from `//sqlcm:lock`, `//sqlcm:guards`, `//sqlcm:guarded-by`\n")
 	b.WriteString("and `//sqlcm:cow` annotations by `sqlcm-vet -lockdoc -write`.\n")
-	b.WriteString("Do not edit by hand: `make lockdep` (and CI) fail when this file is\n")
+	b.WriteString("Do not edit by hand: `make vet` (and CI) fail when this file is\n")
 	b.WriteString("stale relative to the annotations.\n\n")
 	b.WriteString("A class may be acquired while holding only the classes it is declared\n")
 	b.WriteString("`after` (transitively). Classes with no `after` clause are roots: they\n")
-	b.WriteString("must be the outermost (or only) lock a goroutine holds. The static\n")
-	b.WriteString("checker (`sqlcm-vet -code`) enforces this order at build time; the\n")
-	b.WriteString("`sqlcmlockdep` build tag enforces it again at runtime.\n\n")
+	b.WriteString("must be the outermost (or only) lock a goroutine holds. The lockorder\n")
+	b.WriteString("analyzer (`sqlcm-vet -code`) enforces this order at build time, down\n")
+	b.WriteString("every call chain; it is the only enforcer.\n\n")
 	b.WriteString("Guarded fields are the struct fields each class protects, declared\n")
 	b.WriteString("with `//sqlcm:guards` on the mutex (or `//sqlcm:guarded-by` /\n")
 	b.WriteString("`//sqlcm:cow` on the field) and enforced by the data-protection\n")

@@ -9,19 +9,21 @@ import (
 	"strings"
 )
 
-// The lock-hierarchy analyzer is the static half of SQLCM's lock contract
-// (the runtime half is the sqlcmlockdep build of internal/lockcheck). The
-// //sqlcm:lock annotations on mutex fields declare a partial-order DAG of
-// lock classes; the analyzer listens to the shared held-set walk
-// (heldwalk.go) and checks every lock-relevant program point against it.
+// The lock-hierarchy analyzer is SQLCM's one enforcer of its lock
+// contract. The //sqlcm:lock annotations on mutex fields declare a
+// partial-order DAG of lock classes; the analyzer listens to the shared
+// held-set walk (heldwalk.go) and checks every lock-relevant program point
+// against it.
 
 // LockOrder checks the lock hierarchy:
 //
 //   - order: every held class has a declared path to the one acquired,
-//     whether the acquire is a direct Lock call, a same-package callee's
-//     (one-level summary) or a cross-package callee's
+//     whether the acquire is a direct Lock call or anywhere down a
+//     callee's call chain, in this package or another
 //     (Facts.LockClasses); no class is acquired twice; //sqlcm:lock-held
-//     callees are called with the class held;
+//     callees are called with the class held; no call through an
+//     interface method or a function value, whose locks no summary
+//     shows, is made with a latch held;
 //   - balance: every Lock is released (or defer-released) on every exit
 //     path, and only held locks are unlocked;
 //   - blocking: no channel send that can block (a send in a select with a
@@ -84,6 +86,14 @@ func runLockOrder(p *Pass) {
 		case evEnqueue:
 			if len(ev.held) > 0 {
 				p.reportUnlessAllowed(ev.pos, "outbox enqueue while holding %s; enqueue after unlocking", quotedList(sortedKeys(ev.held)))
+			}
+		case evDynamic:
+			if len(ev.held) > 0 {
+				target := "function value " + exprText(ev.call.Fun)
+				if ev.callee != nil {
+					target = "interface method " + funcRef(ev.callee, p.Pkg.Types)
+				}
+				p.reportUnlessAllowed(ev.pos, "call through %s while holding %s: the locks it takes are invisible to the order check; call it after unlocking, or say with //sqlcm:allow why it takes no undeclared latch", target, quotedList(sortedKeys(ev.held)))
 			}
 		case evUnresolved:
 			sel := unparen(ev.call.Fun).(*ast.SelectorExpr)
@@ -165,8 +175,7 @@ func checkLockDecls(p *Pass, order *lockOrder) {
 }
 
 // checkMutexFields requires every named mutex field of a struct to carry
-// a well-formed //sqlcm:lock annotation. Embedded mutexes are the
-// lockcheck wrappers themselves, not independent locks.
+// a well-formed //sqlcm:lock annotation. An embedded mutex is not checked.
 func checkMutexFields(p *Pass, typeName string, st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		if len(field.Names) == 0 || !isMutexType(p.Pkg.Info.TypeOf(field.Type)) {
@@ -184,9 +193,8 @@ func checkMutexFields(p *Pass, typeName string, st *ast.StructType) {
 	}
 }
 
-// isMutexType reports whether t is one of the lockable mutex types —
-// sync.Mutex, sync.RWMutex, or the internal/lockcheck wrappers of the
-// same names — possibly behind a pointer.
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex, possibly
+// behind a pointer.
 func isMutexType(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
@@ -196,7 +204,7 @@ func isMutexType(t types.Type) bool {
 		return false
 	}
 	pkg, name := named.Obj().Pkg().Name(), named.Obj().Name()
-	return (pkg == "sync" || pkg == "lockcheck") && (name == "Mutex" || name == "RWMutex")
+	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
 // lockClass is one declared lock class: a node of the order DAG.

@@ -99,6 +99,37 @@ func (g *guarded) bad() {
 `), `call to guarded.lockB acquires "x.b" which is already held`)
 }
 
+func TestLockRecursiveClosureWalkedInline(t *testing.T) {
+	// A recursive closure called under x.a is walked where it is called,
+	// once: its x.b acquire is in order and its own recursive call ends
+	// the inline walk, while an inversion inside it is still reported.
+	wantFindings(t, analyzeSrc(t, lockHeader+`
+func (g *guarded) ok(n int) {
+	var visit func(int)
+	visit = func(i int) {
+		g.b.Lock()
+		g.b.Unlock()
+		if i > 0 {
+			visit(i - 1)
+		}
+	}
+	g.a.Lock()
+	visit(n)
+	g.a.Unlock()
+}
+
+func (g *guarded) bad() {
+	relock := func() {
+		g.a.Lock()
+		g.a.Unlock()
+	}
+	g.b.Lock()
+	relock()
+	g.b.Unlock()
+}
+`), `acquiring "x.a" while holding "x.b"`)
+}
+
 func TestLockHeldRequirement(t *testing.T) {
 	wantFindings(t, analyzeSrc(t, lockHeader+`
 //sqlcm:lock-held x.a

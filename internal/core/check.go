@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/rulecheck"
 	"sqlcm/internal/rules"
@@ -25,7 +25,7 @@ type ruleChecker struct {
 	// mu protects the per-rule source and diagnostic maps.
 	//sqlcm:lock core.rulecheck
 	//sqlcm:guards condSrc, diags
-	mu lockcheck.Mutex
+	mu sync.Mutex
 	// condSrc remembers each rule's original condition text so
 	// diagnostics can carry source offsets.
 	condSrc map[string]string

@@ -17,7 +17,6 @@ import (
 	"sqlcm/internal/engine"
 	"sqlcm/internal/event"
 	"sqlcm/internal/lat"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/outbox"
 	"sqlcm/internal/rulecheck"
@@ -146,7 +145,7 @@ type SQLCM struct {
 	// latMu protects the LAT registry.
 	//sqlcm:lock core.lats
 	//sqlcm:guards lats
-	latMu lockcheck.RWMutex
+	latMu sync.RWMutex
 	lats  map[string]*lat.Table
 
 	check ruleChecker
@@ -166,8 +165,6 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 		mailer: opts.Mailer,
 		runner: opts.Runner,
 	}
-	s.latMu.SetClass("core.lats")
-	s.check.mu.SetClass("core.rulecheck")
 	if s.mailer == nil {
 		s.mailer = &MemMailer{}
 	}

@@ -14,7 +14,6 @@ import (
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/exec"
 	"sqlcm/internal/lock"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -52,13 +51,13 @@ type Engine struct {
 	// (sqlparser.Template.Key) and bounded by planCacheCap.
 	//sqlcm:lock engine.plan
 	//sqlcm:guards planCache
-	planMu    lockcheck.Mutex
+	planMu    sync.Mutex
 	planCache map[string]*cachedPlan
 
 	// queryMu protects the active-query maps.
 	//sqlcm:lock engine.query
 	//sqlcm:guards active, byTxn
-	queryMu lockcheck.RWMutex
+	queryMu sync.RWMutex
 	// active queries by query id and the current query of each transaction
 	active map[int64]*QueryInfo
 	byTxn  map[lock.TxnID]*QueryInfo
@@ -110,8 +109,6 @@ func Open(cfg Config) (*Engine, error) {
 		active:    make(map[int64]*QueryInfo),
 		byTxn:     make(map[lock.TxnID]*QueryInfo),
 	}
-	e.planMu.SetClass("engine.plan")
-	e.queryMu.SetClass("engine.query")
 	locks.SetNotifier(&lockBridge{e: e})
 	return e, nil
 }

@@ -143,8 +143,6 @@ type TxnInfo struct {
 	App       string
 	StartTime time.Time
 	Implicit  bool
-	// QueryIDs lists the statements executed in the transaction, in order.
-	QueryIDs []int64
 }
 
 // BlockEvent describes a blocking relationship surfaced by the lock

@@ -19,10 +19,8 @@ import (
 // concurrent use; open one session per goroutine. The contract is enforced
 // cheaply at every entry point (Exec, Prepare, Prepared.Exec, Close): a
 // second goroutine entering while a statement is in flight gets
-// ErrConcurrentUse instead of a silent race. Network front-ends that hand
-// a session to one connection goroutine additionally call PinOwner so the
-// lockdep build can assert single-goroutine ownership for the session's
-// whole lifetime.
+// ErrConcurrentUse instead of a silent race. A session may move between
+// goroutines between statements.
 type Session struct {
 	ID   int64
 	User string
@@ -43,7 +41,6 @@ type Session struct {
 	// violation is reported as an error, never a wait.
 	busy   atomic.Int32
 	closed atomic.Bool
-	owner  ownerGuard // lockdep-build owner-goroutine assertion
 
 	// cur publishes the in-flight statement so CancelCurrent (server
 	// drain paths, other goroutines) can cancel it through atomics
@@ -90,18 +87,11 @@ func (s *Session) enter() error {
 		s.busy.Store(0)
 		return ErrSessionClosed
 	}
-	s.owner.assert()
 	return nil
 }
 
 // leave releases the session after an entry-point call.
 func (s *Session) leave() { s.busy.Store(0) }
-
-// PinOwner pins the session to the calling goroutine: in lockdep builds
-// (-tags sqlcmlockdep) any later entry from a different goroutine panics
-// with both goroutine ids. In default builds it is free. Connection
-// handlers call it once when they take ownership of a session.
-func (s *Session) PinOwner() { s.owner.pin() }
 
 // Closed reports whether the session has been closed.
 func (s *Session) Closed() bool { return s.closed.Load() }
@@ -391,8 +381,6 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 		h.QueryStart(qi)
 		h.QueryCompiled(qi)
 	}
-
-	ti.QueryIDs = append(ti.QueryIDs, qi.ID)
 
 	res, err := s.executeBody(cp, qi, t, params, lits)
 	dur := time.Since(qi.StartTime)

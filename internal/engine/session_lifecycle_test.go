@@ -275,3 +275,21 @@ func TestConcurrentExecRejected(t *testing.T) {
 	// The session is whole again: the owner goroutine can keep using it.
 	mustExec(t, victim, "SELECT * FROM t")
 }
+
+// TestSessionReusedSequentiallyAcrossGoroutines: the single-goroutine
+// contract is per statement, not per session. A session may move to
+// another goroutine between statements.
+func TestSessionReusedSequentiallyAcrossGoroutines(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("alice", "app")
+	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY)")
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Exec("SELECT * FROM t", nil)
+		done <- err
+	}()
+	if err := <-done; err != nil {
+		t.Fatalf("sequential cross-goroutine exec: %v", err)
+	}
+	mustExec(t, s, "SELECT * FROM t")
+}

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/storage"
 )
 
@@ -15,16 +14,6 @@ import (
 // costs (chains examined, through MVCCStats().Scanned), what it leaves
 // behind (Retained), and that neither a rollback of the pruning transaction
 // nor a concurrent old snapshot can tell it happened.
-
-// gcScale sizes the counting tests. They run on one goroutine, so the
-// lockdep build has nothing to find in them, and its instrumented mutexes
-// would make their 25 000 statements take half a minute.
-func gcScale(n int) int {
-	if lockcheck.Enabled {
-		return n / 10
-	}
-	return n
-}
 
 // gcTable creates kv(id PRIMARY KEY, val, g) with an index on g and n rows
 // (id i, val 0, g i), loaded in one transaction.
@@ -47,7 +36,7 @@ func TestVersionGCWorkProportionalToWrites(t *testing.T) {
 	e := newTestEngine(t)
 	s := e.NewSession("w", "gc")
 	mustExec(t, s, "CREATE TABLE kv (id INT PRIMARY KEY, val INT)")
-	rows := gcScale(5000)
+	rows := 5000
 	st := e.MVCCStats()
 	for i := 1; i <= rows; i++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", i))
@@ -86,7 +75,7 @@ func TestVersionGCWorkProportionalToWrites(t *testing.T) {
 // Once it closes, the next write collects everything.
 func TestVersionGCBacksOffUnderOpenSnapshot(t *testing.T) {
 	e := newTestEngine(t)
-	rows, hot, writes := gcScale(5000), gcScale(1000), gcScale(10000)
+	rows, hot, writes := 5000, 1000, 10000
 	w := gcTable(t, e, rows)
 	st := e.MVCCStats()
 

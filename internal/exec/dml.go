@@ -215,7 +215,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	// invisible to every other snapshot until the commit stamp.
 	if ctx.Txn != nil {
 		v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
-		ctx.Txn.OnCommit(v.SetCommit)
+		ctx.Txn.OnCommit(v)
 	} else {
 		ts.Vers.Install(rid, rec, 0, true)
 	}
@@ -365,7 +365,7 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	}
 	v := ts.Vers.Push(rid, EncodeRow(newRow), txnID)
 	if ctx.Txn != nil {
-		ctx.Txn.OnCommit(v.SetCommit)
+		ctx.Txn.OnCommit(v)
 	} else {
 		v.SetCommit(storage.BaseCommitTS)
 	}
@@ -423,7 +423,7 @@ func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 	}
 	v := ts.Vers.Tombstone(rid, txnID)
 	if ctx.Txn != nil {
-		ctx.Txn.OnCommit(v.SetCommit)
+		ctx.Txn.OnCommit(v)
 	} else {
 		v.SetCommit(storage.BaseCommitTS)
 	}

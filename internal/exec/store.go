@@ -52,11 +52,13 @@ func NewTableStore(meta *catalog.Table, stats *storage.VersionStats) *TableStore
 // shared with every reader: callers must not write to it.
 func (ts *TableStore) Indexes() map[string]*index.BTree { return *ts.indexes.Load() }
 
-// publishIndexes swaps in a copy of the index set with edit applied.
+// publishIndexes swaps in a copy of the index set with edit applied. edit
+// runs under the writer latch and must not take another.
 func (ts *TableStore) publishIndexes(edit func(set map[string]*index.BTree)) {
 	ts.ixMu.Lock()
 	defer ts.ixMu.Unlock()
 	next := maps.Clone(ts.Indexes())
+	//sqlcm:allow the edits are this file's closures, which only rewrite the cloned map
 	edit(next)
 	ts.indexes.Store(&next)
 }

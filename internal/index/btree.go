@@ -295,7 +295,8 @@ func (t *BTree) Delete(key []byte, rid storage.RID) bool {
 // ScanRange visits entries with lo <= key <= hi (bounds optional: nil lo
 // means from the start, nil hi means to the end; inclusivity per flag).
 // fn returning false stops the scan. fn may keep key: the tree never writes
-// a key's bytes after Insert.
+// a key's bytes after Insert. fn runs under the tree's read latch and must
+// not take a latch.
 func (t *BTree) ScanRange(lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid storage.RID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -325,6 +326,7 @@ func (t *BTree) ScanRange(lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte
 					return
 				}
 			}
+			//sqlcm:allow every callback copies the entry out and takes no latch
 			if !fn(k, n.rids[i]) {
 				return
 			}

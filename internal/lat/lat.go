@@ -14,11 +14,11 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/clock"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/sqltypes"
 )
 
@@ -219,7 +219,7 @@ type Table struct {
 	// row state.
 	//sqlcm:lock lat.table
 	//sqlcm:guards groups, order, free
-	mu     lockcheck.RWMutex
+	mu     sync.RWMutex
 	groups map[string]*row
 	order  rowHeap
 	// free pools evicted rows for reuse (§6.1: "evicted leafs can be
@@ -281,7 +281,6 @@ func New(spec Spec) (*Table, error) {
 	for _, o := range spec.OrderBy {
 		t.orderCols = append(t.orderCols, t.ColumnIndex(o.Col))
 	}
-	t.mu.SetClass("lat.table")
 	return t, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/sqltypes"
 )
 
@@ -433,9 +432,6 @@ func TestRestoreRoundTrip(t *testing.T) {
 // into a stack buffer and looked up without a copy (5 allocations with the
 // striped table, 2 with the one-latch table before that).
 func TestInsertIntoExistingGroupAllocs(t *testing.T) {
-	if lockcheck.Enabled {
-		t.Skip("the lockdep build's instrumented latch allocates")
-	}
 	for name, spec := range map[string]Spec{"unbounded": durationSpec(), "bounded": topKSpec(10)} {
 		tab, err := New(spec)
 		if err != nil {

@@ -18,9 +18,9 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/storage"
 )
 
@@ -141,7 +141,7 @@ type Manager struct {
 	// immutable after construction and deliberately unguarded.
 	//sqlcm:lock lock.manager
 	//sqlcm:guards queues, free, held, waitsFor, notifier
-	mu     lockcheck.Mutex
+	mu     sync.Mutex
 	queues map[Resource]*queue
 	// free holds emptied queues for reuse, at most queuePoolCap.
 	free     []*queue
@@ -154,14 +154,12 @@ type Manager struct {
 // NewManager returns a lock manager. timeout bounds each wait; zero waits
 // forever.
 func NewManager(timeout time.Duration) *Manager {
-	m := &Manager{
+	return &Manager{
 		queues:   make(map[Resource]*queue),
 		held:     make(map[TxnID]map[Resource]Mode),
 		waitsFor: make(map[TxnID]map[TxnID]bool),
 		timeout:  timeout,
 	}
-	m.mu.SetClass("lock.manager")
-	return m
 }
 
 // SetNotifier installs the blocking-event notifier (nil disables).

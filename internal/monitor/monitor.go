@@ -7,12 +7,12 @@ package monitor
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/clock"
 	"sqlcm/internal/engine"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/signature"
 	"sqlcm/internal/sqltypes"
 )
@@ -401,7 +401,7 @@ type TxnTracker struct {
 	// mu protects the per-transaction accumulators.
 	//sqlcm:lock monitor.txn
 	//sqlcm:guards m
-	mu lockcheck.Mutex
+	mu sync.Mutex
 	m  map[int64]txnAccum // by txn id
 }
 
@@ -415,9 +415,7 @@ type txnAccum struct {
 
 // NewTxnTracker returns an empty tracker.
 func NewTxnTracker() *TxnTracker {
-	t := &TxnTracker{m: make(map[int64]txnAccum)}
-	t.mu.SetClass("monitor.txn")
-	return t
+	return &TxnTracker{m: make(map[int64]txnAccum)}
 }
 
 // Observe records one statement's signatures under its transaction.

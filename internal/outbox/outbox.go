@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"sqlcm/internal/clock"
-	"sqlcm/internal/lockcheck"
 )
 
 // Kind partitions jobs into independently queued and drained classes, so a
@@ -198,14 +197,14 @@ type Outbox struct {
 	// dlMu protects the dead-letter ring.
 	//sqlcm:lock outbox.deadletter
 	//sqlcm:guards dl, dlAt
-	dlMu lockcheck.Mutex
+	dlMu sync.Mutex
 	dl   []DeadLetter
 	dlAt int
 
 	// rngMu protects rng, which feeds backoff jitter.
 	//sqlcm:lock outbox.rng
 	//sqlcm:guards rng
-	rngMu lockcheck.Mutex
+	rngMu sync.Mutex
 	rng   *rand.Rand
 }
 
@@ -222,8 +221,6 @@ func New(cfg Config) *Outbox {
 		stopNow: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	o.dlMu.SetClass("outbox.deadletter")
-	o.rngMu.SetClass("outbox.rng")
 	for k := range o.kinds {
 		o.kinds[k].queue = make(chan Job, cfg.QueueSize)
 		o.wg.Add(1)

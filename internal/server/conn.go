@@ -15,9 +15,9 @@ import (
 )
 
 // conn serves one client connection. Exactly one goroutine runs serve();
-// it owns the engine session for the connection's whole lifetime (the
-// session is pinned to it in lockdep builds). The shutdown path touches a
-// conn only through atomics and the concurrency-safe net.Conn.
+// it owns the engine session for the connection's whole lifetime. The
+// shutdown path touches a conn only through atomics and the
+// concurrency-safe net.Conn.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -96,7 +96,6 @@ func (c *conn) serve() {
 		return
 	}
 	c.sess = c.srv.cfg.NewSession(user, app, c.nc.RemoteAddr().String())
-	c.sess.PinOwner()
 	c.sessp.Store(c.sess)
 	defer c.sess.Close() //nolint:errcheck
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sqlcm/internal/engine"
-	"sqlcm/internal/lockcheck"
 	"sqlcm/internal/server/errcode"
 )
 
@@ -99,7 +98,7 @@ type Server struct {
 	// mu protects the live-connection set.
 	//sqlcm:lock server.conns
 	//sqlcm:guards conns
-	mu    lockcheck.Mutex
+	mu    sync.Mutex
 	conns map[*conn]struct{}
 
 	// slots is the admission semaphore: one token per live connection,
@@ -129,7 +128,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg.withDefaults(), conns: make(map[*conn]struct{})}
 	s.slots = make(chan struct{}, s.cfg.MaxConns)
 	s.stopping = make(chan struct{})
-	s.mu.SetClass("server.conns")
 	return s, nil
 }
 

@@ -10,10 +10,10 @@ package sim
 
 import (
 	"container/heap"
+	"sync"
 	"time"
 
 	"sqlcm/internal/clock"
-	"sqlcm/internal/lockcheck"
 )
 
 // Clock is a virtual clock implementing clock.Clock. Time only moves when
@@ -25,7 +25,7 @@ type Clock struct {
 	// mu protects the virtual time and the pending-timer heap.
 	//sqlcm:lock sim.clock after rules.timer
 	//sqlcm:guards now, seq, pend
-	mu   lockcheck.Mutex
+	mu   sync.Mutex
 	now  time.Time
 	seq  int64
 	pend vtimerHeap
@@ -35,9 +35,7 @@ type Clock struct {
 // without a monotonic reading (e.g. time.Unix(...)) so arithmetic on it is
 // bit-reproducible.
 func NewClock(start time.Time) *Clock {
-	c := &Clock{now: start}
-	c.mu.SetClass("sim.clock")
-	return c
+	return &Clock{now: start}
 }
 
 // Now implements clock.Clock.

@@ -26,9 +26,8 @@ package storage
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
-
-	"sqlcm/internal/lockcheck"
 )
 
 // RID identifies a row of one table. The table's version store hands RIDs
@@ -161,7 +160,7 @@ type VersionStore struct {
 	// section.
 	//sqlcm:lock storage.version
 	//sqlcm:guards chains, base, live, garbage, grown, residue, prunedAt
-	mu lockcheck.RWMutex
+	mu sync.RWMutex
 	// chains[i] is the chain of RID base+i, nil for a RID whose row is gone
 	// or was never installed. Leading nil slots are trimmed (base moves up),
 	// so a table that drops its oldest rows keeps no slot for them; interior
@@ -188,9 +187,7 @@ func NewVersionStore(stats *VersionStats) *VersionStore {
 	if stats == nil {
 		stats = &VersionStats{}
 	}
-	s := &VersionStore{stats: stats, base: 1}
-	s.mu.SetClass("storage.version")
-	return s
+	return &VersionStore{stats: stats, base: 1}
 }
 
 // Stats returns the shared counters.

@@ -10,11 +10,12 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/lock"
-	"sqlcm/internal/lockcheck"
+	"sqlcm/internal/storage"
 )
 
 // State is the lifecycle state of a transaction.
@@ -58,10 +59,10 @@ type Txn struct {
 	// cancelled is atomic; implicit is immutable after Begin.
 	//sqlcm:lock txn.txn
 	//sqlcm:guards state, undo, stamps
-	mu        lockcheck.Mutex
+	mu        sync.Mutex
 	state     State
 	undo      []func() error
-	stamps    []func(commitTS int64)
+	stamps    []*storage.Version
 	cancelled atomic.Bool
 	implicit  bool // autocommit transaction created for a single statement
 }
@@ -78,12 +79,11 @@ func (t *Txn) SnapshotTS() int64 { return t.snapTS }
 // Snapshot_Age probe).
 func (t *Txn) SnapshotAt() time.Time { return t.snapAt }
 
-// OnCommit registers a stamp action run inside the commit critical
-// section with the transaction's commit timestamp — version stamping. The
-// actions must not block or take locks.
-func (t *Txn) OnCommit(fn func(commitTS int64)) {
+// OnCommit registers a version the transaction wrote: the commit stamps it
+// with the commit timestamp inside the commit critical section.
+func (t *Txn) OnCommit(v *storage.Version) {
 	t.mu.Lock()
-	t.stamps = append(t.stamps, fn)
+	t.stamps = append(t.stamps, v)
 	t.mu.Unlock()
 }
 
@@ -129,25 +129,22 @@ type Manager struct {
 	lastCommit atomic.Int64
 
 	// commitMu serializes writer commits: allocate the next timestamp,
-	// stamp the transaction's versions, then publish the timestamp. The
-	// stamp actions touch only atomics, so the class is a leaf.
+	// stamp the transaction's versions, then publish the timestamp.
+	// Stamping stores one atomic per version, so the class is a leaf.
 	//sqlcm:lock txn.commit
 	//sqlcm:guards none
-	commitMu lockcheck.Mutex
+	commitMu sync.Mutex
 
 	// mu protects the active-transaction map.
 	//sqlcm:lock txn.active
 	//sqlcm:guards active
-	mu     lockcheck.Mutex
+	mu     sync.Mutex
 	active map[lock.TxnID]*Txn
 }
 
 // NewManager returns a transaction manager bound to the lock manager.
 func NewManager(locks *lock.Manager) *Manager {
-	m := &Manager{locks: locks, active: make(map[lock.TxnID]*Txn)}
-	m.mu.SetClass("txn.active")
-	m.commitMu.SetClass("txn.commit")
-	return m
+	return &Manager{locks: locks, active: make(map[lock.TxnID]*Txn)}
 }
 
 // Watermark returns the version-garbage horizon: the oldest snapshot any
@@ -177,7 +174,6 @@ func (m *Manager) Begin(implicit bool) *Txn {
 		state:    Active,
 		implicit: implicit,
 	}
-	t.mu.SetClass("txn.txn")
 	// Register before reading the snapshot horizon: once the transaction
 	// is visible to Watermark, the horizon can never pass the snapshot it
 	// is about to take, so pruning cannot steal versions it must see.
@@ -214,8 +210,8 @@ func (m *Manager) Commit(t *Txn) error {
 	if len(stamps) > 0 {
 		m.commitMu.Lock()
 		committed := m.lastCommit.Load() + 1
-		for _, fn := range stamps {
-			fn(committed)
+		for _, v := range stamps {
+			v.SetCommit(committed)
 		}
 		m.lastCommit.Store(committed)
 		m.commitMu.Unlock()

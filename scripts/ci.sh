@@ -5,8 +5,8 @@
 # internal/event are written to surface latching and published-state bugs
 # only -race can see. The chaos tier exercises the fail-safe layer
 # (panic quarantine, outbox retry/shedding, torn PersistLAT snapshots)
-# under fault injection. A short fuzz smoke hardens the placeholder
-# substitution scanner.
+# under fault injection. A short fuzz smoke runs the five targets of
+# `make fuzz`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +16,11 @@ go build ./...
 # them: hotpath — no clock reads on the hot path; ctxprop — context
 # propagation; cancelpoint — cancellation points; guardedby —
 # //sqlcm:guards field access; cowpublish — //sqlcm:cow publish checking;
-# lockorder — the //sqlcm:lock hierarchy: order, unlock balance, sends
-# under latches, unclassed mutexes, cross-package edges included; each is
-# the sole catcher of some bug in the mutation tier below), the check
+# lockorder — the //sqlcm:lock hierarchy: order down every call chain,
+# in this package or another, unlock balance, sends under latches, calls
+# through interfaces or function values under latches, unclassed
+# mutexes; each is the sole catcher of some bug in the mutation tier
+# below, and lockorder is the only lock-order enforcer), the check
 # that every //sqlcm: directive is a known verb, rule-set static
 # analysis, and pinned staticcheck
 # (offline-tolerant; see scripts/staticcheck.sh). docs/lock-order.md must
@@ -45,13 +47,6 @@ go test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
 go test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
 go test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 go test -race -count=1 ./internal/faults/ ./internal/outbox/
-
-# Lockdep tier: the same chaos and concurrency suites with the runtime
-# lock-order assertions compiled in. A single out-of-order acquisition
-# anywhere in these runs panics with both acquisition stacks.
-go test -tags sqlcmlockdep -race -count=1 ./internal/lockcheck/... ./internal/lat/ ./internal/rules/ ./internal/monitor/ ./internal/event/ ./internal/engine/ ./internal/server/
-go test -tags sqlcmlockdep -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
-go test -tags sqlcmlockdep -race -count=1 ./internal/faults/ ./internal/outbox/
 
 # Serve-smoke tier: a short open-loop load run against the in-process
 # network front-end under -race. Gates on nonzero throughput, zero
@@ -103,10 +98,14 @@ go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|B
 # percentages recorded when the differential oracle was introduced.
 ./scripts/coverfloor.sh
 
-# Fuzz smoke (one -fuzz target per invocation): the placeholder
+# Fuzz smoke (one -fuzz target per invocation), the same five targets as
+# `make fuzz`: the plan-cache template key (texts with one key parse to
+# one statement), the value encoding round trip, the placeholder
 # substitution scanner, rule conditions against WHERE clauses on NULL-free
 # input (the one expression compiler's differential check), and the
 # wire-protocol frame parser.
+go test -run='^$' -fuzz=FuzzTemplateKey -fuzztime=30s ./internal/sqlparser/
+go test -run='^$' -fuzz=FuzzValueRoundTrip -fuzztime=30s ./internal/sqltypes/
 go test -run='^$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
@@ -114,6 +113,6 @@ go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 # Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
 # applies every internal/analysis/testdata/mutations/*.patch to a fresh
 # copy of the tree and runs each one through vet, sqlcm-vet -code, test,
-# race, lockdep, sim and chaos — about 100 minutes for the 35 patches on
-# a 2-CPU host. Run it when an analyzer, a directive or a runtime tier
+# race, sim and chaos — about 100 minutes for the 37 patches on a 2-CPU
+# host. Run it when an analyzer, a directive or a runtime tier
 # changes; its table is DESIGN.md §12.

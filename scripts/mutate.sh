@@ -12,7 +12,6 @@
 #   analyzer sqlcm-vet -code . (which analyzers report, by name)
 #   test     go test ./...        (minus the two tests that run sqlcm-vet
 #   race     go test -race ./...   over the tree: they are the analyzer tier)
-#   lockdep  make lockdep
 #   sim      make sim
 #   chaos    make chaos
 #
@@ -26,7 +25,7 @@
 #
 #   scripts/mutate.sh [ref=HEAD] [mutation ...]     (or: make mutate)
 #
-# The 35 patches take about 100 minutes on a 2-CPU host: a mutation caught
+# The 37 patches take about 100 minutes on a 2-CPU host: a mutation caught
 # by go test stops there (ten minutes when it hangs a test into the
 # timeout twice), one only an analyzer catches runs every tier. CI does
 # not run it on every push; see scripts/ci.sh.
@@ -50,7 +49,6 @@ tier() {
 	vet) go vet ./... ;;
 	test) go test -count=1 -timeout 300s -skip "$self" ./... ;;
 	race) go test -race -count=1 -timeout 600s -skip "$self" ./... ;;
-	lockdep) timeout 1200 make -s lockdep ;;
 	sim) timeout 1200 make -s sim ;;
 	chaos) timeout 1200 make -s chaos ;;
 	esac >"$2" 2>&1
@@ -58,7 +56,7 @@ tier() {
 
 # evidence <log>: the first line that says why a tier failed.
 evidence() {
-	grep -m1 -E -e '--- FAIL|^panic:|fatal error|DATA RACE|lockdep|^vet:|\.go:[0-9]+:[0-9]+: |timed out|^FAIL' "$1" |
+	grep -m1 -E -e '--- FAIL|^panic:|fatal error|DATA RACE|^vet:|\.go:[0-9]+:[0-9]+: |timed out|^FAIL' "$1" |
 		sed -e 's/|/\\|/g' -e 's/^[[:space:]]*//' | cut -c1-110
 }
 
@@ -74,7 +72,7 @@ run() {
 	}
 	found=$(cd "$dir" && go run ./cmd/sqlcm-vet -code . 2>&1 |
 		sed -n -E 's/^[^ ]+ \[([a-z]+)\] .*/\1/p' | sort -u | paste -sd, -) || true
-	for t in vet test race lockdep sim chaos; do
+	for t in vet test race sim chaos; do
 		# A tier catches the mutation when it fails twice in a row: timing-
 		# sensitive tests can fail once on a loaded host.
 		if ! (cd "$dir" && tier "$t" "$tmp/$t.log") && ! (cd "$dir" && tier "$t" "$tmp/$t.again.log"); then
