@@ -77,6 +77,16 @@ func (r *registry) countLocal() {
 	r.mu.Unlock()
 }
 
+// size is generic; an explicit instantiation is still a static call.
+func size[T any](m map[int]T) int { return len(m) }
+
+// sizeLocked calls an instantiated generic function, not a function value.
+func (r *registry) sizeLocked() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return size[bool](r.active)
+}
+
 // touchLocal's closure takes cb.other, which is not declared after
 // cb.registry: the inline walk reports the nesting at the acquire.
 func (r *registry) touchLocal() {
