@@ -95,7 +95,7 @@ sim-mvcc:
 # copy of REF (default HEAD), which then goes through vet, sqlcm-vet -code,
 # test, race, sim and chaos; the table says which tier catches each bug
 # first and whether its analyzer is the only catcher (DESIGN.md §12).
-# About 100 minutes for the 37 patches on 2 CPUs: not part of `make ci`.
+# About 100 minutes for the 38 patches on 2 CPUs: not part of `make ci`.
 # make mutate [REF=<ref>]
 mutate:
 	./scripts/mutate.sh $(or $(REF),HEAD)
@@ -104,8 +104,8 @@ mutate:
 cover:
 	./scripts/coverfloor.sh
 
-# Fuzz smoke: harden the {ref} substitution scanner and the wire-protocol
-# frame parser, hold rule conditions and WHERE clauses to the same answer
+# Fuzz smoke: harden the {ref} substitution scanner, the wire-protocol
+# frame parser and the message handlers behind it, hold rule conditions and WHERE clauses to the same answer
 # on NULL-free input, texts with one template key to one parse, and every
 # value to its own decode. One -fuzz target per go test invocation.
 fuzz:
@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 
 # internal/workload's benchmark is one 127 000-statement load per iteration.
 bench:

@@ -28,6 +28,7 @@ import (
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/rules"
+	"sqlcm/internal/server"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/workload"
@@ -551,5 +552,80 @@ func BenchmarkPointUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		update()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The same point read over the wire: the repo benchmark's point_read_mon_off
+// on loopback, client and server in this process, so an allocation count
+// covers both ends of the codec.
+// ---------------------------------------------------------------------------
+
+// wireClient serves the monitored DB, monitor suspended, on loopback and
+// returns a client connected to it.
+func wireClient(tb testing.TB) *server.Client {
+	tb.Helper()
+	db := monitoredDB(tb)
+	db.Monitor().Suspend()
+	srv, err := server.New(server.Config{Addr: "127.0.0.1:0", NewSession: db.RemoteSession})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Shutdown(5 * time.Second) }) //nolint:errcheck
+	cli, err := server.Dial(srv.Addr().String(), server.ClientConfig{User: "bench", App: "bench"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cli.Close() }) //nolint:errcheck
+	return cli
+}
+
+// wirePointRead returns one prepared point SELECT over the wire per call.
+func wirePointRead(tb testing.TB) func() {
+	tb.Helper()
+	cli := wireClient(tb)
+	if err := cli.Prepare("pr", pointReadSQL, sqltypes.KindInt); err != nil {
+		tb.Fatal(err)
+	}
+	key := int64(0)
+	return func() {
+		key = key%benchLineitems + 1
+		if rows, err := cli.ExecPrepared("pr", sqltypes.NewInt(key)); err != nil || len(rows.Rows) != 1 {
+			tb.Fatalf("wire point read %d: %v", key, err)
+		}
+	}
+}
+
+// TestWirePointReadAllocs pins a loopback round trip's allocations, client
+// and server together: 17 per point read (47 while the codec allocated every
+// message body and header and Bind every portal, parameter map and name
+// list), 12 per BEGIN+COMMIT (30). What is left is the engine's statement
+// work and the client's result (Rows, its slices, names and tag); the
+// server's per-message path allocates nothing.
+func TestWirePointReadAllocs(t *testing.T) {
+	pinAllocs(t, "wire point read", 20, wirePointRead(t))
+	cli := wireClient(t)
+	pinAllocs(t, "wire BEGIN+COMMIT", 15, func() {
+		for _, sql := range []string{"BEGIN", "COMMIT"} {
+			if _, err := cli.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	})
+}
+
+// BenchmarkWirePointRead reports one prepared point read over loopback.
+func BenchmarkWirePointRead(b *testing.B) {
+	read := wirePointRead(b)
+	for i := 0; i < 200; i++ {
+		read()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }

@@ -60,8 +60,8 @@ func main() {
 	flag.StringVar(&o.rulesFile, "rules", "", "load a .rules rule set at startup")
 	flag.StringVar(&o.password, "password", "", "require cleartext-password auth with this password")
 	flag.IntVar(&o.lineitems, "lineitems", 0, "preload the workload schema with this many lineitem rows (0 = none)")
-	flag.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "per-connection idle/read timeout")
-	flag.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "per-response write timeout")
+	flag.DurationVar(&o.readTimeout, "read-timeout", 5*time.Minute, "per-message read timeout, idle time included")
+	flag.DurationVar(&o.writeTimeout, "write-timeout", 30*time.Second, "per-write timeout (a client that stops reading is closed)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown budget")
 	flag.DurationVar(&o.admissionWait, "admission-wait", 0, "how long a connection may wait for a MaxConns slot before the polite refusal (0 = refuse immediately)")
 	flag.DurationVar(&o.stmtTimeout, "stmt-timeout", 0, "per-statement deadline; exceeding it cancels the statement with a retryable 57014 (0 = off)")

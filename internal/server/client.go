@@ -160,12 +160,7 @@ func (c *Client) ExecPrepared(name string, values ...sqltypes.Value) (*Rows, err
 	c.pw.putInt16(0) // no format codes: all text
 	c.pw.putInt16(int16(len(values)))
 	for _, v := range values {
-		if s, ok := encodeValue(v); ok {
-			c.pw.putInt32(int32(len(s)))
-			c.pw.putBytes([]byte(s))
-		} else {
-			c.pw.putInt32(-1)
-		}
+		c.pw.putValue(v)
 	}
 	c.pw.putInt16(0) // no result format codes
 	if err := c.pw.end(); err != nil {
@@ -231,7 +226,7 @@ func (c *Client) readResult(simple bool) (*Rows, error) {
 		p := payload{b: body}
 		switch typ {
 		case msgRowDescription:
-			n, err := p.int16()
+			n, err := p.count()
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +250,7 @@ func (c *Client) readResult(simple bool) (*Rows, error) {
 				res.Kinds = append(res.Kinds, oidKind(oid))
 			}
 		case msgDataRow:
-			n, err := p.int16()
+			n, err := p.count()
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +268,7 @@ func (c *Client) readResult(simple bool) (*Rows, error) {
 				if i < len(res.Kinds) {
 					kind = res.Kinds[i]
 				}
-				v, err := decodeValue(kind, string(raw))
+				v, err := decodeValue(kind, raw)
 				if err != nil {
 					return nil, err
 				}

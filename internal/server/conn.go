@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 
 // conn serves one client connection. Exactly one goroutine runs serve();
 // it owns the engine session for the connection's whole lifetime. The
-// shutdown path touches a conn only through atomics and the
-// concurrency-safe net.Conn.
+// shutdown path and the timeout watchdog touch a conn only through
+// atomics, deadlineMu and the concurrency-safe net.Conn.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -34,10 +35,22 @@ type conn struct {
 	stmts   map[string]*preparedStmt
 	portals map[string]*portal
 
-	// inCommand is set while a wire command is executing, so Shutdown can
-	// distinguish in-flight connections (left to finish) from idle ones
-	// (woken via read deadline).
-	inCommand atomic.Bool
+	// wait is the read or write the serve goroutine is blocked in, for the
+	// timeout watchdog and the drain: 0 when it is not waiting, else the
+	// wait's sequence number (waits counts them) shifted past the
+	// waitWrite and waitExpired bits.
+	wait  atomic.Uint64
+	waits uint64
+	// deadlineMu orders arming a wait's deadline (expire) against clearing
+	// it when the wait has ended first (endWait).
+	//sqlcm:lock server.deadline
+	//sqlcm:guards none
+	deadlineMu sync.Mutex
+	// seen is the wait the watchdog saw at its last look, since when it
+	// first saw it. Watchdog goroutine only.
+	seen  uint64
+	since time.Time
+
 	// draining tells the command loop to exit after the current command.
 	draining atomic.Bool
 	// skipToSync is the extended-protocol error state: after an error,
@@ -45,31 +58,116 @@ type conn struct {
 	skipToSync bool
 }
 
+// Bits of conn.wait below the sequence number.
+const (
+	waitWrite   = 1 // a write, bounded by WriteTimeout (else a read, ReadTimeout)
+	waitExpired = 2 // a deadline has been armed for this wait
+)
+
 // preparedStmt is a named statement plus the parameter kind hints the
 // client declared at Parse time.
 type preparedStmt struct {
 	ps    *engine.Prepared
-	kinds []sqltypes.Kind // by parameter position (ParamNames order)
+	names []string        // parameter names, first-appearance order
+	kinds []sqltypes.Kind // by parameter position (names order)
 }
 
-// portal is a bound statement awaiting Execute.
+// portal is a bound statement awaiting Execute. A Bind to an existing
+// portal rebinds it in place.
 type portal struct {
 	stmt   *preparedStmt
 	params map[string]sqltypes.Value
 }
+
+// beginWait publishes a wait of the given kind (0 for a read, or
+// waitWrite) that the serve goroutine is about to block in.
+func (c *conn) beginWait(kind uint64) uint64 {
+	c.waits++
+	w := c.waits<<2 | kind
+	c.wait.Store(w)
+	return w
+}
+
+// endWait retires w. If the watchdog or the drain expired it meanwhile,
+// the deadline armed for it is cleared, so it cannot cut the next wait.
+func (c *conn) endWait(w uint64) {
+	if c.wait.CompareAndSwap(w, 0) {
+		return
+	}
+	c.deadlineMu.Lock()
+	c.setDeadline(w, time.Time{}) //nolint:errcheck
+	c.wait.Store(0)
+	c.deadlineMu.Unlock()
+}
+
+// expire arms w's deadline at at (a past instant wakes it now), unless w
+// has ended. A deadline that cannot be armed closes the connection.
+func (c *conn) expire(w uint64, at time.Time) {
+	w &^= waitExpired
+	var err error
+	c.deadlineMu.Lock()
+	if c.wait.CompareAndSwap(w, w|waitExpired) || c.wait.Load() == w|waitExpired {
+		err = c.setDeadline(w, at)
+	}
+	c.deadlineMu.Unlock()
+	if err != nil {
+		c.nc.Close() //nolint:errcheck
+	}
+}
+
+func (c *conn) setDeadline(w uint64, at time.Time) error {
+	if w&waitWrite != 0 {
+		return c.nc.SetWriteDeadline(at)
+	}
+	return c.nc.SetReadDeadline(at)
+}
+
+// watch is the watchdog's look at c. A wait seen for the first time
+// began before this look and after the previous one, at most a tick ago;
+// its timeout is counted from this look, so it is never cut early, and
+// its deadline is armed once it falls before the next look, so it is cut
+// within a tick of its timeout. Watchdog goroutine only.
+func (c *conn) watch(tick time.Duration) {
+	w := c.wait.Load()
+	if w == 0 || w&waitExpired != 0 {
+		return
+	}
+	now := time.Now() // after the load: w began before now
+	if w != c.seen {
+		c.seen, c.since = w, now
+		return
+	}
+	timeout := c.srv.cfg.ReadTimeout
+	if w&waitWrite != 0 {
+		timeout = c.srv.cfg.WriteTimeout
+	}
+	if at := c.since.Add(timeout); at.Before(now.Add(tick)) {
+		c.expire(w, at)
+	}
+}
+
+// longAgo is a deadline that has passed: arming it wakes a wait now.
+var longAgo = time.Unix(1, 0)
 
 // beginDrain asks the connection to wind down: an idle connection blocked
 // in a read is woken immediately; an in-flight one finishes its current
 // command first (the loop re-checks draining after every command).
 func (c *conn) beginDrain() {
 	c.draining.Store(true)
-	if !c.inCommand.Load() {
-		if err := c.nc.SetReadDeadline(time.Now()); err != nil {
-			// The wake-up cannot be armed: without it the idle read
-			// would outlive the drain window, so cut the connection.
-			c.nc.Close() //nolint:errcheck
-		}
+	if w := c.wait.Load(); w != 0 && w&waitWrite == 0 {
+		c.expire(w, longAgo)
 	}
+}
+
+// connWriter is the connection's write side: every write that can block
+// is a wait the watchdog bounds by WriteTimeout.
+type connWriter struct{ c *conn }
+
+func (cw connWriter) Write(b []byte) (int, error) {
+	w := cw.c.beginWait(waitWrite)
+	n, err := cw.c.nc.Write(b)
+	cw.c.endWait(w)
+	return n, err
 }
 
 // cancelForDrain cancels the connection's in-flight statement (if any)
@@ -87,7 +185,7 @@ func (c *conn) cancelForDrain() bool {
 func (c *conn) serve() {
 	defer c.nc.Close() //nolint:errcheck
 	c.pr = newProtoReader(c.nc)
-	c.pw = newProtoWriter(c.nc)
+	c.pw = newProtoWriter(connWriter{c})
 	c.stmts = make(map[string]*preparedStmt)
 	c.portals = make(map[string]*portal)
 
@@ -99,34 +197,39 @@ func (c *conn) serve() {
 	c.sessp.Store(c.sess)
 	defer c.sess.Close() //nolint:errcheck
 
-	for {
-		// Deadline before the draining check: beginDrain stores the flag
-		// and then arms an immediate read deadline, so whichever order the
-		// two goroutines interleave in, this loop either sees the flag here
-		// or keeps the immediate deadline and wakes from the read below. A
-		// deadline we cannot set means a dead connection: stop serving it.
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout)); err != nil {
-			return
-		}
-		if c.draining.Load() {
-			c.pw.writeError(errcode.AdminShutdown, "server is shutting down") //nolint:errcheck
-			c.flush()                                                         //nolint:errcheck
-			return
-		}
-		typ, body, err := c.pr.readMessage()
-		if err != nil {
-			return // disconnect, idle timeout, or drain wake-up
-		}
-		c.inCommand.Store(true)
-		cont := c.dispatch(typ, body)
-		c.inCommand.Store(false)
-		if !cont {
-			return
-		}
+	for c.serveOne() {
 	}
 }
 
-// dispatch handles one frontend message; false ends the connection.
+// serveOne reads one message and dispatches it; false ends the
+// connection. The whole message is one read wait, however its bytes
+// trickle in.
+//
+//sqlcm:hotpath
+func (c *conn) serveOne() bool {
+	// The wait is published before the draining check: beginDrain stores
+	// the flag and then expires a published read wait, so whichever order
+	// the two goroutines interleave in, this either sees the flag here or
+	// wakes from the read below.
+	w := c.beginWait(0)
+	if c.draining.Load() {
+		c.endWait(w)
+		c.pw.writeError(errcode.AdminShutdown, "server is shutting down") //nolint:errcheck
+		c.flush()                                                         //nolint:errcheck
+		return false
+	}
+	typ, body, err := c.pr.readMessage()
+	c.endWait(w)
+	if err != nil {
+		return false // disconnect, idle timeout, or drain wake-up
+	}
+	return c.dispatch(typ, body)
+}
+
+// dispatch handles one frontend message; false ends the connection. body
+// is valid until the next read: handlers copy what they keep.
+//
+//sqlcm:hotpath
 func (c *conn) dispatch(typ byte, body []byte) bool {
 	switch typ {
 	case msgTerminate:
@@ -161,10 +264,7 @@ func (c *conn) dispatch(typ byte, body []byte) bool {
 // identity. On failure the error has been written and the connection is
 // done.
 func (c *conn) handshake() (user, app string, ok bool) {
-	if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout)); err != nil {
-		return "", "", false
-	}
-	body, err := c.pr.readStartup()
+	body, err := c.readStartup()
 	if err != nil {
 		return "", "", false
 	}
@@ -179,7 +279,7 @@ func (c *conn) handshake() (user, app string, ok bool) {
 		if _, err := c.nc.Write([]byte{'N'}); err != nil {
 			return "", "", false
 		}
-		if body, err = c.pr.readStartup(); err != nil {
+		if body, err = c.readStartup(); err != nil {
 			return "", "", false
 		}
 		p = payload{b: body}
@@ -213,10 +313,9 @@ func (c *conn) handshake() (user, app string, ok bool) {
 		c.pw.putInt32(authCleartext)
 		c.pw.end() //nolint:errcheck
 		c.flush()  //nolint:errcheck
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout)); err != nil {
-			return "", "", false
-		}
+		w := c.beginWait(0)
 		typ, body, err := c.pr.readMessage()
+		c.endWait(w)
 		if err != nil || typ != msgPassword {
 			return "", "", false
 		}
@@ -245,6 +344,14 @@ func (c *conn) handshake() (user, app string, ok bool) {
 	return user, app, true
 }
 
+// readStartup reads one untyped startup message as one read wait.
+func (c *conn) readStartup() ([]byte, error) {
+	w := c.beginWait(0)
+	body, err := c.pr.readStartup()
+	c.endWait(w)
+	return body, err
+}
+
 // fail writes one error response and flushes (connection-fatal paths).
 func (c *conn) fail(code errcode.Code, msg string) {
 	c.srv.errors.Add(1)
@@ -264,13 +371,11 @@ func (c *conn) ready() bool {
 	return c.flush() == nil
 }
 
-// flush pushes buffered output under the write deadline.
-func (c *conn) flush() error {
-	if err := c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout)); err != nil {
-		return err
-	}
-	return c.pw.flush()
-}
+// flush pushes buffered output; the write is bounded by WriteTimeout
+// (connWriter).
+//
+//sqlcm:hotpath
+func (c *conn) flush() error { return c.pw.flush() }
 
 // ---------------------------------------------------------------------------
 // Simple query
@@ -351,6 +456,8 @@ func execErrCode(srv *Server, err error) errcode.Code {
 // writeResult frames a statement result: RowDescription + DataRows for
 // row-returning statements, then CommandComplete. Values and the tag are
 // appended straight into the message buffer.
+//
+//sqlcm:hotpath
 func (c *conn) writeResult(res *engine.Result) {
 	if res != nil && res.Columns != nil {
 		c.pw.begin(msgRowDescription)
@@ -416,17 +523,13 @@ func (c *conn) handleParse(body []byte) bool {
 	p := payload{b: body}
 	name, err1 := p.cstring()
 	sql, err2 := p.cstring()
-	if err1 != nil || err2 != nil {
-		c.fail(errcode.ProtocolViolation, "malformed Parse message")
-		return false
-	}
-	nKinds, err := p.int16()
-	if err != nil {
+	nKinds, err3 := p.count()
+	if err1 != nil || err2 != nil || err3 != nil {
 		c.fail(errcode.ProtocolViolation, "malformed Parse message")
 		return false
 	}
 	kinds := make([]sqltypes.Kind, 0, nKinds)
-	for i := 0; i < int(nKinds); i++ {
+	for i := 0; i < nKinds; i++ {
 		oid, err := p.int32()
 		if err != nil {
 			c.fail(errcode.ProtocolViolation, "malformed Parse message")
@@ -443,92 +546,115 @@ func (c *conn) handleParse(body []byte) bool {
 	if err != nil {
 		return c.extendedError(errcode.SyntaxOrExec, err)
 	}
-	c.stmts[name] = &preparedStmt{ps: ps, kinds: kinds}
+	c.stmts[name] = &preparedStmt{ps: ps, names: ps.ParamNames(), kinds: kinds}
 	c.pw.begin(msgParseComplete)
 	c.pw.end() //nolint:errcheck
 	return true
 }
 
+//sqlcm:hotpath
 func (c *conn) handleBind(body []byte) bool {
 	if c.skipToSync {
 		return true
 	}
 	p := payload{b: body}
-	portalName, err1 := p.cstring()
-	stmtName, err2 := p.cstring()
+	portalName, err1 := p.cbytes()
+	stmtName, err2 := p.cbytes()
 	if err1 != nil || err2 != nil {
 		c.fail(errcode.ProtocolViolation, "malformed Bind message")
 		return false
 	}
-	stmt, ok := c.stmts[stmtName]
+	stmt, ok := c.stmts[string(stmtName)]
 	if !ok {
+		delete(c.portals, string(portalName))
 		return c.extendedError(errcode.UndefinedStmt, fmt.Errorf("unknown prepared statement %q", stmtName))
 	}
-	// Parameter format codes (all must be text).
-	nFmt, err := p.int16()
-	if err != nil {
-		c.fail(errcode.ProtocolViolation, "malformed Bind message")
-		return false
+	pt := c.portals[string(portalName)]
+	if pt == nil {
+		pt = &portal{params: make(map[string]sqltypes.Value, len(stmt.names))}
+		c.portals[string(portalName)] = pt
 	}
-	for i := 0; i < int(nFmt); i++ {
-		f, err := p.int16()
-		if err != nil {
-			c.fail(errcode.ProtocolViolation, "malformed Bind message")
-			return false
-		}
-		if f != 0 {
-			return c.extendedError(errcode.ProtocolViolation, fmt.Errorf("binary parameter format not supported"))
-		}
-	}
-	nParams, err := p.int16()
-	if err != nil {
-		c.fail(errcode.ProtocolViolation, "malformed Bind message")
-		return false
-	}
-	names := stmt.ps.ParamNames()
-	if int(nParams) != len(names) {
-		return c.extendedError(errcode.SyntaxOrExec,
-			fmt.Errorf("statement has %d parameters, bind supplies %d", len(names), nParams))
-	}
-	params := make(map[string]sqltypes.Value, nParams)
-	for i := 0; i < int(nParams); i++ {
-		raw, notNull, err := p.lenBytes()
-		if err != nil {
-			c.fail(errcode.ProtocolViolation, "malformed Bind message")
-			return false
-		}
-		if !notNull {
-			params[names[i]] = sqltypes.Null
-			continue
-		}
-		kind := sqltypes.KindString
-		if i < len(stmt.kinds) {
-			kind = stmt.kinds[i]
-		}
-		v, err := decodeValue(kind, string(raw))
-		if err != nil {
-			return c.extendedError(errcode.SyntaxOrExec, err)
-		}
-		params[names[i]] = v
+	pt.stmt = stmt
+	clear(pt.params)
+	if ok, cont := c.bindParams(&p, pt); !ok {
+		delete(c.portals, string(portalName))
+		return cont
 	}
 	// Result format codes: present but ignored (responses are text).
-	c.portals[portalName] = &portal{stmt: stmt, params: params}
 	c.pw.begin(msgBindComplete)
 	c.pw.end() //nolint:errcheck
 	return true
 }
 
+// bindParams decodes Bind's parameters into pt.params. On failure, ok is
+// false and cont says whether the connection goes on (an extended-protocol
+// error) or ends (a malformed message).
+func (c *conn) bindParams(p *payload, pt *portal) (ok, cont bool) {
+	// Parameter format codes (all must be text).
+	nFmt, err := p.count()
+	if err != nil {
+		c.fail(errcode.ProtocolViolation, "malformed Bind message")
+		return false, false
+	}
+	for i := 0; i < nFmt; i++ {
+		f, err := p.int16()
+		if err != nil {
+			c.fail(errcode.ProtocolViolation, "malformed Bind message")
+			return false, false
+		}
+		if f != 0 {
+			return false, c.extendedError(errcode.ProtocolViolation, fmt.Errorf("binary parameter format not supported"))
+		}
+	}
+	nParams, err := p.count()
+	if err != nil {
+		c.fail(errcode.ProtocolViolation, "malformed Bind message")
+		return false, false
+	}
+	names, kinds := pt.stmt.names, pt.stmt.kinds
+	if nParams != len(names) {
+		return false, c.extendedError(errcode.SyntaxOrExec,
+			fmt.Errorf("statement has %d parameters, bind supplies %d", len(names), nParams))
+	}
+	for i, name := range names {
+		raw, notNull, err := p.lenBytes()
+		if err != nil {
+			c.fail(errcode.ProtocolViolation, "malformed Bind message")
+			return false, false
+		}
+		if !notNull {
+			pt.params[name] = sqltypes.Null
+			continue
+		}
+		kind := sqltypes.KindString
+		if i < len(kinds) {
+			kind = kinds[i]
+		}
+		v, err := decodeValue(kind, raw)
+		if err != nil {
+			return false, c.extendedError(errcode.SyntaxOrExec, err)
+		}
+		pt.params[name] = v
+	}
+	return true, true
+}
+
+// handleExecute runs a bound portal. The engine reads the portal's
+// params only while the statement runs (exec.Ctx), so the next Bind may
+// clear and refill the map in place.
+//
+//sqlcm:hotpath
 func (c *conn) handleExecute(body []byte) bool {
 	if c.skipToSync {
 		return true
 	}
 	p := payload{b: body}
-	portalName, err := p.cstring()
+	portalName, err := p.cbytes()
 	if err != nil {
 		c.fail(errcode.ProtocolViolation, "malformed Execute message")
 		return false
 	}
-	pt, ok := c.portals[portalName]
+	pt, ok := c.portals[string(portalName)]
 	if !ok {
 		return c.extendedError(errcode.UndefinedStmt, fmt.Errorf("unknown portal %q", portalName))
 	}

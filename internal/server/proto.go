@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"time"
 
@@ -125,16 +126,6 @@ func oidKind(oid int32) sqltypes.Kind {
 // wireTimeFormat renders DATETIME values on the wire with full precision.
 const wireTimeFormat = time.RFC3339Nano
 
-// encodeValue renders one value in text format; ok=false marks NULL.
-func encodeValue(v sqltypes.Value) (s string, ok bool) {
-	if v.Kind() == sqltypes.KindString {
-		return v.Str(), true
-	}
-	var buf [40]byte
-	b, ok := appendValue(buf[:0], v)
-	return string(b), ok
-}
-
 // appendValue appends v in text format to dst; ok=false marks NULL, with
 // dst unchanged.
 func appendValue(dst []byte, v sqltypes.Value) (_ []byte, ok bool) {
@@ -157,37 +148,39 @@ func appendValue(dst []byte, v sqltypes.Value) (_ []byte, ok bool) {
 	}
 }
 
-// decodeValue parses one text-format value into the hinted kind.
-func decodeValue(kind sqltypes.Kind, text string) (sqltypes.Value, error) {
+// decodeValue parses one text-format value into the hinted kind. raw
+// belongs to the message body and is not kept: a string value is copied
+// out, and the numbers parse through a conversion that does not escape.
+func decodeValue(kind sqltypes.Kind, raw []byte) (sqltypes.Value, error) {
 	switch kind {
 	case sqltypes.KindInt:
-		n, err := strconv.ParseInt(text, 10, 64)
+		n, err := strconv.ParseInt(string(raw), 10, 64)
 		if err != nil {
-			return sqltypes.Null, fmt.Errorf("server: bad int parameter %q", text)
+			return sqltypes.Null, fmt.Errorf("server: bad int parameter %q", raw)
 		}
 		return sqltypes.NewInt(n), nil
 	case sqltypes.KindFloat:
-		f, err := strconv.ParseFloat(text, 64)
+		f, err := strconv.ParseFloat(string(raw), 64)
 		if err != nil {
-			return sqltypes.Null, fmt.Errorf("server: bad float parameter %q", text)
+			return sqltypes.Null, fmt.Errorf("server: bad float parameter %q", raw)
 		}
 		return sqltypes.NewFloat(f), nil
 	case sqltypes.KindBool:
-		switch text {
+		switch string(raw) {
 		case "t", "true", "TRUE":
 			return sqltypes.NewBool(true), nil
 		case "f", "false", "FALSE":
 			return sqltypes.NewBool(false), nil
 		}
-		return sqltypes.Null, fmt.Errorf("server: bad bool parameter %q", text)
+		return sqltypes.Null, fmt.Errorf("server: bad bool parameter %q", raw)
 	case sqltypes.KindTime:
-		ts, err := time.Parse(wireTimeFormat, text)
+		ts, err := time.Parse(wireTimeFormat, string(raw))
 		if err != nil {
-			return sqltypes.Null, fmt.Errorf("server: bad time parameter %q", text)
+			return sqltypes.Null, fmt.Errorf("server: bad time parameter %q", raw)
 		}
 		return sqltypes.NewTime(ts), nil
 	default:
-		return sqltypes.NewString(text), nil
+		return sqltypes.NewString(string(raw)), nil
 	}
 }
 
@@ -195,10 +188,17 @@ func decodeValue(kind sqltypes.Kind, text string) (sqltypes.Value, error) {
 // Message reader
 // ---------------------------------------------------------------------------
 
-// protoReader reads framed protocol messages off a connection.
+// protoReader reads framed protocol messages off a connection. A body it
+// returns is valid until the next read: the reader reuses one buffer for
+// every body that fits maxKeptBody, so a caller copies what it keeps.
 type protoReader struct {
-	r *bufio.Reader
+	r    *bufio.Reader
+	body []byte // reused for bodies of at most maxKeptBody bytes
 }
+
+// maxKeptBody caps the body buffer a reader keeps between messages: an
+// idle connection holds at most this much beside its read buffer.
+const maxKeptBody = 8 << 10
 
 func newProtoReader(c io.Reader) *protoReader {
 	return &protoReader{r: bufio.NewReaderSize(c, 8<<10)}
@@ -224,11 +224,12 @@ func (pr *protoReader) readStartup() ([]byte, error) {
 }
 
 func (pr *protoReader) readLenPayload() ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(pr.r, lenBuf[:]); err != nil {
+	hdr, err := pr.r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := int32(binary.BigEndian.Uint32(lenBuf[:]))
+	n := int32(binary.BigEndian.Uint32(hdr))
+	pr.r.Discard(4) //nolint:errcheck // the 4 bytes are buffered
 	if n < 4 || n > maxMessageLen {
 		return nil, fmt.Errorf("server: bad message length %d", n)
 	}
@@ -237,16 +238,19 @@ func (pr *protoReader) readLenPayload() ([]byte, error) {
 	// full declared size.
 	const chunk = 64 << 10
 	want := int(n - 4)
-	payload := make([]byte, 0, min(want, chunk))
-	for len(payload) < want {
-		step := min(want-len(payload), chunk)
-		off := len(payload)
-		payload = append(payload, make([]byte, step)...)
-		if _, err := io.ReadFull(pr.r, payload[off:]); err != nil {
+	body := pr.body[:0]
+	for len(body) < want {
+		off := len(body)
+		step := min(want-off, chunk)
+		body = slices.Grow(body, step)[:off+step]
+		if _, err := io.ReadFull(pr.r, body[off:]); err != nil {
 			return nil, err
 		}
 	}
-	return payload, nil
+	if cap(body) <= maxKeptBody {
+		pr.body = body
+	}
+	return body, nil
 }
 
 // payload is a cursor over one message body.
@@ -274,6 +278,19 @@ func (p *payload) int16() (int16, error) {
 	return v, nil
 }
 
+// count reads an int16 element count. A negative one is a protocol
+// violation: it would size a slice or a loop below zero.
+func (p *payload) count() (int, error) {
+	n, err := p.int16()
+	if err == nil && n < 0 {
+		err = errNegativeCount
+	}
+	return int(n), err
+}
+
+// errNegativeCount is the error a peer's negative element count becomes.
+var errNegativeCount = &WireError{Severity: "ERROR", Code: errcode.ProtocolViolation.SQLSTATE, Message: "negative element count"}
+
 func (p *payload) byte() (byte, error) {
 	if len(p.b) < 1 {
 		return 0, io.ErrUnexpectedEOF
@@ -283,16 +300,23 @@ func (p *payload) byte() (byte, error) {
 	return v, nil
 }
 
-// cstring reads a NUL-terminated string.
+// cstring reads a NUL-terminated string, copied out of the body.
 func (p *payload) cstring() (string, error) {
+	b, err := p.cbytes()
+	return string(b), err
+}
+
+// cbytes reads a NUL-terminated string in place: the bytes alias the
+// body, for lookups (m[string(b)] does not copy) and parsing.
+func (p *payload) cbytes() ([]byte, error) {
 	for i, c := range p.b {
 		if c == 0 {
-			s := string(p.b[:i])
+			b := p.b[:i]
 			p.b = p.b[i+1:]
-			return s, nil
+			return b, nil
 		}
 	}
-	return "", io.ErrUnexpectedEOF
+	return nil, io.ErrUnexpectedEOF
 }
 
 // lenBytes reads an int32 length then that many bytes; -1 means NULL.
@@ -320,8 +344,7 @@ func (p *payload) lenBytes() ([]byte, bool, error) {
 // buffered; Flush pushes them onto the wire.
 type protoWriter struct {
 	w     *bufio.Writer
-	buf   []byte // current message under construction
-	typ   byte
+	buf   []byte // current message under construction, header first
 	inMsg bool
 }
 
@@ -329,10 +352,10 @@ func newProtoWriter(c io.Writer) *protoWriter {
 	return &protoWriter{w: bufio.NewWriterSize(c, 8<<10)}
 }
 
-// begin starts a typed message.
+// begin starts a typed message, reserving its 5-byte header (type byte
+// and length, patched by end).
 func (pw *protoWriter) begin(typ byte) {
-	pw.typ = typ
-	pw.buf = pw.buf[:0]
+	pw.buf = append(pw.buf[:0], typ, 0, 0, 0, 0)
 	pw.inMsg = true
 }
 
@@ -347,7 +370,6 @@ func (pw *protoWriter) putString(s string) {
 	pw.buf = append(pw.buf, s...)
 	pw.buf = append(pw.buf, 0)
 }
-func (pw *protoWriter) putBytes(b []byte) { pw.buf = append(pw.buf, b...) }
 
 // putValue appends v in text format behind its length, or -1 for NULL.
 func (pw *protoWriter) putValue(v sqltypes.Value) {
@@ -365,12 +387,7 @@ func (pw *protoWriter) end() error {
 		return fmt.Errorf("server: end without begin")
 	}
 	pw.inMsg = false
-	var hdr [5]byte
-	hdr[0] = pw.typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(pw.buf)+4))
-	if _, err := pw.w.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(pw.buf[1:5], uint32(len(pw.buf)-1))
 	_, err := pw.w.Write(pw.buf)
 	return err
 }

@@ -3,7 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"net"
+	"slices"
 	"testing"
+	"time"
+
+	"sqlcm"
 )
 
 // frame builds one typed wire message for the seed corpus.
@@ -97,6 +103,59 @@ func FuzzProtoFrame(f *testing.F) {
 				p.byte()    //nolint:errcheck
 				p.cstring() //nolint:errcheck
 			}
+		}
+	})
+}
+
+// FuzzServeMessages feeds arbitrary post-handshake bytes to a live
+// connection backed by a real session, so every frame that parses reaches
+// dispatch and its handler. The invariant: no panic, and the connection
+// answers or ends — it never hangs.
+func FuzzServeMessages(f *testing.F) {
+	f.Add(frame(msgQuery, []byte("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR)\x00")))
+	f.Add(slices.Concat(
+		frame(msgParse, append([]byte("s\x00SELECT @a\x00"), 0, 1, 0, 0, 0, 20)),
+		frame(msgBind, []byte("\x00s\x00\x00\x00\x00\x01\x00\x00\x00\x0242\x00\x00")),
+		frame(msgExecute, []byte("\x00\x00\x00\x00\x00")),
+		frame(msgSync, nil)))
+	f.Add(slices.Concat(
+		frame(msgBind, []byte("p\x00\x00\x00\x01\x00\x01\x00\x01\xff\xff\xff\xff\x00\x00")),
+		frame(msgDescribe, []byte("Pp\x00")),
+		frame(msgCloseStmt, []byte("S\x00")),
+		frame(msgSync, nil)))
+	f.Add(frame(msgParse, append([]byte("s\x00SELECT 1\x00"), 0xff, 0xff)))
+	f.Add(frame(msgBind, append([]byte("\x00\x00"), 0xff, 0xff)))
+	f.Add(frame(msgTerminate, nil))
+
+	db, err := sqlcm.Open(sqlcm.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer db.Close() //nolint:errcheck
+	srv, err := New(Config{NewSession: db.RemoteSession, StatementTimeout: time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var startup bytes.Buffer
+	newProtoWriter(&startup).writeStartup(map[string]string{"user": "fuzz"}) //nolint:errcheck
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		client, server := net.Pipe()
+		c := &conn{srv: srv, nc: server}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			c.serve()
+		}()
+		go io.Copy(io.Discard, client) //nolint:errcheck
+		if _, err := client.Write(startup.Bytes()); err == nil {
+			client.Write(data) //nolint:errcheck
+		}
+		client.Close() //nolint:errcheck
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("connection neither answered nor ended")
 		}
 	})
 }

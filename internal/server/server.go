@@ -21,10 +21,17 @@ type Config struct {
 	// "too many connections" error response at startup. 0 means the
 	// default of 2000.
 	MaxConns int
-	// ReadTimeout bounds how long a connection may sit idle between
-	// messages (and each handshake read). 0 means the default of 5m.
+	// ReadTimeout bounds each read of a message, idle time before it
+	// included: a connection that sends nothing, or trickles one message
+	// in, is closed. 0 means the default of 5m.
+	//
+	// Both timeouts are kept by one watchdog per Server, which looks at
+	// every connection each min(ReadTimeout, WriteTimeout)/8 (a tick): a
+	// wait is cut no earlier than its timeout and within one tick after it.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response flush. 0 means the default of 30s.
+	// WriteTimeout bounds each write to a connection (a flush of buffered
+	// responses, or a large row written through): a client that stops
+	// reading is closed. 0 means the default of 30s.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds the graceful part of Shutdown: in-flight
 	// statements get this long to finish before their connections are
@@ -109,8 +116,10 @@ type Server struct {
 
 	wg       sync.WaitGroup // connection goroutines
 	acceptWG sync.WaitGroup // the accept loop itself
+	watchWG  sync.WaitGroup // the timeout watchdog
 	closing  atomic.Bool
 	stopping chan struct{} // closed by Shutdown; aborts admission waits
+	watched  chan struct{} // closed by Shutdown once no connection is left
 
 	accepted   atomic.Int64
 	rejected   atomic.Int64
@@ -128,6 +137,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg.withDefaults(), conns: make(map[*conn]struct{})}
 	s.slots = make(chan struct{}, s.cfg.MaxConns)
 	s.stopping = make(chan struct{})
+	s.watched = make(chan struct{})
 	return s, nil
 }
 
@@ -145,7 +155,29 @@ func (s *Server) Start() error {
 	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
+	s.watchWG.Add(1)
+	go s.watch()
 	return nil
+}
+
+// watch is the timeout watchdog: each tick it looks at every connection's
+// current wait and expires the ones past their timeout (conn.watch). It
+// runs until Shutdown has seen every connection end.
+func (s *Server) watch() {
+	defer s.watchWG.Done()
+	tick := max(min(s.cfg.ReadTimeout, s.cfg.WriteTimeout)/8, time.Millisecond)
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.watched:
+			return
+		case <-t.C:
+			for _, c := range s.connSnapshot() {
+				c.watch(tick)
+			}
+		}
+	}
 }
 
 // Addr returns the bound listen address (valid after Start).
@@ -285,7 +317,8 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 	// 2. Begin draining every live connection: each observes the draining
 	// flag after its current command (if any) completes; idle connections
-	// blocked in a read are woken by an immediate read deadline.
+	// blocked in a read are woken by an immediate read deadline, armed
+	// the way the watchdog expires a wait.
 	for _, c := range s.connSnapshot() {
 		c.beginDrain()
 	}
@@ -318,6 +351,8 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		}
 		s.wg.Wait()
 	}
+	close(s.watched)
+	s.watchWG.Wait()
 
 	// 4. Drain the monitoring outbox with whatever budget remains (at
 	// least a second, so a shutdown that spent its budget on connections

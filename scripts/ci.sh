@@ -84,10 +84,11 @@ go test -run '^$' -bench 'BenchmarkPruneSparse$' -benchtime=1x ./internal/storag
 go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/workload
 # The LAT and signature-cache micro-benchmarks the one-latch LAT was sized
 # by (DESIGN.md §5.1), the in-process monitored point read the
-# allocation-free rule dispatch was sized by (§5), and the ad-hoc range
+# allocation-free rule dispatch was sized by (§5), the ad-hoc range
 # SELECT and prepared point UPDATE the per-template plans, operator trees
-# and compiled writes were sized by (§5.4), likewise one iteration each.
-go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate' -benchtime=1x .
+# and compiled writes were sized by (§5.4), and the loopback point read the
+# allocation-free wire codec was sized by (§10), likewise one iteration each.
+go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkWirePointRead' -benchtime=1x .
 
 # Benchmark module: bench/ is its own module (sqlcm/bench), so the root
 # `go build ./...` and `go test ./...` never see it; an internal API change
@@ -98,21 +99,23 @@ go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|B
 # percentages recorded when the differential oracle was introduced.
 ./scripts/coverfloor.sh
 
-# Fuzz smoke (one -fuzz target per invocation), the same five targets as
+# Fuzz smoke (one -fuzz target per invocation), the same six targets as
 # `make fuzz`: the plan-cache template key (texts with one key parse to
 # one statement), the value encoding round trip, the placeholder
 # substitution scanner, rule conditions against WHERE clauses on NULL-free
-# input (the one expression compiler's differential check), and the
-# wire-protocol frame parser.
+# input (the one expression compiler's differential check), the
+# wire-protocol frame parser, and arbitrary frames served by a live
+# connection through every message handler.
 go test -run='^$' -fuzz=FuzzTemplateKey -fuzztime=30s ./internal/sqlparser/
 go test -run='^$' -fuzz=FuzzValueRoundTrip -fuzztime=30s ./internal/sqltypes/
 go test -run='^$' -fuzz=FuzzSubstitute -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzCondVsWhere -fuzztime=30s ./internal/rules/
 go test -run='^$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
+go test -run='^$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 
 # Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
 # applies every internal/analysis/testdata/mutations/*.patch to a fresh
 # copy of the tree and runs each one through vet, sqlcm-vet -code, test,
-# race, sim and chaos — about 100 minutes for the 37 patches on a 2-CPU
+# race, sim and chaos — about 100 minutes for the 38 patches on a 2-CPU
 # host. Run it when an analyzer, a directive or a runtime tier
 # changes; its table is DESIGN.md §12.
