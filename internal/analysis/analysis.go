@@ -8,8 +8,8 @@
 // The analyzers are annotation driven. Source carries machine-readable
 // directives in comments:
 //
-//	//sqlcm:hotpath      — this function runs on the monitoring hot
-//	                       path: calls that read the clock are flagged.
+//	//sqlcm:hotpath      — this function runs once per event or wire
+//	                       message: calls that read the clock are flagged.
 //	//sqlcm:cancellable  — every loop in this function must reach a
 //	                       cancellation check: ctx.Err()/ctx.Done(), a
 //	                       stop-channel receive, or a callee summarized

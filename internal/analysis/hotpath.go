@@ -9,9 +9,12 @@ import (
 // synchronously inside the engine's query thread for every monitored
 // event, so a time.Now there is per-query overhead the embedder never
 // asked for — and no test notices it: the clock read neither allocates
-// nor changes a result. Functions opt in with //sqlcm:hotpath; a
-// deliberate exception (a clock read gated behind an optional latency
-// budget) is suppressed line-by-line with //sqlcm:allow <reason>.
+// nor changes a result. The wire front-end's per-message functions are
+// marked too: a clock read there is a deadline re-armed per message, the
+// cost its timeout watchdog replaced. Functions opt in with
+// //sqlcm:hotpath; a deliberate exception (a clock read gated behind an
+// optional latency budget) is suppressed line-by-line with
+// //sqlcm:allow <reason>.
 // Allocation on the hot path is pinned by TestMonitoredPointReadAllocs
 // instead, and unclassed locks by the lockorder analyzer everywhere.
 var HotPath = &Analyzer{
