@@ -41,7 +41,7 @@ func readMsg(t *testing.T, nc net.Conn) (byte, []byte) {
 // DataRow from a hostile server.
 func TestNegativeCountsAreProtocolErrors(t *testing.T) {
 	_, srv := startServer(t, nil)
-	nc := rawSession(t, srv)
+	nc, _ := rawSession(t, srv)
 	parse := append([]byte("s\x00SELECT 1\x00"), 0xff, 0xff)
 	if _, err := nc.Write(wireMsg('P', parse)); err != nil {
 		t.Fatal(err)

@@ -15,8 +15,9 @@ import (
 
 // rawSession dials srv and runs the startup exchange by hand, returning
 // the bare connection right after the first ReadyForQuery, so a test can
-// stall, trickle or stop reading at the byte level.
-func rawSession(t *testing.T, srv *server.Server) net.Conn {
+// stall, trickle or stop reading at the byte level, and when the startup
+// message was sent: the server's first wait began after that.
+func rawSession(t *testing.T, srv *server.Server) (net.Conn, time.Time) {
 	t.Helper()
 	nc, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -26,6 +27,7 @@ func rawSession(t *testing.T, srv *server.Server) net.Conn {
 	body := []byte{0, 3, 0, 0}       // protocol 3.0
 	body = append(body, "user\x00raw\x00\x00"...)
 	msg := binary.BigEndian.AppendUint32(nil, uint32(len(body)+4))
+	sent := time.Now()
 	if _, err := nc.Write(append(msg, body...)); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func rawSession(t *testing.T, srv *server.Server) net.Conn {
 			t.Fatalf("handshake: %v", err)
 		}
 		if hdr[0] == 'Z' {
-			return nc
+			return nc, sent
 		}
 	}
 }
@@ -70,12 +72,9 @@ func awaitClose(t *testing.T, nc net.Conn, limit time.Duration) time.Time {
 func TestIdleConnectionTimesOut(t *testing.T) {
 	const rt = 300 * time.Millisecond
 	_, srv := startServer(t, func(c *server.Config) { c.ReadTimeout = rt })
-	nc := rawSession(t, srv)
-	start := time.Now()
+	nc, start := rawSession(t, srv)
 	closed := awaitClose(t, nc, 2*rt)
-	// The server's wait began when it sent ReadyForQuery, a little
-	// before start; allow that much.
-	if got := closed.Sub(start); got < rt-20*time.Millisecond {
+	if got := closed.Sub(start); got < rt {
 		t.Fatalf("idle connection closed after %v, before ReadTimeout %v", got, rt)
 	}
 }
@@ -86,10 +85,10 @@ func TestIdleConnectionTimesOut(t *testing.T) {
 func TestTrickledMessageTimesOut(t *testing.T) {
 	const rt = 300 * time.Millisecond
 	_, srv := startServer(t, func(c *server.Config) { c.ReadTimeout = rt })
-	nc := rawSession(t, srv)
-	// A Query announcing 1 KiB, of which only a trickle ever arrives.
+	nc, start := rawSession(t, srv)
+	// A Query announcing 1 KiB, of which only a trickle ever arrives,
+	// starting at once.
 	msg := append([]byte{'Q', 0, 0, 4, 4}, strings.Repeat("x", 1024)...)
-	start := time.Now()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -108,7 +107,7 @@ func TestTrickledMessageTimesOut(t *testing.T) {
 	closed := awaitClose(t, nc, 2*rt)
 	close(stop)
 	<-done
-	if got := closed.Sub(start); got < rt-20*time.Millisecond {
+	if got := closed.Sub(start); got < rt {
 		t.Fatalf("trickled message cut after %v, before ReadTimeout %v", got, rt)
 	}
 }
@@ -135,7 +134,7 @@ func TestStalledReaderWriteTimeout(t *testing.T) {
 		}
 	}
 
-	nc := rawSession(t, srv)
+	nc, _ := rawSession(t, srv)
 	query := func(sql string) {
 		body := append([]byte(sql), 0)
 		msg := binary.BigEndian.AppendUint32([]byte{'Q'}, uint32(len(body)+4))
