@@ -5,7 +5,7 @@
 # internal/event are written to surface latching and published-state bugs
 # only -race can see. The chaos tier exercises the fail-safe layer
 # (panic quarantine, outbox retry/shedding, torn PersistLAT snapshots)
-# under fault injection. A short fuzz smoke runs the five targets of
+# under fault injection. A short fuzz smoke runs the six targets of
 # `make fuzz`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
