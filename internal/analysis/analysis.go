@@ -17,12 +17,6 @@
 //	//sqlcm:cancelpoint  — calling this function (or interface method)
 //	                       reaches a cancellation check; the summary
 //	                       seed for cancelpoint analysis.
-//	//sqlcm:ctx-root <reason>
-//	                     — this function may mint a fresh context
-//	                       (context.Background()/TODO()) even inside a
-//	                       ctx-strict package.
-//	//sqlcm:ctx-strict   — package-doc directive: apply the serving-path
-//	                       context strictness to this package.
 //	//sqlcm:lock <class> [after <class>...]
 //	                     — on a mutex field: the field belongs to the
 //	                       named lock class, which may be acquired while
@@ -152,7 +146,7 @@ type Analyzer struct {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, CtxProp, CancelPoint, GuardedBy, CowPublish, LockOrder}
+	return []*Analyzer{HotPath, CancelPoint, GuardedBy, CowPublish, LockOrder}
 }
 
 // RunTree loads, type-checks and analyzes every package under root.
@@ -206,7 +200,6 @@ func RunProgram(prog *Program) []Diagnostic {
 // only ones any analyzer reads.
 var directiveVerbs = map[string]bool{
 	"hotpath": true, "cancellable": true, "cancelpoint": true,
-	"ctx-root": true, "ctx-strict": true,
 	"lock": true, "lock-held": true, "lock-release": true,
 	"guards": true, "guarded-by": true, "cow": true, "allow": true,
 }

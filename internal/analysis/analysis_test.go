@@ -119,57 +119,6 @@ func dispatch() {
 	wantFindings(t, diags)
 }
 
-func TestCtxPropStrictPackageDirective(t *testing.T) {
-	diags := analyzeSrc(t, `// Package x is the fixture serving path.
-//
-//sqlcm:ctx-strict
-package x
-
-import "context"
-
-func mint() context.Context {
-	return context.Background()
-}
-
-//sqlcm:ctx-root the fixture's sanctioned fresh lifetime
-func root() context.Context {
-	return context.Background()
-}
-`)
-	wantFindings(t, diags, "context.Background in ctx-strict package x outside a //sqlcm:ctx-root function")
-}
-
-func TestCtxPropMintWithContextInHand(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "context"
-
-func handle(ctx context.Context) context.Context {
-	_ = ctx
-	return context.TODO()
-}
-`)
-	wantFindings(t, diags, "handle already receives a context: pass it instead of minting context.TODO")
-}
-
-func TestCtxPropContextlessSibling(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "context"
-
-type store struct{}
-
-func (s *store) Flush() error                            { return nil }
-func (s *store) FlushContext(ctx context.Context) error { return ctx.Err() }
-
-func handle(ctx context.Context, s *store) error {
-	_ = ctx
-	return s.Flush()
-}
-`)
-	wantFindings(t, diags, "handle holds a context but calls the context-less variant: call FlushContext")
-}
-
 func TestCancelPointTransitiveThroughCallee(t *testing.T) {
 	diags := analyzeSrc(t, `package x
 

@@ -21,10 +21,6 @@ type Facts struct {
 	// ctx.Err()/ctx.Done(), blocks on a stop channel, ranges over a
 	// channel, or calls a cancel-capable function.
 	CancelCapable map[types.Object]bool
-	// CtxRoot maps //sqlcm:ctx-root functions to the annotation's
-	// reason: sanctioned places where a fresh context may be minted
-	// inside a ctx-strict package.
-	CtxRoot map[types.Object]string
 	// LockClasses maps a function to the declared lock classes it may
 	// acquire, directly or transitively. This is the cross-package edge
 	// the lockorder analyzer checks at call sites into another package.
@@ -46,10 +42,6 @@ type Facts struct {
 	// their declared writer class: stores require the class, loads are
 	// lock-free, and the published value is immutable.
 	CowFields map[types.Object]string
-	// CtxStrict is set by a package-doc //sqlcm:ctx-strict directive:
-	// the ctxprop Background()/TODO() ban applies to this package even
-	// outside the hardcoded serving-path list (used by fixtures).
-	CtxStrict bool
 }
 
 // LockDecl is one //sqlcm:lock <class> [after <class>...] field annotation.
@@ -63,7 +55,6 @@ type LockDecl struct {
 func newFacts() *Facts {
 	return &Facts{
 		CancelCapable: map[types.Object]bool{},
-		CtxRoot:       map[types.Object]string{},
 		LockClasses:   map[types.Object][]string{},
 		LockFields:    map[types.Object]string{},
 		Guards:        map[string][]string{},
@@ -90,11 +81,8 @@ func computeFacts(prog *Program, pkg *Package) {
 	info := pkg.Info
 
 	// Pass 1: collect annotations — function directives, interface-method
-	// directives, lock-field classes, package-level strictness.
+	// directives, lock-field classes.
 	for _, file := range pkg.Files {
-		if _, ok := directiveIn(file.Doc, "ctx-strict"); ok {
-			f.CtxStrict = true
-		}
 		for _, decl := range file.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -104,9 +92,6 @@ func computeFacts(prog *Program, pkg *Package) {
 				}
 				if hasDirective(d, "cancelpoint") {
 					f.CancelCapable[obj] = true
-				}
-				if arg, ok := directiveIn(d.Doc, "ctx-root"); ok {
-					f.CtxRoot[obj] = arg
 				}
 			case *ast.GenDecl:
 				if d.Tok != token.TYPE {

@@ -13,7 +13,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
 // TestSeededFixtureGoldens pins the exact diagnostics for one seeded
-// defect per analyzer: a dropped context, a poll-free row loop, an
+// defect per analyzer: a poll-free row loop, an
 // unguarded field access, an in-place COW mutation, the seeded lock bugs
 // — order inversion, missing unlock, send and enqueue under a lock,
 // unannotated mutex, cyclic declaration, a cross-package ordering edge
@@ -25,7 +25,6 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // fires and that the repair silences it.
 func TestSeededFixtureGoldens(t *testing.T) {
 	cases := []string{
-		"ctxdrop",
 		"loopnopoll",
 		"guardmiss",
 		"cowinplace",

@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"context"
-	"errors"
-	"fmt"
-
-	"sqlcm/internal/txn"
-)
+import "fmt"
 
 // CancelReason classifies a defensive statement cancellation: the engine
 // (or the network front-end driving it) killed the statement to protect
@@ -47,30 +41,6 @@ func (r CancelReason) String() string {
 	}
 }
 
-// Context cancellation causes: front-ends arm statement contexts with
-// context.WithTimeoutCause / context.WithCancelCause using these
-// sentinels so the engine can attribute the cancellation.
-var (
-	// CauseStatementTimeout attributes a context expiry to the
-	// configured statement timeout.
-	CauseStatementTimeout = errors.New("engine: statement timeout exceeded")
-	// CauseDrain attributes a context cancellation to server shutdown.
-	CauseDrain = errors.New("engine: cancelled by server drain")
-)
-
-// reasonForCause maps a context cancellation cause onto a CancelReason.
-// An unattributed cancellation counts as an explicit (admin) cancel.
-func reasonForCause(err error) CancelReason {
-	switch {
-	case errors.Is(err, CauseStatementTimeout):
-		return CancelTimeout
-	case errors.Is(err, CauseDrain):
-		return CancelDrain
-	default:
-		return CancelAdmin
-	}
-}
-
 // CancelledError wraps a statement failure caused by a defensive
 // cancellation. Network front-ends detect it with errors.As and answer a
 // retryable wire error instead of a generic execution failure.
@@ -87,27 +57,13 @@ func (e *CancelledError) Error() string {
 // Unwrap exposes the underlying execution error.
 func (e *CancelledError) Unwrap() error { return e.Err }
 
-// watchCancel arms a context-driven cancellation for one statement: when
-// ctx ends before the statement does, the query is marked with the
-// reason derived from the context's cause and its transaction's lock
-// waits and row iterations are interrupted. The returned stop function
-// must be called when the statement finishes (it is cheap and
-// idempotent); it is nil when the context can never be cancelled.
-func (s *Session) watchCancel(ctx context.Context, qi *QueryInfo, t *txn.Txn) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
-	}
-	return context.AfterFunc(ctx, func() {
-		qi.MarkCancelled(reasonForCause(context.Cause(ctx)))
-		s.e.tm.Cancel(t.ID)
-	})
-}
-
 // CancelCurrent cancels the session's in-flight statement, if any,
-// recording the given reason. Unlike every other Session method it is
-// safe to call from any goroutine — it touches only atomics and the
-// transaction manager — because shutdown paths cancel statements owned
-// by other connection goroutines.
+// recording the given reason: the server's statement timeouts and drain
+// cancels come here (Engine.CancelQuery is the same cancel, by query id).
+// Unlike every other Session method it is safe to call from any
+// goroutine — it touches only atomics and the transaction manager —
+// because the server's watchdog and shutdown path cancel statements owned
+// by connection goroutines.
 func (s *Session) CancelCurrent(reason CancelReason) bool {
 	qi := s.cur.Load()
 	if qi == nil || qi.Done() {

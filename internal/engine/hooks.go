@@ -50,7 +50,7 @@ type QueryInfo struct {
 	// Sigs is the cached plan's signature slot (nil without a plan).
 	Sigs *SigSlot
 
-	// Transaction context.
+	// The statement's transaction.
 	TxnID lock.TxnID
 	Txn   *txn.Txn
 

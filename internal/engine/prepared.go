@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"sqlcm/internal/sqlparser"
@@ -53,16 +52,9 @@ func (p *Prepared) SQL() string { return p.sql }
 // order (without the leading '@').
 func (p *Prepared) ParamNames() []string { return append([]string(nil), p.tpl.Params...) }
 
-// Exec runs the prepared statement with the given parameter bindings.
-//
-//sqlcm:ctx-root embedder convenience API: callers without a deadline start a fresh statement lifetime here
+// Exec runs the prepared statement with the given parameter bindings,
+// with the same cancellation semantics as Session.Exec.
 func (p *Prepared) Exec(params map[string]sqltypes.Value) (*Result, error) {
-	return p.ExecContext(context.Background(), params)
-}
-
-// ExecContext runs the prepared statement under a context, with the same
-// cancellation semantics as Session.ExecContext.
-func (p *Prepared) ExecContext(ctx context.Context, params map[string]sqltypes.Value) (*Result, error) {
 	s := p.s
 	if err := s.enter(); err != nil {
 		return nil, err
@@ -81,5 +73,5 @@ func (p *Prepared) ExecContext(ctx context.Context, params map[string]sqltypes.V
 		}
 		p.cp, p.gen = cp, gen
 	}
-	return s.execPlanned(ctx, p.cp, p.sql, params, p.tpl.Lits)
+	return s.execPlanned(p.cp, p.sql, params, p.tpl.Lits)
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -42,9 +41,9 @@ type Session struct {
 	busy   atomic.Int32
 	closed atomic.Bool
 
-	// cur publishes the in-flight statement so CancelCurrent (server
-	// drain paths, other goroutines) can cancel it through atomics
-	// without violating the single-goroutine contract.
+	// cur publishes the in-flight statement so CancelCurrent (the server's
+	// timeout watchdog and drain, other goroutines) can cancel it through
+	// atomics without violating the single-goroutine contract.
 	cur atomic.Pointer[QueryInfo]
 }
 
@@ -130,22 +129,14 @@ type Result struct {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.tx != nil }
 
-// Exec parses and executes one SQL statement.
-//
-//sqlcm:ctx-root embedder convenience API: callers without a deadline start a fresh statement lifetime here
+// Exec parses and executes one SQL statement. A CancelCurrent from
+// another goroutine (a statement timeout, a server drain) or an
+// Engine.CancelQuery cancels it at the next row-iteration or lock-wait
+// boundary: it fails with a CancelledError carrying the reason, and a
+// Query.Cancelled event fires. Transaction-control and DDL statements
+// are not cancellable (CREATE INDEX waits for the table's lock up to the
+// lock timeout).
 func (s *Session) Exec(sql string, params map[string]sqltypes.Value) (*Result, error) {
-	return s.ExecContext(context.Background(), sql, params)
-}
-
-// ExecContext parses and executes one SQL statement under a context.
-// When ctx ends before the statement does, execution is cancelled at the
-// next row-iteration or lock-wait boundary, the statement fails with a
-// CancelledError carrying the reason derived from the context's cause
-// (see CauseStatementTimeout, CauseDrain), and a Query.Cancelled event
-// fires. The context does not bound transaction-control or DDL
-// statements (CREATE INDEX waits for the table's lock up to the lock
-// timeout).
-func (s *Session) ExecContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
 	if err := s.enter(); err != nil {
 		return nil, err
 	}
@@ -161,12 +152,12 @@ func (s *Session) ExecContext(ctx context.Context, sql string, params map[string
 	if err != nil {
 		return nil, err
 	}
-	return s.execPlanned(ctx, cp, sql, params, tpl.Lits)
+	return s.execPlanned(cp, sql, params, tpl.Lits)
 }
 
 // execPlanned runs one statement: its plan, text, bind parameters and
 // normalized literals.
-func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
+func (s *Session) execPlanned(cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	switch stmt := cp.stmt.(type) {
 	case *sqlparser.Begin:
 		return nil, s.begin()
@@ -192,9 +183,9 @@ func (s *Session) execPlanned(ctx context.Context, cp *cachedPlan, sql string, p
 			Text:   sql,
 		})
 	case *sqlparser.Exec:
-		return s.execProcedure(ctx, stmt, params)
+		return s.execProcedure(stmt, params)
 	case *sqlparser.Select, *sqlparser.Insert, *sqlparser.Update, *sqlparser.Delete:
-		return s.runQuery(ctx, cp, sql, params, lits)
+		return s.runQuery(cp, sql, params, lits)
 	default:
 		return nil, fmt.Errorf("engine: statement %T not executable at session level", cp.stmt)
 	}
@@ -321,13 +312,7 @@ func (s *Session) abortTxn(t *txn.Txn, ti *TxnInfo) {
 // Query execution
 // ---------------------------------------------------------------------------
 
-func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
-	// A context already cancelled at entry fails fast, before a
-	// transaction begins or the statement registers — the deterministic
-	// floor under the asynchronous watcher below.
-	if err := ctx.Err(); err != nil {
-		return nil, &CancelledError{Reason: reasonForCause(context.Cause(ctx)), Err: err}
-	}
+func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	// Transaction: use the session's explicit transaction or an implicit
 	// autocommit one.
 	t := s.tx
@@ -375,7 +360,6 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 	}
 	s.e.registerQuery(qi)
 	s.cur.Store(qi)
-	stopWatch := s.watchCancel(ctx, qi, t)
 	h := s.e.hooksRef()
 	if h != nil {
 		h.QueryStart(qi)
@@ -384,9 +368,6 @@ func (s *Session) runQuery(ctx context.Context, cp *cachedPlan, sql string, para
 
 	res, err := s.executeBody(cp, qi, t, params, lits)
 	dur := time.Since(qi.StartTime)
-	if stopWatch != nil {
-		stopWatch()
-	}
 	s.cur.Store(nil)
 
 	if err != nil {
@@ -503,7 +484,7 @@ func (s *Session) NoteShedStatement(sql string) {
 // Stored procedures
 // ---------------------------------------------------------------------------
 
-func (s *Session) execProcedure(ctx context.Context, call *sqlparser.Exec, callerParams map[string]sqltypes.Value) (*Result, error) {
+func (s *Session) execProcedure(call *sqlparser.Exec, callerParams map[string]sqltypes.Value) (*Result, error) {
 	proc, err := s.e.cat.Procedure(call.Proc)
 	if err != nil {
 		return nil, err
@@ -541,7 +522,7 @@ func (s *Session) execProcedure(ctx context.Context, call *sqlparser.Exec, calle
 		}
 	}
 
-	last, err := s.execProcBody(ctx, proc.Body, locals)
+	last, err := s.execProcBody(proc.Body, locals)
 	if err != nil {
 		if s.tx != nil {
 			t, ti := s.tx, s.txInfo
@@ -562,7 +543,7 @@ func (s *Session) execProcedure(ctx context.Context, call *sqlparser.Exec, calle
 // row-returning statement.
 //
 //sqlcm:cancellable
-func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, locals map[string]sqltypes.Value) (*Result, error) {
+func (s *Session) execProcBody(body []sqlparser.Statement, locals map[string]sqltypes.Value) (*Result, error) {
 	var last *Result
 	for _, stmt := range body {
 		switch st := stmt.(type) {
@@ -579,7 +560,7 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			if !ok {
 				branch = st.Else
 			}
-			res, err := s.execProcBody(ctx, branch, locals)
+			res, err := s.execProcBody(branch, locals)
 			if err != nil {
 				return nil, err
 			}
@@ -597,7 +578,7 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			}
 			locals[st.Name] = v
 		case *sqlparser.Exec:
-			res, err := s.execProcedure(ctx, st, locals)
+			res, err := s.execProcedure(st, locals)
 			if err != nil {
 				return nil, err
 			}
@@ -617,7 +598,7 @@ func (s *Session) execProcBody(ctx context.Context, body []sqlparser.Statement, 
 			if err != nil {
 				return nil, err
 			}
-			res, err := s.execPlanned(ctx, cp, text, locals, tpl.Lits)
+			res, err := s.execPlanned(cp, text, locals, tpl.Lits)
 			if err != nil {
 				return nil, err
 			}

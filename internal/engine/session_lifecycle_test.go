@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -140,11 +139,25 @@ func TestScanParamNames(t *testing.T) {
 	}
 }
 
-// TestExecContextTimeoutCancelsLockWait: a context deadline carrying
-// CauseStatementTimeout interrupts a statement parked on a lock wait,
-// surfaces as a CancelledError with reason timeout, and leaves both the
-// session and the cancel watcher goroutine cleanly unwound.
-func TestExecContextTimeoutCancelsLockWait(t *testing.T) {
+// blockedHooks signals each lock wait that begins.
+type blockedHooks struct {
+	NopHooks
+	blocked chan struct{}
+}
+
+func (h *blockedHooks) QueryBlocked(BlockEvent) {
+	select {
+	case h.blocked <- struct{}{}:
+	default:
+	}
+}
+
+// TestCancelCurrentCancelsLockWait: a CancelCurrent from another
+// goroutine — how the server's watchdog keeps a statement timeout —
+// interrupts a statement parked on a lock wait, surfaces as a
+// CancelledError with reason timeout, and leaves the session and every
+// goroutine cleanly unwound.
+func TestCancelCurrentCancelsLockWait(t *testing.T) {
 	e := newTestEngine(t)
 	defer testutil.CheckLeaks(t)()
 	setup := e.NewSession("dba", "setup")
@@ -155,18 +168,27 @@ func TestExecContextTimeoutCancelsLockWait(t *testing.T) {
 	mustExec(t, holder, "BEGIN")
 	mustExec(t, holder, "UPDATE t SET v = 2.0 WHERE id = 1")
 
+	h := &blockedHooks{blocked: make(chan struct{}, 1)}
+	e.SetHooks(h)
 	victim := e.NewSession("victim", "app")
-	ctx, cancel := context.WithTimeoutCause(context.Background(), 100*time.Millisecond, CauseStatementTimeout)
-	defer cancel()
-	start := time.Now()
-	_, err := victim.ExecContext(ctx, "UPDATE t SET v = 3.0 WHERE id = 1", nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := victim.Exec("UPDATE t SET v = 3.0 WHERE id = 1", nil)
+		done <- err
+	}()
+	select {
+	case <-h.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("victim statement never reached the lock wait")
+	}
+	if !victim.CancelCurrent(CancelTimeout) {
+		t.Fatal("CancelCurrent found no statement in flight")
+	}
 	var ce *CancelledError
-	if !errors.As(err, &ce) || ce.Reason != CancelTimeout {
+	if err := <-done; !errors.As(err, &ce) || ce.Reason != CancelTimeout {
 		t.Fatalf("blocked exec: got %v, want CancelledError with reason timeout", err)
 	}
-	if waited := time.Since(start); waited < 50*time.Millisecond {
-		t.Fatalf("statement failed after %v; it never reached the lock wait", waited)
-	}
+	e.SetHooks(nil)
 	mustExec(t, holder, "COMMIT")
 	// The session stays usable and the cancelled write never applied.
 	res := mustExec(t, victim, "SELECT v FROM t WHERE id = 1")
@@ -175,28 +197,20 @@ func TestExecContextTimeoutCancelsLockWait(t *testing.T) {
 	}
 }
 
-// TestExecContextPreCancelled: a context already done at entry fails the
-// statement immediately with the context's cause mapped to a reason.
-func TestExecContextPreCancelled(t *testing.T) {
-	e := newTestEngine(t)
-	defer testutil.CheckLeaks(t)()
-	s := e.NewSession("alice", "app")
-	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY)")
-	ctx, cancel := context.WithTimeoutCause(context.Background(), time.Nanosecond, CauseStatementTimeout)
-	defer cancel()
-	time.Sleep(time.Millisecond)
-	var ce *CancelledError
-	if _, err := s.ExecContext(ctx, "SELECT * FROM t", nil); !errors.As(err, &ce) || ce.Reason != CancelTimeout {
-		t.Fatalf("expired context: got %v, want CancelledError with reason timeout", err)
-	}
-	// Session recovers for the next statement.
-	mustExec(t, s, "SELECT * FROM t")
+// cancelOnStart cancels every statement of sess as it starts.
+type cancelOnStart struct {
+	NopHooks
+	sess *Session
 }
 
-// TestInsertDeadlineLandsAtRowBoundary: a deadline that has already
-// expired when a large multi-row INSERT reaches the executor cancels the
-// statement at the row-iteration boundary (the cancelpoint analyzer's
-// contract for ExecInsert) and leaves no partial rows behind.
+func (h *cancelOnStart) QueryStart(*QueryInfo) { h.sess.CancelCurrent(CancelTimeout) }
+
+// TestInsertDeadlineLandsAtRowBoundary: a timeout that lands once a large
+// multi-row INSERT has started cancels the statement at the
+// row-iteration boundary (the cancelpoint analyzer's contract for
+// ExecInsert) and leaves no partial rows behind. The cancel comes from a
+// QueryStart hook: the statement has registered and holds no lock yet, so
+// only the executor's own poll can catch it.
 func TestInsertDeadlineLandsAtRowBoundary(t *testing.T) {
 	e := newTestEngine(t)
 	defer testutil.CheckLeaks(t)()
@@ -210,13 +224,12 @@ func TestInsertDeadlineLandsAtRowBoundary(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "(%d, %d.5)", i, i)
 	}
-	ctx, cancel := context.WithTimeoutCause(context.Background(), time.Nanosecond, CauseStatementTimeout)
-	defer cancel()
-	time.Sleep(time.Millisecond)
+	e.SetHooks(&cancelOnStart{sess: s})
 	var ce *CancelledError
-	if _, err := s.ExecContext(ctx, b.String(), nil); !errors.As(err, &ce) || ce.Reason != CancelTimeout {
-		t.Fatalf("insert under expired deadline: got %v, want CancelledError with reason timeout", err)
+	if _, err := s.Exec(b.String(), nil); !errors.As(err, &ce) || ce.Reason != CancelTimeout {
+		t.Fatalf("insert cancelled at start: got %v, want CancelledError with reason timeout", err)
 	}
+	e.SetHooks(nil)
 	res := mustExec(t, s, "SELECT * FROM big")
 	if len(res.Rows) != 0 {
 		t.Fatalf("cancelled insert left %d rows", len(res.Rows))

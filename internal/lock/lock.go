@@ -138,8 +138,10 @@ const queuePoolCap = 64
 // Manager is the lock manager.
 type Manager struct {
 	// mu protects the queues, free list, held and waitsFor maps. timeout is
-	// immutable after construction and deliberately unguarded.
-	//sqlcm:lock lock.manager
+	// immutable after construction and deliberately unguarded. The
+	// server's timeout watchdog cancels a transaction's waits (Cancel)
+	// with its server.deadline held.
+	//sqlcm:lock lock.manager after server.deadline
 	//sqlcm:guards queues, free, held, waitsFor, notifier
 	mu     sync.Mutex
 	queues map[Resource]*queue

@@ -118,8 +118,8 @@ func (c *checker) checkPersist(r *RuleDef, resolvable map[string]bool, a *rules.
 }
 
 // checkAttrRef validates one attribute reference ("Attr" or
-// "Class.Attr") against the rule's event context. References to
-// declared LATs are accepted (the runtime reads the matching row).
+// "Class.Attr") against the objects the rule's event binds. References
+// to declared LATs are accepted (the runtime reads the matching row).
 func (c *checker) checkAttrRef(r *RuleDef, resolvable map[string]bool, what, ref string) {
 	qual, attr, qualified := cutDot(ref)
 	if !qualified {

@@ -51,7 +51,8 @@ func (st *evalState) reset() {
 	*st = evalState{eng: st.eng, key: st.key[:0], base: Ctx{get: st.base.get}}
 }
 
-// holds evaluates a compiled condition against the bound context.
+// holds evaluates a compiled condition against the monitored objects in
+// scope.
 //
 //sqlcm:hotpath
 func (st *evalState) holds(c cond) (bool, error) {

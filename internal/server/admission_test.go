@@ -43,12 +43,14 @@ func cancelTap(t *testing.T, db *sqlcm.DB) func() []string {
 }
 
 // TestStatementTimeout: a statement blocked past the configured timeout
-// is cancelled at its lock-wait boundary, the client gets the retryable
-// 57014, and exactly one Query.Cancelled event with Cancel_Reason
-// 'timeout' reaches the rules.
+// is cancelled at its lock-wait boundary no earlier than the timeout and
+// well before twice it, the client gets the retryable 57014, and exactly
+// one Query.Cancelled event with Cancel_Reason 'timeout' reaches the
+// rules.
 func TestStatementTimeout(t *testing.T) {
+	const st = 150 * time.Millisecond
 	db, srv := startServer(t, func(c *server.Config) {
-		c.StatementTimeout = 150 * time.Millisecond
+		c.StatementTimeout = st
 	})
 	reasons := cancelTap(t, db)
 
@@ -75,8 +77,11 @@ func TestStatementTimeout(t *testing.T) {
 	if !errors.As(err, &we) || we.Code != errcode.QueryCancelled.SQLSTATE {
 		t.Fatalf("blocked statement: got %v, want WireError %s", err, errcode.QueryCancelled.SQLSTATE)
 	}
-	if waited < 100*time.Millisecond {
-		t.Fatalf("statement failed after %v; it never reached the lock wait", waited)
+	if waited < st {
+		t.Fatalf("statement cancelled after %v, before StatementTimeout %v", waited, st)
+	}
+	if waited >= 2*st {
+		t.Fatalf("statement cancelled after %v, not within twice StatementTimeout %v", waited, st)
 	}
 
 	// The connection survives its cancelled statement.
@@ -87,6 +92,59 @@ func TestStatementTimeout(t *testing.T) {
 		t.Fatalf("cancelled update applied anyway: %v", rows.Rows[0][0])
 	}
 
+	if got := reasons(); len(got) != 1 || got[0] != "timeout" {
+		t.Fatalf("Query.Cancelled reasons: %v, want exactly [timeout]", got)
+	}
+	if st := srv.Stats(); st.Cancelled != 1 {
+		t.Fatalf("stats.Cancelled = %d, want 1", st.Cancelled)
+	}
+}
+
+// TestStatementTimeoutReachesProcedureBody: the statement timeout of a
+// wire EXEC reaches the statements of the procedure's body. The body
+// writes two rows and then blocks on a row another session holds; the
+// client gets the retryable 57014, exactly one Query.Cancelled event with
+// Cancel_Reason 'timeout' fires, and none of the body's writes applies.
+func TestStatementTimeoutReachesProcedureBody(t *testing.T) {
+	db, srv := startServer(t, func(c *server.Config) {
+		c.StatementTimeout = 150 * time.Millisecond
+	})
+	reasons := cancelTap(t, db)
+
+	setup := dial(t, srv)
+	mustQuery(t, setup, "CREATE TABLE t (id INT PRIMARY KEY, v FLOAT)")
+	mustQuery(t, setup, "CREATE TABLE audit (id INT PRIMARY KEY)")
+	mustQuery(t, setup, "INSERT INTO t VALUES (1, 1.0), (2, 1.0)")
+	mustQuery(t, setup, `CREATE PROCEDURE touch_both () AS BEGIN
+		UPDATE t SET v = 9.0 WHERE id = 2;
+		INSERT INTO audit VALUES (1);
+		UPDATE t SET v = 9.0 WHERE id = 1;
+	END`)
+
+	holder := db.Session("holder", "admission_test")
+	defer holder.Close() //nolint:errcheck
+	if _, err := holder.Exec("BEGIN", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.Exec("UPDATE t SET v = 2.0 WHERE id = 1", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	cli := dial(t, srv)
+	_, err := cli.Query("EXEC touch_both")
+	var we *server.WireError
+	if !errors.As(err, &we) || we.Code != errcode.QueryCancelled.SQLSTATE {
+		t.Fatalf("blocked procedure: got %v, want WireError %s", err, errcode.QueryCancelled.SQLSTATE)
+	}
+	if _, err := holder.Exec("COMMIT", nil); err != nil {
+		t.Fatal(err)
+	}
+	if rows := mustQuery(t, cli, "SELECT v FROM t WHERE id = 2"); rows.Rows[0][0].Float() != 1.0 {
+		t.Fatalf("cancelled procedure's first update applied: v = %v", rows.Rows[0][0])
+	}
+	if rows := mustQuery(t, cli, "SELECT id FROM audit"); len(rows.Rows) != 0 {
+		t.Fatalf("cancelled procedure's insert applied: %d rows", len(rows.Rows))
+	}
 	if got := reasons(); len(got) != 1 || got[0] != "timeout" {
 		t.Fatalf("Query.Cancelled reasons: %v, want exactly [timeout]", got)
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -35,14 +34,15 @@ type conn struct {
 	stmts   map[string]*preparedStmt
 	portals map[string]*portal
 
-	// wait is the read or write the serve goroutine is blocked in, for the
-	// timeout watchdog and the drain: 0 when it is not waiting, else the
-	// wait's sequence number (waits counts them) shifted past the
-	// waitWrite and waitExpired bits.
+	// wait is the read, write or statement the serve goroutine is blocked
+	// in, for the timeout watchdog and the drain: 0 when it is not
+	// waiting, else the wait's sequence number (waits counts them) shifted
+	// past the kind and waitExpired bits.
 	wait  atomic.Uint64
 	waits uint64
-	// deadlineMu orders arming a wait's deadline (expire) against clearing
-	// it when the wait has ended first (endWait).
+	// deadlineMu orders expiring a wait — arming its deadline, or
+	// cancelling its statement — against the wait's end (endWait): once a
+	// wait is expired, endWait cannot retire it before expire is done.
 	//sqlcm:lock server.deadline
 	//sqlcm:guards none
 	deadlineMu sync.Mutex
@@ -58,10 +58,13 @@ type conn struct {
 	skipToSync bool
 }
 
-// Bits of conn.wait below the sequence number.
+// Bits of conn.wait below the sequence number. A wait of neither kind is a
+// read, bounded by ReadTimeout.
 const (
-	waitWrite   = 1 // a write, bounded by WriteTimeout (else a read, ReadTimeout)
-	waitExpired = 2 // a deadline has been armed for this wait
+	waitWrite   = 1 // a write, bounded by WriteTimeout
+	waitStmt    = 2 // a statement, bounded by StatementTimeout
+	waitKind    = waitWrite | waitStmt
+	waitExpired = 4 // a deadline has been armed, or the statement cancelled
 )
 
 // preparedStmt is a named statement plus the parameter kind hints the
@@ -79,17 +82,18 @@ type portal struct {
 	params map[string]sqltypes.Value
 }
 
-// beginWait publishes a wait of the given kind (0 for a read, or
-// waitWrite) that the serve goroutine is about to block in.
+// beginWait publishes a wait of the given kind (0 for a read, waitWrite
+// or waitStmt) that the serve goroutine is about to block in.
 func (c *conn) beginWait(kind uint64) uint64 {
 	c.waits++
-	w := c.waits<<2 | kind
+	w := c.waits<<3 | kind
 	c.wait.Store(w)
 	return w
 }
 
 // endWait retires w. If the watchdog or the drain expired it meanwhile,
-// the deadline armed for it is cleared, so it cannot cut the next wait.
+// the deadline armed for it is cleared, so it cannot cut the next wait,
+// and a statement's cancel has landed before the next statement begins.
 func (c *conn) endWait(w uint64) {
 	if c.wait.CompareAndSwap(w, 0) {
 		return
@@ -100,14 +104,21 @@ func (c *conn) endWait(w uint64) {
 	c.deadlineMu.Unlock()
 }
 
-// expire arms w's deadline at at (a past instant wakes it now), unless w
-// has ended. A deadline that cannot be armed closes the connection.
+// expire arms w's deadline at at (a past instant wakes it now), or
+// cancels w's statement with reason timeout, unless w has ended. A
+// deadline that cannot be armed closes the connection. A cancel that
+// finds no statement in flight (between a procedure's body statements)
+// un-expires w, so the next look retries it.
 func (c *conn) expire(w uint64, at time.Time) {
 	w &^= waitExpired
 	var err error
 	c.deadlineMu.Lock()
 	if c.wait.CompareAndSwap(w, w|waitExpired) || c.wait.Load() == w|waitExpired {
-		err = c.setDeadline(w, at)
+		if w&waitKind != waitStmt {
+			err = c.setDeadline(w, at)
+		} else if !c.sessp.Load().CancelCurrent(engine.CancelTimeout) {
+			c.wait.Store(w)
+		}
 	}
 	c.deadlineMu.Unlock()
 	if err != nil {
@@ -115,9 +126,14 @@ func (c *conn) expire(w uint64, at time.Time) {
 	}
 }
 
+// setDeadline arms, or with a zero at clears, w's read or write deadline.
+// A statement wait has none: expire cancels the statement instead.
 func (c *conn) setDeadline(w uint64, at time.Time) error {
-	if w&waitWrite != 0 {
+	switch w & waitKind {
+	case waitWrite:
 		return c.nc.SetWriteDeadline(at)
+	case waitStmt:
+		return nil
 	}
 	return c.nc.SetReadDeadline(at)
 }
@@ -137,11 +153,19 @@ func (c *conn) watch(tick time.Duration) {
 		c.seen, c.since = w, now
 		return
 	}
-	timeout := c.srv.cfg.ReadTimeout
-	if w&waitWrite != 0 {
+	timeout, ahead := c.srv.cfg.ReadTimeout, tick
+	switch w & waitKind {
+	case waitWrite:
 		timeout = c.srv.cfg.WriteTimeout
+	case waitStmt:
+		// A statement has no deadline to arm ahead of time: it is
+		// cancelled at the first look past its timeout.
+		timeout, ahead = c.srv.cfg.StatementTimeout, 0
+		if timeout <= 0 {
+			return
+		}
 	}
-	if at := c.since.Add(timeout); at.Before(now.Add(tick)) {
+	if at := c.since.Add(timeout); at.Before(now.Add(ahead)) {
 		c.expire(w, at)
 	}
 }
@@ -154,7 +178,7 @@ var longAgo = time.Unix(1, 0)
 // command first (the loop re-checks draining after every command).
 func (c *conn) beginDrain() {
 	c.draining.Store(true)
-	if w := c.wait.Load(); w != 0 && w&waitWrite == 0 {
+	if w := c.wait.Load(); w != 0 && w&waitKind == 0 {
 		c.expire(w, longAgo)
 	}
 }
@@ -398,9 +422,9 @@ func (c *conn) handleSimpleQuery(body []byte) bool {
 		c.pw.writeError(errcode.Overloaded, shedMessage) //nolint:errcheck
 		return c.ready()
 	}
-	ctx, cancel := c.stmtCtx()
-	res, execErr := c.sess.ExecContext(ctx, sql, nil)
-	cancel()
+	w := c.beginWait(waitStmt)
+	res, execErr := c.sess.Exec(sql, nil)
+	c.endWait(w)
 	c.srv.statements.Add(1)
 	if execErr != nil {
 		c.srv.errors.Add(1)
@@ -425,18 +449,6 @@ func (c *conn) shedStatement(sql string) bool {
 	c.srv.shed.Add(1)
 	c.sess.NoteShedStatement(sql)
 	return true
-}
-
-// stmtCtx builds the per-statement context carrying the configured
-// statement timeout (a no-op background context when disabled).
-//
-//sqlcm:ctx-root the statement lifetime starts at the wire front-end; there is no caller context above the connection loop
-func (c *conn) stmtCtx() (context.Context, context.CancelFunc) {
-	st := c.srv.cfg.StatementTimeout
-	if st <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeoutCause(context.Background(), st, engine.CauseStatementTimeout)
 }
 
 // execErrCode maps a statement failure onto its wire code: defensive
@@ -661,9 +673,9 @@ func (c *conn) handleExecute(body []byte) bool {
 	if c.shedStatement(pt.stmt.ps.SQL()) {
 		return c.extendedError(errcode.Overloaded, errors.New(shedMessage))
 	}
-	ctx, cancel := c.stmtCtx()
-	res, execErr := pt.stmt.ps.ExecContext(ctx, pt.params)
-	cancel()
+	w := c.beginWait(waitStmt)
+	res, execErr := pt.stmt.ps.Exec(pt.params)
+	c.endWait(w)
 	c.srv.statements.Add(1)
 	if execErr != nil {
 		return c.extendedError(execErrCode(c.srv, execErr), execErr)

@@ -25,9 +25,11 @@ type Config struct {
 	// included: a connection that sends nothing, or trickles one message
 	// in, is closed. 0 means the default of 5m.
 	//
-	// Both timeouts are kept by one watchdog per Server, which looks at
-	// every connection each min(ReadTimeout, WriteTimeout)/8 (a tick): a
-	// wait is cut no earlier than its timeout and within one tick after it.
+	// The three timeouts (read, write, statement) are kept by one
+	// watchdog per Server, which looks at every connection each tick of
+	// min(ReadTimeout, WriteTimeout, StatementTimeout if set)/8: a read or
+	// write is cut no earlier than its timeout and within one tick after
+	// it, a statement within two ticks after it.
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each write to a connection (a flush of buffered
 	// responses, or a large row written through): a client that stops
@@ -42,10 +44,11 @@ type Config struct {
 	// this long for a slot before the polite "too many connections"
 	// refusal. 0 refuses immediately.
 	AdmissionWait time.Duration
-	// StatementTimeout bounds each statement's execution; a statement
-	// exceeding it is cancelled at the next row-iteration or lock-wait
-	// boundary and the client gets a retryable 57014 error plus a
-	// Query.Cancelled event with reason timeout. 0 disables.
+	// StatementTimeout bounds each statement's execution; the watchdog
+	// cancels a statement exceeding it (Session.CancelCurrent), which
+	// stops at the next row-iteration or lock-wait boundary, and the
+	// client gets a retryable 57014 error plus a Query.Cancelled event
+	// with reason timeout. 0 disables.
 	StatementTimeout time.Duration
 	// Overloaded, when set, is consulted before every statement: true
 	// sheds the statement with a retryable 53400 error (and one
@@ -161,11 +164,16 @@ func (s *Server) Start() error {
 }
 
 // watch is the timeout watchdog: each tick it looks at every connection's
-// current wait and expires the ones past their timeout (conn.watch). It
-// runs until Shutdown has seen every connection end.
+// current wait — a read, a write or a statement — and expires the ones
+// past their timeout (conn.watch). It runs until Shutdown has seen every
+// connection end.
 func (s *Server) watch() {
 	defer s.watchWG.Done()
-	tick := max(min(s.cfg.ReadTimeout, s.cfg.WriteTimeout)/8, time.Millisecond)
+	shortest := min(s.cfg.ReadTimeout, s.cfg.WriteTimeout)
+	if st := s.cfg.StatementTimeout; st > 0 {
+		shortest = min(shortest, st)
+	}
+	tick := max(shortest/8, time.Millisecond)
 	t := time.NewTicker(tick)
 	defer t.Stop()
 	for {

@@ -135,8 +135,10 @@ type Manager struct {
 	//sqlcm:guards none
 	commitMu sync.Mutex
 
-	// mu protects the active-transaction map.
-	//sqlcm:lock txn.active
+	// mu protects the active-transaction map. The server's timeout
+	// watchdog cancels a statement's transaction (Cancel) with its
+	// server.deadline held.
+	//sqlcm:lock txn.active after server.deadline
 	//sqlcm:guards active
 	mu     sync.Mutex
 	active map[lock.TxnID]*Txn

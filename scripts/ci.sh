@@ -13,8 +13,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 
 # Lint tier: go vet, the in-repo analyzers (`sqlcm-vet -analyzers` lists
-# them: hotpath — no clock reads on the hot path; ctxprop — context
-# propagation; cancelpoint — cancellation points; guardedby —
+# them: hotpath — no clock reads on the hot path; cancelpoint —
+# cancellation points; guardedby —
 # //sqlcm:guards field access; cowpublish — //sqlcm:cow publish checking;
 # lockorder — the //sqlcm:lock hierarchy: order down every call chain,
 # in this package or another, unlock balance, sends under latches, calls
@@ -116,6 +116,6 @@ go test -run='^$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 # Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
 # applies every internal/analysis/testdata/mutations/*.patch to a fresh
 # copy of the tree and runs each one through vet, sqlcm-vet -code, test,
-# race, sim and chaos — about 100 minutes for the 38 patches on a 2-CPU
+# race, sim and chaos — about 100 minutes for the 36 patches on a 2-CPU
 # host. Run it when an analyzer, a directive or a runtime tier
 # changes; its table is DESIGN.md §12.

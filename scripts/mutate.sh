@@ -25,7 +25,7 @@
 #
 #   scripts/mutate.sh [ref=HEAD] [mutation ...]     (or: make mutate)
 #
-# The 38 patches take about 100 minutes on a 2-CPU host: a mutation caught
+# The 36 patches take about 100 minutes on a 2-CPU host: a mutation caught
 # by go test stops there (ten minutes when it hangs a test into the
 # timeout twice), one only an analyzer catches runs every tier. CI does
 # not run it on every push; see scripts/ci.sh.
