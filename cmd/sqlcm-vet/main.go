@@ -18,9 +18,8 @@
 // In -code mode each argument is a directory tree whose Go packages are
 // loaded, type-checked (offline, against GOROOT source) and run through
 // SQLCM's custom source analyzers (see internal/analysis): no clock reads
-// in //sqlcm:hotpath functions, cancellation-point proofs for
-// //sqlcm:cancellable loops, guarded-field access under the declared lock
-// class (//sqlcm:guards, //sqlcm:guarded-by), COW publish
+// in //sqlcm:hotpath functions, guarded-field access under the declared
+// lock class (//sqlcm:guards, //sqlcm:guarded-by), COW publish
 // checking for //sqlcm:cow snapshots, and the lock hierarchy (declared
 // //sqlcm:lock order, missing unlocks, sends and outbox enqueues under
 // latches, unclassed mutexes), which order-checks a call into another

@@ -10,13 +10,6 @@
 //
 //	//sqlcm:hotpath      — this function runs once per event or wire
 //	                       message: calls that read the clock are flagged.
-//	//sqlcm:cancellable  — every loop in this function must reach a
-//	                       cancellation check: ctx.Err()/ctx.Done(), a
-//	                       stop-channel receive, or a callee summarized
-//	                       as cancel-capable.
-//	//sqlcm:cancelpoint  — calling this function (or interface method)
-//	                       reaches a cancellation check; the summary
-//	                       seed for cancelpoint analysis.
 //	//sqlcm:lock <class> [after <class>...]
 //	                     — on a mutex field: the field belongs to the
 //	                       named lock class, which may be acquired while
@@ -60,7 +53,9 @@
 // some seeded bug: scripts/mutate.sh applies the patches under
 // testdata/mutations to a copy of the tree and records which tier —
 // go vet, these analyzers, go test, -race, the simulator, the chaos
-// suite — catches each one first (DESIGN.md §12).
+// suite — catches each one first (DESIGN.md §12). A full run ends by
+// naming every analyzer that is the sole catcher of no row: the
+// candidates for deletion.
 package analysis
 
 import (
@@ -146,7 +141,7 @@ type Analyzer struct {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{HotPath, CancelPoint, GuardedBy, CowPublish, LockOrder}
+	return []*Analyzer{HotPath, GuardedBy, CowPublish, LockOrder}
 }
 
 // RunTree loads, type-checks and analyzes every package under root.
@@ -199,8 +194,7 @@ func RunProgram(prog *Program) []Diagnostic {
 // directiveVerbs are the //sqlcm: verbs listed in the package doc, the
 // only ones any analyzer reads.
 var directiveVerbs = map[string]bool{
-	"hotpath": true, "cancellable": true, "cancelpoint": true,
-	"lock": true, "lock-held": true, "lock-release": true,
+	"hotpath": true, "lock": true, "lock-held": true, "lock-release": true,
 	"guards": true, "guarded-by": true, "cow": true, "allow": true,
 }
 

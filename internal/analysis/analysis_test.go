@@ -118,49 +118,3 @@ func dispatch() {
 `)
 	wantFindings(t, diags)
 }
-
-func TestCancelPointTransitiveThroughCallee(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-import "context"
-
-// poll checks the context itself, so callers inherit cancel capability.
-func poll(ctx context.Context) error { return ctx.Err() }
-
-//sqlcm:cancellable
-func drain(ctx context.Context, rows []int) error {
-	for range rows {
-		if err := poll(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-`)
-	wantFindings(t, diags)
-}
-
-func TestCancelPointAnnotatedInterfaceMethod(t *testing.T) {
-	diags := analyzeSrc(t, `package x
-
-type iter interface {
-	// Next polls the statement's cancellation flag each call.
-	//
-	//sqlcm:cancelpoint
-	Next() (int, bool)
-}
-
-//sqlcm:cancellable
-func drain(it iter) int {
-	total := 0
-	for {
-		v, ok := it.Next()
-		if !ok {
-			return total
-		}
-		total += v
-	}
-}
-`)
-	wantFindings(t, diags)
-}

@@ -16,11 +16,6 @@ import (
 // summarized once, and importers consult summaries instead of re-walking
 // foreign bodies.
 type Facts struct {
-	// CancelCapable marks functions whose call reaches a cancellation
-	// check: annotated //sqlcm:cancelpoint, or a body that checks
-	// ctx.Err()/ctx.Done(), blocks on a stop channel, ranges over a
-	// channel, or calls a cancel-capable function.
-	CancelCapable map[types.Object]bool
 	// LockClasses maps a function to the declared lock classes it may
 	// acquire, directly or transitively. This is the cross-package edge
 	// the lockorder analyzer checks at call sites into another package.
@@ -54,22 +49,20 @@ type LockDecl struct {
 
 func newFacts() *Facts {
 	return &Facts{
-		CancelCapable: map[types.Object]bool{},
-		LockClasses:   map[types.Object][]string{},
-		LockFields:    map[types.Object]string{},
-		Guards:        map[string][]string{},
-		GuardedBy:     map[types.Object]string{},
-		CowFields:     map[types.Object]string{},
+		LockClasses: map[types.Object][]string{},
+		LockFields:  map[types.Object]string{},
+		Guards:      map[string][]string{},
+		GuardedBy:   map[types.Object]string{},
+		CowFields:   map[types.Object]string{},
 	}
 }
 
 // funcSummary is the single-pass body summary a package-local fixpoint
 // runs over.
 type funcSummary struct {
-	obj          types.Object
-	directCancel bool
-	callees      []types.Object
-	classes      map[string]bool
+	obj     types.Object
+	callees []types.Object
+	classes map[string]bool
 }
 
 // computeFacts fills pkg.Facts. Runs after type checking; packages are
@@ -80,28 +73,15 @@ func computeFacts(prog *Program, pkg *Package) {
 	pkg.Facts = f
 	info := pkg.Info
 
-	// Pass 1: collect annotations — function directives, interface-method
-	// directives, lock-field classes.
+	// Pass 1: collect the annotations on struct fields.
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				obj := info.Defs[d.Name]
-				if obj == nil {
-					continue
-				}
-				if hasDirective(d, "cancelpoint") {
-					f.CancelCapable[obj] = true
-				}
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
 					collectTypeFacts(info, f, pkg.Types.Name(), ts)
 				}
 			}
@@ -127,16 +107,12 @@ func computeFacts(prog *Program, pkg *Package) {
 		}
 	}
 
-	// Pass 3: package-local fixpoint. Cross-package callees resolve to
-	// finished facts; same-package call chains need iteration (no
-	// syntactic ordering of mutually recursive helpers).
+	// Pass 3: package-local fixpoint of LockClasses. Cross-package callees
+	// resolve to finished facts; same-package call chains need iteration
+	// (no syntactic ordering of mutually recursive helpers).
 	for changed := true; changed; {
 		changed = false
 		for _, s := range sums {
-			if !f.CancelCapable[s.obj] && (s.directCancel || anyCancelCapable(prog, f, byObj, s.callees)) {
-				f.CancelCapable[s.obj] = true
-				changed = true
-			}
 			before := len(f.LockClasses[s.obj])
 			merged := mergeClasses(prog, f, byObj, s)
 			if len(merged) != before {
@@ -147,69 +123,57 @@ func computeFacts(prog *Program, pkg *Package) {
 	}
 }
 
-// collectTypeFacts records directives attached to a type declaration:
-// //sqlcm:lock classes on struct mutex fields, //sqlcm:cancelpoint on
-// interface method declarations (so dynamic dispatch through the
-// interface inherits the fact).
+// collectTypeFacts records the directives on a struct type's fields:
+// //sqlcm:lock classes on mutex fields, the fields they guard, and
+// //sqlcm:cow snapshots.
 func collectTypeFacts(info *types.Info, f *Facts, pkgName string, ts *ast.TypeSpec) {
-	switch t := ts.Type.(type) {
-	case *ast.StructType:
-		qual := pkgName + "." + ts.Name.Name + "."
-		// First pass: field-name → object map (guards lists name siblings)
-		// and the per-field directives.
-		fieldObjs := map[string]types.Object{}
-		for _, field := range t.Fields.List {
-			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil {
-					fieldObjs[name.Name] = obj
-				}
-			}
-			for dir, into := range map[string]map[types.Object]string{"guarded-by": f.GuardedBy, "cow": f.CowFields} {
-				class, ok := fieldDirective(field, dir)
-				if !ok || class == "" {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := info.Defs[name]; obj != nil {
-						into[obj] = class
-						f.Guards[class] = append(f.Guards[class], qual+name.Name)
-					}
-				}
+	t, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	qual := pkgName + "." + ts.Name.Name + "."
+	// First pass: field-name → object map (guards lists name siblings)
+	// and the per-field directives.
+	fieldObjs := map[string]types.Object{}
+	for _, field := range t.Fields.List {
+		for _, name := range field.Names {
+			if obj := info.Defs[name]; obj != nil {
+				fieldObjs[name.Name] = obj
 			}
 		}
-		for _, field := range t.Fields.List {
-			class, after, ok, bad := lockDirective(field)
-			if !ok || bad != "" {
-				continue // missing and malformed annotations are lockorder findings
+		for dir, into := range map[string]map[types.Object]string{"guarded-by": f.GuardedBy, "cow": f.CowFields} {
+			class, ok := fieldDirective(field, dir)
+			if !ok || class == "" {
+				continue
 			}
 			for _, name := range field.Names {
 				if obj := info.Defs[name]; obj != nil {
-					f.LockFields[obj] = class
-					f.LockDecls = append(f.LockDecls, LockDecl{Class: class, After: after, Field: qual + name.Name, Pos: field.Pos()})
-				}
-			}
-			// //sqlcm:guards <field,...> on the mutex binds the named
-			// sibling fields to this class ("none" declares explicitly that
-			// the mutex guards no plain fields). Unresolvable names are
-			// diagnosed by the guardedby analyzer, not here.
-			if list, ok := fieldDirective(field, "guards"); ok {
-				for _, fname := range splitGuardsList(list) {
-					if obj := fieldObjs[fname]; obj != nil && fname != "none" {
-						f.GuardedBy[obj] = class
-						f.Guards[class] = append(f.Guards[class], qual+fname)
-					}
+					into[obj] = class
+					f.Guards[class] = append(f.Guards[class], qual+name.Name)
 				}
 			}
 		}
-	case *ast.InterfaceType:
-		for _, m := range t.Methods.List {
-			for _, name := range m.Names {
-				obj := info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if _, ok := fieldDirective(m, "cancelpoint"); ok {
-					f.CancelCapable[obj] = true
+	}
+	for _, field := range t.Fields.List {
+		class, after, ok, bad := lockDirective(field)
+		if !ok || bad != "" {
+			continue // missing and malformed annotations are lockorder findings
+		}
+		for _, name := range field.Names {
+			if obj := info.Defs[name]; obj != nil {
+				f.LockFields[obj] = class
+				f.LockDecls = append(f.LockDecls, LockDecl{Class: class, After: after, Field: qual + name.Name, Pos: field.Pos()})
+			}
+		}
+		// //sqlcm:guards <field,...> on the mutex binds the named
+		// sibling fields to this class ("none" declares explicitly that
+		// the mutex guards no plain fields). Unresolvable names are
+		// diagnosed by the guardedby analyzer, not here.
+		if list, ok := fieldDirective(field, "guards"); ok {
+			for _, fname := range splitGuardsList(list) {
+				if obj := fieldObjs[fname]; obj != nil && fname != "none" {
+					f.GuardedBy[obj] = class
+					f.Guards[class] = append(f.Guards[class], qual+fname)
 				}
 			}
 		}
@@ -222,46 +186,21 @@ func summarizeFunc(prog *Program, pkg *Package, fn *ast.FuncDecl, obj types.Obje
 	info := pkg.Info
 	s := &funcSummary{obj: obj, classes: map[string]bool{}}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isCtxCancelCheck(info, n) {
-				s.directCancel = true
-			}
-			if callee := calleeOf(info, n); callee != nil {
-				s.callees = append(s.callees, callee)
-			}
-			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && lockAcquireOps[sel.Sel.Name] {
-				if class, ok := lockClassOf(prog, info, sel.X); ok {
-					s.classes[class] = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && isStopChan(info.TypeOf(n.X)) {
-				s.directCancel = true
-			}
-		case *ast.RangeStmt:
-			if _, ok := info.TypeOf(n.X).Underlying().(*types.Chan); ok {
-				s.directCancel = true
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if callee := calleeOf(info, call); callee != nil {
+			s.callees = append(s.callees, callee)
+		}
+		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && lockAcquireOps[sel.Sel.Name] {
+			if class, ok := lockClassOf(prog, info, sel.X); ok {
+				s.classes[class] = true
 			}
 		}
 		return true
 	})
 	return s
-}
-
-func anyCancelCapable(prog *Program, f *Facts, local map[types.Object]*funcSummary, callees []types.Object) bool {
-	for _, c := range callees {
-		if f.CancelCapable[c] {
-			return true
-		}
-		if _, samePkg := local[c]; samePkg {
-			continue // resolved by the fixpoint
-		}
-		if ff := prog.FactsFor(c); ff != nil && ff.CancelCapable[c] {
-			return true
-		}
-	}
-	return false
 }
 
 func mergeClasses(prog *Program, f *Facts, local map[types.Object]*funcSummary, s *funcSummary) []string {
@@ -339,40 +278,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// isCtxCancelCheck reports whether the call is ctx.Err() or ctx.Done()
-// on a context.Context value.
-func isCtxCancelCheck(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Err" && sel.Sel.Name != "Done") {
-		return false
-	}
-	return isContextType(info.TypeOf(sel.X))
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "context" && named.Obj().Name() == "Context"
-}
-
-// isStopChan reports whether t is a channel of empty structs — the
-// conventional stop/done signal type.
-func isStopChan(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
-}
-
 // splitGuardsList parses the argument of //sqlcm:guards: field names
 // separated by commas (spaces tolerated).
 func splitGuardsList(list string) []string {
@@ -429,8 +334,8 @@ func directiveIn(cg *ast.CommentGroup, name string) (string, bool) {
 	return "", false
 }
 
-// fieldDirective scans a struct-field or interface-method declaration's
-// doc and trailing comments for //sqlcm:<name>.
+// fieldDirective scans a struct-field declaration's doc and trailing
+// comments for //sqlcm:<name>.
 func fieldDirective(field *ast.Field, name string) (string, bool) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if arg, ok := directiveIn(cg, name); ok {

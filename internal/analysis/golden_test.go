@@ -13,19 +13,17 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current analyzer output")
 
 // TestSeededFixtureGoldens pins the exact diagnostics for one seeded
-// defect per analyzer: a poll-free row loop, an
-// unguarded field access, an in-place COW mutation, the seeded lock bugs
-// — order inversion, missing unlock, send and enqueue under a lock,
-// unannotated mutex, cyclic declaration, a cross-package ordering edge
-// proved through the sibling package's real facts, a nesting two
-// same-package calls deep, and calls through an interface method or a
-// function value under a latch — and misspelled
-// and reasonless directives. Each fixture also carries the fixed
+// defect per analyzer: an unguarded field access, an in-place COW
+// mutation, the seeded lock bugs — order inversion, missing unlock, send
+// and enqueue under a lock, unannotated mutex, cyclic declaration, a
+// cross-package ordering edge proved through the sibling package's real
+// facts, a nesting two same-package calls deep, and calls through an
+// interface method or a function value under a latch — and misspelled,
+// deleted and reasonless directives. Each fixture also carries the fixed
 // shape of the same pattern, so the goldens prove both that the defect
 // fires and that the repair silences it.
 func TestSeededFixtureGoldens(t *testing.T) {
 	cases := []string{
-		"loopnopoll",
 		"guardmiss",
 		"cowinplace",
 		"seededinversion",

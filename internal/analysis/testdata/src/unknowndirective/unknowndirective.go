@@ -1,14 +1,15 @@
 // Package unknowndirective seeds directive typos. Each would switch a
 // check off without a word: the misspelled guards list leaves n
 // unguarded, so the unlocked read in peek would pass guardedby, and the
-// misspelled cancellable marker leaves drain's loop unchecked. A verb
-// whose check was deleted reads the same way. A bare allow suppresses
-// without saying why. The repaired shapes (reg2, drain2) report nothing.
+// misspelled hotpath marker lets stamp read the clock unflagged. A
+// leftover verb whose check was deleted, like the cancellable marker on
+// drain, reads the same way. A bare allow suppresses without saying why.
+// The repaired shapes (reg2, stamp2) report nothing.
 package unknowndirective
 
 import (
-	"context"
 	"sync"
+	"time"
 )
 
 type reg struct {
@@ -20,7 +21,10 @@ type reg struct {
 
 func (r *reg) peek() int { return r.n }
 
-//sqlcm:cancelable
+//sqlcm:hotpth
+func stamp() int64 { return time.Now().UnixNano() }
+
+//sqlcm:cancellable
 func drain(rows []int) (sum int) {
 	for _, v := range rows {
 		sum += v
@@ -46,13 +50,7 @@ func (r *reg2) peek() int {
 	return r.n
 }
 
-//sqlcm:cancellable
-func drain2(ctx context.Context, rows []int) (sum int, err error) {
-	for _, v := range rows {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		sum += v
-	}
-	return sum, nil
-}
+// stamp2 takes the time its caller already read.
+//
+//sqlcm:hotpath
+func stamp2(now time.Time) int64 { return now.UnixNano() }

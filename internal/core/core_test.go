@@ -84,12 +84,29 @@ func TestSlowQueryPersistRule(t *testing.T) {
 func TestExample1OutlierDetection(t *testing.T) {
 	// Example 1: detect stored-procedure instances 5x slower than average,
 	// grouped by logical signature. We use a procedure whose work depends
-	// on a parameter to create genuine duration differences.
+	// on a parameter to create genuine duration differences. The table is
+	// the test's own and large: the outlier reads 20 000 rows against the
+	// baseline's one, so its duration stays far above 5x the average even
+	// when a preempted baseline call inflates it.
+	const outlierRows = 20000
 	eng, s := newMonitored(t)
 	sess := eng.NewSession("dba", "app")
-	seed(t, sess)
+	mustExec(t, sess, "CREATE TABLE readings (id INT PRIMARY KEY, val FLOAT)")
+	var ins strings.Builder
+	for i := 1; i <= outlierRows; i++ {
+		if ins.Len() == 0 {
+			ins.WriteString("INSERT INTO readings VALUES ")
+		} else {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %d)", i, i)
+		if i%1000 == 0 {
+			mustExec(t, sess, ins.String())
+			ins.Reset()
+		}
+	}
 	mustExec(t, sess, `CREATE PROCEDURE lookup (@lo INT, @hi INT) AS BEGIN
-		SELECT SUM(val) FROM items WHERE id >= @lo AND id <= @hi;
+		SELECT SUM(val) FROM readings WHERE id >= @lo AND id <= @hi;
 	END`)
 
 	if _, err := s.DefineLAT(lat.Spec{
@@ -115,11 +132,9 @@ func TestExample1OutlierDetection(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		mustExec(t, sess, "EXEC lookup 5, 5")
 	}
-	// Outlier candidate: same template, vastly more work. Query durations
-	// are microseconds; scanning 200x the rows repeatedly should exceed
-	// 5x average at least once.
+	// Outlier candidate: same template, 20 000x the rows.
 	for i := 0; i < 5; i++ {
-		mustExec(t, sess, "EXEC lookup 1, 200")
+		mustExec(t, sess, fmt.Sprintf("EXEC lookup 1, %d", outlierRows))
 	}
 	flush(t, s)
 	rows, err := eng.ReadTableDirect("outliers")

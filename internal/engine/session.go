@@ -541,8 +541,6 @@ func (s *Session) execProcedure(call *sqlparser.Exec, callerParams map[string]sq
 
 // execProcBody runs procedure statements, returning the result of the last
 // row-returning statement.
-//
-//sqlcm:cancellable
 func (s *Session) execProcBody(body []sqlparser.Statement, locals map[string]sqltypes.Value) (*Result, error) {
 	var last *Result
 	for _, stmt := range body {

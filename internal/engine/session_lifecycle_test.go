@@ -205,34 +205,47 @@ type cancelOnStart struct {
 
 func (h *cancelOnStart) QueryStart(*QueryInfo) { h.sess.CancelCurrent(CancelTimeout) }
 
-// TestInsertDeadlineLandsAtRowBoundary: a timeout that lands once a large
-// multi-row INSERT has started cancels the statement at the
-// row-iteration boundary (the cancelpoint analyzer's contract for
-// ExecInsert) and leaves no partial rows behind. The cancel comes from a
-// QueryStart hook: the statement has registered and holds no lock yet, so
-// only the executor's own poll can catch it.
-func TestInsertDeadlineLandsAtRowBoundary(t *testing.T) {
-	e := newTestEngine(t)
-	defer testutil.CheckLeaks(t)()
-	s := e.NewSession("alice", "app")
-	mustExec(t, s, "CREATE TABLE big (id INT PRIMARY KEY, v FLOAT)")
-	var b strings.Builder
-	b.WriteString("INSERT INTO big (id, v) VALUES ")
-	for i := 0; i < 500; i++ {
-		if i > 0 {
-			b.WriteString(", ")
+// TestDMLDeadlineLandsAtRowBoundary: a timeout that lands once a
+// multi-row INSERT, UPDATE or DELETE has started cancels the statement
+// at a row boundary and leaves the table as it was. The cancel comes from
+// a QueryStart hook: the statement has registered and holds no lock yet,
+// so only the executor's own polls can catch it (the INSERT's per-row
+// poll, the target cursor's for UPDATE and DELETE).
+func TestDMLDeadlineLandsAtRowBoundary(t *testing.T) {
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO big (id, v) VALUES ")
+	for i := 500; i < 1000; i++ {
+		if i > 500 {
+			ins.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "(%d, %d.5)", i, i)
+		fmt.Fprintf(&ins, "(%d, %d.5)", i, i)
 	}
-	e.SetHooks(&cancelOnStart{sess: s})
-	var ce *CancelledError
-	if _, err := s.Exec(b.String(), nil); !errors.As(err, &ce) || ce.Reason != CancelTimeout {
-		t.Fatalf("insert cancelled at start: got %v, want CancelledError with reason timeout", err)
-	}
-	e.SetHooks(nil)
-	res := mustExec(t, s, "SELECT * FROM big")
-	if len(res.Rows) != 0 {
-		t.Fatalf("cancelled insert left %d rows", len(res.Rows))
+	for _, tc := range []struct{ name, sql string }{
+		{"INSERT", ins.String()},
+		{"UPDATE", "UPDATE big SET v = v + 1"},
+		{"DELETE", "DELETE FROM big"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t)
+			defer testutil.CheckLeaks(t)()
+			s := e.NewSession("alice", "app")
+			mustExec(t, s, "CREATE TABLE big (id INT PRIMARY KEY, v FLOAT)")
+			mustExec(t, s, "BEGIN")
+			for i := 0; i < 500; i++ {
+				mustExec(t, s, fmt.Sprintf("INSERT INTO big VALUES (%d, %d.5)", i, i))
+			}
+			mustExec(t, s, "COMMIT")
+			e.SetHooks(&cancelOnStart{sess: s})
+			var ce *CancelledError
+			if _, err := s.Exec(tc.sql, nil); !errors.As(err, &ce) || ce.Reason != CancelTimeout {
+				t.Fatalf("%s cancelled at start: got %v, want CancelledError with reason timeout", tc.name, err)
+			}
+			e.SetHooks(nil)
+			res := mustExec(t, s, "SELECT COUNT(*), SUM(v) FROM big")
+			if n, sum := res.Rows[0][0].Int(), res.Rows[0][1].Float(); n != 500 || sum != 125000 {
+				t.Fatalf("cancelled %s changed the table: %d rows, sum %g; want 500 rows, sum 125000", tc.name, n, sum)
+			}
+		})
 	}
 }
 

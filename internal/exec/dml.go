@@ -119,8 +119,6 @@ func (w *Write) RowLocked() bool { return w.rowLocked }
 
 // Exec runs the statement, returning the number of rows it inserted,
 // changed or removed.
-//
-//sqlcm:cancellable
 func (w *Write) Exec(ctx *Ctx) (int64, error) {
 	if w.ins != nil {
 		return w.insert(ctx)
@@ -129,11 +127,19 @@ func (w *Write) Exec(ctx *Ctx) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return w.apply(ctx, targets)
+}
+
+// apply deletes or updates each collected target. It polls cancellation
+// before every row, so a cancel that lands after the targets were
+// collected still stops the statement before its next change.
+func (w *Write) apply(ctx *Ctx, targets []targetRow) (int64, error) {
 	var n int64
 	for _, tgt := range targets {
 		if err := ctx.checkCancel(); err != nil {
 			return n, err
 		}
+		var err error
 		if w.del {
 			err = deleteRow(ctx, w.ts, tgt.rid, tgt.row, w.cat)
 		} else {
@@ -148,8 +154,6 @@ func (w *Write) Exec(ctx *Ctx) (int64, error) {
 }
 
 // insert evaluates and inserts each VALUES row.
-//
-//sqlcm:cancellable
 func (w *Write) insert(ctx *Ctx) (int64, error) {
 	cols, p := w.ts.Meta.Columns, w.ins
 	var n int64
@@ -158,7 +162,6 @@ func (w *Write) insert(ctx *Ctx) (int64, error) {
 			return n, err
 		}
 		row := make(Row, len(cols)) // the zero Value is NULL
-		//sqlcm:allow bounded by one row's width
 		for j, ev := range evals {
 			v, err := ev.Eval(ctx.env(nil))
 			if err != nil {
@@ -273,8 +276,6 @@ type targetRow struct {
 // protection). A row-locked write locks each entry's row before the
 // cursor reads it: no other writer then has an uncommitted version on the
 // chain, and the current view is the newest commit.
-//
-//sqlcm:cancellable
 func (w *Write) collectTargets(ctx *Ctx) ([]targetRow, error) {
 	var cur Cursor
 	if err := cur.open(w.ts, ctx.Current(), w.access, ctx); err != nil {
@@ -304,7 +305,6 @@ func (w *Write) collectTargets(ctx *Ctx) ([]targetRow, error) {
 func (w *Write) update(ctx *Ctx, tgt targetRow) error {
 	cols := w.ts.Meta.Columns
 	newRow := tgt.row.Clone()
-	//sqlcm:allow bounded by the statement's SET list
 	for i, s := range w.sets {
 		v, err := w.setEvs[i].Eval(ctx.env(tgt.row))
 		if err != nil {

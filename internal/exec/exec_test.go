@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -88,11 +90,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		}
 		return nil, 0, ts.AddIndex(&Ctx{}, ix)
 	}
-	l, err := plan.BuildLogical(stmt, h.cat)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := plan.Optimize(l, h.cat)
+	p, err := h.physical(stmt)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -114,6 +112,15 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		rows, err := Run(op, ctx)
 		return rows, int64(len(rows)), err
 	}
+}
+
+// physical plans stmt against the harness catalog.
+func (h *harness) physical(stmt sqlparser.Statement) (plan.Physical, error) {
+	l, err := plan.BuildLogical(stmt, h.cat)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Optimize(l, h.cat)
 }
 
 func (h *harness) setupItems() {
@@ -479,6 +486,52 @@ func TestCancellationStopsScan(t *testing.T) {
 		t.Fatal("cancelled txn should not execute")
 	}
 	h.tm.Rollback(tx) //nolint:errcheck
+}
+
+// TestApplyStopsAtCancelAfterCollect: a cancel that lands once an UPDATE
+// or DELETE has collected its targets stops the statement before its
+// first change. The cursor's polls have all passed by then, so only
+// apply's own poll can catch it; without it the timed-out statement
+// would change every row and could commit.
+func TestApplyStopsAtCancelAfterCollect(t *testing.T) {
+	for _, sql := range []string{
+		"UPDATE items SET qty = qty + 100 WHERE id <= 5",
+		"DELETE FROM items WHERE id <= 5",
+	} {
+		t.Run(strings.Fields(sql)[0], func(t *testing.T) {
+			h := newHarness(t)
+			h.setupItems()
+			stmt, err := sqlparser.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := h.physical(stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := CompileWrite(p, h.reg, h.cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := h.tm.Begin(false)
+			defer h.tm.Rollback(tx) //nolint:errcheck
+			ctx := &Ctx{Txn: tx}
+			targets, err := w.collectTargets(ctx)
+			if err != nil || len(targets) != 5 {
+				t.Fatalf("collectTargets: %d targets, %v; want 5", len(targets), err)
+			}
+			tx.Cancel()
+			if n, err := w.apply(ctx, targets); !errors.Is(err, txn.ErrCancelled) || n != 0 {
+				t.Fatalf("apply after cancel: %d rows, %v; want 0 rows and ErrCancelled", n, err)
+			}
+			for _, tgt := range targets {
+				cr, live := w.ts.Vers.ReadAt(tgt.rid, ctx.Current())
+				if !live || !bytes.Equal(cr.Rec, EncodeRow(tgt.row)) {
+					t.Fatalf("row %d changed by a cancelled %s", tgt.rid, strings.Fields(sql)[0])
+				}
+			}
+		})
+	}
 }
 
 func TestTableLessExpressions(t *testing.T) {

@@ -63,15 +63,11 @@ func (c *Ctx) Current() storage.Snapshot {
 
 // lockRow takes the X lock of the row at rid of ts for the statement's
 // transaction, waiting behind the row's writer if it has one.
-//
-//sqlcm:cancellable
 func (c *Ctx) lockRow(ts *TableStore, rid storage.RID) error {
 	return c.Locks.AcquireTagged(c.Txn.ID, lock.RowResource(ts.Meta.Name, rid), lock.Exclusive, c.LockTag)
 }
 
 // checkCancel polls the transaction's cancellation flag.
-//
-//sqlcm:cancelpoint
 func (c *Ctx) checkCancel() error {
 	if c.Txn == nil {
 		return nil
@@ -89,7 +85,6 @@ type Operator interface {
 	// implementation polls the transaction's cancellation flag at its
 	// iteration boundary, so a loop draining an operator is cancellable
 	// by construction.
-	//sqlcm:cancelpoint
 	Next(ctx *Ctx) (Row, error)
 	// Close releases resources and drops every reference to rows, so a
 	// tree kept for reuse pins no memory. Close is idempotent.
@@ -162,8 +157,6 @@ func Build(p plan.Physical, sp StoreProvider) (Operator, error) {
 }
 
 // Run drains an operator, returning all rows.
-//
-//sqlcm:cancellable
 func Run(op Operator, ctx *Ctx) ([]Row, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
@@ -204,7 +197,6 @@ func (s *scanOp) Open(ctx *Ctx) error {
 	return s.cur.open(s.store, ctx.Snapshot(), s.access, ctx)
 }
 
-//sqlcm:cancellable
 func (s *scanOp) Next(ctx *Ctx) (Row, error) {
 	for {
 		_, row, err := s.cur.Next(ctx)

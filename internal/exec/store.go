@@ -308,8 +308,6 @@ func (c *Cursor) seek(r keyRange) error {
 // Next returns the next visible row and its RID, or a nil row
 // at the end. It counts the row into ctx.RowsExamined and records the
 // version-chain walk in ctx.MaxChain.
-//
-//sqlcm:cancellable
 func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 	ncols := len(c.ts.Meta.Columns)
 	for end := len(c.rows) + len(c.entries); c.pos < end; {

@@ -175,8 +175,6 @@ func (m *Manager) SetNotifier(n Notifier) {
 // are held. It returns ErrDeadlock if waiting would close a cycle,
 // ErrCancelled if Cancel(txn) is called while waiting, and ErrTimeout when
 // the configured timeout elapses.
-//
-//sqlcm:cancellable
 func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
 	//sqlcm:allow AcquireTagged releases the latch on every path (the waits through waitLocked)
 	return m.AcquireTagged(txn, res, mode, nil)
@@ -184,8 +182,6 @@ func (m *Manager) Acquire(txn TxnID, res Resource, mode Mode) error {
 
 // AcquireTagged is Acquire with a tag that ReleasedWithWaiters reports for
 // txn should it wait.
-//
-//sqlcm:cancellable
 func (m *Manager) AcquireTagged(txn TxnID, res Resource, mode Mode, tag any) error {
 	m.mu.Lock()
 	q := m.queues[res]

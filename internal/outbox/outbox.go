@@ -336,7 +336,6 @@ func (o *Outbox) addDeadLetter(d DeadLetter) {
 	o.dlMu.Unlock()
 }
 
-//sqlcm:cancellable
 func (o *Outbox) worker(ks *kindState) {
 	defer o.wg.Done()
 	for job := range ks.queue {
@@ -346,8 +345,6 @@ func (o *Outbox) worker(ks *kindState) {
 }
 
 // runJob executes one job through the retry loop.
-//
-//sqlcm:cancellable
 func (o *Outbox) runJob(ks *kindState, job Job) {
 	var lastErr error
 	for attempt := 1; attempt <= o.cfg.MaxAttempts; attempt++ {

@@ -110,8 +110,6 @@ func (t *Txn) Cancel() { t.cancelled.Store(true) }
 func (t *Txn) Cancelled() bool { return t.cancelled.Load() }
 
 // CheckCancelled returns ErrCancelled once the transaction is cancelled.
-//
-//sqlcm:cancelpoint
 func (t *Txn) CheckCancelled() error {
 	if t.cancelled.Load() {
 		return fmt.Errorf("%w (txn %d)", ErrCancelled, t.ID)

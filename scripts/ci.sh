@@ -13,8 +13,7 @@ cd "$(dirname "$0")/.."
 go build ./...
 
 # Lint tier: go vet, the in-repo analyzers (`sqlcm-vet -analyzers` lists
-# them: hotpath — no clock reads on the hot path; cancelpoint —
-# cancellation points; guardedby —
+# them: hotpath — no clock reads on the hot path; guardedby —
 # //sqlcm:guards field access; cowpublish — //sqlcm:cow publish checking;
 # lockorder — the //sqlcm:lock hierarchy: order down every call chain,
 # in this package or another, unlock balance, sends under latches, calls
@@ -46,6 +45,10 @@ go test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
 # readers walk them; CREATE INDEX publishes the index set under point SELECTs.
 go test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
 go test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
+# The outlier rule compares wall times: its test failed in loaded runs
+# while the outlier cost only a few baseline calls. Twenty runs keep it
+# honest now that the outlier reads 20 000x the baseline's rows.
+go test -count=20 -run TestExample1OutlierDetection ./internal/core
 go test -race -count=1 ./internal/faults/ ./internal/outbox/
 
 # Serve-smoke tier: a short open-loop load run against the in-process
@@ -116,6 +119,7 @@ go test -run='^$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 # Mutation tier (`make mutate`, scripts/mutate.sh) is not run here: it
 # applies every internal/analysis/testdata/mutations/*.patch to a fresh
 # copy of the tree and runs each one through vet, sqlcm-vet -code, test,
-# race, sim and chaos — about 100 minutes for the 36 patches on a 2-CPU
+# race, sim and chaos — about 100 minutes for the 37 patches on a 2-CPU
 # host. Run it when an analyzer, a directive or a runtime tier
-# changes; its table is DESIGN.md §12.
+# changes; its table is DESIGN.md §12, and its last line names any
+# analyzer that is the sole catcher of no row.

@@ -21,11 +21,14 @@
 # other tier that catches it (with the first failure line as evidence),
 # and whether the patch's own analyzer is its sole catcher. A first row
 # runs the unmutated tree through every tier: if that fails, no row below
-# it means anything.
+# it means anything. A full run ends with the keep rule's verdict: the
+# analyzers `sqlcm-vet -analyzers` lists that are the sole catcher of no
+# row, or "none" (DESIGN.md §12 keeps an analyzer only while it is the
+# sole catcher of some seeded bug).
 #
 #   scripts/mutate.sh [ref=HEAD] [mutation ...]     (or: make mutate)
 #
-# The 36 patches take about 100 minutes on a 2-CPU host: a mutation caught
+# The 37 patches take about 100 minutes on a 2-CPU host: a mutation caught
 # by go test stops there (ten minutes when it hangs a test into the
 # timeout twice), one only an analyzer catches runs every tier. CI does
 # not run it on every push; see scripts/ci.sh.
@@ -60,6 +63,9 @@ evidence() {
 		sed -e 's/|/\\|/g' -e 's/^[[:space:]]*//' | cut -c1-110
 }
 
+# kept lists the analyzers that are the sole catcher of some row so far.
+kept=""
+
 # run <copy> <name> <analyzer>: one table row.
 run() {
 	local dir="$1" name="$2" own="$3" found caught="—" why="" sole=no
@@ -85,6 +91,7 @@ run() {
 		sole=—
 	elif [ "$found" = "$own" ] && [ "$caught" = "—" ]; then
 		sole=yes
+		kept="$kept $own"
 	fi
 	echo "| $name | ${found:-—} | $caught | ${why:-} | $sole |"
 }
@@ -105,3 +112,9 @@ for patch in "$mutations"/*.patch; do
 	fi
 	run "$tmp/m" "$name" "${name%-*}"
 done
+if [ "$#" -eq 0 ]; then
+	idle=$(cd "$tmp/base" && go run ./cmd/sqlcm-vet -analyzers | awk '{print $1}' |
+		grep -vxF -f <(printf '%s\n' $kept) | paste -sd' ' -) || true
+	echo
+	echo "sole catcher of no row: ${idle:-none}"
+fi
