@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -25,28 +26,14 @@ func main() {
 		mustExec(setup, fmt.Sprintf("INSERT INTO docs VALUES (%d, 'u%d', %d)", i, i%13, i*17))
 	}
 
-	// Per-(application, template) usage summary.
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "Usage",
-		GroupBy: []string{"Application", "Logical_Signature"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Count, Name: "Freq"},
-			{Func: sqlcm.Avg, Attr: "Duration", Name: "Avg_Dur"},
-			{Func: sqlcm.Max, Attr: "Duration", Name: "Max_Dur"},
-			{Func: sqlcm.First, Attr: "Query_Text", Name: "Sample"},
-		},
-	}); err != nil {
+	// The Usage LAT summarizes usage per (application, template); on each
+	// timer alarm the flush rule persists the summary and resets the
+	// window. A .rules file cannot arm a timer, so the program does.
+	src, err := rulesets.FS.ReadFile("audit.rules")
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := db.NewRule("collect", "Query.Commit", "",
-		&sqlcm.InsertAction{LAT: "Usage"}); err != nil {
-		log.Fatal(err)
-	}
-	// Asynchronous flush: persist the summary and reset the window.
-	if _, err := db.NewRule("flush", "Timer.Alarm", "",
-		&sqlcm.PersistAction{Table: "usage_report", FromLAT: "Usage"},
-		&sqlcm.ResetAction{LAT: "Usage"},
-	); err != nil {
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 	if err := db.SetTimer("audit", 400*time.Millisecond, 2); err != nil {
@@ -73,10 +60,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("usage report (%d persisted window rows):\n", len(rows))
+	apps := map[string]bool{}
 	// Columns: Application, Logical_Signature, Freq, Avg_Dur, Max_Dur, Sample, sqlcm_ts.
 	for _, r := range rows {
 		fmt.Printf("  %-8s x%-5d avg=%8.1fus max=%8.1fus  %.50s\n",
 			r[0].Str(), r[2].Int(), r[3].Float()*1e6, r[4].Float()*1e6, r[5].Str())
+		apps[r[0].Str()] = true
+	}
+	if !apps["webapp"] || !apps["batch"] {
+		log.Fatalf("usage_report lacks rows for webapp or batch (has %v)", apps)
 	}
 }
 

@@ -6,10 +6,12 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"sync"
 	"time"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -25,25 +27,15 @@ func main() {
 		mustExec(setup, fmt.Sprintf("INSERT INTO inventory VALUES (%d, %d)", i, i*3))
 	}
 
-	// The LAT of Example 2: blocking statements with their total inflicted
-	// delay and how many waiters they held up.
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "Block_LAT",
-		GroupBy: []string{"Blocker.Query_Text"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Sum, Attr: "Blocked.Wait_Time", Name: "Total_Wait"},
-			{Func: sqlcm.Count, Name: "Waiters"},
-			{Func: sqlcm.Max, Attr: "Blocked.Wait_Time", Name: "Worst_Wait"},
-		},
-		OrderBy: []sqlcm.OrderKey{{Col: "Total_Wait", Desc: true}},
-		MaxRows: 20,
-	}); err != nil {
+	// Block_LAT holds blocking statements with their total inflicted delay
+	// and how many waiters they held up: on every lock release that freed
+	// waiters, the blocking rule charges each waiter's delay to the
+	// blocking statement.
+	src, err := rulesets.FS.ReadFile("blocking.rules")
+	if err != nil {
 		log.Fatal(err)
 	}
-	// Rule: on every lock release that freed waiters, charge each waiter's
-	// delay to the blocking statement.
-	if _, err := db.NewRule("blocking", "Query.Block_Released", "",
-		&sqlcm.InsertAction{LAT: "Block_LAT"}); err != nil {
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -73,9 +65,13 @@ func main() {
 
 	lt, _ := db.LAT("Block_LAT")
 	fmt.Println("statements ranked by total blocking delay inflicted:")
-	for _, row := range lt.Rows() {
+	rows := lt.Rows()
+	for _, row := range rows {
 		fmt.Printf("  total=%6.0fms waiters=%d worst=%6.0fms  %.60s\n",
 			row[1].Float()*1e3, row[2].Int(), row[3].Float()*1e3, row[0].Str())
+	}
+	if len(rows) == 0 || !strings.Contains(rows[0][0].Str(), "stock + 100") {
+		log.Fatal("the nightly job's UPDATE does not head Block_LAT")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -26,12 +27,13 @@ func main() {
 	}
 
 	// Watchdog: every 50ms, look at all active Query objects; cancel any
-	// running longer than 250ms, and notify the DBA.
-	if _, err := db.NewRule("governor", "Timer.Alarm", "Query.Duration > 0.25",
-		&sqlcm.SendMailAction{Address: "dba@example.com",
-			Text: "cancelling runaway query {Query.ID} of {Query.User} after {Query.Duration}s"},
-		&sqlcm.CancelAction{Class: "Query"},
-	); err != nil {
+	// running longer than 250ms, and notify the DBA. A .rules file cannot
+	// arm a timer, so the program does.
+	src, err := rulesets.FS.ReadFile("governor.rules")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 	if err := db.SetTimer("watchdog", 50*time.Millisecond, -1); err != nil {
@@ -39,27 +41,30 @@ func main() {
 	}
 
 	// The "runaway": a statement stuck behind a long transaction's lock.
-	// (Reads are MVCC snapshot reads and never wait, so the runaway is a
-	// second writer parked on the first writer's exclusive lock.)
+	// (Reads are MVCC snapshot reads and never wait, and writers lock
+	// rows, so the runaway is a second writer of the row the first writer
+	// holds.)
 	blocker := db.Session("batch", "bulk-update")
 	mustExec(blocker, "BEGIN")
 	mustExec(blocker, "UPDATE jobs SET state = 'running' WHERE id = 1")
 
 	victim := db.Session("analyst", "dashboard")
 	start := time.Now()
-	_, err = victim.Exec("UPDATE jobs SET state = 'retried' WHERE id = 2", nil)
+	_, err = victim.Exec("UPDATE jobs SET state = 'retried' WHERE id = 1", nil)
 	elapsed := time.Since(start)
 	mustExec(blocker, "COMMIT")
 
-	if err != nil {
-		fmt.Printf("runaway query cancelled by the governor after %v: %v\n", elapsed.Round(time.Millisecond), err)
-	} else {
-		fmt.Println("query survived (governor too slow?)")
+	if err == nil {
+		log.Fatal("query survived (governor too slow?)")
 	}
+	fmt.Printf("runaway query cancelled by the governor after %v: %v\n", elapsed.Round(time.Millisecond), err)
 	db.Flush(2 * time.Second) // actions run async; quiesce before reading
-	mailer := db.Monitor().Mailer().(*sqlcm.MemMailer)
-	for _, m := range mailer.Sent() {
+	sent := db.Monitor().Mailer().(*sqlcm.MemMailer).Sent()
+	for _, m := range sent {
 		fmt.Printf("mail to %s: %s\n", m.Addr, m.Body)
+	}
+	if len(sent) != 1 {
+		log.Fatalf("governor sent %d mails, want 1", len(sent))
 	}
 }
 

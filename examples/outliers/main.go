@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -30,34 +31,16 @@ func main() {
 	END`)
 
 	// Duration_LAT from §4.3 of the paper, with an aging average: old
-	// observations stop influencing the baseline after a minute.
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "Duration_LAT",
-		GroupBy: []string{"Logical_Signature"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Avg, Attr: "Duration", Name: "Avg_Duration", Aging: true},
-			{Func: sqlcm.Count, Name: "N"},
-		},
-		AgingWindow: time.Minute,
-		AgingBlock:  5 * time.Second,
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	// The paper's outlier rule, §5.2, verbatim:
+	// observations stop influencing the baseline after a minute. The
+	// outlier rule is the paper's §5.2 rule verbatim:
 	//   Event:     Query.Commit
 	//   Condition: Query.Duration > 5 * Duration_LAT.Avg_Duration
 	//   Action:    Query.Persist(TableName, Query_Text)
-	if _, err := db.NewRule("outlier", "Query.Commit",
-		"Query.Duration > 5 * Duration_LAT.Avg_Duration",
-		&sqlcm.PersistAction{Table: "outliers", Attrs: []string{"ID", "Query_Text", "Duration"}},
-		&sqlcm.SendMailAction{Address: "dba@example.com",
-			Text: "outlier instance {ID}: {Duration}s vs avg {Duration_LAT.Avg_Duration}s"},
-	); err != nil {
+	src, err := rulesets.FS.ReadFile("outliers.rules")
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := db.NewRule("maintain", "Query.Commit", "",
-		&sqlcm.InsertAction{LAT: "Duration_LAT"}); err != nil {
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -65,7 +48,10 @@ func main() {
 	for i := 0; i < 200; i++ {
 		mustExec(sess, fmt.Sprintf("EXEC order_report %d, %d", i*10+1, i*10+20))
 	}
-	// A problematic parameter combination: a full-table report.
+	db.Flush(2 * time.Second)
+	before, _ := db.ReadTable("outliers") // the table is created by the first outlier
+	// A problematic parameter combination: a full-table report. Its one
+	// statement is the only one that runs between the two reads.
 	mustExec(sess, "EXEC order_report 1, 5000")
 
 	db.Flush(2 * time.Second) // actions run async; quiesce before reading
@@ -80,6 +66,9 @@ func main() {
 	mailer := db.Monitor().Mailer().(*sqlcm.MemMailer)
 	for _, m := range mailer.Sent() {
 		fmt.Printf("mail to %s: %s\n", m.Addr, m.Body)
+	}
+	if len(rows) == len(before) {
+		log.Fatal("EXEC order_report 1, 5000 is not among the persisted outliers")
 	}
 }
 

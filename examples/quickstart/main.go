@@ -1,13 +1,17 @@
-// Quickstart: open a monitored database, declare one LAT and one rule
-// (the slow-query persist rule from §2.3 of the paper), run some SQL, and
-// inspect what the monitor collected.
+// Quickstart: open a monitored database, load one LAT and two rules from
+// examples/rulesets/quickstart.rules (among them the slow-query persist
+// rule from §2.3 of the paper), run some SQL, and inspect what the
+// monitor collected.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
+	"strings"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -17,30 +21,14 @@ func main() {
 	}
 	defer db.Close()
 
-	// A LAT grouping all statements by their logical signature (i.e. by
-	// query template) with execution statistics per template.
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "ByTemplate",
-		GroupBy: []string{"Logical_Signature"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Count, Name: "N"},
-			{Func: sqlcm.Avg, Attr: "Duration", Name: "Avg_Duration"},
-			{Func: sqlcm.Max, Attr: "Duration", Name: "Max_Duration"},
-			{Func: sqlcm.First, Attr: "Query_Text", Name: "Sample"},
-		},
-	}); err != nil {
+	// ByTemplate groups every committed statement by its logical
+	// signature (i.e. by query template) with execution statistics per
+	// template; the slow rule persists any statement slower than 100s.
+	src, err := rulesets.FS.ReadFile("quickstart.rules")
+	if err != nil {
 		log.Fatal(err)
 	}
-	// Rule: fold every committed statement into the LAT.
-	if _, err := db.NewRule("collect", "Query.Commit", "",
-		&sqlcm.InsertAction{LAT: "ByTemplate"}); err != nil {
-		log.Fatal(err)
-	}
-	// Rule: persist any statement slower than 100 seconds — the paper's
-	// §2.3 example, verbatim.
-	if _, err := db.NewRule("slow", "Query.Commit", "Query.Duration > 100",
-		&sqlcm.PersistAction{Table: "slow_queries", Attrs: []string{"ID", "Query_Text", "Duration"}},
-	); err != nil {
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -59,10 +47,17 @@ func main() {
 	lt, _ := db.LAT("ByTemplate")
 	fmt.Println("query templates observed (grouped by logical signature):")
 	fmt.Println()
+	var samples []string
 	for _, row := range lt.Rows() {
 		// Columns: Logical_Signature, N, Avg_Duration, Max_Duration, Sample.
 		fmt.Printf("  %4s x%-4d avg=%8.1fus  %.60s\n",
 			row[0].Str()[:4], row[1].Int(), row[2].Float()*1e6, row[4].Str())
+		samples = append(samples, row[4].Str())
+	}
+	for _, want := range []string{"INSERT INTO accounts", "FROM accounts WHERE id =", "GROUP BY owner"} {
+		if !slices.ContainsFunc(samples, func(s string) bool { return strings.Contains(s, want) }) {
+			log.Fatalf("ByTemplate has no template matching %q", want)
+		}
 	}
 }
 

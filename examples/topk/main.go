@@ -7,8 +7,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"sqlcm"
+	"sqlcm/examples/rulesets"
 )
 
 func main() {
@@ -24,22 +26,13 @@ func main() {
 		mustExec(sess, fmt.Sprintf("INSERT INTO events VALUES (%d, %d, 'payload-%d')", i, i%17, i))
 	}
 
-	// The LAT keeps only the 10 most expensive statement texts, ordered by
-	// duration; cheaper rows are evicted automatically (§4.3).
-	if _, err := db.DefineLAT(sqlcm.LATSpec{
-		Name:    "TopQ",
-		GroupBy: []string{"Query_Text"},
-		Aggs: []sqlcm.AggCol{
-			{Func: sqlcm.Max, Attr: "Duration", Name: "Duration"},
-			{Func: sqlcm.Count, Name: "Runs"},
-		},
-		OrderBy: []sqlcm.OrderKey{{Col: "Duration", Desc: true}},
-		MaxRows: 10,
-	}); err != nil {
+	// The TopQ LAT keeps only the 10 most expensive statement texts,
+	// ordered by duration; cheaper rows are evicted automatically (§4.3).
+	src, err := rulesets.FS.ReadFile("topk.rules")
+	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := db.NewRule("topq", "Query.Commit", "",
-		&sqlcm.InsertAction{LAT: "TopQ"}); err != nil {
+	if err := db.LoadRuleSet(string(src)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -60,9 +53,16 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("top-10 most expensive statements:")
+	scans := 0
 	for i, row := range res.Rows {
 		fmt.Printf("%2d. %8.3fms x%-4d %.60s\n",
 			i+1, row[1].Float()*1e3, row[2].Int(), row[0].Str())
+		if strings.Contains(row[0].Str(), "GROUP BY kind") {
+			scans++
+		}
+	}
+	if scans != 5 {
+		log.Fatalf("topq_report holds %d of the 5 GROUP BY scans", scans)
 	}
 }
 

@@ -2,14 +2,13 @@
 // against. Production code uses System (the wall clock); the simulation
 // harness in internal/sim substitutes a virtual clock whose timers fire
 // deterministically under a seeded scheduler, which is what makes
-// aging-window LATs, Timer.Alarm dispatch and outbox retry schedules
-// replayable bit-for-bit from a seed.
+// aging-window LATs and Timer.Alarm dispatch replayable bit-for-bit from
+// a seed.
 //
 // The interface is deliberately the small subset of package time the
-// monitoring subsystems actually use: reading the clock, one-shot timers
-// (channel- and callback-form) and sleeping. Components take a Clock at
-// construction and default to System, so embedders never notice the
-// indirection.
+// monitoring subsystems actually use: reading the clock, callback-form
+// one-shot timers and sleeping. Components take a Clock at construction
+// and default to System, so embedders never notice the indirection.
 package clock
 
 import "time"
@@ -18,13 +17,6 @@ import "time"
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// Since returns the elapsed time since t.
-	Since(t time.Time) time.Duration
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed (the channel-form one-shot timer).
-	After(d time.Duration) <-chan time.Time
-	// NewTimer returns a stoppable one-shot timer delivering on C after d.
-	NewTimer(d time.Duration) Timer
 	// AfterFunc arranges for f to run once d has elapsed. The real clock
 	// runs f on its own goroutine (time.AfterFunc semantics); a virtual
 	// clock may run f synchronously inside its advance step.
@@ -35,9 +27,6 @@ type Clock interface {
 
 // Timer is a stoppable one-shot timer.
 type Timer interface {
-	// C returns the delivery channel. Timers created by AfterFunc have no
-	// channel and return nil.
-	C() <-chan time.Time
 	// Stop cancels the timer. It reports whether the cancellation
 	// prevented the firing: false means the timer already fired (or its
 	// callback already started), mirroring time.Timer.Stop.
@@ -53,15 +42,6 @@ type Real struct{}
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
 
-// Since implements Clock.
-func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// After implements Clock.
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-// NewTimer implements Clock.
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{t: time.NewTimer(d)} }
-
 // AfterFunc implements Clock.
 func (Real) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{t: time.AfterFunc(d, f)}
@@ -71,7 +51,5 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
 type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
 
 func (r realTimer) Stop() bool { return r.t.Stop() }

@@ -9,35 +9,19 @@ func TestRealClockBasics(t *testing.T) {
 	c := Real{}
 	t0 := c.Now()
 	c.Sleep(time.Millisecond)
-	if c.Since(t0) <= 0 {
-		t.Fatal("Since not positive after Sleep")
-	}
-
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(time.Second):
-		t.Fatal("After never fired")
-	}
-
-	tm := c.NewTimer(time.Millisecond)
-	select {
-	case <-tm.C():
-	case <-time.After(time.Second):
-		t.Fatal("NewTimer never fired")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop after fire reported prevention")
+	if c.Now().Sub(t0) <= 0 {
+		t.Fatal("clock did not advance across Sleep")
 	}
 
 	done := make(chan struct{})
 	af := c.AfterFunc(time.Millisecond, func() { close(done) })
-	if af.C() != nil {
-		t.Fatal("AfterFunc timer must have no channel")
-	}
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("AfterFunc never ran")
+	}
+	if af.Stop() {
+		t.Fatal("Stop after fire reported prevention")
 	}
 }
 

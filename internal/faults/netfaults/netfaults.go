@@ -5,9 +5,8 @@
 // reads, mid-frame connection resets, response blackholes — chosen
 // deterministically from a seeded RNG keyed by accept sequence, so a
 // chaos run with a fixed seed afflicts the same accept positions with
-// the same toxics every time. Sleeps go through an injectable
-// clock.Clock (clock.System by default) so harnesses that virtualize
-// time can keep chaos schedules deterministic too.
+// the same toxics every time. Sleeps go through the connection's
+// clock.Clock (clock.System), which tests replace to elide them.
 //
 // The wrapper sits on the *server* side of the pair (the accepted conn),
 // which models a misbehaving or unlucky client as seen by the server:
@@ -68,19 +67,18 @@ type Plan struct {
 // it to decide which connections must still complete cleanly.
 func (p Plan) Lethal() bool { return p.ResetAfter > 0 || p.BlackholeAfter > 0 }
 
-// DefaultPlans is the standard toxic catalog: three benign degraders and
-// three lethal toxics. Thresholds are chosen so the protocol handshake
-// (~150 bytes each way) completes before a lethal toxic bites — the
-// interesting failures are mid-session, not failed dials.
-func DefaultPlans() []Plan {
-	return []Plan{
-		{Name: "latency", Latency: 2 * time.Millisecond, Jitter: 3 * time.Millisecond},
-		{Name: "bandwidth", BandwidthBps: 64 << 10},
-		{Name: "chunked", WriteChunk: 7, ChunkDelay: 200 * time.Microsecond},
-		{Name: "slowloris", SlowReadDelay: time.Millisecond},
-		{Name: "reset", ResetAfter: 4096},
-		{Name: "blackhole", BlackholeAfter: 2048},
-	}
+// plans is the toxic catalog afflicted connections draw from: three
+// benign degraders and three lethal toxics. Thresholds are chosen so the
+// protocol handshake (~150 bytes each way) completes before a lethal
+// toxic bites — the interesting failures are mid-session, not failed
+// dials.
+var plans = []Plan{
+	{Name: "latency", Latency: 2 * time.Millisecond, Jitter: 3 * time.Millisecond},
+	{Name: "bandwidth", BandwidthBps: 64 << 10},
+	{Name: "chunked", WriteChunk: 7, ChunkDelay: 200 * time.Microsecond},
+	{Name: "slowloris", SlowReadDelay: time.Millisecond},
+	{Name: "reset", ResetAfter: 4096},
+	{Name: "blackhole", BlackholeAfter: 2048},
 }
 
 // Config tunes a wrapped listener.
@@ -90,10 +88,6 @@ type Config struct {
 	Seed int64
 	// Fraction of accepted connections afflicted with a toxic, in [0,1].
 	Fraction float64
-	// Plans is the toxic catalog to sample from (DefaultPlans when nil).
-	Plans []Plan
-	// Clock supplies the sleeps (clock.System when nil).
-	Clock clock.Clock
 }
 
 // Stats is a point-in-time view of the injector's counters.
@@ -116,12 +110,6 @@ type Listener struct {
 
 // Wrap builds a fault-injecting listener over lis.
 func Wrap(lis net.Listener, cfg Config) *Listener {
-	if cfg.Clock == nil {
-		cfg.Clock = clock.System
-	}
-	if len(cfg.Plans) == 0 {
-		cfg.Plans = DefaultPlans()
-	}
 	return &Listener{Listener: lis, cfg: cfg}
 }
 
@@ -140,12 +128,12 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if rng.Float64() >= l.cfg.Fraction {
 		return nc, nil
 	}
-	plan := l.cfg.Plans[rng.Intn(len(l.cfg.Plans))]
+	plan := plans[rng.Intn(len(plans))]
 	l.afflicted.Add(1)
 	if plan.Lethal() {
 		l.lethal.Add(1)
 	}
-	return newConn(nc, plan, l.cfg.Clock, rng.Int63()), nil
+	return newConn(nc, plan, rng.Int63()), nil
 }
 
 // Stats snapshots the injector counters.
@@ -177,11 +165,11 @@ type Conn struct {
 	closeErr  error
 }
 
-func newConn(nc net.Conn, plan Plan, clk clock.Clock, seed int64) *Conn {
+func newConn(nc net.Conn, plan Plan, seed int64) *Conn {
 	return &Conn{
 		Conn:     nc,
 		plan:     plan,
-		clk:      clk,
+		clk:      clock.System,
 		readRng:  rand.New(rand.NewSource(seed)),
 		writeRng: rand.New(rand.NewSource(seed ^ -1)),
 	}

@@ -88,7 +88,7 @@ func TestDeterministicAffliction(t *testing.T) {
 func TestResetAfterBytes(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close() //nolint:errcheck
-	fc := newConn(a, Plan{ResetAfter: 10}, nil, 1)
+	fc := newConn(a, Plan{ResetAfter: 10}, 1)
 	fc.clk = testClock{}
 
 	// The deferred b.Close ends the copy with the pipe.
@@ -115,7 +115,7 @@ func TestResetAfterBytes(t *testing.T) {
 func TestSlowReadIsByteAtATime(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close() //nolint:errcheck
-	fc := newConn(a, Plan{SlowReadDelay: time.Microsecond}, nil, 1)
+	fc := newConn(a, Plan{SlowReadDelay: time.Microsecond}, 1)
 	fc.clk = testClock{}
 
 	// The test's reads drain the pipe; the deferred b.Close backstops.
@@ -133,7 +133,7 @@ func TestSlowReadIsByteAtATime(t *testing.T) {
 
 func TestBlackholeSwallowsWrites(t *testing.T) {
 	a, b := net.Pipe()
-	fc := newConn(a, Plan{BlackholeAfter: 4}, nil, 1)
+	fc := newConn(a, Plan{BlackholeAfter: 4}, 1)
 	fc.clk = testClock{}
 
 	done := make(chan struct{})

@@ -13,14 +13,7 @@ import (
 // only reads Now; the timer methods are unreachable here.
 type manualClock struct{ now time.Time }
 
-func (c *manualClock) Now() time.Time                  { return c.now }
-func (c *manualClock) Since(t time.Time) time.Duration { return c.now.Sub(t) }
-func (c *manualClock) After(time.Duration) <-chan time.Time {
-	panic("manualClock: After not supported")
-}
-func (c *manualClock) NewTimer(time.Duration) clock.Timer {
-	panic("manualClock: NewTimer not supported")
-}
+func (c *manualClock) Now() time.Time { return c.now }
 func (c *manualClock) AfterFunc(time.Duration, func()) clock.Timer {
 	panic("manualClock: AfterFunc not supported")
 }

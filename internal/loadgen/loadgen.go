@@ -50,28 +50,21 @@ type Config struct {
 	// &[6]int{85, 95, 99, 100, 100, 100} for 95% reads.
 	Mix *[6]int
 	// Keys is the lineitem key-space size the generator draws from
-	// (default 1000; must not exceed the loaded row count).
+	// (default 1000; must not exceed the loaded row count). Orders keys
+	// are drawn from Keys/4, the workload's orders-to-lineitem ratio.
 	Keys int
-	// OrderKeys is the orders key-space size (default Keys/4).
-	OrderKeys int
 	// Skew is the Zipf skew of key and statement choice (default 1.3).
 	Skew float64
 	// Seed drives the deterministic per-connection generators.
 	Seed int64
-	// User, App and Password are the connection identity.
-	User, App, Password string
-	// DialParallelism caps concurrent connection establishment (default 32).
-	DialParallelism int
+	// User and Password are the connection identity (the application
+	// name is "sqlcm-load").
+	User, Password string
 	// Reconnect makes workers survive transport failures: a broken
 	// connection is redialed with exponential backoff (and statements
 	// re-prepared) instead of retiring the worker. Initial dial failures
 	// are tolerated too — the worker keeps trying on its schedule.
 	Reconnect bool
-	// BackoffBase and BackoffMax bound the reconnect backoff (defaults
-	// 10ms and 500ms); each retry doubles the window, each sleep is
-	// jittered uniformly over the upper half of the window.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// ClientTimeout bounds each dial and request/response exchange
 	// (default: the client's own 30s). Chaos runs set it low so toxic
 	// connections fail fast instead of stalling the whole run.
@@ -91,26 +84,11 @@ func (c Config) withDefaults() Config {
 	if c.Keys == 0 {
 		c.Keys = 1000
 	}
-	if c.OrderKeys == 0 {
-		c.OrderKeys = c.Keys / 4
-	}
 	if c.Skew == 0 {
 		c.Skew = 1.3
 	}
 	if c.User == "" {
 		c.User = "load"
-	}
-	if c.App == "" {
-		c.App = "sqlcm-load"
-	}
-	if c.DialParallelism == 0 {
-		c.DialParallelism = 32
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 500 * time.Millisecond
 	}
 	return c
 }
@@ -233,7 +211,7 @@ func (wk *worker) count(c ErrClass) {
 // connect dials and installs the prepared-statement set.
 func (wk *worker) connect(cfg Config) error {
 	cli, err := server.Dial(cfg.Addr, server.ClientConfig{
-		User: cfg.User, App: cfg.App, Password: cfg.Password,
+		User: cfg.User, App: "sqlcm-load", Password: cfg.Password,
 		Timeout: cfg.ClientTimeout,
 	})
 	if err != nil {
@@ -258,10 +236,13 @@ func (wk *worker) dropConn() {
 }
 
 // reconnect redials with exponential backoff and jitter until it succeeds
-// or the deadline passes. Each failed attempt is classified and counted.
+// or the deadline passes: the backoff window starts at 10ms and doubles
+// per retry up to backoffMax. Each failed attempt is classified and
+// counted.
 func (wk *worker) reconnect(cfg Config, deadline time.Time) bool {
+	const backoffMax = 500 * time.Millisecond
 	wk.dropConn()
-	backoff := cfg.BackoffBase
+	backoff := 10 * time.Millisecond
 	for time.Now().Before(deadline) {
 		if err := wk.connect(cfg); err == nil {
 			wk.reconnects++
@@ -278,8 +259,8 @@ func (wk *worker) reconnect(cfg Config, deadline time.Time) bool {
 		if sleep > 0 {
 			time.Sleep(sleep)
 		}
-		if backoff *= 2; backoff > cfg.BackoffMax {
-			backoff = cfg.BackoffMax
+		if backoff *= 2; backoff > backoffMax {
+			backoff = backoffMax
 		}
 	}
 	return false
@@ -325,13 +306,13 @@ func Run(cfg Config) (Result, error) {
 		workers[i] = &worker{
 			r:    r,
 			lkey: workload.Zipf(r, cfg.Skew, cfg.Keys),
-			okey: workload.Zipf(r, cfg.Skew, cfg.OrderKeys),
+			okey: workload.Zipf(r, cfg.Skew, cfg.Keys/4),
 			w:    weights,
 		}
 	}
 	var dialWG sync.WaitGroup
 	dialErr := make(chan error, cfg.Conns)
-	sem := make(chan struct{}, cfg.DialParallelism)
+	sem := make(chan struct{}, 32) // caps concurrent connection establishment
 	for i, wk := range workers {
 		dialWG.Add(1)
 		go func(i int, wk *worker) {

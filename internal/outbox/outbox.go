@@ -16,12 +16,10 @@ package outbox
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sqlcm/internal/clock"
 )
 
 // Kind partitions jobs into independently queued and drained classes, so a
@@ -92,13 +90,6 @@ type Config struct {
 	// DrainTimeout bounds Close: how long to wait for queued jobs to
 	// finish before abandoning the rest (default 5s).
 	DrainTimeout time.Duration
-	// Clock is the time source for retry backoff, attempt deadlines and
-	// drain timeouts (default: the wall clock). The simulation harness
-	// injects a virtual clock so retry schedules are deterministic.
-	Clock clock.Clock
-	// Seed seeds the backoff-jitter RNG; 0 derives a seed from the clock
-	// (the production default), any other value makes jitter reproducible.
-	Seed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -119,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.Clock == nil {
-		c.Clock = clock.System
 	}
 	return c
 }
@@ -183,7 +171,6 @@ type kindState struct {
 // Outbox is the async action executor. Safe for concurrent use.
 type Outbox struct {
 	cfg   Config
-	clk   clock.Clock
 	kinds [int(numKinds)]kindState
 
 	// pending counts accepted-but-unfinished jobs (queued + executing).
@@ -200,27 +187,12 @@ type Outbox struct {
 	dlMu sync.Mutex
 	dl   []DeadLetter
 	dlAt int
-
-	// rngMu protects rng, which feeds backoff jitter.
-	//sqlcm:lock outbox.rng
-	//sqlcm:guards rng
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New starts an outbox with one worker per kind.
 func New(cfg Config) *Outbox {
 	cfg = cfg.withDefaults()
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = cfg.Clock.Now().UnixNano()
-	}
-	o := &Outbox{
-		cfg:     cfg,
-		clk:     cfg.Clock,
-		stopNow: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	o := &Outbox{cfg: cfg, stopNow: make(chan struct{})}
 	for k := range o.kinds {
 		o.kinds[k].queue = make(chan Job, cfg.QueueSize)
 		o.wg.Add(1)
@@ -272,7 +244,7 @@ func (o *Outbox) Close() error {
 	select {
 	case <-done:
 		return nil
-	case <-o.clk.After(o.cfg.DrainTimeout):
+	case <-time.After(o.cfg.DrainTimeout):
 		close(o.stopNow) // abort backoff waits and attempt waits
 		<-done
 		if n := o.Stats().Total(func(k KindStats) int64 { return k.Abandoned }); n > 0 {
@@ -286,12 +258,12 @@ func (o *Outbox) Close() error {
 // elapses), without closing the outbox. It reports whether the outbox is
 // idle. Tests and operators use it to observe a quiescent state.
 func (o *Outbox) Drain(timeout time.Duration) bool {
-	deadline := o.clk.Now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	for o.pending.Load() > 0 {
-		if o.clk.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			return false
 		}
-		o.clk.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	return true
 }
@@ -365,7 +337,7 @@ func (o *Outbox) runJob(ks *kindState, job Job) {
 		}
 		ks.retries.Add(1)
 		select {
-		case <-o.clk.After(o.backoff(attempt)):
+		case <-time.After(o.backoff(attempt)):
 		case <-o.stopNow:
 			ks.abandoned.Add(1)
 			return
@@ -377,7 +349,7 @@ func (o *Outbox) runJob(ks *kindState, job Job) {
 		Label:    job.Label,
 		Err:      lastErr.Error(),
 		Attempts: o.cfg.MaxAttempts,
-		At:       o.clk.Now(),
+		At:       time.Now(),
 	})
 }
 
@@ -395,12 +367,12 @@ func (o *Outbox) attempt(ks *kindState, job Job) error {
 		}()
 		result <- job.Do()
 	}()
-	t := o.clk.NewTimer(o.cfg.AttemptTimeout)
+	t := time.NewTimer(o.cfg.AttemptTimeout)
 	defer t.Stop()
 	select {
 	case err := <-result:
 		return err
-	case <-t.C():
+	case <-t.C:
 		ks.timeouts.Add(1)
 		return fmt.Errorf("%w after %s (job %q)", ErrAttemptTimeout, o.cfg.AttemptTimeout, job.Label)
 	case <-o.stopNow:
@@ -416,8 +388,5 @@ func (o *Outbox) backoff(attempt int) time.Duration {
 	if d > o.cfg.MaxBackoff || d <= 0 {
 		d = o.cfg.MaxBackoff
 	}
-	o.rngMu.Lock()
-	j := o.rng.Int63n(int64(d) + 1)
-	o.rngMu.Unlock()
-	return d/2 + time.Duration(j)/2
+	return d/2 + rand.N(d+1)/2
 }

@@ -45,19 +45,6 @@ func (c *Clock) Now() time.Time {
 	return c.now
 }
 
-// Since implements clock.Clock.
-func (c *Clock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// After implements clock.Clock.
-func (c *Clock) After(d time.Duration) <-chan time.Time { return c.NewTimer(d).C() }
-
-// NewTimer implements clock.Clock.
-func (c *Clock) NewTimer(d time.Duration) clock.Timer {
-	e := &vtimer{ch: make(chan time.Time, 1)}
-	c.register(d, e)
-	return vtimerRef{c: c, e: e}
-}
-
 // AfterFunc implements clock.Clock. The callback runs synchronously inside
 // the Advance call that reaches its deadline.
 func (c *Clock) AfterFunc(d time.Duration, f func()) clock.Timer {
@@ -73,7 +60,9 @@ func (c *Clock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-c.After(d)
+	done := make(chan struct{})
+	c.AfterFunc(d, func() { close(done) })
+	<-done
 }
 
 // register files a timer entry d from now.
@@ -118,16 +107,10 @@ func (c *Clock) AdvanceTo(target time.Time) {
 		if c.now.Before(e.at) {
 			c.now = e.at
 		}
-		at := c.now
 		c.mu.Unlock()
-		// Deliver outside the latch: callbacks may re-register timers or
-		// take downstream latches (rules.timer).
-		if e.ch != nil {
-			e.ch <- at
-		}
-		if e.fn != nil {
-			e.fn()
-		}
+		// Run outside the latch: callbacks may re-register timers or take
+		// downstream latches (rules.timer).
+		e.fn()
 	}
 }
 
@@ -136,7 +119,6 @@ type vtimer struct {
 	at      time.Time
 	seq     int64
 	fn      func()
-	ch      chan time.Time
 	heapIdx int
 	fired   bool
 	stopped bool
@@ -147,9 +129,6 @@ type vtimerRef struct {
 	c *Clock
 	e *vtimer
 }
-
-// C implements clock.Timer.
-func (t vtimerRef) C() <-chan time.Time { return t.e.ch }
 
 // Stop implements clock.Timer.
 func (t vtimerRef) Stop() bool {

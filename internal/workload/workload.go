@@ -31,8 +31,6 @@ type Config struct {
 	ShortQueries int
 	// JoinQueries is the number of join selections (paper: 100).
 	JoinQueries int
-	// JoinEvery interleaves one join query after this many short queries.
-	JoinEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -51,17 +49,7 @@ func (c Config) withDefaults() Config {
 	if c.JoinQueries == 0 {
 		c.JoinQueries = 100
 	}
-	if c.JoinEvery == 0 {
-		c.JoinEvery = c.ShortQueries / maxInt(1, c.JoinQueries)
-	}
 	return c
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Setup creates and populates the TPC-H-style schema through the engine.
@@ -159,14 +147,14 @@ type Query struct {
 
 // Mix produces the deterministic §6.2 query sequence: ShortQueries
 // single-row selections on lineitem and orders, with one join query after
-// every JoinEvery short ones (up to JoinQueries total). Identical seeds
-// produce identical sequences, matching the paper's "exact same queries in
-// order" methodology.
+// every ShortQueries/JoinQueries short ones (at least one; up to
+// JoinQueries total). Identical seeds produce identical sequences,
+// matching the paper's "exact same queries in order" methodology.
 func Mix(cfg Config) []Query {
 	cfg = cfg.withDefaults()
 	r := rand.New(rand.NewSource(cfg.Seed + 1))
 	out := make([]Query, 0, cfg.ShortQueries+cfg.JoinQueries)
-	joins := 0
+	joins, joinEvery := 0, max(1, cfg.ShortQueries/cfg.JoinQueries)
 	for i := 0; i < cfg.ShortQueries; i++ {
 		if i%2 == 0 {
 			out = append(out, Query{
@@ -183,7 +171,7 @@ func Mix(cfg Config) []Query {
 				},
 			})
 		}
-		if joins < cfg.JoinQueries && (i+1)%cfg.JoinEvery == 0 {
+		if joins < cfg.JoinQueries && (i+1)%joinEvery == 0 {
 			// A selection of 1000–2000 rows from a 3-way join, per §6.2.
 			// Key ranges are sized so the lineitem slice is ~1.5% of the
 			// table (~1500 rows at default scale). Join queries carry

@@ -89,6 +89,23 @@ func TestMixDeterministicAndShaped(t *testing.T) {
 	}
 }
 
+// TestMixMoreJoinsThanShortQueries: with fewer short queries than joins
+// the interval ShortQueries/JoinQueries rounds to zero; Mix clamps it to
+// one join after every short query instead of dividing by zero.
+func TestMixMoreJoinsThanShortQueries(t *testing.T) {
+	short, joins := 0, 0
+	for _, q := range Mix(Config{Lineitems: 1000, ShortQueries: 5, JoinQueries: 100}) {
+		if q.Join {
+			joins++
+		} else {
+			short++
+		}
+	}
+	if short != 5 || joins != 5 {
+		t.Fatalf("got %d short queries and %d joins, want 5 and 5", short, joins)
+	}
+}
+
 func TestRunWorkload(t *testing.T) {
 	eng, err := engine.Open(engine.Config{LockTimeout: 5 * time.Second})
 	if err != nil {
