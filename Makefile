@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet vet-bench lint test race chaos netchaos lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover mutate ci
+.PHONY: build vet lint test race chaos netchaos lockdoc fuzz bench bench-check bench-gate serve-smoke mvcc-smoke sim sim-long sim-mvcc cover mutate ci
 
 build:
 	$(GO) build ./...
@@ -12,21 +12,17 @@ build:
 # every //sqlcm: directive is a known verb, all over one type-checked
 # load — and static analysis of the shipped rule sets (which must be
 # finding-free even in strict mode). docs/lock-order.md must match the
-# annotations.
+# annotations. The whole-tree -code run has a 30-second latency budget
+# (it currently takes a few) so it can live in precommit workflows; a
+# loader regression that re-type-checks the standard library per package
+# would blow it immediately.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/sqlcm-vet -code .
+	@start=$$(date +%s) && $(GO) run ./cmd/sqlcm-vet -code . && end=$$(date +%s) && \
+	elapsed=$$((end-start)) && echo "sqlcm-vet -code . took $${elapsed}s (budget 30s)" && \
+	test $$elapsed -le 30
 	$(GO) run ./cmd/sqlcm-vet -lockdoc .
 	$(GO) run ./cmd/sqlcm-vet -mode strict examples/rulesets
-
-# Analyzer latency budget: the whole-tree type-aware -code run must stay
-# under 30 seconds (it currently runs in a few) so it can live in
-# precommit workflows; a loader regression that re-type-checks the
-# standard library per package would blow this immediately.
-vet-bench:
-	@start=$$(date +%s); $(GO) run ./cmd/sqlcm-vet -code .; end=$$(date +%s); \
-	elapsed=$$((end-start)); echo "sqlcm-vet -code . took $${elapsed}s (budget 30s)"; \
-	test $$elapsed -le 30
 
 # Lint tier: staticcheck at a pinned version (offline fallback runs the
 # in-repo analyzers instead), on top of the vet tier.
@@ -50,8 +46,8 @@ race:
 
 # Chaos tier: fault-injection tests for the fail-safe layer (panic
 # quarantine, outbox retry/backoff/shedding, torn PersistLAT snapshots,
-# PersistLAT racing evictions), run under -race because the faults race
-# against live dispatch.
+# PersistLAT racing evictions, and every fault at once under load), run
+# under -race because the faults race against live dispatch.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestEviction' -count=1 ./internal/core/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/outbox/

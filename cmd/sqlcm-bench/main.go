@@ -7,9 +7,8 @@
 //
 //	sqlcm-bench -exp sig            # §6.2.1 signature-computation overhead
 //	sqlcm-bench -exp fig2           # Figure 2: rule-evaluation overhead
-//	sqlcm-bench -exp fig3           # Figure 3 + accuracy: top-10 task
-//	sqlcm-bench -exp failsafe       # robustness under injected faults
-//	sqlcm-bench -exp all            # everything
+//	sqlcm-bench -exp fig3           # Figure 3 + accuracy: top-10 task (also -exp acc)
+//	sqlcm-bench -exp all            # sig, fig2 and fig3
 //	sqlcm-bench -exp fig3 -quick    # scaled-down fast run
 package main
 
@@ -24,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: sig, fig2, fig3, failsafe, all")
+	exp := flag.String("exp", "all", "experiment to run: sig, fig2, fig3 (or acc), all")
 	quick := flag.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
 	dataDir := flag.String("datadir", "", "directory for fig3's Query_logging log file (default: the system temp directory)")
 	flag.Parse()
@@ -37,10 +36,8 @@ func main() {
 		ok = runFig2(*quick)
 	case "fig3", "acc":
 		ok = runFig3(*quick, *dataDir)
-	case "failsafe":
-		ok = runFailsafe(*quick)
 	case "all":
-		ok = runSig() && runFig2(*quick) && runFig3(*quick, *dataDir) && runFailsafe(*quick)
+		ok = runSig() && runFig2(*quick) && runFig3(*quick, *dataDir)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		ok = false
@@ -141,31 +138,6 @@ func runFig3(quick bool, dataDir string) bool {
 	fmt.Println()
 	fmt.Println("paper shape: SQLCM cheapest (<0.1% there), PULL lossy (missed 5-9/10),")
 	fmt.Println("PULL_history exact but costlier, Query_logging worst (>20%).")
-	fmt.Println()
-	return true
-}
-
-func runFailsafe(quick bool) bool {
-	fmt.Println("=== E-FAILSAFE: robustness under injected monitoring faults ===")
-	cfg := harness.FailsafeConfig{}
-	if quick {
-		cfg = harness.FailsafeConfig{Queries: 1500, Lineitems: 8_000}
-	}
-	res, err := harness.RunFailsafe(cfg, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "failsafe:", err)
-		return false
-	}
-	fmt.Println()
-	fmt.Printf("%-34s %14s\n", "", "per query")
-	fmt.Printf("%-34s %13dns\n", "healthy monitoring", res.CleanNs)
-	fmt.Printf("%-34s %13dns\n", "panicking rule + hung external", res.FaultedNs)
-	fmt.Printf("quarantined rules: %d   events shed: %d   actions shed: %d   dead letters: %d\n",
-		res.Quarantines, res.EventsShed, res.ActionsShed, res.DeadLetters)
-	fmt.Printf("all %d queries succeeded; outbox drained cleanly: %v\n", res.Queries, res.Drained)
-	fmt.Println()
-	fmt.Println("the fail-safe layer converts monitoring faults into lost monitoring")
-	fmt.Println("fidelity (quarantine/shed/dead-letter counters), never into query errors.")
 	fmt.Println()
 	return true
 }

@@ -111,7 +111,7 @@ func run(o options) error {
 // openDB opens the monitored engine with -shed as its dispatch budget,
 // loads the -rules set, applies -monitor and preloads -lineitems.
 func openDB(o options) (db *sqlcm.DB, err error) {
-	db, err = sqlcm.Open(sqlcm.Config{Failsafe: sqlcm.FailsafeConfig{DispatchBudget: o.shed}})
+	db, err = sqlcm.Open(sqlcm.Config{DispatchBudget: o.shed})
 	if err != nil {
 		return nil, err
 	}

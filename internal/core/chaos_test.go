@@ -96,12 +96,12 @@ func TestChaosHungExternalDeadLetters(t *testing.T) {
 	t.Cleanup(runner.Release)
 	s := Attach(eng, Options{
 		Runner: runner,
-		Failsafe: FailsafeOptions{Outbox: outbox.Config{
+		outbox: outbox.Config{
 			AttemptTimeout: 30 * time.Millisecond,
 			MaxAttempts:    2,
 			BaseBackoff:    time.Millisecond,
 			DrainTimeout:   500 * time.Millisecond,
-		}},
+		},
 	})
 	t.Cleanup(func() { s.Detach() })
 	if _, err := s.NewRule("ext", "Query.Commit", "",
@@ -132,10 +132,10 @@ func TestChaosFlakyPersistRetries(t *testing.T) {
 	fp := &faults.FlakyPersister{Inner: NewEnginePersister(eng)}
 	s := Attach(eng, Options{
 		Persister: fp,
-		Failsafe: FailsafeOptions{Outbox: outbox.Config{
+		outbox: outbox.Config{
 			MaxAttempts: 5,
 			BaseBackoff: time.Millisecond,
-		}},
+		},
 	})
 	t.Cleanup(func() { s.Detach() })
 	if _, err := s.NewRule("p", "Query.Commit", "",
@@ -239,7 +239,7 @@ func TestChaosTornPersistLATRestoresNewestPerGroup(t *testing.T) {
 
 func TestChaosOverloadShedsNotBlocks(t *testing.T) {
 	eng, sess := chaosEngine(t)
-	s := Attach(eng, Options{Failsafe: FailsafeOptions{DispatchBudget: 5 * time.Microsecond}})
+	s := Attach(eng, Options{DispatchBudget: 5 * time.Microsecond})
 	t.Cleanup(func() { s.Detach() })
 	if _, err := s.NewRule("slow", "Query.Commit", "",
 		&rules.FuncAction{Fn: func(rules.Env, *rules.Ctx) error {
@@ -267,11 +267,11 @@ func TestChaosOutboxShedsLowPriority(t *testing.T) {
 	t.Cleanup(runner.Release)
 	s := Attach(eng, Options{
 		Runner: runner,
-		Failsafe: FailsafeOptions{Outbox: outbox.Config{
+		outbox: outbox.Config{
 			QueueSize:      4,
 			AttemptTimeout: 10 * time.Second,
 			DrainTimeout:   100 * time.Millisecond,
-		}},
+		},
 	})
 	if _, err := s.NewRule("ext", "Query.Commit", "",
 		&rules.RunExternalAction{Command: "report"},
@@ -294,6 +294,64 @@ func TestChaosOutboxShedsLowPriority(t *testing.T) {
 	runner.Release()
 	if err := s.Detach(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// All faults at once: a panicking rule, an external action stuck behind a
+// hung runner with a tiny queue, and a dispatch budget no rule can meet,
+// next to a healthy LAT-maintenance rule. Every query still succeeds; the
+// damage shows only in the quarantine, shed and dead-letter counters.
+func TestChaosCombinedFaultsFailNoQuery(t *testing.T) {
+	eng, sess := chaosEngine(t)
+	runner := &faults.HungRunner{}
+	runner.Hang()
+	t.Cleanup(runner.Release)
+	s := Attach(eng, Options{
+		Runner:         runner,
+		DispatchBudget: 2 * time.Microsecond,
+		outbox: outbox.Config{
+			QueueSize:      8,
+			AttemptTimeout: 50 * time.Millisecond,
+			MaxAttempts:    2,
+			DrainTimeout:   2 * time.Second,
+		},
+	})
+	if _, err := s.DefineLAT(lat.Spec{
+		Name:    "PerID",
+		GroupBy: []string{"ID"},
+		Aggs:    []lat.AggCol{{Func: lat.Avg, Attr: "Duration", Name: "D"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name   string
+		action rules.Action
+	}{
+		{"healthy", &rules.InsertAction{LAT: "PerID"}},
+		{"boom", &rules.FuncAction{Fn: func(rules.Env, *rules.Ctx) error { panic("chaos") }}},
+		{"hung", &rules.RunExternalAction{Command: "stuck-analyzer"}},
+	} {
+		if _, err := s.NewRule(r.name, "Query.Commit", "", r.action); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < 2000; i++ {
+		mustExec(t, sess, fmt.Sprintf("SELECT v FROM chaos_t WHERE id = %d", i%20+1))
+	}
+	if got := s.Rules().QuarantinedRules(); len(got) != 1 || got[0] != "boom" {
+		t.Fatalf("quarantined rules: %v, want [boom]", got)
+	}
+	if s.Bus().ShedTotal() == 0 {
+		t.Fatal("no events shed under a blown dispatch budget")
+	}
+	ks := s.Outbox().Stats().ByKind[outbox.External]
+	if ks.Shed+ks.DeadLetters == 0 {
+		t.Fatal("hung external neither shed nor dead-lettered")
+	}
+	runner.Release() // free hung attempts so detach can drain
+	if err := s.Detach(); err != nil {
+		t.Fatalf("detach: %v", err)
 	}
 }
 

@@ -98,20 +98,9 @@ type Persister interface {
 	Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error
 }
 
-// FailsafeOptions tunes the fail-safe layer: the async action outbox and
-// overload shedding. Panic quarantine needs no tuning: a rule is
-// quarantined after rules.QuarantineThreshold consecutive panics.
-type FailsafeOptions struct {
-	// Outbox tunes the async action executor (queue sizes, retry policy,
-	// drain timeout). Zero values select the outbox defaults.
-	Outbox outbox.Config
-	// DispatchBudget arms event shedding: when the average rule-dispatch
-	// latency exceeds the budget, the bus samples events (1 in 16)
-	// instead of evaluating all of them. Zero disables.
-	DispatchBudget time.Duration
-}
-
-// Options configures an SQLCM instance.
+// Options configures an SQLCM instance. Panic quarantine needs no
+// tuning: a rule is quarantined after rules.QuarantineThreshold
+// consecutive panics.
 type Options struct {
 	// Mailer handles SendMail actions (default: MemMailer).
 	Mailer Mailer
@@ -120,12 +109,19 @@ type Options struct {
 	// Persister handles Persist actions and PersistLAT (default: engine
 	// tables, created on first use).
 	Persister Persister
-	// Failsafe tunes the fail-safe layer.
-	Failsafe FailsafeOptions
+	// DispatchBudget arms event shedding: when the average rule-dispatch
+	// latency exceeds the budget, the bus samples events (1 in 16)
+	// instead of evaluating all of them. Zero disables.
+	DispatchBudget time.Duration
 	// RuleCheck selects how static rule analysis treats findings at
 	// registration time: Warn (default) records them, Strict rejects
 	// rules with error-severity findings.
 	RuleCheck rulecheck.Mode
+
+	// outbox tunes the async action executor; zero values select the
+	// outbox defaults. Only this package's chaos tests set it, to shorten
+	// queues and timeouts.
+	outbox outbox.Config
 }
 
 // SQLCM is the continuous-monitoring framework attached to one engine.
@@ -176,13 +172,13 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 		s.persister = &enginePersister{eng: eng}
 	}
 	s.check.mode = opts.RuleCheck
-	s.box = outbox.New(opts.Failsafe.Outbox)
+	s.box = outbox.New(opts.outbox)
 	s.ruleEng = rules.NewEngine((*env)(s))
 	// All event intake — engine hooks, timer alarms, LAT evictions — goes
 	// through one bus in front of the rule engine.
 	s.bus = event.NewBus(s.ruleEng)
-	if opts.Failsafe.DispatchBudget > 0 {
-		s.bus.SetBudget(opts.Failsafe.DispatchBudget)
+	if opts.DispatchBudget > 0 {
+		s.bus.SetBudget(opts.DispatchBudget)
 	}
 	// Quarantine decisions surface as Monitor.RuleQuarantined events, so
 	// rules can alert on the health of the monitoring layer itself.

@@ -23,8 +23,8 @@ import (
 
 // Config tunes an Engine.
 type Config struct {
-	// LockTimeout bounds lock waits; zero waits forever (deadlock detection
-	// still applies). Default 10s.
+	// LockTimeout bounds lock waits. Zero selects the default, 10s; a
+	// negative value waits forever (deadlock detection still applies).
 	LockTimeout time.Duration
 }
 

@@ -1,7 +1,8 @@
 // Package faults provides injectable failure modes for exercising the
-// monitoring layer's fail-safe paths: persisters that error, mailers that
-// refuse delivery, external runners that hang, and a seeded aggregate bug. Everything is toggled atomically so chaos tests can
-// flip faults on and off while load is running.
+// monitoring layer's fail-safe paths: persisters that error, external
+// runners that hang, and a seeded aggregate bug. Everything is toggled
+// atomically so chaos tests can flip faults on and off while load is
+// running.
 package faults
 
 import (
@@ -118,40 +119,6 @@ func (p *FlakyPersister) Persist(table string, cols []string, kinds []sqltypes.K
 		return ErrInjected
 	}
 	return p.Inner.Persist(table, cols, kinds, row)
-}
-
-// FlakyMailer refuses delivery while broken, recording what got through.
-type FlakyMailer struct {
-	// mu protects the sent log.
-	//sqlcm:lock faults.mailer
-	//sqlcm:guards sent
-	mu     sync.Mutex
-	sent   []string
-	broken atomic.Bool
-
-	Failures atomic.Int64
-}
-
-// Break toggles delivery failures.
-func (m *FlakyMailer) Break(on bool) { m.broken.Store(on) }
-
-// Send implements core.Mailer.
-func (m *FlakyMailer) Send(addr, body string) error {
-	if m.broken.Load() {
-		m.Failures.Add(1)
-		return ErrInjected
-	}
-	m.mu.Lock()
-	m.sent = append(m.sent, addr+": "+body)
-	m.mu.Unlock()
-	return nil
-}
-
-// Sent returns delivered messages.
-func (m *FlakyMailer) Sent() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.sent...)
 }
 
 // HungRunner blocks every Run call until Release (models a hung external

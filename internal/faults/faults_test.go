@@ -54,21 +54,6 @@ func TestFlakyPersisterModes(t *testing.T) {
 	}
 }
 
-func TestFlakyMailer(t *testing.T) {
-	m := &FlakyMailer{}
-	m.Break(true)
-	if err := m.Send("a", "b"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("broken send: %v", err)
-	}
-	m.Break(false)
-	if err := m.Send("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if sent := m.Sent(); len(sent) != 1 || m.Failures.Load() != 1 {
-		t.Fatalf("sent=%v failures=%d", sent, m.Failures.Load())
-	}
-}
-
 func TestHungRunnerReleases(t *testing.T) {
 	r := &HungRunner{}
 	r.Hang()

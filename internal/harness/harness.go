@@ -24,9 +24,7 @@ import (
 	"sqlcm/internal/baseline"
 	"sqlcm/internal/core"
 	"sqlcm/internal/engine"
-	"sqlcm/internal/faults"
 	"sqlcm/internal/lat"
-	"sqlcm/internal/outbox"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/rules"
 	"sqlcm/internal/signature"
@@ -658,150 +656,4 @@ func RunFig3(cfg Fig3Config, progress io.Writer) ([]Fig3Row, error) {
 	emit("Query_logging", "", r)
 
 	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// E-FAILSAFE: robustness under injected monitoring faults
-// ---------------------------------------------------------------------------
-
-// FailsafeConfig tunes the fail-safe robustness experiment.
-type FailsafeConfig struct {
-	// Queries is the number of single-row selections (default 5000).
-	Queries int
-	// Lineitems scales the table (default 20_000).
-	Lineitems int
-}
-
-func (c FailsafeConfig) withDefaults() FailsafeConfig {
-	if c.Queries == 0 {
-		c.Queries = 5000
-	}
-	if c.Lineitems == 0 {
-		c.Lineitems = 20_000
-	}
-	return c
-}
-
-// FailsafeResult compares one workload run with healthy monitoring
-// against the same run with faults injected (a rule panicking on every
-// commit, an external command that hangs forever, a dispatch budget the
-// sink cannot meet). Every query must succeed in both runs; the counters
-// show the fail-safe layer absorbing the damage.
-type FailsafeResult struct {
-	Queries     int
-	CleanNs     int64 // per-query, healthy monitoring
-	FaultedNs   int64 // per-query, faults injected
-	Quarantines int64 // rules quarantined during the faulted run
-	EventsShed  int64 // events sampled away in degraded mode
-	ActionsShed int64 // actions refused by full outbox queues
-	DeadLetters int64 // actions that exhausted their attempts
-	Drained     bool  // detach drained the outbox without abandoning work
-}
-
-// RunFailsafe measures that injected monitoring faults cost queries
-// nothing but monitoring fidelity.
-func RunFailsafe(cfg FailsafeConfig, progress io.Writer) (*FailsafeResult, error) {
-	cfg = cfg.withDefaults()
-	eng, err := engine.Open(engine.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	wcfg, err := workload.Setup(eng, workload.Config{
-		Lineitems:    cfg.Lineitems,
-		ShortQueries: cfg.Queries,
-		JoinQueries:  1,
-		Seed:         11,
-	})
-	if err != nil {
-		return nil, err
-	}
-	queries := workload.Mix(wcfg)
-
-	run := func() (time.Duration, error) {
-		start := time.Now()
-		if _, err := workload.Run(eng, queries, "bench", "failsafe"); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
-	addRules := func(s *core.SQLCM) error {
-		if _, err := s.DefineLAT(fig2LATSpec(0)); err != nil {
-			return err
-		}
-		_, err := s.NewRule("fs_maintain", "Query.Commit", fig2Condition(5),
-			&rules.InsertAction{LAT: fig2LATSpec(0).Name})
-		return err
-	}
-
-	// Warm caches, then the clean run: healthy monitoring only.
-	if _, err := run(); err != nil {
-		return nil, err
-	}
-	s := core.Attach(eng, core.Options{})
-	if err := addRules(s); err != nil {
-		return nil, err
-	}
-	cleanDur, err := run()
-	if derr := s.Detach(); err == nil {
-		err = derr
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Faulted run: same healthy rule, plus a panicking rule, an external
-	// action stuck behind a hung runner with a tiny queue, and a dispatch
-	// budget the monitoring path cannot meet.
-	runner := &faults.HungRunner{}
-	runner.Hang()
-	defer runner.Release()
-	s = core.Attach(eng, core.Options{
-		Runner: runner,
-		Failsafe: core.FailsafeOptions{
-			Outbox: outbox.Config{
-				QueueSize:      8,
-				AttemptTimeout: 50 * time.Millisecond,
-				MaxAttempts:    2,
-				DrainTimeout:   2 * time.Second,
-			},
-			DispatchBudget: 2 * time.Microsecond,
-		},
-	})
-	if err := addRules(s); err != nil {
-		return nil, err
-	}
-	if _, err := s.NewRule("fs_panic", "Query.Commit", "",
-		&rules.FuncAction{Fn: func(rules.Env, *rules.Ctx) error { panic("injected") }},
-	); err != nil {
-		return nil, err
-	}
-	if _, err := s.NewRule("fs_hung", "Query.Commit", "",
-		&rules.RunExternalAction{Command: "stuck-analyzer"},
-	); err != nil {
-		return nil, err
-	}
-	faultedDur, err := run()
-	if err != nil {
-		return nil, err
-	}
-	runner.Release() // free hung attempts so detach can drain
-	stats := s.Outbox().Stats()
-	res := &FailsafeResult{
-		Queries:     len(queries),
-		CleanNs:     cleanDur.Nanoseconds() / int64(len(queries)),
-		FaultedNs:   faultedDur.Nanoseconds() / int64(len(queries)),
-		Quarantines: int64(len(s.Rules().QuarantinedRules())),
-		EventsShed:  s.Bus().ShedTotal(),
-		ActionsShed: stats.Total(func(k outbox.KindStats) int64 { return k.Shed }),
-		DeadLetters: stats.Total(func(k outbox.KindStats) int64 { return k.DeadLetters }),
-		Drained:     s.Detach() == nil,
-	}
-	if progress != nil {
-		fmt.Fprintf(progress,
-			"failsafe: clean %dns/q faulted %dns/q quarantined=%d shed(ev=%d act=%d) dead=%d drained=%v\n",
-			res.CleanNs, res.FaultedNs, res.Quarantines, res.EventsShed, res.ActionsShed,
-			res.DeadLetters, res.Drained)
-	}
-	return res, nil
 }

@@ -5,19 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"sqlcm/internal/clock"
 	"sqlcm/internal/sqltypes"
 )
 
-// manualClock is a settable clock.Clock for aging-window tests. The LAT
-// only reads Now; the timer methods are unreachable here.
+// manualClock is a settable time source for aging-window tests.
 type manualClock struct{ now time.Time }
 
 func (c *manualClock) Now() time.Time { return c.now }
-func (c *manualClock) AfterFunc(time.Duration, func()) clock.Timer {
-	panic("manualClock: AfterFunc not supported")
-}
-func (c *manualClock) Sleep(d time.Duration) { c.now = c.now.Add(d) }
 
 // matrixSpec declares one column per aggregate function, all aging, plus
 // the two COUNT variants (presence vs non-NULL).
@@ -49,7 +43,7 @@ func matrixTable(t *testing.T) (*Table, *manualClock) {
 		t.Fatal(err)
 	}
 	clk := &manualClock{now: time.Unix(1_700_000_000, 0).UTC()}
-	tab.SetClockSource(clk)
+	tab.SetClock(clk.Now)
 	return tab, clk
 }
 
@@ -228,7 +222,7 @@ func TestMatrixRestoreFirstLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.SetClockSource(clk)
+	src.SetClock(clk.Now)
 	for _, v := range []float64{8, 6, 9} {
 		if err := src.Insert(obj(map[string]sqltypes.Value{"g": sqltypes.NewInt(1), "v": sqltypes.NewFloat(v)})); err != nil {
 			t.Fatal(err)
@@ -240,7 +234,7 @@ func TestMatrixRestoreFirstLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.SetClockSource(clk)
+	dst.SetClock(clk.Now)
 	if err := dst.Restore(checkpoint); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sqlcm/internal/clock"
 	"sqlcm/internal/sqltypes"
 )
 
@@ -284,13 +283,9 @@ func New(spec Spec) (*Table, error) {
 	return t, nil
 }
 
-// SetClock injects a time source (tests).
+// SetClock injects a time source; aging windows and eviction ordering
+// then run against it (tests, and the simulation harness's virtual clock).
 func (t *Table) SetClock(fn func() time.Time) { t.clock = fn }
-
-// SetClockSource injects a clock.Clock; aging windows and eviction
-// ordering then run against it (the simulation harness passes a virtual
-// clock here).
-func (t *Table) SetClockSource(c clock.Clock) { t.clock = c.Now }
 
 // SetOnEvict installs the eviction callback.
 func (t *Table) SetOnEvict(fn func(EvictedRow)) {

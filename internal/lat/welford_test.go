@@ -126,7 +126,7 @@ func TestAgingStdevBlockMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab.SetClockSource(clk)
+	tab.SetClock(clk.Now)
 
 	r := rand.New(rand.NewSource(41))
 	var live []float64

@@ -51,7 +51,8 @@ type Config struct {
 	Mix *[6]int
 	// Keys is the lineitem key-space size the generator draws from
 	// (default 1000; must not exceed the loaded row count). Orders keys
-	// are drawn from Keys/4, the workload's orders-to-lineitem ratio.
+	// are drawn from Keys/4 (at least 1), the workload's
+	// orders-to-lineitem ratio.
 	Keys int
 	// Skew is the Zipf skew of key and statement choice (default 1.3).
 	Skew float64
@@ -290,6 +291,19 @@ func (wk *worker) pick() (name string, values []sqltypes.Value) {
 	}
 }
 
+// newWorker builds connection i's deterministic generator. The orders key
+// space is Keys/4 but never empty: a Zipf sampler over zero ranks draws
+// keys past the loaded rows.
+func newWorker(cfg Config, i int, weights [6]int) *worker {
+	r := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+	return &worker{
+		r:    r,
+		lkey: workload.Zipf(r, cfg.Skew, cfg.Keys),
+		okey: workload.Zipf(r, cfg.Skew, max(1, cfg.Keys/4)),
+		w:    weights,
+	}
+}
+
 // Run establishes cfg.Conns connections, prepares the statement set on each,
 // then drives the open-loop schedule for cfg.Duration and reports latency
 // percentiles over all completed statements.
@@ -302,13 +316,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	workers := make([]*worker, cfg.Conns)
 	for i := range workers {
-		r := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		workers[i] = &worker{
-			r:    r,
-			lkey: workload.Zipf(r, cfg.Skew, cfg.Keys),
-			okey: workload.Zipf(r, cfg.Skew, cfg.Keys/4),
-			w:    weights,
-		}
+		workers[i] = newWorker(cfg, i, weights)
 	}
 	var dialWG sync.WaitGroup
 	dialErr := make(chan error, cfg.Conns)

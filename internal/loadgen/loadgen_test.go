@@ -71,3 +71,21 @@ func TestPickFollowsProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestKeysStayInRange: every drawn key names a loaded row, down to key
+// spaces too small to hold one orders row per four lineitems.
+func TestKeysStayInRange(t *testing.T) {
+	for keys := 1; keys <= 8; keys++ {
+		cfg := Config{Keys: keys, Seed: 5}.withDefaults()
+		wk := newWorker(cfg, 0, sim.ProfileOLTP.Weights())
+		orders := max(1, keys/4)
+		for i := 0; i < 1000; i++ {
+			if k := wk.lkey(); k < 0 || k >= keys {
+				t.Fatalf("keys=%d: lineitem key %d outside [0, %d)", keys, k, keys)
+			}
+			if k := wk.okey(); k < 0 || k >= orders {
+				t.Fatalf("keys=%d: orders key %d outside [0, %d)", keys, k, orders)
+			}
+		}
+	}
+}

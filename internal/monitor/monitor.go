@@ -11,30 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sqlcm/internal/clock"
 	"sqlcm/internal/engine"
 	"sqlcm/internal/signature"
 	"sqlcm/internal/sqltypes"
 )
-
-// pkgClock is the time source behind live attributes (a running query's
-// Duration). It defaults to the wall clock; the simulation harness
-// substitutes a virtual clock via SetClockSource so in-flight durations
-// are deterministic. Stored atomically: probes read it on rule-evaluation
-// paths that run concurrently with test setup.
-var pkgClock atomic.Pointer[clock.Clock]
-
-func init() {
-	c := clock.System
-	pkgClock.Store(&c)
-}
-
-// SetClockSource replaces the package time source (tests and simulation
-// only; production keeps the default wall clock).
-func SetClockSource(c clock.Clock) { pkgClock.Store(&c) }
-
-// now reads the injected clock.
-func now() time.Time { return (*pkgClock.Load()).Now() }
 
 // Class names.
 const (
@@ -278,7 +258,7 @@ func (q *QueryObject) attr(id int) (sqltypes.Value, bool) {
 	case aDuration:
 		d := q.DurationAt
 		if d < 0 {
-			d = now().Sub(info.StartTime)
+			d = time.Since(info.StartTime)
 		}
 		return sqltypes.NewFloat(d.Seconds()), true
 	case aEstimatedCost:
@@ -309,7 +289,7 @@ func (q *QueryObject) attr(id int) (sqltypes.Value, bool) {
 		if info.SessionStart.IsZero() {
 			return sqltypes.Null, true
 		}
-		return sqltypes.NewFloat(now().Sub(info.SessionStart).Seconds()), true
+		return sqltypes.NewFloat(time.Since(info.SessionStart).Seconds()), true
 	case aCancelReason:
 		// NULL unless the statement was defensively cancelled, so rules
 		// matching on a reason never fire for ordinary statements.
@@ -322,7 +302,7 @@ func (q *QueryObject) attr(id int) (sqltypes.Value, bool) {
 		if info.SnapshotAt.IsZero() {
 			return sqltypes.Null, true
 		}
-		return sqltypes.NewFloat(now().Sub(info.SnapshotAt).Seconds()), true
+		return sqltypes.NewFloat(time.Since(info.SnapshotAt).Seconds()), true
 	case aVersionChainLength:
 		return sqltypes.NewInt(info.MaxChain()), true
 	case aVersionsPruned:

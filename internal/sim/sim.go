@@ -160,7 +160,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.SetClockSource(s.clk)
+		t.SetClock(s.clk.Now)
 		s.lats[spec.Name] = t
 		s.latNames = append(s.latNames, spec.Name)
 		s.oracle.AddLAT(NewOracleLAT(spec))

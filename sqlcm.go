@@ -33,7 +33,6 @@ import (
 	"sqlcm/internal/core"
 	"sqlcm/internal/engine"
 	"sqlcm/internal/lat"
-	"sqlcm/internal/outbox"
 	"sqlcm/internal/rulecheck"
 	"sqlcm/internal/rules"
 	"sqlcm/internal/sqltypes"
@@ -135,11 +134,6 @@ type (
 	MemRunner = core.MemRunner
 	// Persister writes monitoring rows to a table.
 	Persister = core.Persister
-	// FailsafeConfig tunes the async action outbox and overload
-	// shedding.
-	FailsafeConfig = core.FailsafeOptions
-	// OutboxConfig tunes the async action executor.
-	OutboxConfig = outbox.Config
 )
 
 // Re-exported static rule analysis types (internal/rulecheck).
@@ -164,8 +158,8 @@ const (
 
 // Config tunes a DB.
 type Config struct {
-	// LockTimeout bounds lock waits (default 10s; deadlocks are always
-	// detected regardless).
+	// LockTimeout bounds lock waits (default 10s; negative waits
+	// forever; deadlocks are always detected regardless).
 	LockTimeout time.Duration
 	// Mailer handles SendMail actions (default: recording MemMailer).
 	Mailer Mailer
@@ -174,8 +168,10 @@ type Config struct {
 	// Persister handles Persist actions and PersistLAT (default: engine
 	// tables, created on first use).
 	Persister Persister
-	// Failsafe tunes the fail-safe monitoring layer.
-	Failsafe FailsafeConfig
+	// DispatchBudget arms event shedding: when the average rule-dispatch
+	// latency exceeds it, events are sampled (1 in 16) instead of all
+	// evaluated (default 0: never shed).
+	DispatchBudget time.Duration
 	// RuleCheck selects the static-analysis mode for rule registration
 	// (default RuleCheckWarn).
 	RuleCheck RuleCheckMode
@@ -194,11 +190,11 @@ func Open(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	mon := core.Attach(eng, core.Options{
-		Mailer:    cfg.Mailer,
-		Runner:    cfg.Runner,
-		Persister: cfg.Persister,
-		Failsafe:  cfg.Failsafe,
-		RuleCheck: cfg.RuleCheck,
+		Mailer:         cfg.Mailer,
+		Runner:         cfg.Runner,
+		Persister:      cfg.Persister,
+		DispatchBudget: cfg.DispatchBudget,
+		RuleCheck:      cfg.RuleCheck,
 	})
 	return &DB{eng: eng, mon: mon}, nil
 }
