@@ -4,52 +4,43 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/rulecheck"
 	"sqlcm/internal/rules"
 )
 
-// Static rule analysis at registration time. Every AddRule/NewRule runs
-// internal/rulecheck over the whole rule set (existing rules plus the
-// candidate): in Strict mode error-severity findings reject the rule; in
-// Warn mode (the default) they are recorded and retrievable via
-// RuleWarnings. LoadRuleSet applies a whole declarative .rules file
-// after a single closed-world check.
+// Static rule analysis (internal/rulecheck). In Warn mode (the default)
+// registration analyses nothing; CheckRules analyses the live rule set
+// when asked. In Strict mode AddRule/NewRule run one Check over the live
+// set plus the candidate and reject the candidate when an error-severity
+// finding names it, so findings of other rules never block it.
+// LoadRuleSet applies a whole declarative .rules file after a single
+// closed-world check.
 
-// ruleChecker holds the analysis state of one SQLCM instance.
-type ruleChecker struct {
-	mode rulecheck.Mode
-
-	// mu protects the per-rule source and diagnostic maps.
-	//sqlcm:lock core.rulecheck
-	//sqlcm:guards condSrc, diags
-	mu sync.Mutex
-	// condSrc remembers each rule's original condition text so
-	// diagnostics can carry source offsets.
-	condSrc map[string]string
-	// diags holds the findings recorded per rule in Warn mode.
-	diags map[string][]rulecheck.Diagnostic
-}
-
-// vetRule analyses the candidate rule against the current rule set.
-// Returns the findings newly introduced by the candidate; in Strict mode
-// an error when any of them is error-severity.
-func (s *SQLCM) vetRule(r *rules.Rule, condSrc string) ([]rulecheck.Diagnostic, error) {
-	before := s.snapshotSet(nil, "")
-	after := s.snapshotSet(r, condSrc)
-	fresh := diffDiags(rulecheck.Check(before), rulecheck.Check(after))
-	if s.check.mode == rulecheck.Strict && rulecheck.HasErrors(fresh) {
-		return nil, fmt.Errorf("core: rule %q rejected by static analysis:\n%s",
-			r.Name, renderDiags(fresh, rulecheck.Error))
+// vetRule rejects r in Strict mode when an error-severity finding of the
+// live set plus r names r.
+func (s *SQLCM) vetRule(r *rules.Rule) error {
+	if s.checkMode != rulecheck.Strict {
+		return nil
 	}
-	return fresh, nil
+	set := s.liveSet()
+	set.Rules = append(set.Rules, r)
+	var mine []rulecheck.Diagnostic
+	for _, d := range rulecheck.Check(set) {
+		if d.Rule == r.Name {
+			mine = append(mine, d)
+		}
+	}
+	if rulecheck.HasErrors(mine) {
+		return fmt.Errorf("core: rule %q rejected by static analysis:\n%s",
+			r.Name, renderDiags(mine, rulecheck.Error))
+	}
+	return nil
 }
 
-// snapshotSet builds the analyser's view of the live rule set, with an
-// optional extra candidate rule appended.
-func (s *SQLCM) snapshotSet(extra *rules.Rule, extraSrc string) *rulecheck.Set {
+// liveSet builds the analyser's view of the installed LATs and rules.
+func (s *SQLCM) liveSet() *rulecheck.Set {
 	set := &rulecheck.Set{}
 	s.latMu.RLock()
 	for _, t := range s.lats {
@@ -57,57 +48,12 @@ func (s *SQLCM) snapshotSet(extra *rules.Rule, extraSrc string) *rulecheck.Set {
 	}
 	s.latMu.RUnlock()
 	sort.Slice(set.LATs, func(i, j int) bool { return set.LATs[i].Name < set.LATs[j].Name })
-	s.check.mu.Lock()
-	srcs := make(map[string]string, len(s.check.condSrc))
-	for k, v := range s.check.condSrc {
-		srcs[k] = v
-	}
-	s.check.mu.Unlock()
 	for _, name := range s.ruleEng.Rules() {
-		r, ok := s.ruleEng.Rule(name)
-		if !ok {
-			continue
+		if r, ok := s.ruleEng.Rule(name); ok {
+			set.Rules = append(set.Rules, r)
 		}
-		set.Rules = append(set.Rules, ruleDefOf(r, srcs[name]))
-	}
-	if extra != nil {
-		set.Rules = append(set.Rules, ruleDefOf(extra, extraSrc))
 	}
 	return set
-}
-
-// ruleDefOf converts a live rule to the analyser's representation. Rules
-// registered programmatically (no source text) fall back to the parsed
-// condition's canonical rendering so positions still point somewhere
-// meaningful.
-func ruleDefOf(r *rules.Rule, condSrc string) rulecheck.RuleDef {
-	if condSrc == "" && r.Condition != nil {
-		condSrc = r.Condition.String()
-	}
-	return rulecheck.RuleDef{
-		Name:    r.Name,
-		Event:   r.Event,
-		CondSrc: condSrc,
-		Cond:    r.Condition,
-		Actions: r.Actions,
-	}
-}
-
-// diffDiags returns the diagnostics in after that are not in before
-// (the findings attributable to the candidate rule, including trigger
-// cycles it closes through existing rules).
-func diffDiags(before, after []rulecheck.Diagnostic) []rulecheck.Diagnostic {
-	seen := make(map[rulecheck.Diagnostic]bool, len(before))
-	for _, d := range before {
-		seen[d] = true
-	}
-	var out []rulecheck.Diagnostic
-	for _, d := range after {
-		if !seen[d] {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // renderDiags renders diagnostics of at-least the given severity, one
@@ -123,61 +69,18 @@ func renderDiags(diags []rulecheck.Diagnostic, min rulecheck.Severity) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// recordRule stores the source text and findings of a registered rule.
-func (s *SQLCM) recordRule(name, condSrc string, diags []rulecheck.Diagnostic) {
-	s.check.mu.Lock()
-	defer s.check.mu.Unlock()
-	if condSrc != "" {
-		if s.check.condSrc == nil {
-			s.check.condSrc = make(map[string]string)
-		}
-		s.check.condSrc[name] = condSrc
-	}
-	if len(diags) > 0 {
-		if s.check.diags == nil {
-			s.check.diags = make(map[string][]rulecheck.Diagnostic)
-		}
-		s.check.diags[name] = append(s.check.diags[name], diags...)
-	}
-}
-
-// forgetRule drops the recorded analysis state of a removed rule.
-func (s *SQLCM) forgetRule(name string) {
-	s.check.mu.Lock()
-	delete(s.check.condSrc, name)
-	delete(s.check.diags, name)
-	s.check.mu.Unlock()
-}
-
-// RuleWarnings returns the findings recorded at registration time (Warn
-// mode), ordered by rule name.
-func (s *SQLCM) RuleWarnings() []rulecheck.Diagnostic {
-	s.check.mu.Lock()
-	defer s.check.mu.Unlock()
-	names := make([]string, 0, len(s.check.diags))
-	for n := range s.check.diags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []rulecheck.Diagnostic
-	for _, n := range names {
-		out = append(out, s.check.diags[n]...)
-	}
-	return out
-}
-
-// CheckRules re-analyses the complete live rule set on demand and
-// returns every finding.
+// CheckRules analyses the live rule set and returns every finding.
 func (s *SQLCM) CheckRules() []rulecheck.Diagnostic {
-	return rulecheck.Check(s.snapshotSet(nil, ""))
+	return rulecheck.Check(s.liveSet())
 }
 
 // LoadRuleSet parses a declarative .rules file (LAT declarations plus
-// rules; see internal/rulecheck), analyses it as a closed set together
-// with the already-registered LATs and rules, and installs it. In
-// Strict mode any error-severity finding rejects the whole file; in
-// Warn mode findings are recorded. Previously registered LATs and rules
-// are visible to the new ones (and vice versa for trigger analysis).
+// rules; see internal/rulecheck) and installs it. In Strict mode the file
+// is first analysed as a closed set together with the already-registered
+// LATs and rules, and any error-severity finding rejects the whole file.
+// Previously registered LATs and rules are visible to the new ones (and
+// vice versa for trigger analysis). A file that fails to install leaves
+// nothing of itself behind.
 func (s *SQLCM) LoadRuleSet(src string) error {
 	set, parseDiags, err := rulecheck.ParseSet(src)
 	if err != nil {
@@ -186,37 +89,38 @@ func (s *SQLCM) LoadRuleSet(src string) error {
 	if rulecheck.HasErrors(parseDiags) {
 		return fmt.Errorf("core: rule set rejected:\n%s", renderDiags(parseDiags, rulecheck.Error))
 	}
-	// Analyse the file's declarations merged with the live set.
-	merged := s.snapshotSet(nil, "")
-	merged.LATs = append(merged.LATs, set.LATs...)
-	merged.Rules = append(merged.Rules, set.Rules...)
-	merged.Closed = true
-	merged.MaxTriggerDepth = set.MaxTriggerDepth
-	diags := rulecheck.Check(merged)
-	if s.check.mode == rulecheck.Strict && rulecheck.HasErrors(diags) {
-		return fmt.Errorf("core: rule set rejected by static analysis:\n%s",
-			renderDiags(diags, rulecheck.Error))
+	if s.checkMode == rulecheck.Strict {
+		merged := s.liveSet()
+		merged.LATs = append(merged.LATs, set.LATs...)
+		merged.Rules = append(merged.Rules, set.Rules...)
+		merged.Closed = true
+		merged.MaxTriggerDepth = set.MaxTriggerDepth
+		if diags := rulecheck.Check(merged); rulecheck.HasErrors(diags) {
+			return fmt.Errorf("core: rule set rejected by static analysis:\n%s",
+				renderDiags(diags, rulecheck.Error))
+		}
 	}
-	for _, spec := range set.LATs {
+	// undo takes back the first nLATs LATs and nRules rules of the file.
+	undo := func(nLATs, nRules int, err error) error {
+		for _, r := range set.Rules[:nRules] {
+			s.RemoveRule(r.Name)
+		}
+		for _, spec := range set.LATs[:nLATs] {
+			s.DropLAT(spec.Name)
+		}
+		return err
+	}
+	for i, spec := range set.LATs {
 		if _, err := s.DefineLAT(spec); err != nil {
-			return err
+			return undo(i, 0, err)
 		}
 	}
-	for i := range set.Rules {
-		rd := &set.Rules[i]
-		r := &rules.Rule{Name: rd.Name, Event: rd.Event, Condition: rd.Cond, Actions: rd.Actions}
-		// The set was already vetted as a whole; install without the
-		// per-rule incremental check.
+	for i, r := range set.Rules {
+		// Not AddRule: in Strict mode the file was vetted as a whole
+		// above, and a per-rule check would see it only in part.
 		if err := s.installRule(r); err != nil {
-			return err
+			return undo(len(set.LATs), i, err)
 		}
-		var ruleDiags []rulecheck.Diagnostic
-		for _, d := range diags {
-			if d.Rule == rd.Name {
-				ruleDiags = append(ruleDiags, d)
-			}
-		}
-		s.recordRule(rd.Name, rd.CondSrc, ruleDiags)
 	}
 	return nil
 }

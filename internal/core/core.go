@@ -113,9 +113,9 @@ type Options struct {
 	// latency exceeds the budget, the bus samples events (1 in 16)
 	// instead of evaluating all of them. Zero disables.
 	DispatchBudget time.Duration
-	// RuleCheck selects how static rule analysis treats findings at
-	// registration time: Warn (default) records them, Strict rejects
-	// rules with error-severity findings.
+	// RuleCheck selects static rule analysis at registration time: Warn
+	// (default) registers rules unanalysed, Strict rejects a rule that an
+	// error-severity finding names.
 	RuleCheck rulecheck.Mode
 
 	// outbox tunes the async action executor; zero values select the
@@ -144,7 +144,7 @@ type SQLCM struct {
 	latMu sync.RWMutex
 	lats  map[string]*lat.Table
 
-	check ruleChecker
+	checkMode rulecheck.Mode
 
 	attached atomic.Bool
 }
@@ -171,7 +171,7 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 	if s.persister == nil {
 		s.persister = &enginePersister{eng: eng}
 	}
-	s.check.mode = opts.RuleCheck
+	s.checkMode = opts.RuleCheck
 	s.box = outbox.New(opts.outbox)
 	s.ruleEng = rules.NewEngine((*env)(s))
 	// All event intake — engine hooks, timer alarms, LAT evictions — goes
@@ -378,25 +378,15 @@ func (s *SQLCM) LoadLAT(name, table string) error {
 // Rule helpers
 // ---------------------------------------------------------------------------
 
-// AddRule registers a fully constructed rule, running static analysis
-// first (see Options.RuleCheck): Strict mode rejects rules with
-// error-severity findings, Warn mode records them (RuleWarnings).
+// AddRule registers a fully constructed rule. In Strict mode (see
+// Options.RuleCheck) static analysis runs first and rejects the rule when
+// an error-severity finding names it; CheckRules reports the live set's
+// findings in either mode.
 func (s *SQLCM) AddRule(r *rules.Rule) error {
-	return s.addRule(r, "")
-}
-
-// addRule vets, installs and records one rule; condSrc carries the
-// original condition text when the rule came from NewRule.
-func (s *SQLCM) addRule(r *rules.Rule, condSrc string) error {
-	diags, err := s.vetRule(r, condSrc)
-	if err != nil {
+	if err := s.vetRule(r); err != nil {
 		return err
 	}
-	if err := s.installRule(r); err != nil {
-		return err
-	}
-	s.recordRule(r.Name, condSrc, diags)
-	return nil
+	return s.installRule(r)
 }
 
 // NewRule builds and registers a rule from its textual event and condition
@@ -411,21 +401,15 @@ func (s *SQLCM) NewRule(name, event, condition string, actions ...rules.Action) 
 	if err != nil {
 		return nil, err
 	}
-	r := &rules.Rule{Name: name, Event: ev, Condition: cond, Actions: actions}
-	if err := s.addRule(r, condition); err != nil {
+	r := &rules.Rule{Name: name, Event: ev, Condition: cond, Source: condition, Actions: actions}
+	if err := s.AddRule(r); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // RemoveRule unregisters a rule.
-func (s *SQLCM) RemoveRule(name string) bool {
-	if !s.ruleEng.RemoveRule(name) {
-		return false
-	}
-	s.forgetRule(name)
-	return true
-}
+func (s *SQLCM) RemoveRule(name string) bool { return s.ruleEng.RemoveRule(name) }
 
 // ---------------------------------------------------------------------------
 // rules.Env implementation

@@ -15,7 +15,7 @@ import (
 // placeholders in notification text.
 
 // checkActions validates one rule's action list.
-func (c *checker) checkActions(r *RuleDef) {
+func (c *checker) checkActions(r *rules.Rule) {
 	if len(r.Actions) == 0 {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
 			Message: "rule has no actions"})
@@ -50,7 +50,7 @@ func (c *checker) checkActions(r *RuleDef) {
 // checkLATExists validates that a LAT named by an action is declared.
 // Outside a closed set an engine can define the LAT after the rule, so
 // the finding is only a warning there.
-func (c *checker) checkLATExists(r *RuleDef, action, name string) bool {
+func (c *checker) checkLATExists(r *rules.Rule, action, name string) bool {
 	if name == "" {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: Error, Pos: -1,
 			Message: action + " action names no LAT"})
@@ -72,7 +72,7 @@ func (c *checker) checkLATExists(r *RuleDef, action, name string) bool {
 // checkInsert validates that every source attribute of the target LAT —
 // grouping attributes and aggregation inputs — resolves in the rule's
 // event context, mirroring the runtime failure lat.Table.Insert raises.
-func (c *checker) checkInsert(r *RuleDef, resolvable map[string]bool, a *rules.InsertAction) {
+func (c *checker) checkInsert(r *rules.Rule, resolvable map[string]bool, a *rules.InsertAction) {
 	if !c.checkLATExists(r, "Insert", a.LAT) {
 		return
 	}
@@ -91,7 +91,7 @@ func (c *checker) checkInsert(r *RuleDef, resolvable map[string]bool, a *rules.I
 // checkPersist validates a Persist action: LAT existence for LAT
 // persists, and per-attribute resolution plus the sanitized-column
 // collision rule for object persists.
-func (c *checker) checkPersist(r *RuleDef, resolvable map[string]bool, a *rules.PersistAction) {
+func (c *checker) checkPersist(r *rules.Rule, resolvable map[string]bool, a *rules.PersistAction) {
 	if a.Table == "" {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Error, Pos: -1,
 			Message: "Persist action names no target table"})
@@ -120,7 +120,7 @@ func (c *checker) checkPersist(r *RuleDef, resolvable map[string]bool, a *rules.
 // checkAttrRef validates one attribute reference ("Attr" or
 // "Class.Attr") against the objects the rule's event binds. References
 // to declared LATs are accepted (the runtime reads the matching row).
-func (c *checker) checkAttrRef(r *RuleDef, resolvable map[string]bool, what, ref string) {
+func (c *checker) checkAttrRef(r *rules.Rule, resolvable map[string]bool, what, ref string) {
 	qual, attr, qualified := cutDot(ref)
 	if !qualified {
 		class := r.Event.Class
@@ -166,7 +166,7 @@ func (c *checker) checkAttrRef(r *RuleDef, resolvable map[string]bool, what, ref
 // checkPlaceholders validates the {ref} substitutions in notification
 // text. Unresolvable placeholders are not runtime errors — Substitute
 // leaves them literal — so findings are warnings.
-func (c *checker) checkPlaceholders(r *RuleDef, resolvable map[string]bool, action, text string) {
+func (c *checker) checkPlaceholders(r *rules.Rule, resolvable map[string]bool, action, text string) {
 	for _, ref := range placeholders(text) {
 		qual, attr, qualified := cutDot(ref)
 		if !qualified {
@@ -229,7 +229,7 @@ func placeholders(text string) []string {
 
 // checkCancel validates a Cancel action: the targeted object must be a
 // cancellable class bound by the event.
-func (c *checker) checkCancel(r *RuleDef, resolvable map[string]bool, a *rules.CancelAction) {
+func (c *checker) checkCancel(r *rules.Rule, resolvable map[string]bool, a *rules.CancelAction) {
 	class := a.Class
 	if class == "" {
 		class = r.Event.Class
@@ -249,7 +249,7 @@ func (c *checker) checkCancel(r *RuleDef, resolvable map[string]bool, a *rules.C
 
 // checkSetTimer validates timer parameters against TimerManager.Set's
 // runtime rejection rules.
-func (c *checker) checkSetTimer(r *RuleDef, a *rules.SetTimerAction) {
+func (c *checker) checkSetTimer(r *rules.Rule, a *rules.SetTimerAction) {
 	if a.Timer == "" {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Error, Pos: -1,
 			Message: "Set timer action names no timer"})

@@ -73,7 +73,7 @@ func ParseSet(src string) (*Set, []Diagnostic, error) {
 				return nil, nil, err
 			}
 			p.diags = append(p.diags, diags...)
-			set.Rules = append(set.Rules, *rd)
+			set.Rules = append(set.Rules, rd)
 		default:
 			return nil, nil, p.errf("expected 'set', 'lat' or 'rule', got %q", firstField(line))
 		}
@@ -265,7 +265,7 @@ func aggFunc(name string) (lat.AggFunc, error) {
 }
 
 // parseRule parses one `rule Name on Class.Event { … }` block.
-func (p *setParser) parseRule(header string) (*RuleDef, []Diagnostic, error) {
+func (p *setParser) parseRule(header string) (*rules.Rule, []Diagnostic, error) {
 	f := strings.Fields(strings.TrimSuffix(header, "{"))
 	if len(f) != 4 || f[2] != "on" {
 		return nil, nil, p.errf("rule header wants 'rule <name> on <Class.Event> {'")
@@ -273,7 +273,7 @@ func (p *setParser) parseRule(header string) (*RuleDef, []Diagnostic, error) {
 	if !strings.HasSuffix(header, "{") {
 		return nil, nil, p.errf("rule header must end with '{'")
 	}
-	rd := &RuleDef{Name: f[1]}
+	rd := &rules.Rule{Name: f[1]}
 	var diags []Diagnostic
 	ev, err := monitor.ParseEvent(f[3])
 	if err != nil {
@@ -292,7 +292,7 @@ func (p *setParser) parseRule(header string) (*RuleDef, []Diagnostic, error) {
 			return rd, diags, nil
 		case strings.HasPrefix(line, "when "):
 			src := strings.TrimSpace(strings.TrimPrefix(line, "when "))
-			rd.CondSrc = src
+			rd.Source = src
 			cond, err := rules.ParseCondition(src)
 			if err != nil {
 				pos := -1
@@ -304,7 +304,7 @@ func (p *setParser) parseRule(header string) (*RuleDef, []Diagnostic, error) {
 					Pos: pos, Message: fmt.Sprintf("line %d: %v", p.n, err)})
 				continue
 			}
-			rd.Cond = cond
+			rd.Condition = cond
 		default:
 			a, err := p.parseAction(line)
 			if err != nil {

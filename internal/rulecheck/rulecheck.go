@@ -31,9 +31,10 @@
 //	syntax  — condition parse failures (positioned by the parser).
 //	latdef  — malformed LAT specifications (batch mode).
 //
-// The engine integration (internal/core) runs Check at rule-registration
-// time in Warn or Strict mode; cmd/sqlcm-vet runs it in batch over
-// declarative rule-set files.
+// The engine integration (internal/core) runs Check over the live rule
+// set on demand and, in Strict mode, once per registration over the live
+// set plus the candidate; cmd/sqlcm-vet runs it in batch over declarative
+// rule-set files.
 package rulecheck
 
 import (
@@ -65,12 +66,13 @@ func (s Severity) String() string {
 	return "warning"
 }
 
-// Mode selects how the engine integration treats diagnostics at rule
+// Mode selects whether the engine integration analyses a rule at
 // registration time.
 type Mode uint8
 
-// Modes. Warn records diagnostics but registers the rule; Strict rejects
-// rules with Error diagnostics.
+// Modes. Warn registers rules unanalysed (the live set's findings are
+// computed when asked for); Strict rejects a rule that an Error
+// diagnostic names.
 const (
 	Warn Mode = iota
 	Strict
@@ -105,17 +107,6 @@ func (d Diagnostic) String() string {
 	return b.String()
 }
 
-// RuleDef is the analyser's view of one rule. CondSrc is the original
-// condition text when known (positions are resolved against it); Cond is
-// the parsed condition (nil = always true).
-type RuleDef struct {
-	Name    string
-	Event   monitor.Event
-	CondSrc string
-	Cond    sqlparser.Expr
-	Actions []rules.Action
-}
-
 // DefaultMaxTriggerDepth bounds synchronous trigger chains (the paper's
 // recursive-triggering limit): an action that evicts a LAT row dispatches
 // LATRow.Evicted re-entrantly in the same thread, so deep chains grow the
@@ -125,7 +116,7 @@ const DefaultMaxTriggerDepth = 8
 // Set is a whole rule set with the LAT schemas its rules reference.
 type Set struct {
 	LATs  []lat.Spec
-	Rules []RuleDef
+	Rules []*rules.Rule
 	// Closed marks a complete universe (batch files): references to
 	// undeclared LATs become errors instead of "may be defined later"
 	// warnings.
@@ -161,8 +152,7 @@ func Check(set *Set) []Diagnostic {
 		}
 	}
 	seen := make(map[string]bool, len(set.Rules))
-	for i := range set.Rules {
-		r := &set.Rules[i]
+	for i, r := range set.Rules {
 		if r.Name == "" {
 			c.report(Diagnostic{Analysis: "syntax", Severity: Error, Pos: -1,
 				Message: fmt.Sprintf("rule #%d has no name", i+1)})
@@ -223,25 +213,31 @@ func (c *checker) sortByRule() {
 }
 
 // pos locates a sub-expression's text inside the rule's condition source,
-// for diagnostics that point at a reference or literal. Returns -1 when
-// the rule was registered without source text or the text is not found.
-func (c *checker) pos(r *RuleDef, sub string) int {
-	if r.CondSrc == "" || sub == "" {
+// for diagnostics that point at a reference or literal. A rule built in
+// code has no source text; its parsed condition's canonical rendering
+// stands in, so positions still point somewhere meaningful. Returns -1
+// when the text is not found.
+func (c *checker) pos(r *rules.Rule, sub string) int {
+	src := r.Source
+	if src == "" && r.Condition != nil {
+		src = r.Condition.String()
+	}
+	if src == "" || sub == "" {
 		return -1
 	}
-	return strings.Index(r.CondSrc, sub)
+	return strings.Index(src, sub)
 }
 
 // resolvableClasses returns the classes a rule's references can bind: the
 // classes its event binds, plus enumerable classes referenced by the
 // condition (the engine's expand step iterates live objects of those,
 // §5.2).
-func (c *checker) resolvableClasses(r *RuleDef) map[string]bool {
+func (c *checker) resolvableClasses(r *rules.Rule) map[string]bool {
 	out := make(map[string]bool, 4)
 	for _, cl := range monitor.BoundClasses(r.Event) {
 		out[cl] = true
 	}
-	sqlparser.WalkExpr(r.Cond, func(e sqlparser.Expr) {
+	sqlparser.WalkExpr(r.Condition, func(e sqlparser.Expr) {
 		ref, ok := e.(*sqlparser.ColumnRef)
 		if !ok || ref.Table == "" {
 			return

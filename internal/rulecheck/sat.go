@@ -6,6 +6,7 @@ import (
 
 	"sqlcm/internal/expr"
 	"sqlcm/internal/monitor"
+	"sqlcm/internal/rules"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 )
@@ -268,21 +269,21 @@ func union(a, b worldList) worldList {
 // satChecker runs the analysis for one rule.
 type satChecker struct {
 	c *checker
-	r *RuleDef
+	r *rules.Rule
 }
 
 // checkSat analyses one rule's condition for dead and always-true cases.
-func (c *checker) checkSat(r *RuleDef) {
-	if r.Cond == nil {
+func (c *checker) checkSat(r *rules.Rule) {
+	if r.Condition == nil {
 		return
 	}
 	s := &satChecker{c: c, r: r}
-	if len(s.sat(r.Cond, true)) == 0 {
+	if len(s.sat(r.Condition, true)) == 0 {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "sat", Severity: Error, Pos: 0,
 			Message: "condition is unsatisfiable: the rule can never fire"})
 		return
 	}
-	if len(s.sat(r.Cond, false)) == 0 {
+	if len(s.sat(r.Condition, false)) == 0 {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "sat", Severity: Warning, Pos: 0,
 			Message: "condition is always true: the rule fires on every event (drop the condition if intended)"})
 	}

@@ -7,12 +7,12 @@ import (
 	"sqlcm/internal/rules"
 )
 
-func mustParse(t *testing.T, src string) *RuleDef {
+func mustParse(t *testing.T, src string) *rules.Rule {
 	e, err := rules.ParseCondition(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return &RuleDef{Name: "r", Event: monitor.EvQueryCommit, CondSrc: src, Cond: e,
+	return &rules.Rule{Name: "r", Event: monitor.EvQueryCommit, Source: src, Condition: e,
 		Actions: []rules.Action{&rules.FuncAction{Name: "f", Fn: func(rules.Env, *rules.Ctx) error { return nil }}}}
 }
 
@@ -39,7 +39,7 @@ func TestSatAnalysis(t *testing.T) {
 		{"Duration > 0.25", false, false},
 	}
 	for _, tc := range cases {
-		set := &Set{Rules: []RuleDef{*mustParse(t, tc.src)}}
+		set := &Set{Rules: []*rules.Rule{mustParse(t, tc.src)}}
 		diags := Check(set)
 		var dead, always bool
 		for _, d := range diags {

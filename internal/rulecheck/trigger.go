@@ -2,6 +2,7 @@ package rulecheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,9 +26,12 @@ import (
 //     insert evicts again), and even an acyclic chain deepens the
 //     thread's stack by its length.
 //
-// The analysis reports synchronous cycles as errors, asynchronous
-// cycles as warnings, and synchronous chains deeper than the set's
-// nesting bound (MaxTriggerDepth) as warnings.
+// The analysis reports, for each rule, an error when a synchronous cycle
+// passes through it, otherwise a warning when a cycle through a timer
+// alarm does; and, when no synchronous cycle exists, a warning for
+// synchronous chains deeper than the set's nesting bound
+// (MaxTriggerDepth). Naming every rule on a cycle is what lets the engine
+// judge one candidate rule by the findings that name it.
 
 // triggerEdge is one edge of the rule-trigger graph.
 type triggerEdge struct {
@@ -59,11 +63,13 @@ func (c *checker) checkTriggers() {
 		}
 	}
 
-	// Synchronous cycles: unbounded same-thread recursion.
-	if cyc := findCycle(n, syncAdj); cyc != nil {
-		c.report(Diagnostic{Rule: c.set.Rules[cyc[0]].Name, Analysis: "trigger", Severity: Error, Pos: -1,
-			Message: "synchronous trigger cycle (LAT eviction re-dispatches on the inserting thread): " + c.describeCycle(cyc, syncAdj)})
-	} else {
+	syncCycles := make([][]int, n)
+	cyclic := false
+	for u := range syncCycles {
+		syncCycles[u] = cycleThrough(u, syncAdj)
+		cyclic = cyclic || syncCycles[u] != nil
+	}
+	if !cyclic {
 		// Acyclic: bound the deepest synchronous chain.
 		depth, path := longestChain(n, syncAdj)
 		if depth > maxDepth {
@@ -73,10 +79,17 @@ func (c *checker) checkTriggers() {
 		}
 	}
 
-	// Mixed/asynchronous cycles: self-sustaining feedback loops.
-	if cyc := findCycle(n, allAdj); cyc != nil && !cycleAllSync(cyc, allAdj) {
-		c.report(Diagnostic{Rule: c.set.Rules[cyc[0]].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
-			Message: "rule-trigger cycle through timer alarms (self-sustaining feedback loop): " + c.describeCycle(cyc, allAdj)})
+	for u, cyc := range syncCycles {
+		if cyc != nil {
+			// Unbounded same-thread recursion.
+			c.report(Diagnostic{Rule: c.set.Rules[u].Name, Analysis: "trigger", Severity: Error, Pos: -1,
+				Message: "synchronous trigger cycle (LAT eviction re-dispatches on the inserting thread): " + c.describeCycle(cyc)})
+		} else if cyc := cycleThrough(u, allAdj); cyc != nil {
+			// Not on a synchronous cycle, so this one crosses a timer
+			// edge: a self-sustaining feedback loop.
+			c.report(Diagnostic{Rule: c.set.Rules[u].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
+				Message: "rule-trigger cycle through timer alarms (self-sustaining feedback loop): " + c.describeCycle(cyc)})
+		}
 	}
 }
 
@@ -119,73 +132,31 @@ func (c *checker) triggerEdges() []triggerEdge {
 	return edges
 }
 
-// findCycle returns one cycle (as a node sequence, first node repeated
-// implicitly) or nil. Deterministic: DFS in index order.
-func findCycle(n int, adj [][]triggerEdge) []int {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, n)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycle []int
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		color[u] = grey
-		for _, e := range adj[u] {
-			v := e.to
-			if color[v] == grey {
-				// Unwind u → … → v.
-				cycle = []int{v}
-				for w := u; w != v; w = parent[w] {
-					cycle = append(cycle, w)
+// cycleThrough returns a shortest cycle through u (as a node sequence
+// starting at u, u repeated implicitly), or nil. Breadth-first in edge
+// order, so the result is deterministic.
+func cycleThrough(u int, adj [][]triggerEdge) []int {
+	parent := map[int]int{u: -1}
+	queue := []int{u}
+	for len(queue) > 0 {
+		w := queue[0]
+		queue = queue[1:]
+		for _, e := range adj[w] {
+			if e.to == u {
+				var cyc []int
+				for x := w; x >= 0; x = parent[x] {
+					cyc = append(cyc, x)
 				}
-				// Reverse into forward order starting at v.
-				for l, r := 1, len(cycle)-1; l < r; l, r = l+1, r-1 {
-					cycle[l], cycle[r] = cycle[r], cycle[l]
-				}
-				return true
+				slices.Reverse(cyc)
+				return cyc
 			}
-			if color[v] == white {
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
+			if _, seen := parent[e.to]; !seen {
+				parent[e.to] = w
+				queue = append(queue, e.to)
 			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if color[i] == white && dfs(i) {
-			return cycle
 		}
 	}
 	return nil
-}
-
-// cycleAllSync reports whether every consecutive hop of the cycle can be
-// made over synchronous edges (then the sync-cycle error already covers
-// it).
-func cycleAllSync(cyc []int, adj [][]triggerEdge) bool {
-	for i := range cyc {
-		u, v := cyc[i], cyc[(i+1)%len(cyc)]
-		syncHop := false
-		for _, e := range adj[u] {
-			if e.to == v && e.sync {
-				syncHop = true
-				break
-			}
-		}
-		if !syncHop {
-			return false
-		}
-	}
-	return true
 }
 
 // longestChain returns the longest path length (in edges) of an acyclic
@@ -228,7 +199,7 @@ func longestChain(n int, adj [][]triggerEdge) (int, []int) {
 	return bestDepth, path
 }
 
-func (c *checker) describeCycle(cyc []int, adj [][]triggerEdge) string {
+func (c *checker) describeCycle(cyc []int) string {
 	names := make([]string, 0, len(cyc)+1)
 	for _, i := range cyc {
 		names = append(names, fmt.Sprintf("%q", c.set.Rules[i].Name))
@@ -257,8 +228,7 @@ func (c *checker) checkShadow() {
 	}
 	groups := make(map[key][]int)
 	var order []key
-	for i := range c.set.Rules {
-		r := &c.set.Rules[i]
+	for i, r := range c.set.Rules {
 		k := key{event: r.Event, cond: normalizedCond(r)}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
@@ -271,9 +241,9 @@ func (c *checker) checkShadow() {
 		if len(idxs) < 2 {
 			continue
 		}
-		first := &c.set.Rules[idxs[0]]
+		first := c.set.Rules[idxs[0]]
 		for _, i := range idxs[1:] {
-			r := &c.set.Rules[i]
+			r := c.set.Rules[i]
 			if actionsSignature(r.Actions) == actionsSignature(first.Actions) {
 				c.report(Diagnostic{Rule: r.Name, Analysis: "shadow", Severity: Error, Pos: -1,
 					Message: fmt.Sprintf("duplicate of rule %q (same event, condition and actions): every firing runs the actions twice", first.Name)})
@@ -288,11 +258,11 @@ func (c *checker) checkShadow() {
 // normalizedCond renders a rule's condition canonically (the parser's
 // String() fully parenthesizes, so textual equality is structural
 // equality up to literal spelling).
-func normalizedCond(r *RuleDef) string {
-	if r.Cond == nil {
+func normalizedCond(r *rules.Rule) string {
+	if r.Condition == nil {
 		return ""
 	}
-	return r.Cond.String()
+	return r.Condition.String()
 }
 
 // actionsSignature renders an action list canonically via Describe.

@@ -5,6 +5,7 @@ import (
 
 	"sqlcm/internal/lat"
 	"sqlcm/internal/monitor"
+	"sqlcm/internal/rules"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
 )
@@ -38,18 +39,18 @@ func numericKind(k sqltypes.Kind) bool {
 // checkTypes runs type inference over one rule's condition, emitting
 // diagnostics for unknown probes, unresolvable classes, and
 // kind-mismatched operators.
-func (c *checker) checkTypes(r *RuleDef) {
-	if r.Cond == nil {
+func (c *checker) checkTypes(r *rules.Rule) {
+	if r.Condition == nil {
 		return
 	}
 	t := &typeChecker{c: c, r: r, resolvable: c.resolvableClasses(r)}
-	t.infer(r.Cond)
+	t.infer(r.Condition)
 }
 
 // typeChecker carries the per-rule inference state.
 type typeChecker struct {
 	c          *checker
-	r          *RuleDef
+	r          *rules.Rule
 	resolvable map[string]bool
 	// reportedClasses dedupes "class can never bind" findings per class.
 	reportedClasses map[string]bool
@@ -119,7 +120,9 @@ func (t *typeChecker) infer(e sqlparser.Expr) inferredKind {
 
 // inferRef resolves a probe-attribute or LAT-column reference.
 func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
-	pos := t.c.pos(t.r, refString(ref))
+	// Located only when reported: a rule built in code renders its
+	// condition to find the reference.
+	pos := func() int { return t.c.pos(t.r, refString(ref)) }
 	if ref.Table == "" {
 		// Unqualified: resolves against the event's primary object.
 		class := t.r.Event.Class
@@ -131,7 +134,7 @@ func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
 		if k, ok := monitor.AttrKind(class, ref.Column); ok {
 			return known(k)
 		}
-		t.errorf(pos, "%s has no probe attribute %q (event %s)", class, ref.Column, t.r.Event)
+		t.errorf(pos(), "%s has no probe attribute %q (event %s)", class, ref.Column, t.r.Event)
 		return unknownKind
 	}
 	if _, isClass := monitor.ClassAttributes(ref.Table); isClass {
@@ -141,7 +144,7 @@ func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
 			}
 			if !t.reportedClasses[ref.Table] {
 				t.reportedClasses[ref.Table] = true
-				t.errorf(pos, "condition references class %s, which event %s does not bind and the engine cannot enumerate: the rule will never evaluate",
+				t.errorf(pos(), "condition references class %s, which event %s does not bind and the engine cannot enumerate: the rule will never evaluate",
 					ref.Table, t.r.Event)
 			}
 			return unknownKind
@@ -152,13 +155,13 @@ func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
 		if k, ok := monitor.AttrKind(ref.Table, ref.Column); ok {
 			return known(k)
 		}
-		t.errorf(pos, "%s has no probe attribute %q", ref.Table, ref.Column)
+		t.errorf(pos(), "%s has no probe attribute %q", ref.Table, ref.Column)
 		return unknownKind
 	}
 	if spec, ok := c2spec(t.c, ref.Table); ok {
 		k, colOK := latColumnKind(spec, ref.Column)
 		if !colOK {
-			t.errorf(pos, "LAT %s has no column %q (columns: %s)",
+			t.errorf(pos(), "LAT %s has no column %q (columns: %s)",
 				ref.Table, ref.Column, columnsOf(spec))
 			return unknownKind
 		}
@@ -170,7 +173,7 @@ func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
 		sev = Error
 		msg = fmt.Sprintf("reference %s.%s names neither a monitored class nor a LAT declared in this set", ref.Table, ref.Column)
 	}
-	t.c.report(Diagnostic{Rule: t.r.Name, Analysis: "latref", Severity: sev, Pos: pos, Message: msg})
+	t.c.report(Diagnostic{Rule: t.r.Name, Analysis: "latref", Severity: sev, Pos: pos(), Message: msg})
 	return unknownKind
 }
 

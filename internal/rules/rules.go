@@ -100,7 +100,10 @@ type Rule struct {
 	Name      string
 	Event     monitor.Event
 	Condition sqlparser.Expr // nil = always true
-	Actions   []Action
+	// Source is the condition text the rule was declared with ("" for a
+	// rule built in code); static analysis positions findings in it.
+	Source  string
+	Actions []Action
 
 	enabled atomic.Bool
 	// quarantined marks a rule removed from dispatch after repeated

@@ -158,3 +158,59 @@ func TestUnsatRulesNeverFire(t *testing.T) {
 		})
 	}
 }
+
+// RuleWarnings and CheckRules report the live rule set as it is now: a
+// finding goes with the rule that caused it, and a rule that joins an
+// existing trigger cycle is named as well.
+func TestRuleWarningsFollowTheLiveSet(t *testing.T) {
+	db, err := Open(Config{RuleCheck: RuleCheckWarn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mention := func(diags []RuleDiagnostic, rule, analysis, text string) bool {
+		for _, d := range diags {
+			if d.Rule == rule && d.Analysis == analysis && strings.Contains(d.Message, text) {
+				return true
+			}
+		}
+		return false
+	}
+
+	for _, name := range []string{"x", "y"} {
+		if _, err := db.NewRule(name, "Query.Commit", "Duration > 1",
+			&rules.SendMailAction{Address: name + "@example.com", Text: "slow"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !mention(db.RuleWarnings(), "y", "shadow", `shadows rule "x"`) {
+		t.Fatalf("y shadowing x not reported: %v", db.RuleWarnings())
+	}
+	db.RemoveRule("x")
+	if mention(db.RuleWarnings(), "y", "shadow", `shadows rule "x"`) {
+		t.Errorf("finding outlived the removed rule x: %v", db.RuleWarnings())
+	}
+
+	for _, name := range []string{"A", "B"} {
+		spec := LATSpec{
+			Name:    name,
+			GroupBy: []string{"LAT"},
+			Aggs:    []AggCol{{Func: Count, Name: "N"}},
+			OrderBy: []OrderKey{{Col: "N", Desc: true}},
+			MaxRows: 2,
+		}
+		if _, err := db.DefineLAT(spec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.NewRule("evict_"+name, "LATRow.Evicted", "", &rules.InsertAction{LAT: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, diags := range [][]RuleDiagnostic{db.RuleWarnings(), db.CheckRules()} {
+		for _, rule := range []string{"evict_A", "evict_B"} {
+			if !mention(diags, rule, "trigger", "synchronous trigger cycle") {
+				t.Errorf("no synchronous cycle finding names %s: %v", rule, diags)
+			}
+		}
+	}
+}

@@ -147,12 +147,14 @@ type (
 
 // Rule-check modes.
 const (
-	// RuleCheckWarn (the default) records findings; rules register
-	// regardless. Retrieve them with DB.RuleWarnings.
+	// RuleCheckWarn (the default) registers rules without analysing
+	// them; DB.CheckRules (or DB.RuleWarnings) reports the live rule
+	// set's findings when asked.
 	RuleCheckWarn = rulecheck.Warn
-	// RuleCheckStrict rejects rules with error-severity findings
-	// (kind-mismatched conditions, dead rules, bad LAT references,
-	// synchronous trigger cycles, duplicates).
+	// RuleCheckStrict rejects a rule when an error-severity finding
+	// names it (kind-mismatched conditions, dead rules, bad LAT
+	// references, synchronous trigger cycles, duplicates); findings of
+	// other rules do not block it.
 	RuleCheckStrict = rulecheck.Strict
 )
 
@@ -262,17 +264,18 @@ func (db *DB) NewRule(name, event, condition string, actions ...Action) (*Rule, 
 func (db *DB) RemoveRule(name string) bool { return db.mon.RemoveRule(name) }
 
 // LoadRuleSet installs a declarative .rules file (LAT declarations and
-// rules) after analysing it as a whole: in RuleCheckStrict mode any
-// error-severity finding rejects the entire file.
+// rules), all of it or none. In RuleCheckStrict mode it first analyses
+// the file as a whole, and any error-severity finding rejects the entire
+// file.
 func (db *DB) LoadRuleSet(src string) error { return db.mon.LoadRuleSet(src) }
 
-// CheckRules re-runs static analysis over the live rule set and returns
+// CheckRules runs static analysis over the live rule set and returns
 // every finding.
 func (db *DB) CheckRules() []RuleDiagnostic { return db.mon.CheckRules() }
 
-// RuleWarnings returns the static-analysis findings recorded when rules
-// were registered in RuleCheckWarn mode.
-func (db *DB) RuleWarnings() []RuleDiagnostic { return db.mon.RuleWarnings() }
+// RuleWarnings is CheckRules: the live rule set's findings, in either
+// mode.
+func (db *DB) RuleWarnings() []RuleDiagnostic { return db.mon.CheckRules() }
 
 // SetTimer arms the named Timer object: count alarms separated by period
 // (count < 0 repeats forever, count == 0 disables).
