@@ -113,10 +113,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 
-# internal/workload's benchmark is one 127 000-statement load per iteration.
+# internal/workload's benchmark is one 127 000-statement load per iteration,
+# BenchmarkStrictRegistration one 1000-rule session.
 bench:
-	$(GO) test -run xxx -bench . -benchtime 1000x $$($(GO) list ./... | grep -v /internal/workload)
+	$(GO) test -run xxx -skip BenchmarkStrictRegistration -bench . -benchtime 1000x $$($(GO) list ./... | grep -v /internal/workload)
 	$(GO) test -run xxx -bench . -benchtime 3x ./internal/workload
+	$(GO) test -run xxx -bench BenchmarkStrictRegistration -benchtime 3x ./internal/core
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under bench/,
 # which the root `go build ./...` does not see: vet and test it against

@@ -228,7 +228,7 @@ func checkRulesFile(path string, out, errw io.Writer) (errs, warns int) {
 		fmt.Fprintf(out, "%s: %v\n", path, err)
 		return 1, 0
 	}
-	diags = append(diags, rulecheck.Check(set)...)
+	diags = append(diags, rulecheck.Check(nil, set)...)
 	for _, d := range diags {
 		fmt.Fprintf(out, "%s: %s\n", path, d)
 		if d.Severity == rulecheck.Error {

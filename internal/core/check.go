@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"sqlcm/internal/lat"
 	"sqlcm/internal/monitor"
 	"sqlcm/internal/rulecheck"
 	"sqlcm/internal/rules"
@@ -12,47 +12,33 @@ import (
 
 // Static rule analysis (internal/rulecheck). In Warn mode (the default)
 // registration analyses nothing; CheckRules analyses the live rule set
-// when asked. In Strict mode AddRule/NewRule run one Check over the live
-// set plus the candidate and reject the candidate when an error-severity
-// finding names it, so findings of other rules never block it.
-// LoadRuleSet applies a whole declarative .rules file after a single
-// closed-world check.
+// when asked. In Strict mode AddRule/NewRule and LoadRuleSet run one
+// Check of what the call adds against the live set and reject the call
+// when an error-severity finding names a rule or LAT it adds, so findings
+// of live rules never block it. A .rules file is checked as a closed
+// world: with the live set, it must be complete.
 
-// vetRule rejects r in Strict mode when an error-severity finding of the
-// live set plus r names r.
-func (s *SQLCM) vetRule(r *rules.Rule) error {
+// vet rejects add in Strict mode when Check reports an error-severity
+// finding for it; what names the registration in the error.
+func (s *SQLCM) vet(add *rulecheck.Set, what string) error {
 	if s.checkMode != rulecheck.Strict {
 		return nil
 	}
-	set := s.liveSet()
-	set.Rules = append(set.Rules, r)
-	var mine []rulecheck.Diagnostic
-	for _, d := range rulecheck.Check(set) {
-		if d.Rule == r.Name {
-			mine = append(mine, d)
-		}
-	}
-	if rulecheck.HasErrors(mine) {
-		return fmt.Errorf("core: rule %q rejected by static analysis:\n%s",
-			r.Name, renderDiags(mine, rulecheck.Error))
+	if diags := rulecheck.Check(s.liveSet(), add); rulecheck.HasErrors(diags) {
+		return fmt.Errorf("core: %s rejected by static analysis:\n%s", what, renderDiags(diags, rulecheck.Error))
 	}
 	return nil
 }
 
 // liveSet builds the analyser's view of the installed LATs and rules.
 func (s *SQLCM) liveSet() *rulecheck.Set {
-	set := &rulecheck.Set{}
+	set := &rulecheck.Set{Rules: s.ruleEng.Snapshot()}
 	s.latMu.RLock()
+	set.LATs = make([]lat.Spec, 0, len(s.lats))
 	for _, t := range s.lats {
 		set.LATs = append(set.LATs, t.Spec())
 	}
 	s.latMu.RUnlock()
-	sort.Slice(set.LATs, func(i, j int) bool { return set.LATs[i].Name < set.LATs[j].Name })
-	for _, name := range s.ruleEng.Rules() {
-		if r, ok := s.ruleEng.Rule(name); ok {
-			set.Rules = append(set.Rules, r)
-		}
-	}
 	return set
 }
 
@@ -71,16 +57,15 @@ func renderDiags(diags []rulecheck.Diagnostic, min rulecheck.Severity) string {
 
 // CheckRules analyses the live rule set and returns every finding.
 func (s *SQLCM) CheckRules() []rulecheck.Diagnostic {
-	return rulecheck.Check(s.liveSet())
+	return rulecheck.Check(nil, s.liveSet())
 }
 
 // LoadRuleSet parses a declarative .rules file (LAT declarations plus
 // rules; see internal/rulecheck) and installs it. In Strict mode the file
-// is first analysed as a closed set together with the already-registered
-// LATs and rules, and any error-severity finding rejects the whole file.
-// Previously registered LATs and rules are visible to the new ones (and
-// vice versa for trigger analysis). A file that fails to install leaves
-// nothing of itself behind.
+// is first analysed as a closed set against the already-registered LATs
+// and rules, which its rules may reference, and an error-severity finding
+// that names one of its rules or LATs rejects the whole file. A file that
+// fails to install leaves nothing of itself behind.
 func (s *SQLCM) LoadRuleSet(src string) error {
 	set, parseDiags, err := rulecheck.ParseSet(src)
 	if err != nil {
@@ -89,16 +74,8 @@ func (s *SQLCM) LoadRuleSet(src string) error {
 	if rulecheck.HasErrors(parseDiags) {
 		return fmt.Errorf("core: rule set rejected:\n%s", renderDiags(parseDiags, rulecheck.Error))
 	}
-	if s.checkMode == rulecheck.Strict {
-		merged := s.liveSet()
-		merged.LATs = append(merged.LATs, set.LATs...)
-		merged.Rules = append(merged.Rules, set.Rules...)
-		merged.Closed = true
-		merged.MaxTriggerDepth = set.MaxTriggerDepth
-		if diags := rulecheck.Check(merged); rulecheck.HasErrors(diags) {
-			return fmt.Errorf("core: rule set rejected by static analysis:\n%s",
-				renderDiags(diags, rulecheck.Error))
-		}
+	if err := s.vet(set, "rule set"); err != nil {
+		return err
 	}
 	// undo takes back the first nLATs LATs and nRules rules of the file.
 	undo := func(nLATs, nRules int, err error) error {
@@ -116,8 +93,6 @@ func (s *SQLCM) LoadRuleSet(src string) error {
 		}
 	}
 	for i, r := range set.Rules {
-		// Not AddRule: in Strict mode the file was vetted as a whole
-		// above, and a per-rule check would see it only in part.
 		if err := s.installRule(r); err != nil {
 			return undo(len(set.LATs), i, err)
 		}

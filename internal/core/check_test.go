@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"sqlcm/internal/engine"
@@ -10,14 +12,14 @@ import (
 	"sqlcm/internal/rules"
 )
 
-func attachChecked(t *testing.T, mode rulecheck.Mode) *SQLCM {
-	t.Helper()
+func attachChecked(tb testing.TB, mode rulecheck.Mode) *SQLCM {
+	tb.Helper()
 	eng, err := engine.Open(engine.Config{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := Attach(eng, Options{RuleCheck: mode})
-	t.Cleanup(func() {
+	tb.Cleanup(func() {
 		s.Detach()
 		eng.Close()
 	})
@@ -36,10 +38,10 @@ func boundedLAT(name string) lat.Spec {
 	}
 }
 
-func mustDefineLAT(t *testing.T, s *SQLCM, spec lat.Spec) {
-	t.Helper()
+func mustDefineLAT(tb testing.TB, s *SQLCM, spec lat.Spec) {
+	tb.Helper()
 	if _, err := s.DefineLAT(spec); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
@@ -167,4 +169,120 @@ func TestStrictRegistration(t *testing.T) {
 			t.Fatalf("clean rule blocked by another rule's finding: %v", err)
 		}
 	})
+}
+
+// A Strict LoadRuleSet judges the file by the findings that name what it
+// adds, as AddRule judges its candidate: a live rule's error neither
+// blocks a clean file nor lets a broken one in.
+func TestStrictLoadRuleSetJudgesOnlyTheFile(t *testing.T) {
+	s := attachChecked(t, rulecheck.Strict)
+	withD := lat.Spec{Name: "L", GroupBy: []string{"Query_Text"},
+		Aggs: []lat.AggCol{{Func: lat.Avg, Attr: "Duration", Name: "D"}}}
+	mustDefineLAT(t, s, withD)
+	if _, err := s.NewRule("reader", "Query.Commit", "Duration > L.D",
+		&rules.SendMailAction{Address: "dba", Text: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	s.DropLAT("L")
+	withD.Aggs = []lat.AggCol{{Func: lat.Count, Name: "N"}}
+	mustDefineLAT(t, s, withD)
+	if len(errorsNaming(s.CheckRules(), "reader", "type")) == 0 {
+		t.Fatalf("live set holds no error naming reader: %v", s.CheckRules())
+	}
+
+	const clean = `
+rule clean on Query.Commit {
+    when Duration > 5
+    sendmail "dba" "slow"
+}
+`
+	if err := s.LoadRuleSet(clean); err != nil {
+		t.Fatalf("clean file blocked by a live rule's finding: %v", err)
+	}
+	if _, ok := s.Rules().Rule("clean"); !ok {
+		t.Error("clean file's rule is not installed")
+	}
+
+	const broken = `
+lat Fresh {
+    group_by Query_Text
+    agg count as N
+}
+
+rule dead on Query.Commit {
+    when Duration > 10 AND Duration < 5
+    insert Fresh
+}
+`
+	err := s.LoadRuleSet(broken)
+	if err == nil || !strings.Contains(err.Error(), `rule "dead": [sat] error`) {
+		t.Fatalf("LoadRuleSet = %v, want a rejection naming dead's [sat] finding", err)
+	}
+	if strings.Contains(err.Error(), "reader") {
+		t.Errorf("rejection names the live rule reader: %v", err)
+	}
+	if _, ok := s.LAT("Fresh"); ok {
+		t.Error("rejected file left LAT Fresh installed")
+	}
+	if _, ok := s.Rules().Rule("dead"); ok {
+		t.Error("rejected file left rule dead installed")
+	}
+}
+
+// Strict registrations and CheckRules from several goroutines at once
+// share the live rule slice and each rule's memoised canonical condition.
+func TestStrictRegistrationConcurrent(t *testing.T) {
+	s := attachChecked(t, rulecheck.Strict)
+	mail := &rules.SendMailAction{Address: "dba", Text: "x"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if _, err := s.NewRule(fmt.Sprintf("g%d_%d", g, i), "Query.Commit",
+					fmt.Sprintf("Duration > %d", 100*g+i), mail); err != nil {
+					t.Error(err)
+					return
+				}
+				s.CheckRules()
+			}
+		}()
+	}
+	wg.Wait()
+	if diags := s.CheckRules(); len(s.Rules().Rules()) != 100 || len(diags) != 0 {
+		t.Errorf("%d rules installed, findings %v; want 100 and none", len(s.Rules().Rules()), diags)
+	}
+}
+
+// registerSession registers a session of E-FIG2's largest size: n bounded
+// LATs, each with one 5-atom Query.Commit rule that inserts into it. The
+// conditions differ, so every candidate is compared with every live rule
+// for shadowing.
+func registerSession(tb testing.TB, s *SQLCM, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("L%d", i)
+		mustDefineLAT(tb, s, lat.Spec{
+			Name:    name,
+			GroupBy: []string{"ID"},
+			Aggs:    []lat.AggCol{{Func: lat.Last, Attr: "Duration", Name: "D"}},
+			OrderBy: []lat.OrderKey{{Col: "D", Desc: true}},
+			MaxRows: 10,
+		})
+		cond := fmt.Sprintf("Duration > %d AND Duration < %d AND Times_Blocked >= 0 AND User != 'u%d' AND Estimated_Cost < %d",
+			i, i+1000, i, i+1)
+		if _, err := s.NewRule(fmt.Sprintf("r%d", i), "Query.Commit", cond, &rules.InsertAction{LAT: name}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStrictRegistration registers the 1000-rule session in Strict
+// mode; a check that re-analyses the whole live set per candidate makes
+// this quadratic.
+func BenchmarkStrictRegistration(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		registerSession(b, attachChecked(b, rulecheck.Strict), 1000)
+	}
 }

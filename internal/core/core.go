@@ -114,8 +114,8 @@ type Options struct {
 	// instead of evaluating all of them. Zero disables.
 	DispatchBudget time.Duration
 	// RuleCheck selects static rule analysis at registration time: Warn
-	// (default) registers rules unanalysed, Strict rejects a rule that an
-	// error-severity finding names.
+	// (default) registers rules unanalysed, Strict rejects a rule or rule
+	// set that an error-severity finding names.
 	RuleCheck rulecheck.Mode
 
 	// outbox tunes the async action executor; zero values select the
@@ -383,7 +383,7 @@ func (s *SQLCM) LoadLAT(name, table string) error {
 // an error-severity finding names it; CheckRules reports the live set's
 // findings in either mode.
 func (s *SQLCM) AddRule(r *rules.Rule) error {
-	if err := s.vetRule(r); err != nil {
+	if err := s.vet(&rulecheck.Set{Rules: []*rules.Rule{r}}, fmt.Sprintf("rule %q", r.Name)); err != nil {
 		return err
 	}
 	return s.installRule(r)

@@ -15,27 +15,26 @@ import (
 // placeholders in notification text.
 
 // checkActions validates one rule's action list.
-func (c *checker) checkActions(r *rules.Rule) {
+func (c *checker) checkActions(r *rules.Rule, scope refScope) {
 	if len(r.Actions) == 0 {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
 			Message: "rule has no actions"})
 		return
 	}
-	resolvable := c.resolvableClasses(r)
 	for _, a := range r.Actions {
 		switch x := a.(type) {
 		case *rules.InsertAction:
-			c.checkInsert(r, resolvable, x)
+			c.checkInsert(r, scope, x)
 		case *rules.ResetAction:
 			c.checkLATExists(r, "Reset", x.LAT)
 		case *rules.PersistAction:
-			c.checkPersist(r, resolvable, x)
+			c.checkPersist(r, scope, x)
 		case *rules.SendMailAction:
-			c.checkPlaceholders(r, resolvable, "SendMail", x.Text)
+			c.checkPlaceholders(r, scope, "SendMail", x.Text)
 		case *rules.RunExternalAction:
-			c.checkPlaceholders(r, resolvable, "RunExternal", x.Command)
+			c.checkPlaceholders(r, scope, "RunExternal", x.Command)
 		case *rules.CancelAction:
-			c.checkCancel(r, resolvable, x)
+			c.checkCancel(r, scope, x)
 		case *rules.SetTimerAction:
 			c.checkSetTimer(r, x)
 		case *rules.FuncAction:
@@ -72,26 +71,26 @@ func (c *checker) checkLATExists(r *rules.Rule, action, name string) bool {
 // checkInsert validates that every source attribute of the target LAT —
 // grouping attributes and aggregation inputs — resolves in the rule's
 // event context, mirroring the runtime failure lat.Table.Insert raises.
-func (c *checker) checkInsert(r *rules.Rule, resolvable map[string]bool, a *rules.InsertAction) {
+func (c *checker) checkInsert(r *rules.Rule, scope refScope, a *rules.InsertAction) {
 	if !c.checkLATExists(r, "Insert", a.LAT) {
 		return
 	}
 	spec := c.lats[a.LAT]
 	for _, g := range spec.GroupBy {
-		c.checkAttrRef(r, resolvable, fmt.Sprintf("Insert(%s) grouping attribute", a.LAT), g)
+		c.checkAttrRef(r, scope, fmt.Sprintf("Insert(%s) grouping attribute", a.LAT), g)
 	}
 	for _, agg := range spec.Aggs {
 		if agg.Attr == "" { // COUNT(*)
 			continue
 		}
-		c.checkAttrRef(r, resolvable, fmt.Sprintf("Insert(%s) aggregation input", a.LAT), agg.Attr)
+		c.checkAttrRef(r, scope, fmt.Sprintf("Insert(%s) aggregation input", a.LAT), agg.Attr)
 	}
 }
 
 // checkPersist validates a Persist action: LAT existence for LAT
 // persists, and per-attribute resolution plus the sanitized-column
 // collision rule for object persists.
-func (c *checker) checkPersist(r *rules.Rule, resolvable map[string]bool, a *rules.PersistAction) {
+func (c *checker) checkPersist(r *rules.Rule, scope refScope, a *rules.PersistAction) {
 	if a.Table == "" {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Error, Pos: -1,
 			Message: "Persist action names no target table"})
@@ -113,99 +112,47 @@ func (c *checker) checkPersist(r *rules.Rule, resolvable map[string]bool, a *rul
 				Message: fmt.Sprintf("Persist attributes %q and %q both map to column %q: one would silently overwrite the other", prev, ref, col)})
 		}
 		seen[col] = ref
-		c.checkAttrRef(r, resolvable, "Persist attribute", ref)
+		c.checkAttrRef(r, scope, "Persist attribute", ref)
 	}
 }
 
-// checkAttrRef validates one attribute reference ("Attr" or
-// "Class.Attr") against the objects the rule's event binds. References
-// to declared LATs are accepted (the runtime reads the matching row).
-func (c *checker) checkAttrRef(r *rules.Rule, resolvable map[string]bool, what, ref string) {
-	qual, attr, qualified := cutDot(ref)
-	if !qualified {
-		class := r.Event.Class
-		if class == monitor.ClassLATRow {
-			return // dynamic row columns resolve at runtime
-		}
-		if _, ok := monitor.AttrKind(class, ref); !ok {
-			c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: Error, Pos: -1,
-				Message: fmt.Sprintf("%s %q: %s has no probe attribute %q (event %s)", what, ref, class, ref, r.Event)})
-		}
+// checkAttrRef validates one attribute reference ("Attr", "Class.Attr" or
+// "LAT.Col") against the objects the rule's event binds and the declared
+// LATs (the runtime reads a LAT's matching row).
+func (c *checker) checkAttrRef(r *rules.Rule, scope refScope, what, ref string) {
+	qualified, qual, attr := splitRef(ref)
+	_, fault := scope.resolve(qualified, qual, attr)
+	if fault == refOK {
 		return
 	}
-	if _, isClass := monitor.ClassAttributes(qual); isClass {
-		if !resolvable[qual] {
-			c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: Error, Pos: -1,
-				Message: fmt.Sprintf("%s %q: event %s does not bind a %s object", what, ref, r.Event, qual)})
-			return
-		}
-		if qual == monitor.ClassLATRow {
-			return
-		}
-		if _, ok := monitor.AttrKind(qual, attr); !ok {
-			c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: Error, Pos: -1,
-				Message: fmt.Sprintf("%s %q: %s has no probe attribute %q", what, ref, qual, attr)})
-		}
-		return
+	sev := Error
+	if fault == refUndeclared && !c.set.Closed {
+		sev = Warning
 	}
-	if spec, ok := c.lats[qual]; ok {
-		if _, colOK := latColumnKind(spec, attr); !colOK {
-			c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: Error, Pos: -1,
-				Message: fmt.Sprintf("%s %q: LAT %s has no column %q (columns: %s)", what, ref, qual, attr, columnsOf(spec))})
-		}
-		return
-	}
-	sev := Warning
-	msg := fmt.Sprintf("%s %q: %s names neither a monitored class nor a declared LAT", what, ref, qual)
-	if c.set.Closed {
-		sev = Error
-	}
-	c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: sev, Pos: -1, Message: msg})
+	c.report(Diagnostic{Rule: r.Name, Analysis: "latref", Severity: sev, Pos: -1,
+		Message: fmt.Sprintf("%s %q: %s", what, ref, scope.failure(fault, qual, attr))})
 }
 
 // checkPlaceholders validates the {ref} substitutions in notification
 // text. Unresolvable placeholders are not runtime errors — Substitute
 // leaves them literal — so findings are warnings.
-func (c *checker) checkPlaceholders(r *rules.Rule, resolvable map[string]bool, action, text string) {
+func (c *checker) checkPlaceholders(r *rules.Rule, scope refScope, action, text string) {
 	for _, ref := range placeholders(text) {
-		qual, attr, qualified := cutDot(ref)
-		if !qualified {
-			class := r.Event.Class
-			if class == monitor.ClassLATRow {
-				continue
-			}
-			if _, ok := monitor.AttrKind(class, ref); !ok {
-				c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
-					Message: fmt.Sprintf("%s placeholder {%s}: %s has no probe attribute %q; the placeholder will appear literally", action, ref, class, ref)})
-			}
+		qualified, qual, attr := splitRef(ref)
+		_, fault := scope.resolve(qualified, qual, attr)
+		var msg string
+		switch {
+		case fault == refOK, fault == refUndeclared && !c.set.Closed:
 			continue
+		case fault == refNoAttr && !qualified:
+			msg = fmt.Sprintf("%s has no probe attribute %q; the placeholder will appear literally", r.Event.Class, ref)
+		case fault == refNoColumn:
+			msg = fmt.Sprintf("LAT %s has no column %q", qual, attr)
+		default:
+			msg = scope.failure(fault, qual, attr)
 		}
-		if _, isClass := monitor.ClassAttributes(qual); isClass {
-			if !resolvable[qual] {
-				c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
-					Message: fmt.Sprintf("%s placeholder {%s}: event %s does not bind a %s object", action, ref, r.Event, qual)})
-				continue
-			}
-			if qual == monitor.ClassLATRow {
-				continue
-			}
-			if _, ok := monitor.AttrKind(qual, attr); !ok {
-				c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
-					Message: fmt.Sprintf("%s placeholder {%s}: %s has no probe attribute %q", action, ref, qual, attr)})
-			}
-			continue
-		}
-		if spec, ok := c.lats[qual]; ok {
-			if _, colOK := latColumnKind(spec, attr); !colOK {
-				c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
-					Message: fmt.Sprintf("%s placeholder {%s}: LAT %s has no column %q", action, ref, qual, attr)})
-			}
-			continue
-		}
-		if c.set.Closed {
-			c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
-				Message: fmt.Sprintf("%s placeholder {%s}: %s names neither a monitored class nor a declared LAT", action, ref, qual)})
-		}
+		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Warning, Pos: -1,
+			Message: fmt.Sprintf("%s placeholder {%s}: %s", action, ref, msg)})
 	}
 }
 
@@ -229,7 +176,7 @@ func placeholders(text string) []string {
 
 // checkCancel validates a Cancel action: the targeted object must be a
 // cancellable class bound by the event.
-func (c *checker) checkCancel(r *rules.Rule, resolvable map[string]bool, a *rules.CancelAction) {
+func (c *checker) checkCancel(r *rules.Rule, scope refScope, a *rules.CancelAction) {
 	class := a.Class
 	if class == "" {
 		class = r.Event.Class
@@ -241,7 +188,7 @@ func (c *checker) checkCancel(r *rules.Rule, resolvable map[string]bool, a *rule
 			Message: fmt.Sprintf("Cancel applies to Query, Blocker or Blocked objects, not %s", class)})
 		return
 	}
-	if a.Class != "" && !resolvable[a.Class] {
+	if a.Class != "" && !scope.bound[a.Class] {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "action", Severity: Error, Pos: -1,
 			Message: fmt.Sprintf("Cancel(%s): event %s does not bind a %s object", a.Class, r.Event, a.Class)})
 	}

@@ -32,7 +32,7 @@ func TestExampleRulesetsAreClean(t *testing.T) {
 			if len(diags) > 0 {
 				t.Fatalf("parse diagnostics: %v", diags)
 			}
-			for _, d := range Check(set) {
+			for _, d := range Check(nil, set) {
 				t.Errorf("unexpected finding: %s", d)
 			}
 		})

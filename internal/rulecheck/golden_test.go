@@ -34,7 +34,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				fmt.Fprintf(&buf, "parse error: %v\n", err)
 			} else {
-				diags = append(diags, Check(set)...)
+				diags = append(diags, Check(nil, set)...)
 				for _, d := range diags {
 					fmt.Fprintf(&buf, "%s\n", d)
 				}

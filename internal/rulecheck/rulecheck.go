@@ -32,9 +32,9 @@
 //	latdef  — malformed LAT specifications (batch mode).
 //
 // The engine integration (internal/core) runs Check over the live rule
-// set on demand and, in Strict mode, once per registration over the live
-// set plus the candidate; cmd/sqlcm-vet runs it in batch over declarative
-// rule-set files.
+// set on demand and, in Strict mode, once per registration over what the
+// registration adds, against the live set; cmd/sqlcm-vet runs it in batch
+// over declarative rule-set files.
 package rulecheck
 
 import (
@@ -127,17 +127,33 @@ type Set struct {
 
 // checker carries one Check invocation.
 type checker struct {
-	set   *Set
+	set *Set // the rules and LATs under analysis
+	// rules is the live set's rules, then set's: the trigger graph and
+	// shadowing span them, findings name only set's (rules[first:]).
+	rules []*rules.Rule
+	first int
 	lats  map[string]*lat.Spec
 	diags []Diagnostic
 }
 
-// Check analyses the rule set and returns its findings, most severe
-// first within each rule, rules in set order.
-func Check(set *Set) []Diagnostic {
-	c := &checker{set: set, lats: make(map[string]*lat.Spec, len(set.LATs))}
-	for i := range set.LATs {
-		spec := &set.LATs[i]
+// Check analyses the rule set add against the installed set live and
+// returns add's findings, most severe first within each rule, rules in
+// add's order. The per-rule analyses and LAT validation run over add
+// only; the trigger graph spans both sets, and each added rule is checked
+// for shadowing against the earlier rules on its event. live may be nil,
+// which makes add the whole set; add's Closed and MaxTriggerDepth govern.
+func Check(live, add *Set) []Diagnostic {
+	if live == nil {
+		live = &Set{}
+	}
+	c := &checker{set: add, first: len(live.Rules),
+		rules: append(append(make([]*rules.Rule, 0, len(live.Rules)+len(add.Rules)), live.Rules...), add.Rules...),
+		lats:  make(map[string]*lat.Spec, len(live.LATs)+len(add.LATs))}
+	for i := range live.LATs {
+		c.lats[live.LATs[i].Name] = &live.LATs[i]
+	}
+	for i := range add.LATs {
+		spec := &add.LATs[i]
 		if _, dup := c.lats[spec.Name]; dup {
 			c.report(Diagnostic{Analysis: "latdef", Severity: Error, Pos: -1,
 				Message: fmt.Sprintf("LAT %q declared twice", spec.Name)})
@@ -151,8 +167,11 @@ func Check(set *Set) []Diagnostic {
 				Message: err.Error()})
 		}
 	}
-	seen := make(map[string]bool, len(set.Rules))
-	for i, r := range set.Rules {
+	seen := make(map[string]bool, len(c.rules))
+	for _, r := range live.Rules {
+		seen[r.Name] = true
+	}
+	for i, r := range add.Rules {
 		if r.Name == "" {
 			c.report(Diagnostic{Analysis: "syntax", Severity: Error, Pos: -1,
 				Message: fmt.Sprintf("rule #%d has no name", i+1)})
@@ -166,9 +185,10 @@ func Check(set *Set) []Diagnostic {
 				Message: fmt.Sprintf("unknown event %q", r.Event.String())})
 			continue
 		}
-		c.checkTypes(r)
-		c.checkSat(r)
-		c.checkActions(r)
+		scope := c.scopeOf(r)
+		c.checkTypes(r, scope)
+		c.checkSat(r, scope)
+		c.checkActions(r, scope)
 	}
 	c.checkTriggers()
 	c.checkShadow()
@@ -219,8 +239,8 @@ func (c *checker) sortByRule() {
 // when the text is not found.
 func (c *checker) pos(r *rules.Rule, sub string) int {
 	src := r.Source
-	if src == "" && r.Condition != nil {
-		src = r.Condition.String()
+	if src == "" {
+		src = r.CanonicalCondition()
 	}
 	if src == "" || sub == "" {
 		return -1
@@ -228,25 +248,117 @@ func (c *checker) pos(r *rules.Rule, sub string) int {
 	return strings.Index(src, sub)
 }
 
-// resolvableClasses returns the classes a rule's references can bind: the
-// classes its event binds, plus enumerable classes referenced by the
-// condition (the engine's expand step iterates live objects of those,
-// §5.2).
-func (c *checker) resolvableClasses(r *rules.Rule) map[string]bool {
-	out := make(map[string]bool, 4)
+// refFault says why a reference does not resolve.
+type refFault uint8
+
+const (
+	refOK         refFault = iota
+	refNoAttr              // the class has no such probe attribute
+	refUnbound             // the rule can bind no object of the class
+	refNoColumn            // the LAT has no such column
+	refUndeclared          // the qualifier names neither a class nor a LAT
+)
+
+// refScope is what references resolve against: a rule's event, the
+// classes the rule can bind and the declared LATs. The zero scope
+// resolves a LAT's source attributes, which no one event binds.
+type refScope struct {
+	ev    monitor.Event
+	bound map[string]bool
+	lats  map[string]*lat.Spec
+}
+
+// scopeOf returns a rule's scope. The rule can bind the classes its event
+// binds, plus enumerable classes its condition references (the engine's
+// expand step iterates live objects of those, §5.2).
+func (c *checker) scopeOf(r *rules.Rule) refScope {
+	bound := make(map[string]bool, 4)
 	for _, cl := range monitor.BoundClasses(r.Event) {
-		out[cl] = true
+		bound[cl] = true
 	}
 	sqlparser.WalkExpr(r.Condition, func(e sqlparser.Expr) {
-		ref, ok := e.(*sqlparser.ColumnRef)
-		if !ok || ref.Table == "" {
-			return
-		}
-		if monitor.EnumerableClass(ref.Table) {
-			out[ref.Table] = true
+		if ref, ok := e.(*sqlparser.ColumnRef); ok && monitor.EnumerableClass(ref.Table) {
+			bound[ref.Table] = true
 		}
 	})
-	return out
+	return refScope{ev: r.Event, bound: bound, lats: c.lats}
+}
+
+// resolve is the one reference case split: a bare name (qual "", not
+// qualified) resolves against the event's class, "Class.Attr" against a class the rule can
+// bind, "LAT.Col" against a declared LAT's columns. It returns the
+// reference's static kind, known also for a class the rule cannot bind,
+// and what failed. A LATRow attribute other than "LAT" is a column of the
+// source LAT, known only at runtime: it resolves with an unknown kind. In
+// the zero scope a bare name is looked up in every class schema (the
+// Appendix A schemas keep shared names such as ID, User and Duration
+// kind-consistent, so the first match is authoritative) and every class
+// qualifier is unbound: only the kind counts there.
+func (s refScope) resolve(qualified bool, qual, attr string) (inferredKind, refFault) {
+	if !qualified {
+		if s.ev.Class != "" {
+			return classAttr(s.ev.Class, attr)
+		}
+		for _, class := range []string{
+			monitor.ClassQuery, monitor.ClassTransaction, monitor.ClassTimer, monitor.ClassMonitor,
+		} {
+			if k, fault := classAttr(class, attr); fault == refOK {
+				return k, refOK
+			}
+		}
+		return unknownKind, refNoAttr
+	}
+	if _, isClass := monitor.ClassAttributes(qual); isClass {
+		k, fault := classAttr(qual, attr)
+		if !s.bound[qual] {
+			fault = refUnbound
+		}
+		return k, fault
+	}
+	if spec, ok := s.lats[qual]; ok {
+		if k, ok := latColumnKind(spec, attr); ok {
+			return k, refOK
+		}
+		return unknownKind, refNoColumn
+	}
+	return unknownKind, refUndeclared
+}
+
+// splitRef splits a reference's source spelling ("Attr", "Qual.Attr")
+// into resolve's arguments.
+func splitRef(ref string) (qualified bool, qual, attr string) {
+	qual, attr, qualified = strings.Cut(ref, ".")
+	if !qualified {
+		return false, "", ref
+	}
+	return true, qual, attr
+}
+
+// classAttr resolves one probe attribute of a class.
+func classAttr(class, attr string) (inferredKind, refFault) {
+	if class == monitor.ClassLATRow && attr != "LAT" {
+		return unknownKind, refOK
+	}
+	if k, ok := monitor.AttrKind(class, attr); ok {
+		return known(k), refOK
+	}
+	return unknownKind, refNoAttr
+}
+
+// failure words a fault the way the analyses share.
+func (s refScope) failure(fault refFault, qual, attr string) string {
+	switch fault {
+	case refNoAttr:
+		if qual == "" {
+			return fmt.Sprintf("%s has no probe attribute %q (event %s)", s.ev.Class, attr, s.ev)
+		}
+		return fmt.Sprintf("%s has no probe attribute %q", qual, attr)
+	case refUnbound:
+		return fmt.Sprintf("event %s does not bind a %s object", s.ev, qual)
+	case refNoColumn:
+		return fmt.Sprintf("LAT %s has no column %q (columns: %s)", qual, attr, columnsOf(s.lats[qual]))
+	}
+	return qual + " names neither a monitored class nor a declared LAT"
 }
 
 // refString renders a column reference in its source spelling.

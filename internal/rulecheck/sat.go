@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"sqlcm/internal/expr"
-	"sqlcm/internal/monitor"
 	"sqlcm/internal/rules"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -268,16 +267,16 @@ func union(a, b worldList) worldList {
 
 // satChecker runs the analysis for one rule.
 type satChecker struct {
-	c *checker
-	r *rules.Rule
+	r     *rules.Rule
+	scope refScope
 }
 
 // checkSat analyses one rule's condition for dead and always-true cases.
-func (c *checker) checkSat(r *rules.Rule) {
+func (c *checker) checkSat(r *rules.Rule, scope refScope) {
 	if r.Condition == nil {
 		return
 	}
-	s := &satChecker{c: c, r: r}
+	s := &satChecker{r: r, scope: scope}
 	if len(s.sat(r.Condition, true)) == 0 {
 		c.report(Diagnostic{Rule: r.Name, Analysis: "sat", Severity: Error, Pos: 0,
 			Message: "condition is unsatisfiable: the rule can never fire"})
@@ -354,40 +353,17 @@ func (constLeaves) Param(*sqlparser.Param) (expr.Evaluator, error)      { return
 func (constLeaves) Func(*sqlparser.FuncCall) (expr.Evaluator, error)    { return nil, errNotConst }
 func (constLeaves) Operand(p expr.Predicate) expr.Predicate             { return expr.Filter(p) }
 
-// refKindQuiet resolves a reference's static kind without emitting
-// diagnostics (checkTypes owns the reporting).
-func (s *satChecker) refKindQuiet(ref *sqlparser.ColumnRef) inferredKind {
-	if ref.Table == "" {
-		class := s.r.Event.Class
-		if class == monitor.ClassLATRow && ref.Column != "LAT" {
-			return unknownKind
-		}
-		if k, ok := monitor.AttrKind(class, ref.Column); ok {
-			return known(k)
-		}
-		return unknownKind
-	}
-	if _, isClass := monitor.ClassAttributes(ref.Table); isClass {
-		if ref.Table == monitor.ClassLATRow && ref.Column != "LAT" {
-			return unknownKind
-		}
-		if k, ok := monitor.AttrKind(ref.Table, ref.Column); ok {
-			return known(k)
-		}
-		return unknownKind
-	}
-	if spec, ok := s.c.lats[ref.Table]; ok {
-		if k, colOK := latColumnKind(spec, ref.Column); colOK {
-			return k
-		}
-	}
-	return unknownKind
+// refKind is a reference's static kind (checkTypes reports what does not
+// resolve).
+func (s *satChecker) refKind(ref *sqlparser.ColumnRef) inferredKind {
+	k, _ := s.scope.resolve(ref.Table != "", ref.Table, ref.Column)
+	return k
 }
 
 // satRefTruthy handles a bare reference used as a boolean: truthy ⟺
 // non-NULL and ≠ 0 for numeric kinds; other kinds are never truthy.
 func (s *satChecker) satRefTruthy(ref *sqlparser.ColumnRef, want bool) worldList {
-	k := s.refKindQuiet(ref)
+	k := s.refKind(ref)
 	if !k.known {
 		return top
 	}
@@ -419,7 +395,7 @@ func (s *satChecker) satIsNull(x *sqlparser.IsNull, want bool) worldList {
 	if !ok {
 		return top
 	}
-	k := s.refKindQuiet(ref)
+	k := s.refKind(ref)
 	kind := sqltypes.KindFloat
 	if k.known {
 		kind = k.kind
@@ -454,7 +430,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 		rv := canonicalVar(s.r.Event.Class, rRef)
 		if lv == rv {
 			holds := expr.CmpHolds(x.Op, 0) // x = x, x <= x, x >= x true; <, >, != false
-			k := s.refKindQuiet(lRef)
+			k := s.refKind(lRef)
 			kind := sqltypes.KindFloat
 			if k.known {
 				kind = k.kind
@@ -498,7 +474,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 		return top
 	}
 
-	k := s.refKindQuiet(ref)
+	k := s.refKind(ref)
 	if !k.known {
 		return top
 	}

@@ -40,7 +40,7 @@ func TestSatAnalysis(t *testing.T) {
 	}
 	for _, tc := range cases {
 		set := &Set{Rules: []*rules.Rule{mustParse(t, tc.src)}}
-		diags := Check(set)
+		diags := Check(nil, set)
 		var dead, always bool
 		for _, d := range diags {
 			if d.Analysis == "sat" && d.Severity == Error {

@@ -3,7 +3,6 @@ package rulecheck
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"sqlcm/internal/monitor"
@@ -26,16 +25,17 @@ import (
 //     insert evicts again), and even an acyclic chain deepens the
 //     thread's stack by its length.
 //
-// The analysis reports, for each rule, an error when a synchronous cycle
-// passes through it, otherwise a warning when a cycle through a timer
-// alarm does; and, when no synchronous cycle exists, a warning for
-// synchronous chains deeper than the set's nesting bound
-// (MaxTriggerDepth). Naming every rule on a cycle is what lets the engine
-// judge one candidate rule by the findings that name it.
+// The graph spans the live and the added rules. The analysis reports,
+// for each added rule, an error when a synchronous cycle passes through
+// it, otherwise a warning when a cycle through a timer alarm does; and,
+// when no synchronous cycle exists, a warning for the deepest synchronous
+// chain when it exceeds the set's nesting bound (MaxTriggerDepth) and
+// starts at an added rule. Naming every rule on a cycle is what lets the
+// engine judge what a registration adds by the findings that name it.
 
 // triggerEdge is one edge of the rule-trigger graph.
 type triggerEdge struct {
-	from, to int  // rule indices in Set.Rules
+	from, to int  // indices in checker.rules
 	sync     bool // true for LAT-eviction edges, false for timer edges
 	via      string
 }
@@ -53,7 +53,7 @@ func (c *checker) checkTriggers() {
 	}
 
 	// Adjacency, split by edge kind.
-	n := len(c.set.Rules)
+	n := len(c.rules)
 	syncAdj := make([][]triggerEdge, n)
 	allAdj := make([][]triggerEdge, n)
 	for _, e := range edges {
@@ -63,31 +63,22 @@ func (c *checker) checkTriggers() {
 		}
 	}
 
-	syncCycles := make([][]int, n)
-	cyclic := false
-	for u := range syncCycles {
-		syncCycles[u] = cycleThrough(u, syncAdj)
-		cyclic = cyclic || syncCycles[u] != nil
-	}
-	if !cyclic {
-		// Acyclic: bound the deepest synchronous chain.
-		depth, path := longestChain(n, syncAdj)
-		if depth > maxDepth {
-			c.report(Diagnostic{Rule: c.set.Rules[path[0]].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
-				Message: fmt.Sprintf("synchronous trigger chain of depth %d exceeds the nesting bound %d: %s",
-					depth, maxDepth, c.describePath(path))})
-		}
+	// Acyclic: bound the deepest synchronous chain.
+	if depth, path, cyclic := longestChain(syncAdj); !cyclic && depth > maxDepth && path[0] >= c.first {
+		c.report(Diagnostic{Rule: c.rules[path[0]].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
+			Message: fmt.Sprintf("synchronous trigger chain of depth %d exceeds the nesting bound %d: %s",
+				depth, maxDepth, c.describePath(path))})
 	}
 
-	for u, cyc := range syncCycles {
-		if cyc != nil {
+	for u := c.first; u < n; u++ {
+		if cyc := cycleThrough(u, syncAdj); cyc != nil {
 			// Unbounded same-thread recursion.
-			c.report(Diagnostic{Rule: c.set.Rules[u].Name, Analysis: "trigger", Severity: Error, Pos: -1,
+			c.report(Diagnostic{Rule: c.rules[u].Name, Analysis: "trigger", Severity: Error, Pos: -1,
 				Message: "synchronous trigger cycle (LAT eviction re-dispatches on the inserting thread): " + c.describeCycle(cyc)})
 		} else if cyc := cycleThrough(u, allAdj); cyc != nil {
 			// Not on a synchronous cycle, so this one crosses a timer
 			// edge: a self-sustaining feedback loop.
-			c.report(Diagnostic{Rule: c.set.Rules[u].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
+			c.report(Diagnostic{Rule: c.rules[u].Name, Analysis: "trigger", Severity: Warning, Pos: -1,
 				Message: "rule-trigger cycle through timer alarms (self-sustaining feedback loop): " + c.describeCycle(cyc)})
 		}
 	}
@@ -97,8 +88,8 @@ func (c *checker) checkTriggers() {
 func (c *checker) triggerEdges() []triggerEdge {
 	// Subscribers per event class.
 	var timerRules, evictRules []int
-	for i := range c.set.Rules {
-		switch c.set.Rules[i].Event {
+	for i, r := range c.rules {
+		switch r.Event {
 		case monitor.EvTimerAlarm:
 			timerRules = append(timerRules, i)
 		case monitor.EvLATRowEvicted:
@@ -106,8 +97,8 @@ func (c *checker) triggerEdges() []triggerEdge {
 		}
 	}
 	var edges []triggerEdge
-	for i := range c.set.Rules {
-		for _, a := range c.set.Rules[i].Actions {
+	for i, r := range c.rules {
+		for _, a := range r.Actions {
 			switch x := a.(type) {
 			case *rules.SetTimerAction:
 				if x.Count == 0 {
@@ -159,20 +150,26 @@ func cycleThrough(u int, adj [][]triggerEdge) []int {
 	return nil
 }
 
-// longestChain returns the longest path length (in edges) of an acyclic
-// graph and one maximal path.
-func longestChain(n int, adj [][]triggerEdge) (int, []int) {
+// longestChain reports whether the graph has a cycle and, when it has
+// none, its longest path length (in edges) and one maximal path.
+func longestChain(adj [][]triggerEdge) (depth int, path []int, cyclic bool) {
+	n := len(adj)
 	memo := make([]int, n) // longest chain starting at node, -1 = unknown
 	next := make([]int, n) // successor on that chain
+	onPath := make([]bool, n)
 	for i := range memo {
 		memo[i], next[i] = -1, -1
 	}
 	var dfs func(u int) int
 	dfs = func(u int) int {
+		if onPath[u] {
+			cyclic = true
+			return 0
+		}
 		if memo[u] >= 0 {
 			return memo[u]
 		}
-		memo[u] = 0
+		onPath[u] = true
 		best := 0
 		for _, e := range adj[u] {
 			if d := dfs(e.to) + 1; d > best {
@@ -180,6 +177,7 @@ func longestChain(n int, adj [][]triggerEdge) (int, []int) {
 				next[u] = e.to
 			}
 		}
+		onPath[u] = false
 		memo[u] = best
 		return best
 	}
@@ -189,61 +187,45 @@ func longestChain(n int, adj [][]triggerEdge) (int, []int) {
 			bestDepth, bestStart = d, i
 		}
 	}
-	if bestStart < 0 {
-		return 0, nil
+	if cyclic || bestStart < 0 {
+		return 0, nil, cyclic
 	}
-	var path []int
 	for u := bestStart; u >= 0; u = next[u] {
 		path = append(path, u)
 	}
-	return bestDepth, path
+	return bestDepth, path, cyclic
 }
 
 func (c *checker) describeCycle(cyc []int) string {
 	names := make([]string, 0, len(cyc)+1)
 	for _, i := range cyc {
-		names = append(names, fmt.Sprintf("%q", c.set.Rules[i].Name))
+		names = append(names, fmt.Sprintf("%q", c.rules[i].Name))
 	}
-	names = append(names, fmt.Sprintf("%q", c.set.Rules[cyc[0]].Name))
+	names = append(names, fmt.Sprintf("%q", c.rules[cyc[0]].Name))
 	return strings.Join(names, " → ")
 }
 
 func (c *checker) describePath(path []int) string {
 	names := make([]string, 0, len(path))
 	for _, i := range path {
-		names = append(names, fmt.Sprintf("%q", c.set.Rules[i].Name))
+		names = append(names, fmt.Sprintf("%q", c.rules[i].Name))
 	}
 	return strings.Join(names, " → ")
 }
 
 // checkShadow finds duplicate and shadowed rules: rules on the same
-// event with the same normalized condition all fire on the same events,
+// event with the same canonical condition all fire on the same events,
 // so identical actions mean a pure duplicate (double-firing side
 // effects) and differing actions likely mean one rule was meant to
-// replace the other.
+// replace the other. Each added rule is compared with the earlier rules
+// on its event; the first match is the rule it repeats.
 func (c *checker) checkShadow() {
-	type key struct {
-		event monitor.Event
-		cond  string
-	}
-	groups := make(map[key][]int)
-	var order []key
-	for i, r := range c.set.Rules {
-		k := key{event: r.Event, cond: normalizedCond(r)}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], i)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return groups[order[a]][0] < groups[order[b]][0] })
-	for _, k := range order {
-		idxs := groups[k]
-		if len(idxs) < 2 {
-			continue
-		}
-		first := c.set.Rules[idxs[0]]
-		for _, i := range idxs[1:] {
-			r := c.set.Rules[i]
+	for i := c.first; i < len(c.rules); i++ {
+		r := c.rules[i]
+		for _, first := range c.rules[:i] {
+			if first.Event != r.Event || first.CanonicalCondition() != r.CanonicalCondition() {
+				continue
+			}
 			if actionsSignature(r.Actions) == actionsSignature(first.Actions) {
 				c.report(Diagnostic{Rule: r.Name, Analysis: "shadow", Severity: Error, Pos: -1,
 					Message: fmt.Sprintf("duplicate of rule %q (same event, condition and actions): every firing runs the actions twice", first.Name)})
@@ -251,18 +233,9 @@ func (c *checker) checkShadow() {
 				c.report(Diagnostic{Rule: r.Name, Analysis: "shadow", Severity: Warning, Pos: -1,
 					Message: fmt.Sprintf("shadows rule %q: same event %s and condition, different actions — both fire on every match", first.Name, r.Event)})
 			}
+			break
 		}
 	}
-}
-
-// normalizedCond renders a rule's condition canonically (the parser's
-// String() fully parenthesizes, so textual equality is structural
-// equality up to literal spelling).
-func normalizedCond(r *rules.Rule) string {
-	if r.Condition == nil {
-		return ""
-	}
-	return r.Condition.String()
 }
 
 // actionsSignature renders an action list canonically via Describe.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sqlcm/internal/lat"
-	"sqlcm/internal/monitor"
 	"sqlcm/internal/rules"
 	"sqlcm/internal/sqlparser"
 	"sqlcm/internal/sqltypes"
@@ -39,19 +38,19 @@ func numericKind(k sqltypes.Kind) bool {
 // checkTypes runs type inference over one rule's condition, emitting
 // diagnostics for unknown probes, unresolvable classes, and
 // kind-mismatched operators.
-func (c *checker) checkTypes(r *rules.Rule) {
+func (c *checker) checkTypes(r *rules.Rule, scope refScope) {
 	if r.Condition == nil {
 		return
 	}
-	t := &typeChecker{c: c, r: r, resolvable: c.resolvableClasses(r)}
+	t := &typeChecker{c: c, r: r, scope: scope}
 	t.infer(r.Condition)
 }
 
 // typeChecker carries the per-rule inference state.
 type typeChecker struct {
-	c          *checker
-	r          *rules.Rule
-	resolvable map[string]bool
+	c     *checker
+	r     *rules.Rule
+	scope refScope
 	// reportedClasses dedupes "class can never bind" findings per class.
 	reportedClasses map[string]bool
 }
@@ -118,68 +117,37 @@ func (t *typeChecker) infer(e sqlparser.Expr) inferredKind {
 	}
 }
 
-// inferRef resolves a probe-attribute or LAT-column reference.
+// inferRef types a probe-attribute or LAT-column reference, reporting
+// what does not resolve.
 func (t *typeChecker) inferRef(ref *sqlparser.ColumnRef) inferredKind {
+	k, fault := t.scope.resolve(ref.Table != "", ref.Table, ref.Column)
 	// Located only when reported: a rule built in code renders its
 	// condition to find the reference.
 	pos := func() int { return t.c.pos(t.r, refString(ref)) }
-	if ref.Table == "" {
-		// Unqualified: resolves against the event's primary object.
-		class := t.r.Event.Class
-		if class == monitor.ClassLATRow && ref.Column != "LAT" {
-			// LATRow columns beyond the static "LAT" attribute come from
-			// the source LAT's spec; the source is only known at runtime.
-			return unknownKind
-		}
-		if k, ok := monitor.AttrKind(class, ref.Column); ok {
-			return known(k)
-		}
-		t.errorf(pos(), "%s has no probe attribute %q (event %s)", class, ref.Column, t.r.Event)
-		return unknownKind
-	}
-	if _, isClass := monitor.ClassAttributes(ref.Table); isClass {
-		if !t.resolvable[ref.Table] {
+	switch fault {
+	case refOK:
+		return k
+	case refUnbound:
+		if !t.reportedClasses[ref.Table] {
 			if t.reportedClasses == nil {
 				t.reportedClasses = make(map[string]bool, 2)
 			}
-			if !t.reportedClasses[ref.Table] {
-				t.reportedClasses[ref.Table] = true
-				t.errorf(pos(), "condition references class %s, which event %s does not bind and the engine cannot enumerate: the rule will never evaluate",
-					ref.Table, t.r.Event)
-			}
-			return unknownKind
+			t.reportedClasses[ref.Table] = true
+			t.errorf(pos(), "condition references class %s, which event %s does not bind and the engine cannot enumerate: the rule will never evaluate",
+				ref.Table, t.r.Event)
 		}
-		if ref.Table == monitor.ClassLATRow && ref.Column != "LAT" {
-			return unknownKind
+	case refUndeclared:
+		sev := Warning
+		msg := fmt.Sprintf("reference %s.%s names neither a monitored class nor a declared LAT (a LAT defined after the rule resolves at runtime)", ref.Table, ref.Column)
+		if t.c.set.Closed {
+			sev = Error
+			msg = fmt.Sprintf("reference %s.%s names neither a monitored class nor a LAT declared in this set", ref.Table, ref.Column)
 		}
-		if k, ok := monitor.AttrKind(ref.Table, ref.Column); ok {
-			return known(k)
-		}
-		t.errorf(pos(), "%s has no probe attribute %q", ref.Table, ref.Column)
-		return unknownKind
+		t.c.report(Diagnostic{Rule: t.r.Name, Analysis: "latref", Severity: sev, Pos: pos(), Message: msg})
+	default:
+		t.errorf(pos(), "%s", t.scope.failure(fault, ref.Table, ref.Column))
 	}
-	if spec, ok := c2spec(t.c, ref.Table); ok {
-		k, colOK := latColumnKind(spec, ref.Column)
-		if !colOK {
-			t.errorf(pos(), "LAT %s has no column %q (columns: %s)",
-				ref.Table, ref.Column, columnsOf(spec))
-			return unknownKind
-		}
-		return k
-	}
-	sev := Warning
-	msg := fmt.Sprintf("reference %s.%s names neither a monitored class nor a declared LAT (a LAT defined after the rule resolves at runtime)", ref.Table, ref.Column)
-	if t.c.set.Closed {
-		sev = Error
-		msg = fmt.Sprintf("reference %s.%s names neither a monitored class nor a LAT declared in this set", ref.Table, ref.Column)
-	}
-	t.c.report(Diagnostic{Rule: t.r.Name, Analysis: "latref", Severity: sev, Pos: pos(), Message: msg})
 	return unknownKind
-}
-
-func c2spec(c *checker, name string) (*lat.Spec, bool) {
-	s, ok := c.lats[name]
-	return s, ok
 }
 
 // inferArith types an arithmetic node, matching sqltypes.Arith: string
@@ -273,37 +241,10 @@ func latColumnKind(spec *lat.Spec, col string) (inferredKind, bool) {
 }
 
 // attrRefKind resolves a LAT source-attribute reference ("Duration",
-// "Blocker.Query_Text") to its probe kind. Unqualified references are
-// looked up in every class schema; the Appendix A schemas keep shared
-// attribute names (ID, User, Duration, …) kind-consistent, so the first
-// match is authoritative.
+// "Blocker.Query_Text") to its probe kind.
 func attrRefKind(ref string) inferredKind {
-	if ref == "" {
-		return unknownKind
-	}
-	if class, attr, qualified := cutDot(ref); qualified {
-		if k, ok := monitor.AttrKind(class, attr); ok {
-			return known(k)
-		}
-		return unknownKind
-	}
-	for _, class := range []string{
-		monitor.ClassQuery, monitor.ClassTransaction, monitor.ClassTimer, monitor.ClassMonitor,
-	} {
-		if k, ok := monitor.AttrKind(class, ref); ok {
-			return known(k)
-		}
-	}
-	return unknownKind
-}
-
-func cutDot(s string) (string, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
+	k, _ := refScope{}.resolve(splitRef(ref))
+	return k
 }
 
 func sanitized(ref string) string {

@@ -117,6 +117,21 @@ type Rule struct {
 	// classes referenced by the condition but not bound by the event; the
 	// engine iterates over all live objects of these classes (§5.2).
 	freeClasses []string
+	// canon memoises CanonicalCondition.
+	canonOnce sync.Once
+	canon     string
+}
+
+// CanonicalCondition renders the condition canonically ("" for none),
+// once per rule. The parser's String() fully parenthesizes, so equal
+// renderings are equal conditions up to literal spelling.
+func (r *Rule) CanonicalCondition() string {
+	r.canonOnce.Do(func() {
+		if r.Condition != nil {
+			r.canon = r.Condition.String()
+		}
+	})
+	return r.canon
 }
 
 // Enabled reports whether the rule participates in dispatch.
@@ -297,6 +312,10 @@ func (e *Engine) Rule(name string) (*Rule, bool) {
 	}
 	return nil, false
 }
+
+// Snapshot returns the registered rules in evaluation order. The slice
+// belongs to the published index: callers must not modify it.
+func (e *Engine) Snapshot() []*Rule { return e.idx.Load().rules }
 
 // Rules returns the registered rule names in evaluation order.
 func (e *Engine) Rules() []string {

@@ -34,3 +34,6 @@ go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/wo
 # and compiled writes were sized by (§5.4), and the loopback point read the
 # allocation-free wire codec was sized by (§10), likewise one iteration each.
 go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkWirePointRead' -benchtime=1x .
+# Strict registration of the 1000-rule session, once: a Strict check that
+# re-analyses the whole live set per rule makes it quadratic (DESIGN.md §6).
+go test -run '^$' -bench 'BenchmarkStrictRegistration$' -benchtime=1x ./internal/core

@@ -151,10 +151,12 @@ const (
 	// them; DB.CheckRules (or DB.RuleWarnings) reports the live rule
 	// set's findings when asked.
 	RuleCheckWarn = rulecheck.Warn
-	// RuleCheckStrict rejects a rule when an error-severity finding
-	// names it (kind-mismatched conditions, dead rules, bad LAT
-	// references, synchronous trigger cycles, duplicates); findings of
-	// other rules do not block it.
+	// RuleCheckStrict analyses what a registration adds (one rule, or
+	// one LoadRuleSet file) against the live set, and rejects it when an
+	// error-severity finding names one of its rules or LATs
+	// (kind-mismatched conditions, dead rules, bad LAT references,
+	// synchronous trigger cycles, duplicates); findings of live rules do
+	// not block it.
 	RuleCheckStrict = rulecheck.Strict
 )
 
@@ -265,8 +267,9 @@ func (db *DB) RemoveRule(name string) bool { return db.mon.RemoveRule(name) }
 
 // LoadRuleSet installs a declarative .rules file (LAT declarations and
 // rules), all of it or none. In RuleCheckStrict mode it first analyses
-// the file as a whole, and any error-severity finding rejects the entire
-// file.
+// the file, as a closed world against the live rules and LATs, and an
+// error-severity finding that names one of the file's rules or LATs
+// rejects the entire file.
 func (db *DB) LoadRuleSet(src string) error { return db.mon.LoadRuleSet(src) }
 
 // CheckRules runs static analysis over the live rule set and returns
