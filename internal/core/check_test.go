@@ -286,3 +286,41 @@ func BenchmarkStrictRegistration(b *testing.B) {
 		registerSession(b, attachChecked(b, rulecheck.Strict), 1000)
 	}
 }
+
+// TestStrictTransactionQualifier: TRANSACTION is an SQL keyword, yet
+// Transaction.Attr in a condition names the monitored class, as the bare
+// attribute would. A Strict rule on Transaction.Commit written that way
+// registers without a finding and fires on the commits it selects.
+func TestStrictTransactionQualifier(t *testing.T) {
+	s := attachChecked(t, rulecheck.Strict)
+	mustDefineLAT(t, s, lat.Spec{Name: "Txns", GroupBy: []string{"User"},
+		Aggs: []lat.AggCol{{Func: lat.Count, Name: "N"}}})
+	if _, err := s.NewRule("txns", "Transaction.Commit",
+		"Transaction.Duration >= 0 AND Transaction.ID > 0 AND Transaction.User = 'dba'",
+		&rules.InsertAction{LAT: "Txns"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range s.CheckRules() {
+		if d.Rule == "txns" {
+			t.Errorf("finding on the rule: %v", d)
+		}
+	}
+	dba, other := s.Engine().NewSession("dba", "app"), s.Engine().NewSession("other", "app")
+	for _, step := range []struct {
+		sess *engine.Session
+		sql  string
+	}{
+		{dba, "CREATE TABLE t (id INT PRIMARY KEY)"},
+		{dba, "INSERT INTO t VALUES (1)"},
+		{other, "INSERT INTO t VALUES (2)"},
+		{dba, "INSERT INTO t VALUES (3)"},
+	} {
+		if _, err := step.sess.Exec(step.sql, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lt, _ := s.LAT("Txns")
+	if rows := lt.Rows(); len(rows) != 1 || rows[0][0].Str() != "dba" || rows[0][1].Int() != 2 {
+		t.Fatalf("Txns = %v, want only dba's two INSERT commits", rows)
+	}
+}

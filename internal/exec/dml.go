@@ -226,12 +226,16 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		cat.AddRows(meta.Name, 1)
 	}
 	if ctx.Txn != nil {
-		rowCopy := row.Clone()
+		// The undo keeps no decoded row: the version's rec already holds it.
 		ctx.Txn.OnRollback(func() error {
+			row, err := DecodeRow(rec, len(meta.Columns))
+			if err != nil {
+				return err
+			}
 			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes() {
 				if bt := ts.Indexes()[ix.Name]; bt != nil {
-					bt.Delete(appendIndexKey(nil, ix, rowCopy), rid)
+					bt.Delete(appendIndexKey(nil, ix, row), rid)
 				}
 			}
 			if cat != nil {
@@ -327,7 +331,6 @@ func (w *Write) update(ctx *Ctx, tgt targetRow) error {
 // exactly.
 type ixDelta struct {
 	ix       *catalog.Index
-	oldKey   []byte
 	newKey   []byte
 	inserted bool // a fresh entry (newKey, rid) went into the index
 	// canceled, when non-nil, is the deferred removal canceled because
@@ -335,13 +338,12 @@ type ixDelta struct {
 	canceled *storage.Pending
 }
 
-// revertIndexDeltas undoes deltas in reverse: drops the deferred oldKey
-// removals this update registered, removes entries it inserted, and
-// re-registers removals it canceled.
+// revertIndexDeltas undoes deltas in reverse: removes entries this update
+// inserted and re-registers removals it canceled. The deferred oldKey
+// removals it registered go with its version, in the Pop that follows.
 func revertIndexDeltas(ts *TableStore, rid storage.RID, deltas []ixDelta) {
 	for i := len(deltas) - 1; i >= 0; i-- {
 		d := deltas[i]
-		ts.Vers.TakePending(rid, d.ix.Name, d.oldKey)
 		if d.inserted {
 			if bt := ts.Indexes()[d.ix.Name]; bt != nil {
 				bt.Delete(d.newKey, rid)
@@ -386,7 +388,7 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 			continue
 		}
 		oldKey, newKey := bytes.Clone(keys[:n]), bytes.Clone(keys[n:])
-		d := ixDelta{ix: ix, oldKey: oldKey, newKey: newKey}
+		d := ixDelta{ix: ix, newKey: newKey}
 		if p, ok := ts.Vers.TakePending(rid, ix.Name, newKey); ok {
 			d.canceled = &p
 		} else if err := insertEntry(ctx, ts, bt, newKey, rid); err != nil {
@@ -438,15 +440,9 @@ func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		cat.AddRows(ts.Meta.Name, -1)
 	}
 	if ctx.Txn != nil {
-		rowCopy := row.Clone()
+		// Pop drops the tombstone and the removals registered with it: the
+		// undo keeps no row.
 		ctx.Txn.OnRollback(func() error {
-			indexes := ts.Indexes()
-			for _, ix := range ts.Meta.Indexes() {
-				if indexes[ix.Name] == nil {
-					continue
-				}
-				ts.Vers.TakePending(rid, ix.Name, appendIndexKey(nil, ix, rowCopy))
-			}
 			ts.Vers.Pop(rid)
 			if cat != nil {
 				cat.AddRows(ts.Meta.Name, 1)

@@ -185,7 +185,7 @@ func stringFunc(f func(string) sqltypes.Value) func(sqltypes.Value) (sqltypes.Va
 }
 
 // Truthy interprets a non-NULL value as a boolean condition: numeric and
-// non-zero. Strings, times and blobs are never true.
+// non-zero. Strings and times are never true.
 func Truthy(v sqltypes.Value) bool {
 	switch v.Kind() {
 	case sqltypes.KindBool, sqltypes.KindInt:

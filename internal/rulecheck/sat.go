@@ -495,7 +495,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 	if k.kind == sqltypes.KindString {
 		return s.stringAtom(v, op, lit.Str(), want)
 	}
-	// Time and blob kinds: no literal syntax reaches here; claim nothing.
+	// Time kinds: no literal syntax reaches here; claim nothing.
 	return top
 }
 

@@ -105,7 +105,7 @@ func Negate(v Value) (Value, error) {
 	case KindInt, KindBool:
 		return NewInt(-v.i), nil
 	case KindFloat:
-		return NewFloat(-v.f), nil
+		return NewFloat(-v.Float()), nil
 	default:
 		return Null, fmt.Errorf("sqltypes: cannot negate %s", v.kind)
 	}

@@ -26,7 +26,6 @@ const (
 	KindFloat
 	KindString
 	KindTime
-	KindBlob
 )
 
 // String returns the SQL-facing name of the kind.
@@ -44,8 +43,6 @@ func (k Kind) String() string {
 		return "STRING"
 	case KindTime:
 		return "DATETIME"
-	case KindBlob:
-		return "BLOB"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -66,20 +63,17 @@ func KindFromName(name string) (Kind, error) {
 		return KindString, nil
 	case "DATETIME", "TIMESTAMP", "DATE":
 		return KindTime, nil
-	case "BLOB", "BYTES", "VARBINARY":
-		return KindBlob, nil
 	default:
 		return KindNull, fmt.Errorf("sqltypes: unknown type name %q", name)
 	}
 }
 
-// Value is a dynamically typed SQL datum. The zero Value is NULL.
+// Value is a dynamically typed SQL datum. The zero Value is NULL. It is 32
+// bytes: every tuple, result row, parameter and LAT cell copies it.
 type Value struct {
 	kind Kind
-	i    int64   // KindBool (0/1), KindInt, KindTime (unix nanos)
-	f    float64 // KindFloat
-	s    string  // KindString
-	b    []byte  // KindBlob
+	i    int64  // KindBool (0/1), KindInt, KindTime (unix nanos), KindFloat (math.Float64bits)
+	s    string // KindString
 }
 
 // Null is the NULL value.
@@ -98,16 +92,13 @@ func NewBool(v bool) Value {
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a STRING value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewTime returns a DATETIME value with nanosecond precision.
 func NewTime(t time.Time) Value { return Value{kind: KindTime, i: t.UnixNano()} }
-
-// NewBlob returns a BLOB value. The caller must not mutate b afterwards.
-func NewBlob(b []byte) Value { return Value{kind: KindBlob, b: b} }
 
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
@@ -122,7 +113,7 @@ func (v Value) Bool() bool { return v.i != 0 }
 func (v Value) Int() int64 { return v.i }
 
 // Float returns the float payload; valid only for KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Str returns the string payload; valid only for KindString.
 func (v Value) Str() string { return v.s }
@@ -130,17 +121,13 @@ func (v Value) Str() string { return v.s }
 // Time returns the time payload; valid only for KindTime.
 func (v Value) Time() time.Time { return time.Unix(0, v.i) }
 
-// Blob returns the blob payload; valid only for KindBlob. The caller must
-// not mutate the returned slice.
-func (v Value) Blob() []byte { return v.b }
-
 // AsFloat coerces a numeric value (INT, FLOAT or BOOL) to float64.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt, KindBool:
 		return float64(v.i), true
 	case KindFloat:
-		return v.f, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -152,7 +139,7 @@ func (v Value) AsInt() (int64, bool) {
 	case KindInt, KindBool:
 		return v.i, true
 	case KindFloat:
-		return int64(v.f), true
+		return int64(v.Float()), true
 	default:
 		return 0, false
 	}
@@ -176,13 +163,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
 		return v.Time().UTC().Format("2006-01-02 15:04:05.000000")
-	case KindBlob:
-		return fmt.Sprintf("x'%x'", v.b)
 	default:
 		return "?"
 	}
@@ -255,31 +240,6 @@ func Compare(a, b Value) int {
 		default:
 			return 0
 		}
-	case KindBlob:
-		return compareBytes(a.b, b.b)
-	default:
-		return 0
-	}
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
 	default:
 		return 0
 	}
@@ -310,24 +270,16 @@ func (v Value) Hash() uint64 {
 	case KindFloat:
 		// Hash integral floats identically to the equivalent int so that
 		// Compare-equal numerics hash equal.
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			u := uint64(int64(v.f))
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		} else {
-			u := math.Float64bits(v.f)
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
+		u := uint64(v.i)
+		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			u = uint64(int64(f))
+		}
+		for i := 0; i < 8; i++ {
+			mix(byte(u >> (8 * i)))
 		}
 	case KindString:
 		for i := 0; i < len(v.s); i++ {
 			mix(v.s[i])
-		}
-	case KindBlob:
-		for _, b := range v.b {
-			mix(b)
 		}
 	}
 	return h
@@ -351,8 +303,6 @@ func (v Value) MemSize() int {
 	switch v.kind {
 	case KindString:
 		return base + len(v.s)
-	case KindBlob:
-		return base + len(v.b)
 	default:
 		return base
 	}
@@ -371,16 +321,13 @@ func (v Value) Encode(dst []byte) []byte {
 		return encodeOrderedInt(dst, v.i)
 	case KindFloat:
 		dst = append(dst, 0x03)
-		return encodeOrderedFloat(dst, v.f)
+		return encodeOrderedFloat(dst, v.Float())
 	case KindString:
 		dst = append(dst, 0x04)
 		return encodeOrderedBytes(dst, v.s)
 	case KindTime:
 		dst = append(dst, 0x05)
 		return encodeOrderedInt(dst, v.i)
-	case KindBlob:
-		dst = append(dst, 0x06)
-		return encodeOrderedBytes(dst, v.b)
 	default:
 		return append(dst, 0xff)
 	}
@@ -421,14 +368,6 @@ func Decode(src []byte) (Value, []byte, error) {
 			return Null, nil, err
 		}
 		return Value{kind: KindTime, i: i}, rest, nil
-	case 0x06:
-		b, rest, err := decodeOrderedBytes(src)
-		if err != nil {
-			return Null, nil, err
-		}
-		// A value must not alias the encoding it came from (a version's
-		// record): copy.
-		return NewBlob(append([]byte(nil), b...)), rest, nil
 	default:
 		return Null, nil, fmt.Errorf("sqltypes: bad value tag 0x%02x", tag)
 	}
@@ -474,16 +413,16 @@ func decodeOrderedFloat(src []byte) (float64, []byte, error) {
 }
 
 // encodeOrderedBytes escapes 0x00 as 0x00 0xff and terminates with
-// 0x00 0x00, preserving lexicographic order. Strings are read in place.
-func encodeOrderedBytes[B string | []byte](dst []byte, b B) []byte {
+// 0x00 0x00, preserving lexicographic order. The string is read in place.
+func encodeOrderedBytes(dst []byte, s string) []byte {
 	start := 0
-	for i := 0; i < len(b); i++ {
-		if b[i] == 0x00 {
-			dst = append(append(dst, b[start:i]...), 0x00, 0xff)
+	for i := 0; i < len(s); i++ {
+		if s[i] == 0x00 {
+			dst = append(append(dst, s[start:i]...), 0x00, 0xff)
 			start = i + 1
 		}
 	}
-	return append(append(dst, b[start:]...), 0x00, 0x00)
+	return append(append(dst, s[start:]...), 0x00, 0x00)
 }
 
 // decodeOrderedBytes reads one encodeOrderedBytes payload off src. An

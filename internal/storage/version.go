@@ -26,6 +26,7 @@ package storage
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -298,11 +299,13 @@ func (s *VersionStore) markGarbage(rid RID, c *chain) {
 }
 
 // Pop removes the newest version (transaction rollback of one UPDATE or
-// DELETE). The chain must hold an older version underneath.
+// DELETE) and the deferred removals it registered. The chain must hold an
+// older version underneath.
 func (s *VersionStore) Pop(rid RID) {
 	s.mu.Lock()
 	if c := s.slot(rid); c != nil {
 		if h := c.head.Load(); h != nil {
+			c.pend = slices.DeleteFunc(c.pend, func(p Pending) bool { return p.By == h })
 			if n := h.next.Load(); n != nil {
 				c.head.Store(n)
 			} else {

@@ -222,6 +222,27 @@ func TestPendingLifecycle(t *testing.T) {
 	}
 }
 
+// TestPopDropsItsPendings: rolling a version back also drops the deferred
+// removals it registered, so an undo needs no keys to take them one by one;
+// those an older version registered stay.
+func TestPopDropsItsPendings(t *testing.T) {
+	s := NewVersionStore(nil)
+	rid := s.NewRID()
+	s.Install(rid, []byte("a"), 1, false).SetCommit(1)
+	v1 := s.Push(rid, []byte("b"), 2)
+	v1.SetCommit(2)
+	s.AddPending(rid, "ix", []byte("key-a"), v1)
+	v2 := s.Tombstone(rid, 3)
+	s.AddPending(rid, "ix", []byte("key-b"), v2)
+	s.Pop(rid)
+	if _, ok := s.TakePending(rid, "ix", []byte("key-b")); ok {
+		t.Error("the popped tombstone's removal survived Pop")
+	}
+	if _, ok := s.TakePending(rid, "ix", []byte("key-a")); !ok {
+		t.Error("Pop dropped the removal an older version registered")
+	}
+}
+
 // TestRIDOrdering pins the RID contract: RIDs ascend in install order and
 // are never handed out again — not after an INSERT rolls back, a pass drops
 // a deleted row or TRUNCATE empties the table — so a scan returns rows in
