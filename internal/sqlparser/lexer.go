@@ -157,7 +157,9 @@ func (l *lexer) lexIdent() {
 	start := l.pos
 	l.skipIdent()
 	text := l.src[start:l.pos]
-	if kw, ok := keyword(text); ok {
+	// A keyword qualifying a column (Transaction.Duration) is a name, as
+	// written: the template key keeps its spelling.
+	if kw, ok := keyword(text); ok && !strings.HasPrefix(l.src[l.pos:], ".") {
 		l.toks = append(l.toks, token{kind: tokKeyword, text: kw, pos: start})
 		return
 	}

@@ -942,11 +942,6 @@ func (p *parser) parseUnary() (Expr, error) {
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
-	if t.kind == tokKeyword && p.toks[p.i+1].kind == tokOp && p.toks[p.i+1].text == "." {
-		// A keyword qualifying a column (Transaction.Duration) is a name,
-		// spelled as written.
-		t = token{kind: tokIdent, text: p.src[t.pos : t.pos+len(t.text)], pos: t.pos}
-	}
 	switch t.kind {
 	case tokNumber:
 		p.next()

@@ -194,6 +194,7 @@ func TestParseExprForms(t *testing.T) {
 		"x IS NOT NULL",
 		"-x * 3",
 		"Query.Duration > 5 * Duration_LAT.Avg_Duration",
+		"Transaction.Duration > 0 AND Transaction.ID = 3", // keyword as qualifier
 		"(a = 1 OR b = 2) AND c != 3",
 		"AVG(d) + 1.5e2",
 		"COUNT(*)",

@@ -38,7 +38,8 @@ func TestTemplateKeys(t *testing.T) {
 		{"INSERT INTO t VALUES (1, 'a', 2.5)", "INSERT INTO t VALUES (2, 'b', 3.5)", true},
 		{"UPDATE t SET a = 1 WHERE b = @p", "UPDATE t SET a = 2 WHERE b = @p", true},
 		{"UPDATE t SET a = 1 WHERE b = @p", "UPDATE t SET a = 1 WHERE b = @q", false},
-		{"EXEC p 1", "EXEC p 2", false}, // only queries are normalized
+		{"EXEC p 1", "EXEC p 2", false},                                       // only queries are normalized
+		{"SELECT Transaction.a FROM t", "SELECT TRANSACTION.a FROM t", false}, // a qualifier keeps its spelling
 	} {
 		ka, kb := mustLex(t, c.a).Key, mustLex(t, c.b).Key
 		if bytes.Equal(ka, kb) != c.same {

@@ -16,7 +16,7 @@
 # wire: the root package's in-process benchmarks with -benchmem on both
 # sides, into bench/out/gate-inproc-{parent,change}.txt, summarized as each
 # benchmark's median ns/op and B/op per side. Ten pairs of 20 s take about
-# 45 minutes.
+# 40 minutes.
 set -euo pipefail
 ref="${1:?usage: scripts/bench-gate.sh <parent-ref> [pairs] [seconds]}"
 pairs="${2:-10}"
