@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -743,5 +744,55 @@ func TestConcurrentPrepareSharesOnePlan(t *testing.T) {
 				t.Fatalf("round %d: session %d holds plan %p, session 0 holds %p", round, i, cp, plans[0])
 			}
 		}
+	}
+}
+
+// TestFloatNaNEqualsOnlyNaN: a NaN bound into a FLOAT column equals only
+// NaN and sorts above every number, +Inf included, with and without an
+// index on the column: the predicate, the index range and ORDER BY agree.
+// Rows far below the probed values make the index the planner's choice;
+// the bounds are FLOAT literals because an INT bound is not coerced to the
+// column's kind before it is encoded into an index key.
+func TestFloatNaNEqualsOnlyNaN(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) {
+			e := newTestEngine(t)
+			s := e.NewSession("alice", "app")
+			mustExec(t, s, "CREATE TABLE t (k INT PRIMARY KEY, x FLOAT)")
+			if indexed {
+				mustExec(t, s, "CREATE INDEX t_x ON t (x)")
+			}
+			xs := []float64{0, math.NaN(), math.Inf(1), -1}
+			for i := range 200 {
+				xs = append(xs, float64(-1000-i))
+			}
+			for k, x := range xs {
+				params := map[string]sqltypes.Value{"k": sqltypes.NewInt(int64(k)), "x": sqltypes.NewFloat(x)}
+				if _, err := s.Exec("INSERT INTO t VALUES (@k, @x)", params); err != nil {
+					t.Fatal(err)
+				}
+			}
+			nan := map[string]sqltypes.Value{"nan": sqltypes.NewFloat(math.NaN())}
+			for _, q := range []struct{ sql, want string }{
+				{"SELECT k FROM t WHERE x = 0.0", "[0]"},
+				{"SELECT k FROM t WHERE x = @nan", "[1]"},
+				{"SELECT k FROM t WHERE x > 1000.0 ORDER BY k", "[1 2]"},
+				{"SELECT k FROM t WHERE x > -5.0 AND x < 1000.0 ORDER BY k", "[0 3]"},
+				{"SELECT k FROM t WHERE x > -5.0 AND x <> 0.0 ORDER BY k", "[1 2 3]"},
+				{"SELECT k, x FROM t WHERE x > -5.0 ORDER BY x", "[3 0 2 1]"},
+			} {
+				res, err := s.Exec(q.sql, nan)
+				if err != nil {
+					t.Fatalf("%s: %v", q.sql, err)
+				}
+				var got []int64
+				for _, r := range res.Rows {
+					got = append(got, r[0].Int())
+				}
+				if fmt.Sprint(got) != q.want {
+					t.Errorf("%s = %v, want %s", q.sql, got, q.want)
+				}
+			}
+		})
 	}
 }

@@ -227,10 +227,12 @@ type Cursor struct {
 	lockRows bool
 	// rows (whole table) are materialized at open, in RID order, which is
 	// insertion order; entries (index range) are collected at open and
-	// resolved one per Next. Only one of the two is set.
-	rows    []storage.ChainRow
-	entries []indexEntry
-	pos     int
+	// resolved one per Next, their keys copied back to back into entryKeys.
+	// Only one of rows and entries is set.
+	rows      []storage.ChainRow
+	entries   []indexEntry
+	entryKeys []byte
+	pos       int
 	// span, when spanned, filters rows by the index range: a snapshot older
 	// than the index's build reads the whole table instead of the tree.
 	span    keyRange
@@ -240,8 +242,10 @@ type Cursor struct {
 	bounds, key []byte
 }
 
+// indexEntry is one index entry a cursor collected: its key ends at end in
+// Cursor.entryKeys and starts where the previous entry's ends.
 type indexEntry struct {
-	key []byte
+	end uint32
 	rid storage.RID
 }
 
@@ -253,7 +257,7 @@ func (ts *TableStore) Scan(snap storage.Snapshot) *Cursor {
 // reset points c at ts, snap and ix with nothing to read, keeping its
 // buffers.
 func (c *Cursor) reset(ts *TableStore, snap storage.Snapshot, ix *catalog.Index) {
-	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], bounds: c.bounds, key: c.key}
+	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], entryKeys: c.entryKeys[:0], bounds: c.bounds, key: c.key}
 }
 
 // open restarts c along a at snap. A NULL equality bound is looked up like
@@ -271,16 +275,15 @@ func (c *Cursor) open(ts *TableStore, snap storage.Snapshot, a *access, ctx *Ctx
 	return c.seek(r)
 }
 
-// close drops the cursor's references to rows and index keys; its buffers
-// stay for the next open.
+// close drops the cursor's references to rows; its buffers stay for the
+// next open.
 func (c *Cursor) close() {
-	clear(c.entries)
 	c.rows, c.entries, c.span = nil, c.entries[:0], keyRange{}
 }
 
-// seek restarts an index cursor on range r, reusing its entry buffer (the
-// index-NL join seeks once per outer row). Entries keep the tree's key
-// slices: key bytes are never written after Insert.
+// seek restarts an index cursor on range r, reusing its entry buffers (the
+// index-NL join seeks once per outer row). The keys are copied out: the
+// tree's own bytes shift under a later Insert or Delete.
 func (c *Cursor) seek(r keyRange) error {
 	c.pos = 0
 	if c.snap.TS < c.index.BuiltAt {
@@ -297,9 +300,10 @@ func (c *Cursor) seek(r keyRange) error {
 	if !ok {
 		return fmt.Errorf("exec: index %q has no storage", c.index.Name)
 	}
-	c.entries = c.entries[:0]
+	c.entries, c.entryKeys = c.entries[:0], c.entryKeys[:0]
 	bt.ScanRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, rid storage.RID) bool {
-		c.entries = append(c.entries, indexEntry{key: k, rid: rid})
+		c.entryKeys = append(c.entryKeys, k...)
+		c.entries = append(c.entries, indexEntry{end: uint32(len(c.entryKeys)), rid: rid})
 		return true
 	})
 	return nil
@@ -326,7 +330,11 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 					return 0, nil, err
 				}
 			}
-			key = e.key
+			start := uint32(0)
+			if c.pos > 0 {
+				start = c.entries[c.pos-1].end
+			}
+			key = c.entryKeys[start:e.end]
 			cr, visible = c.ts.Vers.ReadAt(e.rid, c.snap)
 		}
 		c.pos++

@@ -7,6 +7,12 @@
 // store one entry per (key, RID) pair, ordered by key then RID; unique
 // indexes reject duplicate keys.
 //
+// A node holds no pointer per entry: its keys sit back to back in one byte
+// array, located by a parallel array of end offsets, so the collector marks
+// a handful of objects per node instead of one per key. Insert and Delete
+// shift bytes inside the node, which is why a key handed out by ScanRange
+// is valid only during its callback.
+//
 // Deletion is lazy (no rebalancing): removed entries vacate their leaf but
 // underfull leaves are not merged, matching the behaviour of several
 // production B-trees. The tree is guarded by a single RWMutex; the engine's
@@ -15,16 +21,16 @@ package index
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
+	"slices"
 	"sync"
 
 	"sqlcm/internal/storage"
 )
 
-const (
-	maxKeys = 64 // max entries per node; split at maxKeys+1
-	minKeys = maxKeys / 2
-)
+const maxKeys = 64 // max entries per node; split at maxKeys+1
+
+var errDuplicate = errors.New("index: duplicate key")
 
 // BTree is an ordered index from encoded keys to RIDs.
 type BTree struct {
@@ -39,10 +45,13 @@ type BTree struct {
 }
 
 type node struct {
-	leaf     bool
-	keys     [][]byte
-	rids     []storage.RID // leaf only; parallel to keys
-	children []*node       // internal only; len(children) == len(keys)+1
+	leaf bool
+	// keys holds the node's keys back to back; key i ends at ends[i] and
+	// starts where key i-1 ends (at 0 for key 0).
+	keys     []byte
+	ends     []uint32
+	rids     []storage.RID // leaf only; parallel to ends
+	children []*node       // internal only; len(children) == len(ends)+1
 	next     *node         // leaf chain
 }
 
@@ -62,80 +71,127 @@ func (t *BTree) Len() int {
 	return t.size
 }
 
-// entryLess orders (key, rid) pairs.
-func entryLess(k1 []byte, r1 storage.RID, k2 []byte, r2 storage.RID) bool {
-	switch bytes.Compare(k1, k2) {
-	case -1:
-		return true
-	case 1:
-		return false
-	default:
-		return r1 < r2
+// count returns the number of keys in n.
+func (n *node) count() int { return len(n.ends) }
+
+// start returns the offset of key i in n.keys.
+func (n *node) start(i int) uint32 {
+	if i == 0 {
+		return 0
+	}
+	return n.ends[i-1]
+}
+
+// key returns key i. Its capacity ends with it, so an append to it cannot
+// write over the next key.
+func (n *node) key(i int) []byte {
+	s, e := n.start(i), n.ends[i]
+	return n.keys[s:e:e]
+}
+
+// insertKey makes a copy of key the node's key i, shifting later keys up.
+func (n *node) insertKey(i int, key []byte) {
+	s, d := n.start(i), uint32(len(key))
+	n.keys = slices.Insert(n.keys, int(s), key...)
+	n.ends = slices.Insert(n.ends, i, s)
+	for j := i; j < len(n.ends); j++ {
+		n.ends[j] += d
 	}
 }
 
+// deleteKey removes key i, shifting later keys down.
+func (n *node) deleteKey(i int) {
+	s, e := n.start(i), n.ends[i]
+	n.keys = slices.Delete(n.keys, int(s), int(e))
+	n.ends = slices.Delete(n.ends, i, i+1)
+	for j := i; j < len(n.ends); j++ {
+		n.ends[j] -= e - s
+	}
+}
+
+// head returns fresh copies of the keys and ends of keys [0, i).
+func (n *node) head(i int) ([]byte, []uint32) {
+	return slices.Clone(n.keys[:n.start(i)]), slices.Clone(n.ends[:i])
+}
+
+// tail returns fresh copies of the keys and ends of keys [i, count),
+// offsets rebased to the copy.
+func (n *node) tail(i int) ([]byte, []uint32) {
+	s := n.start(i)
+	ends := slices.Clone(n.ends[i:])
+	for j := range ends {
+		ends[j] -= s
+	}
+	return slices.Clone(n.keys[s:]), ends
+}
+
 // Insert adds (key, rid). For unique trees it returns an error when key is
-// already present.
+// already present. The tree copies key.
 func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.unique {
-		if _, ok := t.lookupLocked(key); ok {
-			return fmt.Errorf("index: duplicate key")
-		}
+	sep, right, err := t.insertRec(t.root, key, rid)
+	if err != nil {
+		return err
 	}
-	k := append([]byte(nil), key...)
-	midKey, right := t.insertRec(t.root, k, rid)
 	if right != nil {
-		t.root = &node{
-			keys:     [][]byte{midKey},
-			children: []*node{t.root, right},
-		}
+		root := &node{children: []*node{t.root, right}}
+		root.insertKey(0, sep)
+		t.root = root
 	}
 	t.size++
 	return nil
 }
 
 // insertRec inserts into subtree n; on split it returns the separator key
-// and the new right sibling.
-func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node) {
+// and the new right sibling. The separator is valid until the next write to
+// the tree: the caller copies it.
+//
+// A unique tree finds a duplicate in the leaf it inserts into: a leaf split
+// in a unique tree leaves every left key below the separator, and inserts
+// descend right on ties, so every key a subtree holds lies in the key range
+// its separators give it.
+func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, error) {
 	if n.leaf {
-		i := n.lowerBound(key, rid)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.rids = append(n.rids, 0)
-		copy(n.rids[i+1:], n.rids[i:])
-		n.rids[i] = rid
-		if len(n.keys) <= maxKeys {
-			return nil, nil
+		var i int
+		if t.unique {
+			i = n.lowerBoundKey(key)
+			if i < n.count() && bytes.Equal(n.key(i), key) {
+				return nil, nil, errDuplicate
+			}
+		} else {
+			i = n.lowerBound(key, rid)
 		}
-		return n.splitLeaf()
+		n.insertKey(i, key)
+		n.rids = slices.Insert(n.rids, i, rid)
+		if n.count() <= maxKeys {
+			return nil, nil, nil
+		}
+		sep, right := n.splitLeaf()
+		return sep, right, nil
 	}
 	ci := n.childIndex(key)
-	midKey, right := t.insertRec(n.children[ci], key, rid)
+	sep, right, err := t.insertRec(n.children[ci], key, rid)
 	if right == nil {
-		return nil, nil
+		return nil, nil, err
 	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = midKey
-	n.children = append(n.children, nil)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
-	if len(n.keys) <= maxKeys {
-		return nil, nil
+	n.insertKey(ci, sep)
+	n.children = slices.Insert(n.children, ci+1, right)
+	if n.count() <= maxKeys {
+		return nil, nil, nil
 	}
-	return n.splitInternal()
+	sep, right = n.splitInternal()
+	return sep, right, nil
 }
 
 // lowerBound returns the first position in a leaf whose (key,rid) is >= the
 // given pair.
 func (n *node) lowerBound(key []byte, rid storage.RID) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if entryLess(n.keys[mid], n.rids[mid], key, rid) {
+		c := bytes.Compare(n.key(mid), key)
+		if c < 0 || c == 0 && n.rids[mid] < rid {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -147,10 +203,10 @@ func (n *node) lowerBound(key []byte, rid storage.RID) int {
 // lowerBoundKey returns the first position in a leaf whose key is >= key
 // (ignoring RIDs).
 func (n *node) lowerBoundKey(key []byte) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) < 0 {
+		if bytes.Compare(n.key(mid), key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -163,10 +219,10 @@ func (n *node) lowerBoundKey(key []byte) int {
 // node. Separator keys at internal nodes are pure key bytes; ties descend
 // right.
 func (n *node) childIndex(key []byte) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(key, n.keys[mid]) < 0 {
+		if bytes.Compare(key, n.key(mid)) < 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -175,17 +231,14 @@ func (n *node) childIndex(key []byte) int {
 	return lo
 }
 
-// childIndexForSeek picks the leftmost child that can contain key.
+// childIndexForSeek picks the leftmost child that can contain key. It
+// descends left on ties: in a non-unique tree a separator is the first key
+// of the right sibling at split time, and equal keys may sit left of it.
 func (n *node) childIndexForSeek(key []byte) int {
-	lo, hi := 0, len(n.keys)
+	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(key, n.keys[mid]) < 0 {
-			hi = mid
-		} else if bytes.Equal(key, n.keys[mid]) {
-			// Equal keys may exist in the left subtree (separator is the
-			// first key of the right sibling at split time, but deletions
-			// can shift duplicates left), so descend left on equality.
+		if bytes.Compare(key, n.key(mid)) <= 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -194,29 +247,28 @@ func (n *node) childIndexForSeek(key []byte) int {
 	return lo
 }
 
+// splitLeaf moves the upper half of n into a new right sibling. Both halves
+// get arrays of exactly their length, so a finished leaf pins no slack.
 func (n *node) splitLeaf() ([]byte, *node) {
-	mid := len(n.keys) / 2
-	right := &node{
-		leaf: true,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		rids: append([]storage.RID(nil), n.rids[mid:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid:mid]
-	n.rids = n.rids[:mid:mid]
+	mid := n.count() / 2
+	right := &node{leaf: true, rids: slices.Clone(n.rids[mid:]), next: n.next}
+	right.keys, right.ends = n.tail(mid)
+	n.keys, n.ends = n.head(mid)
+	n.rids = slices.Clone(n.rids[:mid])
 	n.next = right
-	return right.keys[0], right
+	return right.key(0), right
 }
 
+// splitInternal moves the keys and children above the middle key into a new
+// right sibling and returns the middle key, which the old key array keeps
+// until the caller has copied it.
 func (n *node) splitInternal() ([]byte, *node) {
-	mid := len(n.keys) / 2
-	midKey := n.keys[mid]
-	right := &node{
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]*node(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	mid := n.count() / 2
+	midKey := n.key(mid)
+	right := &node{children: slices.Clone(n.children[mid+1:])}
+	right.keys, right.ends = n.tail(mid + 1)
+	n.keys, n.ends = n.head(mid)
+	n.children = slices.Clone(n.children[:mid+1])
 	return midKey, right
 }
 
@@ -230,8 +282,8 @@ func (t *BTree) lookupLocked(key []byte) (storage.RID, bool) {
 	}
 	for {
 		i := n.lowerBoundKey(key)
-		if i < len(n.keys) {
-			if bytes.Equal(n.keys[i], key) {
+		if i < n.count() {
+			if bytes.Equal(n.key(i), key) {
 				return n.rids[i], true
 			}
 			return 0, false
@@ -272,14 +324,14 @@ func (t *BTree) Delete(key []byte, rid storage.RID) bool {
 	// (separators carry only key bytes), so scan every equal-key entry.
 	i := n.lowerBoundKey(key)
 	for {
-		for ; i < len(n.keys); i++ {
-			c := bytes.Compare(n.keys[i], key)
+		for ; i < n.count(); i++ {
+			c := bytes.Compare(n.key(i), key)
 			if c > 0 {
 				return false
 			}
 			if c == 0 && n.rids[i] == rid {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.rids = append(n.rids[:i], n.rids[i+1:]...)
+				n.deleteKey(i)
+				n.rids = slices.Delete(n.rids, i, i+1)
 				t.size--
 				return true
 			}
@@ -294,8 +346,9 @@ func (t *BTree) Delete(key []byte, rid storage.RID) bool {
 
 // ScanRange visits entries with lo <= key <= hi (bounds optional: nil lo
 // means from the start, nil hi means to the end; inclusivity per flag).
-// fn returning false stops the scan. fn may keep key: the tree never writes
-// a key's bytes after Insert. fn runs under the tree's read latch and must
+// fn returning false stops the scan. The key handed to fn is the tree's own
+// bytes, valid only until fn returns: a later Insert or Delete shifts them,
+// so fn copies what it keeps. fn runs under the tree's read latch and must
 // not take a latch.
 func (t *BTree) ScanRange(lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte, rid storage.RID) bool) {
 	t.mu.RLock()
@@ -315,8 +368,8 @@ func (t *BTree) ScanRange(lo, hi []byte, loIncl, hiIncl bool, fn func(key []byte
 		i = n.lowerBoundKey(lo)
 	}
 	for {
-		for ; i < len(n.keys); i++ {
-			k := n.keys[i]
+		for ; i < n.count(); i++ {
+			k := n.key(i)
 			if lo != nil && !loIncl && bytes.Equal(k, lo) {
 				continue
 			}

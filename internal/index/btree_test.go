@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -304,12 +305,39 @@ func TestDeleteDuplicatesAcrossLeaves(t *testing.T) {
 	}
 }
 
+// BenchmarkBTreeInsert inserts b.N keys into one non-unique tree, in
+// ascending order and in a scrambled order. B/entry is the heap in use after
+// a collection, over the entries: what the loaded tree costs per entry.
 func BenchmarkBTreeInsert(b *testing.B) {
-	tr := New(false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Insert(intKey(int64(i)), rid(i))
+	for _, order := range []struct {
+		name string
+		key  func(i int) int64
+	}{
+		{"asc", func(i int) int64 { return int64(i) }},
+		// Multiplying by an odd constant permutes the int64s.
+		{"random", func(i int) int64 { return int64(uint64(i) * 0x9e3779b97f4a7c15) }},
+	} {
+		b.Run(order.name, func(b *testing.B) {
+			before := heapInUse()
+			tr := New(false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = tr.Insert(intKey(order.key(i)), rid(i))
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(heapInUse()-before)/float64(b.N), "B/entry")
+			runtime.KeepAlive(tr)
+		})
 	}
+}
+
+// heapInUse returns the heap in use after a collection.
+func heapInUse() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapInuse)
 }
 
 func BenchmarkBTreeGet(b *testing.B) {

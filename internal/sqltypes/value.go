@@ -91,8 +91,15 @@ func NewBool(v bool) Value {
 // NewInt returns an INT value.
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
-// NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
+// NewFloat returns a FLOAT value. Every NaN becomes math.NaN(), whose
+// encoding sorts above +Inf: a NaN with its sign bit set, which x86
+// arithmetic makes, would encode below -Inf.
+func NewFloat(v float64) Value {
+	if v != v {
+		v = math.NaN()
+	}
+	return Value{kind: KindFloat, i: int64(math.Float64bits(v))}
+}
 
 // NewString returns a STRING value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
@@ -186,8 +193,9 @@ func (v Value) SQLLiteral() string {
 }
 
 // Compare orders two values. NULL sorts first; values of different kinds
-// order by kind except that INT and FLOAT compare numerically. Returns
-// -1, 0 or +1.
+// order by kind except that INT and FLOAT compare numerically. NaN equals
+// NaN and sorts above every other number, +Inf included, as Encode orders
+// it. Returns -1, 0 or +1.
 func Compare(a, b Value) int {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -204,7 +212,14 @@ func Compare(a, b Value) int {
 		if a.kind == KindFloat || b.kind == KindFloat {
 			af, _ := a.AsFloat()
 			bf, _ := b.AsFloat()
+			an, bn := af != af, bf != bf // NaN
 			switch {
+			case an && bn:
+				return 0
+			case an:
+				return 1
+			case bn:
+				return -1
 			case af < bf:
 				return -1
 			case af > bf:
@@ -248,53 +263,6 @@ func Compare(a, b Value) int {
 // Equal reports whether a and b compare equal (NULL equals NULL here; SQL
 // tri-state NULL semantics are applied by the expression evaluators).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// Hash returns a 64-bit FNV-1a hash of the value, consistent with Equal for
-// same-kind values and for INT/FLOAT values that are exactly representable
-// in both (integers hash as integers).
-func (v Value) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime }
-	mix(byte(hashKindClass(v.kind)))
-	switch v.kind {
-	case KindNull:
-	case KindBool, KindInt, KindTime:
-		u := uint64(v.i)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
-	case KindFloat:
-		// Hash integral floats identically to the equivalent int so that
-		// Compare-equal numerics hash equal.
-		u := uint64(v.i)
-		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			u = uint64(int64(f))
-		}
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
-	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
-		}
-	}
-	return h
-}
-
-// hashKindClass merges kinds that can compare equal cross-kind (numerics)
-// into one hash class.
-func hashKindClass(k Kind) Kind {
-	switch k {
-	case KindBool, KindInt, KindFloat:
-		return KindInt
-	default:
-		return k
-	}
-}
 
 // MemSize estimates the in-memory footprint of the value in bytes. LATs use
 // it to enforce byte-based size limits.
