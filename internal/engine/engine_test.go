@@ -750,9 +750,7 @@ func TestConcurrentPrepareSharesOnePlan(t *testing.T) {
 // TestFloatNaNEqualsOnlyNaN: a NaN bound into a FLOAT column equals only
 // NaN and sorts above every number, +Inf included, with and without an
 // index on the column: the predicate, the index range and ORDER BY agree.
-// Rows far below the probed values make the index the planner's choice;
-// the bounds are FLOAT literals because an INT bound is not coerced to the
-// column's kind before it is encoded into an index key.
+// Rows far below the probed values make the index the planner's choice.
 func TestFloatNaNEqualsOnlyNaN(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("indexed=%v", indexed), func(t *testing.T) {
@@ -794,5 +792,120 @@ func TestFloatNaNEqualsOnlyNaN(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestIndexSeekMatchesScan: an index seek returns the rows a sequential
+// scan returns when a bound's numeric kind is not its column's — an INT
+// bound on a FLOAT column, a fractional, NaN, infinite or out-of-int64
+// FLOAT bound on an INT column — and when a row was written as -0.0. Each
+// query runs on a table with indexes on x and n and on one without; the
+// row sets must agree, and a few are pinned as well.
+func TestIndexSeekMatchesScan(t *testing.T) {
+	special := map[string]sqltypes.Value{
+		"negzero": sqltypes.NewFloat(math.Copysign(0, -1)),
+		"nan":     sqltypes.NewFloat(math.NaN()),
+		"inf":     sqltypes.NewFloat(math.Inf(1)),
+		"ninf":    sqltypes.NewFloat(math.Inf(-1)),
+		"i3":      sqltypes.NewInt(3),
+		"f3":      sqltypes.NewFloat(3),
+		"null":    sqltypes.Null,
+	}
+	type query struct {
+		sql  string
+		want string // "" when only the agreement is checked
+	}
+	where := func(cond, want string) query {
+		return query{"SELECT k FROM t WHERE " + cond + " ORDER BY k", want}
+	}
+	queries := []query{
+		where("x = 5", "[5]"),
+		where("x > 1000", "[202]"),
+		where("x >= 5 AND x < 8", "[5 6 7]"),
+		where("x <= 1", "[0 1 200]"),
+		where("x = 0", "[0 200]"),
+		where("x = 0.0", "[0 200]"),
+		where("x = @negzero", "[0 200]"),
+		where("x < 0.5 AND x > -0.5", "[0 200]"),
+		where("x = @i3", "[3]"),
+		where("x = @null", "[]"),
+		where("x < @null", "[]"),
+		where("x > @null", "[]"),
+		where("x > 196", ""),
+		where("x < @ninf", ""),
+		where("x > @inf", ""),
+		where("n > 2.5", ""),
+		where("n >= 196.5", "[197 198 199 203]"),
+		where("n = 3.0", "[3]"),
+		where("n = @f3", "[3]"),
+		where("n = 2.5", "[]"),
+		where("n < 2.5", "[0 1 2 201 202]"),
+		where("n <= 2.5", "[0 1 2 201 202]"),
+		where("n > 2.5 AND n < 5.5", "[3 4 5]"),
+		where("n > -0.5 AND n <= 1.0", "[0 1]"),
+		where("n < -6.5", "[201 202]"),
+		where("n > @nan", "[]"),
+		where("n < @nan", ""),
+		where("n = @nan", "[]"),
+		where("n > @inf", "[]"),
+		where("n < @inf", ""),
+		where("n = @inf", "[]"),
+		where("n > @ninf", ""),
+		where("n < @ninf", "[]"),
+		where("n > 1e19", "[]"),
+		where("n < 1e19", ""),
+		where("n > -1e19 AND n < -1000.0", "[202]"),
+		where("n < -1e19", "[]"),
+		where("n = 1e19", "[]"),
+		// Index nested-loop probes: INT outer values into t_x, FLOAT
+		// ones into t_n.
+		{"SELECT t.k FROM u JOIN t ON t.x = u.m ORDER BY k", "[0 5 200]"},
+		{"SELECT t.k FROM u JOIN t ON t.n = u.f ORDER BY k", "[2]"},
+	}
+	run := func(t *testing.T, indexed bool) []string {
+		e := newTestEngine(t)
+		s := e.NewSession("alice", "app")
+		mustExec(t, s, "CREATE TABLE t (k INT PRIMARY KEY, x FLOAT, n INT)")
+		if indexed {
+			mustExec(t, s, "CREATE INDEX t_x ON t (x)")
+			mustExec(t, s, "CREATE INDEX t_n ON t (n)")
+		}
+		ins := func(k int64, x, n sqltypes.Value) {
+			params := map[string]sqltypes.Value{"k": sqltypes.NewInt(k), "x": x, "n": n}
+			if _, err := s.Exec("INSERT INTO t VALUES (@k, @x, @n)", params); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range int64(200) {
+			ins(i, sqltypes.NewFloat(float64(i)), sqltypes.NewInt(i))
+		}
+		ins(200, special["negzero"], sqltypes.Null)
+		ins(201, sqltypes.Null, sqltypes.NewInt(-7))
+		ins(202, special["nan"], sqltypes.NewInt(math.MinInt64))
+		ins(203, sqltypes.Null, sqltypes.NewInt(math.MaxInt64))
+		mustExec(t, s, "CREATE TABLE u (id INT PRIMARY KEY, m INT, f FLOAT)")
+		mustExec(t, s, "INSERT INTO u VALUES (1, 5, 2.0), (2, 0, 7.5), (3, NULL, NULL)")
+		var out []string
+		for _, q := range queries {
+			res, err := s.Exec(q.sql, special)
+			if err != nil {
+				t.Fatalf("%s: %v", q.sql, err)
+			}
+			var ks []int64
+			for _, r := range res.Rows {
+				ks = append(ks, r[0].Int())
+			}
+			out = append(out, fmt.Sprint(ks))
+		}
+		return out
+	}
+	scan, seek := run(t, false), run(t, true)
+	for i, q := range queries {
+		if seek[i] != scan[i] {
+			t.Errorf("%s: index %s, scan %s", q.sql, seek[i], scan[i])
+		}
+		if q.want != "" && scan[i] != q.want {
+			t.Errorf("%s: scan %s, want %s", q.sql, scan[i], q.want)
+		}
 	}
 }

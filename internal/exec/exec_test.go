@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -246,15 +247,29 @@ func TestGrandAggregateAndHaving(t *testing.T) {
 
 func TestStdevAggregate(t *testing.T) {
 	h := newHarness(t)
-	h.mustExec("CREATE TABLE m (id INT PRIMARY KEY, v FLOAT)", nil)
-	for i, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		h.mustExec(fmt.Sprintf("INSERT INTO m VALUES (%d, %g)", i, v), nil)
+	h.mustExec("CREATE TABLE m (id INT PRIMARY KEY, g INT, v FLOAT)", nil)
+	inputs := []struct {
+		vs   []float64
+		want float64
+	}{
+		// Sample stdev of this classic dataset = sqrt(32/7) ≈ 2.138.
+		{[]float64{2, 4, 4, 4, 5, 5, 7, 9}, math.Sqrt(32.0 / 7)},
+		// Exactly 1. A sum-of-squares fold returned 0: at 1e9 the
+		// subtraction cancels every digit of the variance.
+		{[]float64{1e9 + 1, 1e9 + 2, 1e9 + 3}, 1},
 	}
-	rows, _ := h.mustExec("SELECT STDEV(v) FROM m", nil)
-	// Sample stdev of this classic dataset = sqrt(32/7) ≈ 2.138.
-	got := rows[0][0].Float()
-	if got < 2.13 || got > 2.15 {
-		t.Fatalf("stdev: %v", got)
+	id := 0
+	for g, in := range inputs {
+		for _, v := range in.vs {
+			h.mustExec(fmt.Sprintf("INSERT INTO m VALUES (%d, %d, %g)", id, g, v), nil)
+			id++
+		}
+	}
+	for g, in := range inputs {
+		rows, _ := h.mustExec(fmt.Sprintf("SELECT STDEV(v) FROM m WHERE g = %d", g), nil)
+		if got := rows[0][0].Float(); math.Abs(got-in.want) > 1e-9 {
+			t.Errorf("stdev of %v = %v, want %v", in.vs, got, in.want)
+		}
 	}
 }
 

@@ -2,10 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"sqlcm/internal/expr"
+	"sqlcm/internal/lat"
 	"sqlcm/internal/lock"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
@@ -547,11 +547,11 @@ func (j *indexNLJoinOp) Next(ctx *Ctx) (Row, error) {
 		if err != nil || row == nil {
 			return nil, err
 		}
-		r, null, err := j.probe.keyRange(ctx.env(row), &j.cur.bounds)
+		r, empty, err := j.probe.keyRange(ctx.env(row), j.store.Meta.Columns, &j.cur.bounds)
 		if err != nil {
 			return nil, err
 		}
-		if null {
+		if empty {
 			continue
 		}
 		if err := j.cur.seek(r); err != nil {
@@ -678,21 +678,14 @@ func (j *nlJoinOp) Close() error {
 // Aggregation
 // ---------------------------------------------------------------------------
 
-type aggState struct {
-	count     int64
-	sum       float64
-	sumSq     float64
-	numeric   int64
-	min       sqltypes.Value
-	max       sqltypes.Value
-	hasMinMax bool
-}
-
+// hashAggOp groups its input and folds each group's aggregates with
+// lat.Accumulator, the fold LAT columns use, so SQL over persisted LAT rows
+// aggregates exactly as the LAT did.
 type hashAggOp struct {
 	child    Operator
 	groupBys []Evaluator
 	aggArgs  []Evaluator // nil for COUNT(*)
-	aggNames []string
+	aggFuncs []lat.AggFunc
 	having   Evaluator
 
 	out    []Row
@@ -714,7 +707,11 @@ func newHashAggOp(n *plan.PhysHashAgg, sp StoreProvider) (Operator, error) {
 		op.groupBys = append(op.groupBys, ev)
 	}
 	for _, ag := range n.Aggs {
-		op.aggNames = append(op.aggNames, ag.Func.Name)
+		fn, err := lat.AggFuncFromName(ag.Func.Name)
+		if err != nil {
+			return nil, fmt.Errorf("exec: %v", err)
+		}
+		op.aggFuncs = append(op.aggFuncs, fn)
 		if ag.Func.Star {
 			op.aggArgs = append(op.aggArgs, nil)
 			continue
@@ -743,8 +740,8 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 		return err
 	}
 	type group struct {
-		vals   []sqltypes.Value
-		states []aggState
+		vals []sqltypes.Value
+		accs []lat.Accumulator
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -769,53 +766,31 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 		key := string(sqltypes.EncodeKey(keyVals...))
 		g := groups[key]
 		if g == nil {
-			g = &group{vals: vals, states: make([]aggState, len(a.aggArgs))}
+			g = &group{vals: vals, accs: make([]lat.Accumulator, len(a.aggArgs))}
 			groups[key] = g
 			order = append(order, key)
 		}
 		for i, argEv := range a.aggArgs {
-			st := &g.states[i]
-			if argEv == nil { // COUNT(*)
-				st.count++
-				continue
-			}
-			v, err := argEv.Eval(ctx.env(row))
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				continue // SQL aggregates skip NULLs (except COUNT(*))
-			}
-			st.count++
-			if f, ok := v.AsFloat(); ok {
-				st.sum += f
-				st.sumSq += f * f
-				st.numeric++
-			}
-			if !st.hasMinMax {
-				st.min, st.max = v, v
-				st.hasMinMax = true
-			} else {
-				if sqltypes.Compare(v, st.min) < 0 {
-					st.min = v
-				}
-				if sqltypes.Compare(v, st.max) > 0 {
-					st.max = v
+			v := lat.StarArg
+			if argEv != nil {
+				if v, err = argEv.Eval(ctx.env(row)); err != nil {
+					return err
 				}
 			}
+			g.accs[i].Add(v)
 		}
 	}
 	// Grand aggregate with no groups still yields one row.
 	if len(a.groupBys) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: make([]aggState, len(a.aggArgs))}
+		groups[""] = &group{accs: make([]lat.Accumulator, len(a.aggArgs))}
 		order = append(order, "")
 	}
 	for _, key := range order {
 		g := groups[key]
-		row := make(Row, 0, len(g.vals)+len(g.states))
+		row := make(Row, 0, len(g.vals)+len(g.accs))
 		row = append(row, g.vals...)
-		for i, st := range g.states {
-			row = append(row, finishAgg(a.aggNames[i], st))
+		for i := range g.accs {
+			row = append(row, g.accs[i].Value(a.aggFuncs[i]))
 		}
 		if a.having != nil {
 			ok, err := expr.EvalBool(a.having, ctx.env(row))
@@ -830,45 +805,6 @@ func (a *hashAggOp) Open(ctx *Ctx) error {
 	}
 	a.outIdx = 0
 	return nil
-}
-
-func finishAgg(name string, st aggState) sqltypes.Value {
-	switch name {
-	case "COUNT":
-		return sqltypes.NewInt(st.count)
-	case "SUM":
-		if st.numeric == 0 {
-			return sqltypes.Null
-		}
-		return sqltypes.NewFloat(st.sum)
-	case "AVG":
-		if st.numeric == 0 {
-			return sqltypes.Null
-		}
-		return sqltypes.NewFloat(st.sum / float64(st.numeric))
-	case "STDEV":
-		if st.numeric < 2 {
-			return sqltypes.Null
-		}
-		n := float64(st.numeric)
-		variance := (st.sumSq - st.sum*st.sum/n) / (n - 1)
-		if variance < 0 {
-			variance = 0
-		}
-		return sqltypes.NewFloat(math.Sqrt(variance))
-	case "MIN":
-		if !st.hasMinMax {
-			return sqltypes.Null
-		}
-		return st.min
-	case "MAX":
-		if !st.hasMinMax {
-			return sqltypes.Null
-		}
-		return st.max
-	default:
-		return sqltypes.Null
-	}
 }
 
 func (a *hashAggOp) Next(ctx *Ctx) (Row, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,46 +131,63 @@ type keyRange struct {
 }
 
 // keyRange evaluates the path's index bounds: equality on a key prefix,
-// optionally narrowed by a range on the next key column. The bounds are
-// encoded into *bounds, a buffer the caller keeps and the range aliases.
-// env.Row feeds bounds that reference an outer row (index nested-loop
-// probes) and is nil otherwise. null reports a NULL equality value, which a
-// join probe must treat as matching nothing.
-func (a *access) keyRange(env Env, bounds *[]byte) (r keyRange, null bool, err error) {
+// optionally narrowed by a range on the next key column. cols are the
+// table's columns: each bound is converted to its index column's kind
+// (keyValue). The bounds are encoded into *bounds, a buffer the caller
+// keeps and the range aliases. env.Row feeds bounds that reference an outer
+// row (index nested-loop probes) and is nil otherwise. empty reports a
+// range no row can satisfy: a NULL bound, which no comparison matches, or
+// an equality no key of the column's kind meets.
+func (a *access) keyRange(env Env, cols []catalog.Column, bounds *[]byte) (r keyRange, empty bool, err error) {
 	buf := (*bounds)[:0]
 	defer func() { *bounds = buf }()
-	for _, ev := range a.eq {
+	for i, ev := range a.eq {
 		v, err := ev.Eval(env)
 		if err != nil {
 			return r, false, err
 		}
-		null = null || v.IsNull()
+		v, off := keyValue(v, cols[a.index.Columns[i]].Type)
+		empty = empty || v.IsNull() || off != 0
 		buf = v.Encode(buf)
 	}
 	prefix := buf[:len(buf):len(buf)]
 	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
-	// bound encodes the prefix followed by ev's value.
-	bound := func(ev Evaluator) ([]byte, error) {
+	// bound encodes the prefix followed by ev's value. When keyValue
+	// rounds the value, incl is rewritten so the range keeps the keys
+	// Compare keeps: the rounded key lies inside a lower bound only when
+	// the value lies below it, inside an upper bound only when above.
+	bound := func(ev Evaluator, lower bool, incl *bool) ([]byte, error) {
 		v, err := ev.Eval(env)
 		if err != nil {
 			return nil, err
+		}
+		v, off := keyValue(v, cols[a.index.Columns[len(a.eq)]].Type)
+		empty = empty || v.IsNull()
+		if off != 0 {
+			*incl = (off > 0) != lower
 		}
 		start := len(buf)
 		buf = v.Encode(append(buf, prefix...))
 		return buf[start:len(buf):len(buf)], nil
 	}
-	if a.lo != nil {
-		if r.lo, err = bound(a.lo); err != nil {
+	switch {
+	case a.lo != nil:
+		r.loIncl = a.loIncl
+		if r.lo, err = bound(a.lo, true, &r.loIncl); err != nil {
 			return r, false, err
 		}
-		r.loIncl = a.loIncl
+	case a.hi != nil:
+		// Only an upper bound: start above the keys whose column is NULL.
+		start := len(buf)
+		buf = prefixSuccessor(sqltypes.Null.Encode(append(buf, prefix...)), start)
+		r.lo = buf[start:len(buf):len(buf)]
 	}
 	switch {
 	case a.hi != nil:
-		if r.hi, err = bound(a.hi); err != nil {
+		r.hiIncl = a.hiIncl
+		if r.hi, err = bound(a.hi, false, &r.hiIncl); err != nil {
 			return r, false, err
 		}
-		r.hiIncl = a.hiIncl
 	case a.lo != nil || len(a.eq) < len(a.index.Columns):
 		// Open-ended range or equality on a proper key prefix: run to the
 		// end of the prefix.
@@ -180,7 +198,38 @@ func (a *access) keyRange(env Env, bounds *[]byte) (r keyRange, null bool, err e
 			r.hi = nil // prefix is all 0xff: no upper bound
 		}
 	}
-	return r, null, nil
+	return r, empty, nil
+}
+
+// keyValue converts v, a bound on an index column of kind col, to that
+// kind. Index keys hold their column's kind (rows pass CoerceValue on
+// insert), and Encode orders values the way Compare does only within one
+// kind. An INT converts to FLOAT as Compare converts it. A FLOAT converts
+// to the INT w at or next below it, and off is the sign of Compare(v, w):
+// 0 when v is integral, +1 when v lies above w (a fraction; NaN, +Inf and
+// values beyond int64 lie above every INT, w = MaxInt64), -1 when v lies
+// below every INT (w = MinInt64).
+func keyValue(v sqltypes.Value, col sqltypes.Kind) (w sqltypes.Value, off int) {
+	intCol := col == sqltypes.KindInt || col == sqltypes.KindBool
+	switch k := v.Kind(); {
+	case k == sqltypes.KindFloat && intCol:
+		f := v.Float()
+		switch {
+		case f != f || f >= 0x1p63:
+			return sqltypes.NewInt(math.MaxInt64), 1
+		case f < -0x1p63:
+			return sqltypes.NewInt(math.MinInt64), -1
+		}
+		fl := math.Floor(f)
+		if fl == f {
+			return sqltypes.NewInt(int64(f)), 0
+		}
+		return sqltypes.NewInt(int64(fl)), 1
+	case (k == sqltypes.KindInt || k == sqltypes.KindBool) && col == sqltypes.KindFloat:
+		f, _ := v.AsFloat()
+		return sqltypes.NewFloat(f), 0
+	}
+	return v, 0
 }
 
 // contains reports whether key lies in the range, bounds compared the way
@@ -260,16 +309,15 @@ func (c *Cursor) reset(ts *TableStore, snap storage.Snapshot, ix *catalog.Index)
 	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], entryKeys: c.entryKeys[:0], bounds: c.bounds, key: c.key}
 }
 
-// open restarts c along a at snap. A NULL equality bound is looked up like
-// any other key.
+// open restarts c along a at snap; an empty range reads nothing.
 func (c *Cursor) open(ts *TableStore, snap storage.Snapshot, a *access, ctx *Ctx) error {
 	c.reset(ts, snap, a.index)
 	if a.index == nil {
 		c.rows = ts.Vers.SnapScan(snap)
 		return nil
 	}
-	r, _, err := a.keyRange(ctx.env(nil), &c.bounds)
-	if err != nil {
+	r, empty, err := a.keyRange(ctx.env(nil), ts.Meta.Columns, &c.bounds)
+	if err != nil || empty {
 		return err
 	}
 	return c.seek(r)

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,28 +61,15 @@ func (f AggFunc) String() string {
 	}
 }
 
-// AggFuncFromName parses an aggregation function name.
+// AggFuncFromName parses an aggregation function name, in any case: the
+// rule language writes them in lower case, SQL in upper.
 func AggFuncFromName(name string) (AggFunc, error) {
-	switch name {
-	case "COUNT":
-		return Count, nil
-	case "SUM":
-		return Sum, nil
-	case "AVG", "AVERAGE":
-		return Avg, nil
-	case "MIN":
-		return Min, nil
-	case "MAX":
-		return Max, nil
-	case "STDEV", "STDDEV":
-		return Stdev, nil
-	case "FIRST":
-		return First, nil
-	case "LAST":
-		return Last, nil
-	default:
-		return Count, fmt.Errorf("lat: unknown aggregation function %q", name)
+	for f := Count; f <= Last; f++ {
+		if strings.EqualFold(name, f.String()) {
+			return f, nil
+		}
 	}
+	return Count, fmt.Errorf("unknown aggregate %q", name)
 }
 
 // AggCol declares one aggregation column.
@@ -325,7 +313,7 @@ func (t *Table) Insert(get AttrGetter) error {
 
 	// Getters are caller code: every attribute is fetched before the latch
 	// is taken. vals holds the grouping values, then one source value per
-	// aggregation column.
+	// aggregation column (StarArg for COUNT(*)).
 	ng := len(t.spec.GroupBy)
 	var buf [8]sqltypes.Value // keeps the usual spec's values off the heap
 	vals := buf[:]
@@ -343,6 +331,7 @@ func (t *Table) Insert(get AttrGetter) error {
 	for i := range t.spec.Aggs {
 		attr := t.spec.Aggs[i].Attr
 		if attr == "" {
+			vals[ng+i] = StarArg
 			continue
 		}
 		v, ok := get(attr)

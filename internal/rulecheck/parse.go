@@ -217,7 +217,7 @@ func (p *setParser) parseAgg(rest string) (*lat.AggCol, error) {
 	if len(f) < 3 {
 		return nil, p.errf("agg wants '<func> [<attr>] as <name> [aging]'")
 	}
-	fn, err := aggFunc(f[0])
+	fn, err := lat.AggFuncFromName(f[0])
 	if err != nil {
 		return nil, p.errf("%v", err)
 	}
@@ -239,29 +239,6 @@ func (p *setParser) parseAgg(rest string) (*lat.AggCol, error) {
 		col.Aging = true
 	}
 	return col, nil
-}
-
-func aggFunc(name string) (lat.AggFunc, error) {
-	switch strings.ToLower(name) {
-	case "count":
-		return lat.Count, nil
-	case "sum":
-		return lat.Sum, nil
-	case "avg":
-		return lat.Avg, nil
-	case "min":
-		return lat.Min, nil
-	case "max":
-		return lat.Max, nil
-	case "stdev":
-		return lat.Stdev, nil
-	case "first":
-		return lat.First, nil
-	case "last":
-		return lat.Last, nil
-	default:
-		return lat.Count, fmt.Errorf("unknown aggregate %q", name)
-	}
 }
 
 // parseRule parses one `rule Name on Class.Event { … }` block.

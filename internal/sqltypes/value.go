@@ -93,10 +93,14 @@ func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // NewFloat returns a FLOAT value. Every NaN becomes math.NaN(), whose
 // encoding sorts above +Inf: a NaN with its sign bit set, which x86
-// arithmetic makes, would encode below -Inf.
+// arithmetic makes, would encode below -Inf. -0 becomes +0, which it
+// equals under Compare, so the two share one encoding.
 func NewFloat(v float64) Value {
-	if v != v {
+	switch {
+	case v != v:
 		v = math.NaN()
+	case v == 0:
+		v = 0
 	}
 	return Value{kind: KindFloat, i: int64(math.Float64bits(v))}
 }
@@ -278,8 +282,10 @@ func (v Value) MemSize() int {
 
 // Encode appends a canonical, order-preserving binary encoding of v to dst.
 // The encoding is self-delimiting so composite keys can be concatenated:
-// byte-wise comparison of encodings agrees with Compare for same-kind values
-// and for mixed INT/FLOAT numerics.
+// byte-wise comparison of encodings agrees with Compare for values of one
+// kind (BOOL and INT share one). Across kinds it orders by tag, so every
+// INT sorts below every FLOAT: an index column's keys all hold the
+// column's kind, and an index seek converts its bounds to that kind first.
 func (v Value) Encode(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
