@@ -37,12 +37,14 @@ test:
 # repeated run guards the plan cache's single insert per statement text:
 # when two connections could both store a plan for one text, the signature
 # cache computed twice about once in twenty runs. The second repeated run
-# is version GC on the write path against snapshot readers, and CREATE INDEX
-# publishing the index set under point SELECTs.
+# is version GC on the write path against snapshot readers, the version
+# store handing out pruned records again only after every reader that could
+# hold them has finished, and CREATE INDEX publishing the index set under
+# point SELECTs.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run TestWireSigCacheExactlyOnce ./internal/server
-	$(GO) test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestCreateIndexRacesPointSelects' ./internal/engine
+	$(GO) test -race -count=20 -run 'TestSnapshotReadsSurviveWriteTimePrune|TestVersionReuseWaitsForReaders|TestCreateIndexRacesPointSelects' ./internal/engine
 
 # Chaos tier: fault-injection tests for the fail-safe layer (panic
 # quarantine, outbox retry/backoff/shedding, torn PersistLAT snapshots,

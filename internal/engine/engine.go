@@ -505,7 +505,7 @@ func (e *Engine) CreateTable(name string, cols []catalog.Column) error {
 	if err != nil {
 		return err
 	}
-	e.reg.Register(name, exec.NewTableStore(meta, &e.mvccStats))
+	e.reg.Register(name, exec.NewTableStore(meta, &e.mvccStats, e.tm.LastCommit))
 	e.invalidatePlans()
 	return nil
 }

@@ -909,3 +909,40 @@ func TestIndexSeekMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByQualifiedColumnAndIsNullAfterComparison: ORDER BY resolves a
+// qualified column the way the select list and WHERE do, on one table and
+// over a join; and IS [NOT] NULL after a comparison applies to the
+// comparison, as in PostgreSQL: n <> 0 IS NULL is (n <> 0) IS NULL.
+func TestOrderByQualifiedColumnAndIsNullAfterComparison(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("alice", "app")
+	mustExec(t, s, "CREATE TABLE t (k INT PRIMARY KEY, n INT)")
+	mustExec(t, s, "INSERT INTO t VALUES (3, 1), (1, 2), (2, NULL), (4, 0)")
+	mustExec(t, s, "CREATE TABLE u (m INT PRIMARY KEY)")
+	mustExec(t, s, "INSERT INTO u VALUES (1), (2), (0)")
+	for _, q := range []struct{ sql, want string }{
+		{"SELECT t.k FROM t ORDER BY t.k", "[1 2 3 4]"},
+		{"SELECT k FROM t ORDER BY t.k DESC", "[4 3 2 1]"},
+		{"SELECT t.k FROM t ORDER BY k", "[1 2 3 4]"},
+		{"SELECT * FROM t ORDER BY t.k", "[1 2 3 4]"},
+		{"SELECT t.k FROM u JOIN t ON t.n = u.m ORDER BY t.k", "[1 3 4]"},
+		{"SELECT t.k, u.m FROM u JOIN t ON t.n = u.m ORDER BY u.m DESC", "[1 3 4]"},
+		{"SELECT k FROM t WHERE n <> 0 IS NULL ORDER BY k", "[2]"},
+		{"SELECT k FROM t WHERE n = 0 IS NOT NULL ORDER BY k", "[1 3 4]"},
+		{"SELECT k FROM t WHERE n = 0 IS NOT NULL AND n = 0 ORDER BY k", "[4]"},
+	} {
+		res, err := s.Exec(q.sql, nil)
+		if err != nil {
+			t.Errorf("%s: %v", q.sql, err)
+			continue
+		}
+		var got []int64
+		for _, r := range res.Rows {
+			got = append(got, r[0].Int())
+		}
+		if fmt.Sprint(got) != q.want {
+			t.Errorf("%s = %v, want %s", q.sql, got, q.want)
+		}
+	}
+}

@@ -195,7 +195,8 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 			return fmt.Errorf("exec: NULL in NOT NULL column %q of %q", col.Name, meta.Name)
 		}
 	}
-	rec := EncodeRow(row)
+	var buf [256]byte
+	rec := AppendRow(buf[:0], row)
 	rid := ts.Vers.NewRID()
 	// Maintain indexes; unwind on unique violation.
 	indexes := ts.Indexes()
@@ -217,8 +218,7 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	// resolves the row before its entries exist. Uncommitted inserts are
 	// invisible to every other snapshot until the commit stamp.
 	if ctx.Txn != nil {
-		v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
-		ctx.Txn.OnCommit(v)
+		ctx.Txn.OnCommit(ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false))
 	} else {
 		ts.Vers.Install(rid, rec, 0, true)
 	}
@@ -226,9 +226,12 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 		cat.AddRows(meta.Name, 1)
 	}
 	if ctx.Txn != nil {
-		// The undo keeps no decoded row: the version's rec already holds it.
+		// The undo keeps no row: it decodes the version the insert
+		// installed, still the head the transaction itself sees.
+		self := storage.CurrentSnapshot(int64(ctx.Txn.ID))
 		ctx.Txn.OnRollback(func() error {
-			row, err := DecodeRow(rec, len(meta.Columns))
+			cr, _ := ts.Vers.ReadAt(rid, self)
+			row, err := DecodeRow(cr.Rec, len(meta.Columns))
 			if err != nil {
 				return err
 			}
@@ -365,7 +368,8 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	if ctx.Txn != nil {
 		txnID = int64(ctx.Txn.ID)
 	}
-	v := ts.Vers.Push(rid, EncodeRow(newRow), txnID)
+	var buf [256]byte
+	v := ts.Vers.Push(rid, AppendRow(buf[:0], newRow), txnID)
 	if ctx.Txn != nil {
 		ctx.Txn.OnCommit(v)
 	} else {

@@ -78,7 +78,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		h.reg.Register(s.Name, NewTableStore(meta, nil))
+		h.reg.Register(s.Name, NewTableStore(meta, nil, h.tm.LastCommit))
 		return nil, 0, nil
 	case *sqlparser.CreateIndex:
 		ix, err := h.cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)

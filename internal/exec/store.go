@@ -38,9 +38,11 @@ type TableStore struct {
 
 // NewTableStore creates storage for a table, including B+trees for every
 // index already declared in the catalog entry. stats receives the version
-// store's counters (nil for a private set).
-func NewTableStore(meta *catalog.Table, stats *storage.VersionStats) *TableStore {
-	ts := &TableStore{Meta: meta, Vers: storage.NewVersionStore(stats)}
+// store's counters (nil for a private set); lastCommit is the transaction
+// manager's LastCommit, which lets the store reuse the versions it prunes
+// (storage.NewVersionStore).
+func NewTableStore(meta *catalog.Table, stats *storage.VersionStats, lastCommit func() int64) *TableStore {
+	ts := &TableStore{Meta: meta, Vers: storage.NewVersionStore(stats, lastCommit)}
 	set := make(map[string]*index.BTree)
 	for _, ix := range meta.Indexes() {
 		set[ix.Name] = index.New(ix.Unique)
@@ -513,16 +515,21 @@ func (r *Registry) Unregister(name string) {
 	r.mu.Unlock()
 }
 
-// EncodeRow serializes a row with the self-delimiting value encoding into
-// a record of exactly its length: one allocation for a row that fits the
-// stack buffer.
+// AppendRow appends row's self-delimiting value encoding to dst. Writers
+// encode into a stack buffer: the version store copies the record into
+// its arena.
+func AppendRow(dst []byte, row Row) []byte {
+	for _, v := range row {
+		dst = v.Encode(dst)
+	}
+	return dst
+}
+
+// EncodeRow serializes a row into a record of exactly its length: one
+// allocation for a row that fits the stack buffer.
 func EncodeRow(row Row) []byte {
 	var buf [256]byte
-	out := buf[:0]
-	for _, v := range row {
-		out = v.Encode(out)
-	}
-	return bytes.Clone(out)
+	return bytes.Clone(AppendRow(buf[:0], row))
 }
 
 // DecodeRow parses exactly ncols values from rec.

@@ -153,11 +153,29 @@ type PhysProject struct {
 
 func (*PhysProject) physicalNode() {}
 
-// Schema implements Physical.
+// Schema implements Physical. An unaliased column keeps the qualifier of
+// the column it projects, so ORDER BY above the projection resolves t.k
+// the way the projection did.
 func (p *PhysProject) Schema() []ColMeta {
 	out := make([]ColMeta, len(p.Items))
+	var in []ColMeta
 	for i, it := range p.Items {
 		out[i] = ColMeta{Name: it.Name}
+		c, ok := it.Expr.(*sqlparser.ColumnRef)
+		if !ok || c.Column != it.Name {
+			continue
+		}
+		out[i].Qual = c.Table
+		if c.Table == "" {
+			if in == nil {
+				in = p.Child.Schema()
+			}
+			for _, m := range in {
+				if m.Name == c.Column {
+					out[i].Qual = m.Qual
+				}
+			}
+		}
 	}
 	return out
 }

@@ -90,7 +90,10 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 		cfg.MaxActive = 5
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	store := storage.NewVersionStore(nil)
+	var lastCommit, nextTxn int64
+	// The store reuses what it prunes once a pass's watermark passes the
+	// last commit at the cut, as under txn.Manager.
+	store := storage.NewVersionStore(nil, func() int64 { return lastCommit })
 
 	rows := make([]*visRow, cfg.Rows)
 	for i := range rows {
@@ -101,7 +104,6 @@ func RunMVCCDiff(cfg MVCCDiffConfig) error {
 	chainLive := make([]bool, cfg.Rows)   // row has a chain on the real side
 	lockOwner := make([]int64, cfg.Rows)
 
-	var lastCommit, nextTxn int64
 	active := map[int64]*visTxn{}
 
 	check := func(step int) error {

@@ -849,9 +849,11 @@ func (p *parser) parseComparison() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Comparison{Op: op, Left: left, Right: right}, nil
+			left = &Comparison{Op: op, Left: left, Right: right}
 		}
 	}
+	// IS [NOT] NULL binds below the comparison operators, as in
+	// PostgreSQL: a = b IS NULL is (a = b) IS NULL.
 	if p.acceptKw("IS") {
 		neg := p.acceptKw("NOT")
 		if err := p.expectKw("NULL"); err != nil {

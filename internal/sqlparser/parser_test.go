@@ -192,6 +192,7 @@ func TestParseExprForms(t *testing.T) {
 	cases := []string{
 		"x IS NULL",
 		"x IS NOT NULL",
+		"n <> 0 IS NULL", // (n <> 0) IS NULL
 		"-x * 3",
 		"Query.Duration > 5 * Duration_LAT.Avg_Duration",
 		"Transaction.Duration > 0 AND Transaction.ID = 3", // keyword as qualifier

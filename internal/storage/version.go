@@ -1,13 +1,14 @@
 // Package storage is the engine's row store: per table, a slot array
-// indexed by RID holding each row's chain of immutable row versions, newest
-// first. Writers prepend versions stamped with their transaction id, one
-// writer per chain at a time: the lock manager serializes them per row (a
-// point writer's X row lock, taken before it reads the row) or per table
-// (X). Commit stamps the versions with a monotonically increasing commit
-// timestamp inside the transaction manager's commit critical section.
-// Readers resolve the version visible to their snapshot by walking the
-// chain — no locks taken beyond the store's own short slot latch, so
-// readers never appear in the lock manager's wait graph.
+// indexed by RID holding the index of each row's newest version record,
+// and a chain of immutable versions behind it, newest first. Writers
+// prepend versions stamped with their transaction id, one writer per chain
+// at a time: the lock manager serializes them per row (a point writer's X
+// row lock, taken before it reads the row) or per table (X). Commit stamps
+// the versions with a monotonically increasing commit timestamp inside the
+// transaction manager's commit critical section. Readers resolve the
+// version visible to their snapshot by walking the chain — no locks taken
+// beyond the store's own short slot latch, so readers never appear in the
+// lock manager's wait graph.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
 // leaves the chain and its index entries in place so older snapshots keep
@@ -20,8 +21,25 @@
 // published last commit, which is at or above the watermark.
 //
 // A row never moves: index entries carry its RID and are resolved through
-// the chain slots. Entries become stale only when the row's key changes;
-// stale entries are recorded as pending removals and reclaimed by Prune.
+// the slots. Entries become stale only when the row's key changes; stale
+// entries are recorded as pending removals and reclaimed by Prune.
+//
+// Nothing of a row is a Go object. A version is a fixed 32-byte record in
+// a chunk of records, its bytes sit in a chunk of the table's byte arena,
+// and the slot holds a 4-byte record index; chunks never move and hold no
+// pointer, so the garbage collector neither marks nor scans anything per
+// row. The store reuses what it unlinks itself, under one rule: a record
+// and its bytes cut from a chain (Prune, Pop, Discard) wait in a
+// quarantine, tagged with the transaction manager's last commit timestamp
+// read when they were cut, and are reused only after a pass has run at a
+// watermark above that tag. Every reader that could still hold the record
+// — an index or a byte slice from a walk — is inside a transaction that
+// registered before it read the store (txn.Manager.Begin registers before
+// it takes its snapshot), so its snapshot is at or below the tag, and the
+// watermark cannot pass the tag until it finishes. Hence a ChainRow.Rec
+// and a Ref stay valid until the transaction that obtained them ends.
+// Reset hands its chunks to the collector instead of the quarantine:
+// readers still walking them keep them alive.
 package storage
 
 import (
@@ -72,44 +90,89 @@ type VersionStats struct {
 	Scanned atomic.Int64
 }
 
-// Version is one immutable row version. rec and txnID are fixed at
-// construction; commit is stamped exactly once at transaction commit.
-type Version struct {
-	rec    []byte // encoded row; nil marks a tombstone (deleted)
-	txnID  int64
+// Chunk geometry. A record chunk holds 512 records (16 KiB); a byte chunk
+// is 16 KiB, carved into ranges of whole 8-byte granules, except that a
+// row longer than bigRow gets a chunk of exactly its length.
+const (
+	recShift  = 9
+	recMask   = 1<<recShift - 1
+	byteChunk = 16 << 10
+	bigRow    = byteChunk / 4
+	granule   = 8
+	// tombstone is a record's length when it marks a deletion.
+	tombstone = math.MaxUint32
+	// dirty, in a slot, marks the row's membership in the garbage set; the
+	// other 31 bits are its head record's index (0: no row).
+	dirty = 1 << 31
+)
+
+// record is one immutable row version. Index 0 is never handed out, so a
+// zero next ends the chain. txn, n, chunk and off are set when the record
+// is taken and do not change until it is reused; commit is stamped exactly
+// once at transaction commit; next, the older version's index, is cut by
+// Prune while readers walk it.
+type record struct {
 	commit atomic.Int64 // 0 while uncommitted
-	// next points at the older version; Prune truncates it.
-	//sqlcm:cow storage.version
-	next atomic.Pointer[Version]
+	txn    atomic.Int64
+	next   atomic.Uint32
+	// n is the length of the row's bytes at off in byte chunk chunk, or
+	// tombstone.
+	n, chunk, off uint32
 }
 
-// Rec returns the encoded row (nil for a tombstone).
-func (v *Version) Rec() []byte { return v.rec }
+type recChunk [1 << recShift]record
 
-// Tombstone reports whether the version marks a deletion.
-func (v *Version) Tombstone() bool { return v.rec == nil }
-
-// CommitTS returns the commit timestamp (0 while uncommitted).
-func (v *Version) CommitTS() int64 { return v.commit.Load() }
+// Ref is a handle on one version a writer installed: its transaction
+// stamps it at commit, and a deferred index removal names it. A Ref
+// obtained inside a registered transaction stays valid until that
+// transaction ends.
+type Ref struct{ r *record }
 
 // SetCommit stamps the commit timestamp. Runs inside the transaction
 // manager's commit critical section, before the timestamp is published to
 // new snapshots.
-func (v *Version) SetCommit(ts int64) { v.commit.Store(ts) }
+func (v Ref) SetCommit(ts int64) { v.r.commit.Store(ts) }
 
-// visibleTo resolves the newest version of the chain rooted at v that snap
-// may observe, walking atomics only. depth counts versions examined (the
-// Version_Chain_Length probe).
-func visibleTo(v *Version, snap Snapshot) (vis *Version, depth int) {
-	for ; v != nil; v = v.next.Load() {
+// CommitTS returns the commit timestamp (0 while uncommitted).
+func (v Ref) CommitTS() int64 { return v.r.commit.Load() }
+
+// arena is the store's chunk directories. Chunks never move, so a reader
+// copies the directories under the store's read latch and resolves records
+// and bytes through its copy after letting go.
+type arena struct {
+	recs  []*recChunk
+	bytes [][]byte
+}
+
+func (a *arena) rec(i uint32) *record { return &a.recs[i>>recShift][i&recMask] }
+
+// data returns r's bytes, nil for a tombstone. The slice is capped at its
+// length, so an append to it cannot run into the next row.
+func (a *arena) data(r *record) []byte {
+	switch r.n {
+	case tombstone:
+		return nil
+	case 0:
+		return []byte{}
+	}
+	return a.bytes[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// visibleTo resolves the newest version of the chain from record i that
+// snap may observe, walking atomics only. depth counts versions examined
+// (the Version_Chain_Length probe).
+func (a *arena) visibleTo(i uint32, snap Snapshot) (vis *record, depth int) {
+	for i != 0 {
+		r := a.rec(i)
 		depth++
-		ts := v.commit.Load()
-		if v.txnID == snap.Self && ts == 0 {
-			return v, depth
+		ts := r.commit.Load()
+		if ts == 0 && r.txn.Load() == snap.Self {
+			return r, depth
 		}
 		if ts != 0 && ts <= snap.TS {
-			return v, depth
+			return r, depth
 		}
+		i = r.next.Load()
 	}
 	return nil, depth
 }
@@ -122,31 +185,24 @@ type Pending struct {
 	Key   []byte
 	Rid   RID
 	// By is the version whose installation made the entry stale.
-	By *Version
-}
-
-// chain tracks the versions of one row. All fields are guarded by the
-// owning store's mutex except head, which readers load lock-free.
-type chain struct {
-	//sqlcm:cow storage.version
-	head atomic.Pointer[Version]
-	// pend holds the chain's deferred index-entry removals — at most one
-	// per (index, key): a key leaving the row adds one, the key returning
-	// cancels it.
-	//sqlcm:guarded-by storage.version
-	pend []Pending
-	// dirty marks membership in the store's garbage set.
-	//sqlcm:guarded-by storage.version
-	dirty bool
+	By Ref
 }
 
 // ChainRow is one row materialized from a chain scan.
 type ChainRow struct {
 	Rid RID
-	// Rec is the visible version's encoded row.
+	// Rec is the visible version's encoded row: a slice of the store's
+	// byte arena, valid while the reader's transaction lives.
 	Rec []byte
 	// Depth is the number of versions examined to resolve visibility.
 	Depth int
+}
+
+// unlinked is a record cut from its chain, waiting until a pass runs at a
+// watermark above at, the last commit timestamp when it was cut.
+type unlinked struct {
+	i  uint32
+	at int64
 }
 
 // VersionStore holds the version chains of one table.
@@ -154,41 +210,70 @@ type VersionStore struct {
 	stats *VersionStats
 	// lastRID is the newest RID NewRID handed out.
 	lastRID atomic.Uint64
+	// lastCommit reads the transaction manager's newest published commit
+	// timestamp; nil for a store that never reuses what it unlinks.
+	lastCommit func() int64
 
-	// mu protects the chain slots, every chain's mutable fields (pend,
-	// dirty) and the garbage set with its counters. Chain heads and version
-	// links are read through atomics so visibility walks escape the critical
-	// section.
+	// mu protects the slots, the directories and allocation state, the
+	// pending removals and the garbage set with its counters. Commit
+	// stamps and next links are atomics, so visibility walks escape the
+	// critical section.
 	//sqlcm:lock storage.version
-	//sqlcm:guards chains, base, live, garbage, grown, residue, prunedAt
-	mu sync.RWMutex
-	// chains[i] is the chain of RID base+i, nil for a RID whose row is gone
-	// or was never installed. Leading nil slots are trimmed (base moves up),
-	// so a table that drops its oldest rows keeps no slot for them; interior
-	// holes cost one pointer each. live counts the non-nil slots.
-	chains []*chain
-	base   RID
-	live   int
-	// garbage is the set of chains Prune can find work in. Invariant: every
-	// chain with more than one version, a tombstone head or a pending entry
-	// is in it — a chain outside it is one live version, which no watermark
-	// makes garbage. Chains enter on Push, Tombstone, AddPending and
-	// RestorePending; Prune drops the ones it leaves clean and the ones Pop
-	// or Discard removed from the store since they entered.
+	//sqlcm:guards dir, heads, base, live, pend, garbage, grown, residue, prunedAt, nrec, freeRecs, freeBytes, cur, used, spare, quarantine, safe
+	mu  sync.RWMutex
+	dir arena
+	// heads[i] is the head record of RID base+i (with the dirty bit), 0
+	// for a RID whose row is gone or was never installed. Leading empty
+	// slots are trimmed (base moves up), so a table that drops its oldest
+	// rows keeps no slot for them; interior holes cost 4 bytes each. live
+	// counts the non-empty slots.
+	heads []uint32
+	base  RID
+	live  int
+	// pend holds each row's deferred index-entry removals — at most one
+	// per (index, key): a key leaving the row adds one, the key returning
+	// cancels it.
+	pend map[RID][]Pending
+	// garbage is the set of rows Prune can find work in. Invariant: every
+	// row with more than one version, a tombstone head or a pending entry
+	// is in it (and marked dirty) — a row outside it is one live version,
+	// which no watermark makes garbage. Rows enter on Push, Tombstone,
+	// AddPending and RestorePending; Prune drops the ones it leaves clean
+	// and the ones Pop or Discard removed from the store since they
+	// entered.
 	garbage []RID
-	// grown counts the versions pushed since the last Prune; residue the
-	// versions that pass examined and had to keep, prunedAt its watermark.
-	// PruneDue weighs them.
+	// grown counts the versions pushed or rolled back since the last
+	// Prune; residue the versions that pass examined and had to keep,
+	// prunedAt its watermark. PruneDue weighs them.
 	grown, residue int
 	prunedAt       int64
+
+	// nrec is the number of record indices taken from the chunks so far
+	// (index 0 included); freeRecs the reusable ones below it.
+	nrec     uint32
+	freeRecs []uint32
+	// freeBytes[g] holds reusable ranges of g granules, each packed as
+	// chunk<<32 | offset; cur is the small-row chunk being carved and used
+	// the bytes taken from it; spare lists the directory entries of
+	// big-row chunks given back to the collector.
+	freeBytes [][]uint64
+	cur, used uint32
+	spare     []uint32
+	// quarantine holds unlinked records in the order they were cut, so
+	// their tags ascend; safe is the highest watermark a pass ran at.
+	quarantine []unlinked
+	safe       int64
 }
 
-// NewVersionStore returns an empty store reporting into stats.
-func NewVersionStore(stats *VersionStats) *VersionStore {
+// NewVersionStore returns an empty store reporting into stats. lastCommit
+// reads the commit timestamp the transaction manager published last
+// (txn.Manager.LastCommit); with nil the store never reuses a record or a
+// byte it unlinks.
+func NewVersionStore(stats *VersionStats, lastCommit func() int64) *VersionStore {
 	if stats == nil {
 		stats = &VersionStats{}
 	}
-	return &VersionStore{stats: stats, base: 1}
+	return &VersionStore{stats: stats, lastCommit: lastCommit, base: 1, used: byteChunk}
 }
 
 // Stats returns the shared counters.
@@ -199,103 +284,248 @@ func (s *VersionStore) Stats() *VersionStats { return s.stats }
 func (s *VersionStore) NewRID() RID { return RID(s.lastRID.Add(1)) }
 
 // Install creates the chain for a freshly inserted row at a RID from
-// NewRID. committed installs the version pre-stamped with BaseCommitTS
-// (engine-internal inserts that must be visible to every snapshot);
-// otherwise the caller stamps the returned version at commit.
-func (s *VersionStore) Install(rid RID, rec []byte, txnID int64, committed bool) *Version {
-	v := &Version{rec: rec, txnID: txnID}
+// NewRID, copying rec into the arena. committed installs the version
+// pre-stamped with BaseCommitTS (engine-internal inserts that must be
+// visible to every snapshot); otherwise the caller stamps the returned
+// version at commit.
+func (s *VersionStore) Install(rid RID, rec []byte, txnID int64, committed bool) Ref {
+	var ts int64
 	if committed {
-		v.commit.Store(BaseCommitTS)
+		ts = BaseCommitTS
 	}
-	c := &chain{}
-	c.head.Store(v)
 	s.mu.Lock()
-	s.setSlot(rid, c)
+	i, r := s.take(rec, false, txnID, ts, 0)
+	s.heads[s.setSlot(rid)] = i
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
-	return v
+	return Ref{r}
 }
 
-// slot returns the chain at rid, nil when there is none. The caller holds mu.
+// take fills a free or fresh record with a version of rec (or a
+// tombstone) whose older version is next. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) slot(rid RID) *chain {
-	if rid < s.base || rid-s.base >= RID(len(s.chains)) {
-		return nil
+func (s *VersionStore) take(rec []byte, tomb bool, txnID, commit int64, next uint32) (uint32, *record) {
+	var i uint32
+	if n := len(s.freeRecs); n > 0 {
+		i, s.freeRecs = s.freeRecs[n-1], s.freeRecs[:n-1]
+	} else {
+		if s.nrec == 0 {
+			s.nrec = 1 // index 0 ends a chain
+		}
+		if s.nrec == dirty {
+			panic("storage: a table's version store is out of record indices")
+		}
+		i = s.nrec
+		s.nrec++
+		if int(i>>recShift) == len(s.dir.recs) {
+			s.dir.recs = append(s.dir.recs, new(recChunk))
+		}
 	}
-	return s.chains[rid-s.base]
+	r := s.dir.rec(i)
+	r.commit.Store(commit)
+	r.txn.Store(txnID)
+	r.next.Store(next)
+	r.n, r.chunk, r.off = tombstone, 0, 0
+	if !tomb {
+		r.n = uint32(len(rec))
+		r.chunk, r.off = s.putBytes(rec)
+	}
+	return i, r
 }
 
-// setSlot installs c at rid, growing the slot array up to it. The caller
-// holds mu; rid is at or above base (NewRID only counts up, and Reset moves
-// base past every RID handed out).
+// putBytes copies b into the arena: a reusable range of its granule count
+// if there is one, else the end of the last small-row chunk, else a fresh
+// chunk. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) setSlot(rid RID, c *chain) {
+func (s *VersionStore) putBytes(b []byte) (chunk, off uint32) {
+	n := uint32(len(b))
+	switch {
+	case n == 0:
+		return 0, 0
+	case n > bigRow:
+		chunk = s.newChunk(n)
+		copy(s.dir.bytes[chunk], b)
+		return chunk, 0
+	}
+	g := (n + granule - 1) / granule
+	if int(g) < len(s.freeBytes) && len(s.freeBytes[g]) > 0 {
+		l := s.freeBytes[g]
+		p := l[len(l)-1]
+		s.freeBytes[g] = l[:len(l)-1]
+		chunk, off = uint32(p>>32), uint32(p)
+	} else {
+		if s.used+g*granule > byteChunk {
+			// The rest of the current chunk (less than bigRow) becomes a
+			// free range of its own.
+			if rest := byteChunk - s.used; rest > 0 {
+				s.freeRange(s.cur, s.used, rest/granule)
+			}
+			s.cur, s.used = s.newChunk(byteChunk), 0
+		}
+		chunk, off = s.cur, s.used
+		s.used += g * granule
+	}
+	copy(s.dir.bytes[chunk][off:], b)
+	return chunk, off
+}
+
+// newChunk adds a byte chunk of size bytes and returns its directory
+// entry, reusing the entry of a big row's chunk given back. The caller
+// holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) newChunk(size uint32) uint32 {
+	if n := len(s.spare); n > 0 {
+		c := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		s.dir.bytes[c] = make([]byte, size)
+		return c
+	}
+	s.dir.bytes = append(s.dir.bytes, make([]byte, size))
+	return uint32(len(s.dir.bytes) - 1)
+}
+
+// freeRange makes g granules at (chunk, off) reusable. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) freeRange(chunk, off, g uint32) {
+	for len(s.freeBytes) <= int(g) {
+		s.freeBytes = append(s.freeBytes, nil)
+	}
+	s.freeBytes[g] = append(s.freeBytes[g], uint64(chunk)<<32|uint64(off))
+}
+// slot returns the index into heads of rid's slot, -1 when rid has no row.
+// The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) slot(rid RID) int {
+	if rid < s.base || rid-s.base >= RID(len(s.heads)) || s.heads[rid-s.base] == 0 {
+		return -1
+	}
+	return int(rid - s.base)
+}
+
+// setSlot opens the slot of rid, growing the slot array up to it, and
+// returns its index. The caller holds mu; rid is at or above base (NewRID
+// only counts up, and Reset moves base past every RID handed out).
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) setSlot(rid RID) int {
 	i := int(rid - s.base)
-	for len(s.chains) <= i {
-		s.chains = append(s.chains, nil)
+	for len(s.heads) <= i {
+		s.heads = append(s.heads, 0)
 	}
-	s.chains[i] = c
 	s.live++
+	return i
 }
 
-// drop empties the slot at rid and trims the leading empty slots. The
-// caller holds mu and has checked that the slot is set.
+// drop empties rid's slot, forgets its pending removals and trims the
+// leading empty slots. The caller holds mu and has checked that the slot
+// is set.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) drop(rid RID) {
-	s.chains[rid-s.base] = nil
+	s.heads[rid-s.base] = 0
+	delete(s.pend, rid)
 	s.live--
-	for len(s.chains) > 0 && s.chains[0] == nil {
-		s.chains = s.chains[1:]
+	for len(s.heads) > 0 && s.heads[0] == 0 {
+		s.heads = s.heads[1:]
 		s.base++
 	}
 }
 
-// Push prepends a new version carrying rec (UPDATE).
-func (s *VersionStore) Push(rid RID, rec []byte, txnID int64) *Version {
-	v := &Version{rec: rec, txnID: txnID}
-	s.push(rid, v)
-	return v
+// Push prepends a new version carrying a copy of rec (UPDATE).
+func (s *VersionStore) Push(rid RID, rec []byte, txnID int64) Ref {
+	return s.push(rid, rec, false, txnID)
 }
 
 // Tombstone prepends a deletion marker (DELETE). The chain and the index
 // entries stay in place until Prune reclaims them.
-func (s *VersionStore) Tombstone(rid RID, txnID int64) *Version {
-	v := &Version{txnID: txnID}
-	s.push(rid, v)
-	return v
+func (s *VersionStore) Tombstone(rid RID, txnID int64) Ref {
+	return s.push(rid, nil, true, txnID)
 }
 
-func (s *VersionStore) push(rid RID, v *Version) {
+func (s *VersionStore) push(rid RID, rec []byte, tomb bool, txnID int64) Ref {
 	s.mu.Lock()
-	c := s.slot(rid)
-	if c == nil {
-		// Defensive: a row the store has never seen (should not happen —
-		// every insert installs a chain). Adopt it with v as the only
-		// version.
-		c = &chain{}
-		s.setSlot(rid, c)
-	} else {
-		v.next.Store(c.head.Load())
+	k := s.slot(rid)
+	var next uint32
+	if k >= 0 {
+		next = s.heads[k] &^ dirty
 	}
-	c.head.Store(v)
-	s.markGarbage(rid, c)
+	i, r := s.take(rec, tomb, txnID, 0, next)
+	if k < 0 {
+		// Defensive: a row the store has never seen (should not happen —
+		// every insert installs a chain). Adopt it with this version as
+		// the only one.
+		k = s.setSlot(rid)
+	}
+	s.heads[k] = i | s.heads[k]&dirty
+	s.markGarbage(rid, k)
 	s.grown++
 	s.mu.Unlock()
 	s.stats.Retained.Add(1)
+	return Ref{r}
 }
 
-// markGarbage enters the chain c at rid into the garbage set. The caller
-// holds mu.
+// markGarbage enters the row at rid, in slot k, into the garbage set. The
+// caller holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) markGarbage(rid RID, c *chain) {
-	if !c.dirty {
-		c.dirty = true
+func (s *VersionStore) markGarbage(rid RID, k int) {
+	if s.heads[k]&dirty == 0 {
+		s.heads[k] |= dirty
 		s.garbage = append(s.garbage, rid)
 	}
+}
+
+// horizon tags what is unlinked now: the last commit timestamp published.
+// Every transaction registered now holds a snapshot at or below it.
+func (s *VersionStore) horizon() int64 {
+	if s.lastCommit == nil {
+		return math.MaxInt64
+	}
+	return s.lastCommit()
+}
+
+// unlink quarantines the chain from record i, which was just cut from the
+// store, and returns its length. The records keep their next links: a
+// reader may be walking them. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) unlink(i uint32, at int64) int {
+	n := 0
+	for ; i != 0; i = s.dir.rec(i).next.Load() {
+		s.quarantine = append(s.quarantine, unlinked{i: i, at: at})
+		n++
+	}
+	return n
+}
+
+// reclaim makes the quarantined records a pass at watermark safe has
+// passed reusable, with their bytes. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) reclaim() {
+	n := 0
+	for _, q := range s.quarantine {
+		if q.at >= s.safe {
+			break
+		}
+		r := s.dir.rec(q.i)
+		switch {
+		case r.n == tombstone || r.n == 0:
+		case r.n > bigRow:
+			s.dir.bytes[r.chunk] = nil
+			s.spare = append(s.spare, r.chunk)
+		default:
+			s.freeRange(r.chunk, r.off, (r.n+granule-1)/granule)
+		}
+		s.freeRecs = append(s.freeRecs, q.i)
+		n++
+	}
+	s.quarantine = slices.Delete(s.quarantine, 0, n)
 }
 
 // Pop removes the newest version (transaction rollback of one UPDATE or
@@ -303,16 +533,20 @@ func (s *VersionStore) markGarbage(rid RID, c *chain) {
 // older version underneath.
 func (s *VersionStore) Pop(rid RID) {
 	s.mu.Lock()
-	if c := s.slot(rid); c != nil {
-		if h := c.head.Load(); h != nil {
-			c.pend = slices.DeleteFunc(c.pend, func(p Pending) bool { return p.By == h })
-			if n := h.next.Load(); n != nil {
-				c.head.Store(n)
-			} else {
-				s.drop(rid)
-			}
-			s.stats.Retained.Add(-1)
+	if k := s.slot(rid); k >= 0 {
+		h := s.heads[k] &^ dirty
+		r := s.dir.rec(h)
+		if ps := s.pend[rid]; len(ps) > 0 {
+			s.setPend(rid, slices.DeleteFunc(ps, func(p Pending) bool { return p.By.r == r }))
 		}
+		if n := r.next.Load(); n != 0 {
+			s.heads[k] = n | s.heads[k]&dirty
+		} else {
+			s.drop(rid)
+		}
+		s.quarantine = append(s.quarantine, unlinked{i: h, at: s.horizon()})
+		s.grown++
+		s.stats.Retained.Add(-1)
 	}
 	s.mu.Unlock()
 }
@@ -321,38 +555,36 @@ func (s *VersionStore) Pop(rid RID) {
 // handed out again.
 func (s *VersionStore) Discard(rid RID) {
 	s.mu.Lock()
-	if c := s.slot(rid); c != nil {
+	if k := s.slot(rid); k >= 0 {
+		n := s.unlink(s.heads[k]&^dirty, s.horizon())
 		s.drop(rid)
-		s.stats.Retained.Add(-int64(chainLen(c.head.Load())))
+		s.grown += n
+		s.stats.Retained.Add(-int64(n))
 	}
 	s.mu.Unlock()
-}
-
-func chainLen(v *Version) int {
-	n := 0
-	for ; v != nil; v = v.next.Load() {
-		n++
-	}
-	return n
 }
 
 // ReadAt resolves the row at rid (an index entry's RID) for snap. ok is
 // false when the row is invisible to the snapshot or gone; Depth is set
 // either way.
 func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
+	var head uint32
 	s.mu.RLock()
-	c := s.slot(rid)
+	if k := s.slot(rid); k >= 0 {
+		head = s.heads[k] &^ dirty
+	}
+	a := s.dir
 	s.mu.RUnlock()
 	row.Rid = rid
-	if c == nil {
+	if head == 0 {
 		return row, false
 	}
-	vis, depth := visibleTo(c.head.Load(), snap)
+	vis, depth := a.visibleTo(head, snap)
 	row.Depth = depth
-	if vis == nil || vis.Tombstone() {
+	if vis == nil || vis.n == tombstone {
 		return row, false
 	}
-	row.Rec = vis.rec
+	row.Rec = a.data(vis)
 	return row, true
 }
 
@@ -361,30 +593,40 @@ func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
 // respect to chain installation and pruning.
 func (s *VersionStore) SnapScan(snap Snapshot) []ChainRow {
 	s.mu.RLock()
+	a := s.dir
 	out := make([]ChainRow, 0, s.live)
-	for i, c := range s.chains {
-		if c == nil {
+	for i, h := range s.heads {
+		if h == 0 {
 			continue
 		}
-		vis, depth := visibleTo(c.head.Load(), snap)
-		if vis == nil || vis.Tombstone() {
+		vis, depth := a.visibleTo(h&^dirty, snap)
+		if vis == nil || vis.n == tombstone {
 			continue
 		}
-		out = append(out, ChainRow{Rid: s.base + RID(i), Rec: vis.rec, Depth: depth})
+		out = append(out, ChainRow{Rid: s.base + RID(i), Rec: a.data(vis), Depth: depth})
 	}
 	s.mu.RUnlock()
 	return out
 }
 
+// setPend replaces rid's pending removals. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) setPend(rid RID, ps []Pending) {
+	if len(ps) == 0 {
+		delete(s.pend, rid)
+		return
+	}
+	if s.pend == nil {
+		s.pend = make(map[RID][]Pending)
+	}
+	s.pend[rid] = ps
+}
+
 // AddPending defers removal of the row's index entry (index, key) until by
 // is visible to every snapshot.
-func (s *VersionStore) AddPending(rid RID, index string, key []byte, by *Version) {
-	s.mu.Lock()
-	if c := s.slot(rid); c != nil {
-		c.pend = append(c.pend, Pending{Index: index, Key: key, Rid: rid, By: by})
-		s.markGarbage(rid, c)
-	}
-	s.mu.Unlock()
+func (s *VersionStore) AddPending(rid RID, index string, key []byte, by Ref) {
+	s.RestorePending(rid, Pending{Index: index, Key: key, Rid: rid, By: by})
 }
 
 // TakePending removes and returns the deferred removal of (index, key), if
@@ -394,13 +636,10 @@ func (s *VersionStore) AddPending(rid RID, index string, key []byte, by *Version
 func (s *VersionStore) TakePending(rid RID, index string, key []byte) (Pending, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.slot(rid)
-	if c == nil {
-		return Pending{}, false
-	}
-	for i, p := range c.pend {
+	ps := s.pend[rid]
+	for i, p := range ps {
 		if p.Index == index && string(p.Key) == string(key) {
-			c.pend = append(c.pend[:i], c.pend[i+1:]...)
+			s.setPend(rid, slices.Delete(ps, i, i+1))
 			return p, true
 		}
 	}
@@ -410,9 +649,9 @@ func (s *VersionStore) TakePending(rid RID, index string, key []byte) (Pending, 
 // RestorePending re-registers a deferred removal taken by TakePending.
 func (s *VersionStore) RestorePending(rid RID, p Pending) {
 	s.mu.Lock()
-	if c := s.slot(rid); c != nil {
-		c.pend = append(c.pend, p)
-		s.markGarbage(rid, c)
+	if k := s.slot(rid); k >= 0 {
+		s.setPend(rid, append(s.pend[rid], p))
+		s.markGarbage(rid, k)
 	}
 	s.mu.Unlock()
 }
@@ -425,12 +664,12 @@ const PruneBatch = 256
 // PruneDue is the write-path trigger: a writer holding its write locks on
 // the table asks it after its rows are written and, when due, runs the
 // pass at the returned watermark. A pass is due once PruneBatch versions
-// were pushed since the last one, provided it can find new garbage: the
-// watermark moved past the last pass's, or the pushes since outnumber the
-// versions that pass had to keep. The second arm keeps a pinned watermark (a
-// long-open snapshot) from turning every batch into a rescan of the same
-// un-prunable set: the passes then space out geometrically. watermark is
-// called without the store's latch held.
+// were pushed or rolled back since the last one, provided it can find new
+// garbage: the watermark moved past the last pass's, or the pushes since
+// outnumber the versions that pass had to keep. The second arm keeps a
+// pinned watermark (a long-open snapshot) from turning every batch into a
+// rescan of the same un-prunable set: the passes then space out
+// geometrically. watermark is called without the store's latch held.
 func (s *VersionStore) PruneDue(watermark func() int64) (wm int64, due bool) {
 	s.mu.RLock()
 	grown, residue, prunedAt := s.grown, s.residue, s.prunedAt
@@ -448,6 +687,9 @@ func (s *VersionStore) PruneDue(watermark func() int64) (wm int64, due bool) {
 // the watermark, and whole chains whose visible state at the watermark is
 // a tombstone. It walks the garbage set only, so a pass costs what was
 // written since the chains it visits were last clean, not what is stored.
+// What it cuts goes into the quarantine; what earlier cuts left there
+// becomes reusable once watermark passes its tag. watermark must be one
+// the transaction manager returned (it never decreases).
 //
 // It returns the index entries now safe to delete; the caller (holding a
 // write lock on the table) deletes them outside the store's mutex, keeping
@@ -457,49 +699,54 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
+	at := s.horizon()
 	scanned := len(s.garbage)
 	kept, residue := s.garbage[:0], 0
 	for _, rid := range s.garbage {
-		c := s.slot(rid)
-		if c == nil {
+		k := s.slot(rid)
+		if k < 0 {
 			continue // rolled back (Pop, Discard) since it entered the set
 		}
 
 		// Sweep deferred index-entry removals.
-		pend := c.pend[:0]
-		for _, p := range c.pend {
-			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
-				entries = append(entries, p)
-			} else {
-				pend = append(pend, p)
+		if ps := s.pend[rid]; len(ps) > 0 {
+			keep := ps[:0]
+			for _, p := range ps {
+				if ts := p.By.CommitTS(); ts != 0 && ts <= watermark {
+					entries = append(entries, p)
+				} else {
+					keep = append(keep, p)
+				}
 			}
+			s.setPend(rid, keep)
 		}
-		c.pend = pend
 
-		head := c.head.Load()
+		head := s.heads[k] &^ dirty
+		hr := s.dir.rec(head)
 		// Whole-row death: the version visible at the watermark is a
 		// tombstone, so no live or future snapshot sees any data.
-		if ts := head.commit.Load(); head.Tombstone() && ts != 0 && ts <= watermark {
-			entries = append(entries, c.pend...)
-			c.pend = nil
-			pruned += int64(chainLen(head))
+		if ts := hr.commit.Load(); hr.n == tombstone && ts != 0 && ts <= watermark {
+			entries = append(entries, s.pend[rid]...)
+			pruned += int64(s.unlink(head, at))
 			s.drop(rid)
 			continue
 		}
 		// Interior truncation below the newest watermark-visible version.
 		n := 0
-		for v := head; v != nil; v = v.next.Load() {
+		for i := head; i != 0; {
+			r := s.dir.rec(i)
 			n++
-			if ts := v.commit.Load(); ts != 0 && ts <= watermark {
-				if tail := v.next.Load(); tail != nil {
-					pruned += int64(chainLen(tail))
-					v.next.Store(nil)
+			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
+				if tail := r.next.Load(); tail != 0 {
+					r.next.Store(0)
+					pruned += int64(s.unlink(tail, at))
 				}
 				break
 			}
+			i = r.next.Load()
 		}
-		if n == 1 && !head.Tombstone() && len(c.pend) == 0 {
-			c.dirty = false // one live version: nothing for any later pass
+		if n == 1 && hr.n != tombstone && len(s.pend[rid]) == 0 {
+			s.heads[k] &^= dirty // one live version: nothing for any later pass
 			continue
 		}
 		residue += n
@@ -507,6 +754,8 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 	}
 	s.garbage = kept
 	s.grown, s.residue, s.prunedAt = 0, residue, watermark
+	s.safe = max(s.safe, watermark)
+	s.reclaim()
 	s.mu.Unlock()
 	s.stats.Scanned.Add(int64(scanned))
 	if pruned > 0 {
@@ -517,17 +766,19 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 }
 
 // Reset drops every chain (TRUNCATE). RIDs keep counting from where they
-// were, and the slot array starts past the last one handed out.
+// were, and the slot array starts past the last one handed out. The chunks
+// go to the collector, which keeps them for any reader still walking them.
 func (s *VersionStore) Reset() {
 	s.mu.Lock()
 	var n int64
-	for _, c := range s.chains {
-		if c != nil {
-			n += int64(chainLen(c.head.Load()))
+	for _, h := range s.heads {
+		for i := h &^ dirty; i != 0; i = s.dir.rec(i).next.Load() {
+			n++
 		}
 	}
-	s.chains, s.base, s.live = nil, RID(s.lastRID.Load())+1, 0
+	s.dir, s.heads, s.base, s.live, s.pend = arena{}, nil, RID(s.lastRID.Load())+1, 0, nil
 	s.garbage, s.grown, s.residue = nil, 0, 0
+	s.nrec, s.freeRecs, s.freeBytes, s.used, s.spare, s.quarantine = 0, nil, nil, byteChunk, nil, nil
 	s.mu.Unlock()
 	s.stats.Retained.Add(-n)
 }

@@ -16,38 +16,38 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
-	for rid, c := range eachChain(s) {
-		kept := c.pend[:0]
-		for _, p := range c.pend {
-			if ts := p.By.commit.Load(); ts != 0 && ts <= watermark {
+	at := s.horizon()
+	for rid, head := range eachChain(s) {
+		kept := []Pending(nil)
+		for _, p := range s.pend[rid] {
+			if ts := p.By.CommitTS(); ts != 0 && ts <= watermark {
 				entries = append(entries, p)
 			} else {
 				kept = append(kept, p)
 			}
 		}
-		c.pend = kept
+		s.setPend(rid, kept)
 
-		head := c.head.Load()
-		if head == nil {
-			continue
-		}
-		if ts := head.commit.Load(); head.Tombstone() && ts != 0 && ts <= watermark {
-			entries = append(entries, c.pend...)
-			c.pend = nil
-			pruned += int64(chainLen(head))
+		hr := s.dir.rec(head)
+		if ts := hr.commit.Load(); hr.n == tombstone && ts != 0 && ts <= watermark {
+			entries = append(entries, s.pend[rid]...)
+			pruned += int64(s.unlink(head, at))
 			s.drop(rid)
 			continue
 		}
-		for v := head; v != nil; v = v.next.Load() {
-			if ts := v.commit.Load(); ts != 0 && ts <= watermark {
-				if tail := v.next.Load(); tail != nil {
-					pruned += int64(chainLen(tail))
-					v.next.Store(nil)
+		for i := head; i != 0; i = s.dir.rec(i).next.Load() {
+			r := s.dir.rec(i)
+			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
+				if tail := r.next.Load(); tail != 0 {
+					r.next.Store(0)
+					pruned += int64(s.unlink(tail, at))
 				}
 				break
 			}
 		}
 	}
+	s.safe = max(s.safe, watermark)
+	s.reclaim()
 	s.mu.Unlock()
 	if pruned > 0 {
 		s.stats.Pruned.Add(pruned)
@@ -56,13 +56,14 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 	return entries
 }
 
-// eachChain returns the store's chains keyed by RID, a copy of the slot
-// array without its empty slots. The caller holds s.mu.
-func eachChain(s *VersionStore) map[RID]*chain {
-	out := make(map[RID]*chain, s.live)
-	for i, c := range s.chains {
-		if c != nil {
-			out[s.base+RID(i)] = c
+// eachChain returns the store's chains keyed by RID, their head records
+// from a copy of the slot array without its empty slots. The caller holds
+// s.mu.
+func eachChain(s *VersionStore) map[RID]uint32 {
+	out := make(map[RID]uint32, s.live)
+	for i, h := range s.heads {
+		if h != 0 {
+			out[s.base+RID(i)] = h &^ dirty
 		}
 	}
 	return out
@@ -85,14 +86,15 @@ func dumpStore(s *VersionStore) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var lines []string
-	for rid, c := range eachChain(s) {
+	for rid, head := range eachChain(s) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%v:", rid)
-		for v := c.head.Load(); v != nil; v = v.next.Load() {
-			fmt.Fprintf(&b, " [%q t%d c%d]", v.rec, v.txnID, v.CommitTS())
+		for i := head; i != 0; i = s.dir.rec(i).next.Load() {
+			r := s.dir.rec(i)
+			fmt.Fprintf(&b, " [%q t%d c%d]", s.dir.data(r), r.txn.Load(), r.commit.Load())
 		}
 		var pend []string
-		for _, p := range c.pend {
+		for _, p := range s.pend[rid] {
 			pend = append(pend, string(p.Key))
 		}
 		sort.Strings(pend)
@@ -111,24 +113,27 @@ func checkGarbageInvariant(t *testing.T, s *VersionStore, pruned bool) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	collectable := func(rid RID, head uint32) bool {
+		hr := s.dir.rec(head)
+		return hr.next.Load() != 0 || hr.n == tombstone || len(s.pend[rid]) > 0
+	}
 	in := make(map[RID]bool, len(s.garbage))
 	for _, rid := range s.garbage {
 		if in[rid] {
 			t.Fatalf("chain %v is in the garbage set twice", rid)
 		}
 		in[rid] = true
-		if c := s.slot(rid); pruned && (c == nil ||
-			c.head.Load().next.Load() == nil && !c.head.Load().Tombstone() && len(c.pend) == 0) {
+		if k := s.slot(rid); pruned && (k < 0 || !collectable(rid, s.heads[k]&^dirty)) {
 			t.Fatalf("chain %v survived a pass in the garbage set with nothing to collect", rid)
 		}
 	}
-	for rid, c := range eachChain(s) {
-		head := c.head.Load()
-		if !c.dirty && (head.next.Load() != nil || head.Tombstone() || len(c.pend) > 0) {
+	for rid, head := range eachChain(s) {
+		marked := s.heads[rid-s.base]&dirty != 0
+		if !marked && collectable(rid, head) {
 			t.Fatalf("chain %v can hold garbage but is not marked", rid)
 		}
-		if c.dirty != in[rid] {
-			t.Fatalf("chain %v: dirty=%v, in the garbage set=%v", rid, c.dirty, in[rid])
+		if marked != in[rid] {
+			t.Fatalf("chain %v: dirty=%v, in the garbage set=%v", rid, marked, in[rid])
 		}
 	}
 }
@@ -146,23 +151,23 @@ func checkGarbageInvariant(t *testing.T, s *VersionStore, pruned bool) {
 func driveStore(t *testing.T, seed int64, prune func(*VersionStore, int64) []Pending, check func(s *VersionStore, pruned bool)) []string {
 	rng := rand.New(rand.NewSource(seed))
 	stats := &VersionStats{}
-	s := NewVersionStore(stats)
+	var ts, wm int64
+	s := NewVersionStore(stats, func() int64 { return ts })
 	const rows, steps, self = 24, 600, 7
 
 	// open is the uncommitted work of the one in-flight writer (strict 2PL:
 	// one per table) — its versions to stamp on commit and its undo actions
 	// to run, newest first, on rollback.
-	var openVers []*Version
+	var openVers []Ref
 	var openUndo []func()
 	cur := make(map[int]RID) // row → its RID while the row has a chain
 	var installed []RID      // every RID installed, in install order
-	var ts, wm int64
 	var trace []string
 
-	headOf := func(rid RID) *Version {
+	headIsTombstone := func(rid RID) bool {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		return s.slot(rid).head.Load()
+		return s.dir.rec(s.heads[s.slot(rid)]&^dirty).n == tombstone
 	}
 	lastRow := 0
 	for step := 0; step < steps; step++ {
@@ -194,7 +199,7 @@ func driveStore(t *testing.T, seed int64, prune func(*VersionStore, int64) []Pen
 			cur[row] = rid
 			openVers = append(openVers, v)
 			openUndo = append(openUndo, func() { s.Discard(rid); delete(cur, row) })
-		case headOf(rid).Tombstone():
+		case headIsTombstone(rid):
 			// Deleted and not yet collected: nothing may be written.
 		case op < 6:
 			v := s.Push(rid, rec, self)
@@ -300,7 +305,7 @@ func TestPruneMatchesFullWalk(t *testing.T) {
 // writers touched since the last pass.
 func sparseStore(n, dirty int) (*VersionStore, *VersionStats) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats)
+	s := NewVersionStore(stats, nil)
 	for i := 0; i < n; i++ {
 		s.Install(s.NewRID(), []byte("base"), 1, false).SetCommit(1)
 	}
@@ -348,7 +353,7 @@ func TestPruneScansOnlyWrittenChains(t *testing.T) {
 // geometrically instead of rescanning the same un-prunable set every batch.
 func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats)
+	s := NewVersionStore(stats, nil)
 	rid := s.NewRID()
 	s.Install(rid, []byte("base"), 1, false).SetCommit(1)
 	const pinned = 1
@@ -390,7 +395,7 @@ func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 // dropped by the next pass, whatever it still held.
 func TestPruneDropsDiscardedChains(t *testing.T) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats)
+	s := NewVersionStore(stats, nil)
 	rid := s.NewRID()
 	s.Install(rid, []byte("a"), 7, false)
 	s.Push(rid, []byte("b"), 7)
@@ -427,14 +432,14 @@ func BenchmarkPruneSparse(b *testing.B) {
 // TRUNCATE moves the slot array past every RID handed out: the next insert
 // does not reserve a slot for each dropped row.
 func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	for i := 0; i < 10_000; i++ {
 		s.Install(s.NewRID(), []byte("row"), 0, true)
 	}
 	s.Reset()
 	rid := s.NewRID()
 	s.Install(rid, []byte("after"), 0, true)
-	if n := len(s.chains); n > 1 {
+	if n := len(s.heads); n > 1 {
 		t.Fatalf("%d slots after TRUNCATE and one insert", n)
 	}
 	if cr, ok := s.ReadAt(rid, CurrentSnapshot(0)); !ok || string(cr.Rec) != "after" {
@@ -449,7 +454,7 @@ func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
 // slot for them once they are pruned; rows behind an interior hole keep
 // their slots and resolve.
 func TestLeadingHolesTrimmed(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	const n, oldest = 100, 60
 	for i := 0; i < n; i++ {
 		s.Install(s.NewRID(), []byte("row"), 0, true)
@@ -459,8 +464,8 @@ func TestLeadingHolesTrimmed(t *testing.T) {
 	}
 	s.Tombstone(oldest+5, 0).SetCommit(1) // an interior hole
 	s.Prune(1)
-	if s.base != oldest+1 || len(s.chains) != n-oldest {
-		t.Fatalf("base %v, %d slots after pruning the %d oldest of %d rows", s.base, len(s.chains), oldest, n)
+	if s.base != oldest+1 || len(s.heads) != n-oldest {
+		t.Fatalf("base %v, %d slots after pruning the %d oldest of %d rows", s.base, len(s.heads), oldest, n)
 	}
 	if s.Chains() != n-oldest-1 {
 		t.Fatalf("%d live chains, want %d", s.Chains(), n-oldest-1)
@@ -469,6 +474,65 @@ func TestLeadingHolesTrimmed(t *testing.T) {
 		_, ok := s.ReadAt(rid, CurrentSnapshot(0))
 		if want := rid > oldest && rid != oldest+5; ok != want {
 			t.Fatalf("row %v visible %v, want %v", rid, ok, want)
+		}
+	}
+}
+
+// arenaBytes returns the bytes the store's chunks hold.
+func arenaBytes(s *VersionStore) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, c := range s.dir.bytes {
+		n += len(c)
+	}
+	return n
+}
+
+// What a pass cuts is reused: 100 000 committed updates of 100 hot rows,
+// pruned by the write-path trigger with no snapshot held open, leave the
+// store with a bounded multiple of its live rows in records and bytes,
+// where keeping every version would take 1000 times the rows.
+func TestPrunedSpaceIsReused(t *testing.T) {
+	const rows, updates = 100, 100_000
+	var ts int64 = 1
+	clock := func() int64 { return ts }
+	s := NewVersionStore(nil, clock)
+	rec := func(rid RID, ver int) []byte { // 17 to 80 bytes
+		return []byte(fmt.Sprintf("%d@%d:%s", rid, ver, strings.Repeat("x", (int(rid)*7+ver*13)%64)))
+	}
+	rids := make([]RID, rows)
+	for i := range rids {
+		rids[i] = s.NewRID()
+		s.Install(rids[i], rec(rids[i], 0), 0, true)
+	}
+	rng := rand.New(rand.NewSource(1))
+	passes := 0
+	for u := 1; u <= updates; u++ {
+		rid := rids[rng.Intn(rows)]
+		ts++
+		s.Push(rid, rec(rid, u), ts).SetCommit(ts)
+		if wm, due := s.PruneDue(clock); due {
+			s.Prune(wm)
+			passes++
+		}
+	}
+	if passes < updates/PruneBatch/2 {
+		t.Fatalf("%d passes over %d updates", passes, updates)
+	}
+	// Between two passes the store holds the live rows, a batch of
+	// superseded versions and the batch the last pass cut, in
+	// quarantine until the next one.
+	const maxRecords = 10 * rows
+	if s.nrec > maxRecords {
+		t.Errorf("%d records taken (%d free) for %d live rows", s.nrec, len(s.freeRecs), rows)
+	}
+	if got := arenaBytes(s); got > 2*maxRecords*80 {
+		t.Errorf("arena holds %d bytes for %d live rows of at most 80", got, rows)
+	}
+	for _, rid := range rids {
+		if _, ok := s.ReadAt(rid, CurrentSnapshot(0)); !ok {
+			t.Fatalf("row %v lost", rid)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			stats := &VersionStats{}
-			s := NewVersionStore(stats)
+			s := NewVersionStore(stats, nil)
 
 			const rows = 12
 			const steps = 160
@@ -170,7 +170,7 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 // uncommitted version is visible to its own transaction and to nobody else;
 // after commit it is visible exactly to snapshots at or past the stamp.
 func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	rid := s.NewRID()
 	base := []byte("base")
 	v0 := s.Install(rid, base, 7, false)
@@ -196,7 +196,7 @@ func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
 // removal survives Prune while any snapshot may still need the entry and is
 // emitted exactly once after its superseding commit passes the watermark.
 func TestPendingLifecycle(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	rid := s.NewRID()
 	v0 := s.Install(rid, []byte("a"), 1, false)
 	v0.SetCommit(1)
@@ -226,7 +226,7 @@ func TestPendingLifecycle(t *testing.T) {
 // removals it registered, so an undo needs no keys to take them one by one;
 // those an older version registered stay.
 func TestPopDropsItsPendings(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	rid := s.NewRID()
 	s.Install(rid, []byte("a"), 1, false).SetCommit(1)
 	v1 := s.Push(rid, []byte("b"), 2)
@@ -248,7 +248,7 @@ func TestPopDropsItsPendings(t *testing.T) {
 // a deleted row or TRUNCATE empties the table — so a scan returns rows in
 // the order they were inserted, whatever was deleted in between.
 func TestRIDOrdering(t *testing.T) {
-	s := NewVersionStore(nil)
+	s := NewVersionStore(nil, nil)
 	var rids []RID
 	insert := func(rec string) RID {
 		rid := s.NewRID()

@@ -62,7 +62,7 @@ type Txn struct {
 	mu        sync.Mutex
 	state     State
 	undo      []func() error
-	stamps    []*storage.Version
+	stamps    []storage.Ref
 	cancelled atomic.Bool
 	implicit  bool // autocommit transaction created for a single statement
 }
@@ -81,7 +81,7 @@ func (t *Txn) SnapshotAt() time.Time { return t.snapAt }
 
 // OnCommit registers a version the transaction wrote: the commit stamps it
 // with the commit timestamp inside the commit critical section.
-func (t *Txn) OnCommit(v *storage.Version) {
+func (t *Txn) OnCommit(v storage.Ref) {
 	t.mu.Lock()
 	t.stamps = append(t.stamps, v)
 	t.mu.Unlock()

@@ -169,11 +169,13 @@ func BenchmarkSetupAutocommit(b *testing.B) {
 		}
 		b.StartTimer()
 	}
-	// The chain (head, pend) and its map entry (the *chain value; the RID
-	// key holds none) are unexported, so they are counted by hand.
-	const chainAndEntry = 2 + 1
+	// A one-version row is one version record (what a storage.Ref points
+	// at) and one slot of the store's slot array; both types are
+	// unexported, so they are reached through the types that hold them.
+	record := reflect.TypeFor[storage.Ref]().Field(0).Type.Elem()
+	slots, _ := reflect.TypeFor[storage.VersionStore]().FieldByName("heads")
 	b.ReportMetric(bytesPerRow, "B/row")
-	b.ReportMetric(float64(pointerWords(reflect.TypeFor[storage.Version]())+chainAndEntry), "ptrs/row")
+	b.ReportMetric(float64(pointerWords(record)+pointerWords(slots.Type.Elem())), "ptrs/row")
 }
 
 // pointerWords counts the words of a t the garbage collector scans.
