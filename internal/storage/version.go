@@ -396,6 +396,7 @@ func (s *VersionStore) freeRange(chunk, off, g uint32) {
 	}
 	s.freeBytes[g] = append(s.freeBytes[g], uint64(chunk)<<32|uint64(off))
 }
+
 // slot returns the index into heads of rid's slot, -1 when rid has no row.
 // The caller holds mu.
 //
