@@ -211,7 +211,8 @@ type VersionStore struct {
 	// lastRID is the newest RID NewRID handed out.
 	lastRID atomic.Uint64
 	// lastCommit reads the transaction manager's newest published commit
-	// timestamp; nil for a store that never reuses what it unlinks.
+	// timestamp; nil for a store that never reuses what it unlinks. The
+	// store calls it under mu, so it must take no latch.
 	lastCommit func() int64
 
 	// mu protects the slots, the directories and allocation state, the
@@ -267,8 +268,8 @@ type VersionStore struct {
 
 // NewVersionStore returns an empty store reporting into stats. lastCommit
 // reads the commit timestamp the transaction manager published last
-// (txn.Manager.LastCommit); with nil the store never reuses a record or a
-// byte it unlinks.
+// (txn.Manager.LastCommit) and takes no latch; with nil the store never
+// reuses a record or a byte it unlinks.
 func NewVersionStore(stats *VersionStats, lastCommit func() int64) *VersionStore {
 	if stats == nil {
 		stats = &VersionStats{}
@@ -481,24 +482,31 @@ func (s *VersionStore) markGarbage(rid RID, k int) {
 	}
 }
 
-// horizon tags what is unlinked now: the last commit timestamp published.
-// Every transaction registered now holds a snapshot at or below it.
-func (s *VersionStore) horizon() int64 {
-	if s.lastCommit == nil {
-		return math.MaxInt64
+// cut queues record i, just unlinked from the store, for reuse once a pass
+// runs at a watermark above the last commit published now: every
+// transaction registered now holds a snapshot at or below it. A store
+// without lastCommit never reuses, so it queues nothing. The caller holds
+// mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) cut(i uint32) {
+	if s.lastCommit != nil {
+		// Read after the unlink, under the latch: a reader that found i
+		// before then registered before it read the store.
+		//sqlcm:allow lastCommit is txn.Manager.LastCommit, one atomic load that takes no latch
+		s.quarantine = append(s.quarantine, unlinked{i: i, at: s.lastCommit()})
 	}
-	return s.lastCommit()
 }
 
-// unlink quarantines the chain from record i, which was just cut from the
-// store, and returns its length. The records keep their next links: a
+// unlink cuts every record of the chain from record i, just unlinked from
+// the store, and returns how many. The records keep their next links: a
 // reader may be walking them. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) unlink(i uint32, at int64) int {
+func (s *VersionStore) unlink(i uint32) int {
 	n := 0
 	for ; i != 0; i = s.dir.rec(i).next.Load() {
-		s.quarantine = append(s.quarantine, unlinked{i: i, at: at})
+		s.cut(i)
 		n++
 	}
 	return n
@@ -545,7 +553,7 @@ func (s *VersionStore) Pop(rid RID) {
 		} else {
 			s.drop(rid)
 		}
-		s.quarantine = append(s.quarantine, unlinked{i: h, at: s.horizon()})
+		s.cut(h)
 		s.grown++
 		s.stats.Retained.Add(-1)
 	}
@@ -557,7 +565,7 @@ func (s *VersionStore) Pop(rid RID) {
 func (s *VersionStore) Discard(rid RID) {
 	s.mu.Lock()
 	if k := s.slot(rid); k >= 0 {
-		n := s.unlink(s.heads[k]&^dirty, s.horizon())
+		n := s.unlink(s.heads[k] &^ dirty)
 		s.drop(rid)
 		s.grown += n
 		s.stats.Retained.Add(-int64(n))
@@ -700,7 +708,6 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
-	at := s.horizon()
 	scanned := len(s.garbage)
 	kept, residue := s.garbage[:0], 0
 	for _, rid := range s.garbage {
@@ -728,7 +735,7 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 		// tombstone, so no live or future snapshot sees any data.
 		if ts := hr.commit.Load(); hr.n == tombstone && ts != 0 && ts <= watermark {
 			entries = append(entries, s.pend[rid]...)
-			pruned += int64(s.unlink(head, at))
+			pruned += int64(s.unlink(head))
 			s.drop(rid)
 			continue
 		}
@@ -740,7 +747,7 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
 				if tail := r.next.Load(); tail != 0 {
 					r.next.Store(0)
-					pruned += int64(s.unlink(tail, at))
+					pruned += int64(s.unlink(tail))
 				}
 				break
 			}

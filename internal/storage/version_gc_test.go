@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -16,7 +17,6 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 	var entries []Pending
 	var pruned int64
 	s.mu.Lock()
-	at := s.horizon()
 	for rid, head := range eachChain(s) {
 		kept := []Pending(nil)
 		for _, p := range s.pend[rid] {
@@ -31,7 +31,7 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 		hr := s.dir.rec(head)
 		if ts := hr.commit.Load(); hr.n == tombstone && ts != 0 && ts <= watermark {
 			entries = append(entries, s.pend[rid]...)
-			pruned += int64(s.unlink(head, at))
+			pruned += int64(s.unlink(head))
 			s.drop(rid)
 			continue
 		}
@@ -40,7 +40,7 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
 				if tail := r.next.Load(); tail != 0 {
 					r.next.Store(0)
-					pruned += int64(s.unlink(tail, at))
+					pruned += int64(s.unlink(tail))
 				}
 				break
 			}
@@ -534,5 +534,47 @@ func TestPrunedSpaceIsReused(t *testing.T) {
 		if _, ok := s.ReadAt(rid, CurrentSnapshot(0)); !ok {
 			t.Fatalf("row %v lost", rid)
 		}
+	}
+}
+
+// Rows of every length — empty, within a granule, and past bigRow with a
+// chunk of their own — read back exactly through updates and passes, and
+// a big row's chunk, once reclaimed, gives its directory entry to the
+// next big row instead of the directory growing by one per version.
+func TestArenaRowsOfEveryLength(t *testing.T) {
+	var ts int64 = 1
+	s := NewVersionStore(nil, func() int64 { return ts })
+	sizes := []int{0, 1, granule, granule + 1, bigRow, bigRow + 1, 3 * byteChunk}
+	row := func(size, ver int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(size + ver + i)
+		}
+		return b
+	}
+	rids := make([]RID, len(sizes))
+	for i, n := range sizes {
+		rids[i] = s.NewRID()
+		s.Install(rids[i], row(n, 0), 0, true)
+	}
+	const versions = 50
+	for ver := 1; ver <= versions; ver++ {
+		for i, n := range sizes {
+			ts++
+			s.Push(rids[i], row(n, ver), ts).SetCommit(ts)
+		}
+		s.Prune(ts)
+		for i, n := range sizes {
+			if cr, ok := s.ReadAt(rids[i], CurrentSnapshot(0)); !ok || !bytes.Equal(cr.Rec, row(n, ver)) {
+				t.Fatalf("version %d of the %d-byte row reads %d bytes, %v", ver, n, len(cr.Rec), ok)
+			}
+		}
+	}
+	if got := s.Stats().Pruned.Load(); got != versions*int64(len(sizes)) {
+		t.Fatalf("pruned %d versions, want %d", got, versions*len(sizes))
+	}
+	// Two big rows live and two in quarantine, plus the small-row chunks.
+	if n := len(s.dir.bytes); n > 8 {
+		t.Fatalf("%d byte chunks after %d versions of two big rows", n, versions)
 	}
 }
