@@ -512,8 +512,8 @@ func (s *VersionStore) unlink(i uint32) int {
 	return n
 }
 
-// reclaim makes the quarantined records a pass at watermark safe has
-// passed reusable, with their bytes. The caller holds mu.
+// reclaim makes the quarantined records whose tag is below safe, the
+// newest pass's watermark, reusable with their bytes. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) reclaim() {
