@@ -227,22 +227,27 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	}
 	if ctx.Txn != nil {
 		// The undo keeps no row: it decodes the version the insert
-		// installed, still the head the transaction itself sees.
+		// installed, still the head the transaction itself sees, for the
+		// index keys only. The chain goes whatever the read finds; its
+		// bytes stay readable until this transaction ends.
 		self := storage.CurrentSnapshot(int64(ctx.Txn.ID))
 		ctx.Txn.OnRollback(func() error {
-			cr, _ := ts.Vers.ReadAt(rid, self)
+			cr, ok := ts.Vers.ReadAt(rid, self)
+			ts.Vers.Discard(rid)
+			if cat != nil {
+				cat.AddRows(meta.Name, -1)
+			}
+			if !ok {
+				return fmt.Errorf("exec: undo of insert into %q: row %d is not visible to its transaction", meta.Name, rid)
+			}
 			row, err := DecodeRow(cr.Rec, len(meta.Columns))
 			if err != nil {
 				return err
 			}
-			ts.Vers.Discard(rid)
 			for _, ix := range meta.Indexes() {
 				if bt := ts.Indexes()[ix.Name]; bt != nil {
 					bt.Delete(appendIndexKey(nil, ix, row), rid)
 				}
-			}
-			if cat != nil {
-				cat.AddRows(meta.Name, -1)
 			}
 			return nil
 		})
