@@ -14,10 +14,12 @@ import (
 )
 
 // reusePayload is the record of version ver of the row at rid: the two
-// numbers, then a filler whose length and bytes both derive from them, so
-// rows of a few lengths share the arena's free lists.
+// numbers, then a filler whose length and bytes both derive from them.
+// Rows of a few lengths share the arena's free lists, and the lengths
+// climb with the version to 2 KiB and drop back, so freed ranges pile up
+// and compactions move rows while readers hold them.
 func reusePayload(rid storage.RID, ver uint64) []byte {
-	b := make([]byte, 16+int((uint64(rid)*7+ver*13)%48))
+	b := make([]byte, 16+int((uint64(rid)*7+ver*13)%48)+int(ver%256)*8)
 	binary.LittleEndian.PutUint64(b, uint64(rid))
 	binary.LittleEndian.PutUint64(b[8:], ver)
 	for j := 16; j < len(b); j++ {

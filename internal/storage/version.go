@@ -6,9 +6,9 @@
 // row lock, taken before it reads the row) or per table (X). Commit stamps
 // the versions with a monotonically increasing commit timestamp inside the
 // transaction manager's commit critical section. Readers resolve the
-// version visible to their snapshot by walking the chain — no locks taken
-// beyond the store's own short slot latch, so readers never appear in the
-// lock manager's wait graph.
+// version visible to their snapshot by walking the chain under the store's
+// own short read latch — no lock-manager lock, so readers never appear in
+// the lock manager's wait graph.
 //
 // Physical cleanup is deferred: DELETE pushes a tombstone version and
 // leaves the chain and its index entries in place so older snapshots keep
@@ -26,20 +26,22 @@
 //
 // Nothing of a row is a Go object. A version is a fixed 32-byte record in
 // a chunk of records, its bytes sit in a chunk of the table's byte arena,
-// and the slot holds a 4-byte record index; chunks never move and hold no
-// pointer, so the garbage collector neither marks nor scans anything per
-// row. The store reuses what it unlinks itself, under one rule: a record
-// and its bytes cut from a chain (Prune, Pop, Discard) wait in a
-// quarantine, tagged with the transaction manager's last commit timestamp
-// read when they were cut, and are reused only after a pass has run at a
-// watermark above that tag. Every reader that could still hold the record
-// — an index or a byte slice from a walk — is inside a transaction that
-// registered before it read the store (txn.Manager.Begin registers before
-// it takes its snapshot), so its snapshot is at or below the tag, and the
-// watermark cannot pass the tag until it finishes. Hence a ChainRow.Rec
-// and a Ref stay valid until the transaction that obtained them ends.
-// Reset hands its chunks to the collector instead of the quarantine:
-// readers still walking them keep them alive.
+// and the slot holds a 4-byte record index; chunks hold no pointer, so the
+// garbage collector neither marks nor scans anything per row. The store
+// reuses what it unlinks itself, under one rule: a record and its bytes
+// cut from a chain (Prune, Pop, Discard) wait in a quarantine, tagged with
+// the transaction manager's last commit timestamp read when they were
+// cut, and are reused only after a pass has run at a watermark above that
+// tag. Every reader that could still hold the record or a byte slice from
+// a read is inside a transaction that registered before it read the store
+// (txn.Manager.Begin registers before it takes its snapshot), so its
+// snapshot is at or below the tag, and the watermark cannot pass the tag
+// until it finishes. Hence a ChainRow.Rec and a Ref stay valid until the
+// transaction that obtained them ends. A freed range takes the next row of
+// its granule count. Once the free ranges outweigh the bytes rows hold, a
+// compaction copies the rows out of the chunks less than half full and
+// gives those chunks to the collector, as Reset gives it all of them; a
+// reader still holding bytes in such a chunk keeps it alive.
 package storage
 
 import (
@@ -104,20 +106,29 @@ const (
 	// dirty, in a slot, marks the row's membership in the garbage set; the
 	// other 31 bits are its head record's index (0: no row).
 	dirty = 1 << 31
+	// noChunk is cur before the store carves its first small-row chunk.
+	noChunk = math.MaxUint32
+	// moving, in a chunk's fill, marks a small-row chunk being emptied.
+	moving = 1 << 31
+	// compactSlack is the free bytes, in chunks, past the bytes rows hold
+	// that never start a compaction.
+	compactSlack = 2
 )
 
 // record is one immutable row version. Index 0 is never handed out, so a
-// zero next ends the chain. txn, n, chunk and off are set when the record
-// is taken and do not change until it is reused; commit is stamped exactly
-// once at transaction commit; next, the older version's index, is cut by
-// Prune while readers walk it.
+// zero next ends the chain. txn and n are set when the record is taken and
+// do not change until it is reused; commit is stamped exactly once at
+// transaction commit, outside the store's latch; next, the older version's
+// index, is cut by Prune; at moves when a compaction copies the bytes.
+// Everything but commit is read and written under the latch.
 type record struct {
 	commit atomic.Int64 // 0 while uncommitted
-	txn    atomic.Int64
-	next   atomic.Uint32
-	// n is the length of the row's bytes at off in byte chunk chunk, or
-	// tombstone.
-	n, chunk, off uint32
+	txn    int64
+	next   uint32
+	// n is the length of the row's bytes, or tombstone.
+	n uint32
+	// at is where the bytes are: byte chunk<<32 | offset.
+	at uint64
 }
 
 type recChunk [1 << recShift]record
@@ -136,9 +147,9 @@ func (v Ref) SetCommit(ts int64) { v.r.commit.Store(ts) }
 // CommitTS returns the commit timestamp (0 while uncommitted).
 func (v Ref) CommitTS() int64 { return v.r.commit.Load() }
 
-// arena is the store's chunk directories. Chunks never move, so a reader
-// copies the directories under the store's read latch and resolves records
-// and bytes through its copy after letting go.
+// arena is the store's chunk directories. Record chunks never move; a
+// row's bytes move when a compaction empties their chunk, so a reader
+// resolves them under the store's read latch.
 type arena struct {
 	recs  []*recChunk
 	bytes [][]byte
@@ -155,24 +166,26 @@ func (a *arena) data(r *record) []byte {
 	case 0:
 		return []byte{}
 	}
-	return a.bytes[r.chunk][r.off : r.off+r.n : r.off+r.n]
+	p := r.at
+	off := uint32(p)
+	return a.bytes[p>>32][off : off+r.n : off+r.n]
 }
 
 // visibleTo resolves the newest version of the chain from record i that
-// snap may observe, walking atomics only. depth counts versions examined
-// (the Version_Chain_Length probe).
+// snap may observe. The caller holds the store's latch. depth counts
+// versions examined (the Version_Chain_Length probe).
 func (a *arena) visibleTo(i uint32, snap Snapshot) (vis *record, depth int) {
 	for i != 0 {
 		r := a.rec(i)
 		depth++
 		ts := r.commit.Load()
-		if ts == 0 && r.txn.Load() == snap.Self {
+		if ts == 0 && r.txn == snap.Self {
 			return r, depth
 		}
 		if ts != 0 && ts <= snap.TS {
 			return r, depth
 		}
-		i = r.next.Load()
+		i = r.next
 	}
 	return nil, depth
 }
@@ -211,16 +224,14 @@ type VersionStore struct {
 	// lastRID is the newest RID NewRID handed out.
 	lastRID atomic.Uint64
 	// lastCommit reads the transaction manager's newest published commit
-	// timestamp; nil for a store that never reuses what it unlinks. The
-	// store calls it under mu, so it must take no latch.
+	// timestamp. The store calls it under mu, so it must take no latch.
 	lastCommit func() int64
 
-	// mu protects the slots, the directories and allocation state, the
-	// pending removals and the garbage set with its counters. Commit
-	// stamps and next links are atomics, so visibility walks escape the
-	// critical section.
+	// mu protects the slots, the directories, the records but their
+	// commit stamps, the allocation state, the pending removals and the
+	// garbage set with its counters.
 	//sqlcm:lock storage.version
-	//sqlcm:guards dir, heads, base, live, pend, garbage, grown, residue, prunedAt, nrec, freeRecs, freeBytes, cur, used, spare, quarantine, safe
+	//sqlcm:guards dir, heads, base, live, pend, garbage, grown, residue, prunedAt, nrec, freeRecs, freeBytes, free, cur, used, fill, held, scanAt, spare, quarantine, safe
 	mu  sync.RWMutex
 	dir arena
 	// heads[i] is the head record of RID base+i (with the dirty bit), 0
@@ -254,12 +265,22 @@ type VersionStore struct {
 	nrec     uint32
 	freeRecs []uint32
 	// freeBytes[g] holds reusable ranges of g granules, each packed as
-	// chunk<<32 | offset; cur is the small-row chunk being carved and used
-	// the bytes taken from it; spare lists the directory entries of
-	// big-row chunks given back to the collector.
+	// chunk<<32 | offset; free counts their bytes. cur is the small-row
+	// chunk being carved (noChunk before the first) and used the bytes
+	// taken from it.
 	freeBytes [][]uint64
+	free      int
 	cur, used uint32
-	spare     []uint32
+	// fill[c] is the bytes of chunk c that versions hold, live or in
+	// quarantine (a big row's chunk counts as full), with the moving bit
+	// while a compaction empties it; held is their sum over small-row
+	// chunks. A compaction is not tried again before free reaches
+	// scanAt. spare lists the directory entries of chunks given back to
+	// the collector.
+	fill   []uint32
+	held   int
+	scanAt int
+	spare  []uint32
 	// quarantine holds unlinked records in the order they were cut, so
 	// their tags ascend; safe is the highest watermark a pass ran at.
 	quarantine []unlinked
@@ -268,13 +289,15 @@ type VersionStore struct {
 
 // NewVersionStore returns an empty store reporting into stats. lastCommit
 // reads the commit timestamp the transaction manager published last
-// (txn.Manager.LastCommit) and takes no latch; with nil the store never
-// reuses a record or a byte it unlinks.
+// (txn.Manager.LastCommit) and takes no latch.
 func NewVersionStore(stats *VersionStats, lastCommit func() int64) *VersionStore {
 	if stats == nil {
 		stats = &VersionStats{}
 	}
-	return &VersionStore{stats: stats, lastCommit: lastCommit, base: 1, used: byteChunk}
+	if lastCommit == nil {
+		panic("storage: a version store needs the last commit timestamp")
+	}
+	return &VersionStore{stats: stats, lastCommit: lastCommit, base: 1, cur: noChunk, used: byteChunk}
 }
 
 // Stats returns the shared counters.
@@ -325,36 +348,37 @@ func (s *VersionStore) take(rec []byte, tomb bool, txnID, commit int64, next uin
 	}
 	r := s.dir.rec(i)
 	r.commit.Store(commit)
-	r.txn.Store(txnID)
-	r.next.Store(next)
-	r.n, r.chunk, r.off = tombstone, 0, 0
+	r.txn, r.next, r.n, r.at = txnID, next, tombstone, 0
 	if !tomb {
-		r.n = uint32(len(rec))
-		r.chunk, r.off = s.putBytes(rec)
+		r.n, r.at = uint32(len(rec)), s.putBytes(rec)
 	}
 	return i, r
 }
 
-// putBytes copies b into the arena: a reusable range of its granule count
-// if there is one, else the end of the last small-row chunk, else a fresh
-// chunk. The caller holds mu.
+// putBytes copies b into the arena and returns where (chunk<<32 |
+// offset): a reusable range of its granule count if there is one, else
+// the end of the current small-row chunk, else a fresh chunk. The caller
+// holds mu.
 //
 //sqlcm:lock-held storage.version
-func (s *VersionStore) putBytes(b []byte) (chunk, off uint32) {
+func (s *VersionStore) putBytes(b []byte) uint64 {
 	n := uint32(len(b))
 	switch {
 	case n == 0:
-		return 0, 0
+		return 0
 	case n > bigRow:
-		chunk = s.newChunk(n)
-		copy(s.dir.bytes[chunk], b)
-		return chunk, 0
+		c := s.newChunk(n)
+		s.fill[c] = byteChunk
+		copy(s.dir.bytes[c], b)
+		return uint64(c) << 32
 	}
 	g := (n + granule - 1) / granule
+	var chunk, off uint32
 	if int(g) < len(s.freeBytes) && len(s.freeBytes[g]) > 0 {
 		l := s.freeBytes[g]
 		p := l[len(l)-1]
 		s.freeBytes[g] = l[:len(l)-1]
+		s.free -= int(g * granule)
 		chunk, off = uint32(p>>32), uint32(p)
 	} else {
 		if s.used+g*granule > byteChunk {
@@ -368,13 +392,14 @@ func (s *VersionStore) putBytes(b []byte) (chunk, off uint32) {
 		chunk, off = s.cur, s.used
 		s.used += g * granule
 	}
+	s.fill[chunk] += g * granule
+	s.held += int(g * granule)
 	copy(s.dir.bytes[chunk][off:], b)
-	return chunk, off
+	return uint64(chunk)<<32 | uint64(off)
 }
 
 // newChunk adds a byte chunk of size bytes and returns its directory
-// entry, reusing the entry of a big row's chunk given back. The caller
-// holds mu.
+// entry, reusing the entry of a chunk given back. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) newChunk(size uint32) uint32 {
@@ -385,7 +410,16 @@ func (s *VersionStore) newChunk(size uint32) uint32 {
 		return c
 	}
 	s.dir.bytes = append(s.dir.bytes, make([]byte, size))
+	s.fill = append(s.fill, 0)
 	return uint32(len(s.dir.bytes) - 1)
+}
+
+// release gives chunk c back to the collector. The caller holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) release(c uint32) {
+	s.dir.bytes[c], s.fill[c] = nil, 0
+	s.spare = append(s.spare, c)
 }
 
 // freeRange makes g granules at (chunk, off) reusable. The caller holds mu.
@@ -396,6 +430,99 @@ func (s *VersionStore) freeRange(chunk, off, g uint32) {
 		s.freeBytes = append(s.freeBytes, nil)
 	}
 	s.freeBytes[g] = append(s.freeBytes[g], uint64(chunk)<<32|uint64(off))
+	s.free += int(g * granule)
+}
+
+// freeAt lets go of n bytes at p (chunk<<32 | offset): a big row's chunk
+// goes back to the collector, a range of a chunk being emptied counts down
+// to the chunk's return, and any other range becomes reusable. The caller
+// holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) freeAt(p uint64, n uint32) {
+	c := uint32(p >> 32)
+	switch {
+	case n == tombstone || n == 0:
+		return
+	case n > bigRow:
+		s.release(c)
+		return
+	}
+	g := (n + granule - 1) / granule
+	s.fill[c] -= g * granule
+	s.held -= int(g * granule)
+	switch {
+	case s.fill[c] == moving:
+		s.release(c)
+	case s.fill[c]&moving == 0:
+		s.freeRange(c, uint32(p), g)
+	}
+}
+
+// compact empties the small-row chunks less than half full once the free
+// ranges outweigh the bytes versions hold, so a table whose rows shrink,
+// change length or are mostly deleted gives the space back. It marks the
+// chunks moving, drops their free ranges and copies the bytes of every
+// version in them into other chunks; a chunk goes back to the collector
+// once the quarantine has let go of the cut records still in it. Readers
+// resolve bytes under the read latch, so none finds an old range after
+// the move, and a slice taken before it keeps its chunk alive for the
+// collector, as after Reset. compact walks every chain, so it runs only
+// when the chunks it empties hold at least half the free bytes; a look
+// that finds less waits until the free bytes have doubled. The caller
+// holds mu.
+//
+//sqlcm:lock-held storage.version
+func (s *VersionStore) compact() {
+	if s.free <= s.held+compactSlack*byteChunk || s.free < s.scanAt {
+		return
+	}
+	sparse := func(c int, f uint32) bool {
+		return f < byteChunk/2 && uint32(c) != s.cur && s.dir.bytes[c] != nil
+	}
+	gain := 0
+	for c, f := range s.fill {
+		if sparse(c, f) {
+			gain += byteChunk - int(f)
+		}
+	}
+	if gain < s.free/2 {
+		s.scanAt = 2 * s.free
+		return
+	}
+	s.scanAt = 0
+	for c, f := range s.fill {
+		if sparse(c, f) {
+			s.fill[c] |= moving
+		}
+	}
+	for g, l := range s.freeBytes {
+		kept := l[:0]
+		for _, p := range l {
+			if s.fill[p>>32]&moving == 0 {
+				kept = append(kept, p)
+			} else {
+				s.free -= g * granule
+			}
+		}
+		s.freeBytes[g] = kept
+	}
+	for _, h := range s.heads {
+		for i := h &^ dirty; i != 0; i = s.dir.rec(i).next {
+			r := s.dir.rec(i)
+			p := r.at
+			if r.n == tombstone || r.n == 0 || r.n > bigRow || s.fill[p>>32]&moving == 0 {
+				continue
+			}
+			r.at = s.putBytes(s.dir.data(r))
+			s.freeAt(p, r.n)
+		}
+	}
+	for c, f := range s.fill {
+		if f == moving {
+			s.release(uint32(c))
+		}
+	}
 }
 
 // slot returns the index into heads of rid's slot, -1 when rid has no row.
@@ -484,18 +611,15 @@ func (s *VersionStore) markGarbage(rid RID, k int) {
 
 // cut queues record i, just unlinked from the store, for reuse once a pass
 // runs at a watermark above the last commit published now: every
-// transaction registered now holds a snapshot at or below it. A store
-// without lastCommit never reuses, so it queues nothing. The caller holds
-// mu.
+// transaction registered now holds a snapshot at or below it. The caller
+// holds mu.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) cut(i uint32) {
-	if s.lastCommit != nil {
-		// Read after the unlink, under the latch: a reader that found i
-		// before then registered before it read the store.
-		//sqlcm:allow lastCommit is txn.Manager.LastCommit, one atomic load that takes no latch
-		s.quarantine = append(s.quarantine, unlinked{i: i, at: s.lastCommit()})
-	}
+	// Read after the unlink, under the latch: a reader that found i before
+	// then registered before it read the store.
+	//sqlcm:allow lastCommit is txn.Manager.LastCommit, one atomic load that takes no latch
+	s.quarantine = append(s.quarantine, unlinked{i: i, at: s.lastCommit()})
 }
 
 // unlink cuts every record of the chain from record i, just unlinked from
@@ -505,7 +629,7 @@ func (s *VersionStore) cut(i uint32) {
 //sqlcm:lock-held storage.version
 func (s *VersionStore) unlink(i uint32) int {
 	n := 0
-	for ; i != 0; i = s.dir.rec(i).next.Load() {
+	for ; i != 0; i = s.dir.rec(i).next {
 		s.cut(i)
 		n++
 	}
@@ -513,7 +637,8 @@ func (s *VersionStore) unlink(i uint32) int {
 }
 
 // reclaim makes the quarantined records whose tag is below safe, the
-// newest pass's watermark, reusable with their bytes. The caller holds mu.
+// newest pass's watermark, reusable with their bytes, and compacts the
+// arena when it is mostly free. The caller holds mu.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) reclaim() {
@@ -523,18 +648,12 @@ func (s *VersionStore) reclaim() {
 			break
 		}
 		r := s.dir.rec(q.i)
-		switch {
-		case r.n == tombstone || r.n == 0:
-		case r.n > bigRow:
-			s.dir.bytes[r.chunk] = nil
-			s.spare = append(s.spare, r.chunk)
-		default:
-			s.freeRange(r.chunk, r.off, (r.n+granule-1)/granule)
-		}
+		s.freeAt(r.at, r.n)
 		s.freeRecs = append(s.freeRecs, q.i)
 		n++
 	}
 	s.quarantine = slices.Delete(s.quarantine, 0, n)
+	s.compact()
 }
 
 // Pop removes the newest version (transaction rollback of one UPDATE or
@@ -548,7 +667,7 @@ func (s *VersionStore) Pop(rid RID) {
 		if ps := s.pend[rid]; len(ps) > 0 {
 			s.setPend(rid, slices.DeleteFunc(ps, func(p Pending) bool { return p.By.r == r }))
 		}
-		if n := r.next.Load(); n != 0 {
+		if n := r.next; n != 0 {
 			s.heads[k] = n | s.heads[k]&dirty
 		} else {
 			s.drop(rid)
@@ -577,24 +696,18 @@ func (s *VersionStore) Discard(rid RID) {
 // false when the row is invisible to the snapshot or gone; Depth is set
 // either way.
 func (s *VersionStore) ReadAt(rid RID, snap Snapshot) (row ChainRow, ok bool) {
-	var head uint32
+	row.Rid = rid
 	s.mu.RLock()
 	if k := s.slot(rid); k >= 0 {
-		head = s.heads[k] &^ dirty
+		a := s.dir
+		vis, depth := a.visibleTo(s.heads[k]&^dirty, snap)
+		row.Depth = depth
+		if ok = vis != nil && vis.n != tombstone; ok {
+			row.Rec = a.data(vis)
+		}
 	}
-	a := s.dir
 	s.mu.RUnlock()
-	row.Rid = rid
-	if head == 0 {
-		return row, false
-	}
-	vis, depth := a.visibleTo(head, snap)
-	row.Depth = depth
-	if vis == nil || vis.n == tombstone {
-		return row, false
-	}
-	row.Rec = a.data(vis)
-	return row, true
+	return row, ok
 }
 
 // SnapScan materializes every row visible to snap in RID order, which is
@@ -745,13 +858,13 @@ func (s *VersionStore) Prune(watermark int64) []Pending {
 			r := s.dir.rec(i)
 			n++
 			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
-				if tail := r.next.Load(); tail != 0 {
-					r.next.Store(0)
+				if tail := r.next; tail != 0 {
+					r.next = 0
 					pruned += int64(s.unlink(tail))
 				}
 				break
 			}
-			i = r.next.Load()
+			i = r.next
 		}
 		if n == 1 && hr.n != tombstone && len(s.pend[rid]) == 0 {
 			s.heads[k] &^= dirty // one live version: nothing for any later pass
@@ -780,13 +893,14 @@ func (s *VersionStore) Reset() {
 	s.mu.Lock()
 	var n int64
 	for _, h := range s.heads {
-		for i := h &^ dirty; i != 0; i = s.dir.rec(i).next.Load() {
+		for i := h &^ dirty; i != 0; i = s.dir.rec(i).next {
 			n++
 		}
 	}
 	s.dir, s.heads, s.base, s.live, s.pend = arena{}, nil, RID(s.lastRID.Load())+1, 0, nil
 	s.garbage, s.grown, s.residue = nil, 0, 0
-	s.nrec, s.freeRecs, s.freeBytes, s.used, s.spare, s.quarantine = 0, nil, nil, byteChunk, nil, nil
+	s.nrec, s.freeRecs, s.freeBytes, s.free = 0, nil, nil, 0
+	s.cur, s.used, s.fill, s.held, s.scanAt, s.spare, s.quarantine = noChunk, byteChunk, nil, 0, 0, nil, nil
 	s.mu.Unlock()
 	s.stats.Retained.Add(-n)
 }

@@ -35,11 +35,11 @@ func refPrune(s *VersionStore, watermark int64) []Pending {
 			s.drop(rid)
 			continue
 		}
-		for i := head; i != 0; i = s.dir.rec(i).next.Load() {
+		for i := head; i != 0; i = s.dir.rec(i).next {
 			r := s.dir.rec(i)
 			if ts := r.commit.Load(); ts != 0 && ts <= watermark {
-				if tail := r.next.Load(); tail != 0 {
-					r.next.Store(0)
+				if tail := r.next; tail != 0 {
+					r.next = 0
 					pruned += int64(s.unlink(tail))
 				}
 				break
@@ -89,9 +89,9 @@ func dumpStore(s *VersionStore) string {
 	for rid, head := range eachChain(s) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%v:", rid)
-		for i := head; i != 0; i = s.dir.rec(i).next.Load() {
+		for i := head; i != 0; i = s.dir.rec(i).next {
 			r := s.dir.rec(i)
-			fmt.Fprintf(&b, " [%q t%d c%d]", s.dir.data(r), r.txn.Load(), r.commit.Load())
+			fmt.Fprintf(&b, " [%q t%d c%d]", s.dir.data(r), r.txn, r.commit.Load())
 		}
 		var pend []string
 		for _, p := range s.pend[rid] {
@@ -115,7 +115,7 @@ func checkGarbageInvariant(t *testing.T, s *VersionStore, pruned bool) {
 	defer s.mu.RUnlock()
 	collectable := func(rid RID, head uint32) bool {
 		hr := s.dir.rec(head)
-		return hr.next.Load() != 0 || hr.n == tombstone || len(s.pend[rid]) > 0
+		return hr.next != 0 || hr.n == tombstone || len(s.pend[rid]) > 0
 	}
 	in := make(map[RID]bool, len(s.garbage))
 	for _, rid := range s.garbage {
@@ -302,10 +302,10 @@ func TestPruneMatchesFullWalk(t *testing.T) {
 
 // sparseStore installs n committed rows (RIDs 1..n) and then updates every
 // stride-th one, committed at timestamp 2: the shape of a large table a few
-// writers touched since the last pass.
-func sparseStore(n, dirty int) (*VersionStore, *VersionStats) {
+// writers touched since the last pass. clock is the store's last commit.
+func sparseStore(n, dirty int, clock func() int64) (*VersionStore, *VersionStats) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats, nil)
+	s := NewVersionStore(stats, clock)
 	for i := 0; i < n; i++ {
 		s.Install(s.NewRID(), []byte("base"), 1, false).SetCommit(1)
 	}
@@ -324,8 +324,9 @@ func touchSparse(s *VersionStore, n, dirty int, ts int64) {
 // what the full walk discards.
 func TestPruneScansOnlyWrittenChains(t *testing.T) {
 	const n, dirty = 100_000, 256
-	s, stats := sparseStore(n, dirty)
-	ref, refStats := sparseStore(n, dirty)
+	clock := func() int64 { return 2 }
+	s, stats := sparseStore(n, dirty, clock)
+	ref, refStats := sparseStore(n, dirty, clock)
 
 	got, want := s.Prune(2), refPrune(ref, 2)
 	if scanned := stats.Scanned.Load(); scanned > dirty {
@@ -353,11 +354,11 @@ func TestPruneScansOnlyWrittenChains(t *testing.T) {
 // geometrically instead of rescanning the same un-prunable set every batch.
 func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats, nil)
+	ts := int64(1)
+	s := NewVersionStore(stats, func() int64 { return ts })
 	rid := s.NewRID()
 	s.Install(rid, []byte("base"), 1, false).SetCommit(1)
 	const pinned = 1
-	ts := int64(1)
 	wm := func() int64 { return pinned }
 	var passes []int
 	for i := 1; i <= 20*PruneBatch; i++ {
@@ -395,7 +396,7 @@ func TestPruneDueBacksOffUnderPinnedWatermark(t *testing.T) {
 // dropped by the next pass, whatever it still held.
 func TestPruneDropsDiscardedChains(t *testing.T) {
 	stats := &VersionStats{}
-	s := NewVersionStore(stats, nil)
+	s := NewVersionStore(stats, func() int64 { return 1 })
 	rid := s.NewRID()
 	s.Install(rid, []byte("a"), 7, false)
 	s.Push(rid, []byte("b"), 7)
@@ -418,13 +419,15 @@ var benchWork []Pending
 // 256 chains were written since the last pass.
 func BenchmarkPruneSparse(b *testing.B) {
 	const n, dirty = 100_000, 256
-	s, _ := sparseStore(n, dirty)
+	last := int64(2)
+	s, _ := sparseStore(n, dirty, func() int64 { return last })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := int64(i + 2)
 		benchWork = s.Prune(ts)
 		b.StopTimer()
 		touchSparse(s, n, dirty, ts+1)
+		last = ts + 1
 		b.StartTimer()
 	}
 }
@@ -432,7 +435,7 @@ func BenchmarkPruneSparse(b *testing.B) {
 // TRUNCATE moves the slot array past every RID handed out: the next insert
 // does not reserve a slot for each dropped row.
 func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 0 })
 	for i := 0; i < 10_000; i++ {
 		s.Install(s.NewRID(), []byte("row"), 0, true)
 	}
@@ -454,7 +457,7 @@ func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
 // slot for them once they are pruned; rows behind an interior hole keep
 // their slots and resolve.
 func TestLeadingHolesTrimmed(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 1 })
 	const n, oldest = 100, 60
 	for i := 0; i < n; i++ {
 		s.Install(s.NewRID(), []byte("row"), 0, true)
@@ -576,5 +579,191 @@ func TestArenaRowsOfEveryLength(t *testing.T) {
 	// Two big rows live and two in quarantine, plus the small-row chunks.
 	if n := len(s.dir.bytes); n > 8 {
 		t.Fatalf("%d byte chunks after %d versions of two big rows", n, versions)
+	}
+}
+
+// heldBytes returns the arena bytes the store's chains hold, each version
+// rounded up to whole granules; rows past bigRow count their own chunks.
+func heldBytes(s *VersionStore) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, head := range eachChain(s) {
+		for i := head; i != 0; i = s.dir.rec(i).next {
+			if r := s.dir.rec(i); r.n != tombstone {
+				n += int((r.n + granule - 1) / granule * granule)
+			}
+		}
+	}
+	return n
+}
+
+// Freed bytes serve rows of other lengths, and space rows no longer use
+// goes back to the collector. 1 000 rows take 100 000 updates whose
+// lengths drift from 8 bytes up to 2 KiB and back, so almost no freed
+// range fits the next version of its row exactly; deleting nine rows in
+// ten and inserting as many rows of a new length follows. Through all of
+// it the arena stays within a fixed multiple of the bytes the chains hold,
+// and deleting every row gives all but a few chunks back.
+func TestArenaFollowsDriftingRowLengths(t *testing.T) {
+	const rows, updates, bound = 1000, 100_000, 4
+	var ts int64 = 1
+	clock := func() int64 { return ts }
+	s := NewVersionStore(nil, clock)
+	rng := rand.New(rand.NewSource(1))
+	rec := func(rid RID, ver, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(int(rid)*31 + ver*7 + i)
+		}
+		return b
+	}
+	rids := make([]RID, rows)
+	vers := make(map[RID]int, rows)
+	lens := make(map[RID]int, rows)
+	install := func(i, n int) {
+		rids[i] = s.NewRID()
+		vers[rids[i]], lens[rids[i]] = 0, n
+		s.Install(rids[i], rec(rids[i], 0, n), 0, true)
+	}
+	worst := 0.0
+	check := func(when string) {
+		t.Helper()
+		arena, held := arenaBytes(s), heldBytes(s)
+		ratio := float64(arena) / float64(held+4*byteChunk)
+		worst = max(worst, ratio)
+		if ratio > bound {
+			t.Fatalf("%s: arena %d bytes for %d held: over %d times the held bytes and 4 chunks", when, arena, held, bound)
+		}
+		for _, rid := range rids {
+			if cr, ok := s.ReadAt(rid, CurrentSnapshot(0)); ok != (lens[rid] >= 0) || ok && !bytes.Equal(cr.Rec, rec(rid, vers[rid], lens[rid])) {
+				t.Fatalf("%s: row %v reads %d bytes, %v", when, rid, len(cr.Rec), ok)
+			}
+		}
+	}
+	// pass runs two passes, so what the first cuts is reclaimed by the
+	// second.
+	pass := func() {
+		for range 2 {
+			ts++
+			s.Prune(ts)
+		}
+	}
+
+	for i := range rids {
+		install(i, 8)
+	}
+	for u := 1; u <= updates; u++ {
+		rid := rids[rng.Intn(rows)]
+		n := 8 + 2040*min(u, updates-u)/(updates/2) + rng.Intn(16)
+		ts++
+		vers[rid], lens[rid] = u, n
+		s.Push(rid, rec(rid, u, n), ts).SetCommit(ts)
+		if wm, due := s.PruneDue(clock); due {
+			s.Prune(wm)
+			if u%(10*PruneBatch) == 0 {
+				check(fmt.Sprintf("update %d", u))
+			}
+		}
+	}
+	check("drift")
+
+	rng.Shuffle(rows, func(i, j int) { rids[i], rids[j] = rids[j], rids[i] })
+	ts++
+	for _, rid := range rids[rows/10:] {
+		s.Tombstone(rid, ts).SetCommit(ts)
+		lens[rid] = -1
+	}
+	pass()
+	check("delete")
+	for i := rows / 10; i < rows; i++ {
+		install(i, 100)
+	}
+	check("insert")
+	t.Logf("worst arena/(held+4 chunks) %.2f", worst)
+
+	ts++
+	for _, rid := range rids {
+		s.Tombstone(rid, ts).SetCommit(ts)
+	}
+	pass()
+	if got := arenaBytes(s); got > (1+compactSlack)*byteChunk {
+		t.Fatalf("arena holds %d bytes with no row", got)
+	}
+}
+
+// A transaction that rolls its insert back still reads the bytes it read
+// before the Discard (an INSERT's undo decodes them for the index keys),
+// and the quarantine keeps them from the next row of that length until
+// the transaction ends: passes run meanwhile at the watermark its
+// snapshot pins.
+func TestQuarantineHoldsCutBytes(t *testing.T) {
+	var ts int64 = 1
+	s := NewVersionStore(nil, func() int64 { return ts })
+	hot := s.NewRID()
+	s.Install(hot, []byte("hot-0000"), 0, true)
+
+	const self = 100
+	snap := ts // the rolling-back transaction registers
+	rid := s.NewRID()
+	s.Install(rid, []byte("inserted"), self, false)
+	cr, ok := s.ReadAt(rid, CurrentSnapshot(self))
+	if !ok {
+		t.Fatal("the inserting transaction does not see its row")
+	}
+	s.Discard(rid)
+	for i := 1; i <= 3*PruneBatch; i++ {
+		ts++
+		s.Push(hot, []byte(fmt.Sprintf("hot-%04d", i)), ts).SetCommit(ts)
+		s.Prune(min(snap, ts))
+		if string(cr.Rec) != "inserted" {
+			t.Fatalf("after %d updates the discarded row's bytes read %q", i, cr.Rec)
+		}
+	}
+	// The transaction ends: the next pass frees the bytes and the next
+	// update of that length takes them.
+	ts++
+	s.Prune(ts)
+	ts++
+	s.Push(hot, []byte("hot-last"), ts).SetCommit(ts)
+	if string(cr.Rec) != "hot-last" {
+		t.Fatalf("the freed range was not reused: it reads %q", cr.Rec)
+	}
+}
+
+// A deferred removal a transaction took out (its update brought the key
+// back) names a version a pass may cut meanwhile. When the transaction
+// rolls back and restores it, the quarantine still holds that version, so
+// the next pass reads its commit stamp and emits the removal.
+func TestQuarantineKeepsTakenPendings(t *testing.T) {
+	var ts int64 = 1
+	s := NewVersionStore(nil, func() int64 { return ts })
+	rid, other := s.NewRID(), s.NewRID()
+	s.Install(rid, []byte("a"), 1, false).SetCommit(1)
+	s.Install(other, []byte("o"), 1, false).SetCommit(1)
+	ts = 2
+	v1 := s.Push(rid, []byte("b"), 2)
+	s.AddPending(rid, "ix", []byte("key-a"), v1)
+	v1.SetCommit(2)
+	ts = 3
+	s.Push(rid, []byte("c"), 3).SetCommit(3)
+
+	// The transaction brings key-a back, taking its removal.
+	s.Push(rid, []byte("a again"), 100)
+	p, ok := s.TakePending(rid, "ix", []byte("key-a"))
+	if !ok {
+		t.Fatal("no removal to take")
+	}
+	// Another writer's pass cuts v1, and its uncommitted writes take
+	// whatever records that pass freed.
+	s.Prune(3)
+	s.Push(other, []byte("p"), 200)
+	s.Push(other, []byte("q"), 200)
+	// Rollback.
+	s.RestorePending(rid, p)
+	s.Pop(rid)
+	ts = 4
+	if w := s.Prune(4); workString(w) != "entry ix/key-a/1 by@2" {
+		t.Fatalf("pass after the rollback emitted %q", workString(w))
 	}
 }

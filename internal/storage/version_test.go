@@ -41,7 +41,8 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			stats := &VersionStats{}
-			s := NewVersionStore(stats, nil)
+			var ts, maxWM int64
+			s := NewVersionStore(stats, func() int64 { return ts })
 
 			const rows = 12
 			const steps = 160
@@ -63,7 +64,6 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 				return len(h) > 0 && h[len(h)-1].rec != nil
 			}
 
-			var ts, maxWM int64
 			for step := 0; step < steps; step++ {
 				row := rng.Intn(rows)*2 + rng.Intn(2)
 				ts++
@@ -170,7 +170,7 @@ func TestPruneNeverStealsVisibleVersions(t *testing.T) {
 // uncommitted version is visible to its own transaction and to nobody else;
 // after commit it is visible exactly to snapshots at or past the stamp.
 func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 8 })
 	rid := s.NewRID()
 	base := []byte("base")
 	v0 := s.Install(rid, base, 7, false)
@@ -196,7 +196,7 @@ func TestUncommittedVisibleOnlyToSelf(t *testing.T) {
 // removal survives Prune while any snapshot may still need the entry and is
 // emitted exactly once after its superseding commit passes the watermark.
 func TestPendingLifecycle(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 4 })
 	rid := s.NewRID()
 	v0 := s.Install(rid, []byte("a"), 1, false)
 	v0.SetCommit(1)
@@ -226,7 +226,7 @@ func TestPendingLifecycle(t *testing.T) {
 // removals it registered, so an undo needs no keys to take them one by one;
 // those an older version registered stay.
 func TestPopDropsItsPendings(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 2 })
 	rid := s.NewRID()
 	s.Install(rid, []byte("a"), 1, false).SetCommit(1)
 	v1 := s.Push(rid, []byte("b"), 2)
@@ -248,7 +248,7 @@ func TestPopDropsItsPendings(t *testing.T) {
 // a deleted row or TRUNCATE empties the table — so a scan returns rows in
 // the order they were inserted, whatever was deleted in between.
 func TestRIDOrdering(t *testing.T) {
-	s := NewVersionStore(nil, nil)
+	s := NewVersionStore(nil, func() int64 { return 2 })
 	var rids []RID
 	insert := func(rec string) RID {
 		rid := s.NewRID()
