@@ -47,7 +47,8 @@ func payloadVersion(rec []byte, rid storage.RID) (uint64, error) {
 // slices their first reads returned; current-mode walkers resolve the
 // newest committed version past other writers' uncommitted heads without
 // the row lock; meanwhile writers update, delete, re-insert, roll back and
-// prune the same few rows. Every record is derived from its RID and
+// prune the same few rows, and a rolled-back re-insert reads its bytes
+// after it drops its chain, as an INSERT's undo does. Every record is derived from its RID and
 // version, so a record or byte range handed out again too early shows up
 // as a row that reads another row's bytes, a snapshot that reads two
 // versions, or a held slice that changes.
@@ -103,7 +104,20 @@ func TestVersionReuseWaitsForReaders(t *testing.T) {
 					// Deleted: insert the row again, under a new RID.
 					newRID = vs.NewRID()
 					tx.OnCommit(vs.Install(newRID, reusePayload(newRID, ver), self, false))
-					tx.OnRollback(func() error { vs.Discard(newRID); return nil })
+					tx.OnRollback(func() error {
+						// As an INSERT's undo: read the row, drop its chain,
+						// then use the bytes, which other writers' passes must
+						// not hand out while this transaction lives.
+						cr, ok := vs.ReadAt(newRID, storage.CurrentSnapshot(self))
+						vs.Discard(newRID)
+						for range 32 {
+							runtime.Gosched()
+						}
+						if got, err := payloadVersion(cr.Rec, newRID); !ok || err != nil || got != ver {
+							fail("undo of the insert of row %v: visible %v, version %d of %d (%v)", newRID, ok, got, ver, err)
+						}
+						return nil
+					})
 				case rng.Intn(5) == 0:
 					tx.OnCommit(vs.Tombstone(rid, self))
 					tx.OnRollback(func() error { vs.Pop(rid); return nil })
