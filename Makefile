@@ -106,7 +106,8 @@ cover:
 # Fuzz smoke: harden the {ref} substitution scanner, the wire-protocol
 # frame parser and the message handlers behind it, hold rule conditions and WHERE clauses to the same answer
 # on NULL-free input, texts with one template key to one parse, every
-# value to its own decode, and the B+tree to a sorted model. One -fuzz
+# value to its own decode, the B+tree to a sorted model, and the INT/FLOAT
+# order and its interval conversion to exact arithmetic. One -fuzz
 # target per go test invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTemplateKey -fuzztime=30s ./internal/sqlparser/
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzProtoFrame -fuzztime=30s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzServeMessages -fuzztime=30s ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzBTree -fuzztime=30s ./internal/index/
+	$(GO) test -run='^$$' -fuzz=FuzzNumericOrder -fuzztime=30s ./internal/sqltypes/
 
 # internal/workload's benchmark is one 127 000-statement load per iteration,
 # BenchmarkStrictRegistration one 1000-rule session.

@@ -430,8 +430,8 @@ func normalizeKeyValue(v sqltypes.Value) sqltypes.Value {
 	case sqltypes.KindBool:
 		return sqltypes.NewInt(v.Int())
 	case sqltypes.KindFloat:
-		if f := v.Float(); f == float64(int64(f)) {
-			return sqltypes.NewInt(int64(f))
+		if i, ok := sqltypes.IntOf(v.Float()); ok {
+			return sqltypes.NewInt(i)
 		}
 	}
 	return v

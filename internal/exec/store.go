@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -134,12 +133,14 @@ type keyRange struct {
 
 // keyRange evaluates the path's index bounds: equality on a key prefix,
 // optionally narrowed by a range on the next key column. cols are the
-// table's columns: each bound is converted to its index column's kind
-// (keyValue). The bounds are encoded into *bounds, a buffer the caller
-// keeps and the range aliases. env.Row feeds bounds that reference an outer
-// row (index nested-loop probes) and is nil otherwise. empty reports a
-// range no row can satisfy: a NULL bound, which no comparison matches, or
-// an equality no key of the column's kind meets.
+// table's columns: index keys hold their column's kind (rows pass
+// CoerceValue on insert) and Encode orders values the way Compare does
+// only within one kind, so each bound is converted to its column's kind
+// (sqltypes.Interval.To). The bounds are encoded into *bounds, a buffer
+// the caller keeps and the range aliases. env.Row feeds bounds that
+// reference an outer row (index nested-loop probes) and is nil otherwise.
+// empty reports a range no row can satisfy: a NULL bound, which no
+// comparison matches, or bounds no key of the column's kind meets.
 func (a *access) keyRange(env Env, cols []catalog.Column, bounds *[]byte) (r keyRange, empty bool, err error) {
 	buf := (*bounds)[:0]
 	defer func() { *bounds = buf }()
@@ -148,36 +149,44 @@ func (a *access) keyRange(env Env, cols []catalog.Column, bounds *[]byte) (r key
 		if err != nil {
 			return r, false, err
 		}
-		v, off := keyValue(v, cols[a.index.Columns[i]].Type)
-		empty = empty || v.IsNull() || off != 0
+		if k := cols[a.index.Columns[i]].Type; v.Kind() != k {
+			iv, ok := sqltypes.Point(v).To(k)
+			v, empty = iv.Lo.Val, empty || !ok
+		}
+		empty = empty || v.IsNull()
 		buf = v.Encode(buf)
 	}
 	prefix := buf[:len(buf):len(buf)]
 	r = keyRange{lo: prefix, hi: prefix, loIncl: true, hiIncl: true}
-	// bound encodes the prefix followed by ev's value. When keyValue
-	// rounds the value, incl is rewritten so the range keeps the keys
-	// Compare keeps: the rounded key lies inside a lower bound only when
-	// the value lies below it, inside an upper bound only when above.
-	bound := func(ev Evaluator, lower bool, incl *bool) ([]byte, error) {
+	// The range on the next key column, converted to its kind.
+	var iv sqltypes.Interval
+	bound := func(ev Evaluator, incl bool) (sqltypes.Bound, error) {
+		if ev == nil {
+			return sqltypes.Bound{}, nil
+		}
 		v, err := ev.Eval(env)
-		if err != nil {
-			return nil, err
-		}
-		v, off := keyValue(v, cols[a.index.Columns[len(a.eq)]].Type)
 		empty = empty || v.IsNull()
-		if off != 0 {
-			*incl = (off > 0) != lower
-		}
+		return sqltypes.Bound{Val: v, Incl: incl}, err
+	}
+	if iv.Lo, err = bound(a.lo, a.loIncl); err != nil {
+		return r, false, err
+	}
+	if iv.Hi, err = bound(a.hi, a.hiIncl); err != nil {
+		return r, false, err
+	}
+	if a.lo != nil || a.hi != nil {
+		var ok bool
+		iv, ok = iv.To(cols[a.index.Columns[len(a.eq)]].Type)
+		empty = empty || !ok
+	}
+	encode := func(v sqltypes.Value) []byte {
 		start := len(buf)
 		buf = v.Encode(append(buf, prefix...))
-		return buf[start:len(buf):len(buf)], nil
+		return buf[start:len(buf):len(buf)]
 	}
 	switch {
 	case a.lo != nil:
-		r.loIncl = a.loIncl
-		if r.lo, err = bound(a.lo, true, &r.loIncl); err != nil {
-			return r, false, err
-		}
+		r.lo, r.loIncl = encode(iv.Lo.Val), iv.Lo.Incl
 	case a.hi != nil:
 		// Only an upper bound: start above the keys whose column is NULL.
 		start := len(buf)
@@ -186,10 +195,7 @@ func (a *access) keyRange(env Env, cols []catalog.Column, bounds *[]byte) (r key
 	}
 	switch {
 	case a.hi != nil:
-		r.hiIncl = a.hiIncl
-		if r.hi, err = bound(a.hi, false, &r.hiIncl); err != nil {
-			return r, false, err
-		}
+		r.hi, r.hiIncl = encode(iv.Hi.Val), iv.Hi.Incl
 	case a.lo != nil || len(a.eq) < len(a.index.Columns):
 		// Open-ended range or equality on a proper key prefix: run to the
 		// end of the prefix.
@@ -201,37 +207,6 @@ func (a *access) keyRange(env Env, cols []catalog.Column, bounds *[]byte) (r key
 		}
 	}
 	return r, empty, nil
-}
-
-// keyValue converts v, a bound on an index column of kind col, to that
-// kind. Index keys hold their column's kind (rows pass CoerceValue on
-// insert), and Encode orders values the way Compare does only within one
-// kind. An INT converts to FLOAT as Compare converts it. A FLOAT converts
-// to the INT w at or next below it, and off is the sign of Compare(v, w):
-// 0 when v is integral, +1 when v lies above w (a fraction; NaN, +Inf and
-// values beyond int64 lie above every INT, w = MaxInt64), -1 when v lies
-// below every INT (w = MinInt64).
-func keyValue(v sqltypes.Value, col sqltypes.Kind) (w sqltypes.Value, off int) {
-	intCol := col == sqltypes.KindInt || col == sqltypes.KindBool
-	switch k := v.Kind(); {
-	case k == sqltypes.KindFloat && intCol:
-		f := v.Float()
-		switch {
-		case f != f || f >= 0x1p63:
-			return sqltypes.NewInt(math.MaxInt64), 1
-		case f < -0x1p63:
-			return sqltypes.NewInt(math.MinInt64), -1
-		}
-		fl := math.Floor(f)
-		if fl == f {
-			return sqltypes.NewInt(int64(f)), 0
-		}
-		return sqltypes.NewInt(int64(fl)), 1
-	case (k == sqltypes.KindInt || k == sqltypes.KindBool) && col == sqltypes.KindFloat:
-		f, _ := v.AsFloat()
-		return sqltypes.NewFloat(f), 0
-	}
-	return v, 0
 }
 
 // contains reports whether key lies in the range, bounds compared the way
@@ -567,8 +542,8 @@ func CoerceValue(kind sqltypes.Kind, v sqltypes.Value) (sqltypes.Value, error) {
 		case sqltypes.KindBool:
 			return sqltypes.NewInt(v.Int()), nil
 		case sqltypes.KindFloat:
-			if v.Float() == float64(int64(v.Float())) {
-				return sqltypes.NewInt(int64(v.Float())), nil
+			if i, ok := sqltypes.IntOf(v.Float()); ok {
+				return sqltypes.NewInt(i), nil
 			}
 		}
 	case sqltypes.KindBool:

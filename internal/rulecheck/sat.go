@@ -1,8 +1,9 @@
 package rulecheck
 
 import (
+	"cmp"
 	"errors"
-	"math"
+	"slices"
 
 	"sqlcm/internal/expr"
 	"sqlcm/internal/rules"
@@ -33,8 +34,13 @@ import (
 //     operand kinds differ statically is constant-for-kind (modulo NULL);
 //     the analysis folds it instead of constraining the variable.
 //   - Interval constraints attach only when the variable's static kind is
-//     numeric and the bound is a numeric literal; INT-kind variables get
-//     integer bound tightening (x > 10 ⇒ x ≥ 11).
+//     numeric and the bound is a numeric literal. Bounds and exclusions
+//     stay sqltypes.Values, and the interval is converted to the
+//     variable's kind (sqltypes.Interval.To), which Compare decides
+//     exactly: an INT variable gets integral bounds (x > 10 ⇒ x ≥ 11,
+//     x > 2.5 ⇒ x ≥ 3), and ID = 9007199254740993 is not taken for
+//     ID = 9007199254740992, which float64 cannot tell apart. BOOL
+//     variables convert as INT.
 //
 // World count is capped; past the cap the analysis returns TOP (an
 // unconstrained world) and claims nothing.
@@ -49,11 +55,10 @@ const maxWorlds = 128
 type varConstraint struct {
 	kind sqltypes.Kind // KindInt/KindFloat/KindBool (numeric) or KindString
 
-	// Numeric interval [lo, hi]; loOpen/hiOpen mark strict bounds.
-	lo, hi         float64
-	loOpen, hiOpen bool
-	// excl holds point exclusions (x != c).
-	excl []float64
+	// iv is the numeric interval, its bounds literals of either numeric
+	// kind; excl holds point exclusions (x != c).
+	iv   sqltypes.Interval
+	excl []sqltypes.Value
 
 	// String constraints: eq non-nil means the value must be one of eq;
 	// strExcl lists forbidden values.
@@ -69,8 +74,8 @@ type varConstraint struct {
 	allowNull bool
 }
 
-func unconstrainedNum(kind sqltypes.Kind) *varConstraint {
-	return &varConstraint{kind: kind, lo: math.Inf(-1), hi: math.Inf(1), allowNull: true}
+func unconstrained(kind sqltypes.Kind) *varConstraint {
+	return &varConstraint{kind: kind, allowNull: true}
 }
 
 // world is a conjunction of per-variable constraints.
@@ -101,65 +106,20 @@ func (vc *varConstraint) consistent() bool {
 		}
 		return true // co-finite string set is never empty
 	}
-	// Numeric interval.
-	lo, hi := vc.lo, vc.hi
-	loOpen, hiOpen := vc.loOpen, vc.hiOpen
-	if vc.kind == sqltypes.KindInt {
-		// Tighten to integral bounds.
-		lo, hi, loOpen, hiOpen = tightenInt(lo, hi, loOpen, hiOpen)
+	// Numeric interval, converted to the variable's kind: step its lower
+	// bound past the excluded values it meets, each at most once.
+	iv, ok := vc.iv.To(vc.kind)
+	excluded := func(v sqltypes.Value) bool {
+		return slices.ContainsFunc(vc.excl, func(e sqltypes.Value) bool { return sqltypes.Equal(e, v) })
 	}
-	if lo > hi {
-		return false
-	}
-	if lo == hi {
-		if loOpen || hiOpen {
-			return false
+	for range vc.excl {
+		if !ok || iv.Lo.Val.IsNull() || !excluded(iv.Lo.Val) {
+			break
 		}
-		for _, e := range vc.excl {
-			if e == lo {
-				return false
-			}
-		}
-		return true
+		iv.Lo.Incl = false
+		iv, ok = iv.To(vc.kind)
 	}
-	if vc.kind == sqltypes.KindInt && !math.IsInf(lo, -1) && !math.IsInf(hi, 1) {
-		// Small integer ranges: check the exclusions don't cover it.
-		n := hi - lo + 1
-		if n <= float64(len(vc.excl)) {
-			covered := 0
-			for x := lo; x <= hi; x++ {
-				for _, e := range vc.excl {
-					if e == x {
-						covered++
-						break
-					}
-				}
-			}
-			if float64(covered) >= n {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tightenInt converts open/fractional bounds to closed integral bounds.
-func tightenInt(lo, hi float64, loOpen, hiOpen bool) (float64, float64, bool, bool) {
-	if !math.IsInf(lo, -1) {
-		if loOpen {
-			lo = math.Floor(lo) + 1
-		} else {
-			lo = math.Ceil(lo)
-		}
-	}
-	if !math.IsInf(hi, 1) {
-		if hiOpen {
-			hi = math.Ceil(hi) - 1
-		} else {
-			hi = math.Floor(hi)
-		}
-	}
-	return lo, hi, false, false
+	return ok
 }
 
 // merge conjoins two constraints on the same variable. Returns nil when
@@ -167,28 +127,11 @@ func tightenInt(lo, hi float64, loOpen, hiOpen bool) (float64, float64, bool, bo
 func (vc *varConstraint) merge(o *varConstraint) *varConstraint {
 	out := &varConstraint{
 		kind:          vc.kind,
-		lo:            math.Max(vc.lo, o.lo),
-		hi:            math.Min(vc.hi, o.hi),
+		iv:            vc.iv.Intersect(o.iv),
+		excl:          append(append([]sqltypes.Value(nil), vc.excl...), o.excl...),
 		valueSetEmpty: vc.valueSetEmpty || o.valueSetEmpty,
 		allowNull:     vc.allowNull && o.allowNull,
 	}
-	switch {
-	case out.lo == vc.lo && out.lo == o.lo:
-		out.loOpen = vc.loOpen || o.loOpen
-	case out.lo == vc.lo:
-		out.loOpen = vc.loOpen
-	default:
-		out.loOpen = o.loOpen
-	}
-	switch {
-	case out.hi == vc.hi && out.hi == o.hi:
-		out.hiOpen = vc.hiOpen || o.hiOpen
-	case out.hi == vc.hi:
-		out.hiOpen = vc.hiOpen
-	default:
-		out.hiOpen = o.hiOpen
-	}
-	out.excl = append(append([]float64(nil), vc.excl...), o.excl...)
 	switch {
 	case vc.eq != nil && o.eq != nil:
 		out.eq = map[string]bool{}
@@ -375,17 +318,17 @@ func (s *satChecker) satRefTruthy(ref *sqlparser.ColumnRef, want bool) worldList
 		return top
 	}
 	if want {
-		vc := unconstrainedNum(k.kind)
+		vc := unconstrained(k.kind)
 		vc.allowNull = false
-		vc.excl = []float64{0}
+		vc.excl = []sqltypes.Value{sqltypes.NewInt(0)}
 		return worldList{world{v: vc}}
 	}
 	// Not truthy: NULL, or exactly zero.
-	null := unconstrainedNum(k.kind)
+	null := unconstrained(k.kind)
 	null.valueSetEmpty = true
-	zero := unconstrainedNum(k.kind)
+	zero := unconstrained(k.kind)
 	zero.allowNull = false
-	zero.lo, zero.hi = 0, 0
+	zero.iv = sqltypes.Point(sqltypes.NewInt(0))
 	return worldList{world{v: null}, world{v: zero}}
 }
 
@@ -402,10 +345,7 @@ func (s *satChecker) satIsNull(x *sqlparser.IsNull, want bool) worldList {
 	}
 	v := canonicalVar(s.r.Event.Class, ref)
 	wantNull := want != x.Negate // IS NULL true ⟺ null; IS NOT NULL flips
-	vc := unconstrainedNum(kind)
-	if kind == sqltypes.KindString {
-		vc = &varConstraint{kind: kind, allowNull: true}
-	}
+	vc := unconstrained(kind)
 	if wantNull {
 		vc.valueSetEmpty = true
 	} else {
@@ -435,7 +375,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 			if k.known {
 				kind = k.kind
 			}
-			vc := unconstrainedNum(kind)
+			vc := unconstrained(kind)
 			if holds == want {
 				if want {
 					vc.allowNull = false // needs a non-NULL binding
@@ -484,13 +424,12 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 	// outcome is fixed whenever the variable is non-NULL.
 	refNum, litNum := numericKind(k.kind), lit.IsNumeric()
 	if refNum != litNum || (!refNum && k.kind != lit.Kind()) {
-		holds := expr.CmpHolds(op, kindOrder(k.kind, lit.Kind()))
+		holds := expr.CmpHolds(op, cmp.Compare(k.kind, lit.Kind()))
 		return s.constForNonNull(v, k.kind, holds, want)
 	}
 
 	if refNum {
-		f, _ := lit.AsFloat()
-		return s.numericAtom(v, k.kind, op, f, want)
+		return s.numericAtom(v, k.kind, op, lit, want)
 	}
 	if k.kind == sqltypes.KindString {
 		return s.stringAtom(v, op, lit.Str(), want)
@@ -502,10 +441,7 @@ func (s *satChecker) satComparison(x *sqlparser.Comparison, want bool) worldList
 // constForNonNull builds the worlds for an atom whose outcome is `holds`
 // whenever the variable is non-NULL (kind-mismatch and same-ref cases).
 func (s *satChecker) constForNonNull(v string, kind sqltypes.Kind, holds, want bool) worldList {
-	vc := unconstrainedNum(kind)
-	if kind == sqltypes.KindString {
-		vc = &varConstraint{kind: kind, allowNull: true}
-	}
+	vc := unconstrained(kind)
 	if holds == want {
 		if want {
 			vc.allowNull = false
@@ -521,38 +457,30 @@ func (s *satChecker) constForNonNull(v string, kind sqltypes.Kind, holds, want b
 }
 
 // numericAtom builds the worlds for `v op lit` over a numeric variable.
-func (s *satChecker) numericAtom(v string, kind sqltypes.Kind, op sqlparser.CmpOp, lit float64, want bool) worldList {
+func (s *satChecker) numericAtom(v string, kind sqltypes.Kind, op sqlparser.CmpOp, lit sqltypes.Value, want bool) worldList {
 	if !want {
 		// Not truthy: NULL, or the inverted comparison.
-		null := unconstrainedNum(kind)
+		null := unconstrained(kind)
 		null.valueSetEmpty = true
 		inv := s.numericAtom(v, kind, invertCmp(op), lit, true)
 		return union(worldList{world{v: null}}, inv)
 	}
-	mk := func(f func(vc *varConstraint)) worldList {
-		vc := unconstrainedNum(kind)
-		vc.allowNull = false
-		f(vc)
-		if !vc.consistent() {
-			return nil
-		}
-		return worldList{world{v: vc}}
-	}
+	vc := unconstrained(kind)
+	vc.allowNull = false
 	switch op {
 	case sqlparser.CmpEq:
-		return mk(func(vc *varConstraint) { vc.lo, vc.hi = lit, lit })
+		vc.iv = sqltypes.Point(lit)
 	case sqlparser.CmpNe:
-		return mk(func(vc *varConstraint) { vc.excl = []float64{lit} })
-	case sqlparser.CmpLt:
-		return mk(func(vc *varConstraint) { vc.hi, vc.hiOpen = lit, true })
-	case sqlparser.CmpLe:
-		return mk(func(vc *varConstraint) { vc.hi = lit })
-	case sqlparser.CmpGt:
-		return mk(func(vc *varConstraint) { vc.lo, vc.loOpen = lit, true })
-	case sqlparser.CmpGe:
-		return mk(func(vc *varConstraint) { vc.lo = lit })
+		vc.excl = []sqltypes.Value{lit}
+	case sqlparser.CmpLt, sqlparser.CmpLe:
+		vc.iv.Hi = sqltypes.Bound{Val: lit, Incl: op == sqlparser.CmpLe}
+	case sqlparser.CmpGt, sqlparser.CmpGe:
+		vc.iv.Lo = sqltypes.Bound{Val: lit, Incl: op == sqlparser.CmpGe}
 	}
-	return top
+	if !vc.consistent() {
+		return nil
+	}
+	return worldList{world{v: vc}}
 }
 
 // stringAtom builds the worlds for `v op lit` over a string variable.
@@ -613,16 +541,4 @@ func flipCmp(op sqlparser.CmpOp) sqlparser.CmpOp {
 	default:
 		return op
 	}
-}
-
-// kindOrder mirrors sqltypes.Compare's cross-kind ordering for statically
-// known, non-matching kinds.
-func kindOrder(a, b sqltypes.Kind) int {
-	if a < b {
-		return -1
-	}
-	if a > b {
-		return 1
-	}
-	return 0
 }

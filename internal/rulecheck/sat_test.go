@@ -37,6 +37,8 @@ func TestSatAnalysis(t *testing.T) {
 		{"User = 'alice' AND User != 'alice'", true, false},
 		{"User = 'alice' AND User = 'bob'", true, false},
 		{"Duration > 0.25", false, false},
+		{"ID = 9007199254740993 AND ID != 9007199254740992", false, false}, // exact past 2^53
+		{"ID > 9007199254740992 AND ID < 9007199254740993", true, false},
 	}
 	for _, tc := range cases {
 		set := &Set{Rules: []*rules.Rule{mustParse(t, tc.src)}}

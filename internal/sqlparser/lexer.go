@@ -158,8 +158,11 @@ func (l *lexer) lexIdent() {
 	l.skipIdent()
 	text := l.src[start:l.pos]
 	// A keyword qualifying a column (Transaction.Duration) is a name, as
-	// written: the template key keeps its spelling.
-	if kw, ok := keyword(text); ok && !strings.HasPrefix(l.src[l.pos:], ".") {
+	// written: the template key keeps its spelling. A '.' that starts a
+	// number (SET.5) qualifies nothing.
+	rest := l.src[l.pos:]
+	qualifies := strings.HasPrefix(rest, ".") && !(len(rest) > 1 && isDigit(rest[1]))
+	if kw, ok := keyword(text); ok && !qualifies {
 		l.toks = append(l.toks, token{kind: tokKeyword, text: kw, pos: start})
 		return
 	}

@@ -43,13 +43,13 @@ func TestValueEdgeCases(t *testing.T) {
 		"-++0+++++++++--",
 		"----0----------",
 		"----+0-----0---",
-		"-++-++0+++++0--",
+		"-++-++0+++++---",
 		"-00-++-0---+---",
 		"-++-++-+00-+---",
 		"-++-++-+00-+---",
 		"-++-++-+++0+---",
 		"----+0-----0---",
-		"-++-++0+++++0--",
+		"-++-++++++++0--",
 		"+++++++++++++0-",
 		"++++++++++++++0",
 	}

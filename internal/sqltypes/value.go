@@ -6,6 +6,7 @@ package sqltypes
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -197,71 +198,53 @@ func (v Value) SQLLiteral() string {
 }
 
 // Compare orders two values. NULL sorts first; values of different kinds
-// order by kind except that INT and FLOAT compare numerically. NaN equals
-// NaN and sorts above every other number, +Inf included, as Encode orders
-// it. Returns -1, 0 or +1.
+// order by kind except that INT (BOOL) and FLOAT compare numerically, and
+// exactly: INT 2^53+1 lies above FLOAT 2^53, MaxInt64 below FLOAT 2^63.
+// NaN equals NaN and sorts above every other number, +Inf included, as
+// Encode orders it. Returns -1, 0 or +1.
 func Compare(a, b Value) int {
-	if a.kind == KindNull || b.kind == KindNull {
-		switch {
-		case a.kind == KindNull && b.kind == KindNull:
-			return 0
-		case a.kind == KindNull:
-			return -1
-		default:
-			return 1
+	switch an, bn := a.IsNumeric(), b.IsNumeric(); {
+	case a.kind == b.kind && a.kind != KindFloat && a.kind != KindString:
+		return cmp.Compare(a.i, b.i) // NULL, BOOL, INT, DATETIME
+	case !an || !bn:
+		if a.kind != b.kind {
+			return cmp.Compare(a.kind, b.kind)
 		}
+		return strings.Compare(a.s, b.s)
+	case a.kind != KindFloat && b.kind != KindFloat:
+		return cmp.Compare(a.i, b.i)
+	case a.kind != KindFloat:
+		return compareIntFloat(a.i, b.Float())
+	case b.kind != KindFloat:
+		return -compareIntFloat(b.i, a.Float())
 	}
-	// Numeric cross-kind comparison.
-	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindFloat || b.kind == KindFloat {
-			af, _ := a.AsFloat()
-			bf, _ := b.AsFloat()
-			an, bn := af != af, bf != bf // NaN
-			switch {
-			case an && bn:
-				return 0
-			case an:
-				return 1
-			case bn:
-				return -1
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
-		}
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
+	af, bf := a.Float(), b.Float()
+	if af != af || bf != bf {
+		af, bf = bf, af // cmp sorts NaN lowest; swapped, it sorts highest
 	}
-	if a.kind != b.kind {
-		if a.kind < b.kind {
-			return -1
-		}
+	return cmp.Compare(af, bf)
+}
+
+// compareIntFloat orders i against f exactly. Within ±2^53 float64(i) is
+// exact. Beyond it, a float outside [-2^63, 2^63) is decided by its sign;
+// one inside is compared by its floor, which int64 holds, and then by its
+// fraction.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return -1 // NaN sorts above every number
+	case -1<<53 <= i && i <= 1<<53:
+		return cmp.Compare(float64(i), f)
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
 		return 1
 	}
-	switch a.kind {
-	case KindString:
-		return strings.Compare(a.s, b.s)
-	case KindTime:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		default:
-			return 0
-		}
-	default:
-		return 0
+	fl := math.Floor(f)
+	if c := cmp.Compare(i, int64(fl)); c != 0 || fl == f {
+		return c
 	}
+	return -1
 }
 
 // Equal reports whether a and b compare equal (NULL equals NULL here; SQL

@@ -536,12 +536,17 @@ func (s *VersionStore) slot(rid RID) int {
 	return int(rid - s.base)
 }
 
-// setSlot opens the slot of rid, growing the slot array up to it, and
-// returns its index. The caller holds mu; rid is at or above base (NewRID
-// only counts up, and Reset moves base past every RID handed out).
+// setSlot opens the slot of rid, growing the slot array to take it, and
+// returns its index. The caller holds mu. rid may lie below base: a RID
+// NewRID handed out has an empty slot until Install, and drop trims the
+// leading empty slots, so the slot array grows back down to it.
 //
 //sqlcm:lock-held storage.version
 func (s *VersionStore) setSlot(rid RID) int {
+	if rid < s.base {
+		s.heads = append(make([]uint32, s.base-rid), s.heads...)
+		s.base = rid
+	}
 	i := int(rid - s.base)
 	for len(s.heads) <= i {
 		s.heads = append(s.heads, 0)

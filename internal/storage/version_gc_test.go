@@ -453,6 +453,24 @@ func TestResetDoesNotReserveDroppedRIDs(t *testing.T) {
 	}
 }
 
+// A RID handed out but not yet installed has an empty slot, which a drop
+// of the rows before it trims: Install grows the slot array back down to
+// it.
+func TestInstallBelowTrimmedSlots(t *testing.T) {
+	s := NewVersionStore(nil, func() int64 { return 0 })
+	first := s.NewRID()
+	s.Install(first, []byte("first"), 0, true)
+	late, next := s.NewRID(), s.NewRID()
+	s.Install(next, []byte("next"), 0, true)
+	s.Discard(first) // trims first's slot and late's empty one
+	s.Install(late, []byte("late"), 0, true)
+	for rid, want := range map[RID]string{late: "late", next: "next"} {
+		if cr, ok := s.ReadAt(rid, CurrentSnapshot(0)); !ok || string(cr.Rec) != want {
+			t.Errorf("row %v: %q, %v; want %q", rid, cr.Rec, ok, want)
+		}
+	}
+}
+
 // A table that deletes its oldest rows (superseded snapshots) keeps no
 // slot for them once they are pruned; rows behind an interior hole keep
 // their slots and resolve.
