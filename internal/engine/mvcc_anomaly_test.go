@@ -70,8 +70,8 @@ func TestMVCCAnomalies(t *testing.T) {
 				t.Fatalf("non-repeatable read: saw %d mid-transaction", got)
 			}
 			res := mustExec(t, rt, "SELECT SUM(val) AS s FROM kv")
-			if got, _ := res.Rows[0][0].AsInt(); got != 30 {
-				t.Fatalf("snapshot aggregate: %d, want 30", got)
+			if got := res.Rows[0][0].Float(); got != 30 {
+				t.Fatalf("snapshot aggregate: %g, want 30", got)
 			}
 			mustExec(t, rt, "COMMIT")
 			if got := readVal(t, rt, 1); got != 11 {

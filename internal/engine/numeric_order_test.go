@@ -119,3 +119,20 @@ func TestNumericOrderBeyondFloatPrecision(t *testing.T) {
 		}
 	}
 }
+
+// TestBoolColumnTakesWhereTruth: a number stored into a BOOL column is
+// TRUE exactly when WHERE reads the same number as true, so 0.5 and a
+// FLOAT beyond int64's range are TRUE and -0.0 is FALSE.
+func TestBoolColumnTakesWhereTruth(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("u", "app")
+	mustExec(t, s, "CREATE TABLE b (k INT PRIMARY KEY, f BOOL)")
+	for i, v := range []string{"0.5", "1e300", "-0.0", "0", "-3", "TRUE"} {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO b VALUES (%d, %s)", i, v))
+		stored := mustExec(t, s, fmt.Sprintf("SELECT k FROM b WHERE f AND k = %d", i))
+		where := mustExec(t, s, fmt.Sprintf("SELECT k FROM b WHERE %s AND k = %d", v, i))
+		if len(stored.Rows) != len(where.Rows) {
+			t.Errorf("INSERT %s into BOOL stores %v, WHERE %s selects %v", v, stored.Rows, v, where.Rows)
+		}
+	}
+}

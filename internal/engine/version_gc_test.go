@@ -96,8 +96,8 @@ func TestVersionGCBacksOffUnderOpenSnapshot(t *testing.T) {
 		t.Fatalf("examined %d chains across %d un-collectable writes", got, writes)
 	}
 	res := mustExec(t, old, "SELECT SUM(val) FROM kv")
-	if got, _ := res.Rows[0][0].AsInt(); got != 0 {
-		t.Fatalf("old snapshot sees SUM(val) = %d, want 0", got)
+	if got := res.Rows[0][0].Float(); got != 0 {
+		t.Fatalf("old snapshot sees SUM(val) = %g, want 0", got)
 	}
 	mustExec(t, old, "COMMIT")
 
@@ -229,8 +229,8 @@ func TestSnapshotReadsSurviveWriteTimePrune(t *testing.T) {
 			t.Fatalf("read %d: id %d = %v, snapshot value %d", reads, id, res.Rows, want[id])
 		}
 		res = mustExec(t, reader, "SELECT SUM(val) FROM kv")
-		if got, _ := res.Rows[0][0].AsInt(); got != wantSum {
-			t.Fatalf("read %d: scan sums %d, snapshot sum %d", reads, got, wantSum)
+		if got := res.Rows[0][0].Float(); got != float64(wantSum) {
+			t.Fatalf("read %d: scan sums %g, snapshot sum %d", reads, got, wantSum)
 		}
 	}
 	wg.Wait()

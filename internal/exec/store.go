@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sqlcm/internal/catalog"
+	"sqlcm/internal/expr"
 	"sqlcm/internal/index"
 	"sqlcm/internal/plan"
 	"sqlcm/internal/sqltypes"
@@ -547,8 +548,9 @@ func CoerceValue(kind sqltypes.Kind, v sqltypes.Value) (sqltypes.Value, error) {
 			}
 		}
 	case sqltypes.KindBool:
-		if i, ok := v.AsInt(); ok {
-			return sqltypes.NewBool(i != 0), nil
+		// A number is TRUE exactly when WHERE would read it as true.
+		if v.IsNumeric() {
+			return sqltypes.NewBool(expr.Truthy(v)), nil
 		}
 	case sqltypes.KindTime:
 		if v.Kind() == sqltypes.KindString {

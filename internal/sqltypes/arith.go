@@ -1,6 +1,9 @@
 package sqltypes
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // BinaryOp enumerates arithmetic operators usable on values.
 type BinaryOp uint8
@@ -64,7 +67,7 @@ func Arith(op BinaryOp, a, b Value) (Value, error) {
 			if bf == 0 {
 				return Null, fmt.Errorf("sqltypes: division by zero")
 			}
-			return NewFloat(modFloat(af, bf)), nil
+			return NewFloat(math.Mod(af, bf)), nil
 		}
 	}
 	ai, bi := a.i, b.i
@@ -92,10 +95,6 @@ func Arith(op BinaryOp, a, b Value) (Value, error) {
 	return Null, fmt.Errorf("sqltypes: unknown operator %d", op)
 }
 
-func modFloat(a, b float64) float64 {
-	q := a / b
-	return a - b*float64(int64(q))
-}
 
 // Negate returns -v for numeric v.
 func Negate(v Value) (Value, error) {

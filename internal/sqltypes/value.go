@@ -145,18 +145,6 @@ func (v Value) AsFloat() (float64, bool) {
 	}
 }
 
-// AsInt coerces a numeric value to int64 (floats truncate toward zero).
-func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case KindInt, KindBool:
-		return v.i, true
-	case KindFloat:
-		return int64(v.Float()), true
-	default:
-		return 0, false
-	}
-}
-
 // IsNumeric reports whether the value participates in arithmetic.
 func (v Value) IsNumeric() bool {
 	return v.kind == KindInt || v.kind == KindFloat || v.kind == KindBool

@@ -251,6 +251,10 @@ func TestArith(t *testing.T) {
 		{OpDiv, NewInt(7), NewInt(2), NewFloat(3.5), false},
 		{OpDiv, NewInt(1), NewInt(0), Null, true},
 		{OpMod, NewInt(7), NewInt(3), NewInt(1), false},
+		// FLOAT % keeps the dividend's sign and stays below the divisor
+		// far beyond int64's range.
+		{OpMod, NewFloat(1e300), NewFloat(3), NewFloat(math.Mod(1e300, 3)), false},
+		{OpMod, NewFloat(-7.5), NewFloat(2), NewFloat(-1.5), false},
 		{OpAdd, NewString("ab"), NewString("cd"), NewString("abcd"), false},
 		{OpAdd, Null, NewInt(1), Null, false},
 		{OpMul, NewString("x"), NewInt(2), Null, true},
