@@ -33,12 +33,11 @@ func (s *SQLCM) vet(add *rulecheck.Set, what string) error {
 // liveSet builds the analyser's view of the installed LATs and rules.
 func (s *SQLCM) liveSet() *rulecheck.Set {
 	set := &rulecheck.Set{Rules: s.ruleEng.Snapshot()}
-	s.latMu.RLock()
-	set.LATs = make([]lat.Spec, 0, len(s.lats))
-	for _, t := range s.lats {
+	lats := *s.lats.Load()
+	set.LATs = make([]lat.Spec, 0, len(lats))
+	for _, t := range lats {
 		set.LATs = append(set.LATs, t.Spec())
 	}
-	s.latMu.RUnlock()
 	return set
 }
 

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,11 +139,16 @@ type SQLCM struct {
 	persister Persister
 	box       *outbox.Outbox
 
-	// latMu protects the LAT registry.
+	// latMu serializes LAT definition and drop; its only protected state
+	// is the registry below, published by Store.
 	//sqlcm:lock core.lats
-	//sqlcm:guards lats
-	latMu sync.RWMutex
-	lats  map[string]*lat.Table
+	//sqlcm:guards none
+	latMu sync.Mutex
+	// lats is the LAT registry, published copy-on-write: the rule
+	// engine resolves a LAT per insert and per condition reference, so
+	// readers take no lock.
+	//sqlcm:cow core.lats
+	lats atomic.Pointer[map[string]*lat.Table]
 
 	checkMode rulecheck.Mode
 
@@ -157,7 +163,6 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 		eng:    eng,
 		sigs:   monitor.NewSigCache(),
 		txns:   monitor.NewTxnTracker(),
-		lats:   make(map[string]*lat.Table),
 		mailer: opts.Mailer,
 		runner: opts.Runner,
 	}
@@ -171,6 +176,7 @@ func Attach(eng *engine.Engine, opts Options) *SQLCM {
 	if s.persister == nil {
 		s.persister = &enginePersister{eng: eng}
 	}
+	s.lats.Store(&map[string]*lat.Table{})
 	s.checkMode = opts.RuleCheck
 	s.box = outbox.New(opts.outbox)
 	s.ruleEng = rules.NewEngine((*env)(s))
@@ -260,11 +266,14 @@ func (s *SQLCM) DefineLAT(spec lat.Spec) (*lat.Table, error) {
 		return nil, err
 	}
 	s.latMu.Lock()
-	if _, ok := s.lats[spec.Name]; ok {
+	cur := *s.lats.Load()
+	if _, ok := cur[spec.Name]; ok {
 		s.latMu.Unlock()
 		return nil, fmt.Errorf("core: LAT %q already defined", spec.Name)
 	}
-	s.lats[spec.Name] = table
+	next := maps.Clone(cur)
+	next[spec.Name] = table
+	s.lats.Store(&next)
 	s.latMu.Unlock()
 	// Evicted-row snapshots cost time on every eviction, so the hook is
 	// only installed while some rule listens on LATRow.Evicted.
@@ -290,13 +299,7 @@ func (s *SQLCM) installEvictHook(table *lat.Table) {
 // ensureEvictHooks installs eviction hooks on every LAT (called when a
 // LATRow.Evicted rule appears).
 func (s *SQLCM) ensureEvictHooks() {
-	s.latMu.RLock()
-	tables := make([]*lat.Table, 0, len(s.lats))
-	for _, t := range s.lats {
-		tables = append(tables, t)
-	}
-	s.latMu.RUnlock()
-	for _, t := range tables {
+	for _, t := range *s.lats.Load() {
 		s.installEvictHook(t)
 	}
 }
@@ -305,27 +308,27 @@ func (s *SQLCM) ensureEvictHooks() {
 func (s *SQLCM) DropLAT(name string) bool {
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
-	if _, ok := s.lats[name]; !ok {
+	cur := *s.lats.Load()
+	if _, ok := cur[name]; !ok {
 		return false
 	}
-	delete(s.lats, name)
+	next := maps.Clone(cur)
+	delete(next, name)
+	s.lats.Store(&next)
 	return true
 }
 
 // LAT returns a registered LAT.
 func (s *SQLCM) LAT(name string) (*lat.Table, bool) {
-	s.latMu.RLock()
-	defer s.latMu.RUnlock()
-	t, ok := s.lats[name]
+	t, ok := (*s.lats.Load())[name]
 	return t, ok
 }
 
 // LATs returns the registered LAT names.
 func (s *SQLCM) LATs() []string {
-	s.latMu.RLock()
-	defer s.latMu.RUnlock()
-	out := make([]string, 0, len(s.lats))
-	for n := range s.lats {
+	lats := *s.lats.Load()
+	out := make([]string, 0, len(lats))
+	for n := range lats {
 		out = append(out, n)
 	}
 	return out

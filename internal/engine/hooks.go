@@ -50,9 +50,11 @@ type QueryInfo struct {
 	// Sigs is the cached plan's signature slot (nil without a plan).
 	Sigs *SigSlot
 
-	// The statement's transaction.
-	TxnID lock.TxnID
-	Txn   *txn.Txn
+	// The statement's transaction, and its record (nil for a statement
+	// shed before it ran).
+	TxnID   lock.TxnID
+	Txn     *txn.Txn
+	TxnInfo *TxnInfo
 
 	// MVCC snapshot context: SnapshotTS is the commit-timestamp horizon
 	// the statement's transaction reads at, SnapshotAt when that snapshot was taken (the
@@ -143,6 +145,20 @@ type TxnInfo struct {
 	App       string
 	StartTime time.Time
 	Implicit  bool
+	// Tally is the hook set's running account of the transaction's
+	// statements. Only the goroutine running the transaction raises its
+	// Query.Commit and Transaction events, so it alone touches Tally.
+	Tally TxnTally
+}
+
+// TxnTally accumulates a transaction's statements for its Transaction
+// object (§4.2): the running logical and physical transaction signatures
+// (signature.ID values; zero before the first statement), the statement
+// count and the summed lock wait.
+type TxnTally struct {
+	Logical, Physical uint64
+	Statements        int64
+	Blocked           time.Duration
 }
 
 // BlockEvent describes a blocking relationship surfaced by the lock

@@ -315,16 +315,22 @@ func (s *Session) abortTxn(t *txn.Txn, ti *TxnInfo) {
 func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	// Transaction: use the session's explicit transaction or an implicit
 	// autocommit one.
+	// An autocommit statement starts when its transaction does: both
+	// share the transaction's one clock reading.
 	t := s.tx
 	ti := s.txInfo
 	implicit := false
+	var start time.Time
 	if t == nil {
 		implicit = true
 		t = s.e.tm.Begin(true)
 		ti = s.newTxnInfo(t, true)
+		start = t.Start
 		if h := s.e.hooksRef(); h != nil {
 			h.TxnBegin(ti)
 		}
+	} else {
+		start = time.Now()
 	}
 
 	// The QueryInfo must be complete before registerQuery publishes it:
@@ -342,9 +348,10 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 		SessionStart: s.ConnectTime,
 		Text:         sql,
 		Type:         cp.qtype,
-		StartTime:    time.Now(),
+		StartTime:    start,
 		TxnID:        t.ID,
 		Txn:          t,
+		TxnInfo:      ti,
 		// Plans come from the cache; signatures are computed by the monitor
 		// on first dispatch and kept in the plan's slot (see monitor package).
 		Logical:       cp.logical,
@@ -366,8 +373,12 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 		h.QueryCompiled(qi)
 	}
 
+	// The statement's one end reading: Query.Duration, and for an
+	// autocommit statement Transaction.Duration too, end when the body
+	// returns, before the commit and the hooks.
 	res, err := s.executeBody(cp, qi, t, params, lits)
-	dur := time.Since(qi.StartTime)
+	end := time.Now()
+	dur := end.Sub(start)
 	s.cur.Store(nil)
 
 	if err != nil {
@@ -402,7 +413,7 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 	s.e.unregisterQuery(qi)
 	if implicit {
 		if h != nil {
-			h.TxnCommit(ti, time.Since(ti.StartTime))
+			h.TxnCommit(ti, dur)
 		}
 		s.endTxn(t)
 	}

@@ -52,7 +52,9 @@ type Bus struct {
 	// shed counts events dropped in degraded mode, per schema event.
 	shed      []atomic.Int64
 	shedTotal atomic.Int64
-	total     atomic.Int64
+	// unknown counts dispatches of events outside the schema; Total adds
+	// it to the per-event counts.
+	unknown atomic.Int64
 
 	// budgetNs is the latency budget (0 = shedding disabled).
 	budgetNs atomic.Int64
@@ -96,10 +98,11 @@ func (b *Bus) SetBudget(budget time.Duration) {
 //
 //sqlcm:hotpath
 func (b *Bus) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
-	b.total.Add(1)
 	i, known := monitor.EventIndex(ev)
 	if known {
 		b.counts[i].Add(1)
+	} else {
+		b.unknown.Add(1)
 	}
 	budget := b.budgetNs.Load()
 	if budget == 0 {
@@ -137,7 +140,13 @@ func (b *Bus) Interested(ev monitor.Event) bool { return b.sink.HasRulesFor(ev) 
 func (b *Bus) Active() bool { return b.sink.HasAnyRules() }
 
 // Total returns the number of events dispatched through the bus.
-func (b *Bus) Total() int64 { return b.total.Load() }
+func (b *Bus) Total() int64 {
+	n := b.unknown.Load()
+	for i := range b.counts {
+		n += b.counts[i].Load()
+	}
+	return n
+}
 
 // ShedTotal returns the number of events dropped in degraded mode.
 func (b *Bus) ShedTotal() int64 { return b.shedTotal.Load() }

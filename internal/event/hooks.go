@@ -75,8 +75,8 @@ func (h *Hooks) QueryCompiled(q *engine.QueryInfo) {
 
 // QueryCommit implements engine.Hooks.
 func (h *Hooks) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
-	needTxn := h.bus.Interested(monitor.EvTxnCommit) || h.bus.Interested(monitor.EvTxnRollback)
 	needCommit := h.bus.Interested(monitor.EvQueryCommit)
+	needTxn := h.txnRules()
 	if !needTxn && !needCommit {
 		return
 	}
@@ -84,7 +84,7 @@ func (h *Hooks) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
 	// Track the statement for transaction signatures when transaction
 	// rules exist.
 	if needTxn {
-		h.txns.Observe(int64(q.TxnID), sig, q.TimeBlocked())
+		h.txns.Observe(q.TxnInfo, sig, q.TimeBlocked())
 	}
 	if !needCommit {
 		return
@@ -176,12 +176,18 @@ func (h *Hooks) TxnRollback(t *engine.TxnInfo, dur time.Duration) {
 // state must be consumed whenever any transaction rule exists, but the
 // event itself is only dispatched to its own listeners.
 func (h *Hooks) txnEnd(t *engine.TxnInfo, dur time.Duration, ev monitor.Event) {
-	if !h.bus.Interested(monitor.EvTxnCommit) && !h.bus.Interested(monitor.EvTxnRollback) {
+	listens := h.bus.Interested(ev)
+	if !listens && !h.txnRules() {
 		return
 	}
 	obj := h.txns.Finish(t, dur)
-	if !h.bus.Interested(ev) {
-		return
+	if listens {
+		h.dispatch(ev, obj)
 	}
-	h.dispatch(ev, obj)
+}
+
+// txnRules reports whether any rule listens on a Transaction event, so
+// statements must be tallied into their transactions.
+func (h *Hooks) txnRules() bool {
+	return h.bus.Interested(monitor.EvTxnCommit) || h.bus.Interested(monitor.EvTxnRollback)
 }

@@ -195,12 +195,15 @@ type Table struct {
 	spec Spec
 	// Clock is injectable for deterministic aging tests.
 	clock func() time.Time
-	// bounded is true when the spec has MaxRows or MaxBytes; columns are
-	// the output columns, orderCols the positions of the ordering ones.
-	// All immutable.
+	// bounded is true when the spec has MaxRows or MaxBytes, aging when
+	// it has an aging aggregate; columns are the output columns,
+	// orderCols the positions of the ordering ones, attrs what an insert
+	// reads (Attrs). All immutable.
 	bounded   bool
+	aging     bool
 	columns   []string
 	orderCols []int
+	attrs     []string
 
 	// mu is the table latch: group hash, eviction heap, free list and all
 	// row state.
@@ -268,6 +271,11 @@ func New(spec Spec) (*Table, error) {
 	for _, o := range spec.OrderBy {
 		t.orderCols = append(t.orderCols, t.ColumnIndex(o.Col))
 	}
+	t.attrs = append(t.attrs, spec.GroupBy...)
+	for _, a := range spec.Aggs {
+		t.attrs = append(t.attrs, a.Attr)
+		t.aging = t.aging || a.Aging
+	}
 	return t, nil
 }
 
@@ -304,56 +312,106 @@ func (t *Table) Stats() Stats {
 	}
 }
 
+// Instant is the clock reading one monitored event shares among the LATs
+// it touches: the first table with an aging aggregate to need the time
+// reads its clock, and every later insert and lookup of the event reuses
+// that reading. A table without aging aggregates never reads a clock. The
+// zero Instant is unread; tables that share one should share a clock.
+type Instant struct {
+	at   time.Time
+	read bool
+}
+
+// now returns the event's time for t, reading t's clock on first need.
+func (t *Table) now(in *Instant) time.Time {
+	if !t.aging {
+		return time.Time{}
+	}
+	if !in.read {
+		in.at, in.read = t.clock(), true
+	}
+	return in.at
+}
+
+// Attrs returns the attributes an insert reads, in the order InsertValues
+// takes their values: the grouping attributes, then each aggregation
+// column's source attribute ("" for COUNT(*)). Callers must not modify
+// it.
+func (t *Table) Attrs() []string { return t.attrs }
+
 // Insert folds one monitored object into the table: the object is assigned
 // to its group (creating it if needed), every aggregation column is
 // updated, and the size limit enforced (paper action Insert(LATName)).
+// Getters are caller code: every attribute is fetched before the latch is
+// taken.
 func (t *Table) Insert(get AttrGetter) error {
-	t.inserts.Add(1)
-	now := t.clock()
-
-	// Getters are caller code: every attribute is fetched before the latch
-	// is taken. vals holds the grouping values, then one source value per
-	// aggregation column (StarArg for COUNT(*)).
-	ng := len(t.spec.GroupBy)
 	var buf [8]sqltypes.Value // keeps the usual spec's values off the heap
-	vals := buf[:]
-	if n := ng + len(t.spec.Aggs); n > len(buf) {
-		vals = make([]sqltypes.Value, n)
+	var abuf [8]bool
+	vals, absent := buf[:], abuf[:]
+	if n := len(t.attrs); n > len(buf) {
+		vals, absent = make([]sqltypes.Value, n), make([]bool, n)
 	}
-	for i, attr := range t.spec.GroupBy {
-		v, ok := get(attr)
-		if !ok {
-			return fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, attr)
+	for i, attr := range t.attrs {
+		if attr != "" {
+			var ok bool
+			vals[i], ok = get(attr)
+			absent[i] = !ok
 		}
-		vals[i] = v
 	}
-	var absent []bool // aggregates whose source attribute the object lacks
-	for i := range t.spec.Aggs {
-		attr := t.spec.Aggs[i].Attr
-		if attr == "" {
-			vals[ng+i] = StarArg
-			continue
+	var in Instant
+	return t.InsertValues(&in, vals[:len(t.attrs)], absent[:len(t.attrs)])
+}
+
+// InsertValues is Insert over values the caller has already read:
+// vals[i] is the object's value of Attrs()[i], and absent[i] marks an
+// attribute the object lacks (absent may be nil: none). An aggregate whose
+// source is absent is left alone; an absent grouping attribute is an
+// error. Aging aggregates read the time from in.
+func (t *Table) InsertValues(in *Instant, vals []sqltypes.Value, absent []bool) error {
+	t.inserts.Add(1)
+	ng := len(t.spec.GroupBy)
+	for i := 0; i < ng; i++ {
+		if absent != nil && absent[i] {
+			return fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, t.attrs[i])
 		}
-		v, ok := get(attr)
-		if !ok {
-			if absent == nil {
-				absent = make([]bool, len(t.spec.Aggs))
-			}
-			absent[i] = true
-		}
-		vals[ng+i] = v
 	}
+	now := t.now(in)
 	var kb [64]byte
 	key := sqltypes.AppendKey(kb[:0], vals[:ng]...)
 
 	t.mu.Lock()
-	r := t.groupLocked(key, vals[:ng])
+	r := t.groups[string(key)]
+	fresh := r == nil
+	if fresh {
+		r = t.takeRowLocked(vals[:ng])
+	}
 	var grew int64
 	for i := range t.spec.Aggs {
-		if absent != nil && absent[i] {
+		if absent != nil && absent[ng+i] {
 			continue
 		}
-		grew += r.aggs[i].add(&t.spec, &t.spec.Aggs[i], vals[ng+i], now)
+		v := vals[ng+i]
+		if t.spec.Aggs[i].Attr == "" {
+			v = StarArg
+		}
+		grew += r.aggs[i].add(&t.spec, &t.spec.Aggs[i], v, now)
+	}
+	if fresh && t.rejectsLocked(r, now) {
+		// The new group would be the first row evicted: count it exactly
+		// as its insert and eviction, and leave the map and heap alone.
+		t.newGroups.Add(1)
+		t.evictions.Add(1)
+		var evicted []EvictedRow
+		if t.onEvict.Load() != nil {
+			evicted = []EvictedRow{t.evictedLocked(r, now)}
+		}
+		t.releaseRowLocked(r)
+		t.mu.Unlock()
+		t.deliverEvictions(evicted)
+		return nil
+	}
+	if fresh {
+		t.addGroupLocked(r, key)
 	}
 	evicted := t.updatedLocked(r, grew, now)
 	t.mu.Unlock()
@@ -361,14 +419,39 @@ func (t *Table) Insert(get AttrGetter) error {
 	return nil
 }
 
+// rejectsLocked reports whether a new group r, its aggregates folded, is
+// one a full MaxRows-only table would evict the moment it entered: its
+// ordering key is strictly less important than the heap root's. On a tie
+// the root goes, as it would after a push and a pop, so r is not
+// rejected. r.orderKey is set either way.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) rejectsLocked(r *row, now time.Time) bool {
+	if t.spec.MaxBytes > 0 || t.spec.MaxRows == 0 || len(t.order.rows) != t.spec.MaxRows {
+		return false
+	}
+	t.setOrderKeyLocked(r, now)
+	return t.order.evictsBefore(r.orderKey, t.order.rows[0].orderKey)
+}
+
 // groupLocked returns the row of the group with the given encoded key,
-// creating it — from the free list when possible — with empty aggregates.
+// creating it with empty aggregates.
 //
 //sqlcm:lock-held lat.table
 func (t *Table) groupLocked(key []byte, groupVals []sqltypes.Value) *row {
 	if r := t.groups[string(key)]; r != nil {
 		return r
 	}
+	r := t.takeRowLocked(groupVals)
+	t.addGroupLocked(r, key)
+	return r
+}
+
+// takeRowLocked returns a row — from the free list when possible — holding
+// groupVals and empty aggregates, outside the group map and the heap.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) takeRowLocked(groupVals []sqltypes.Value) *row {
 	var r *row
 	if n := len(t.free); n > 0 {
 		r = t.free[n-1]
@@ -379,7 +462,6 @@ func (t *Table) groupLocked(key []byte, groupVals []sqltypes.Value) *row {
 			orderKey: make([]sqltypes.Value, len(t.orderCols)),
 		}
 	}
-	r.key = string(key)
 	r.groupVal = append(r.groupVal[:0], groupVals...)
 	clear(r.aggs)
 	r.heapIdx = -1 // updatedLocked enters the heap
@@ -388,11 +470,30 @@ func (t *Table) groupLocked(key []byte, groupVals []sqltypes.Value) *row {
 	for _, v := range groupVals {
 		r.mem += int64(v.MemSize())
 	}
+	return r
+}
+
+// addGroupLocked enters a row from takeRowLocked into the group map under
+// key and counts it.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) addGroupLocked(r *row, key []byte) {
+	r.key = string(key)
 	t.mem.Add(r.mem)
 	t.groups[r.key] = r
 	t.nGroups.Add(1)
 	t.newGroups.Add(1)
-	return r
+}
+
+// releaseRowLocked returns a row that left the table to the free list
+// (§6.1: "evicted leafs can be re-used for the newly inserted value,
+// keeping memory fragmentation low").
+//
+//sqlcm:lock-held lat.table
+func (t *Table) releaseRowLocked(r *row) {
+	if len(t.free) < maxFree {
+		t.free = append(t.free, r)
+	}
 }
 
 // updatedLocked accounts a row whose footprint grew by grew bytes and, for
@@ -453,17 +554,19 @@ func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 		t.nGroups.Add(-1)
 		t.evictions.Add(1)
 		if fn != nil {
-			out = append(out, EvictedRow{
-				Table:   t.spec.Name,
-				Columns: t.columns,
-				Values:  t.rowValuesLocked(victim, now),
-			})
+			out = append(out, t.evictedLocked(victim, now))
 		}
-		if len(t.free) < maxFree {
-			t.free = append(t.free, victim)
-		}
+		t.releaseRowLocked(victim)
 	}
 	return out
+}
+
+// evictedLocked snapshots a row leaving the table for the eviction
+// callback.
+//
+//sqlcm:lock-held lat.table
+func (t *Table) evictedLocked(r *row, now time.Time) EvictedRow {
+	return EvictedRow{Table: t.spec.Name, Columns: t.columns, Values: t.rowValuesLocked(r, now)}
 }
 
 // deliverEvictions invokes the eviction callback outside the latch.
@@ -501,7 +604,7 @@ func (t *Table) Lookup(groupVals []sqltypes.Value) ([]sqltypes.Value, bool) {
 // accessor and looks the group up.
 func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
 	var kb [64]byte
-	key, ok := t.GroupKey(kb[:0], get)
+	key, ok := t.groupKey(kb[:0], get)
 	if !ok {
 		return nil, false
 	}
@@ -509,7 +612,8 @@ func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
 }
 
 func (t *Table) lookupRow(key []byte) ([]sqltypes.Value, bool) {
-	now := t.clock()
+	var in Instant
+	now := t.now(&in)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	r := t.groups[string(key)]
@@ -519,9 +623,9 @@ func (t *Table) lookupRow(key []byte) ([]sqltypes.Value, bool) {
 	return t.rowValuesLocked(r, now), true
 }
 
-// GroupKey appends to dst the encoded group key of the object behind get;
+// groupKey appends to dst the encoded group key of the object behind get;
 // false if it lacks a grouping attribute.
-func (t *Table) GroupKey(dst []byte, get AttrGetter) ([]byte, bool) {
+func (t *Table) groupKey(dst []byte, get AttrGetter) ([]byte, bool) {
 	for _, attr := range t.spec.GroupBy {
 		v, ok := get(attr)
 		if !ok {
@@ -533,9 +637,12 @@ func (t *Table) GroupKey(dst []byte, get AttrGetter) ([]byte, bool) {
 }
 
 // LookupColumn returns output column col (a ColumnIndex position) of the
-// group with the given key (GroupKey) and whether the group exists.
-func (t *Table) LookupColumn(key []byte, col int) (sqltypes.Value, bool) {
-	now := t.clock()
+// group with the given grouping values and whether the group exists. Aging
+// aggregates read the time from in.
+func (t *Table) LookupColumn(in *Instant, group []sqltypes.Value, col int) (sqltypes.Value, bool) {
+	var kb [64]byte
+	key := sqltypes.AppendKey(kb[:0], group...)
+	now := t.now(in)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	r := t.groups[string(key)]
@@ -558,7 +665,8 @@ func (t *Table) ColumnIndex(col string) int {
 // Rows returns a snapshot of all rows in declared order (most important
 // first). Each row is the output values in column order.
 func (t *Table) Rows() [][]sqltypes.Value {
-	now := t.clock()
+	var in Instant
+	now := t.now(&in)
 	t.mu.RLock()
 	out := make([][]sqltypes.Value, 0, len(t.groups))
 	for _, r := range t.groups {
@@ -617,7 +725,12 @@ func (h *rowHeap) Len() int { return len(h.rows) }
 //
 //sqlcm:lock-held lat.table
 func (h *rowHeap) Less(i, j int) bool {
-	a, b := h.rows[i].orderKey, h.rows[j].orderKey
+	return h.evictsBefore(h.rows[i].orderKey, h.rows[j].orderKey)
+}
+
+// evictsBefore reports whether a row with ordering values a is strictly
+// less important than one with b.
+func (h *rowHeap) evictsBefore(a, b []sqltypes.Value) bool {
 	for k, o := range h.by {
 		c := sqltypes.Compare(a[k], b[k])
 		if c == 0 {

@@ -378,8 +378,8 @@ func TestAgingBlockBound(t *testing.T) {
 }
 
 // TestLookupColumnMatchesRow reads every output column of a group through
-// GroupKey + LookupColumn, as rule conditions do, and compares it with the
-// materialized row; a missing group or grouping attribute reports false.
+// LookupColumn, as rule conditions do, and compares it with the
+// materialized row; a missing group reports false.
 func TestLookupColumnMatchesRow(t *testing.T) {
 	tab, _ := New(durationSpec())
 	tab.Insert(queryObj("a", 10)) //nolint:errcheck
@@ -388,22 +388,20 @@ func TestLookupColumnMatchesRow(t *testing.T) {
 	if !ok {
 		t.Fatal("group a missing")
 	}
-	key, ok := tab.GroupKey(nil, queryObj("a", 0))
-	if !ok {
-		t.Fatal("GroupKey: grouping attribute missing")
-	}
+	var in Instant
+	group := []sqltypes.Value{sqltypes.NewString("a")}
 	for i, col := range tab.Spec().Columns() {
-		got, found := tab.LookupColumn(key, tab.ColumnIndex(col))
+		got, found := tab.LookupColumn(&in, group, tab.ColumnIndex(col))
 		if !found || sqltypes.Compare(got, row[i]) != 0 {
 			t.Errorf("LookupColumn(%s) = %v, %v; row has %v", col, got, found, row[i])
 		}
 	}
-	other, _ := tab.GroupKey(nil, queryObj("b", 0))
-	if v, found := tab.LookupColumn(other, 1); found || !v.IsNull() {
+	other := []sqltypes.Value{sqltypes.NewString("b")}
+	if v, found := tab.LookupColumn(&in, other, 1); found || !v.IsNull() {
 		t.Errorf("LookupColumn of a missing group = %v, %v", v, found)
 	}
-	if _, ok := tab.GroupKey(nil, obj(nil)); ok {
-		t.Error("GroupKey without the grouping attribute reported ok")
+	if _, ok := tab.LookupByGetter(obj(nil)); ok {
+		t.Error("LookupByGetter without the grouping attribute reported ok")
 	}
 }
 

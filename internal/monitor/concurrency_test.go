@@ -108,11 +108,16 @@ func TestSigCacheConcurrentManyPlans(t *testing.T) {
 }
 
 // TestTxnTrackerConcurrent drives interleaved statement streams for many
-// transactions through the sharded tracker and closes each out.
+// transactions, each owned by one goroutine as a session owns its
+// transaction, through one tracker and closes each out.
 func TestTxnTrackerConcurrent(t *testing.T) {
 	tr := NewTxnTracker()
 	const txns = 64
 	const stmtsPer = 50
+	infos := make([]*engine.TxnInfo, txns)
+	for id := range infos {
+		infos[id] = &engine.TxnInfo{ID: lock.TxnID(id), SessionID: 1, User: "u", App: "a", StartTime: time.Now()}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -120,25 +125,29 @@ func TestTxnTrackerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < stmtsPer; i++ {
 				for id := int64(w); id < txns; id += 8 {
-					tr.Observe(id, &Sigs{
+					tr.Observe(infos[id], &Sigs{
 						Logical:  signature.ID(id + 1),
 						Physical: signature.ID(id + 2),
 					}, time.Millisecond)
 				}
 			}
+			// Each goroutine closes its own transactions, racing the
+			// others on the tracker's hex cache.
+			for id := int64(w); id < txns; id += 8 {
+				obj := tr.Finish(infos[id], time.Second)
+				n, ok := obj.Get("Number_of_instances")
+				if !ok {
+					t.Errorf("txn %d: no Number_of_instances", id)
+					continue
+				}
+				if n.Int() != stmtsPer {
+					t.Errorf("txn %d: Number_of_instances = %d, want %d", id, n.Int(), stmtsPer)
+				}
+				if sig, _ := obj.Get("Logical_Signature"); sig.Str() != obj.LogicalSig.String() {
+					t.Errorf("txn %d: Logical_Signature = %s, want %s", id, sig.Str(), obj.LogicalSig)
+				}
+			}
 		}(w)
 	}
 	wg.Wait()
-
-	for id := int64(0); id < txns; id++ {
-		info := &engine.TxnInfo{ID: lock.TxnID(id), SessionID: 1, User: "u", App: "a", StartTime: time.Now()}
-		obj := tr.Finish(info, time.Second)
-		n, ok := obj.Get("Number_of_instances")
-		if !ok {
-			t.Fatalf("txn %d: no Number_of_instances", id)
-		}
-		if n.Int() != stmtsPer {
-			t.Errorf("txn %d: Number_of_instances = %d, want %d", id, n.Int(), stmtsPer)
-		}
-	}
 }

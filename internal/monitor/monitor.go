@@ -7,7 +7,6 @@ package monitor
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,36 +27,43 @@ const (
 )
 
 // Event identifies a monitored event: a class and an event name, written
-// Class.Name in rules (e.g. Query.Commit).
+// Class.Name in rules (e.g. Query.Commit). The schema's events are the Ev
+// values below, and ParseEvent returns them: each carries its dense
+// position in the schema, so indexing anything by event hashes nothing. An
+// Event assembled by hand lies outside the schema.
 type Event struct {
 	Class string
 	Name  string
+	// pos is the event's position in allEvents plus one (0: not a schema
+	// event).
+	pos uint8
 }
 
 // String renders Class.Name.
 func (e Event) String() string { return e.Class + "." + e.Name }
 
-// The events exposed by the current schema (§5.1).
+// The events exposed by the current schema (§5.1), numbered in allEvents
+// order.
 var (
-	EvQueryStart         = Event{ClassQuery, "Start"}
-	EvQueryCompile       = Event{ClassQuery, "Compile"}
-	EvQueryCommit        = Event{ClassQuery, "Commit"}
-	EvQueryCancel        = Event{ClassQuery, "Cancel"}
-	EvQueryRollback      = Event{ClassQuery, "Rollback"}
-	EvQueryBlocked       = Event{ClassQuery, "Blocked"}
-	EvQueryBlockReleased = Event{ClassQuery, "Block_Released"}
-	EvTxnCommit          = Event{ClassTransaction, "Commit"}
-	EvTxnRollback        = Event{ClassTransaction, "Rollback"}
-	EvTimerAlarm         = Event{ClassTimer, "Alarm"}
-	EvLATRowEvicted      = Event{ClassLATRow, "Evicted"}
-	EvRuleQuarantined    = Event{ClassMonitor, "RuleQuarantined"}
+	EvQueryStart         = Event{ClassQuery, "Start", 1}
+	EvQueryCompile       = Event{ClassQuery, "Compile", 2}
+	EvQueryCommit        = Event{ClassQuery, "Commit", 3}
+	EvQueryCancel        = Event{ClassQuery, "Cancel", 4}
+	EvQueryRollback      = Event{ClassQuery, "Rollback", 5}
+	EvQueryBlocked       = Event{ClassQuery, "Blocked", 6}
+	EvQueryBlockReleased = Event{ClassQuery, "Block_Released", 7}
+	EvTxnCommit          = Event{ClassTransaction, "Commit", 8}
+	EvTxnRollback        = Event{ClassTransaction, "Rollback", 9}
+	EvTimerAlarm         = Event{ClassTimer, "Alarm", 10}
+	EvLATRowEvicted      = Event{ClassLATRow, "Evicted", 11}
+	EvRuleQuarantined    = Event{ClassMonitor, "RuleQuarantined", 12}
 	// EvQueryCancelled fires when the engine defensively cancels a
 	// statement (statement timeout, admission-control shed, server
 	// drain, or an admin/rule cancel); the Cancel_Reason probe carries
 	// the attribution. Distinct from Query.Cancel, which classifies any
 	// cancelled abort: Cancelled is the engine monitoring its own
 	// defensive actions — a monitored dimension the paper never had.
-	EvQueryCancelled = Event{ClassQuery, "Cancelled"}
+	EvQueryCancelled = Event{ClassQuery, "Cancelled", 13}
 )
 
 // allEvents lists the schema's events in declaration order; its positions
@@ -72,19 +78,17 @@ var allEvents = []Event{
 	EvQueryCancelled,
 }
 
-// eventByName and eventIndex are built once at package init so event
-// parsing and counter indexing on the hot path are single map hits.
-var (
-	eventByName map[string]Event
-	eventIndex  map[Event]int
-)
+// eventByName is built once at package init so parsing an event is one
+// map hit.
+var eventByName map[string]Event
 
 func init() {
 	eventByName = make(map[string]Event, len(allEvents))
-	eventIndex = make(map[Event]int, len(allEvents))
 	for i, ev := range allEvents {
+		if int(ev.pos) != i+1 {
+			panic("monitor: event " + ev.String() + " is numbered out of allEvents order")
+		}
 		eventByName[ev.String()] = ev
-		eventIndex[ev] = i
 	}
 }
 
@@ -95,10 +99,13 @@ func AllEvents() []Event { return append([]Event(nil), allEvents...) }
 func NumEvents() int { return len(allEvents) }
 
 // EventIndex returns a dense, stable index for a schema event (used for
-// per-event atomic counters) and whether the event is part of the schema.
+// per-event counters and rule lists) and whether the event is part of the
+// schema.
 func EventIndex(ev Event) (int, bool) {
-	i, ok := eventIndex[ev]
-	return i, ok
+	if ev.pos == 0 {
+		return 0, false
+	}
+	return int(ev.pos) - 1, true
 }
 
 // ParseEvent parses "Class.Name" into an Event, validating it against the
@@ -335,7 +342,7 @@ type TxnObject struct {
 	PhysicalSig signature.ID
 	NQueries    int64
 	TimeBlocked time.Duration
-	// Hex forms of the two signatures, formatted once by Finish.
+	// Hex forms of the two signatures, from the tracker's cache.
 	logicalHex, physicalHex string
 }
 
@@ -375,56 +382,67 @@ func (t *TxnObject) attr(id int) (sqltypes.Value, bool) {
 	}
 }
 
-// TxnTracker accumulates per-transaction statement signatures so the
-// Transaction object can expose transaction signatures at commit.
+// TxnTracker folds statements into their transactions and closes each
+// into a Transaction object. The running signatures and counters live on
+// the transaction's own record (engine.TxnInfo.Tally), which only the
+// goroutine running the transaction touches, so neither Observe nor Finish
+// takes a lock. The tracker keeps only the hex forms of the transaction
+// signatures it has formatted: a transaction template recurs, and its
+// signature is formatted once.
 type TxnTracker struct {
-	// mu protects the per-transaction accumulators.
-	//sqlcm:lock monitor.txn
-	//sqlcm:guards m
-	mu sync.Mutex
-	m  map[int64]txnAccum // by txn id
+	// hex is a direct-mapped cache from a transaction signature to its hex
+	// form; a slot holding another signature only costs a reformat.
+	hex [hexSlots]atomic.Pointer[sigHex]
 }
 
-// txnAccum is one open transaction: its two transaction signatures so far
-// (running hashes, signature.ID.Then) and its counters.
-type txnAccum struct {
-	logical, physical signature.ID
-	nQueries          int64
-	timeBlocked       time.Duration
+// hexSlots is the size of the tracker's hex cache.
+const hexSlots = 256
+
+// sigHex is one cached hex form.
+type sigHex struct {
+	id  signature.ID
+	hex string
 }
 
-// NewTxnTracker returns an empty tracker.
-func NewTxnTracker() *TxnTracker {
-	return &TxnTracker{m: make(map[int64]txnAccum)}
-}
+// NewTxnTracker returns a tracker with nothing formatted yet.
+func NewTxnTracker() *TxnTracker { return &TxnTracker{} }
 
-// Observe records one statement's signatures under its transaction.
-func (t *TxnTracker) Observe(txnID int64, s *Sigs, blocked time.Duration) {
-	t.mu.Lock()
-	a, ok := t.m[txnID]
-	if !ok {
-		a.logical, a.physical = signature.EmptyTransaction, signature.EmptyTransaction
+// Observe records one statement's signatures under its transaction. It
+// runs on the goroutine that runs the transaction.
+func (t *TxnTracker) Observe(info *engine.TxnInfo, s *Sigs, blocked time.Duration) {
+	a := &info.Tally
+	if a.Statements == 0 {
+		a.Logical, a.Physical = uint64(signature.EmptyTransaction), uint64(signature.EmptyTransaction)
 	}
-	a.logical = a.logical.Then(s.Logical)
-	a.physical = a.physical.Then(s.Physical)
-	a.nQueries++
-	a.timeBlocked += blocked
-	t.m[txnID] = a
-	t.mu.Unlock()
+	a.Logical = uint64(signature.ID(a.Logical).Then(s.Logical))
+	a.Physical = uint64(signature.ID(a.Physical).Then(s.Physical))
+	a.Statements++
+	a.Blocked += blocked
 }
 
-// Finish closes a transaction, returning its object fields.
+// Finish closes a transaction, consuming its tally, and returns its
+// object. It runs on the goroutine that ran the transaction.
 func (t *TxnTracker) Finish(info *engine.TxnInfo, dur time.Duration) *TxnObject {
-	t.mu.Lock()
-	a := t.m[int64(info.ID)]
-	delete(t.m, int64(info.ID))
-	t.mu.Unlock()
+	a := info.Tally
+	info.Tally = engine.TxnTally{}
+	logical, physical := signature.ID(a.Logical), signature.ID(a.Physical)
 	return &TxnObject{
 		Info: info, Duration: dur,
-		LogicalSig: a.logical, PhysicalSig: a.physical,
-		NQueries: a.nQueries, TimeBlocked: a.timeBlocked,
-		logicalHex: a.logical.String(), physicalHex: a.physical.String(),
+		LogicalSig: logical, PhysicalSig: physical,
+		NQueries: a.Statements, TimeBlocked: a.Blocked,
+		logicalHex: t.hexOf(logical), physicalHex: t.hexOf(physical),
 	}
+}
+
+// hexOf returns id's hex form, formatting it only on a cache miss.
+func (t *TxnTracker) hexOf(id signature.ID) string {
+	slot := &t.hex[uint64(id)%hexSlots]
+	if e := slot.Load(); e != nil && e.id == id {
+		return e.hex
+	}
+	e := &sigHex{id: id, hex: id.String()}
+	slot.Store(e)
+	return e.hex
 }
 
 // ---------------------------------------------------------------------------

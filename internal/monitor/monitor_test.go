@@ -179,8 +179,9 @@ func TestQueryAttributesSchemaCoversObject(t *testing.T) {
 
 func TestTransactionAttributesSchemaCoversObject(t *testing.T) {
 	tr := NewTxnTracker()
-	tr.Observe(1, &Sigs{Logical: 10, Physical: 20}, 0)
-	obj := tr.Finish(&engine.TxnInfo{ID: 1, StartTime: time.Now()}, time.Second)
+	info := &engine.TxnInfo{ID: 1, StartTime: time.Now()}
+	tr.Observe(info, &Sigs{Logical: 10, Physical: 20}, 0)
+	obj := tr.Finish(info, time.Second)
 	for _, attr := range TransactionAttributes() {
 		if _, ok := obj.Get(attr.Name); !ok {
 			t.Errorf("schema attribute %q not gettable", attr.Name)
@@ -199,8 +200,9 @@ func TestObjectsAnswerOnlySchemaAttributes(t *testing.T) {
 	}
 	qi := testQueryInfo()
 	tr := NewTxnTracker()
-	tr.Observe(1, &Sigs{Logical: 10, Physical: 20}, 0)
-	txn := tr.Finish(&engine.TxnInfo{ID: 1, StartTime: time.Now()}, time.Second)
+	info := &engine.TxnInfo{ID: 1, StartTime: time.Now()}
+	tr.Observe(info, &Sigs{Logical: 10, Physical: 20}, 0)
+	txn := tr.Finish(info, time.Second)
 	for _, tc := range []struct {
 		obj   Object
 		attrs []Attribute
@@ -281,11 +283,12 @@ func TestSigCacheMemoizes(t *testing.T) {
 
 func TestTxnTrackerSequences(t *testing.T) {
 	tr := NewTxnTracker()
-	tr.Observe(1, &Sigs{Logical: 10, Physical: 20}, 100*time.Millisecond)
-	tr.Observe(1, &Sigs{Logical: 11, Physical: 21}, 50*time.Millisecond)
-	tr.Observe(2, &Sigs{Logical: 10, Physical: 20}, 0)
-
 	info := &engine.TxnInfo{ID: 1, SessionID: 9, User: "u", App: "a", StartTime: time.Now()}
+	info2 := &engine.TxnInfo{ID: 2}
+	tr.Observe(info, &Sigs{Logical: 10, Physical: 20}, 100*time.Millisecond)
+	tr.Observe(info, &Sigs{Logical: 11, Physical: 21}, 50*time.Millisecond)
+	tr.Observe(info2, &Sigs{Logical: 10, Physical: 20}, 0)
+
 	obj := tr.Finish(info, time.Second)
 	if obj.NQueries != 2 {
 		t.Fatalf("NQueries = %d", obj.NQueries)
@@ -297,13 +300,12 @@ func TestTxnTrackerSequences(t *testing.T) {
 		t.Fatal("zero transaction signatures")
 	}
 	// Different statement sequences produce different signatures.
-	info2 := &engine.TxnInfo{ID: 2}
 	obj2 := tr.Finish(info2, time.Second)
 	if obj2.LogicalSig == obj.LogicalSig {
 		t.Fatal("distinct sequences share a signature")
 	}
 	// Tracker state is consumed.
-	obj3 := tr.Finish(&engine.TxnInfo{ID: 1}, 0)
+	obj3 := tr.Finish(info, 0)
 	if obj3.NQueries != 0 {
 		t.Fatal("tracker state leaked across Finish")
 	}

@@ -3,6 +3,7 @@ package rules
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"sqlcm/internal/monitor"
@@ -18,6 +19,8 @@ import (
 // named object, a bare name reads the primary object.
 type InsertAction struct {
 	LAT string
+	// bound is the table last resolved, its attributes bound as probes.
+	bound atomic.Pointer[latBinding]
 }
 
 // Run implements Action.
@@ -26,7 +29,12 @@ func (a *InsertAction) Run(env Env, ctx *Ctx) error {
 	if !ok {
 		return fmt.Errorf("rules: Insert: unknown LAT %q", a.LAT)
 	}
-	return table.Insert(ctx.getter())
+	b := a.bound.Load()
+	if b == nil || b.table != table {
+		b = bindLAT(table)
+		a.bound.Store(b)
+	}
+	return ctx.state().insert(b)
 }
 
 // Describe implements Action.

@@ -31,24 +31,37 @@ import (
 type evalState struct {
 	eng *Engine
 	ctx *Ctx
-	// objs holds ctx.Objects by monitor.ClassID, filled on first use.
+	// objs holds ctx.Objects by monitor.ClassID, each slot filled on
+	// first use (bit id of filled).
 	objs   [monitor.NumClasses]monitor.Object
-	filled bool
-	// key memoizes keyLAT's encoded group key for one rule evaluation.
-	keyLAT *lat.Table
-	key    []byte
-	keyOK  bool
+	filled uint8
+	// at is the event's one reading of the LAT clock, shared by every
+	// LAT insert and lookup the event makes.
+	at lat.Instant
+	// group memoizes groupLAT's grouping values for one rule evaluation.
+	groupLAT *lat.Table
+	group    []sqltypes.Value
+	groupOK  bool
+	// vals and absent are the attribute buffer of LAT inserts.
+	vals   []sqltypes.Value
+	absent []bool
+	// evals and fired count the event's rule evaluations and firings.
+	evals, fired int64
 	// base is the context Dispatch binds an event's objects into.
 	base Ctx
 }
 
 // bind makes ctx the context evaluated next.
-func (st *evalState) bind(ctx *Ctx) { st.ctx, st.filled = ctx, false }
+func (st *evalState) bind(ctx *Ctx) { st.ctx, ctx.st, st.filled = ctx, st, 0 }
 
-// reset drops the dispatched event, keeping the key buffer and the base
+// reset drops the dispatched event, keeping the buffers and the base
 // context's bound getter.
 func (st *evalState) reset() {
-	*st = evalState{eng: st.eng, key: st.key[:0], base: Ctx{get: st.base.get}}
+	st.ctx, st.filled, st.groupLAT = nil, 0, nil
+	st.objs = [monitor.NumClasses]monitor.Object{}
+	st.at = lat.Instant{}
+	st.evals, st.fired = 0, 0
+	st.base.Objects, st.base.Primary, st.base.st = nil, nil, nil
 }
 
 // holds evaluates a compiled condition against the monitored objects in
@@ -56,20 +69,16 @@ func (st *evalState) reset() {
 //
 //sqlcm:hotpath
 func (st *evalState) holds(c cond) (bool, error) {
-	st.keyLAT = nil
+	st.groupLAT = nil
 	return expr.EvalBool(c, expr.Env{Ctx: st})
 }
 
-// object returns the bound context's object of a class id, or nil.
-func (st *evalState) object(class int) monitor.Object {
-	if !st.filled {
-		st.objs = [monitor.NumClasses]monitor.Object{}
-		for name, o := range st.ctx.Objects {
-			if id, ok := monitor.ClassID(name); ok {
-				st.objs[id] = o
-			}
-		}
-		st.filled = true
+// object returns the bound context's object of a class (its id and
+// name), or nil: one lookup per class and context, then a slot read.
+func (st *evalState) object(class int, name string) monitor.Object {
+	if st.filled&(1<<class) == 0 {
+		st.objs[class] = st.ctx.Objects[name]
+		st.filled |= 1 << class
 	}
 	return st.objs[class]
 }
@@ -134,7 +143,7 @@ type classRef struct {
 }
 
 func (r *classRef) Eval(env expr.Env) (sqltypes.Value, error) {
-	obj := env.Ctx.(*evalState).object(r.class)
+	obj := env.Ctx.(*evalState).object(r.class, r.name)
 	if obj == nil {
 		return sqltypes.Null, fmt.Errorf("rules: no %s object in context", r.name)
 	}
@@ -146,17 +155,18 @@ func (r *classRef) Eval(env expr.Env) (sqltypes.Value, error) {
 }
 
 // latRef is LAT.Column. LATs can be defined and dropped after the rule, so
-// the name is resolved per evaluation, the column position only when it
-// denotes another table than last time.
+// the name is resolved per evaluation; the column position and the
+// grouping probes are bound again only when it denotes another table than
+// last time.
 type latRef struct {
 	lat, col string
 	pos      atomic.Pointer[latColumn]
 }
 
-// latColumn is a column position in one table.
+// latColumn is a column position in one bound table.
 type latColumn struct {
-	table *lat.Table
-	idx   int
+	*latBinding
+	idx int
 }
 
 func (r *latRef) Eval(env expr.Env) (sqltypes.Value, error) {
@@ -167,22 +177,116 @@ func (r *latRef) Eval(env expr.Env) (sqltypes.Value, error) {
 	}
 	c := r.pos.Load()
 	if c == nil || c.table != table {
-		c = &latColumn{table: table, idx: table.ColumnIndex(r.col)}
+		c = &latColumn{latBinding: bindLAT(table), idx: table.ColumnIndex(r.col)}
 		r.pos.Store(c)
 	}
 	if c.idx < 0 {
 		return sqltypes.Null, fmt.Errorf("rules: LAT %s has no column %q", r.lat, r.col)
 	}
-	if st.keyLAT != table {
-		st.key, st.keyOK = table.GroupKey(st.key[:0], st.ctx.getter())
-		st.keyLAT = table
+	if st.groupLAT != table {
+		st.group, st.groupOK = st.groupOf(c.latBinding)
+		st.groupLAT = table
 	}
 	// No matching row (or no grouping attribute to find one by) reads NULL.
-	if !st.keyOK {
+	if !st.groupOK {
 		return sqltypes.Null, nil
 	}
-	v, _ := table.LookupColumn(st.key, c.idx)
+	v, _ := table.LookupColumn(&st.at, st.group, c.idx)
 	return v, nil
+}
+
+// latBinding is a LAT resolved for a rule: the table, and what an insert
+// reads (lat.Table.Attrs) as attribute references bound once, the
+// grouping attributes first.
+type latBinding struct {
+	table *lat.Table
+	attrs []attrRef
+	ng    int
+}
+
+// bindLAT resolves a table's attributes against the rule context's shape.
+func bindLAT(table *lat.Table) *latBinding {
+	names := table.Attrs()
+	b := &latBinding{table: table, attrs: make([]attrRef, len(names)), ng: len(table.Spec().GroupBy)}
+	for i, name := range names {
+		b.attrs[i] = newAttrRef(name)
+	}
+	return b
+}
+
+// Where an attrRef finds its object: a monitored class's slot (class >=
+// 0), or one of these.
+const (
+	refPrimary = -1 - iota // a bare name: the primary object
+	refOther               // a qualifier that names no monitored class
+	refNone                // no attribute at all (COUNT(*)): always present
+)
+
+// attrRef is an attribute reference resolved once, as Ctx.Attr resolves
+// it per call: "Class.Name" reads the class's object, a bare name the
+// primary object.
+type attrRef struct {
+	class     int
+	qualifier string // the class name, looked up in Ctx.Objects
+	probe     monitor.Probe
+}
+
+func newAttrRef(ref string) attrRef {
+	if ref == "" {
+		return attrRef{class: refNone}
+	}
+	qual, name, ok := strings.Cut(ref, ".")
+	if !ok {
+		return attrRef{class: refPrimary, probe: monitor.NewProbe(ref)}
+	}
+	if id, isClass := monitor.ClassID(qual); isClass {
+		return attrRef{class: id, qualifier: qual, probe: monitor.NewProbe(name)}
+	}
+	return attrRef{class: refOther, qualifier: qual, probe: monitor.NewProbe(name)}
+}
+
+// read returns the referenced attribute in the bound context.
+func (st *evalState) read(a *attrRef) (sqltypes.Value, bool) {
+	var o monitor.Object
+	switch {
+	case a.class >= 0:
+		o = st.object(a.class, a.qualifier)
+	case a.class == refPrimary:
+		o = st.ctx.Primary
+	case a.class == refOther:
+		o = st.ctx.Objects[a.qualifier]
+	default:
+		return sqltypes.Null, true
+	}
+	if o == nil {
+		return sqltypes.Null, false
+	}
+	return a.probe.Of(o)
+}
+
+// groupOf reads b's grouping values into the state's group buffer; false
+// if the context lacks one.
+func (st *evalState) groupOf(b *latBinding) ([]sqltypes.Value, bool) {
+	g := st.group[:0]
+	for i := range b.attrs[:b.ng] {
+		v, ok := st.read(&b.attrs[i])
+		if !ok {
+			return g, false
+		}
+		g = append(g, v)
+	}
+	return g, true
+}
+
+// insert folds the bound context into b's table.
+func (st *evalState) insert(b *latBinding) error {
+	st.vals, st.absent = st.vals[:0], st.absent[:0]
+	for i := range b.attrs {
+		v, ok := st.read(&b.attrs[i])
+		st.vals = append(st.vals, v)
+		st.absent = append(st.absent, !ok)
+	}
+	return b.table.InsertValues(&st.at, st.vals, st.absent)
 }
 
 // describeActions renders a rule's action list for diagnostics.

@@ -78,7 +78,9 @@ func (e *Engine) Reinstate(name string) bool {
 func (e *Engine) safeEvalRule(r *Rule, st *evalState) {
 	err := e.evalRuleRecover(r, st)
 	if err == nil {
-		r.consecFails.Store(0)
+		if r.consecFails.Load() != 0 {
+			r.consecFails.Store(0)
+		}
 		return
 	}
 	e.panics.Add(1)

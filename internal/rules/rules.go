@@ -27,9 +27,20 @@ type Ctx struct {
 	// Primary is the object bound by the rule's event clause; unqualified
 	// and LAT-grouping attribute references resolve against it.
 	Primary monitor.Object
-	// get is Attr bound once: the getter every LAT insert and lookup of
-	// this context shares.
+	// get is Attr bound once: the getter substitutions look LATs up by.
 	get lat.AttrGetter
+	// st is the evaluation state the context is bound in (nil for a
+	// context built outside Dispatch).
+	st *evalState
+}
+
+// state returns the evaluation state the context is bound in, or a fresh
+// one for a context built outside Dispatch.
+func (c *Ctx) state() *evalState {
+	if c.st == nil {
+		(&evalState{}).bind(c)
+	}
+	return c.st
 }
 
 // getter returns Attr as a lat.AttrGetter.
@@ -143,10 +154,11 @@ func (r *Rule) SetEnabled(v bool) { r.enabled.Store(v) }
 // ruleIndex is an immutable snapshot of the registered rule set. Readers
 // load it through an atomic pointer and never take a lock; writers rebuild
 // a fresh index and publish it (copy-on-write). The per-event dispatch
-// lists preserve registration order (§5: fixed rule order).
+// lists, indexed by the event's dense schema position, preserve
+// registration order (§5: fixed rule order).
 type ruleIndex struct {
 	rules   []*Rule
-	byEvent map[monitor.Event][]*Rule
+	byEvent [][]*Rule
 }
 
 // buildIndex constructs the immutable index for a rule slice. Quarantined
@@ -154,14 +166,24 @@ type ruleIndex struct {
 // are omitted from the per-event dispatch lists, so the hot path pays
 // nothing for them.
 func buildIndex(rules []*Rule) *ruleIndex {
-	idx := &ruleIndex{rules: rules, byEvent: make(map[monitor.Event][]*Rule)}
+	idx := &ruleIndex{rules: rules, byEvent: make([][]*Rule, monitor.NumEvents())}
 	for _, r := range rules {
 		if r.quarantined.Load() {
 			continue
 		}
-		idx.byEvent[r.Event] = append(idx.byEvent[r.Event], r)
+		i, _ := monitor.EventIndex(r.Event) // AddRule admits schema events only
+		idx.byEvent[i] = append(idx.byEvent[i], r)
 	}
 	return idx
+}
+
+// listening returns the dispatch list of ev (nil outside the schema).
+func (idx *ruleIndex) listening(ev monitor.Event) []*Rule {
+	i, ok := monitor.EventIndex(ev)
+	if !ok {
+		return nil
+	}
+	return idx.byEvent[i]
 }
 
 // Engine evaluates rules. Rules fire in registration order; within one
@@ -187,6 +209,7 @@ type Engine struct {
 	//sqlcm:cow rules.write
 	idx atomic.Pointer[ruleIndex]
 
+	// evaluations and fired are added once per dispatched event.
 	evaluations atomic.Int64
 	fired       atomic.Int64
 	actionErrs  atomic.Int64
@@ -233,7 +256,7 @@ func (e *Engine) HasAnyRules() bool {
 // event — "no monitoring is performed unless it is required by a rule"
 // (§2.1).
 func (e *Engine) HasRulesFor(ev monitor.Event) bool {
-	return len(e.idx.Load().byEvent[ev]) > 0
+	return len(e.idx.Load().listening(ev)) > 0
 }
 
 // Stats reports rule-engine counters.
@@ -266,6 +289,9 @@ func (e *Engine) AddRule(r *Rule) error {
 	}
 	if r.Event.Class == "" {
 		return fmt.Errorf("rules: rule %q needs an event", r.Name)
+	}
+	if _, ok := monitor.EventIndex(r.Event); !ok {
+		return fmt.Errorf("rules: rule %q: %s is not a schema event", r.Name, r.Event)
 	}
 	if err := r.analyze(); err != nil {
 		return err
@@ -357,7 +383,7 @@ func (r *Rule) analyze() error {
 func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 	// Lock-free: one atomic load of the copy-on-write index, then only the
 	// rules listening on this event are visited.
-	matching := e.idx.Load().byEvent[ev]
+	matching := e.idx.Load().listening(ev)
 	if len(matching) == 0 {
 		return
 	}
@@ -387,6 +413,12 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 		}
 		st.bind(&st.base)
 	}
+	// One add per counter per event, not per rule: concurrent sessions
+	// share these cache lines.
+	e.evaluations.Add(st.evals)
+	if st.fired > 0 {
+		e.fired.Add(st.fired)
+	}
 	st.reset()
 	e.states.Put(st)
 }
@@ -398,7 +430,7 @@ func (e *Engine) Dispatch(ev monitor.Event, objs map[string]monitor.Object) {
 //
 //sqlcm:hotpath
 func (e *Engine) evalRule(r *Rule, st *evalState) {
-	e.evaluations.Add(1)
+	st.evals++
 	if r.cond != nil {
 		ok, err := st.holds(r.cond)
 		if err != nil {
@@ -411,7 +443,7 @@ func (e *Engine) evalRule(r *Rule, st *evalState) {
 			return
 		}
 	}
-	e.fired.Add(1)
+	st.fired++
 	e.observe(r.Name, true)
 	for _, a := range r.Actions {
 		if err := a.Run(e.env, st.ctx); err != nil {

@@ -50,8 +50,9 @@ type Txn struct {
 	Start time.Time
 
 	// snapTS/snapAt fix the transaction's MVCC snapshot: the highest
-	// commit timestamp it observes, taken at Begin (repeatable read).
-	// Immutable after Begin.
+	// commit timestamp it observes, taken at Begin (repeatable read), and
+	// the Begin's clock reading, which is Start too. Immutable after
+	// Begin.
 	snapTS int64
 	snapAt time.Time
 
@@ -168,9 +169,12 @@ func (m *Manager) Locks() *lock.Manager { return m.locks }
 
 // Begin starts a transaction. implicit marks autocommit transactions.
 func (m *Manager) Begin(implicit bool) *Txn {
+	// One clock reading serves as both the start and the snapshot time.
+	now := time.Now()
 	t := &Txn{
 		ID:       lock.TxnID(m.seq.Add(1)),
-		Start:    time.Now(),
+		Start:    now,
+		snapAt:   now,
 		state:    Active,
 		implicit: implicit,
 	}
@@ -180,7 +184,6 @@ func (m *Manager) Begin(implicit bool) *Txn {
 	m.mu.Lock()
 	m.active[t.ID] = t
 	t.snapTS = m.lastCommit.Load()
-	t.snapAt = time.Now()
 	m.mu.Unlock()
 	return t
 }
