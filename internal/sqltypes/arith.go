@@ -95,7 +95,6 @@ func Arith(op BinaryOp, a, b Value) (Value, error) {
 	return Null, fmt.Errorf("sqltypes: unknown operator %d", op)
 }
 
-
 // Negate returns -v for numeric v.
 func Negate(v Value) (Value, error) {
 	switch v.kind {
