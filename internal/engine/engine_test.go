@@ -946,3 +946,39 @@ func TestOrderByQualifiedColumnAndIsNullAfterComparison(t *testing.T) {
 		}
 	}
 }
+
+// TestOrderByColumnOutsideSelectList: a key that names no output column
+// sorts the projection's input, as in PostgreSQL, and a key naming an
+// output column then sorts by that column's expression. An aggregate
+// SELECT must name its output columns, and says so when it does not.
+func TestOrderByColumnOutsideSelectList(t *testing.T) {
+	e := newTestEngine(t)
+	s := e.NewSession("alice", "app")
+	mustExec(t, s, "CREATE TABLE t (k INT PRIMARY KEY, n INT)")
+	mustExec(t, s, "INSERT INTO t VALUES (3, 1), (1, 2), (2, 5), (4, 0)")
+	for _, q := range []struct{ sql, want string }{
+		{"SELECT k FROM t ORDER BY n", "[4 3 1 2]"},
+		{"SELECT k FROM t ORDER BY n DESC LIMIT 2", "[2 1]"},
+		{"SELECT k AS x FROM t ORDER BY k", "[1 2 3 4]"},
+		{"SELECT k AS x FROM t ORDER BY t.k DESC", "[4 3 2 1]"},
+		{"SELECT k, n * 2 AS m FROM t ORDER BY m DESC, n", "[2 1 3 4]"},
+		{"SELECT k FROM t WHERE n > 0 ORDER BY n + k", "[1 3 2]"},
+	} {
+		res, err := s.Exec(q.sql, nil)
+		if err != nil {
+			t.Errorf("%s: %v", q.sql, err)
+			continue
+		}
+		var got []int64
+		for _, r := range res.Rows {
+			got = append(got, r[0].Int())
+		}
+		if fmt.Sprint(got) != q.want {
+			t.Errorf("%s = %v, want %s", q.sql, got, q.want)
+		}
+	}
+	_, err := s.Exec("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY n", nil)
+	if err == nil || !strings.Contains(err.Error(), "ORDER BY of an aggregate SELECT must name its output columns") {
+		t.Errorf("aggregate ORDER BY on a non-output column: err = %v", err)
+	}
+}

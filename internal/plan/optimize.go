@@ -188,15 +188,33 @@ func (o *optimizer) physical(l Logical, conjuncts []sqlparser.Expr) (Physical, e
 		if err != nil {
 			return nil, err
 		}
-		rows := child.EstRows()
-		logN := 1.0
-		for x := rows; x > 2; x /= 2 {
-			logN++
+		proj, ok := child.(*PhysProject)
+		if !ok || keysResolve(n.Items, proj.Schema()) {
+			return sortOf(n.Items, child), nil
 		}
-		return &PhysSort{
-			Items: n.Items,
-			Child: child,
-			Cost:  child.EstCost() + rows*logN*costSortRowLogN,
+		// A key that names no output column sorts the projection's input,
+		// as PostgreSQL does for SELECT k FROM t ORDER BY n; a key that
+		// names an output column sorts by that column's expression.
+		if _, agg := proj.Child.(*PhysHashAgg); agg {
+			return nil, fmt.Errorf("plan: ORDER BY of an aggregate SELECT must name its output columns")
+		}
+		items := make([]sqlparser.OrderItem, len(n.Items))
+		for i, it := range n.Items {
+			items[i] = it
+			if c, ok := it.Expr.(*sqlparser.ColumnRef); ok && c.Table == "" {
+				for _, p := range proj.Items {
+					if p.Name == c.Column {
+						items[i].Expr = p.Expr
+						break
+					}
+				}
+			}
+		}
+		below := sortOf(items, proj.Child)
+		return &PhysProject{
+			Items: proj.Items,
+			Child: below,
+			Cost:  below.EstCost() + below.EstRows()*costRowCPU,
 		}, nil
 
 	case *LogicalLimit:
@@ -220,6 +238,74 @@ func (o *optimizer) physical(l Logical, conjuncts []sqlparser.Expr) (Physical, e
 	default:
 		return nil, fmt.Errorf("plan: cannot optimize %T", l)
 	}
+}
+
+// sortOf sorts child by items.
+func sortOf(items []sqlparser.OrderItem, child Physical) *PhysSort {
+	rows := child.EstRows()
+	logN := 1.0
+	for x := rows; x > 2; x /= 2 {
+		logN++
+	}
+	return &PhysSort{
+		Items: items,
+		Child: child,
+		Cost:  child.EstCost() + rows*logN*costSortRowLogN,
+	}
+}
+
+// keysResolve reports whether every column the ORDER BY keys read is one
+// column of schema, as the executor binds them: a column reference must
+// match exactly one column, an aggregate call a column named by its text.
+func keysResolve(items []sqlparser.OrderItem, schema []ColMeta) bool {
+	for _, it := range items {
+		if !resolves(it.Expr, schema) {
+			return false
+		}
+	}
+	return true
+}
+
+func resolves(e sqlparser.Expr, schema []ColMeta) bool {
+	switch x := e.(type) {
+	case *sqlparser.ColumnRef:
+		n := 0
+		for _, m := range schema {
+			if m.Name == x.Column && (x.Table == "" || m.Qual == x.Table) {
+				n++
+			}
+		}
+		return n == 1
+	case *sqlparser.FuncCall:
+		if sqlparser.AggregateFuncs[x.Name] {
+			name := x.String()
+			for _, m := range schema {
+				if m.Qual == "" && m.Name == name {
+					return true
+				}
+			}
+			return false
+		}
+		for _, a := range x.Args {
+			if !resolves(a, schema) {
+				return false
+			}
+		}
+		return true
+	case *sqlparser.Comparison:
+		return resolves(x.Left, schema) && resolves(x.Right, schema)
+	case *sqlparser.Arith:
+		return resolves(x.Left, schema) && resolves(x.Right, schema)
+	case *sqlparser.Logic:
+		return resolves(x.Left, schema) && resolves(x.Right, schema)
+	case *sqlparser.Not:
+		return resolves(x.Expr, schema)
+	case *sqlparser.Neg:
+		return resolves(x.Expr, schema)
+	case *sqlparser.IsNull:
+		return resolves(x.Expr, schema)
+	}
+	return true
 }
 
 // expandStars replaces "*" marker items with one item per child column.
