@@ -314,9 +314,8 @@ func (s *Session) abortTxn(t *txn.Txn, ti *TxnInfo) {
 
 func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
 	// Transaction: use the session's explicit transaction or an implicit
-	// autocommit one.
-	// An autocommit statement starts when its transaction does: both
-	// share the transaction's one clock reading.
+	// autocommit one. An autocommit statement starts when its transaction
+	// does: both share the transaction's one clock reading.
 	t := s.tx
 	ti := s.txInfo
 	implicit := false

@@ -232,17 +232,25 @@ func (a *aggState) expire(spec *Spec, now time.Time) (freed int64) {
 }
 
 // value materializes the aggregate's current output. It does not modify
-// the accumulator: Lookup and Rows call it under the read side of the
-// table latch.
+// the accumulator.
 func (a *aggState) value(spec *Spec, col *AggCol, now time.Time) sqltypes.Value {
 	if !col.Aging {
 		return a.acc.Value(col.Func)
 	}
 	// The live blocks merged oldest first, so the running sum adds them in
-	// the order their values arrived.
+	// the order their values arrived. COUNT, SUM and AVG read only the
+	// counts and that sum, so they skip the rest of Merge.
 	var live Accumulator
 	for i := a.aged(spec, now); i < len(a.blocks); i++ {
-		live.Merge(&a.blocks[i].acc)
+		b := &a.blocks[i].acc
+		switch {
+		case col.Func != Count && col.Func != Sum && col.Func != Avg:
+			live.Merge(b)
+		case b.n > 0:
+			live.nonNull += b.nonNull
+			live.numeric += b.numeric
+			live.sum += b.sum
+		}
 	}
 	return live.Value(col.Func)
 }

@@ -6,7 +6,7 @@
 //     STDEV, FIRST, LAST) plus aging (moving-window, block-based) variants,
 //   - ordering columns with a bounded size (rows or bytes) and
 //     least-important-first eviction backed by a heap,
-//   - latch-based concurrency (one reader/writer latch per table), and
+//   - latch-based concurrency (one latch per table), and
 //   - snapshot/persist support.
 package lat
 
@@ -185,12 +185,10 @@ type Stats struct {
 const maxFree = 64
 
 // Table is a live LAT: the paper's hash on the grouping columns plus a
-// heap on the ordering columns, behind one latch. Insert, Restore, Reset
-// and eviction take its write side, Lookup and Rows its read side;
-// attribute getters run before it is taken and eviction callbacks after
-// it is released, so no caller code runs under it. The heap is maintained
-// only when the spec carries a size limit. The counters are atomics, so
-// Len and Stats take no latch.
+// heap on the ordering columns, behind one latch, which every operation
+// takes, counters included; attribute getters run before it is taken and
+// eviction callbacks after it is released, so no caller code runs under
+// it. The heap is maintained only when the spec carries a size limit.
 type Table struct {
 	spec Spec
 	// Clock is injectable for deterministic aging tests.
@@ -205,11 +203,13 @@ type Table struct {
 	orderCols []int
 	attrs     []string
 
-	// mu is the table latch: group hash, eviction heap, free list and all
-	// row state.
+	// mu is the table latch: group hash, eviction heap, free list, the
+	// counters and all row state. A plain mutex: inserts, which write,
+	// outnumber lookups, and a reader/writer latch's write side costs two
+	// more atomic operations on a line every session shares.
 	//sqlcm:lock lat.table
-	//sqlcm:guards groups, order, free
-	mu     sync.RWMutex
+	//sqlcm:guards groups, order, free, mem, nGroups, inserts, newGroups, evictions
+	mu     sync.Mutex
 	groups map[string]*row
 	order  rowHeap
 	// free pools evicted rows for reuse (§6.1: "evicted leafs can be
@@ -217,14 +217,10 @@ type Table struct {
 	// low").
 	free []*row
 
-	mem     atomic.Int64
-	nGroups atomic.Int64
+	mem, nGroups                  int64
+	inserts, newGroups, evictions int64
 
 	onEvict atomic.Pointer[func(EvictedRow)]
-
-	inserts   atomic.Int64
-	newGroups atomic.Int64
-	evictions atomic.Int64
 }
 
 // row is one group's state, all of it under the table latch.
@@ -299,16 +295,22 @@ func (t *Table) Spec() Spec { return t.spec }
 func (t *Table) Name() string { return t.spec.Name }
 
 // Len returns the number of groups.
-func (t *Table) Len() int { return int(t.nGroups.Load()) }
+func (t *Table) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.nGroups)
+}
 
 // Stats returns a snapshot of counters.
 func (t *Table) Stats() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return Stats{
-		Inserts:    t.inserts.Load(),
-		NewGroups:  t.newGroups.Load(),
-		Evictions:  t.evictions.Load(),
-		MemBytes:   t.mem.Load(),
-		GroupCount: int(t.nGroups.Load()),
+		Inserts:    t.inserts,
+		NewGroups:  t.newGroups,
+		Evictions:  t.evictions,
+		MemBytes:   t.mem,
+		GroupCount: int(t.nGroups),
 	}
 }
 
@@ -364,14 +366,16 @@ func (t *Table) Insert(get AttrGetter) error {
 
 // InsertValues is Insert over values the caller has already read:
 // vals[i] is the object's value of Attrs()[i], and absent[i] marks an
-// attribute the object lacks (absent may be nil: none). An aggregate whose
+// attribute the object lacks. An aggregate whose
 // source is absent is left alone; an absent grouping attribute is an
 // error. Aging aggregates read the time from in.
 func (t *Table) InsertValues(in *Instant, vals []sqltypes.Value, absent []bool) error {
-	t.inserts.Add(1)
 	ng := len(t.spec.GroupBy)
 	for i := 0; i < ng; i++ {
-		if absent != nil && absent[i] {
+		if absent[i] {
+			t.mu.Lock()
+			t.inserts++
+			t.mu.Unlock()
 			return fmt.Errorf("lat %s: object has no attribute %q", t.spec.Name, t.attrs[i])
 		}
 	}
@@ -380,6 +384,7 @@ func (t *Table) InsertValues(in *Instant, vals []sqltypes.Value, absent []bool) 
 	key := sqltypes.AppendKey(kb[:0], vals[:ng]...)
 
 	t.mu.Lock()
+	t.inserts++
 	r := t.groups[string(key)]
 	fresh := r == nil
 	if fresh {
@@ -387,7 +392,7 @@ func (t *Table) InsertValues(in *Instant, vals []sqltypes.Value, absent []bool) 
 	}
 	var grew int64
 	for i := range t.spec.Aggs {
-		if absent != nil && absent[ng+i] {
+		if absent[ng+i] {
 			continue
 		}
 		v := vals[ng+i]
@@ -399,8 +404,8 @@ func (t *Table) InsertValues(in *Instant, vals []sqltypes.Value, absent []bool) 
 	if fresh && t.rejectsLocked(r, now) {
 		// The new group would be the first row evicted: count it exactly
 		// as its insert and eviction, and leave the map and heap alone.
-		t.newGroups.Add(1)
-		t.evictions.Add(1)
+		t.newGroups++
+		t.evictions++
 		var evicted []EvictedRow
 		if t.onEvict.Load() != nil {
 			evicted = []EvictedRow{t.evictedLocked(r, now)}
@@ -479,10 +484,10 @@ func (t *Table) takeRowLocked(groupVals []sqltypes.Value) *row {
 //sqlcm:lock-held lat.table
 func (t *Table) addGroupLocked(r *row, key []byte) {
 	r.key = string(key)
-	t.mem.Add(r.mem)
+	t.mem += r.mem
 	t.groups[r.key] = r
-	t.nGroups.Add(1)
-	t.newGroups.Add(1)
+	t.nGroups++
+	t.newGroups++
 }
 
 // releaseRowLocked returns a row that left the table to the free list
@@ -504,7 +509,7 @@ func (t *Table) releaseRowLocked(r *row) {
 //sqlcm:lock-held lat.table
 func (t *Table) updatedLocked(r *row, grew int64, now time.Time) []EvictedRow {
 	r.mem += grew
-	t.mem.Add(grew)
+	t.mem += grew
 	if !t.bounded {
 		return nil
 	}
@@ -547,12 +552,12 @@ func (t *Table) enforceLimitsLocked(now time.Time) []EvictedRow {
 	var out []EvictedRow
 	for len(t.order.rows) > 0 &&
 		(t.spec.MaxRows > 0 && len(t.order.rows) > t.spec.MaxRows ||
-			t.spec.MaxBytes > 0 && t.mem.Load() > t.spec.MaxBytes) {
+			t.spec.MaxBytes > 0 && t.mem > t.spec.MaxBytes) {
 		victim := heap.Pop(&t.order).(*row)
 		delete(t.groups, victim.key)
-		t.mem.Add(-victim.mem)
-		t.nGroups.Add(-1)
-		t.evictions.Add(1)
+		t.mem -= victim.mem
+		t.nGroups--
+		t.evictions++
 		if fn != nil {
 			out = append(out, t.evictedLocked(victim, now))
 		}
@@ -579,7 +584,7 @@ func (t *Table) deliverEvictions(rows []EvictedRow) {
 }
 
 // rowValuesLocked materializes the output values of a row (group then
-// aggs). It only reads, so the read side of the latch suffices.
+// aggs).
 //
 //sqlcm:lock-held lat.table
 func (t *Table) rowValuesLocked(r *row, now time.Time) []sqltypes.Value {
@@ -612,10 +617,9 @@ func (t *Table) LookupByGetter(get AttrGetter) ([]sqltypes.Value, bool) {
 }
 
 func (t *Table) lookupRow(key []byte) ([]sqltypes.Value, bool) {
-	var in Instant
-	now := t.now(&in)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	now := t.now(&Instant{})
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.groups[string(key)]
 	if r == nil {
 		return nil, false
@@ -643,8 +647,8 @@ func (t *Table) LookupColumn(in *Instant, group []sqltypes.Value, col int) (sqlt
 	var kb [64]byte
 	key := sqltypes.AppendKey(kb[:0], group...)
 	now := t.now(in)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.groups[string(key)]
 	if r == nil {
 		return sqltypes.Null, false
@@ -665,14 +669,13 @@ func (t *Table) ColumnIndex(col string) int {
 // Rows returns a snapshot of all rows in declared order (most important
 // first). Each row is the output values in column order.
 func (t *Table) Rows() [][]sqltypes.Value {
-	var in Instant
-	now := t.now(&in)
-	t.mu.RLock()
+	now := t.now(&Instant{})
+	t.mu.Lock()
 	out := make([][]sqltypes.Value, 0, len(t.groups))
 	for _, r := range t.groups {
 		out = append(out, t.rowValuesLocked(r, now))
 	}
-	t.mu.RUnlock()
+	t.mu.Unlock()
 	// Heap order is not sorted order: sort by the spec (most important
 	// first = reverse of eviction priority).
 	t.sortRows(out)
@@ -706,8 +709,7 @@ func (t *Table) Reset() {
 	t.groups = make(map[string]*row)
 	t.order.rows = nil
 	t.free = nil
-	t.mem.Store(0)
-	t.nGroups.Store(0)
+	t.mem, t.nGroups = 0, 0
 	t.mu.Unlock()
 }
 

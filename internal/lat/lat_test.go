@@ -478,8 +478,8 @@ func TestIncrementalMemMatchesRecount(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	check := func(when string) {
 		t.Helper()
-		tab.mu.RLock()
-		defer tab.mu.RUnlock()
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
 		var sum int64
 		for _, row := range tab.groups {
 			if m := row.memSize(); row.mem != m {
@@ -487,7 +487,7 @@ func TestIncrementalMemMatchesRecount(t *testing.T) {
 			}
 			sum += row.mem
 		}
-		if got := tab.Stats().MemBytes; got != sum {
+		if got := tab.mem; got != sum {
 			t.Fatalf("%s: table accounts %d bytes, rows sum to %d", when, got, sum)
 		}
 	}

@@ -16,8 +16,7 @@ import (
 // value). Restoring into a non-empty group overwrites that group's
 // aggregate state, so of several snapshots of one group the last wins.
 func (t *Table) Restore(rows [][]sqltypes.Value) error {
-	var in Instant
-	now := t.now(&in)
+	now := t.now(&Instant{})
 	ng := len(t.spec.GroupBy)
 	want := ng + len(t.spec.Aggs)
 	for _, vals := range rows {

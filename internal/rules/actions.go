@@ -210,7 +210,7 @@ func lookupRef(env Env, ref string, ctx *Ctx) (sqltypes.Value, bool) {
 	}
 	if latName, col, ok := strings.Cut(ref, "."); ok {
 		if table, found := env.LAT(latName); found {
-			row, matched := table.LookupByGetter(ctx.getter())
+			row, matched := table.LookupByGetter(ctx.Attr)
 			if !matched {
 				return sqltypes.Null, false
 			}

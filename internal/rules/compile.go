@@ -54,8 +54,7 @@ type evalState struct {
 // bind makes ctx the context evaluated next.
 func (st *evalState) bind(ctx *Ctx) { st.ctx, ctx.st, st.filled = ctx, st, 0 }
 
-// reset drops the dispatched event, keeping the buffers and the base
-// context's bound getter.
+// reset drops the dispatched event, keeping the buffers.
 func (st *evalState) reset() {
 	st.ctx, st.filled, st.groupLAT = nil, 0, nil
 	st.objs = [monitor.NumClasses]monitor.Object{}

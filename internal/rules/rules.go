@@ -27,8 +27,6 @@ type Ctx struct {
 	// Primary is the object bound by the rule's event clause; unqualified
 	// and LAT-grouping attribute references resolve against it.
 	Primary monitor.Object
-	// get is Attr bound once: the getter substitutions look LATs up by.
-	get lat.AttrGetter
 	// st is the evaluation state the context is bound in (nil for a
 	// context built outside Dispatch).
 	st *evalState
@@ -41,14 +39,6 @@ func (c *Ctx) state() *evalState {
 		(&evalState{}).bind(c)
 	}
 	return c.st
-}
-
-// getter returns Attr as a lat.AttrGetter.
-func (c *Ctx) getter() lat.AttrGetter {
-	if c.get == nil {
-		c.get = c.Attr
-	}
-	return c.get
 }
 
 // Object returns the in-context object of a class.
