@@ -10,6 +10,7 @@ package sqlcm
 //	A-MON   BenchmarkMonitoredPointRead  — §2.1 what the bench rule set costs a point read
 //	A-TPL   BenchmarkAdhocRange          — §4.2 an ad-hoc statement on its template's plan
 //	A-DML   BenchmarkPointUpdate         — a prepared UPDATE on its compiled write
+//	A-LOAD  BenchmarkTxnInsert           — a prepared INSERT in an open transaction
 //
 // The paper-shaped sweeps (E-SIG, E-FIG2, E-FIG3: signature cost, rule
 // overhead, monitoring approaches) are produced by cmd/sqlcm-bench over
@@ -192,6 +193,7 @@ func (nullEnv) RunExternal(string) error                  { return nil }
 func (nullEnv) CancelQuery(int64) bool                    { return false }
 func (nullEnv) SetTimer(string, time.Duration, int) error { return nil }
 func (nullEnv) ActiveQueryObjects() []monitor.Object      { return nil }
+func (nullEnv) LATVersion() uint64                        { return 0 }
 func (nullEnv) BlockPairObjects() [][2]monitor.Object     { return nil }
 
 // nopAction fires without side effects.
@@ -381,7 +383,7 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 }
 
 // TestMonitoredPointReadAllocs pins a point read's allocations with the
-// monitor suspended (9) and live (11). The rule set adds one Query and one
+// monitor suspended (8) and live (10). The rule set adds one Query and one
 // Transaction object and nothing else: no hex signature (the transaction's
 // is cached by the tracker), no tracker map entry, and no group key for a
 // top-k row the bounded LAT rejects. It added 5 while a global tracker
@@ -389,9 +391,9 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 // dispatch was made allocation-free).
 func TestMonitoredPointReadAllocs(t *testing.T) {
 	db, read := monitoredPointRead(t)
-	pinAllocs(t, "monitored point read", 11, read)
+	pinAllocs(t, "monitored point read", 10, read)
 	db.Monitor().Suspend()
-	pinAllocs(t, "point read, monitor suspended", 9, read)
+	pinAllocs(t, "point read, monitor suspended", 8, read)
 	db.Monitor().Resume()
 }
 
@@ -465,13 +467,13 @@ func pinAllocs(t *testing.T, what string, max float64, f func()) {
 // TestAdhocRangeAllocs pins the allocations of an ad-hoc statement whose
 // template is cached: one lex and one lookup instead of a parse, a plan and
 // a signature computation, and the template's pooled operator tree instead
-// of a build. 50 here (57–58 under -race); 128 while every execution built
+// of a build. 45 here; 128 while every execution built
 // its tree, decoded strings twice and allocated a key per row, and 230 when
 // the plan cache was keyed on the raw text. Most of the rest is the ~10
 // result rows, each decoded and then projected.
 func TestAdhocRangeAllocs(t *testing.T) {
 	_, query := adhocRange(t)
-	pinAllocs(t, "ad-hoc range SELECT", 55, query)
+	pinAllocs(t, "ad-hoc range SELECT", 54, query)
 }
 
 // BenchmarkAdhocRange reports one ad-hoc range SELECT, monitored.
@@ -521,17 +523,20 @@ const (
 )
 
 // TestPointReadAllocs pins what the engine alone allocates for a prepared
-// point read: 10 (13–14 under -race), 34 while every execution built its
-// operator tree and cursor and encoded its key bounds into new slices.
+// point read: 8, 9 while every statement allocated its execution context,
+// 34 while every execution built its operator tree and cursor and encoded
+// its key bounds into new slices.
 func TestPointReadAllocs(t *testing.T) {
-	pinAllocs(t, "prepared point read", 15, suspendedPrepared(t, pointReadSQL))
+	pinAllocs(t, "prepared point read", 14, suspendedPrepared(t, pointReadSQL))
 }
 
-// TestPointUpdateAllocs pins the same for a point UPDATE: 26, 56 while every
-// execution compiled its access path and SET list, the row record grew by
-// appends and both index keys of each index were allocated to be compared.
+// TestPointUpdateAllocs pins the same for a point UPDATE: 17, 20 while every
+// statement allocated its execution context and an undo closure, 56 while
+// every execution compiled its access path and SET list, the row record
+// grew by appends and both index keys of each index were allocated to be
+// compared.
 func TestPointUpdateAllocs(t *testing.T) {
-	pinAllocs(t, "prepared point UPDATE", 31, suspendedPrepared(t, pointUpdateSQL))
+	pinAllocs(t, "prepared point UPDATE", 28, suspendedPrepared(t, pointUpdateSQL))
 }
 
 // raceAllocSlack is the allocation pins' allowance under -race (set in
@@ -597,13 +602,14 @@ func wirePointRead(tb testing.TB) func() {
 }
 
 // TestWirePointReadAllocs pins a loopback round trip's allocations, client
-// and server together: 17 per point read (47 while the codec allocated every
+// and server together: 16 per point read (17 while every statement
+// allocated its execution context, 47 while the codec allocated every
 // message body and header and Bind every portal, parameter map and name
 // list), 12 per BEGIN+COMMIT (30). What is left is the engine's statement
 // work and the client's result (Rows, its slices, names and tag); the
 // server's per-message path allocates nothing.
 func TestWirePointReadAllocs(t *testing.T) {
-	pinAllocs(t, "wire point read", 20, wirePointRead(t))
+	pinAllocs(t, "wire point read", 19, wirePointRead(t))
 	cli := wireClient(t)
 	pinAllocs(t, "wire BEGIN+COMMIT", 15, func() {
 		for _, sql := range []string{"BEGIN", "COMMIT"} {
@@ -624,5 +630,76 @@ func BenchmarkWirePointRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		read()
+	}
+}
+
+// ---------------------------------------------------------------------------
+// What the engine costs one row of a load: a prepared INSERT into a table of
+// the repo benchmark's lineitem shape (its primary key and one secondary
+// index) inside an open transaction, the statement the benchmark's setup
+// runs 127 000 times.
+// ---------------------------------------------------------------------------
+
+// txnInsert opens a DB with an empty lineitem table, monitor suspended,
+// begins a transaction that stays open, and returns one prepared INSERT of
+// a new row per call: ascending l_id, scattered l_orderkey.
+func txnInsert(tb testing.TB) func() {
+	tb.Helper()
+	db, err := Open(Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { db.Close() })
+	db.Monitor().Suspend()
+	sess := db.Session("loader", "bench")
+	for _, sql := range []string{
+		`CREATE TABLE lineitem (l_id INT PRIMARY KEY, l_orderkey INT, l_partkey INT,
+			l_quantity FLOAT, l_extendedprice FLOAT, l_comment VARCHAR)`,
+		"CREATE INDEX idx_l_orderkey ON lineitem (l_orderkey)",
+		"BEGIN",
+	} {
+		if _, err := sess.Exec(sql, nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	ins, err := sess.Prepare("INSERT INTO lineitem VALUES (@i, @o, @p, @q, @e, @c)")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params := map[string]sqltypes.Value{"c": sqltypes.NewString("comment")}
+	i := int64(0)
+	return func() {
+		i++
+		params["i"] = sqltypes.NewInt(i)
+		params["o"] = sqltypes.NewInt(i * 7919 % 30000)
+		params["p"] = sqltypes.NewInt(i % 2000)
+		params["q"] = sqltypes.NewFloat(float64(i%50 + 1))
+		params["e"] = sqltypes.NewFloat(float64(i * 7 % 100000))
+		if res, err := ins.Exec(params); err != nil || res.Affected != 1 {
+			tb.Fatalf("insert %d: %v", i, err)
+		}
+	}
+}
+
+// TestTxnInsertAllocs pins what the engine allocates for one row of a load:
+// 2, the statement's QueryInfo and Result; the pin allows one more for the
+// growth of the write log, the tree nodes and the version chunks. It was 11
+// while every statement allocated its execution context and registered
+// itself in an engine-wide map, and every row its record, its index keys,
+// the list of trees to unwind and an undo closure.
+func TestTxnInsertAllocs(t *testing.T) {
+	pinAllocs(t, "prepared INSERT in an open transaction", 3, txnInsert(t))
+}
+
+// BenchmarkTxnInsert reports one prepared INSERT in an open transaction.
+func BenchmarkTxnInsert(b *testing.B) {
+	insert := txnInsert(b)
+	for i := 0; i < 200; i++ {
+		insert()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert()
 	}
 }

@@ -59,6 +59,7 @@ func (l *QueryLogger) QueryCommit(q *engine.QueryInfo, dur time.Duration) {
 // reporting table.
 func (l *QueryLogger) TopK(k int) ([]TopEntry, error) {
 	sess := l.eng.NewSession("monitor", "query_logging")
+	defer sess.Close() //nolint:errcheck
 	res, err := sess.Exec(
 		"SELECT query_text, MAX(duration) AS d FROM "+l.table+
 			" GROUP BY query_text ORDER BY d DESC LIMIT "+itoa(k), nil)

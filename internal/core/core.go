@@ -149,6 +149,8 @@ type SQLCM struct {
 	// readers take no lock.
 	//sqlcm:cow core.lats
 	lats atomic.Pointer[map[string]*lat.Table]
+	// latVer moves after each publication of lats (rules.Env.LATVersion).
+	latVer atomic.Uint64
 
 	checkMode rulecheck.Mode
 
@@ -274,6 +276,7 @@ func (s *SQLCM) DefineLAT(spec lat.Spec) (*lat.Table, error) {
 	next := maps.Clone(cur)
 	next[spec.Name] = table
 	s.lats.Store(&next)
+	s.latVer.Add(1)
 	s.latMu.Unlock()
 	// Evicted-row snapshots cost time on every eviction, so the hook is
 	// only installed while some rule listens on LATRow.Evicted.
@@ -315,6 +318,7 @@ func (s *SQLCM) DropLAT(name string) bool {
 	next := maps.Clone(cur)
 	delete(next, name)
 	s.lats.Store(&next)
+	s.latVer.Add(1)
 	return true
 }
 
@@ -461,6 +465,8 @@ func (p *enginePersister) Persist(table string, cols []string, kinds []sqltypes.
 type env SQLCM
 
 func (e *env) LAT(name string) (*lat.Table, bool) { return (*SQLCM)(e).LAT(name) }
+
+func (e *env) LATVersion() uint64 { return e.latVer.Load() }
 
 // Persist implements rules.Env by deferring the row to the outbox
 // (high-priority: monitoring data beats notifications when shedding).

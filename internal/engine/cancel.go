@@ -66,7 +66,7 @@ func (e *CancelledError) Unwrap() error { return e.Err }
 // by connection goroutines.
 func (s *Session) CancelCurrent(reason CancelReason) bool {
 	qi := s.cur.Load()
-	if qi == nil || qi.Done() {
+	if qi == nil || qi.phase.Load() != phaseRunning {
 		return false
 	}
 	qi.MarkCancelled(reason)

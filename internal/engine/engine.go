@@ -54,13 +54,13 @@ type Engine struct {
 	planMu    sync.Mutex
 	planCache map[string]*cachedPlan
 
-	// queryMu protects the active-query maps.
-	//sqlcm:lock engine.query
-	//sqlcm:guards active, byTxn
-	queryMu sync.RWMutex
-	// active queries by query id and the current query of each transaction
-	active map[int64]*QueryInfo
-	byTxn  map[lock.TxnID]*QueryInfo
+	// sessMu protects the set of open sessions, which changes only when a
+	// session opens or closes. The statement registry is that set: each
+	// session publishes its statement in Session.cur.
+	//sqlcm:lock engine.sessions
+	//sqlcm:guards sessions
+	sessMu   sync.Mutex
+	sessions map[*Session]struct{}
 
 	querySeq   atomic.Int64
 	sessionSeq atomic.Int64
@@ -106,8 +106,7 @@ func Open(cfg Config) (*Engine, error) {
 		locks:     locks,
 		tm:        txn.NewManager(locks),
 		planCache: make(map[string]*cachedPlan),
-		active:    make(map[int64]*QueryInfo),
-		byTxn:     make(map[lock.TxnID]*QueryInfo),
+		sessions:  make(map[*Session]struct{}),
 	}
 	locks.SetNotifier(&lockBridge{e: e})
 	return e, nil
@@ -148,10 +147,9 @@ func (e *Engine) PruneVersionsNow() {
 		if err != nil {
 			continue
 		}
-		t := e.tm.Begin(true)
-		if err := e.locks.Acquire(t.ID, lock.TableResource(name), lock.Exclusive); err != nil {
-			e.tm.Rollback(t) //nolint:errcheck
-			continue         // contended or cancelled: the next pass retries
+		t, err := e.beginLocked(name)
+		if err != nil {
+			continue // contended or cancelled: the next pass retries
 		}
 		// Watermark is read after the X lock is held: no writer on this
 		// table is in its commit window, and any snapshot taken later
@@ -159,6 +157,16 @@ func (e *Engine) PruneVersionsNow() {
 		ts.PruneVersions(e.tm.Watermark())
 		e.tm.Commit(t) //nolint:errcheck
 	}
+}
+
+// beginLocked begins an internal transaction that holds table's X lock.
+func (e *Engine) beginLocked(table string) (*txn.Txn, error) {
+	t := e.tm.Begin(true)
+	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
+		e.tm.Rollback(t) //nolint:errcheck
+		return nil, err
+	}
+	return t, nil
 }
 
 // MVCCStats exposes the cross-table version-store counters (monitoring
@@ -212,34 +220,24 @@ func (e *Engine) Txns() *txn.Manager { return e.tm }
 func (e *Engine) Stores() *exec.Registry { return e.reg }
 
 // ---------------------------------------------------------------------------
-// Query registry (active statements)
+// Statement registry: the open sessions and the statement each publishes
 // ---------------------------------------------------------------------------
 
-func (e *Engine) registerQuery(q *QueryInfo) {
-	e.queryMu.Lock()
-	e.active[q.ID] = q
-	e.byTxn[q.TxnID] = q
-	e.queryMu.Unlock()
-}
-
-// unregisterQuery removes a finished statement from the active set. The
-// byTxn mapping is intentionally retained until the transaction ends: a
-// transaction that holds locks after its statement completed must still
-// resolve to a query when its eventual lock release unblocks waiters (the
-// paper's Blocker object refers to the blocking statement).
-func (e *Engine) unregisterQuery(q *QueryInfo) {
-	q.done.Store(true)
-	e.queryMu.Lock()
-	delete(e.active, q.ID)
-	e.queryMu.Unlock()
-}
-
 // queryForTxn resolves a transaction to its currently executing (or most
-// recent) statement.
+// recent) statement. A session keeps its statement published until the
+// statement's transaction ends: a transaction that holds locks after its
+// statement completed must still resolve to a query when its eventual lock
+// release unblocks waiters (the paper's Blocker object refers to the
+// blocking statement).
 func (e *Engine) queryForTxn(id lock.TxnID) *QueryInfo {
-	e.queryMu.RLock()
-	defer e.queryMu.RUnlock()
-	return e.byTxn[id]
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	for s := range e.sessions {
+		if q := s.cur.Load(); q != nil && q.TxnID == id {
+			return q
+		}
+	}
+	return nil
 }
 
 // QueryInfoForTxn resolves a transaction to its current (or most recent)
@@ -270,10 +268,9 @@ type QuerySnapshot struct {
 // exactly the per-poll cost the paper's PULL approaches pay.
 func (e *Engine) ActiveQueries() []QuerySnapshot {
 	now := time.Now()
-	e.queryMu.RLock()
-	defer e.queryMu.RUnlock()
-	out := make([]QuerySnapshot, 0, len(e.active))
-	for _, q := range e.active {
+	infos := e.ActiveQueryInfos()
+	out := make([]QuerySnapshot, 0, len(infos))
+	for _, q := range infos {
 		out = append(out, QuerySnapshot{
 			ID:          q.ID,
 			SessionID:   q.SessionID,
@@ -293,11 +290,13 @@ func (e *Engine) ActiveQueries() []QuerySnapshot {
 // ActiveQueryInfos returns the live QueryInfo records (used by the rule
 // engine when a Timer-triggered rule iterates over all Query objects).
 func (e *Engine) ActiveQueryInfos() []*QueryInfo {
-	e.queryMu.RLock()
-	defer e.queryMu.RUnlock()
-	out := make([]*QueryInfo, 0, len(e.active))
-	for _, q := range e.active {
-		out = append(out, q)
+	e.sessMu.Lock()
+	defer e.sessMu.Unlock()
+	out := make([]*QueryInfo, 0, len(e.sessions))
+	for s := range e.sessions {
+		if q := s.cur.Load(); q != nil && !q.Done() {
+			out = append(out, q)
+		}
 	}
 	return out
 }
@@ -306,14 +305,13 @@ func (e *Engine) ActiveQueryInfos() []*QueryInfo {
 // lock waits). It reports whether the query was found. The cancellation
 // is attributed as an admin cancel (rules' CANCEL action, operators).
 func (e *Engine) CancelQuery(id int64) bool {
-	e.queryMu.RLock()
-	q, ok := e.active[id]
-	e.queryMu.RUnlock()
-	if !ok {
-		return false
+	for _, q := range e.ActiveQueryInfos() {
+		if q.ID == id {
+			q.MarkCancelled(CancelAdmin)
+			return e.tm.Cancel(q.TxnID)
+		}
 	}
-	q.MarkCancelled(CancelAdmin)
-	return e.tm.Cancel(q.TxnID)
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -325,10 +323,7 @@ type lockBridge struct{ e *Engine }
 func (b *lockBridge) Blocked(waiter lock.TxnID, res lock.Resource, holders []lock.TxnID) {
 	h := b.e.hooksRef()
 	wq := b.e.queryForTxn(waiter)
-	if wq == nil {
-		return
-	}
-	if h == nil {
+	if wq == nil || h == nil {
 		return
 	}
 	hqs := make([]*QueryInfo, 0, len(holders))
@@ -357,7 +352,7 @@ func (b *lockBridge) ReleasedWithWaiters(holder lock.TxnID, res lock.Resource, w
 			hq.AddQueryBlocked()
 		}
 		// A statement waiter queued with its query: by now the grant may
-		// have let it finish and leave byTxn.
+		// have let it finish and end its transaction.
 		wq, _ := w.Tag.(*QueryInfo)
 		if wq == nil {
 			wq = b.e.queryForTxn(w.Txn)
@@ -434,7 +429,7 @@ func (e *Engine) compile(stmt sqlparser.Statement) (*cachedPlan, error) {
 		for i, c := range schema {
 			cp.cols[i] = c.Name
 		}
-	} else if cp.write, err = exec.CompileWrite(p, e.reg, e.cat); err != nil {
+	} else if cp.write, err = exec.CompileWrite(p, e.reg); err != nil {
 		return nil, err
 	}
 	return cp, nil
@@ -505,7 +500,7 @@ func (e *Engine) CreateTable(name string, cols []catalog.Column) error {
 	if err != nil {
 		return err
 	}
-	e.reg.Register(name, exec.NewTableStore(meta, &e.mvccStats, e.tm.LastCommit))
+	e.reg.Register(name, exec.NewTableStore(meta, e.cat, &e.mvccStats, e.tm.LastCommit))
 	e.invalidatePlans()
 	return nil
 }
@@ -529,13 +524,11 @@ func (e *Engine) InsertRowDirect(table string, row []sqltypes.Value) error {
 	if err != nil {
 		return err
 	}
-	t := e.tm.Begin(true)
-	ctx := &exec.Ctx{Txn: t}
-	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
+	t, err := e.beginLocked(table)
+	if err != nil {
 		return err
 	}
-	if err := exec.InsertRow(ctx, ts, row, e.cat); err != nil {
+	if err := exec.InsertRow(&exec.Ctx{Txn: t}, ts, row); err != nil {
 		e.tm.Rollback(t) //nolint:errcheck
 		return err
 	}
@@ -549,9 +542,8 @@ func (e *Engine) TruncateTableDirect(table string) error {
 	if err != nil {
 		return err
 	}
-	t := e.tm.Begin(true)
-	if err := e.locks.Acquire(t.ID, lock.TableResource(table), lock.Exclusive); err != nil {
-		e.tm.Rollback(t) //nolint:errcheck
+	t, err := e.beginLocked(table)
+	if err != nil {
 		return err
 	}
 	ts.ResetIndexes()

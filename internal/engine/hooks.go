@@ -60,8 +60,8 @@ type QueryInfo struct {
 	// the statement's transaction reads at, SnapshotAt when that snapshot was taken (the
 	// Snapshot_Age probe measures against it), and MVCC points at the
 	// engine-wide version-store counters (Versions_Pruned /
-	// Versions_Retained probes). All set before registerQuery publishes
-	// the record.
+	// Versions_Retained probes). All set before the session publishes the
+	// record.
 	SnapshotTS int64
 	SnapshotAt time.Time
 	MVCC       *storage.VersionStats
@@ -84,8 +84,19 @@ type QueryInfo struct {
 	// drain keeps whichever reason landed first.
 	cancelReason atomic.Int32
 
-	done atomic.Bool
+	// phase is where the statement is (phaseRunning, phaseEnding,
+	// phaseDone).
+	phase atomic.Int32
 }
+
+// Statement phases: its body runs (CancelCurrent can cancel it), its body
+// has returned and it commits and raises its hooks (it is still active),
+// and it has committed or aborted.
+const (
+	phaseRunning int32 = iota
+	phaseEnding
+	phaseDone
+)
 
 // MarkCancelled records a defensive cancellation reason, first-wins. It
 // reports whether this call was the one that set the reason.
@@ -113,7 +124,7 @@ func (q *QueryInfo) TimesBlocked() int64 { return q.timesBlocked.Load() }
 func (q *QueryInfo) QueriesBlocked() int64 { return q.queriesBlocked.Load() }
 
 // Done reports whether the query has finished (committed or aborted).
-func (q *QueryInfo) Done() bool { return q.done.Load() }
+func (q *QueryInfo) Done() bool { return q.phase.Load() == phaseDone }
 
 // AddBlocked accumulates one lock wait on the waiter side.
 func (q *QueryInfo) AddBlocked(d time.Duration) {

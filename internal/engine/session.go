@@ -41,10 +41,15 @@ type Session struct {
 	busy   atomic.Int32
 	closed atomic.Bool
 
-	// cur publishes the in-flight statement so CancelCurrent (the server's
-	// timeout watchdog and drain, other goroutines) can cancel it through
-	// atomics without violating the single-goroutine contract.
+	// cur publishes the session's statement from its start to the end of
+	// its transaction, so CancelCurrent (the server's timeout watchdog and
+	// drain, other goroutines) can cancel it through atomics without
+	// violating the single-goroutine contract, and the engine's statement
+	// registry (ActiveQueries, CancelQuery, Blocker resolution) finds it.
 	cur atomic.Pointer[QueryInfo]
+
+	// ctx is the execution context every statement of the session reuses.
+	ctx exec.Ctx
 }
 
 // NewSession opens a session for the given user and application name (both
@@ -57,7 +62,7 @@ func (e *Engine) NewSession(user, app string) *Session {
 // is the client address exposed by the Remote_Addr probe so rules can
 // target connections.
 func (e *Engine) NewRemoteSession(user, app, remote string) *Session {
-	return &Session{
+	s := &Session{
 		ID:          e.sessionSeq.Add(1),
 		User:        user,
 		App:         app,
@@ -65,6 +70,10 @@ func (e *Engine) NewRemoteSession(user, app, remote string) *Session {
 		ConnectTime: time.Now(),
 		e:           e,
 	}
+	e.sessMu.Lock()
+	e.sessions[s] = struct{}{}
+	e.sessMu.Unlock()
+	return s
 }
 
 // ErrConcurrentUse is returned when a second goroutine enters a session
@@ -96,17 +105,23 @@ func (s *Session) leave() { s.busy.Store(0) }
 func (s *Session) Closed() bool { return s.closed.Load() }
 
 // Close ends the session: any open explicit transaction is rolled back
-// (firing the usual Transaction.Rollback monitoring event) and every later
-// entry point returns ErrSessionClosed. Close is idempotent. Closing a
-// session while a statement is in flight on another goroutine returns
-// ErrConcurrentUse after marking the session closed — the in-flight
-// statement completes, but its transaction is left to the lock manager's
-// timeout; callers owning the session (the single-goroutine contract)
-// never hit this.
+// (firing the usual Transaction.Rollback monitoring event), the session
+// leaves the engine's statement registry, and every later entry point
+// returns ErrSessionClosed. Close is idempotent; a session never closed
+// stays in the registry. Closing a session while a statement is in flight
+// on another goroutine returns ErrConcurrentUse after marking the session
+// closed — the in-flight statement completes, but its transaction is left
+// to the lock manager's timeout; callers owning the session (the
+// single-goroutine contract) never hit this.
 func (s *Session) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
+	defer func() {
+		s.e.sessMu.Lock()
+		delete(s.e.sessions, s)
+		s.e.sessMu.Unlock()
+	}()
 	if !s.busy.CompareAndSwap(0, 1) {
 		return ErrConcurrentUse
 	}
@@ -207,7 +222,7 @@ func (s *Session) createIndex(stmt *sqlparser.CreateIndex) error {
 	}
 	if err := s.e.locks.Acquire(t.ID, lock.TableResource(stmt.Table), lock.Exclusive); err != nil {
 		if t == s.tx {
-			s.abortTxn(t, s.txInfo) // deadlock victim: a statement error ends the transaction
+			s.endTxn(t, s.txInfo, false) //nolint:errcheck // deadlock victim: a statement error ends the transaction
 		}
 		return err
 	}
@@ -259,53 +274,45 @@ func (s *Session) newTxnInfo(t *txn.Txn, implicit bool) *TxnInfo {
 	}
 }
 
-func (s *Session) endTxn(t *txn.Txn) {
-	s.e.queryMu.Lock()
-	delete(s.e.byTxn, t.ID)
-	s.e.queryMu.Unlock()
-}
+// commit and rollback end the session's explicit transaction.
+func (s *Session) commit() error   { return s.endExplicit(true) }
+func (s *Session) rollback() error { return s.endExplicit(false) }
 
-func (s *Session) commit() error {
+func (s *Session) endExplicit(commit bool) error {
 	if s.tx == nil {
 		return fmt.Errorf("engine: no transaction open")
 	}
-	t, ti := s.tx, s.txInfo
-	s.tx, s.txInfo = nil, nil
-	err := s.e.tm.Commit(t)
-	dur := time.Since(ti.StartTime)
-	if h := s.e.hooksRef(); h != nil && err == nil {
-		h.TxnCommit(ti, dur)
-	}
-	s.endTxn(t)
-	return err
+	return s.endTxn(s.tx, s.txInfo, commit)
 }
 
-func (s *Session) rollback() error {
-	if s.tx == nil {
-		return fmt.Errorf("engine: no transaction open")
-	}
-	t, ti := s.tx, s.txInfo
-	s.tx, s.txInfo = nil, nil
-	err := s.e.tm.Rollback(t)
-	dur := time.Since(ti.StartTime)
-	if h := s.e.hooksRef(); h != nil {
-		h.TxnRollback(ti, dur)
-	}
-	s.endTxn(t)
-	return err
-}
-
-// abortTxn rolls back after a statement failure. In this engine a statement
-// error aborts the whole transaction (documented in DESIGN.md).
-func (s *Session) abortTxn(t *txn.Txn, ti *TxnInfo) {
+// endTxn commits or rolls back t, the session's explicit transaction or a
+// statement's implicit one, and raises its Transaction event (a commit's
+// only if it succeeded). In this engine a statement error rolls back the
+// whole transaction (documented in DESIGN.md).
+func (s *Session) endTxn(t *txn.Txn, ti *TxnInfo, commit bool) error {
 	if s.tx == t {
 		s.tx, s.txInfo = nil, nil
 	}
-	_ = s.e.tm.Rollback(t)
-	if h := s.e.hooksRef(); h != nil && ti != nil {
-		h.TxnRollback(ti, time.Since(ti.StartTime))
+	end := s.e.tm.Rollback
+	if commit {
+		end = s.e.tm.Commit
 	}
-	s.endTxn(t)
+	err := end(t)
+	switch h := s.e.hooksRef(); {
+	case h == nil || ti == nil:
+	case !commit:
+		h.TxnRollback(ti, time.Since(ti.StartTime))
+	case err == nil:
+		h.TxnCommit(ti, time.Since(ti.StartTime))
+	}
+	s.unpublish()
+	return err
+}
+
+// unpublish ends what the session keeps of its transaction's statements.
+func (s *Session) unpublish() {
+	s.cur.Store(nil)
+	s.ctx = exec.Ctx{}
 }
 
 // ---------------------------------------------------------------------------
@@ -332,11 +339,11 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 		start = time.Now()
 	}
 
-	// The QueryInfo must be complete before registerQuery publishes it:
-	// timer-driven rules iterate the active-query registry from alarm
-	// goroutines (Example 5's watchdog reads Logical through the signature
-	// cache), so every plain field is written before publication and only
-	// the atomic counters mutate afterwards.
+	// The QueryInfo must be complete before cur publishes it: timer-driven
+	// rules iterate the active-query registry from alarm goroutines
+	// (Example 5's watchdog reads Logical through the signature cache), so
+	// every plain field is written before publication and only the atomic
+	// counters mutate afterwards.
 	instances := cp.instances.Add(1)
 	qi := &QueryInfo{
 		ID:           s.e.querySeq.Add(1),
@@ -364,7 +371,6 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 		SnapshotAt:    t.SnapshotAt(),
 		MVCC:          s.e.MVCCStats(),
 	}
-	s.e.registerQuery(qi)
 	s.cur.Store(qi)
 	h := s.e.hooksRef()
 	if h != nil {
@@ -378,7 +384,7 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 	res, err := s.executeBody(cp, qi, t, params, lits)
 	end := time.Now()
 	dur := end.Sub(start)
-	s.cur.Store(nil)
+	qi.phase.Store(phaseEnding)
 
 	if err != nil {
 		cancelled := t.Cancelled()
@@ -391,15 +397,15 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 			}
 			err = &CancelledError{Reason: reason, Err: err}
 		}
-		s.e.unregisterQuery(qi)
-		s.abortTxn(t, ti)
+		qi.phase.Store(phaseDone)
+		s.endTxn(t, ti, false) //nolint:errcheck // the statement's error is the one to report
 		return nil, err
 	}
 
 	if implicit {
 		if cerr := s.e.tm.Commit(t); cerr != nil {
-			s.e.unregisterQuery(qi)
-			s.endTxn(t)
+			qi.phase.Store(phaseDone)
+			s.unpublish()
 			return nil, cerr
 		}
 	}
@@ -409,12 +415,12 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 	if h != nil {
 		h.QueryCommit(qi, dur)
 	}
-	s.e.unregisterQuery(qi)
+	qi.phase.Store(phaseDone)
 	if implicit {
 		if h != nil {
 			h.TxnCommit(ti, dur)
 		}
-		s.endTxn(t)
+		s.unpublish()
 	}
 	return res, nil
 }
@@ -428,7 +434,8 @@ func (s *Session) runQuery(cp *cachedPlan, sql string, params map[string]sqltype
 // write-write blocking and deadlock behavior are those of a plain locking
 // engine.
 func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params map[string]sqltypes.Value, lits []sqltypes.Value) (*Result, error) {
-	ctx := &exec.Ctx{Txn: t, Params: params, Lits: lits}
+	ctx := &s.ctx
+	*ctx = exec.Ctx{Txn: t, Params: params, Lits: lits}
 	if w := cp.write; w != nil {
 		ts := w.Store()
 		mode := lock.Exclusive
@@ -436,7 +443,7 @@ func (s *Session) executeBody(cp *cachedPlan, qi *QueryInfo, t *txn.Txn, params 
 			mode = lock.IntentExclusive
 			ctx.Locks, ctx.LockTag = s.e.locks, qi
 		}
-		if err := s.e.locks.AcquireTagged(t.ID, lock.TableResource(ts.Meta.Name), mode, qi); err != nil {
+		if err := s.e.tm.LockTable(t, ts.Meta.Name, mode, qi); err != nil {
 			return nil, err
 		}
 		n, err := w.Exec(ctx)
@@ -486,7 +493,7 @@ func (s *Session) NoteShedStatement(sql string) {
 		StartTime:    time.Now(),
 	}
 	qi.MarkCancelled(CancelShed)
-	qi.done.Store(true)
+	qi.phase.Store(phaseDone)
 	h.QueryCancelled(qi, 0, CancelShed)
 }
 
@@ -535,9 +542,7 @@ func (s *Session) execProcedure(call *sqlparser.Exec, callerParams map[string]sq
 	last, err := s.execProcBody(proc.Body, locals)
 	if err != nil {
 		if s.tx != nil {
-			t, ti := s.tx, s.txInfo
-			s.tx, s.txInfo = nil, nil
-			s.abortTxn(t, ti)
+			s.rollback() //nolint:errcheck // the body's error is the one to report
 		}
 		return nil, err
 	}

@@ -134,6 +134,7 @@ func (nopEnv) RunExternal(string) error                  { return nil }
 func (nopEnv) CancelQuery(int64) bool                    { return false }
 func (nopEnv) SetTimer(string, time.Duration, int) error { return nil }
 func (nopEnv) ActiveQueryObjects() []monitor.Object      { return nil }
+func (nopEnv) LATVersion() uint64                        { return 0 }
 func (nopEnv) BlockPairObjects() [][2]monitor.Object     { return nil }
 
 // TestPooledObjectsStayPerDispatch dispatches Query.Commit through the

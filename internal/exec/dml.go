@@ -7,21 +7,61 @@ import (
 	"sqlcm/internal/catalog"
 	"sqlcm/internal/expr"
 	"sqlcm/internal/index"
+	"sqlcm/internal/lock"
 	"sqlcm/internal/plan"
+	"sqlcm/internal/sqltypes"
 	"sqlcm/internal/storage"
+	"sqlcm/internal/txn"
 )
 
-// DML execution. Statement errors leave the transaction's undo log with the
-// inverse of every row change applied so far; the engine responds to a DML
+// DML execution. Statement errors leave the transaction's write log with a
+// record of every row change applied so far; the engine responds to a DML
 // error by rolling back the transaction (statement-level atomicity is
 // subsumed by transaction rollback, a behaviour documented in DESIGN.md).
+// Each row change registers one txn.Write, which a TableStore undoes.
+
+// What a TableStore's Undo reverts (txn.Write.Op).
+const (
+	undoInsert uint8 = iota
+	undoUpdate
+	undoDelete
+)
+
+// Undo implements txn.Undoer for the rows ts's writers change: it discards
+// an insert's chain and index entries, or pops an update's or a delete's
+// version (with the deferred index removals registered with it).
+func (ts *TableStore) Undo(self lock.TxnID, w txn.Write) error {
+	switch w.Op {
+	case undoInsert:
+		// The record keeps no row: the undo decodes the version the insert
+		// installed, still the head the transaction itself sees, for the
+		// index keys only. The chain goes whatever the read finds; its
+		// bytes stay readable until this transaction ends.
+		cr, ok := ts.Vers.ReadAt(w.RID, storage.CurrentSnapshot(int64(self)))
+		ts.Vers.Discard(w.RID)
+		ts.addRows(-1)
+		if !ok {
+			return fmt.Errorf("exec: undo of insert into %q: row %d is not visible to its transaction", ts.Meta.Name, w.RID)
+		}
+		row, err := DecodeRow(cr.Rec, len(ts.Meta.Columns))
+		if err != nil {
+			return err
+		}
+		ts.deleteEntries(ts.Meta.Indexes(), row, w.RID)
+	case undoDelete:
+		ts.Vers.Pop(w.RID)
+		ts.addRows(1)
+	default:
+		ts.Vers.Pop(w.RID)
+	}
+	return nil
+}
 
 // Write is a compiled INSERT, UPDATE or DELETE: its table, access path and
 // evaluators, resolved once per plan and shared by every execution (none of
 // it changes after CompileWrite; per-run state is in the Ctx and a cursor).
 type Write struct {
 	ts     *TableStore
-	cat    *catalog.Catalog // receives row-count changes; may be nil
 	ins    *plan.PhysInsert
 	values [][]Evaluator    // INSERT: one per listed column, per VALUES row
 	access *access          // UPDATE, DELETE: the rows to change
@@ -34,8 +74,8 @@ type Write struct {
 
 // CompileWrite compiles an insert, update or delete plan against sp's
 // stores.
-func CompileWrite(p plan.Physical, sp StoreProvider, cat *catalog.Catalog) (*Write, error) {
-	w := &Write{cat: cat}
+func CompileWrite(p plan.Physical, sp StoreProvider) (*Write, error) {
+	w := &Write{}
 	var table *catalog.Table
 	var ap *plan.AccessPath
 	switch n := p.(type) {
@@ -141,7 +181,7 @@ func (w *Write) apply(ctx *Ctx, targets []targetRow) (int64, error) {
 		}
 		var err error
 		if w.del {
-			err = deleteRow(ctx, w.ts, tgt.rid, tgt.row, w.cat)
+			err = deleteRow(ctx, w.ts, tgt.rid, tgt.row)
 		} else {
 			err = w.update(ctx, tgt)
 		}
@@ -153,15 +193,22 @@ func (w *Write) apply(ctx *Ctx, targets []targetRow) (int64, error) {
 	return n, nil
 }
 
-// insert evaluates and inserts each VALUES row.
+// insert evaluates and inserts each VALUES row, built in a stack buffer:
+// InsertRow keeps no reference to it.
 func (w *Write) insert(ctx *Ctx) (int64, error) {
 	cols, p := w.ts.Meta.Columns, w.ins
+	var rb [16]sqltypes.Value
+	row := rb[:0]
+	if len(cols) > len(rb) {
+		row = make(Row, 0, len(cols))
+	}
+	row = row[:len(cols)]
 	var n int64
 	for _, evals := range w.values {
 		if err := ctx.checkCancel(); err != nil {
 			return n, err
 		}
-		row := make(Row, len(cols)) // the zero Value is NULL
+		clear(row) // the zero Value is NULL
 		for j, ev := range evals {
 			v, err := ev.Eval(ctx.env(nil))
 			if err != nil {
@@ -173,7 +220,7 @@ func (w *Write) insert(ctx *Ctx) (int64, error) {
 			}
 			row[p.Columns[j]] = cv
 		}
-		if err := InsertRow(ctx, w.ts, row, w.cat); err != nil {
+		if err := InsertRow(ctx, w.ts, row); err != nil {
 			return n, err
 		}
 		n++
@@ -182,10 +229,10 @@ func (w *Write) insert(ctx *Ctx) (int64, error) {
 }
 
 // InsertRow inserts one fully materialized row into a table store,
-// maintaining indexes, NOT NULL constraints, statistics and the undo log.
-// It is also the entry point used by the engine for programmatic inserts
-// (e.g. persisting LATs).
-func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
+// maintaining indexes, NOT NULL constraints, statistics and the write log.
+// It keeps no reference to row. It is also the entry point used by the
+// engine for programmatic inserts (e.g. persisting LATs).
+func InsertRow(ctx *Ctx, ts *TableStore, row Row) error {
 	meta := ts.Meta
 	if len(row) != len(meta.Columns) {
 		return fmt.Errorf("exec: row width %d != %d columns of %q", len(row), len(meta.Columns), meta.Name)
@@ -198,60 +245,30 @@ func InsertRow(ctx *Ctx, ts *TableStore, row Row, cat *catalog.Catalog) error {
 	var buf [256]byte
 	rec := AppendRow(buf[:0], row)
 	rid := ts.Vers.NewRID()
-	// Maintain indexes; unwind on unique violation.
-	indexes := ts.Indexes()
-	var done []*catalog.Index
-	for _, ix := range meta.Indexes() {
+	// Maintain indexes, each key built in one stack buffer (the trees copy
+	// keys); a unique violation unwinds the entries made before it.
+	indexes, ixs := ts.Indexes(), meta.Indexes()
+	var kb [128]byte
+	for i, ix := range ixs {
 		bt := indexes[ix.Name]
 		if bt == nil {
 			continue
 		}
-		if err := insertEntry(ctx, ts, bt, appendIndexKey(nil, ix, row), rid); err != nil {
-			for _, u := range done {
-				indexes[u.Name].Delete(appendIndexKey(nil, u, row), rid)
-			}
+		if err := insertEntry(ctx, ts, bt, appendIndexKey(kb[:0], ix, row), rid); err != nil {
+			ts.deleteEntries(ixs[:i], row, rid)
 			return fmt.Errorf("exec: %s on %q: %w", ix.Name, meta.Name, err)
 		}
-		done = append(done, ix)
 	}
 	// The chain makes the row readable: install it last so no reader
 	// resolves the row before its entries exist. Uncommitted inserts are
 	// invisible to every other snapshot until the commit stamp.
 	if ctx.Txn != nil {
-		ctx.Txn.OnCommit(ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false))
+		v := ts.Vers.Install(rid, rec, int64(ctx.Txn.ID), false)
+		ctx.Txn.Wrote(txn.Write{Ver: v, By: ts, RID: rid, Op: undoInsert})
 	} else {
 		ts.Vers.Install(rid, rec, 0, true)
 	}
-	if cat != nil {
-		cat.AddRows(meta.Name, 1)
-	}
-	if ctx.Txn != nil {
-		// The undo keeps no row: it decodes the version the insert
-		// installed, still the head the transaction itself sees, for the
-		// index keys only. The chain goes whatever the read finds; its
-		// bytes stay readable until this transaction ends.
-		self := storage.CurrentSnapshot(int64(ctx.Txn.ID))
-		ctx.Txn.OnRollback(func() error {
-			cr, ok := ts.Vers.ReadAt(rid, self)
-			ts.Vers.Discard(rid)
-			if cat != nil {
-				cat.AddRows(meta.Name, -1)
-			}
-			if !ok {
-				return fmt.Errorf("exec: undo of insert into %q: row %d is not visible to its transaction", meta.Name, rid)
-			}
-			row, err := DecodeRow(cr.Rec, len(meta.Columns))
-			if err != nil {
-				return err
-			}
-			for _, ix := range meta.Indexes() {
-				if bt := ts.Indexes()[ix.Name]; bt != nil {
-					bt.Delete(appendIndexKey(nil, ix, row), rid)
-				}
-			}
-			return nil
-		})
-	}
+	ts.addRows(1)
 	return nil
 }
 
@@ -375,9 +392,7 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 	}
 	var buf [256]byte
 	v := ts.Vers.Push(rid, AppendRow(buf[:0], newRow), txnID)
-	if ctx.Txn != nil {
-		ctx.Txn.OnCommit(v)
-	} else {
+	if ctx.Txn == nil {
 		v.SetCommit(storage.BaseCommitTS)
 	}
 
@@ -413,12 +428,25 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 		deltas = append(deltas, d)
 	}
 	if ctx.Txn != nil {
-		ctx.Txn.OnRollback(func() error {
-			revertIndexDeltas(ts, rid, deltas)
-			ts.Vers.Pop(rid)
-			return nil
-		})
+		w := txn.Write{Ver: v, By: ts, RID: rid, Op: undoUpdate}
+		if deltas != nil {
+			w.By = &keyUndo{ts: ts, deltas: deltas}
+		}
+		ctx.Txn.Wrote(w)
 	}
+	return nil
+}
+
+// keyUndo reverts an update that changed index keys: its index work, then
+// its version.
+type keyUndo struct {
+	ts     *TableStore
+	deltas []ixDelta
+}
+
+func (u *keyUndo) Undo(_ lock.TxnID, w txn.Write) error {
+	revertIndexDeltas(u.ts, w.RID, u.deltas)
+	u.ts.Vers.Pop(w.RID)
 	return nil
 }
 
@@ -427,14 +455,16 @@ func updateRow(ctx *Ctx, ts *TableStore, rid storage.RID, oldRow, newRow Row) er
 // entries stay for older snapshots, and every index entry is
 // registered for deferred removal once the tombstone's commit passes the
 // version-garbage watermark.
-func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.Catalog) error {
+func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row) error {
 	var txnID int64
 	if ctx.Txn != nil {
 		txnID = int64(ctx.Txn.ID)
 	}
 	v := ts.Vers.Tombstone(rid, txnID)
 	if ctx.Txn != nil {
-		ctx.Txn.OnCommit(v)
+		// The undo pops the tombstone and the removals registered with it:
+		// the record keeps no row.
+		ctx.Txn.Wrote(txn.Write{Ver: v, By: ts, RID: rid, Op: undoDelete})
 	} else {
 		v.SetCommit(storage.BaseCommitTS)
 	}
@@ -445,19 +475,6 @@ func deleteRow(ctx *Ctx, ts *TableStore, rid storage.RID, row Row, cat *catalog.
 		}
 		ts.Vers.AddPending(rid, ix.Name, appendIndexKey(nil, ix, row), v)
 	}
-	if cat != nil {
-		cat.AddRows(ts.Meta.Name, -1)
-	}
-	if ctx.Txn != nil {
-		// Pop drops the tombstone and the removals registered with it: the
-		// undo keeps no row.
-		ctx.Txn.OnRollback(func() error {
-			ts.Vers.Pop(rid)
-			if cat != nil {
-				cat.AddRows(ts.Meta.Name, 1)
-			}
-			return nil
-		})
-	}
+	ts.addRows(-1)
 	return nil
 }

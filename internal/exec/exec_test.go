@@ -78,7 +78,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 		if err != nil {
 			return nil, 0, err
 		}
-		h.reg.Register(s.Name, NewTableStore(meta, nil, h.tm.LastCommit))
+		h.reg.Register(s.Name, NewTableStore(meta, h.cat, nil, h.tm.LastCommit))
 		return nil, 0, nil
 	case *sqlparser.CreateIndex:
 		ix, err := h.cat.CreateIndex(s.Name, s.Table, s.Columns, s.Unique)
@@ -99,7 +99,7 @@ func (h *harness) execIn(tx *txn.Txn, sql string, params map[string]sqltypes.Val
 	defer func() { h.examined = ctx.RowsExamined }()
 	switch p.(type) {
 	case *plan.PhysInsert, *plan.PhysUpdate, *plan.PhysDelete:
-		w, err := CompileWrite(p, h.reg, h.cat)
+		w, err := CompileWrite(p, h.reg)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -524,7 +524,7 @@ func TestApplyStopsAtCancelAfterCollect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := CompileWrite(p, h.reg, h.cat)
+			w, err := CompileWrite(p, h.reg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,6 +23,8 @@ import (
 type TableStore struct {
 	Meta *catalog.Table
 	Vers *storage.VersionStore
+	// cat receives the table's row-count changes; nil: none.
+	cat *catalog.Catalog
 
 	// ixMu serializes publication of the index set (CREATE INDEX, TRUNCATE);
 	// its only protected state is the copy-on-write set below.
@@ -37,12 +39,13 @@ type TableStore struct {
 }
 
 // NewTableStore creates storage for a table, including B+trees for every
-// index already declared in the catalog entry. stats receives the version
-// store's counters (nil for a private set); lastCommit is the transaction
-// manager's LastCommit, which lets the store reuse the versions it prunes
+// index already declared in the catalog entry. cat receives the table's
+// row-count changes (nil: none); stats receives the version store's
+// counters (nil for a private set); lastCommit is the transaction manager's
+// LastCommit, which lets the store reuse the versions it prunes
 // (storage.NewVersionStore).
-func NewTableStore(meta *catalog.Table, stats *storage.VersionStats, lastCommit func() int64) *TableStore {
-	ts := &TableStore{Meta: meta, Vers: storage.NewVersionStore(stats, lastCommit)}
+func NewTableStore(meta *catalog.Table, cat *catalog.Catalog, stats *storage.VersionStats, lastCommit func() int64) *TableStore {
+	ts := &TableStore{Meta: meta, Vers: storage.NewVersionStore(stats, lastCommit), cat: cat}
 	set := make(map[string]*index.BTree)
 	for _, ix := range meta.Indexes() {
 		set[ix.Name] = index.New(ix.Unique)
@@ -74,6 +77,24 @@ func (ts *TableStore) ResetIndexes() {
 			set[name] = index.New(bt.Unique())
 		}
 	})
+}
+
+// addRows moves the table's row count in the catalog by n.
+func (ts *TableStore) addRows(n int64) {
+	if ts.cat != nil {
+		ts.cat.AddRows(ts.Meta.Name, n)
+	}
+}
+
+// deleteEntries removes row's entries, at rid, from the trees of ixs.
+func (ts *TableStore) deleteEntries(ixs []*catalog.Index, row Row, rid storage.RID) {
+	indexes := ts.Indexes()
+	var kb [128]byte
+	for _, ix := range ixs {
+		if bt := indexes[ix.Name]; bt != nil {
+			bt.Delete(appendIndexKey(kb[:0], ix, row), rid)
+		}
+	}
 }
 
 // appendIndexKey appends the encoded key of row for the given index to dst.

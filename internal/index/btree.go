@@ -13,6 +13,10 @@
 // shift bytes inside the node, which is why a key handed out by ScanRange
 // is valid only during its callback.
 //
+// An insert that sorts after every entry of the rightmost leaf, the common
+// case of an ascending key, appends to that leaf without a descent (the
+// fast path PostgreSQL takes for monotonically increasing keys).
+//
 // Deletion is lazy (no rebalancing): removed entries vacate their leaf but
 // underfull leaves are not merged, matching the behaviour of several
 // production B-trees. The tree is guarded by a single RWMutex; the engine's
@@ -37,9 +41,11 @@ type BTree struct {
 	// mu protects the whole tree (coarse-grained; fine for index sizes here).
 	// unique is immutable after construction.
 	//sqlcm:lock index.btree
-	//sqlcm:guards root, size
-	mu     sync.RWMutex
-	root   *node
+	//sqlcm:guards root, last, size
+	mu   sync.RWMutex
+	root *node
+	// last is the rightmost leaf, the one whose next is nil.
+	last   *node
 	unique bool
 	size   int
 }
@@ -58,7 +64,8 @@ type node struct {
 // New returns an empty B+tree. If unique is true, Insert rejects duplicate
 // keys.
 func New(unique bool) *BTree {
-	return &BTree{root: &node{leaf: true}, unique: unique}
+	root := &node{leaf: true}
+	return &BTree{root: root, last: root, unique: unique}
 }
 
 // Unique reports whether the tree enforces key uniqueness.
@@ -130,6 +137,15 @@ func (n *node) tail(i int) ([]byte, []uint32) {
 func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if n := t.last; n.count() > 0 && n.count() < maxKeys && t.sortsLast(n, key, rid) {
+		// The descent would end here too: the entry is above the leaf's
+		// last, which is at or above every separator on the right spine.
+		n.keys = append(n.keys, key...)
+		n.ends = append(n.ends, uint32(len(n.keys)))
+		n.rids = append(n.rids, rid)
+		t.size++
+		return nil
+	}
 	sep, right, err := t.insertRec(t.root, key, rid)
 	if err != nil {
 		return err
@@ -143,6 +159,17 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	return nil
 }
 
+// sortsLast reports whether (key, rid) sorts after the last entry of n, a
+// non-empty leaf: by key alone in a unique tree, where an equal key is a
+// duplicate, by key and then RID in a non-unique one.
+//
+//sqlcm:lock-held index.btree
+func (t *BTree) sortsLast(n *node, key []byte, rid storage.RID) bool {
+	i := n.count() - 1
+	c := bytes.Compare(key, n.key(i))
+	return c > 0 || c == 0 && !t.unique && rid > n.rids[i]
+}
+
 // insertRec inserts into subtree n; on split it returns the separator key
 // and the new right sibling. The separator is valid until the next write to
 // the tree: the caller copies it.
@@ -151,6 +178,8 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 // in a unique tree leaves every left key below the separator, and inserts
 // descend right on ties, so every key a subtree holds lies in the key range
 // its separators give it.
+//
+//sqlcm:lock-held index.btree
 func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, error) {
 	if n.leaf {
 		var i int
@@ -168,6 +197,9 @@ func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, 
 			return nil, nil, nil
 		}
 		sep, right := n.splitLeaf()
+		if right.next == nil {
+			t.last = right
+		}
 		return sep, right, nil
 	}
 	ci := n.childIndex(key)

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -83,11 +84,12 @@ func (in *fuzzInput) bound() []byte {
 
 // FuzzBTree runs random Insert, Delete, Get, GetAll and ScanRange calls on
 // a unique or non-unique tree against a sorted model, with keys of 0 to 300
-// bytes, duplicate keys, bulk runs that grow the tree several levels deep,
-// and every bound and inclusivity combination. After each call it checks
-// every node: its key offsets rise and end at the length of its key bytes.
-// On a unique tree it pins the single descent of Insert: a duplicate is
-// found in the leaf the insert descends to.
+// bytes, duplicate keys, entries whose RID is below ones already in,
+// bulk runs that grow the tree several levels deep, and every bound and
+// inclusivity combination. After each call it checks every node: its key
+// offsets rise and end at the length of its key bytes. On a unique tree it
+// pins the single descent of Insert: a duplicate is found in the leaf the
+// insert descends to.
 //
 //	go test -run '^$' -fuzz FuzzBTree ./internal/index
 func FuzzBTree(f *testing.F) {
@@ -98,89 +100,170 @@ func FuzzBTree(f *testing.F) {
 	// Bulk runs under one prefix, then scans and deletes around it.
 	f.Add(false, []byte{3, 200, 0, 7, 127, 0, 3, 40, 1, 0, 5, 64, 7, 1, 0, 1, 4, 0, 1, 2, 7, 0, 0, 3})
 	f.Add(true, []byte{3, 200, 0, 7, 127, 1, 3, 0, 127, 0, 0, 0, 5, 0, 7, 0, 0, 3, 3})
-	f.Fuzz(func(t *testing.T, unique bool, ops []byte) {
-		tr := New(unique)
-		var model []fuzzEntry // sorted by (key, rid)
-		in := &fuzzInput{b: ops}
-		nextRID := storage.RID(1)
-		find := func(e fuzzEntry) (int, bool) {
-			return slices.BinarySearchFunc(model, e, fuzzEntry.compare)
+	for _, sd := range rightmostSeeds() {
+		f.Add(sd.unique, sd.ops)
+	}
+	f.Fuzz(runOps)
+}
+
+// Operation bytes of runOps, for seeds written by hand.
+func opNewKey(n, x byte) []byte { return []byte{96, n, x} } // a new key of n%8 bytes, into the pool
+func opPoolKey(i byte) []byte   { return []byte{i % 96} }   // a key of the pool
+func opInsert(key []byte) []byte {
+	return append([]byte{0}, key...)
+}
+
+// opInsertBelow inserts key with RID rid, below the RIDs inserted so far.
+func opInsertBelow(key []byte, rid byte) []byte {
+	return append(append([]byte{2}, key...), rid)
+}
+
+// opRun inserts n (1 to 128) keys of prefix base, ascending or descending.
+func opRun(base []byte, n int, desc bool) []byte {
+	d := byte(0)
+	if desc {
+		d = 1
+	}
+	return append(append([]byte{3}, base...), byte(n-1), d)
+}
+
+// opDeleteAt deletes the model's entry i*len/256; the model and the pool
+// must not be empty.
+func opDeleteAt(i byte) []byte { return []byte{4, 0, 0, 0, i} }
+
+// opDeleteLast deletes the last entry of a tree of at most 256 entries.
+func opDeleteLast() []byte { return opDeleteAt(255) }
+
+func repeat(op []byte, n int) []byte { return bytes.Repeat(op, n) }
+
+// rightmostSeeds are the operation streams of TestBTreeRightmostAppend,
+// which FuzzBTree starts from too: ascending runs that append to the
+// rightmost leaf, interleaved with deletes that empty it; runs whose keys
+// are all in a unique tree already, the last one equal to its last entry;
+// and in a non-unique tree, a key equal to the last entry with a lower RID.
+func rightmostSeeds() []struct {
+	unique bool
+	ops    []byte
+} {
+	a, b := opNewKey(2, 7), opNewKey(3, 9)
+	runs := slices.Concat(
+		opRun(a, 128, false), repeat(opDeleteLast(), 64),
+		opRun(opPoolKey(0), 100, false), repeat(opDeleteLast(), 40),
+		opRun(b, 60, false), repeat(opDeleteLast(), 70),
+		opRun(opPoolKey(1), 128, false), opRun(opPoolKey(1), 128, false),
+	)
+	dups := slices.Concat(opRun(a, 50, false), opRun(opPoolKey(0), 50, false), opRun(opPoolKey(0), 50, true))
+	equal := slices.Concat(
+		opInsert(a), repeat(opInsert(opPoolKey(0)), 70), // RIDs 1 to 71 of one key
+		opDeleteAt(0), opInsertBelow(opPoolKey(0), 1), // RID 1 again, below the last leaf's
+		repeat(opDeleteLast(), 20), opDeleteAt(0), opDeleteAt(0), opInsertBelow(opPoolKey(0), 2),
+		repeat(opInsert(opPoolKey(0)), 3),
+	)
+	return []struct {
+		unique bool
+		ops    []byte
+	}{{false, runs}, {true, runs}, {true, dups}, {false, dups}, {false, equal}, {true, equal}}
+}
+
+// TestBTreeRightmostAppend runs rightmostSeeds through runOps, whose node
+// check also pins the rightmost leaf the append path writes to.
+func TestBTreeRightmostAppend(t *testing.T) {
+	for i, sd := range rightmostSeeds() {
+		t.Run(fmt.Sprintf("%d-unique=%v", i, sd.unique), func(t *testing.T) { runOps(t, sd.unique, sd.ops) })
+	}
+}
+
+// runOps is FuzzBTree's body: ops is a stream of operations on a unique or
+// non-unique tree, each checked against a sorted model.
+func runOps(t *testing.T, unique bool, ops []byte) {
+	tr := New(unique)
+	var model []fuzzEntry // sorted by (key, rid)
+	in := &fuzzInput{b: ops}
+	nextRID := storage.RID(1)
+	find := func(e fuzzEntry) (int, bool) {
+		return slices.BinarySearchFunc(model, e, fuzzEntry.compare)
+	}
+	hasKey := func(k []byte) bool {
+		i, _ := find(fuzzEntry{key: string(k)})
+		return i < len(model) && model[i].key == string(k)
+	}
+	insert := func(k []byte, rid storage.RID) {
+		err := tr.Insert(k, rid)
+		if dup := unique && hasKey(k); dup != (err != nil) {
+			t.Fatalf("Insert(%x, %d): err %v, model has the key: %v", k, rid, err, dup)
 		}
-		hasKey := func(k []byte) bool {
-			i, _ := find(fuzzEntry{key: string(k)})
-			return i < len(model) && model[i].key == string(k)
+		if err == nil {
+			e := fuzzEntry{string(k), rid}
+			i, _ := find(e)
+			model = slices.Insert(model, i, e)
 		}
-		insert := func(k []byte, rid storage.RID) {
-			err := tr.Insert(k, rid)
-			if dup := unique && hasKey(k); dup != (err != nil) {
-				t.Fatalf("Insert(%x, %d): err %v, model has the key: %v", k, rid, err, dup)
+	}
+	for len(in.b) > 0 {
+		switch op := in.next() % 8; op {
+		case 0, 1:
+			insert(in.key(), nextRID)
+			nextRID++
+		case 2:
+			// An entry below the RIDs inserted so far; an entry the model
+			// holds already is skipped (the engine never repeats one).
+			k, rid := in.key(), storage.RID(in.next())%nextRID
+			if _, live := find(fuzzEntry{string(k), rid}); !live {
+				insert(k, rid)
 			}
-			if err == nil {
-				e := fuzzEntry{string(k), rid}
-				i, _ := find(e)
-				model = slices.Insert(model, i, e)
-			}
-		}
-		for len(in.b) > 0 {
-			switch op := in.next() % 8; op {
-			case 0, 1, 2:
-				insert(in.key(), nextRID)
+		case 3:
+			// A run of keys under one prefix, ascending or descending.
+			base, n, desc := in.key(), int(in.next()%128)+1, in.next()%2 == 1
+			for i := range n {
+				j := i
+				if desc {
+					j = n - 1 - i
+				}
+				insert(append(slices.Clip(base), byte(j>>8), byte(j)), nextRID)
 				nextRID++
-			case 3:
-				// A run of keys under one prefix, ascending or descending.
-				base, n, desc := in.key(), int(in.next()%128)+1, in.next()%2 == 1
-				for i := range n {
-					j := i
-					if desc {
-						j = n - 1 - i
-					}
-					insert(append(slices.Clip(base), byte(j>>8), byte(j)), nextRID)
-					nextRID++
-				}
-			case 4:
-				e := fuzzEntry{string(in.key()), storage.RID(in.next()) % nextRID}
-				if len(model) > 0 && in.next()%2 == 0 {
-					e = model[int(in.next())*len(model)/256]
-				}
-				i, live := find(e)
-				if got := tr.Delete([]byte(e.key), e.rid); got != live {
-					t.Fatalf("Delete(%x, %d) = %v, model has it: %v", e.key, e.rid, got, live)
-				}
-				if live {
-					model = slices.Delete(model, i, i+1)
-				}
-			case 5:
-				k := in.key()
-				rid, ok := tr.Get(k)
-				if ok != hasKey(k) {
-					t.Fatalf("Get(%x) found %v, model has the key: %v", k, ok, !ok)
-				}
-				if _, live := find(fuzzEntry{string(k), rid}); ok && !live {
-					t.Fatalf("Get(%x) = %d, not an entry of the model", k, rid)
-				}
-			case 6:
-				k := in.key()
-				got := tr.GetAll(k)
-				var want []storage.RID
-				for i, _ := find(fuzzEntry{key: string(k)}); i < len(model) && model[i].key == string(k); i++ {
-					want = append(want, model[i].rid)
-				}
-				slices.Sort(got)
-				if !slices.Equal(got, want) {
-					t.Fatalf("GetAll(%x) = %v, want %v", k, got, want)
-				}
-			case 7:
-				lo, hi := in.bound(), in.bound()
-				flags, limit := in.next(), int(in.next()%32)
-				checkScan(t, tr, model, lo, hi, flags&1 != 0, flags&2 != 0, limit)
 			}
-			if tr.Len() != len(model) {
-				t.Fatalf("Len = %d, model holds %d", tr.Len(), len(model))
+		case 4:
+			e := fuzzEntry{string(in.key()), storage.RID(in.next()) % nextRID}
+			if len(model) > 0 && in.next()%2 == 0 {
+				e = model[int(in.next())*len(model)/256]
 			}
-			checkNodes(t, tr)
+			i, live := find(e)
+			if got := tr.Delete([]byte(e.key), e.rid); got != live {
+				t.Fatalf("Delete(%x, %d) = %v, model has it: %v", e.key, e.rid, got, live)
+			}
+			if live {
+				model = slices.Delete(model, i, i+1)
+			}
+		case 5:
+			k := in.key()
+			rid, ok := tr.Get(k)
+			if ok != hasKey(k) {
+				t.Fatalf("Get(%x) found %v, model has the key: %v", k, ok, !ok)
+			}
+			if _, live := find(fuzzEntry{string(k), rid}); ok && !live {
+				t.Fatalf("Get(%x) = %d, not an entry of the model", k, rid)
+			}
+		case 6:
+			k := in.key()
+			got := tr.GetAll(k)
+			var want []storage.RID
+			for i, _ := find(fuzzEntry{key: string(k)}); i < len(model) && model[i].key == string(k); i++ {
+				want = append(want, model[i].rid)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("GetAll(%x) = %v, want %v", k, got, want)
+			}
+		case 7:
+			lo, hi := in.bound(), in.bound()
+			flags, limit := in.next(), int(in.next()%32)
+			checkScan(t, tr, model, lo, hi, flags&1 != 0, flags&2 != 0, limit)
 		}
-		checkScan(t, tr, model, nil, nil, true, true, 0)
-	})
+		if tr.Len() != len(model) {
+			t.Fatalf("Len = %d, model holds %d", tr.Len(), len(model))
+		}
+		checkNodes(t, tr)
+	}
+	checkScan(t, tr, model, nil, nil, true, true, 0)
 }
 
 // checkScan compares ScanRange(lo, hi, loIncl, hiIncl) with the model's
@@ -235,9 +318,12 @@ func checkScan(t *testing.T, tr *BTree, model []fuzzEntry, lo, hi []byte, loIncl
 // checkNodes walks the tree and checks the layout of every node: offsets
 // that rise and end at the length of the key bytes, keys in order, at most
 // maxKeys of them, arrays of matching lengths and every leaf at one depth.
+// A leaf's entries ascend: by key in a unique tree, by key and then RID in
+// a non-unique one. The tree's last leaf is the one the leaf chain ends at.
 func checkNodes(t *testing.T, tr *BTree) {
 	t.Helper()
 	leafDepth := -1
+	var rightmost *node
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
 		var prev uint32
@@ -260,6 +346,16 @@ func checkNodes(t *testing.T, tr *BTree) {
 			if len(n.rids) != n.count() {
 				t.Fatalf("depth %d: leaf has %d keys, %d rids", depth, n.count(), len(n.rids))
 			}
+			for i := 1; i < n.count(); i++ {
+				c := bytes.Compare(n.key(i-1), n.key(i))
+				if c == 0 && (tr.unique || n.rids[i-1] >= n.rids[i]) {
+					t.Fatalf("depth %d: entries %d and %d of a leaf are (%x, %d) and (%x, %d)",
+						depth, i-1, i, n.key(i-1), n.rids[i-1], n.key(i), n.rids[i])
+				}
+			}
+			if n.next == nil {
+				rightmost = n
+			}
 			if leafDepth >= 0 && depth != leafDepth {
 				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
 			}
@@ -274,4 +370,7 @@ func checkNodes(t *testing.T, tr *BTree) {
 		}
 	}
 	walk(tr.root, 0)
+	if tr.last != rightmost {
+		t.Fatal("the tree's last leaf is not the one its leaf chain ends at")
+	}
 }

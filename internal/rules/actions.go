@@ -25,13 +25,12 @@ type InsertAction struct {
 
 // Run implements Action.
 func (a *InsertAction) Run(env Env, ctx *Ctx) error {
-	table, ok := env.LAT(a.LAT)
+	old := a.bound.Load()
+	b, ok := resolveLAT(env, a.LAT, old)
 	if !ok {
 		return fmt.Errorf("rules: Insert: unknown LAT %q", a.LAT)
 	}
-	b := a.bound.Load()
-	if b == nil || b.table != table {
-		b = bindLAT(table)
+	if b != old {
 		a.bound.Store(b)
 	}
 	return ctx.state().insert(b)

@@ -154,9 +154,8 @@ func (r *classRef) Eval(env expr.Env) (sqltypes.Value, error) {
 }
 
 // latRef is LAT.Column. LATs can be defined and dropped after the rule, so
-// the name is resolved per evaluation; the column position and the
-// grouping probes are bound again only when it denotes another table than
-// last time.
+// the name, the column position and the grouping probes are resolved again
+// whenever the LAT registry has changed.
 type latRef struct {
 	lat, col string
 	pos      atomic.Pointer[latColumn]
@@ -170,15 +169,20 @@ type latColumn struct {
 
 func (r *latRef) Eval(env expr.Env) (sqltypes.Value, error) {
 	st := env.Ctx.(*evalState)
-	table, ok := st.eng.env.LAT(r.lat)
+	c := r.pos.Load()
+	var old *latBinding
+	if c != nil {
+		old = c.latBinding
+	}
+	b, ok := resolveLAT(st.eng.env, r.lat, old)
 	if !ok {
 		return sqltypes.Null, fmt.Errorf("rules: unknown object or LAT %q", r.lat)
 	}
-	c := r.pos.Load()
-	if c == nil || c.table != table {
-		c = &latColumn{latBinding: bindLAT(table), idx: table.ColumnIndex(r.col)}
+	if b != old {
+		c = &latColumn{latBinding: b, idx: b.table.ColumnIndex(r.col)}
 		r.pos.Store(c)
 	}
+	table := b.table
 	if c.idx < 0 {
 		return sqltypes.Null, fmt.Errorf("rules: LAT %s has no column %q", r.lat, r.col)
 	}
@@ -194,13 +198,32 @@ func (r *latRef) Eval(env expr.Env) (sqltypes.Value, error) {
 	return v, nil
 }
 
-// latBinding is a LAT resolved for a rule: the table, and what an insert
-// reads (lat.Table.Attrs) as attribute references bound once, the
-// grouping attributes first.
+// latBinding is a LAT resolved for a rule at registry version ver
+// (Env.LATVersion): the table, and what an insert reads (lat.Table.Attrs)
+// as attribute references bound once, the grouping attributes first.
 type latBinding struct {
 	table *lat.Table
+	ver   uint64
 	attrs []attrRef
 	ng    int
+}
+
+// resolveLAT returns the binding of the LAT called name: b itself while
+// the registry is at the version b was resolved at, one atomic load;
+// otherwise the table the name denotes now, bound again. ok is false when
+// no LAT has the name.
+func resolveLAT(env Env, name string, b *latBinding) (_ *latBinding, ok bool) {
+	ver := env.LATVersion()
+	if b != nil && b.ver == ver {
+		return b, true
+	}
+	table, ok := env.LAT(name)
+	if !ok {
+		return nil, false
+	}
+	b = bindLAT(table)
+	b.ver = ver
+	return b, true
 }
 
 // bindLAT resolves a table's attributes against the rule context's shape.

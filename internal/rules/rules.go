@@ -67,6 +67,10 @@ func (c *Ctx) Attr(ref string) (sqltypes.Value, bool) {
 type Env interface {
 	// LAT resolves a registered aggregation table.
 	LAT(name string) (*lat.Table, bool)
+	// LATVersion moves after every change to the LAT registry, once the
+	// change is visible to LAT: a rule keeps the tables it resolved while
+	// the version it resolved them at stays current.
+	LATVersion() uint64
 	// Persist writes one row (with a timestamp column appended) to an
 	// engine table, creating the table on first use.
 	Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error

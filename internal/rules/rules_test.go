@@ -38,6 +38,7 @@ func queryObj(id int64, sig string, dur float64) *fakeObj {
 type fakeEnv struct {
 	mu        sync.Mutex
 	lats      map[string]*lat.Table
+	latVer    uint64 // bumped by a test that changes lats after rules ran
 	persisted []string
 	mails     []string
 	commands  []string
@@ -53,6 +54,8 @@ func (f *fakeEnv) LAT(name string) (*lat.Table, bool) {
 	t, ok := f.lats[name]
 	return t, ok
 }
+
+func (f *fakeEnv) LATVersion() uint64 { return f.latVer }
 
 func (f *fakeEnv) Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error {
 	f.mu.Lock()
@@ -566,6 +569,7 @@ func TestLATColumnFollowsRedefinition(t *testing.T) {
 		if step.table != nil {
 			env.lats["L"] = step.table
 		}
+		env.latVer++
 		dispatchQuery(e, queryObj(2, "s", 1))
 		if fired != step.wantFired {
 			t.Fatalf("step %d: rule fired %d times, want %d", i, fired, step.wantFired)

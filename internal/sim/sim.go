@@ -74,6 +74,9 @@ func (e *simEnv) LAT(name string) (*lat.Table, bool) {
 	return t, ok
 }
 
+// LATVersion is constant: the harness defines its LATs before any rule.
+func (e *simEnv) LATVersion() uint64 { return 0 }
+
 func (e *simEnv) Persist(table string, cols []string, kinds []sqltypes.Kind, row []sqltypes.Value) error {
 	e.j.Add("persist:" + table + ":" + joinVals(row))
 	return nil

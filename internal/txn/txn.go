@@ -2,9 +2,10 @@
 // two-phase locking via the lock manager, undo-based rollback, and
 // cancellation.
 //
-// Undo is logical: every mutation registers an inverse action; rollback
-// executes the actions in reverse order while the transaction still holds
-// its locks, then releases them.
+// Undo is logical: every row write registers one Write record, which names
+// the version the commit stamps and the Undoer that reverts the write;
+// rollback runs the undoers in reverse order while the transaction still
+// holds its locks, then releases them.
 package txn
 
 import (
@@ -56,16 +57,51 @@ type Txn struct {
 	snapTS int64
 	snapAt time.Time
 
-	// mu protects state, the undo log, and the commit-stamp list.
-	// cancelled is atomic; implicit is immutable after Begin.
+	// mu protects state and the write log. cancelled is atomic; implicit
+	// is immutable after Begin.
 	//sqlcm:lock txn.txn
-	//sqlcm:guards state, undo, stamps
+	//sqlcm:guards state, writes
 	mu        sync.Mutex
 	state     State
-	undo      []func() error
-	stamps    []storage.Ref
+	writes    []Write
 	cancelled atomic.Bool
 	implicit  bool // autocommit transaction created for a single statement
+
+	// table and tableMode are the last table lock LockTable took. Strict
+	// 2PL holds it to the transaction's end, so a later request it covers
+	// skips the lock manager. Only the goroutine running the transaction
+	// touches them.
+	table     string
+	tableMode lock.Mode
+}
+
+// Write is one change a transaction made: the version its commit stamps
+// (the zero Ref: none) and the Undoer that reverts it on rollback (nil:
+// none), with the row and an undoer-defined code saying what to revert.
+type Write struct {
+	Ver storage.Ref
+	By  Undoer
+	RID storage.RID
+	Op  uint8
+}
+
+// Undoer reverts writes of a transaction that rolls back; self is that
+// transaction.
+type Undoer interface {
+	Undo(self lock.TxnID, w Write) error
+}
+
+// undoFunc is an inverse action registered through OnRollback.
+type undoFunc func() error
+
+func (f undoFunc) Undo(lock.TxnID, Write) error { return f() }
+
+// Wrote registers one change: the commit stamps w.Ver, a rollback calls
+// w.By.
+func (t *Txn) Wrote(w Write) {
+	t.mu.Lock()
+	t.writes = append(t.writes, w)
+	t.mu.Unlock()
 }
 
 // Implicit reports whether the transaction was opened implicitly
@@ -82,11 +118,7 @@ func (t *Txn) SnapshotAt() time.Time { return t.snapAt }
 
 // OnCommit registers a version the transaction wrote: the commit stamps it
 // with the commit timestamp inside the commit critical section.
-func (t *Txn) OnCommit(v storage.Ref) {
-	t.mu.Lock()
-	t.stamps = append(t.stamps, v)
-	t.mu.Unlock()
-}
+func (t *Txn) OnCommit(v storage.Ref) { t.Wrote(Write{Ver: v}) }
 
 // State returns the current lifecycle state.
 func (t *Txn) State() State {
@@ -97,11 +129,7 @@ func (t *Txn) State() State {
 
 // OnRollback registers an inverse action, executed (in reverse order) if
 // the transaction rolls back.
-func (t *Txn) OnRollback(fn func() error) {
-	t.mu.Lock()
-	t.undo = append(t.undo, fn)
-	t.mu.Unlock()
-}
+func (t *Txn) OnRollback(fn func() error) { t.Wrote(Write{By: undoFunc(fn)}) }
 
 // Cancel marks the transaction cancelled. Executors observe it via
 // CheckCancelled; lock waits are interrupted by the manager.
@@ -192,29 +220,38 @@ func (m *Manager) Begin(implicit bool) *Txn {
 // committed version carries a timestamp at or below it.
 func (m *Manager) LastCommit() int64 { return m.lastCommit.Load() }
 
+// end moves an active t to state, by the named operation, and hands over
+// its write log.
+func (t *Txn) end(state State, op string) ([]Write, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.state != Active {
+		return nil, fmt.Errorf("txn: %s of %s transaction %d", op, t.state, t.ID)
+	}
+	t.state = state
+	writes := t.writes
+	t.writes = nil
+	return writes, nil
+}
+
 // Commit finishes the transaction and releases its locks.
 func (m *Manager) Commit(t *Txn) error {
-	t.mu.Lock()
-	if t.state != Active {
-		s := t.state
-		t.mu.Unlock()
-		return fmt.Errorf("txn: commit of %s transaction %d", s, t.ID)
+	writes, err := t.end(Committed, "commit")
+	if err != nil {
+		return err
 	}
-	t.state = Committed
-	t.undo = nil
-	stamps := t.stamps
-	t.stamps = nil
-	t.mu.Unlock()
 
 	// Writer commit: allocate the next timestamp, stamp every version the
 	// transaction wrote, then publish the timestamp — all before locks
 	// release, so the next writer (and every later snapshot) sees the
 	// stamped versions. Read-only commits skip the oracle entirely.
-	if len(stamps) > 0 {
+	if len(writes) > 0 {
 		m.commitMu.Lock()
 		committed := m.lastCommit.Load() + 1
-		for _, v := range stamps {
-			v.SetCommit(committed)
+		for _, w := range writes {
+			if w.Ver != (storage.Ref{}) {
+				w.Ver.SetCommit(committed)
+			}
 		}
 		m.lastCommit.Store(committed)
 		m.commitMu.Unlock()
@@ -227,26 +264,37 @@ func (m *Manager) Commit(t *Txn) error {
 // releases its locks. Undo errors are collected but do not stop the
 // remaining undo actions.
 func (m *Manager) Rollback(t *Txn) error {
-	t.mu.Lock()
-	if t.state != Active {
-		s := t.state
-		t.mu.Unlock()
-		return fmt.Errorf("txn: rollback of %s transaction %d", s, t.ID)
+	writes, err := t.end(Aborted, "rollback")
+	if err != nil {
+		return err
 	}
-	t.state = Aborted
-	undo := t.undo
-	t.undo = nil
-	t.stamps = nil
-	t.mu.Unlock()
-
 	var firstErr error
-	for i := len(undo) - 1; i >= 0; i-- {
-		if err := undo[i](); err != nil && firstErr == nil {
+	for i := len(writes) - 1; i >= 0; i-- {
+		w := writes[i]
+		if w.By == nil {
+			continue
+		}
+		if err := w.By.Undo(t.ID, w); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("txn: undo failed: %w", err)
 		}
 	}
 	m.finish(t)
 	return firstErr
+}
+
+// LockTable takes table's lock in mode for t, tagged with tag
+// (lock.Manager.AcquireTagged), unless the last table lock t took is that
+// table's in mode or in X: strict 2PL releases nothing before the
+// transaction ends, so the lock manager would find it held.
+func (m *Manager) LockTable(t *Txn, table string, mode lock.Mode, tag any) error {
+	if t.table == table && (t.tableMode == mode || t.tableMode == lock.Exclusive) {
+		return nil
+	}
+	if err := m.locks.AcquireTagged(t.ID, lock.TableResource(table), mode, tag); err != nil {
+		return err
+	}
+	t.table, t.tableMode = table, mode
+	return nil
 }
 
 // Cancel interrupts a transaction: waiters wake with an error and the

@@ -56,6 +56,7 @@ func (c Config) withDefaults() Config {
 func Setup(eng *engine.Engine, cfg Config) (Config, error) {
 	cfg = cfg.withDefaults()
 	sess := eng.NewSession("loader", "workload")
+	defer sess.Close() //nolint:errcheck
 	ddl := []string{
 		`CREATE TABLE part (
 			p_partkey INT PRIMARY KEY,
@@ -197,6 +198,7 @@ func Mix(cfg Config) []Query {
 // number of statements executed.
 func Run(eng *engine.Engine, queries []Query, user, app string) (int, error) {
 	sess := eng.NewSession(user, app)
+	defer sess.Close() //nolint:errcheck
 	for i, q := range queries {
 		if _, err := sess.Exec(q.SQL, q.Params); err != nil {
 			return i, fmt.Errorf("workload: query %d: %w", i, err)
@@ -210,6 +212,7 @@ func Run(eng *engine.Engine, queries []Query, user, app string) (int, error) {
 // top-k accuracy experiment compares monitoring approaches against.
 func RunMeasured(eng *engine.Engine, queries []Query, user, app string) (map[string]time.Duration, time.Duration, error) {
 	sess := eng.NewSession(user, app)
+	defer sess.Close() //nolint:errcheck
 	durations := make(map[string]time.Duration, 256)
 	start := time.Now()
 	for i, q := range queries {

@@ -33,7 +33,7 @@ change_out="$root/bench/out/gate-change.jsonl"
 rm -f "$parent_out" "$change_out" "$root"/bench/out/gate-inproc-{parent,change}.txt
 # The in-process benchmarks read bench/rules/bench.rules by relative path:
 # each side's test binary runs from that side's root.
-inproc='^(BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkWirePointRead)$'
+inproc='^(BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkTxnInsert|BenchmarkWirePointRead)$'
 (cd "$tmp/parent" && go test -c -o "$tmp/parent.test" .)
 (cd "$root" && go test -c -o "$tmp/change.test" .)
 

@@ -31,11 +31,12 @@ go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/wo
 # by (DESIGN.md §5.1), the in-process monitored point read the
 # allocation-free rule dispatch was sized by (§5), the ad-hoc range
 # SELECT and prepared point UPDATE the per-template plans, operator trees
-# and compiled writes were sized by (§5.4), the loopback point read the
-# allocation-free wire codec was sized by (§10), and the plain and aging
-# LAT inserts the one aggregate fold was sized by (§5.1), likewise one
-# iteration each.
-go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkWirePointRead|BenchmarkPlainAggregates$|BenchmarkAgingAggregates$' -benchtime=1x .
+# and compiled writes were sized by (§5.4), the prepared INSERT in an open
+# transaction the per-statement write path was sized by (§5.3), the
+# loopback point read the allocation-free wire codec was sized by (§10),
+# and the plain and aging LAT inserts the one aggregate fold was sized by
+# (§5.1), likewise one iteration each.
+go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkTxnInsert|BenchmarkWirePointRead|BenchmarkPlainAggregates$|BenchmarkAgingAggregates$' -benchtime=1x .
 # Strict registration of the 1000-rule session, once: a Strict check that
 # re-analyses the whole live set per rule makes it quadratic (DESIGN.md §6).
 go test -run '^$' -bench 'BenchmarkStrictRegistration$' -benchtime=1x ./internal/core

@@ -237,7 +237,9 @@ func (db *DB) RemoteSession(user, app, remoteAddr string) *Session {
 // Exec runs one statement on a throwaway session (convenience for DDL and
 // setup scripts).
 func (db *DB) Exec(sql string, params map[string]Value) (*Result, error) {
-	return db.eng.NewSession("", "").Exec(sql, params)
+	sess := db.eng.NewSession("", "")
+	defer sess.Close() //nolint:errcheck
+	return sess.Exec(sql, params)
 }
 
 // DefineLAT registers a light-weight aggregation table.
