@@ -198,9 +198,9 @@ func (w *Write) apply(ctx *Ctx, targets []targetRow) (int64, error) {
 func (w *Write) insert(ctx *Ctx) (int64, error) {
 	cols, p := w.ts.Meta.Columns, w.ins
 	var rb [16]sqltypes.Value
-	row := rb[:0]
+	row := Row(rb[:])
 	if len(cols) > len(rb) {
-		row = make(Row, 0, len(cols))
+		row = make(Row, len(cols))
 	}
 	row = row[:len(cols)]
 	var n int64
