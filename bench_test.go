@@ -383,7 +383,9 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 }
 
 // TestMonitoredPointReadAllocs pins a point read's allocations with the
-// monitor suspended (8) and live (10). The rule set adds one Query and one
+// monitor suspended (6, 8 while its scan decoded every column into a row of
+// its own) and live (8, pinned at 9: 17 under -race, whose pool drops
+// rebuild the tree). The rule set adds one Query and one
 // Transaction object and nothing else: no hex signature (the transaction's
 // is cached by the tracker), no tracker map entry, and no group key for a
 // top-k row the bounded LAT rejects. It added 5 while a global tracker
@@ -391,9 +393,9 @@ func monitoredPointRead(tb testing.TB) (*DB, func()) {
 // dispatch was made allocation-free).
 func TestMonitoredPointReadAllocs(t *testing.T) {
 	db, read := monitoredPointRead(t)
-	pinAllocs(t, "monitored point read", 10, read)
+	pinAllocs(t, "monitored point read", 9, read)
 	db.Monitor().Suspend()
-	pinAllocs(t, "point read, monitor suspended", 8, read)
+	pinAllocs(t, "point read, monitor suspended", 6, read)
 	db.Monitor().Resume()
 }
 
@@ -467,13 +469,19 @@ func pinAllocs(t *testing.T, what string, max float64, f func()) {
 // TestAdhocRangeAllocs pins the allocations of an ad-hoc statement whose
 // template is cached: one lex and one lookup instead of a parse, a plan and
 // a signature computation, and the template's pooled operator tree instead
-// of a build. 45 here; 128 while every execution built
-// its tree, decoded strings twice and allocated a key per row, and 230 when
-// the plan cache was keyed on the raw text. Most of the rest is the ~10
-// result rows, each decoded and then projected.
+// of a build. 11 here, whatever the 1 to 20 rows: the scan decodes the
+// three projected columns of each row into one buffer and skips the other
+// three, the result rows share one value slab, and the slab and the result
+// slice are sized by the rows the tree's last execution returned. The pin
+// leaves room for -race, whose pool drops rebuild the tree and regrow its
+// buffers about once in four statements (21 to 22 there). 45 while every
+// row was decoded whole into a row of its own, l_comment's string copied,
+// and then projected into another; 128 while every execution built its
+// tree, decoded strings twice and allocated a key per row; 230 when the
+// plan cache was keyed on the raw text.
 func TestAdhocRangeAllocs(t *testing.T) {
 	_, query := adhocRange(t)
-	pinAllocs(t, "ad-hoc range SELECT", 54, query)
+	pinAllocs(t, "ad-hoc range SELECT", 15, query)
 }
 
 // BenchmarkAdhocRange reports one ad-hoc range SELECT, monitored.
@@ -523,11 +531,12 @@ const (
 )
 
 // TestPointReadAllocs pins what the engine alone allocates for a prepared
-// point read: 8, 9 while every statement allocated its execution context,
-// 34 while every execution built its operator tree and cursor and encoded
-// its key bounds into new slices.
+// point read: 6, 8 while its scan decoded every column into a row of its
+// own, 9 while every statement allocated its execution context, 34 while
+// every execution built its operator tree and cursor and encoded its key
+// bounds into new slices.
 func TestPointReadAllocs(t *testing.T) {
-	pinAllocs(t, "prepared point read", 14, suspendedPrepared(t, pointReadSQL))
+	pinAllocs(t, "prepared point read", 6, suspendedPrepared(t, pointReadSQL))
 }
 
 // TestPointUpdateAllocs pins the same for a point UPDATE: 17, 20 while every
@@ -602,14 +611,15 @@ func wirePointRead(tb testing.TB) func() {
 }
 
 // TestWirePointReadAllocs pins a loopback round trip's allocations, client
-// and server together: 16 per point read (17 while every statement
-// allocated its execution context, 47 while the codec allocated every
+// and server together: 14 per point read (16 while its scan decoded every
+// column into a row of its own, 17 while every statement allocated its
+// execution context, 47 while the codec allocated every
 // message body and header and Bind every portal, parameter map and name
 // list), 12 per BEGIN+COMMIT (30). What is left is the engine's statement
 // work and the client's result (Rows, its slices, names and tag); the
 // server's per-message path allocates nothing.
 func TestWirePointReadAllocs(t *testing.T) {
-	pinAllocs(t, "wire point read", 19, wirePointRead(t))
+	pinAllocs(t, "wire point read", 17, wirePointRead(t))
 	cli := wireClient(t)
 	pinAllocs(t, "wire BEGIN+COMMIT", 15, func() {
 		for _, sql := range []string{"BEGIN", "COMMIT"} {

@@ -43,7 +43,7 @@ func (ts *TableStore) Undo(self lock.TxnID, w txn.Write) error {
 		if !ok {
 			return fmt.Errorf("exec: undo of insert into %q: row %d is not visible to its transaction", ts.Meta.Name, w.RID)
 		}
-		row, err := DecodeRow(cr.Rec, len(ts.Meta.Columns))
+		row, err := DecodeRow(nil, cr.Rec, len(ts.Meta.Columns), nil)
 		if err != nil {
 			return err
 		}
@@ -97,7 +97,7 @@ func CompileWrite(p plan.Physical, sp StoreProvider) (*Write, error) {
 		schema[i] = plan.ColMeta{Qual: w.ts.Meta.Name, Name: c.Name}
 	}
 	if ap != nil {
-		if w.access, err = compileAccess(ap, schema); err != nil {
+		if w.access, err = compileAccess(ap, schema, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -568,7 +568,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		sqltypes.NewTime(time.Unix(123, 456)),
 	}
 	rec := EncodeRow(row)
-	got, err := DecodeRow(rec, len(row))
+	got, err := DecodeRow(nil, rec, len(row), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,11 +577,26 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			t.Fatalf("col %d: %v != %v", i, got[i], row[i])
 		}
 	}
-	if _, err := DecodeRow(rec, len(row)+1); err == nil {
+	if _, err := DecodeRow(nil, rec, len(row)+1, nil); err == nil {
 		t.Fatal("over-read should fail")
 	}
-	if _, err := DecodeRow(rec, len(row)-1); err == nil {
+	if _, err := DecodeRow(nil, rec, len(row)-1, nil); err == nil {
 		t.Fatal("trailing bytes should fail")
+	}
+	// A masked decode into a buffer reads the flagged columns, leaves the
+	// rest NULL, and allocates nothing: the skipped string is not copied.
+	read := []bool{true, false, false, true, true, false}
+	buf := make(Row, 0, len(row))
+	if n := testing.AllocsPerRun(10, func() { got, err = DecodeRow(buf, rec, len(row), read) }); err != nil || n != 0 {
+		t.Fatalf("masked decode: %v, %.0f allocations", err, n)
+	}
+	for i := range row {
+		if want := row[i]; !read[i] && !got[i].IsNull() || read[i] && sqltypes.Compare(want, got[i]) != 0 {
+			t.Fatalf("masked col %d: %v (read %v, row %v)", i, got[i], read[i], want)
+		}
+	}
+	if _, err := DecodeRow(buf, rec[:len(rec)-1], len(row), read); err == nil {
+		t.Fatal("a truncated skipped column should fail")
 	}
 }
 

@@ -77,15 +77,26 @@ func ResolveColumn(c *sqlparser.ColumnRef, schema []plan.ColMeta) (int, error) {
 }
 
 // schemaLeaves resolves the leaves of an expression against an operator's
-// input schema.
-type schemaLeaves []plan.ColMeta
+// input schema, and marks in read (when not nil) each column it resolves.
+type schemaLeaves struct {
+	schema []plan.ColMeta
+	read   []bool
+}
 
 func (s schemaLeaves) Column(c *sqlparser.ColumnRef) (Evaluator, error) {
-	ord, err := ResolveColumn(c, s)
+	ord, err := ResolveColumn(c, s.schema)
 	if err != nil {
 		return nil, err
 	}
-	return colEval{ord: ord}, nil
+	return s.col(ord), nil
+}
+
+// col is the evaluator of column ord, which the expression reads.
+func (s schemaLeaves) col(ord int) Evaluator {
+	if s.read != nil {
+		s.read[ord] = true
+	}
+	return colEval{ord: ord}
 }
 
 func (schemaLeaves) Param(p *sqlparser.Param) (Evaluator, error) {
@@ -100,9 +111,9 @@ func (s schemaLeaves) Func(f *sqlparser.FuncCall) (Evaluator, error) {
 	// schema exposes one column per aggregate named by the call's textual
 	// form.
 	name := f.String()
-	for i, m := range s {
+	for i, m := range s.schema {
 		if m.Qual == "" && m.Name == name {
-			return colEval{ord: i}, nil
+			return s.col(i), nil
 		}
 	}
 	return nil, fmt.Errorf("exec: aggregate %s used outside aggregation context", name)
@@ -116,5 +127,18 @@ func (schemaLeaves) Operand(p expr.Predicate) expr.Predicate { return p }
 // same-named output columns of the schema (as produced by PhysHashAgg), so
 // HAVING and ORDER BY can reference aggregates.
 func Compile(e sqlparser.Expr, schema []plan.ColMeta) (Evaluator, error) {
-	return expr.Compile(e, schemaLeaves(schema))
+	return compileReading(e, schema, nil)
 }
+
+// compileReading is Compile that also marks in read (when not nil) the
+// schema columns e reads.
+func compileReading(e sqlparser.Expr, schema []plan.ColMeta, read []bool) (Evaluator, error) {
+	if schema == nil && read == nil {
+		return expr.Compile(e, noColumns) // a key bound or a VALUES item
+	}
+	return expr.Compile(e, schemaLeaves{schema: schema, read: read})
+}
+
+// noColumns resolves the leaves of an expression that reads no column;
+// boxed once, as a schemaLeaves is boxed on every call.
+var noColumns expr.Leaves = schemaLeaves{}

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"sqlcm/internal/catalog"
 	"sqlcm/internal/expr"
 	"sqlcm/internal/lat"
 	"sqlcm/internal/lock"
@@ -92,51 +94,65 @@ type Operator interface {
 }
 
 // Build compiles a physical plan into an operator tree. DML plans are not
-// handled here (see dml.go).
+// handled here (see dml.go). Every column of the root's output is read.
 func Build(p plan.Physical, sp StoreProvider) (Operator, error) {
+	return build(p, sp, nil, false)
+}
+
+// build compiles p for a parent that reads the columns of p's output
+// marked in read (nil: all of them). Each operator compiles its own
+// expressions first, marking the columns they read in the mask it passes
+// to its child, so a scan decodes only the columns some operator above it
+// reads (Cursor.read). copies reports that the parent copies what it
+// reads from a row before asking for the next: then a scan may decode
+// every row into one buffer (Cursor.reuse). The masks are the build's
+// own: an operator may mark in the one it is given, and a scan keeps it.
+func build(p plan.Physical, sp StoreProvider, read []bool, copies bool) (Operator, error) {
 	switch n := p.(type) {
 	case *plan.PhysScan:
 		ts, err := sp.Store(n.Table.Name)
 		if err != nil {
 			return nil, err
 		}
-		return newScanOp(ts, n.Access, n.Schema())
+		return newScanOp(ts, n.Access, n.Schema(), read, copies)
 	case *plan.PhysFilter:
-		child, err := Build(n.Child, sp)
+		pred, err := compileReading(n.Pred, n.Child.Schema(), read)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := Compile(n.Pred, n.Child.Schema())
+		child, err := build(n.Child, sp, read, copies)
 		if err != nil {
 			return nil, err
 		}
 		return &filterOp{child: child, pred: pred}, nil
 	case *plan.PhysProject:
-		child, err := Build(n.Child, sp)
-		if err != nil {
-			return nil, err
-		}
+		schema := n.Child.Schema()
+		childRead := make([]bool, len(schema))
 		evals := make([]Evaluator, len(n.Items))
 		for i, it := range n.Items {
-			ev, err := Compile(it.Expr, n.Child.Schema())
+			ev, err := compileReading(it.Expr, schema, childRead)
 			if err != nil {
 				return nil, err
 			}
 			evals[i] = ev
 		}
+		child, err := build(n.Child, sp, childRead, true)
+		if err != nil {
+			return nil, err
+		}
 		return &projectOp{child: child, evals: evals}, nil
 	case *plan.PhysHashJoin:
-		return newHashJoinOp(n, sp)
+		return newHashJoinOp(n, sp, read)
 	case *plan.PhysIndexNLJoin:
-		return newIndexNLJoinOp(n, sp)
+		return newIndexNLJoinOp(n, sp, read)
 	case *plan.PhysNLJoin:
-		return newNLJoinOp(n, sp)
+		return newNLJoinOp(n, sp, read)
 	case *plan.PhysHashAgg:
 		return newHashAggOp(n, sp)
 	case *plan.PhysSort:
-		return newSortOp(n, sp)
+		return newSortOp(n, sp, read)
 	case *plan.PhysLimit:
-		child, err := Build(n.Child, sp)
+		child, err := build(n.Child, sp, read, copies)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +172,27 @@ func Build(p plan.Physical, sp StoreProvider) (Operator, error) {
 	}
 }
 
-// Run drains an operator, returning all rows.
+// readColumns is the decode mask of a cursor whose reader reads the
+// table columns marked in read (nil: all) and that re-encodes the key of
+// ix (nil: none) to find stale index entries: read itself, with the key's
+// columns marked, or nil when every column is read.
+func readColumns(read []bool, ix *catalog.Index) []bool {
+	if read == nil {
+		return nil
+	}
+	if ix != nil {
+		for _, ord := range ix.Columns {
+			read[ord] = true
+		}
+	}
+	if !slices.Contains(read, false) {
+		return nil
+	}
+	return read
+}
+
+// Run drains an operator, returning all rows. When op is a projection, the
+// result starts with room for the rows it expects.
 func Run(op Operator, ctx *Ctx) ([]Row, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
@@ -170,6 +206,9 @@ func Run(op Operator, ctx *Ctx) ([]Row, error) {
 		}
 		if row == nil {
 			return out, nil
+		}
+		if p, ok := op.(*projectOp); ok && out == nil {
+			out = make([]Row, 0, p.rowsHint())
 		}
 		out = append(out, row)
 	}
@@ -185,12 +224,16 @@ type scanOp struct {
 	cur    Cursor
 }
 
-func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta) (*scanOp, error) {
-	a, err := compileAccess(ap, schema)
+// newScanOp compiles a scan whose reader reads the columns marked in read
+// (nil: all) and, when copies is set, copies them out of each row.
+func newScanOp(ts *TableStore, ap *plan.AccessPath, schema []plan.ColMeta, read []bool, copies bool) (*scanOp, error) {
+	a, err := compileAccess(ap, schema, read)
 	if err != nil {
 		return nil, err
 	}
-	return &scanOp{store: ts, access: a}, nil
+	s := &scanOp{store: ts, access: a}
+	s.cur.read, s.cur.reuse = readColumns(read, ap.Index), copies
+	return s, nil
 }
 
 func (s *scanOp) Open(ctx *Ctx) error {
@@ -253,16 +296,45 @@ func (f *filterOp) Close() error { return f.child.Close() }
 type projectOp struct {
 	child Operator
 	evals []Evaluator
+	// slab holds the values this execution has not handed out yet, and
+	// slabRows the rows the last slab had room for. The rows handed out
+	// escape to the caller (Result.Rows), so a slab is never reused: an
+	// execution starts one with room for the rows it expects (rowsHint),
+	// and doubles it when that runs out.
+	slab     Row
+	slabRows int
+	// rows counts the rows of this execution, last those of the last.
+	rows, last int
 }
 
-func (p *projectOp) Open(ctx *Ctx) error { return p.child.Open(ctx) }
+func (p *projectOp) Open(ctx *Ctx) error {
+	p.slab, p.slabRows, p.rows = nil, 0, 0
+	return p.child.Open(ctx)
+}
+
+// rowsHint is the rows the last execution returned and half as many
+// again, the executions of one template returning alike, not equal,
+// numbers of rows; at most maxRowsHint, so that an execution after a
+// large one does not allocate its room whole.
+func (p *projectOp) rowsHint() int { return min(p.last+p.last/2+1, maxRowsHint) }
+
+// maxRowsHint bounds the rows a projection makes room for before it sees
+// them; past it, the slab and the result grow by doubling.
+const maxRowsHint = 256
 
 func (p *projectOp) Next(ctx *Ctx) (Row, error) {
 	row, err := p.child.Next(ctx)
 	if err != nil || row == nil {
 		return nil, err
 	}
-	out := make(Row, len(p.evals))
+	n := len(p.evals)
+	if len(p.slab) < n {
+		p.slabRows = max(p.rowsHint(), 2*p.slabRows)
+		p.slab = make(Row, p.slabRows*n)
+	}
+	out := p.slab[:n:n]
+	p.slab = p.slab[n:]
+	p.rows++
 	for i, ev := range p.evals {
 		v, err := ev.Eval(ctx.env(row))
 		if err != nil {
@@ -273,7 +345,10 @@ func (p *projectOp) Next(ctx *Ctx) (Row, error) {
 	return out, nil
 }
 
-func (p *projectOp) Close() error { return p.child.Close() }
+func (p *projectOp) Close() error {
+	p.slab, p.last = nil, p.rows
+	return p.child.Close()
+}
 
 type limitOp struct {
 	child Operator
@@ -344,38 +419,52 @@ type hashJoinOp struct {
 	leftRow Row
 }
 
-func newHashJoinOp(n *plan.PhysHashJoin, sp StoreProvider) (Operator, error) {
-	left, err := Build(n.Left, sp)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Build(n.Right, sp)
-	if err != nil {
-		return nil, err
-	}
-	op := &hashJoinOp{left: left, right: right}
+// newHashJoinOp compiles a hash join whose parent reads the output
+// columns marked in read (nil: all). The joined row copies the probe row,
+// which the join holds only while it emits that row's matches; the build
+// rows stay in the table.
+func newHashJoinOp(n *plan.PhysHashJoin, sp StoreProvider, read []bool) (Operator, error) {
+	ls, rs := n.Left.Schema(), n.Right.Schema()
+	leftRead, rightRead := subMask(read, 0, len(ls)), subMask(read, len(ls), len(ls)+len(rs))
+	op := &hashJoinOp{}
 	for _, k := range n.LeftKeys {
-		ev, err := Compile(k, n.Left.Schema())
+		ev, err := compileReading(k, ls, leftRead)
 		if err != nil {
 			return nil, err
 		}
 		op.leftKeys = append(op.leftKeys, ev)
 	}
 	for _, k := range n.RightKeys {
-		ev, err := Compile(k, n.Right.Schema())
+		ev, err := compileReading(k, rs, rightRead)
 		if err != nil {
 			return nil, err
 		}
 		op.rightKeys = append(op.rightKeys, ev)
 	}
 	if n.Residual != nil {
-		ev, err := Compile(n.Residual, n.Schema())
+		ev, err := compileReading(n.Residual, n.Schema(), read)
 		if err != nil {
 			return nil, err
 		}
 		op.residual = ev
 	}
+	var err error
+	if op.left, err = build(n.Left, sp, leftRead, true); err != nil {
+		return nil, err
+	}
+	if op.right, err = build(n.Right, sp, rightRead, false); err != nil {
+		return nil, err
+	}
 	return op, nil
+}
+
+// subMask is read[from:to], the mask of one side of a join's output, or
+// nil when read is nil.
+func subMask(read []bool, from, to int) []bool {
+	if read == nil {
+		return nil
+	}
+	return read[from:to:to]
 }
 
 func (j *hashJoinOp) Open(ctx *Ctx) error {
@@ -493,29 +582,35 @@ type indexNLJoinOp struct {
 	matchIdx int
 }
 
-func newIndexNLJoinOp(n *plan.PhysIndexNLJoin, sp StoreProvider) (Operator, error) {
-	outer, err := Build(n.Outer, sp)
-	if err != nil {
-		return nil, err
-	}
+// newIndexNLJoinOp compiles an index nested-loop join whose parent reads
+// the output columns marked in read (nil: all). The joined row copies the
+// outer row, held while its matches are emitted; the matches are held
+// until then too, so the inner cursor decodes each into a row of its own.
+func newIndexNLJoinOp(n *plan.PhysIndexNLJoin, sp StoreProvider, read []bool) (Operator, error) {
 	ts, err := sp.Store(n.Table.Name)
 	if err != nil {
 		return nil, err
 	}
-	op := &indexNLJoinOp{outer: outer, store: ts, probe: &access{index: n.Index}}
+	outerSchema, width := n.Outer.Schema(), len(n.Table.Columns)
+	outerRead := subMask(read, 0, len(outerSchema))
+	op := &indexNLJoinOp{store: ts, probe: &access{index: n.Index}}
 	for _, p := range n.ProbeExprs {
-		ev, err := Compile(p, n.Outer.Schema())
+		ev, err := compileReading(p, outerSchema, outerRead)
 		if err != nil {
 			return nil, err
 		}
 		op.probe.eq = append(op.probe.eq, ev)
 	}
 	if n.Residual != nil {
-		ev, err := Compile(n.Residual, n.Schema())
+		ev, err := compileReading(n.Residual, n.Schema(), read)
 		if err != nil {
 			return nil, err
 		}
 		op.residual = ev
+	}
+	op.cur.read = readColumns(subMask(read, len(outerSchema), len(outerSchema)+width), n.Index)
+	if op.outer, err = build(n.Outer, sp, outerRead, true); err != nil {
+		return nil, err
 	}
 	return op, nil
 }
@@ -589,22 +684,25 @@ type nlJoinOp struct {
 	leftRow  Row
 }
 
-func newNLJoinOp(n *plan.PhysNLJoin, sp StoreProvider) (Operator, error) {
-	left, err := Build(n.Left, sp)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Build(n.Right, sp)
-	if err != nil {
-		return nil, err
-	}
-	op := &nlJoinOp{left: left, right: right}
+// newNLJoinOp compiles a nested-loop join whose parent reads the output
+// columns marked in read (nil: all): the left row is copied into each
+// joined row, the right rows are materialized.
+func newNLJoinOp(n *plan.PhysNLJoin, sp StoreProvider, read []bool) (Operator, error) {
+	ls, rs := n.Left.Schema(), n.Right.Schema()
+	op := &nlJoinOp{}
 	if n.On != nil {
-		ev, err := Compile(n.On, n.Schema())
+		ev, err := compileReading(n.On, n.Schema(), read)
 		if err != nil {
 			return nil, err
 		}
 		op.on = ev
+	}
+	var err error
+	if op.left, err = build(n.Left, sp, subMask(read, 0, len(ls)), true); err != nil {
+		return nil, err
+	}
+	if op.right, err = build(n.Right, sp, subMask(read, len(ls), len(ls)+len(rs)), false); err != nil {
+		return nil, err
 	}
 	return op, nil
 }
@@ -692,15 +790,14 @@ type hashAggOp struct {
 	outIdx int
 }
 
+// newHashAggOp compiles a grouping, which reads its input's group keys
+// and aggregate arguments and copies their values.
 func newHashAggOp(n *plan.PhysHashAgg, sp StoreProvider) (Operator, error) {
-	child, err := Build(n.Child, sp)
-	if err != nil {
-		return nil, err
-	}
-	op := &hashAggOp{child: child}
+	op := &hashAggOp{}
 	childSchema := n.Child.Schema()
+	childRead := make([]bool, len(childSchema))
 	for _, g := range n.GroupBy {
-		ev, err := Compile(g, childSchema)
+		ev, err := compileReading(g, childSchema, childRead)
 		if err != nil {
 			return nil, err
 		}
@@ -719,7 +816,7 @@ func newHashAggOp(n *plan.PhysHashAgg, sp StoreProvider) (Operator, error) {
 		if len(ag.Func.Args) != 1 {
 			return nil, fmt.Errorf("exec: aggregate %s takes exactly one argument", ag.Func.Name)
 		}
-		ev, err := Compile(ag.Func.Args[0], childSchema)
+		ev, err := compileReading(ag.Func.Args[0], childSchema, childRead)
 		if err != nil {
 			return nil, err
 		}
@@ -731,6 +828,10 @@ func newHashAggOp(n *plan.PhysHashAgg, sp StoreProvider) (Operator, error) {
 			return nil, err
 		}
 		op.having = ev
+	}
+	var err error
+	if op.child, err = build(n.Child, sp, childRead, true); err != nil {
+		return nil, err
 	}
 	return op, nil
 }
@@ -834,19 +935,21 @@ type sortOp struct {
 	rowIdx int
 }
 
-func newSortOp(n *plan.PhysSort, sp StoreProvider) (Operator, error) {
-	child, err := Build(n.Child, sp)
-	if err != nil {
-		return nil, err
-	}
-	op := &sortOp{child: child}
+// newSortOp compiles a sort whose parent reads the columns marked in read
+// (nil: all); it holds its input's rows.
+func newSortOp(n *plan.PhysSort, sp StoreProvider, read []bool) (Operator, error) {
+	op := &sortOp{}
 	for _, it := range n.Items {
-		ev, err := Compile(it.Expr, n.Child.Schema())
+		ev, err := compileReading(it.Expr, n.Child.Schema(), read)
 		if err != nil {
 			return nil, err
 		}
 		op.evals = append(op.evals, ev)
 		op.descs = append(op.descs, it.Desc)
+	}
+	var err error
+	if op.child, err = build(n.Child, sp, read, false); err != nil {
+		return nil, err
 	}
 	return op, nil
 }

@@ -115,12 +115,13 @@ type access struct {
 	residual       Evaluator
 }
 
-// compileAccess compiles ap; the residual is compiled against schema.
-func compileAccess(ap *plan.AccessPath, schema []plan.ColMeta) (*access, error) {
+// compileAccess compiles ap; the residual is compiled against schema,
+// marking the columns it reads in read (when not nil).
+func compileAccess(ap *plan.AccessPath, schema []plan.ColMeta, read []bool) (*access, error) {
 	a := &access{index: ap.Index, loIncl: ap.LoIncl, hiIncl: ap.HiIncl}
 	var err error
 	if ap.Residual != nil {
-		if a.residual, err = Compile(ap.Residual, schema); err != nil {
+		if a.residual, err = compileReading(ap.Residual, schema, read); err != nil {
 			return nil, err
 		}
 	}
@@ -288,6 +289,14 @@ type Cursor struct {
 	// bounds holds the encoded bounds of the last seek, key the index key
 	// of the row Next is checking: buffers kept across seeks and opens.
 	bounds, key []byte
+	// read names the columns Next decodes, the index key's among them
+	// (readColumns); nil decodes all. When reuse is set, Next decodes every
+	// row into row, which close clears: the cursor's reader copies what it
+	// reads from a row before asking for the next. Both are set once, by
+	// the operator that owns the cursor, and outlive opens.
+	read  []bool
+	reuse bool
+	row   Row
 }
 
 // indexEntry is one index entry a cursor collected: its key ends at end in
@@ -305,7 +314,8 @@ func (ts *TableStore) Scan(snap storage.Snapshot) *Cursor {
 // reset points c at ts, snap and ix with nothing to read, keeping its
 // buffers.
 func (c *Cursor) reset(ts *TableStore, snap storage.Snapshot, ix *catalog.Index) {
-	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], entryKeys: c.entryKeys[:0], bounds: c.bounds, key: c.key}
+	*c = Cursor{ts: ts, snap: snap, index: ix, entries: c.entries[:0], entryKeys: c.entryKeys[:0], bounds: c.bounds, key: c.key,
+		read: c.read, reuse: c.reuse, row: c.row}
 }
 
 // open restarts c along a at snap; an empty range reads nothing.
@@ -325,7 +335,8 @@ func (c *Cursor) open(ts *TableStore, snap storage.Snapshot, a *access, ctx *Ctx
 // close drops the cursor's references to rows; its buffers stay for the
 // next open.
 func (c *Cursor) close() {
-	c.rows, c.entries, c.span = nil, c.entries[:0], keyRange{}
+	clear(c.row)
+	c.rows, c.entries, c.span, c.row = nil, c.entries[:0], keyRange{}, c.row[:0]
 }
 
 // seek restarts an index cursor on range r, reusing its entry buffers (the
@@ -346,6 +357,11 @@ func (c *Cursor) seek(r keyRange) error {
 	bt, ok := c.ts.Indexes()[c.index.Name]
 	if !ok {
 		return fmt.Errorf("exec: index %q has no storage", c.index.Name)
+	}
+	if c.entries == nil {
+		// A new cursor's buffers start with room for a short range, which
+		// the appends below would otherwise regrow several times.
+		c.entries, c.entryKeys = make([]indexEntry, 0, 16), make([]byte, 0, 256)
 	}
 	c.entries, c.entryKeys = c.entries[:0], c.entryKeys[:0]
 	bt.ScanRange(r.lo, r.hi, r.loIncl, r.hiIncl, func(k []byte, rid storage.RID) bool {
@@ -391,9 +407,12 @@ func (c *Cursor) Next(ctx *Ctx) (storage.RID, Row, error) {
 			// is retained for older snapshots).
 			continue
 		}
-		row, err := DecodeRow(cr.Rec, ncols)
+		row, err := DecodeRow(c.row, cr.Rec, ncols, c.read) // c.row is nil unless reuse
 		if err != nil {
 			return 0, nil, err
+		}
+		if c.reuse {
+			c.row = row
 		}
 		if c.index != nil {
 			c.key = appendIndexKey(c.key[:0], c.index, row)
@@ -529,17 +548,28 @@ func EncodeRow(row Row) []byte {
 	return bytes.Clone(AppendRow(buf[:0], row))
 }
 
-// DecodeRow parses exactly ncols values from rec.
-func DecodeRow(rec []byte, ncols int) (Row, error) {
-	row := make(Row, 0, ncols)
+// DecodeRow parses exactly ncols values from rec into dst's array, or
+// into a new row when dst holds fewer than ncols. read, when not nil,
+// holds ncols flags naming the columns the caller reads: the others are
+// checked and skipped without allocating (sqltypes.Skip) and read NULL.
+func DecodeRow(dst Row, rec []byte, ncols int, read []bool) (Row, error) {
+	row := dst[:0]
+	if cap(row) < ncols {
+		row = make(Row, 0, ncols)
+	}
 	rest := rec
 	for i := 0; i < ncols; i++ {
-		v, r, err := sqltypes.Decode(rest)
+		var v sqltypes.Value
+		var err error
+		if read == nil || read[i] {
+			v, rest, err = sqltypes.Decode(rest)
+		} else {
+			rest, err = sqltypes.Skip(rest)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("exec: decoding column %d: %w", i, err)
 		}
 		row = append(row, v)
-		rest = r
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("exec: %d trailing bytes after %d columns", len(rest), ncols)

@@ -15,7 +15,11 @@
 //
 // An insert that sorts after every entry of the rightmost leaf, the common
 // case of an ascending key, appends to that leaf without a descent (the
-// fast path PostgreSQL takes for monotonically increasing keys).
+// fast path PostgreSQL takes for monotonically increasing keys). When that
+// leaf is full, the split keeps it full and starts the new rightmost leaf
+// with the one new entry; an internal node on the right spine splits the
+// same way. An ascending load so fills its nodes instead of leaving them
+// half full (PostgreSQL's rightmost-page split).
 //
 // Deletion is lazy (no rebalancing): removed entries vacate their leaf but
 // underfull leaves are not merged, matching the behaviour of several
@@ -146,7 +150,7 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 		t.size++
 		return nil
 	}
-	sep, right, err := t.insertRec(t.root, key, rid)
+	sep, right, err := t.insertRec(t.root, true, key, rid)
 	if err != nil {
 		return err
 	}
@@ -170,9 +174,10 @@ func (t *BTree) sortsLast(n *node, key []byte, rid storage.RID) bool {
 	return c > 0 || c == 0 && !t.unique && rid > n.rids[i]
 }
 
-// insertRec inserts into subtree n; on split it returns the separator key
-// and the new right sibling. The separator is valid until the next write to
-// the tree: the caller copies it.
+// insertRec inserts into subtree n, which is the last node of its level
+// when last is set; on split it returns the separator key and the new
+// right sibling. The separator is valid until the next write to the tree:
+// the caller copies it.
 //
 // A unique tree finds a duplicate in the leaf it inserts into: a leaf split
 // in a unique tree leaves every left key below the separator, and inserts
@@ -180,7 +185,7 @@ func (t *BTree) sortsLast(n *node, key []byte, rid storage.RID) bool {
 // its separators give it.
 //
 //sqlcm:lock-held index.btree
-func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, error) {
+func (t *BTree) insertRec(n *node, last bool, key []byte, rid storage.RID) ([]byte, *node, error) {
 	if n.leaf {
 		var i int
 		if t.unique {
@@ -196,14 +201,18 @@ func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, 
 		if n.count() <= maxKeys {
 			return nil, nil, nil
 		}
-		sep, right := n.splitLeaf()
+		mid := n.count() / 2
+		if last && i == n.count()-1 {
+			mid = i // an append: the new leaf starts with the new entry
+		}
+		sep, right := n.splitLeaf(mid)
 		if right.next == nil {
 			t.last = right
 		}
 		return sep, right, nil
 	}
 	ci := n.childIndex(key)
-	sep, right, err := t.insertRec(n.children[ci], key, rid)
+	sep, right, err := t.insertRec(n.children[ci], last && ci == n.count(), key, rid)
 	if right == nil {
 		return nil, nil, err
 	}
@@ -212,7 +221,13 @@ func (t *BTree) insertRec(n *node, key []byte, rid storage.RID) ([]byte, *node, 
 	if n.count() <= maxKeys {
 		return nil, nil, nil
 	}
-	sep, right = n.splitInternal()
+	mid := n.count() / 2
+	if last && ci == n.count()-1 {
+		// An append: the new node keeps the new separator and the two
+		// children either side of it, the least an internal node holds.
+		mid = ci - 1
+	}
+	sep, right = n.splitInternal(mid)
 	return sep, right, nil
 }
 
@@ -279,10 +294,10 @@ func (n *node) childIndexForSeek(key []byte) int {
 	return lo
 }
 
-// splitLeaf moves the upper half of n into a new right sibling. Both halves
-// get arrays of exactly their length, so a finished leaf pins no slack.
-func (n *node) splitLeaf() ([]byte, *node) {
-	mid := n.count() / 2
+// splitLeaf moves the entries of n from mid up into a new right sibling.
+// Both halves get arrays of exactly their length, so a finished leaf pins
+// no slack.
+func (n *node) splitLeaf(mid int) ([]byte, *node) {
 	right := &node{leaf: true, rids: slices.Clone(n.rids[mid:]), next: n.next}
 	right.keys, right.ends = n.tail(mid)
 	n.keys, n.ends = n.head(mid)
@@ -291,11 +306,10 @@ func (n *node) splitLeaf() ([]byte, *node) {
 	return right.key(0), right
 }
 
-// splitInternal moves the keys and children above the middle key into a new
-// right sibling and returns the middle key, which the old key array keeps
-// until the caller has copied it.
-func (n *node) splitInternal() ([]byte, *node) {
-	mid := n.count() / 2
+// splitInternal moves the keys and children above key mid into a new
+// right sibling and returns key mid, which the old key array keeps until
+// the caller has copied it.
+func (n *node) splitInternal(mid int) ([]byte, *node) {
 	midKey := n.key(mid)
 	right := &node{children: slices.Clone(n.children[mid+1:])}
 	right.keys, right.ends = n.tail(mid + 1)

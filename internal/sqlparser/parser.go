@@ -947,7 +947,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		v, ok := numberValue(t.text)
+		v, ok := numberValue(t.text, t.code == numFloat)
 		if !ok {
 			return nil, p.errf("bad number %q", t.text)
 		}

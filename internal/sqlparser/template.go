@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sqlcm/internal/sqltypes"
 )
@@ -45,14 +46,18 @@ func Lex(src string) (Template, error) {
 	}
 	for i := range toks {
 		tk := &toks[i]
-		if tk.kind == tokParam && !slices.Contains(t.Params, tk.text) {
-			t.Params = append(t.Params, tk.text)
-		}
-		if v, ok := literalValue(*tk); ok && dml && tk.slot == 0 {
-			t.Lits = append(t.Lits, v)
-			tk.slot = int32(len(t.Lits))
-			t.Key = append(t.Key, 0x80|byte(v.Kind())) // token kinds stay below 0x80
-			continue
+		switch tk.kind {
+		case tokParam:
+			if !slices.Contains(t.Params, tk.text) {
+				t.Params = append(t.Params, tk.text)
+			}
+		case tokNumber, tokString:
+			if v, ok := literalValue(tk); ok && dml && tk.slot == 0 {
+				t.Lits = append(t.Lits, v)
+				tk.slot = int32(len(t.Lits))
+				t.Key = append(t.Key, 0x80|byte(v.Kind())) // token kinds stay below 0x80
+				continue
+			}
 		}
 		tk.slot = 0
 		t.Key = append(t.Key, byte(tk.kind))
@@ -74,22 +79,32 @@ func keepVerbatim(toks []token) {
 	depth, aggDepth := 0, 0 // aggDepth: depth inside the open aggregate call, 0 if none
 	for i := range toks {
 		t := &toks[i]
-		switch {
-		case t.isOp("("):
-			depth++
-		case t.isOp(")"):
-			if depth == aggDepth {
-				aggDepth = 0
+		switch t.kind {
+		case tokOp:
+			switch t.code {
+			case '(':
+				depth++
+			case ')':
+				if depth == aggDepth {
+					aggDepth = 0
+				}
+				depth--
 			}
-			depth--
-		case t.kind == tokKeyword && t.text == "LIMIT" && i+1 < len(toks):
-			toks[i+1].slot = -1
-		case t.kind == tokKeyword && t.text == "SELECT":
-			keepSelectList(toks[i+1:])
-		case t.kind == tokIdent && aggDepth == 0 && i+1 < len(toks) && toks[i+1].isOp("(") && AggregateFuncs[strings.ToUpper(t.text)]:
-			aggDepth = depth + 1
-		case aggDepth > 0 && (t.kind == tokNumber || t.kind == tokString):
-			t.slot = -1
+		case tokKeyword:
+			switch t.text {
+			case "LIMIT":
+				toks[i+1].slot = -1 // toks ends in tokEOF
+			case "SELECT":
+				keepSelectList(toks[i+1:])
+			}
+		case tokIdent:
+			if aggDepth == 0 && toks[i+1].isOp('(') && isAggregateName(t.text) {
+				aggDepth = depth + 1
+			}
+		case tokNumber, tokString:
+			if aggDepth > 0 {
+				t.slot = -1
+			}
 		}
 	}
 }
@@ -100,13 +115,13 @@ func keepSelectList(toks []token) {
 	start, depth := 0, 0
 	for i, t := range toks {
 		switch {
-		case t.isOp("("):
+		case t.isOp('('):
 			depth++
-		case t.isOp(")"):
+		case t.isOp(')'):
 			depth--
 		}
-		end := t.kind == tokEOF || t.isOp(";") || (t.kind == tokKeyword && depth == 0 && selectListEnd[t.text])
-		if !end && !(depth == 0 && t.isOp(",")) {
+		end := t.kind == tokEOF || t.isOp(';') || (t.kind == tokKeyword && depth == 0 && endsSelectList(t.text))
+		if !end && !(depth == 0 && t.isOp(',')) {
 			continue
 		}
 		if item := toks[start:i]; !aliased(item) {
@@ -123,8 +138,30 @@ func keepSelectList(toks []token) {
 	}
 }
 
-// selectListEnd are the keywords that end a select list.
-var selectListEnd = map[string]bool{"FROM": true, "WHERE": true, "GROUP": true, "HAVING": true, "ORDER": true, "LIMIT": true}
+// endsSelectList reports whether a keyword ends a select list.
+func endsSelectList(kw string) bool {
+	switch kw {
+	case "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT":
+		return true
+	}
+	return false
+}
+
+// isAggregateName reports whether an identifier names an aggregate, upper-
+// cased as the parser upper-cases a function name.
+func isAggregateName(name string) bool {
+	var buf [8]byte // longer than every aggregate name
+	if len(name) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			return AggregateFuncs[strings.ToUpper(name)] // ſum is SUM
+		}
+		buf[i] = name[i] &^ 0x20
+	}
+	return AggregateFuncs[string(buf[:len(name)])]
+}
 
 // aliased reports whether a select-list item ends in an alias, as the
 // parser reads one: an identifier after AS or right after an operand.
@@ -139,29 +176,30 @@ func aliased(item []token) bool {
 	case tokKeyword:
 		return prev.text == "AS" || prev.text == "NULL" || prev.text == "TRUE" || prev.text == "FALSE"
 	default:
-		return prev.text == ")"
+		return prev.isOp(')')
 	}
 }
 
-func (t *token) isOp(op string) bool { return t.kind == tokOp && t.text == op }
+// isOp reports whether t is the operator with byte code op.
+func (t *token) isOp(op byte) bool { return t.kind == tokOp && t.code == op }
 
 // literalValue is the value of a number or string token; a number that
 // does not convert is not a literal here and stays in the key, so the
 // parser reports it.
-func literalValue(t token) (sqltypes.Value, bool) {
+func literalValue(t *token) (sqltypes.Value, bool) {
 	switch t.kind {
 	case tokNumber:
-		return numberValue(t.text)
+		return numberValue(t.text, t.code == numFloat)
 	case tokString:
 		return sqltypes.NewString(t.text), true
 	}
 	return sqltypes.Value{}, false
 }
 
-// numberValue converts a number token: FLOAT with a fraction or exponent
-// or beyond the INT range, INT otherwise.
-func numberValue(text string) (sqltypes.Value, bool) {
-	if !strings.ContainsAny(text, ".eE") {
+// numberValue converts a number token's text: FLOAT when the lexer saw a
+// fraction or an exponent (float) or beyond the INT range, INT otherwise.
+func numberValue(text string, float bool) (sqltypes.Value, bool) {
+	if !float {
 		if n, err := strconv.ParseInt(text, 10, 64); err == nil {
 			return sqltypes.NewInt(n), true
 		}

@@ -189,3 +189,26 @@ func blankSlots(v reflect.Value) {
 		}
 	}
 }
+
+// BenchmarkLex reports one template pass: the repo benchmark's ad-hoc
+// range SELECT (the text every adhoc_compile_mon_on statement lexes, plan
+// cache hit or not) and a stored procedure body.
+func BenchmarkLex(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"adhoc", "SELECT l_id, l_quantity, l_extendedprice FROM lineitem WHERE l_id >= 41327 AND l_id < 41339"},
+		{"procedure", `CREATE PROCEDURE order_report (@lo INT, @hi INT) AS BEGIN
+		SELECT COUNT(*), SUM(total) FROM orders WHERE id >= @lo AND id <= @hi;
+		UPDATE orders SET total = total * 1.05, note = 'it''s late' WHERE id = @lo; -- bump
+	END`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Lex(c.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

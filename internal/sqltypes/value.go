@@ -318,6 +318,32 @@ func Decode(src []byte) (Value, []byte, error) {
 	}
 }
 
+// Skip returns src past its first encoded value, checked as Decode checks
+// it, without building the value: a string is not copied, and a valid
+// encoding costs no allocation. A reader skips the columns it does not
+// read.
+func Skip(src []byte) ([]byte, error) {
+	if len(src) == 0 {
+		return nil, fmt.Errorf("sqltypes: decode on empty input")
+	}
+	tag := src[0]
+	src = src[1:]
+	switch tag {
+	case 0x00:
+		return src, nil
+	case 0x02, 0x05:
+		_, rest, err := decodeOrderedInt(src)
+		return rest, err
+	case 0x03:
+		_, rest, err := decodeOrderedFloat(src)
+		return rest, err
+	case 0x04:
+		return skipOrderedBytes(src)
+	default:
+		return nil, fmt.Errorf("sqltypes: bad value tag 0x%02x", tag)
+	}
+}
+
 func encodeOrderedInt(dst []byte, i int64) []byte {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], uint64(i)^(1<<63))
@@ -395,6 +421,29 @@ func decodeOrderedBytes(src []byte) ([]byte, []byte, error) {
 			start = i + 2
 		default:
 			return nil, nil, fmt.Errorf("sqltypes: bad escape in bytes encoding")
+		}
+	}
+}
+
+// skipOrderedBytes returns src past one encodeOrderedBytes payload,
+// failing where decodeOrderedBytes fails.
+func skipOrderedBytes(src []byte) ([]byte, error) {
+	for start := 0; ; {
+		i := bytes.IndexByte(src[start:], 0x00)
+		if i < 0 {
+			return nil, fmt.Errorf("sqltypes: unterminated bytes encoding")
+		}
+		i += start
+		if i+1 >= len(src) {
+			return nil, fmt.Errorf("sqltypes: truncated bytes encoding")
+		}
+		switch src[i+1] {
+		case 0x00:
+			return src[i+2:], nil
+		case 0xff:
+			start = i + 2
+		default:
+			return nil, fmt.Errorf("sqltypes: bad escape in bytes encoding")
 		}
 	}
 }

@@ -318,6 +318,9 @@ func TestDecodeErrors(t *testing.T) {
 		if _, _, err := Decode(b); err == nil {
 			t.Errorf("Decode(%v) should fail", b)
 		}
+		if _, err := Skip(b); err == nil {
+			t.Errorf("Skip(%v) should fail", b)
+		}
 	}
 }
 
@@ -333,7 +336,8 @@ func TestEqualValuesBuiltDifferently(t *testing.T) {
 // as INT, a FLOAT keeps its bits, -0 and NewFloat's one NaN included), bytes past the
 // value are left alone, strings carrying the escape bytes 0x00/0xff
 // included, and a decoded value never aliases its input: overwriting the
-// encoding afterwards leaves it unchanged.
+// encoding afterwards leaves it unchanged. Skip stops where Decode does,
+// without allocating.
 func FuzzValueRoundTrip(f *testing.F) {
 	f.Add(uint8(KindString), int64(0), 0.0, "plain")
 	f.Add(uint8(KindString), int64(0), 0.0, "a\x00b\xff\x00")
@@ -371,6 +375,10 @@ func FuzzValueRoundTrip(f *testing.F) {
 		}
 		if !same() || !bytes.Equal(rest, []byte{0x07}) {
 			t.Fatalf("Decode(Encode(%v)) = %v, rest %x", want, got, rest)
+		}
+		var skipped []byte
+		if n := testing.AllocsPerRun(1, func() { skipped, err = Skip(enc) }); err != nil || n != 0 || !bytes.Equal(skipped, rest) {
+			t.Fatalf("Skip(Encode(%v)) = %x, %v with %.0f allocations; Decode left %x", want, skipped, err, n, rest)
 		}
 		for k := range enc {
 			enc[k] ^= 0xff

@@ -37,6 +37,9 @@ go test -run '^$' -bench 'BenchmarkSetupAutocommit$' -benchtime=1x ./internal/wo
 # and the plain and aging LAT inserts the one aggregate fold was sized by
 # (§5.1), likewise one iteration each.
 go test -run '^$' -bench 'BenchmarkLATConcurrent1$|BenchmarkLATObserveParallel|BenchmarkLATEvictionBounded100$|BenchmarkSigCacheParallel$|BenchmarkMonitoredPointRead|BenchmarkAdhocRange|BenchmarkPointUpdate|BenchmarkTxnInsert|BenchmarkWirePointRead|BenchmarkPlainAggregates$|BenchmarkAgingAggregates$' -benchtime=1x .
+# The template pass every ad-hoc statement makes, plan-cache hit or not,
+# that the table-driven lexer was sized by (§5.4), one iteration.
+go test -run '^$' -bench 'BenchmarkLex$' -benchtime=1x ./internal/sqlparser
 # Strict registration of the 1000-rule session, once: a Strict check that
 # re-analyses the whole live set per rule makes it quadratic (DESIGN.md §6).
 go test -run '^$' -bench 'BenchmarkStrictRegistration$' -benchtime=1x ./internal/core
