@@ -600,6 +600,62 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// seqOp yields n one-column rows holding 1 to n.
+type seqOp struct{ n, i int }
+
+func (s *seqOp) Open(*Ctx) error { s.i = 0; return nil }
+func (s *seqOp) Close() error    { return nil }
+func (s *seqOp) Next(*Ctx) (Row, error) {
+	if s.i == s.n {
+		return nil, nil
+	}
+	s.i++
+	return Row{sqltypes.NewInt(int64(s.i))}, nil
+}
+
+// TestProjectionSlabWasteBounded: a projection of thousands of rows cuts
+// them from slabs of at most maxRowsHint rows, so the values it allocates
+// and its result keeps alive exceed the values returned by at most one
+// slab, on the first execution (room for 1 row expected) and on one after
+// a large execution (room for maxRowsHint rows).
+func TestProjectionSlabWasteBounded(t *testing.T) {
+	const rows = 5000
+	p := &projectOp{child: &seqOp{n: rows}, evals: []Evaluator{colEval{0}, colEval{0}}}
+	n := len(p.evals)
+	ctx := &Ctx{}
+	for run := range 2 {
+		if err := p.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var out []Row
+		allocated := 0
+		for {
+			fresh := len(p.slab) < n
+			row, err := p.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+			if fresh {
+				allocated += len(p.slab) + n
+			}
+			out = append(out, row)
+		}
+		p.Close()
+		for i, r := range out {
+			if r[0].Int() != int64(i+1) || r[1].Int() != int64(i+1) {
+				t.Fatalf("run %d: row %d is %v", run, i, r)
+			}
+		}
+		if waste := allocated - rows*n; waste < 0 || waste > maxRowsHint*n {
+			t.Errorf("run %d: %d values allocated for %d rows of %d, %d unused (at most %d)",
+				run, allocated, rows, n, waste, maxRowsHint*n)
+		}
+	}
+}
+
 func TestCoerceValue(t *testing.T) {
 	if v, err := CoerceValue(sqltypes.KindFloat, sqltypes.NewInt(3)); err != nil || v.Float() != 3 {
 		t.Fatalf("int->float: %v %v", v, err)

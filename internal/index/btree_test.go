@@ -339,16 +339,24 @@ func TestAscendingLoadFillsLeaves(t *testing.T) {
 		if fill := float64(internalKeys) / float64(internal); fill < 0.9*maxKeys {
 			t.Errorf("unique=%v: %d internal nodes hold %.1f keys each, want >= %.1f", unique, internal, fill, 0.9*maxKeys)
 		}
-		seen := 0
-		tr.ScanAll(func(k []byte, r storage.RID) bool {
-			if !bytes.Equal(k, intKey(int64(seen))) || r != rid(seen) {
-				t.Fatalf("unique=%v: entry %d is (%x, %d)", unique, seen, k, r)
+		// The separators the right-spine splits pushed up route seeks: every
+		// key is found by a descent, and range scans that start and end at
+		// and next to node boundaries return the model's entries.
+		checkNodes(t, tr)
+		model := make([]fuzzEntry, n)
+		for i := range model {
+			k := intKey(int64(i))
+			model[i] = fuzzEntry{string(k), rid(i)}
+			if r, ok := tr.Get(k); !ok || r != rid(i) {
+				t.Fatalf("unique=%v: Get(%d) = %d, %v", unique, i, r, ok)
 			}
-			seen++
-			return true
-		})
-		if seen != n {
-			t.Errorf("unique=%v: a scan visits %d entries, want %d", unique, seen, n)
+		}
+		checkScan(t, tr, model, nil, nil, true, true, 0)
+		for _, b := range [][2]int64{{0, 63}, {63, 64}, {64, 4095}, {4095, 4160}, {31_000, 69_420}, {99_935, n}} {
+			lo, hi := intKey(b[0]), intKey(b[1])
+			for _, incl := range []bool{true, false} {
+				checkScan(t, tr, model, lo, hi, incl, !incl, 0)
+			}
 		}
 	}
 }

@@ -2,16 +2,13 @@ package index
 
 import (
 	"bytes"
-	"cmp"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
-	"unsafe"
 
 	"sqlcm/internal/storage"
 )
@@ -23,7 +20,7 @@ type fuzzEntry struct {
 }
 
 func (a fuzzEntry) compare(b fuzzEntry) int {
-	if c := strings.Compare(a.key, b.key); c != 0 {
+	if c := bytes.Compare([]byte(a.key), []byte(b.key)); c != 0 {
 		return c
 	}
 	switch {
@@ -103,7 +100,7 @@ func (in *fuzzInput) bound() []byte {
 // budget of 60 s per input it stalled the fuzzer at 0 execs/s, so TestMain
 // bounds it.
 func FuzzBTree(f *testing.F) {
-	seed := make([]byte, 1024) // about maxOps operations
+	seed := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(seed)
 	f.Add(false, seed)
 	f.Add(true, seed)
@@ -198,18 +195,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// maxOps bounds the operations runOps reads from one input. The fuzzer
-// minimizes each new input by running it about once per byte and then
-// once per pair of cut points, so a run must stay short for the fuzzer to
-// make progress; 256 operations hold the longest hand-written seed (179)
-// and trees three levels deep.
-const maxOps = 256
-
 // runOps is FuzzBTree's body: ops is a stream of operations on a unique or
 // non-unique tree, each checked against a sorted model.
 func runOps(t *testing.T, unique bool, ops []byte) {
 	tr := New(unique)
-	checked := map[*node]nodeShape{}
 	var model []fuzzEntry // sorted by (key, rid)
 	in := &fuzzInput{b: ops}
 	nextRID := storage.RID(1)
@@ -220,23 +209,18 @@ func runOps(t *testing.T, unique bool, ops []byte) {
 		i, _ := find(fuzzEntry{key: string(k)})
 		return i < len(model) && model[i].key == string(k)
 	}
-	// add inserts into the tree, which refuses exactly the keys the model
-	// holds when it is unique, and reports whether the tree took the entry.
-	add := func(k []byte, rid storage.RID) bool {
+	insert := func(k []byte, rid storage.RID) {
 		err := tr.Insert(k, rid)
 		if dup := unique && hasKey(k); dup != (err != nil) {
 			t.Fatalf("Insert(%x, %d): err %v, model has the key: %v", k, rid, err, dup)
 		}
-		return err == nil
-	}
-	insert := func(k []byte, rid storage.RID) {
-		if add(k, rid) {
+		if err == nil {
 			e := fuzzEntry{string(k), rid}
 			i, _ := find(e)
 			model = slices.Insert(model, i, e)
 		}
 	}
-	for n := 0; len(in.b) > 0 && n < maxOps; n++ {
+	for len(in.b) > 0 {
 		switch op := in.next() % 8; op {
 		case 0, 1:
 			insert(in.key(), nextRID)
@@ -249,25 +233,16 @@ func runOps(t *testing.T, unique bool, ops []byte) {
 				insert(k, rid)
 			}
 		case 3:
-			// A run of keys under one prefix, ascending or descending. Its
-			// keys ascend with j and are new to the run, so the model
-			// takes them in one merge.
+			// A run of keys under one prefix, ascending or descending.
 			base, n, desc := in.key(), int(in.next()%128)+1, in.next()%2 == 1
-			run := make([]fuzzEntry, 0, n)
 			for i := range n {
 				j := i
 				if desc {
 					j = n - 1 - i
 				}
-				if k := append(slices.Clip(base), byte(j>>8), byte(j)); add(k, nextRID) {
-					run = append(run, fuzzEntry{string(k), nextRID})
-				}
+				insert(append(slices.Clip(base), byte(j>>8), byte(j)), nextRID)
 				nextRID++
 			}
-			if desc {
-				slices.Reverse(run)
-			}
-			model = merge(model, run)
 		case 4:
 			e := fuzzEntry{string(in.key()), storage.RID(in.next()) % nextRID}
 			if len(model) > 0 && in.next()%2 == 0 {
@@ -308,22 +283,9 @@ func runOps(t *testing.T, unique bool, ops []byte) {
 		if tr.Len() != len(model) {
 			t.Fatalf("Len = %d, model holds %d", tr.Len(), len(model))
 		}
-		checkNodes(t, tr, checked)
+		checkNodes(t, tr)
 	}
 	checkScan(t, tr, model, nil, nil, true, true, 0)
-}
-
-// merge returns the entries of a and b, two sorted lists, in order.
-func merge(a, b []fuzzEntry) []fuzzEntry {
-	out := make([]fuzzEntry, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0].compare(b[0]) <= 0 {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
 }
 
 // checkScan compares ScanRange(lo, hi, loIncl, hiIncl) with the model's
@@ -333,15 +295,15 @@ func merge(a, b []fuzzEntry) []fuzzEntry {
 func checkScan(t *testing.T, tr *BTree, model []fuzzEntry, lo, hi []byte, loIncl, hiIncl bool, limit int) {
 	t.Helper()
 	var want []fuzzEntry
-	los, his := string(lo), string(hi)
 	for _, e := range model {
+		k := []byte(e.key)
 		if lo != nil {
-			if c := strings.Compare(e.key, los); c < 0 || c == 0 && !loIncl {
+			if c := bytes.Compare(k, lo); c < 0 || c == 0 && !loIncl {
 				continue
 			}
 		}
 		if hi != nil {
-			if c := strings.Compare(e.key, his); c > 0 || c == 0 && !hiIncl {
+			if c := bytes.Compare(k, hi); c > 0 || c == 0 && !hiIncl {
 				continue
 			}
 		}
@@ -379,36 +341,39 @@ func checkScan(t *testing.T, tr *BTree, model []fuzzEntry, lo, hi []byte, loIncl
 // that rise and end at the length of the key bytes, keys in order, at most
 // maxKeys of them, arrays of matching lengths and every leaf at one depth.
 // A leaf's entries ascend: by key in a unique tree, by key and then RID in
-// a non-unique one. The tree's last leaf is the one the leaf chain ends at,
-// and no two nodes share an array.
-//
-// checked holds the shape each node had when its keys were last compared:
-// a node whose shape has not changed holds the same keys (see nodeShape),
-// so only the nodes an operation wrote to are compared again. Comparing
-// every key of the tree after every operation made one run quadratic in
-// its input's length, and the fuzzer's minimizer, which runs an input once
-// per byte, spent its whole budget on each new input: FuzzBTree stalled at
-// 0 execs/s a few seconds into a run.
-func checkNodes(t *testing.T, tr *BTree, checked map[*node]nodeShape) {
+// a non-unique one. The tree's last leaf is the one the leaf chain ends at.
+func checkNodes(t *testing.T, tr *BTree) {
 	t.Helper()
 	leafDepth := -1
 	var rightmost *node
-	var arrays []span
-	changed := false
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
-		arrays = appendSpans(arrays, n.keys, n.ends, n.rids, n.children)
+		var prev uint32
+		for i, e := range n.ends {
+			if e < prev {
+				t.Fatalf("depth %d: offset %d = %d below offset %d = %d", depth, i, e, i-1, prev)
+			}
+			if i > 0 && bytes.Compare(n.key(i-1), n.key(i)) > 0 {
+				t.Fatalf("depth %d: key %d above key %d", depth, i-1, i)
+			}
+			prev = e
+		}
+		if int(prev) != len(n.keys) {
+			t.Fatalf("depth %d: last offset %d, key bytes %d", depth, prev, len(n.keys))
+		}
 		if n.count() > maxKeys {
 			t.Fatalf("depth %d: %d keys, max %d", depth, n.count(), maxKeys)
-		}
-		if shape := shapeOf(n); checked[n] != shape {
-			checkKeys(t, tr, n, depth)
-			checked[n] = shape
-			changed = true
 		}
 		if n.leaf {
 			if len(n.rids) != n.count() {
 				t.Fatalf("depth %d: leaf has %d keys, %d rids", depth, n.count(), len(n.rids))
+			}
+			for i := 1; i < n.count(); i++ {
+				c := bytes.Compare(n.key(i-1), n.key(i))
+				if c == 0 && (tr.unique || n.rids[i-1] >= n.rids[i]) {
+					t.Fatalf("depth %d: entries %d and %d of a leaf are (%x, %d) and (%x, %d)",
+						depth, i-1, i, n.key(i-1), n.rids[i-1], n.key(i), n.rids[i])
+				}
 			}
 			if n.next == nil {
 				rightmost = n
@@ -430,81 +395,4 @@ func checkNodes(t *testing.T, tr *BTree, checked map[*node]nodeShape) {
 	if tr.last != rightmost {
 		t.Fatal("the tree's last leaf is not the one its leaf chain ends at")
 	}
-	if !changed {
-		return // the arrays checked last time
-	}
-	slices.SortFunc(arrays, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
-	for i := 1; i < len(arrays); i++ {
-		if arrays[i].lo < arrays[i-1].hi {
-			t.Fatal("two nodes share an array")
-		}
-	}
-}
-
-// checkKeys checks the keys of n: offsets that rise and end at the length
-// of the key bytes, keys in order, and in a leaf entries that ascend by key
-// (unique tree) or by key and then RID.
-func checkKeys(t *testing.T, tr *BTree, n *node, depth int) {
-	t.Helper()
-	var prev uint32
-	for i, e := range n.ends {
-		if e < prev {
-			t.Fatalf("depth %d: offset %d = %d below offset %d = %d", depth, i, e, i-1, prev)
-		}
-		if i > 0 {
-			c := bytes.Compare(n.key(i-1), n.key(i))
-			if c > 0 {
-				t.Fatalf("depth %d: key %d above key %d", depth, i-1, i)
-			}
-			if n.leaf && c == 0 && (tr.unique || n.rids[i-1] >= n.rids[i]) {
-				t.Fatalf("depth %d: entries %d and %d of a leaf are (%x, %d) and (%x, %d)",
-					depth, i-1, i, n.key(i-1), n.rids[i-1], n.key(i), n.rids[i])
-			}
-		}
-		prev = e
-	}
-	if int(prev) != len(n.keys) {
-		t.Fatalf("depth %d: last offset %d, key bytes %d", depth, prev, len(n.keys))
-	}
-}
-
-// nodeShape is where a node's arrays are and how long they are, and the
-// leaf after it. Every write this package makes to a node changes the
-// length of its ends, or gives it new arrays, and no two nodes share an
-// array; so a node of unchanged shape holds the keys it held.
-type nodeShape struct {
-	keys     *byte
-	ends     *uint32
-	rids     *storage.RID
-	children **node
-	next     *node
-	nKeys    int
-	nEnds    int
-	nRids    int
-	nKids    int
-}
-
-func shapeOf(n *node) nodeShape {
-	return nodeShape{
-		keys: unsafe.SliceData(n.keys), ends: unsafe.SliceData(n.ends), rids: unsafe.SliceData(n.rids),
-		children: unsafe.SliceData(n.children), next: n.next,
-		nKeys: len(n.keys), nEnds: len(n.ends), nRids: len(n.rids), nKids: len(n.children),
-	}
-}
-
-// span is the address range of an array.
-type span struct{ lo, hi uintptr }
-
-// appendSpans appends the ranges of a node's arrays, those it has.
-func appendSpans(dst []span, keys []byte, ends []uint32, rids []storage.RID, children []*node) []span {
-	add := func(p unsafe.Pointer, size uintptr) {
-		if size > 0 {
-			dst = append(dst, span{uintptr(p), uintptr(p) + size})
-		}
-	}
-	add(unsafe.Pointer(unsafe.SliceData(keys)), uintptr(cap(keys)))
-	add(unsafe.Pointer(unsafe.SliceData(ends)), uintptr(cap(ends))*unsafe.Sizeof(uint32(0)))
-	add(unsafe.Pointer(unsafe.SliceData(rids)), uintptr(cap(rids))*unsafe.Sizeof(storage.RID(0)))
-	add(unsafe.Pointer(unsafe.SliceData(children)), uintptr(cap(children))*unsafe.Sizeof((*node)(nil)))
-	return dst
 }
